@@ -23,11 +23,11 @@ from .gaussians import (
     gmm_expected_loglik_opt,
     gmm_responsibilities,
     solve_softmax_log,
-    solve_weighted_log,
 )
 from .h3m import (
     H3m,
     H3mFit,
+    baum_welch,
     h3m_em,
     h3m_loglik,
     h3m_loglik_batch,
@@ -36,7 +36,6 @@ from .h3m import (
 )
 from .hierarchy import (
     HierarchyLevel,
-    assign_labels,
     best_label_accuracy,
     hier_cluster,
     leaf_labels,
@@ -47,7 +46,6 @@ from .hmm import (
     Hmm,
     HmmFit,
     Sequence,
-    baum_welch,
     forward_loglik,
     forward_loglik_batch,
     sample,
@@ -97,7 +95,6 @@ __all__ = [
     "SequenceDataset",
     "SummaryStats",
     "VhemConfig",
-    "assign_labels",
     "baum_welch",
     "best_label_accuracy",
     "compute_assignments",
@@ -126,7 +123,6 @@ __all__ = [
     "save_dataset",
     "save_model",
     "solve_softmax_log",
-    "solve_weighted_log",
     "split_estimate_aggregate",
     "state_marginals",
     "summary_stats",

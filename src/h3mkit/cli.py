@@ -26,9 +26,9 @@ from .errors import (
     InvalidModelError,
     ModelFormatError,
 )
-from .h3m import H3m, h3m_em, mc_expected_loglik
+from .h3m import H3m, baum_welch, h3m_em, mc_expected_loglik
 from .hierarchy import hier_cluster, leaf_labels, rand_index
-from .hmm import EmConfig, Hmm, baum_welch
+from .hmm import EmConfig, Hmm
 from .pipeline import split_estimate_aggregate
 from .reduction import VhemConfig, vhem_reduce
 from .serialize import load_dataset, load_model, save_dataset, save_model
@@ -60,16 +60,17 @@ def _common_options(fn):
             click.option("--max-iters", type=int, default=100, show_default=True),
             click.option("--tol", type=float, default=1e-6, show_default=True),
             click.option("--cov-floor", type=float, default=1e-6, show_default=True),
-            click.option(
-                "--cov-type",
-                type=click.Choice(["diag", "full"]),
-                default="diag",
-                show_default=True,
-            ),
         ]
     ):
         fn = option(fn)
     return fn
+
+
+# Commands that build models or data from scratch choose a covariance layout;
+# `reduce` and `hier` keep the layout of the mixture they are given.
+_cov_type_option = click.option(
+    "--cov-type", type=click.Choice(["diag", "full"]), default="diag", show_default=True
+)
 
 
 def _out_dir(out: str) -> Path:
@@ -124,6 +125,7 @@ def main() -> None:
 @click.option("--starts", type=int, default=1, show_default=True, help="Seeded starts; best kept.")
 @click.option("--out", default=".", show_default=True, help="Output directory.")
 @_common_options
+@_cov_type_option
 @_guarded
 def train_hmm(data, states, mix, starts, out, seed, max_iters, tol, cov_floor, cov_type):
     """Fit a single HMM to a dataset by maximum likelihood."""
@@ -157,6 +159,7 @@ def train_hmm(data, states, mix, starts, out, seed, max_iters, tol, cov_floor, c
 @click.option("--starts", type=int, default=1, show_default=True, help="Seeded starts; best kept.")
 @click.option("--out", default=".", show_default=True)
 @_common_options
+@_cov_type_option
 @_guarded
 def train_h3m(data, k, states, mix, starts, out, seed, max_iters, tol, cov_floor, cov_type):
     """Fit a K-component HMM mixture to a dataset."""
@@ -207,7 +210,7 @@ def train_h3m(data, k, states, mix, starts, out, seed, max_iters, tol, cov_floor
 @_guarded
 def reduce_cmd(
     model, kr, virtual_samples, tau_virtual, init, init_file, restarts, out,
-    seed, max_iters, tol, cov_floor, cov_type,
+    seed, max_iters, tol, cov_floor,
 ):
     """Reduce an HMM mixture to fewer components (cluster its HMMs)."""
     out_path = _out_dir(out)
@@ -269,7 +272,7 @@ def reduce_cmd(
 @click.option("--out", default=".", show_default=True)
 @_common_options
 @_guarded
-def hier(model, ladder, virtual_samples, tau_virtual, restarts, out, seed, max_iters, tol, cov_floor, cov_type):
+def hier(model, ladder, virtual_samples, tau_virtual, restarts, out, seed, max_iters, tol, cov_floor):
     """Hierarchically cluster the components of a mixture."""
     out_path = _out_dir(out)
     base = load_model(model)
@@ -324,9 +327,7 @@ def hier(model, ladder, virtual_samples, tau_virtual, restarts, out, seed, max_i
 )
 @click.option("--out", default=".", show_default=True)
 @click.option("--seed", type=int, default=0, show_default=True)
-@click.option(
-    "--cov-type", type=click.Choice(["diag", "full"]), default="diag", show_default=True
-)
+@_cov_type_option
 @_guarded
 def synth(groups, per_group, separation, states, mix, dim, tau, kind, out, seed, cov_type):
     """Generate a seeded group-structured benchmark."""
@@ -402,6 +403,7 @@ def mc_oracle(base_path, reduced_path, tau, samples, seed, out):
 @click.option("--restarts", type=int, default=1, show_default=True, help="Competing reduction runs.")
 @click.option("--out", default=".", show_default=True)
 @_common_options
+@_cov_type_option
 @_guarded
 def split_pipeline(
     data, portions, portion_k, kr, states, mix, virtual_samples, tau_virtual,

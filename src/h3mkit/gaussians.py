@@ -11,7 +11,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .errors import DegenerateWeightsError, InvalidModelError
 
@@ -19,6 +18,18 @@ from .errors import DegenerateWeightsError, InvalidModelError
 WEIGHT_TOL = 1e-12
 
 LOG_2PI = float(np.log(2.0 * np.pi))
+
+
+def logsumexp(a, axis=None, keepdims: bool = False):
+    """log(sum(exp(a))) over ``axis`` (an int, a tuple of ints or None for
+    all), shifted by the maximum so nothing overflows. A slice that is all
+    -inf gives -inf, without a warning."""
+    a = np.asarray(a, dtype=float)
+    hi = np.amax(a, axis=axis, keepdims=True)
+    hi[~np.isfinite(hi)] = 0.0
+    with np.errstate(divide="ignore"):
+        out = np.log(np.sum(np.exp(a - hi), axis=axis, keepdims=keepdims))
+    return out + (hi if keepdims else hi.reshape(np.shape(out)))
 
 
 def _float_array(value, name: str, ndim: int) -> np.ndarray:
@@ -295,30 +306,18 @@ def gmm_expected_loglik_bound(
     return float(base.weights @ terms.sum(axis=1))
 
 
-def solve_weighted_log(beta: np.ndarray) -> np.ndarray:
-    """Distribution maximizing sum_l beta[l] log alpha[l]: beta normalized."""
-    b = np.asarray(beta, dtype=float)
-    if np.any(b < 0) or not np.all(np.isfinite(b)):
-        raise ValueError(f"weights must be finite and nonnegative, got {b}")
-    total = b.sum()
-    if total <= 0:
-        raise DegenerateWeightsError("all weights are zero")
-    return b / total
-
-
 def solve_softmax_log(beta: np.ndarray) -> tuple[np.ndarray, float]:
     """Distribution maximizing sum_l alpha[l] (beta[l] - log alpha[l]).
 
     ``beta`` is in log domain; -inf entries get zero mass. Returns the
-    maximizer (softmax of beta, via max-subtraction) and the optimum value
-    log sum_l exp beta[l].
+    maximizer (softmax of beta, renormalized so that it sums to 1 to
+    rounding) and the optimum value log sum_l exp beta[l].
     """
     b = np.asarray(beta, dtype=float)
     if np.any(np.isnan(b)) or np.any(b == np.inf):
         raise ValueError(f"log-weights must be finite or -inf, got {b}")
-    hi = b.max()
-    if hi == -np.inf:
+    value = float(logsumexp(b))
+    if value == -np.inf:
         raise DegenerateWeightsError("all log-weights are -inf")
-    shifted = np.exp(b - hi)
-    total = shifted.sum()
-    return shifted / total, float(hi + np.log(total))
+    probs = np.exp(b - value)
+    return probs / probs.sum(), value

@@ -1,10 +1,13 @@
 """Mixtures of HMMs: the model type, likelihood, EM estimation from raw
-sequences, sampling, and the Monte Carlo expected-log-likelihood oracle.
+sequences (and Baum-Welch as its one-component case), sampling, and the
+Monte Carlo expected-log-likelihood oracle.
 
 One mixture component is responsible for a whole sequence (the assignment is
-drawn once per sequence, not per frame). The EM estimator shares its
-sufficient-statistic and update machinery with ``baum_welch``; with a single
-component it reduces to it exactly, float for float.
+drawn once per sequence, not per frame). Each EM iteration runs one
+forward-backward pass per component over the data: it yields both the
+log-likelihoods behind the responsibilities and the per-sequence statistics
+that, weighted by the responsibilities, feed the M-step. ``baum_welch`` is
+``h3m_em`` with a single component.
 """
 
 from __future__ import annotations
@@ -12,13 +15,13 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .errors import EstimationError, InvalidModelError
-from .gaussians import check_probability_vector
+from .gaussians import check_probability_vector, logsumexp
 from .hmm import (
     EmConfig,
     Hmm,
+    HmmFit,
     Sequence,
     _check_data,
     _expected_stats,
@@ -145,14 +148,13 @@ def mc_expected_loglik(
     return float(lls.mean()), float(lls.std(ddof=1) / np.sqrt(n_samples))
 
 
-def _component_logliks(
-    components: list[Hmm], groups: list[tuple[np.ndarray, np.ndarray]], n_seq: int
-) -> np.ndarray:
-    ll_mat = np.empty((n_seq, len(components)))
-    for j, comp in enumerate(components):
-        for obs, idxs in groups:
-            ll_mat[idxs, j] = forward_loglik_batch(comp, obs)
-    return ll_mat
+def _estep(
+    model: Hmm, groups: list[tuple[np.ndarray, np.ndarray]]
+) -> tuple[_Stats, np.ndarray]:
+    """One forward-backward pass of ``model`` over every length group:
+    per-sequence statistics and log-likelihoods, group after group."""
+    parts = [_expected_stats(model, obs) for obs, _ in groups]
+    return _Stats.concatenate([p[0] for p in parts]), np.concatenate([p[1] for p in parts])
 
 
 def h3m_em(
@@ -184,6 +186,7 @@ def h3m_em(
     if len(data) < k:
         raise EstimationError(f"{len(data)} sequences cannot support {k} components")
     groups = group_by_length(data)
+    rows = np.concatenate([idxs for _, idxs in groups])  # sequence index of each E-step row
     n_seq = len(data)
 
     if k == 1:
@@ -199,8 +202,12 @@ def h3m_em(
     trace: list[float] = []
     reseeds = 0
     resp = np.full((n_seq, k), 1.0 / k)
+    ll_mat = np.empty((n_seq, k))
     for _ in range(config.max_iters + 1):
-        ll_mat = _component_logliks(components, groups, n_seq)
+        estep = None  # release the previous iteration's statistics first
+        estep = [_estep(comp, groups) for comp in components]
+        for j, (_, lls) in enumerate(estep):
+            ll_mat[rows, j] = lls
         with np.errstate(divide="ignore"):
             log_resp = np.log(weights)[None, :] + ll_mat
         seq_ll = logsumexp(log_resp, axis=1)
@@ -223,22 +230,17 @@ def h3m_em(
                 components[j] = _init_hmm([data[worst]], n_states, n_mix, config, rng)
             except EstimationError:
                 components[j] = _init_hmm(data, n_states, n_mix, config, rng)
+            estep[j] = _estep(components[j], groups)
             resp[worst] = 0.0
             resp[worst, j] = 1.0
             reseeds += 1
             mass = resp.sum(axis=0)
 
         weights = resp.sum(axis=0) / n_seq
-        new_components = []
-        for j in range(k):
-            total = _Stats.zeros(
-                n_states, n_mix, data[0].dim, config.cov_type == "diag"
-            )
-            for obs, idxs in groups:
-                stats, _ = _expected_stats(components[j], obs, resp[idxs, j])
-                total.add(stats)
-            new_components.append(_mstep(total, components[j], config.cov_floor))
-        components = new_components
+        components = [
+            _mstep(stats.weighted_sum(resp[rows, j]), components[j], config.cov_floor)
+            for j, (stats, _) in enumerate(estep)
+        ]
 
     return H3mFit(
         model=H3m(weights, components),
@@ -246,3 +248,20 @@ def h3m_em(
         loglik_trace=trace,
         reseeds=reseeds,
     )
+
+
+def baum_welch(
+    data: list[Sequence],
+    n_states: int,
+    n_mix: int,
+    config: EmConfig | None = None,
+    rng: np.random.Generator | None = None,
+) -> HmmFit:
+    """Maximum-likelihood HMM estimation: ``h3m_em`` with one component.
+
+    The total log-likelihood is non-decreasing across iterations; stops when
+    the relative improvement drops below config.tol or at config.max_iters.
+    With config.n_starts > 1, the best of several seeded starts is returned.
+    """
+    fit = h3m_em(data, 1, n_states, n_mix, config, rng)
+    return HmmFit(model=fit.model.components[0], loglik_trace=fit.loglik_trace)

@@ -11,7 +11,7 @@ import numpy as np
 from .errors import InvalidModelError
 from .h3m import H3m
 from .hmm import Hmm
-from .reduction import AssignmentMatrix, VhemConfig, vhem_reduce
+from .reduction import VhemConfig, vhem_reduce
 
 
 @dataclass
@@ -79,16 +79,14 @@ def leaf_labels(levels: list[HierarchyLevel], level_index: int) -> list[int]:
     return labels
 
 
-def assign_labels(z: AssignmentMatrix) -> list[int]:
-    """Hard labels from a soft assignment: argmax per row, ties to the
-    lowest index."""
-    return [int(lab) for lab in np.argmax(z.z, axis=1)]
-
-
 def rand_index(labels_a: list, labels_b: list) -> float:
     """Fraction of item pairs on which two partitions agree (both together or
     both apart), over all unordered pairs. Symmetric and invariant under
-    relabeling of either argument."""
+    relabeling of either argument.
+
+    Pairs are counted from the contingency table of the two labelings
+    (Hubert & Arabie 1985), in O(n + K_a K_b) memory: the integer count of
+    agreeing pairs is divided once by the number of pairs."""
     if len(labels_a) != len(labels_b):
         raise ValueError(
             f"label lists have different lengths: {len(labels_a)} vs {len(labels_b)}"
@@ -96,12 +94,19 @@ def rand_index(labels_a: list, labels_b: list) -> float:
     n = len(labels_a)
     if n < 2:
         raise ValueError("need at least two items")
-    a = np.asarray(labels_a)
-    b = np.asarray(labels_b)
-    same_a = a[:, None] == a[None, :]
-    same_b = b[:, None] == b[None, :]
-    upper = np.triu_indices(n, k=1)
-    return float(np.mean(same_a[upper] == same_b[upper]))
+    _, a = np.unique(np.asarray(labels_a), return_inverse=True)
+    _, b = np.unique(np.asarray(labels_b), return_inverse=True)
+    k_b = int(b.max()) + 1
+    table = np.bincount(a * k_b + b, minlength=(int(a.max()) + 1) * k_b).reshape(-1, k_b)
+
+    def pairs(counts: np.ndarray) -> int:
+        return int(np.sum(counts * (counts - 1) // 2))
+
+    together_both = pairs(table)
+    together_a = pairs(table.sum(axis=1))
+    together_b = pairs(table.sum(axis=0))
+    total = n * (n - 1) // 2
+    return (total - together_a - together_b + 2 * together_both) / total
 
 
 def best_label_accuracy(labels_true: list, labels_pred: list) -> float:

@@ -1,21 +1,23 @@
 """Hidden Markov models with Gaussian-mixture emissions.
 
-Holds the model type, exact sequence likelihood via a log-domain forward
-recursion, seeded sampling, prior state-occupancy marginals, and
-maximum-likelihood estimation (Baum-Welch). The expectation machinery is
-shared with the mixture-of-HMMs estimator, which reuses the same
-sufficient-statistic and update routines with per-sequence weights.
+Holds the model type, exact sequence likelihood, seeded sampling, prior
+state-occupancy marginals, and the estimation machinery that every estimator
+shares. One forward recursion, normalized at every step (Rabiner's scaling,
+in log domain), serves both the likelihood and the forward-backward pass, so
+a single pass over a batch yields the log-likelihoods and the per-sequence
+sufficient statistics. One M-step turns weighted statistics into an HMM:
+the mixture EM in ``h3m`` (Baum-Welch is its one-component case) and the
+mixture reduction both call it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .errors import EstimationError, InvalidModelError
-from .gaussians import Gaussian, GaussianMixture, check_probability_vector
+from .gaussians import LOG_2PI, Gaussian, GaussianMixture, check_probability_vector, logsumexp
 
 
 @dataclass
@@ -141,72 +143,66 @@ def _check_dim(model: Hmm, dim: int) -> None:
         )
 
 
-def _log_mixture_params(model: Hmm):
-    """Stacked emission parameters: log weights (N, M), means (N, M, d) and
-    either sqrt-variances (N, M, d) for diagonal or Cholesky factors
-    (N, M, d, d) for full covariances."""
+def _emission_arrays(model: Hmm) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Stacked emission parameters: weights (N, M), means (N, M, d) and
+    covariances, (N, M, d) variances for diagonal or (N, M, d, d) matrices
+    for full."""
     weights = np.stack([g.weights for g in model.emissions])
-    with np.errstate(divide="ignore"):
-        log_c = np.log(weights)
     means = np.stack([[comp.mean for comp in g.components] for g in model.emissions])
-    diagonal = model.emissions[0].is_diagonal
-    if diagonal:
-        scale = np.sqrt(
-            np.stack([[comp.cov for comp in g.components] for g in model.emissions])
-        )
-    else:
-        scale = np.stack(
-            [[np.linalg.cholesky(comp.cov) for comp in g.components] for g in model.emissions]
-        )
-    return log_c, means, scale, diagonal
-
-
-def _log_component_densities(model: Hmm, obs: np.ndarray) -> np.ndarray:
-    """Per state and mixture component log densities, shape (S, tau, N, M)."""
-    n, m, d = model.n_states, model.n_mix, model.dim
-    diff_shape_obs = obs[:, :, None, None, :]  # (S, tau, 1, 1, d)
-    _, means, scale, diagonal = _log_mixture_params(model)
-    log_2pi = np.log(2.0 * np.pi)
-    if diagonal:
-        var = scale**2
-        log_det = np.sum(np.log(var), axis=-1)  # (N, M)
-        diff = diff_shape_obs - means[None, None]
-        maha = np.sum(diff * diff / var[None, None], axis=-1)
-    else:
-        log_det = 2.0 * np.sum(
-            np.log(np.diagonal(scale, axis1=-2, axis2=-1)), axis=-1
-        )  # (N, M)
-        diff = diff_shape_obs - means[None, None]  # (S, tau, N, M, d)
-        maha = np.empty(diff.shape[:-1])
-        for state in range(n):
-            for comp in range(m):
-                sol = np.linalg.solve(scale[state, comp], diff[:, :, state, comp, :, None])
-                maha[:, :, state, comp] = np.sum(sol[..., 0] ** 2, axis=-1)
-    return -0.5 * (d * log_2pi + log_det[None, None] + maha)
+    covs = np.stack([[comp.cov for comp in g.components] for g in model.emissions])
+    return weights, means, covs
 
 
 def _log_emissions(model: Hmm, obs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Log emission densities (S, tau, N) and the per-component log joint
     weights+densities (S, tau, N, M) they were reduced from."""
-    log_comp = _log_component_densities(model, obs)
-    log_c, *_ = _log_mixture_params(model)
-    log_joint = log_comp + log_c[None, None]
+    n, m, d = model.n_states, model.n_mix, model.dim
+    weights, means, covs = _emission_arrays(model)
+    diff = obs[:, :, None, None, :] - means[None, None]  # (S, tau, N, M, d)
+    if covs.ndim == 3:
+        log_det = np.sum(np.log(covs), axis=-1)  # (N, M)
+        maha = np.sum(diff * diff / covs[None, None], axis=-1)
+    else:
+        chol = np.linalg.cholesky(covs)
+        log_det = 2.0 * np.sum(np.log(np.diagonal(chol, axis1=-2, axis2=-1)), axis=-1)
+        maha = np.empty(diff.shape[:-1])
+        for state in range(n):
+            for comp in range(m):
+                sol = np.linalg.solve(chol[state, comp], diff[:, :, state, comp, :, None])
+                maha[:, :, state, comp] = np.sum(sol[..., 0] ** 2, axis=-1)
+    with np.errstate(divide="ignore"):
+        log_c = np.log(weights)
+    log_joint = log_c[None, None] - 0.5 * (d * LOG_2PI + log_det[None, None] + maha)
     return logsumexp(log_joint, axis=-1), log_joint
 
 
-def _forward(log_pi: np.ndarray, log_a: np.ndarray, log_b: np.ndarray) -> np.ndarray:
-    """Log-likelihoods (S,) via forward recursion with per-step log
-    normalization, for a batch of equal-length sequences."""
-    tau = log_b.shape[1]
-    alpha = log_pi[None, :] + log_b[:, 0]
-    ll = logsumexp(alpha, axis=1)
-    alpha = alpha - ll[:, None]
+def _log_chain(model: Hmm) -> tuple[np.ndarray, np.ndarray]:
+    """Log initial distribution (N,) and log transition matrix (N, N)."""
+    with np.errstate(divide="ignore"):
+        return np.log(model.initial), np.log(model.transitions)
+
+
+def _forward(
+    log_pi: np.ndarray, log_a: np.ndarray, log_b: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Forward recursion over a batch of equal-length sequences, normalized
+    at every step (Rabiner's scaling, in log domain).
+
+    Returns log alpha (S, tau, N), each step's row summing to one in
+    probability, and the log-likelihoods (S,), which are the sums of the
+    per-step log normalizers.
+    """
+    s_count, tau, n = log_b.shape
+    alpha = np.empty((s_count, tau, n))
+    step_alpha = log_pi[None, :] + log_b[:, 0]
+    ll = logsumexp(step_alpha, axis=1)
+    alpha[:, 0] = step_alpha - ll[:, None]
     for t in range(1, tau):
-        alpha = logsumexp(alpha[:, :, None] + log_a[None], axis=1) + log_b[:, t]
-        step = logsumexp(alpha, axis=1)
+        step_alpha = logsumexp(alpha[:, t - 1, :, None] + log_a[None], axis=1) + log_b[:, t]
+        step = logsumexp(step_alpha, axis=1)
         ll = ll + step
-        alpha = alpha - step[:, None]
-    return ll
+        alpha[:, t] = step_alpha - step[:, None]
+    return alpha, ll
 
 
 def forward_loglik(model: Hmm, seq: Sequence) -> float:
@@ -222,10 +218,8 @@ def forward_loglik_batch(model: Hmm, obs: np.ndarray) -> np.ndarray:
         raise InvalidModelError(f"batch must be (S, tau, d), got shape {obs.shape}")
     _check_dim(model, obs.shape[2])
     log_b, _ = _log_emissions(model, obs)
-    with np.errstate(divide="ignore"):
-        log_pi = np.log(model.initial)
-        log_a = np.log(model.transitions)
-    return _forward(log_pi, log_a, log_b)
+    _, lls = _forward(*_log_chain(model), log_b)
+    return lls
 
 
 def state_marginals(model: Hmm, tau: int) -> np.ndarray:
@@ -256,25 +250,21 @@ def sample_batch(
     shapes (size, tau, d) and (size, tau). Deterministic given the generator."""
     if tau < 1:
         raise ValueError("tau must be >= 1")
-    n, m, d = model.n_states, model.n_mix, model.dim
+    d = model.dim
     states = np.empty((size, tau), dtype=int)
     cum_pi = np.cumsum(model.initial)
     cum_a = np.cumsum(model.transitions, axis=1)
     states[:, 0] = _categorical_rows(cum_pi[None, :], rng.random(size))
     for t in range(1, tau):
         states[:, t] = _categorical_rows(cum_a[states[:, t - 1]], rng.random(size))
-    weights = np.stack([g.weights for g in model.emissions])
+    weights, means, covs = _emission_arrays(model)
     cum_c = np.cumsum(weights, axis=1)
     comps = _categorical_rows(cum_c[states], rng.random((size, tau)))
     normals = rng.standard_normal((size, tau, d))
-    means = np.stack([[comp.mean for comp in g.components] for g in model.emissions])
-    if model.emissions[0].is_diagonal:
-        sd = np.sqrt(np.stack([[comp.cov for comp in g.components] for g in model.emissions]))
-        obs = means[states, comps] + normals * sd[states, comps]
+    if covs.ndim == 3:
+        obs = means[states, comps] + normals * np.sqrt(covs)[states, comps]
     else:
-        chol = np.stack(
-            [[np.linalg.cholesky(comp.cov) for comp in g.components] for g in model.emissions]
-        )
+        chol = np.linalg.cholesky(covs)
         obs = means[states, comps] + np.einsum("stij,stj->sti", chol[states, comps], normals)
     return obs, states
 
@@ -286,12 +276,13 @@ def sample(model: Hmm, tau: int, rng: np.random.Generator) -> tuple[Sequence, np
 
 
 # ---------------------------------------------------------------------------
-# Expected sufficient statistics (shared by baum_welch and the mixture EM)
+# Expected sufficient statistics (shared by the mixture EM and the reduction)
 
 
 @dataclass
 class _Stats:
-    """Weighted expected counts accumulated over sequences."""
+    """Expected counts. Per-sequence statistics carry a leading S axis on
+    every field; totals, as the M-step takes them, have none."""
 
     pi: np.ndarray  # (N,)
     trans: np.ndarray  # (N, N)
@@ -310,38 +301,33 @@ class _Stats:
             sq=np.zeros(sq_shape),
         )
 
-    def add(self, other: "_Stats") -> None:
-        self.pi += other.pi
-        self.trans += other.trans
-        self.mix += other.mix
-        self.mean += other.mean
-        self.sq += other.sq
+    @classmethod
+    def concatenate(cls, parts: list["_Stats"]) -> "_Stats":
+        """Per-sequence statistics of several batches, one after another."""
+        return cls(*(np.concatenate([getattr(p, f.name) for p in parts]) for f in fields(cls)))
+
+    def weighted_sum(self, weights: np.ndarray) -> "_Stats":
+        """Totals of per-sequence statistics, sequence s weighted by weights[s]."""
+        return _Stats(
+            *(np.einsum("s,s...->...", weights, getattr(self, f.name)) for f in fields(self))
+        )
 
 
-def _expected_stats(
-    model: Hmm, obs: np.ndarray, weights: np.ndarray
-) -> tuple[_Stats, np.ndarray]:
-    """Forward-backward pass over an equal-length batch.
+def _expected_stats(model: Hmm, obs: np.ndarray) -> tuple[_Stats, np.ndarray]:
+    """One forward-backward pass over an equal-length (S, tau, d) batch.
 
-    Returns the per-sequence-weighted sufficient statistics and the
-    (unweighted) per-sequence log-likelihoods.
+    Returns the per-sequence sufficient statistics (leading S axis, no tau
+    axis) and the per-sequence log-likelihoods, which come from the same
+    forward recursion as forward_loglik_batch and equal it bit for bit.
     """
-    s_count, tau, d = obs.shape
-    n, m = model.n_states, model.n_mix
-    diagonal = model.emissions[0].is_diagonal
+    tau = obs.shape[1]
+    log_pi, log_a = _log_chain(model)
     log_b, log_joint = _log_emissions(model, obs)
-    with np.errstate(divide="ignore"):
-        log_pi = np.log(model.initial)
-        log_a = np.log(model.transitions)
-    lls = _forward(log_pi, log_a, log_b)
+    alpha, lls = _forward(log_pi, log_a, log_b)
 
-    # Unnormalized log-domain alpha/beta; gamma and xi are renormalized rowwise
-    # so the absolute scale never enters.
-    alpha = np.empty((s_count, tau, n))
-    alpha[:, 0] = log_pi[None, :] + log_b[:, 0]
-    for t in range(1, tau):
-        alpha[:, t] = logsumexp(alpha[:, t - 1, :, None] + log_a[None], axis=1) + log_b[:, t]
-    beta = np.empty((s_count, tau, n))
+    # Log-domain beta. gamma and xi are renormalized per sequence and step, so
+    # neither the scaling of alpha nor the scale of beta enters.
+    beta = np.empty_like(alpha)
     beta[:, -1] = 0.0
     for t in range(tau - 2, -1, -1):
         beta[:, t] = logsumexp(
@@ -351,14 +337,10 @@ def _expected_stats(
     log_gamma = alpha + beta
     log_gamma -= logsumexp(log_gamma, axis=2, keepdims=True)
     gamma = np.exp(log_gamma)  # (S, tau, N)
+    # Within-state mixture responsibilities; log_b is log_joint's normalizer.
+    gamma_mix = gamma[..., None] * np.exp(log_joint - log_b[..., None])  # (S, tau, N, M)
 
-    # Within-state mixture responsibilities.
-    log_mix = log_joint - logsumexp(log_joint, axis=3, keepdims=True)
-    gamma_mix = gamma[..., None] * np.exp(log_mix)  # (S, tau, N, M)
-
-    stats = _Stats.zeros(n, m, d, diagonal)
-    stats.pi = np.einsum("s,sn->n", weights, gamma[:, 0])
-    xi_sum = np.zeros((s_count, n, n))
+    trans = np.zeros(alpha.shape[:1] + log_a.shape)
     for t in range(tau - 1):
         log_xi = (
             alpha[:, t, :, None]
@@ -366,14 +348,19 @@ def _expected_stats(
             + (log_b[:, t + 1] + beta[:, t + 1])[:, None, :]
         )
         log_xi -= logsumexp(log_xi, axis=(1, 2), keepdims=True)
-        xi_sum += np.exp(log_xi)
-    stats.trans = np.einsum("s,sij->ij", weights, xi_sum)
-    stats.mix = np.einsum("s,stnm->nm", weights, gamma_mix)
-    stats.mean = np.einsum("s,stnm,std->nmd", weights, gamma_mix, obs)
-    if diagonal:
-        stats.sq = np.einsum("s,stnm,std->nmd", weights, gamma_mix, obs * obs)
+        trans += np.exp(log_xi)
+    if model.emissions[0].is_diagonal:
+        sq = np.einsum("stnm,std->snmd", gamma_mix, obs * obs)
     else:
-        stats.sq = np.einsum("s,stnm,sti,stj->nmij", weights, gamma_mix, obs, obs)
+        sq = np.einsum("stnm,sti,stj->snmij", gamma_mix, obs, obs)
+    # Every field is a fresh array: a view would keep the (S, tau, ...) arrays alive.
+    stats = _Stats(
+        pi=gamma[:, 0].copy(),
+        trans=trans,
+        mix=gamma_mix.sum(axis=1),
+        mean=np.einsum("stnm,std->snmd", gamma_mix, obs),
+        sq=sq,
+    )
     return stats, lls
 
 
@@ -505,47 +492,3 @@ def _check_data(data: list[Sequence]) -> int:
         if seq.dim != d:
             raise InvalidModelError("sequences have inconsistent dimensions")
     return d
-
-
-def baum_welch(
-    data: list[Sequence],
-    n_states: int,
-    n_mix: int,
-    config: EmConfig | None = None,
-    rng: np.random.Generator | None = None,
-) -> HmmFit:
-    """Maximum-likelihood HMM estimation.
-
-    The total log-likelihood is non-decreasing across iterations; stops when
-    the relative improvement drops below config.tol or at config.max_iters.
-    With config.n_starts > 1, the best of several seeded starts is returned.
-    """
-    config = config or EmConfig()
-    rng = rng if rng is not None else np.random.default_rng()
-    if config.n_starts > 1:
-        best: HmmFit | None = None
-        for child in rng.spawn(config.n_starts):
-            fit = baum_welch(data, n_states, n_mix, replace(config, n_starts=1), child)
-            if best is None or fit.loglik_trace[-1] > best.loglik_trace[-1]:
-                best = fit
-        return best
-    _check_data(data)
-    groups = group_by_length(data)
-    model = _init_hmm(data, n_states, n_mix, config, rng)
-    trace: list[float] = []
-    all_lls = np.empty(len(data))
-    for _ in range(config.max_iters + 1):
-        total = _Stats.zeros(n_states, n_mix, model.dim, config.cov_type == "diag")
-        for obs, idxs in groups:
-            stats, lls = _expected_stats(model, obs, np.ones(obs.shape[0]))
-            total.add(stats)
-            all_lls[idxs] = lls
-        trace.append(float(np.sum(all_lls)))
-        if len(trace) > 1:
-            improvement = (trace[-1] - trace[-2]) / max(abs(trace[-2]), 1e-300)
-            if improvement < config.tol:
-                break
-        if len(trace) == config.max_iters + 1:
-            break
-        model = _mstep(total, model, config.cov_floor)
-    return HmmFit(model=model, loglik_trace=trace)

@@ -1,7 +1,6 @@
 """Large-data estimation by splitting: fit an HMM mixture on each data
 portion independently, pool the intermediate mixtures, and reduce the pool
-to the final model. Only one portion's sequences are needed in memory at a
-time, and portions can be processed by independent workers."""
+to the final model. The portion fits are independent of each other."""
 
 from __future__ import annotations
 

@@ -25,7 +25,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .errors import InvalidModelError
 from .gaussians import (
@@ -34,10 +33,11 @@ from .gaussians import (
     WEIGHT_TOL,
     expected_loglik_table,
     gmm_expected_loglik_opt,
+    logsumexp,
     solve_softmax_log,
 )
 from .h3m import H3m
-from .hmm import Hmm, _make_gaussian
+from .hmm import Hmm, _emission_arrays, _mstep, _Stats
 
 
 @dataclass
@@ -358,14 +358,6 @@ def lower_bound(
 # M-step
 
 
-def _base_emission_arrays(hmm: Hmm) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Stacked weights (N, M), means (N, M, d), covariances (N, M, d[, d])."""
-    c = np.stack([g.weights for g in hmm.emissions])
-    mu = np.stack([[comp.mean for comp in g.components] for g in hmm.emissions])
-    cov = np.stack([[comp.cov for comp in g.components] for g in hmm.emissions])
-    return c, mu, cov
-
-
 def mstep(
     base: H3m,
     z: AssignmentMatrix,
@@ -378,10 +370,12 @@ def mstep(
     """Closed-form re-estimation of the reduced mixture.
 
     Every update is an assignment- and occupancy-weighted average over base
-    components, their states, and their emission components. Mixture weights
-    follow the base-weighted form sum_i w_b[i] z[i, j]. Starved reduced
-    components (soft virtual mass below 1e-3 of the total) keep their
-    previous parameters and are reported back for the driver to handle.
+    components, their states, and their emission components: the weighted
+    counts are accumulated here and handed to the same update as the data-side
+    EM (``hmm._mstep``). Mixture weights follow the base-weighted form
+    sum_i w_b[i] z[i, j]. Starved reduced components (soft virtual mass below
+    1e-3 of the total) keep their previous parameters and are reported back
+    for ``vhem_reduce`` to handle.
 
     Returns the new mixture and the list of starved component indices.
     """
@@ -395,7 +389,7 @@ def mstep(
     starved = [j for j in range(k_r) if w[:, j].sum() < 1e-3 * total_mass]
 
     new_weights = base.weights @ z.z
-    base_arrays = [_base_emission_arrays(hmm) for hmm in base.components]
+    base_arrays = [_emission_arrays(hmm) for hmm in base.components]
 
     new_components: list[Hmm] = []
     for j in range(k_r):
@@ -403,60 +397,26 @@ def mstep(
         if j in starved:
             new_components.append(prev)
             continue
-        pi_num = np.zeros(n_r)
-        a_num = np.zeros((n_r, n_r))
-        mass = np.zeros((n_r, m_r))
-        mean_num = np.zeros((n_r, m_r, d))
-        sq_shape = (n_r, m_r, d) if diagonal else (n_r, m_r, d, d)
-        sq_num = np.zeros(sq_shape)
+        num = _Stats.zeros(n_r, m_r, d, diagonal)
         for i in range(k_b):
             w_ij = w[i, j]
             if w_ij == 0.0:
                 continue
             stats = all_stats[i][j]
             eta = all_eta[i][j]  # (N_b, N_r, M_b, M_r)
-            pi_num += w_ij * stats.nu1_agg
-            a_num += w_ij * stats.xi_agg
+            num.pi += w_ij * stats.nu1_agg
+            num.trans += w_ij * stats.xi_agg
             c_b, mu_b, cov_b = base_arrays[i]
             occ = w_ij * stats.nu_agg  # (N_r, N_b)
             weighted = c_b[:, None, :, None] * eta  # (N_b, N_r, M_b, M_r)
-            mass += np.einsum("rb,brml->rl", occ, weighted)
-            mean_num += np.einsum("rb,brml,bmd->rld", occ, weighted, mu_b)
+            num.mix += np.einsum("rb,brml->rl", occ, weighted)
+            num.mean += np.einsum("rb,brml,bmd->rld", occ, weighted, mu_b)
             if diagonal:
-                sq_num += np.einsum(
-                    "rb,brml,bmd->rld", occ, weighted, cov_b + mu_b * mu_b
-                )
+                num.sq += np.einsum("rb,brml,bmd->rld", occ, weighted, cov_b + mu_b * mu_b)
             else:
                 outer = cov_b + np.einsum("bmi,bmj->bmij", mu_b, mu_b)
-                sq_num += np.einsum("rb,brml,bmij->rlij", occ, weighted, outer)
-
-        pi_new = pi_num / pi_num.sum()
-        a_new = prev.transitions.copy()
-        for rho in range(n_r):
-            row_total = a_num[rho].sum()
-            if row_total > 0:
-                a_new[rho] = a_num[rho] / row_total
-        emissions = []
-        for rho in range(n_r):
-            row_mass = mass[rho]
-            row_total = row_mass.sum()
-            if row_total <= 0:
-                emissions.append(prev.emissions[rho])
-                continue
-            weights_new = row_mass / row_total
-            comps = []
-            for l in range(m_r):
-                if row_mass[l] <= 1e-15 * row_total:
-                    comps.append(prev.emissions[rho].components[l])
-                    continue
-                mu = mean_num[rho, l] / row_mass[l]
-                if diagonal:
-                    cov = sq_num[rho, l] / row_mass[l] - mu * mu
-                else:
-                    cov = sq_num[rho, l] / row_mass[l] - np.outer(mu, mu)
-                comps.append(_make_gaussian(mu, cov, cov_floor))
-            emissions.append(GaussianMixture(weights_new, comps))
-        new_components.append(Hmm(pi_new, a_new, emissions))
+                num.sq += np.einsum("rb,brml,bmij->rlij", occ, weighted, outer)
+        new_components.append(_mstep(num, prev, cov_floor))
     return H3m(new_weights, new_components), starved
 
 

@@ -194,6 +194,19 @@ class TestFailureModes:
         assert result.exit_code == 2
 
 
+    @pytest.mark.parametrize("command", ["reduce", "hier"])
+    def test_cov_type_rejected_where_it_has_no_effect(self, runner, tmp_path, command):
+        # Reduction keeps the covariance layout of its input mixture.
+        target = ["--kr", "2"] if command == "reduce" else ["--ladder", "2"]
+        result = runner.invoke(main, [
+            command, "--model", str(tmp_path / "leaves.json"), *target,
+            "--cov-type", "full", "--out", str(tmp_path / "o"),
+        ])
+        assert result.exit_code != 0
+        assert "No such option" in result.output
+        assert not (tmp_path / "o").exists()
+
+
 class TestEnvOverrides:
     def test_seed_from_environment(self, runner, tmp_path):
         out_env = tmp_path / "env"

@@ -1,12 +1,18 @@
-"""Gaussian and mixture-level bounds, matchings, and the two constrained
-maximizers. Derived expectations are frozen from closed forms and
+"""Gaussian and mixture-level bounds, matchings, the softmax-log maximizer
+and logsumexp. Derived expectations are frozen from closed forms and
 cross-checked against seeded Monte Carlo averages."""
 
 import math
+import os
+import subprocess
+import sys
+import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import h3mkit
 from h3mkit import (
     DegenerateWeightsError,
     EmissionResponsibility,
@@ -18,8 +24,8 @@ from h3mkit import (
     gmm_expected_loglik_opt,
     gmm_responsibilities,
     solve_softmax_log,
-    solve_weighted_log,
 )
+from h3mkit.gaussians import logsumexp
 
 from conftest import random_gaussian, random_gmm
 
@@ -222,17 +228,6 @@ class TestGmmBounds:
 
 
 class TestSolvers:
-    def test_weighted_log_cases(self):
-        np.testing.assert_allclose(solve_weighted_log([2.0, 2.0]), [0.5, 0.5])
-        np.testing.assert_allclose(solve_weighted_log([1.0, 3.0]), [0.25, 0.75])
-        np.testing.assert_allclose(solve_weighted_log([0.0, 5.0, 0.0]), [0.0, 1.0, 0.0])
-
-    def test_weighted_log_degenerate(self):
-        with pytest.raises(DegenerateWeightsError):
-            solve_weighted_log([0.0, 0.0])
-        with pytest.raises(ValueError):
-            solve_weighted_log([-1.0, 2.0])
-
     def test_softmax_log_cases(self):
         probs, value = solve_softmax_log([0.0, 0.0])
         np.testing.assert_allclose(probs, [0.5, 0.5])
@@ -261,4 +256,46 @@ class TestSolvers:
     def test_softmax_agrees_with_weighted_on_logs(self, rng):
         raw = rng.uniform(0.1, 5.0, size=5)
         probs, _ = solve_softmax_log(np.log(raw))
-        np.testing.assert_allclose(probs, solve_weighted_log(raw), atol=1e-12)
+        np.testing.assert_allclose(probs, raw / raw.sum(), atol=1e-12)
+
+
+class TestLogsumexp:
+    def test_all_neg_inf_slice_gives_neg_inf_without_warning(self):
+        a = np.array([[-np.inf, -np.inf], [0.0, -np.inf], [np.log(2.0), np.log(3.0)]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            out = logsumexp(a, axis=1)
+            whole = logsumexp(np.full((2, 3), -np.inf))
+        assert not np.any(np.isnan(out))
+        assert out[0] == -np.inf and out[1] == 0.0
+        assert out[2] == pytest.approx(np.log(5.0), abs=1e-15)
+        assert whole == -np.inf
+
+    def test_matches_direct_formula(self, rng):
+        cases = [((7,), None), ((4, 5), 0), ((4, 5), 1), ((3, 4, 5), (1, 2)), ((3, 4, 5), -1)]
+        for shape, axis in cases:
+            for _ in range(5):
+                a = rng.normal(scale=5.0, size=shape)
+                expected = np.log(np.sum(np.exp(a), axis=axis))
+                np.testing.assert_allclose(logsumexp(a, axis=axis), expected, rtol=0, atol=1e-12)
+
+    def test_tuple_axis_with_keepdims(self, rng):
+        a = rng.normal(size=(3, 4, 5))
+        out = logsumexp(a, axis=(1, 2), keepdims=True)
+        assert out.shape == (3, 1, 1)
+        np.testing.assert_allclose(
+            out[:, 0, 0], [np.log(np.sum(np.exp(row))) for row in a], rtol=0, atol=1e-12
+        )
+        assert logsumexp(a, axis=1, keepdims=True).shape == (3, 1, 5)
+
+    def test_no_overflow(self):
+        assert logsumexp([1000.0, 1000.0]) == pytest.approx(1000.0 + math.log(2.0), abs=1e-12)
+
+    def test_library_imports_without_scipy(self):
+        src = str(Path(h3mkit.__file__).resolve().parents[1])
+        code = "import sys; sys.modules['scipy'] = None; import h3mkit, h3mkit.cli"
+        done = subprocess.run(
+            [sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": src},
+            capture_output=True, text=True, timeout=120,
+        )
+        assert done.returncode == 0, done.stderr

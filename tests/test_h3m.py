@@ -6,6 +6,8 @@ import math
 import numpy as np
 import pytest
 
+import h3mkit.h3m as h3m_module
+import h3mkit.hmm as hmm_module
 from h3mkit import (
     EmConfig,
     EstimationError,
@@ -167,6 +169,43 @@ class TestH3mEm:
         fit = h3m_em(dataset.sequences, 3, 1, 1, EmConfig(max_iters=15), np.random.default_rng(3))
         assert 0 <= fit.reseeds <= 2
         assert fit.model.weights.sum() == pytest.approx(1.0, abs=1e-12)
+
+
+    def test_one_pass_per_component_per_estep(self, monkeypatch):
+        calls = {"stats": 0, "forward": 0}
+        expected_stats = hmm_module._expected_stats
+        forward_batch = hmm_module.forward_loglik_batch
+
+        def counted_stats(*args):
+            calls["stats"] += 1
+            return expected_stats(*args)
+
+        def counted_forward(*args):
+            calls["forward"] += 1
+            return forward_batch(*args)
+
+        monkeypatch.setattr(h3m_module, "_expected_stats", counted_stats)
+        monkeypatch.setattr(h3m_module, "forward_loglik_batch", counted_forward)
+        monkeypatch.setattr(hmm_module, "forward_loglik_batch", counted_forward)
+        # Three components on two populations: this seed starves and reseeds.
+        dataset, _ = synth_benchmark(
+            2, 15, 8.0, np.random.default_rng(0), n_states=1, n_mix=1, dim=1, tau=10,
+            kind="sequences",
+        )
+        fit = h3m_em(dataset.sequences, 3, 1, 1, EmConfig(max_iters=15), np.random.default_rng(3))
+        assert fit.reseeds > 0
+        assert calls["forward"] == 0
+        assert calls["stats"] == 3 * len(fit.loglik_trace) + fit.reseeds
+
+    def test_posteriors_follow_sequence_order_across_lengths(self, rng):
+        # Sequences of three lengths, interleaved: each length is one batch.
+        model = random_hmm(rng, n_states=2, n_mix=1, mean_scale=3.0)
+        data = [Sequence(sample_batch(model, 6 + i % 3, 1, rng)[0][0]) for i in range(24)]
+        fit = h3m_em(data, 2, 2, 1, EmConfig(max_iters=5), np.random.default_rng(0))
+        lls = np.array([[forward_loglik(c, seq) for c in fit.model.components] for seq in data])
+        log_joint = np.log(fit.model.weights)[None, :] + lls
+        expected = np.exp(log_joint - np.logaddexp.reduce(log_joint, axis=1, keepdims=True))
+        np.testing.assert_allclose(fit.posteriors, expected, rtol=0, atol=1e-10)
 
 
 class TestMcExpectedLoglik:

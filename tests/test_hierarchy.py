@@ -4,18 +4,25 @@ import numpy as np
 import pytest
 
 from h3mkit import (
-    AssignmentMatrix,
     Gaussian,
     GaussianMixture,
     Hmm,
     VhemConfig,
-    assign_labels,
     best_label_accuracy,
     hier_cluster,
     leaf_labels,
     rand_index,
     synth_benchmark,
 )
+
+
+def pairwise_rand_index(a, b):
+    """Rand index straight from its definition, one item pair at a time."""
+    n = len(a)
+    agree = sum(
+        (a[i] == a[j]) == (b[i] == b[j]) for i in range(n) for j in range(i + 1, n)
+    )
+    return agree / (n * (n - 1) // 2)
 
 
 def two_state_leaf(offset):
@@ -51,19 +58,23 @@ class TestRandIndex:
         with pytest.raises(ValueError):
             rand_index([1, 2], [1, 2, 3])
 
+    def test_matches_pairwise_definition(self, rng):
+        for n in (2, 3, 17, 60):
+            for _ in range(5):
+                a = rng.integers(0, 4, size=n).tolist()
+                b = rng.integers(0, 3, size=n).tolist()
+                assert rand_index(a, b) == pairwise_rand_index(a, b)
 
-class TestAssignLabels:
-    def test_identity_matrix(self):
-        labels = assign_labels(AssignmentMatrix(np.eye(3)))
-        assert labels == [0, 1, 2]
-
-    def test_tie_goes_to_lowest(self):
-        labels = assign_labels(AssignmentMatrix(np.array([[0.5, 0.5]])))
-        assert labels == [0]
-
-    def test_argmax(self):
-        labels = assign_labels(AssignmentMatrix(np.array([[0.2, 0.7, 0.1]])))
-        assert labels == [1]
+    def test_hundred_thousand_items(self):
+        # b refines a, so pairs together in b are together in a; the n x n
+        # pairwise matrices would take about 20 GB here.
+        n = 100_000
+        a = [i % 2 for i in range(n)]
+        b = [i % 4 for i in range(n)]
+        total = n * (n - 1) // 2
+        together_a = 2 * ((n // 2) * (n // 2 - 1) // 2)
+        together_b = 4 * ((n // 4) * (n // 4 - 1) // 2)
+        assert rand_index(a, b) == (total - together_a + together_b) / total
 
 
 class TestBestLabelAccuracy:

@@ -24,6 +24,7 @@ from h3mkit import (
     sample_batch,
     state_marginals,
 )
+from h3mkit.hmm import _expected_stats
 
 from conftest import align_means, random_hmm
 
@@ -86,6 +87,14 @@ class TestForward:
         batch = forward_loglik_batch(model, obs)
         singles = [forward_loglik(model, Sequence(o)) for o in obs]
         np.testing.assert_allclose(batch, singles, atol=1e-12)
+
+    def test_batch_equals_expected_stats_logliks(self, rng):
+        # Both come from the same forward recursion, so they agree bit for bit.
+        for cov_type in ("diag", "full"):
+            model = random_hmm(rng, n_states=3, n_mix=2, dim=2, cov_type=cov_type)
+            obs, _ = sample_batch(model, 9, 6, rng)
+            _, lls = _expected_stats(model, obs)
+            np.testing.assert_array_equal(forward_loglik_batch(model, obs), lls)
 
     def test_dimension_mismatch(self, rng):
         model = random_hmm(rng, dim=2)
