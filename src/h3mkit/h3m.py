@@ -6,8 +6,9 @@ One mixture component is responsible for a whole sequence (the assignment is
 drawn once per sequence, not per frame). Each EM iteration runs one
 forward-backward pass per component over the data: it yields both the
 log-likelihoods behind the responsibilities and the per-sequence statistics
-that, weighted by the responsibilities, feed the M-step. ``baum_welch`` is
-``h3m_em`` with a single component.
+that, weighted by the responsibilities, feed the M-step. The last possible
+E-step (at ``max_iters``) has no M-step after it and runs the forward pass
+only. ``baum_welch`` is ``h3m_em`` with a single component.
 """
 
 from __future__ import annotations
@@ -205,8 +206,15 @@ def h3m_em(
     ll_mat = np.empty((n_seq, k))
     for _ in range(config.max_iters + 1):
         estep = None  # release the previous iteration's statistics first
-        estep = [_estep(comp, groups) for comp in components]
-        for j, (_, lls) in enumerate(estep):
+        if len(trace) < config.max_iters:
+            estep = [_estep(comp, groups) for comp in components]
+            columns = [lls for _, lls in estep]
+        else:  # the last possible E-step: no M-step follows, so no statistics
+            columns = [
+                np.concatenate([forward_loglik_batch(comp, obs) for obs, _ in groups])
+                for comp in components
+            ]
+        for j, lls in enumerate(columns):
             ll_mat[rows, j] = lls
         with np.errstate(divide="ignore"):
             log_resp = np.log(weights)[None, :] + ll_mat

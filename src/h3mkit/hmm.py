@@ -5,9 +5,10 @@ state-occupancy marginals, and the estimation machinery that every estimator
 shares. One forward recursion, normalized at every step (Rabiner's scaling,
 in log domain), serves both the likelihood and the forward-backward pass, so
 a single pass over a batch yields the log-likelihoods and the per-sequence
-sufficient statistics. One M-step turns weighted statistics into an HMM:
-the mixture EM in ``h3m`` (Baum-Welch is its one-component case) and the
-mixture reduction both call it.
+sufficient statistics. One M-step turns a weighted sum of per-item
+statistics into an HMM; the items are real sequences for the mixture EM in
+``h3m`` (Baum-Welch is its one-component case) and virtual sequences of base
+components for the mixture reduction.
 """
 
 from __future__ import annotations
@@ -281,25 +282,15 @@ def sample(model: Hmm, tau: int, rng: np.random.Generator) -> tuple[Sequence, np
 
 @dataclass
 class _Stats:
-    """Expected counts. Per-sequence statistics carry a leading S axis on
-    every field; totals, as the M-step takes them, have none."""
+    """Expected counts. Per-item statistics (real sequences, or the virtual
+    sequences of base components) carry a leading S axis on every field;
+    totals, as the M-step takes them, have none."""
 
     pi: np.ndarray  # (N,)
     trans: np.ndarray  # (N, N)
     mix: np.ndarray  # (N, M)
     mean: np.ndarray  # (N, M, d)
     sq: np.ndarray  # (N, M, d) diagonal second moments or (N, M, d, d) outer
-
-    @classmethod
-    def zeros(cls, n: int, m: int, d: int, diagonal: bool) -> "_Stats":
-        sq_shape = (n, m, d) if diagonal else (n, m, d, d)
-        return cls(
-            pi=np.zeros(n),
-            trans=np.zeros((n, n)),
-            mix=np.zeros((n, m)),
-            mean=np.zeros((n, m, d)),
-            sq=np.zeros(sq_shape),
-        )
 
     @classmethod
     def concatenate(cls, parts: list["_Stats"]) -> "_Stats":

@@ -14,7 +14,9 @@ closed-form coordinate updates:
 - per base component, a soft assignment to reduced components (z).
 
 The driver alternates these updates with closed-form parameter re-estimation
-and tracks the global lower bound, which does not decrease. An exhaustive
+and tracks the global lower bound, which does not decrease. Re-estimation
+is the data-side M-step applied to per-base-component virtual statistics,
+weighted as the mixture EM weights real sequences. An exhaustive
 enumeration oracle for the pair objective is included for verification.
 """
 
@@ -103,15 +105,13 @@ class SummaryStats:
     """Expected occupancy and transition counts of a reduced component when
     modeling one base component's output.
 
-    nu_1[sigma, gamma]     first-step co-occupancy of reduced state sigma and
-                           base state gamma;
-    nu_agg[sigma, gamma]   co-occupancy summed over all steps;
+    nu_agg[sigma, gamma]   co-occupancy of reduced state sigma and base state
+                           gamma, summed over all steps;
     nu1_agg[sigma]         expected count of starting in reduced state sigma;
     xi_agg[rho, sigma]     expected count of reduced transitions rho -> sigma;
     nu_per_step[t]         per-step co-occupancy, kept for consistency checks.
     """
 
-    nu_1: np.ndarray
     nu_agg: np.ndarray
     nu1_agg: np.ndarray
     xi_agg: np.ndarray
@@ -307,7 +307,6 @@ def summary_stats(base_i: Hmm, pair: PairEstepResult) -> SummaryStats:
         nu_per_step[t - 1] = nu
         xi_agg += xi_t.sum(axis=2)
     return SummaryStats(
-        nu_1=nu_1,
         nu_agg=nu_per_step.sum(axis=0),
         nu1_agg=nu_1.sum(axis=1),
         xi_agg=xi_agg,
@@ -358,66 +357,57 @@ def lower_bound(
 # M-step
 
 
+def _virtual_stats(
+    base_i: Hmm, base_arrays_i: tuple[np.ndarray, ...], pair: PairEstepResult
+) -> _Stats:
+    """What ``hmm._expected_stats`` collects from one real sequence, for one
+    virtual sequence of base component i under the coupling ``pair``
+    (leading axis of length 1)."""
+    stats = summary_stats(base_i, pair)
+    c_b, mu_b, cov_b = base_arrays_i
+    # resp[beta, rho, m, l]: expected count of base emission (beta, m)
+    # modeled by reduced emission (rho, l).
+    resp = stats.nu_agg.T[:, :, None, None] * c_b[:, None, :, None] * pair.eta
+    if cov_b.ndim == 3:
+        second = cov_b + mu_b * mu_b
+    else:
+        second = cov_b + mu_b[..., :, None] * mu_b[..., None, :]
+    return _Stats(
+        pi=stats.nu1_agg[None],
+        trans=stats.xi_agg[None],
+        mix=resp.sum(axis=(0, 2))[None],
+        mean=np.einsum("brml,bmd->rld", resp, mu_b)[None],
+        sq=np.einsum("brml,bm...->rl...", resp, second)[None],
+    )
+
+
 def mstep(
     base: H3m,
     z: AssignmentMatrix,
-    all_stats: list[list[SummaryStats]],
-    all_eta: list[list[np.ndarray]],
+    stats: list[_Stats],
     virtual_counts: np.ndarray,
     previous: H3m,
     cov_floor: float = 1e-6,
 ) -> tuple[H3m, list[int]]:
     """Closed-form re-estimation of the reduced mixture.
 
-    Every update is an assignment- and occupancy-weighted average over base
-    components, their states, and their emission components: the weighted
-    counts are accumulated here and handed to the same update as the data-side
-    EM (``hmm._mstep``). Mixture weights follow the base-weighted form
-    sum_i w_b[i] z[i, j]. Starved reduced components (soft virtual mass below
-    1e-3 of the total) keep their previous parameters and are reported back
-    for ``vhem_reduce`` to handle.
+    ``stats[j]`` stacks every base component's virtual statistics for
+    reduced component j (``_virtual_stats``). As in ``h3m_em``, each
+    component is ``hmm._mstep`` of their weighted sum, here with weights
+    z[i, j] * virtual_counts[i]. Mixture weights follow the base-weighted
+    form sum_i w_b[i] z[i, j]. Starved reduced components (soft virtual mass
+    below 1e-3 of the total) keep their previous parameters and are reported
+    back for ``vhem_reduce`` to handle.
 
     Returns the new mixture and the list of starved component indices.
     """
-    k_b, k_r = z.z.shape
-    n_r = previous.n_states
-    m_r = previous.n_mix
-    d = previous.dim
-    diagonal = previous.components[0].emissions[0].is_diagonal
     w = z.z * virtual_counts[:, None]  # (K_b, K_r)
-    total_mass = virtual_counts.sum()
-    starved = [j for j in range(k_r) if w[:, j].sum() < 1e-3 * total_mass]
-
-    new_weights = base.weights @ z.z
-    base_arrays = [_emission_arrays(hmm) for hmm in base.components]
-
-    new_components: list[Hmm] = []
-    for j in range(k_r):
-        prev = previous.components[j]
-        if j in starved:
-            new_components.append(prev)
-            continue
-        num = _Stats.zeros(n_r, m_r, d, diagonal)
-        for i in range(k_b):
-            w_ij = w[i, j]
-            if w_ij == 0.0:
-                continue
-            stats = all_stats[i][j]
-            eta = all_eta[i][j]  # (N_b, N_r, M_b, M_r)
-            num.pi += w_ij * stats.nu1_agg
-            num.trans += w_ij * stats.xi_agg
-            c_b, mu_b, cov_b = base_arrays[i]
-            occ = w_ij * stats.nu_agg  # (N_r, N_b)
-            weighted = c_b[:, None, :, None] * eta  # (N_b, N_r, M_b, M_r)
-            num.mix += np.einsum("rb,brml->rl", occ, weighted)
-            num.mean += np.einsum("rb,brml,bmd->rld", occ, weighted, mu_b)
-            if diagonal:
-                num.sq += np.einsum("rb,brml,bmd->rld", occ, weighted, cov_b + mu_b * mu_b)
-            else:
-                outer = cov_b + np.einsum("bmi,bmj->bmij", mu_b, mu_b)
-                num.sq += np.einsum("rb,brml,bmij->rlij", occ, weighted, outer)
-        new_components.append(_mstep(num, prev, cov_floor))
-    return H3m(new_weights, new_components), starved
+    starved = [j for j in range(w.shape[1]) if w[:, j].sum() < 1e-3 * virtual_counts.sum()]
+    components = [
+        prev if j in starved else _mstep(stats[j].weighted_sum(w[:, j]), prev, cov_floor)
+        for j, prev in enumerate(previous.components)
+    ]
+    return H3m(base.weights @ z.z, components), starved
 
 
 # ---------------------------------------------------------------------------
@@ -442,17 +432,26 @@ def _perturb_means(hmm: Hmm, rng: np.random.Generator, scale: float = 0.01) -> H
     return out
 
 
-def _init_reduced(base: H3m, config: VhemConfig, rng: np.random.Generator) -> H3m:
+def _init_reduced(
+    base: H3m,
+    base_arrays: list[tuple[np.ndarray, ...]],
+    config: VhemConfig,
+    rng: np.random.Generator,
+) -> H3m:
     k_r = config.k_reduced
     if config.init_strategy == "provided":
         model = config.init_model
         assert model is not None
+        layouts = {c.is_diagonal for h in model.components for g in h.emissions
+                   for c in g.components}
         if (
             model.n_components != k_r
             or model.dim != base.dim
+            or layouts != {base.components[0].emissions[0].is_diagonal}
         ):
             raise InvalidModelError(
-                "provided initial model does not match k_reduced or base dimension"
+                "provided initial model does not match k_reduced, base dimension"
+                " or base covariance layout"
             )
         return model
     if config.init_strategy == "subset-perturb":
@@ -462,18 +461,10 @@ def _init_reduced(base: H3m, config: VhemConfig, rng: np.random.Generator) -> H3
     # "random": fresh stochastic vectors; means drawn from the pool of base
     # means with a multiplicative jitter, covariances averaged over the base.
     n, m, d = base.n_states, base.n_mix, base.dim
-    all_means = np.concatenate(
-        [
-            np.stack([comp.mean for g in hmm.emissions for comp in g.components])
-            for hmm in base.components
-        ]
-    )
-    cov_avg = np.mean(
-        np.stack(
-            [comp.cov for hmm in base.components for g in hmm.emissions for comp in g.components]
-        ),
-        axis=0,
-    )
+    all_means = np.concatenate([mu.reshape(-1, d) for _, mu, _ in base_arrays])
+    cov_avg = np.concatenate(
+        [cov.reshape(-1, *cov.shape[2:]) for _, _, cov in base_arrays]
+    ).mean(axis=0)
     components = []
     for _ in range(k_r):
         initial = rng.dirichlet(np.ones(n))
@@ -522,26 +513,24 @@ def _reduce_once(base: H3m, config: VhemConfig, rng: np.random.Generator) -> Red
     k_b = base.n_components
     n_virtual = config.n_virtual if config.n_virtual is not None else 10_000 * k_b
     virtual_counts = n_virtual * base.weights
-    reduced = _init_reduced(base, config, rng)
+    base_arrays = [_emission_arrays(hmm) for hmm in base.components]
+    reduced = _init_reduced(base, base_arrays, config, rng)
     tau = config.tau_virtual
 
     bound_history: list[float] = []
     rescues = 0
     z = AssignmentMatrix(np.full((k_b, config.k_reduced), 1.0 / config.k_reduced))
     for iteration in range(config.max_iters):
+        # The last possible iteration runs no M-step: objectives only.
+        last = iteration == config.max_iters - 1
         objectives = np.empty((k_b, config.k_reduced))
-        all_stats: list[list[SummaryStats]] = []
-        all_eta: list[list[np.ndarray]] = []
+        columns: list[list[_Stats]] = [[] for _ in range(config.k_reduced)]
         for i in range(k_b):
-            stats_row = []
-            eta_row = []
             for j in range(config.k_reduced):
                 pair = estep_pair(base.components[i], reduced.components[j], tau)
                 objectives[i, j] = pair.objective
-                stats_row.append(summary_stats(base.components[i], pair))
-                eta_row.append(pair.eta)
-            all_stats.append(stats_row)
-            all_eta.append(eta_row)
+                if not last:
+                    columns[j].append(_virtual_stats(base.components[i], base_arrays[i], pair))
         z = compute_assignments(objectives, reduced.weights, virtual_counts)
         bound = lower_bound(base, reduced, z, objectives, virtual_counts)
         bound_history.append(bound)
@@ -549,10 +538,11 @@ def _reduce_once(base: H3m, config: VhemConfig, rng: np.random.Generator) -> Red
             prev = bound_history[-2]
             if abs(bound - prev) / max(abs(prev), 1e-300) < config.tol:
                 break
-        if iteration == config.max_iters - 1:
+        if last:
             break
+        stats = [_Stats.concatenate(column) for column in columns]
         new_model, starved = mstep(
-            base, z, all_stats, all_eta, virtual_counts, reduced, config.cov_floor
+            base, z, stats, virtual_counts, reduced, config.cov_floor
         )
         if starved:
             weights = new_model.weights.copy()

@@ -6,7 +6,7 @@ import json
 import pytest
 from click.testing import CliRunner
 
-from h3mkit import H3m, load_model
+from h3mkit import H3m, load_model, save_model
 from h3mkit.cli import main
 
 
@@ -126,8 +126,6 @@ class TestSynthAndTrain:
             "--kind", "hmms", "--out", str(synth_dir), "--seed", "0",
         ])
         leaves = load_model(synth_dir / "leaves.json")
-        from h3mkit import save_model
-
         save_model(leaves.components[0], tmp_path / "a.json")
         save_model(leaves.components[1], tmp_path / "b.json")
         out = tmp_path / "mc"
@@ -155,6 +153,29 @@ class TestSynthAndTrain:
         portions = (out / "pipeline_portions.csv").read_text().splitlines()
         assert portions[0] == "portion,size,loglik"
         assert len(portions) == 3
+
+    def test_reduce_init_file(self, runner, tmp_path):
+        # A provided start must share the base's covariance layout.
+        for cov_type in ("diag", "full"):
+            run_ok(runner, [
+                "synth", "--groups", "2", "--per-group", "3", "--separation", "4",
+                "--kind", "hmms", "--states", "2", "--mix", "2", "--dim", "2",
+                "--cov-type", cov_type, "--out", str(tmp_path / cov_type), "--seed", "0",
+            ])
+            leaves = load_model(tmp_path / cov_type / "leaves.json")
+            start = H3m([0.5, 0.5], [leaves.components[0], leaves.components[3]])
+            save_model(start, tmp_path / f"init_{cov_type}.json")
+        base = str(tmp_path / "diag" / "leaves.json")
+        args = ["reduce", "--model", base, "--kr", "2", "--init", "file", "--max-iters", "3"]
+        run_ok(runner, args + [
+            "--init-file", str(tmp_path / "init_diag.json"), "--out", str(tmp_path / "ok"),
+        ])
+        assert load_model(tmp_path / "ok" / "reduced.json").n_components == 2
+        result = runner.invoke(main, args + [
+            "--init-file", str(tmp_path / "init_full.json"), "--out", str(tmp_path / "bad"),
+        ])
+        assert result.exit_code == 1
+        assert "covariance layout" in result.output
 
 
 class TestFailureModes:

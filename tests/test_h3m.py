@@ -197,6 +197,40 @@ class TestH3mEm:
         assert calls["forward"] == 0
         assert calls["stats"] == 3 * len(fit.loglik_trace) + fit.reseeds
 
+    def test_last_possible_estep_runs_forward_only(self, monkeypatch):
+        calls = {"stats": 0, "forward": 0}
+        expected_stats = hmm_module._expected_stats
+        forward_batch = hmm_module.forward_loglik_batch
+
+        def counted_stats(*args):
+            calls["stats"] += 1
+            return expected_stats(*args)
+
+        def counted_forward(*args):
+            calls["forward"] += 1
+            return forward_batch(*args)
+
+        monkeypatch.setattr(h3m_module, "_expected_stats", counted_stats)
+        monkeypatch.setattr(h3m_module, "forward_loglik_batch", counted_forward)
+        dataset, _ = synth_benchmark(
+            2, 15, 8.0, np.random.default_rng(0), n_states=1, n_mix=1, dim=1, tau=10,
+            kind="sequences",
+        )
+        # Three lengths, interleaved: three batches per pass. This seed reseeds twice.
+        data = [Sequence(s.observations[: 6 + i % 3]) for i, s in enumerate(dataset.sequences)]
+        max_iters, n_groups = 8, 3
+        config = EmConfig(max_iters=max_iters, tol=0.0)
+        fit = h3m_em(data, 3, 1, 1, config, np.random.default_rng(4))
+        assert len(fit.loglik_trace) == max_iters + 1
+        assert fit.reseeds == 2
+        assert calls["stats"] == (3 * max_iters + fit.reseeds) * n_groups
+        assert calls["forward"] == 3 * n_groups
+        # The forward-only pass fills the posteriors in sequence order.
+        lls = np.array([[forward_loglik(c, seq) for c in fit.model.components] for seq in data])
+        log_joint = np.log(fit.model.weights)[None, :] + lls
+        expected = np.exp(log_joint - np.logaddexp.reduce(log_joint, axis=1, keepdims=True))
+        np.testing.assert_allclose(fit.posteriors, expected, rtol=0, atol=1e-10)
+
     def test_posteriors_follow_sequence_order_across_lengths(self, rng):
         # Sequences of three lengths, interleaved: each length is one batch.
         model = random_hmm(rng, n_states=2, n_mix=1, mean_scale=3.0)

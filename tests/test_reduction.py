@@ -14,6 +14,7 @@ from h3mkit import (
     GaussianMixture,
     H3m,
     Hmm,
+    InvalidModelError,
     VhemConfig,
     compute_assignments,
     elhmm_bruteforce,
@@ -29,6 +30,9 @@ from h3mkit import (
     synth_benchmark,
     vhem_reduce,
 )
+
+from h3mkit.hmm import _emission_arrays, _Stats
+from h3mkit.reduction import _virtual_stats
 
 from conftest import random_hmm
 
@@ -125,15 +129,18 @@ class TestEstepPair:
         np.testing.assert_allclose(pair.eta.sum(axis=3), 1.0, atol=1e-12)
 
     def test_state_ell_matches_mixture_bound(self, rng):
-        base = random_hmm(rng, n_states=2, n_mix=2)
-        reduced = random_hmm(rng, n_states=2, n_mix=2)
-        pair = estep_pair(base, reduced, 3)
-        for b in range(2):
-            for r in range(2):
-                assert pair.state_ell[b, r] == pytest.approx(
-                    gmm_expected_loglik_opt(base.emissions[b], reduced.emissions[r]),
-                    abs=1e-12,
-                )
+        # (N_b, N_r, M_b, M_r, d, covariance layout)
+        cases = [(2, 2, 2, 2, 1, "diag"), (3, 2, 1, 3, 2, "full"), (2, 3, 3, 2, 2, "full")]
+        for n_b, n_r, m_b, m_r, d, cov_type in cases:
+            base = random_hmm(rng, n_b, m_b, d, cov_type)
+            reduced = random_hmm(rng, n_r, m_r, d, cov_type)
+            pair = estep_pair(base, reduced, 3)
+            for b in range(n_b):
+                for r in range(n_r):
+                    assert pair.state_ell[b, r] == pytest.approx(
+                        gmm_expected_loglik_opt(base.emissions[b], reduced.emissions[r]),
+                        abs=1e-12,
+                    )
 
     def test_objective_value_by_enumeration(self, rng):
         base = random_hmm(rng, n_states=2, n_mix=1)
@@ -301,18 +308,18 @@ class TestLowerBound:
 
 
 def run_estep(base, reduced, tau):
+    """Pair objectives, summary statistics per (i, j), and the M-step input:
+    per reduced component, the virtual statistics of every base component."""
     objectives = np.empty((base.n_components, reduced.n_components))
-    all_stats, all_eta = [], []
+    summaries = [[None] * reduced.n_components for _ in base.components]
+    columns = [[] for _ in reduced.components]
     for i, b in enumerate(base.components):
-        stats_row, eta_row = [], []
         for j, r in enumerate(reduced.components):
             pair = estep_pair(b, r, tau)
             objectives[i, j] = pair.objective
-            stats_row.append(summary_stats(b, pair))
-            eta_row.append(pair.eta)
-        all_stats.append(stats_row)
-        all_eta.append(eta_row)
-    return objectives, all_stats, all_eta
+            summaries[i][j] = summary_stats(b, pair)
+            columns[j].append(_virtual_stats(b, _emission_arrays(b), pair))
+    return objectives, summaries, [_Stats.concatenate(col) for col in columns]
 
 
 class TestMstep:
@@ -322,21 +329,21 @@ class TestMstep:
         base = H3m([1.0], [base_hmm])
         reduced = H3m([1.0], [reduced_hmm])
         counts = np.array([100.0])
-        objectives, all_stats, all_eta = run_estep(base, reduced, 5)
+        objectives, summaries, stats = run_estep(base, reduced, 5)
         z = AssignmentMatrix(np.ones((1, 1)))
-        new, starved = mstep(base, z, all_stats, all_eta, counts, reduced)
+        new, starved = mstep(base, z, stats, counts, reduced)
         assert starved == []
-        stats = all_stats[0][0]
+        summary = summaries[0][0]
         np.testing.assert_allclose(
-            new.components[0].initial, stats.nu1_agg / stats.nu1_agg.sum(), atol=1e-12
+            new.components[0].initial, summary.nu1_agg / summary.nu1_agg.sum(), atol=1e-12
         )
         np.testing.assert_allclose(
             new.components[0].transitions,
-            stats.xi_agg / stats.xi_agg.sum(axis=1, keepdims=True),
+            summary.xi_agg / summary.xi_agg.sum(axis=1, keepdims=True),
             atol=1e-12,
         )
         # With M = 1 the emission mean is the occupancy-weighted base mean.
-        occ = stats.nu_agg  # (N_r, N_b)
+        occ = summary.nu_agg  # (N_r, N_b)
         base_means = np.array([g.components[0].mean for g in base_hmm.emissions])
         for rho in range(2):
             expected = (occ[rho] @ base_means) / occ[rho].sum()
@@ -358,9 +365,9 @@ class TestMstep:
         base = H3m(np.full(4, 0.25), [shared] * 4)
         reduced = H3m([1.0], [shared])
         counts = np.full(4, 25.0)
-        objectives, all_stats, all_eta = run_estep(base, reduced, 5)
+        objectives, summaries, stats = run_estep(base, reduced, 5)
         z = AssignmentMatrix(np.ones((4, 1)))
-        new, _ = mstep(base, z, all_stats, all_eta, counts, reduced)
+        new, _ = mstep(base, z, stats, counts, reduced)
         comp = new.components[0]
         np.testing.assert_allclose(comp.initial, shared.initial, atol=1e-8)
         np.testing.assert_allclose(comp.transitions, shared.transitions, atol=1e-8)
@@ -377,12 +384,12 @@ class TestMstep:
         base = H3m(np.full(4, 0.25), comps)
         reduced = H3m([0.5, 0.5], [gaussian_hmm(0.5), gaussian_hmm(3.0)])
         counts = np.full(4, 10.0)
-        objectives, all_stats, all_eta = run_estep(base, reduced, 3)
+        objectives, summaries, stats = run_estep(base, reduced, 3)
         hard = np.zeros((4, 2))
         hard[:3, 0] = 1.0
         hard[3, 1] = 1.0
         z = AssignmentMatrix(hard)
-        new, _ = mstep(base, z, all_stats, all_eta, counts, reduced)
+        new, _ = mstep(base, z, stats, counts, reduced)
         np.testing.assert_allclose(new.weights, [0.75, 0.25], atol=1e-12)
 
     def test_outputs_stochastic(self, rng):
@@ -392,9 +399,9 @@ class TestMstep:
         )
         reduced = H3m([0.5, 0.5], [random_hmm(rng, 2, 2, 2) for _ in range(2)])
         counts = 100.0 * base.weights
-        objectives, all_stats, all_eta = run_estep(base, reduced, 4)
+        objectives, summaries, stats = run_estep(base, reduced, 4)
         z = compute_assignments(objectives, reduced.weights, counts)
-        new, _ = mstep(base, z, all_stats, all_eta, counts, reduced)
+        new, _ = mstep(base, z, stats, counts, reduced)
         assert new.weights.sum() == pytest.approx(1.0, abs=1e-12)
         for comp in new.components:
             assert comp.initial.sum() == pytest.approx(1.0, abs=1e-12)
@@ -403,6 +410,93 @@ class TestMstep:
                 assert gmm.weights.sum() == pytest.approx(1.0, abs=1e-12)
                 for g in gmm.components:
                     assert np.all(np.atleast_1d(g.cov)[np.diag_indices(1)[0]] >= 1e-6)
+
+
+    @pytest.mark.parametrize("cov_type", ["diag", "full"])
+    def test_matches_explicit_updates(self, rng, cov_type):
+        # The paper's closed-form updates, summed term by term over base
+        # component i, base state beta, base emission m, reduced state rho and
+        # reduced emission l; covariances in the centered form.
+        k_b, k_r, n_b, n_r, m_b, m_r, d, tau = 3, 2, 3, 2, 2, 3, 2, 4
+        base = H3m(
+            rng.dirichlet(np.ones(k_b)),
+            [random_hmm(rng, n_b, m_b, d, cov_type, mean_scale=3.0) for _ in range(k_b)],
+        )
+        reduced = H3m(
+            np.full(k_r, 1 / k_r), [random_hmm(rng, n_r, m_r, d, cov_type) for _ in range(k_r)]
+        )
+        counts = 50.0 * base.weights
+        z = AssignmentMatrix(rng.dirichlet(np.ones(k_r), size=k_b))
+        pairs = [[estep_pair(b, r, tau) for r in reduced.components] for b in base.components]
+        summaries = [
+            [summary_stats(b, pair) for pair in row] for b, row in zip(base.components, pairs)
+        ]
+
+        expected = []
+        for j in range(k_r):
+            pi, trans = np.zeros(n_r), np.zeros((n_r, n_r))
+            mass, mean_num = np.zeros((n_r, m_r)), np.zeros((n_r, m_r, d))
+            for i in range(k_b):
+                w_ij = z.z[i, j] * counts[i]
+                pi += w_ij * summaries[i][j].nu1_agg
+                trans += w_ij * summaries[i][j].xi_agg
+
+            def terms():
+                for i, beta, m, rho, l in itertools.product(
+                    range(k_b), range(n_b), range(m_b), range(n_r), range(m_r)
+                ):
+                    gmm = base.components[i].emissions[beta]
+                    weight = (
+                        z.z[i, j] * counts[i] * summaries[i][j].nu_agg[rho, beta]
+                        * gmm.weights[m] * pairs[i][j].eta[beta, rho, m, l]
+                    )
+                    yield rho, l, weight, gmm.components[m]
+
+            for rho, l, weight, comp in terms():
+                mass[rho, l] += weight
+                mean_num[rho, l] += weight * comp.mean
+            means = mean_num / mass[..., None]
+            covs = np.zeros((n_r, m_r) + base.components[0].emissions[0].components[0].cov.shape)
+            for rho, l, weight, comp in terms():
+                dev = comp.mean - means[rho, l]
+                spread = dev * dev if cov_type == "diag" else np.outer(dev, dev)
+                covs[rho, l] += weight * (comp.cov + spread) / mass[rho, l]
+            expected.append(
+                (pi / pi.sum(), trans / trans.sum(axis=1, keepdims=True),
+                 mass / mass.sum(axis=1, keepdims=True), means, covs)
+            )
+
+        # A floor at the median variance binds on some entries and not others.
+        variances = np.concatenate(
+            [(c if cov_type == "diag" else np.diagonal(c, axis1=-2, axis2=-1)).ravel()
+             for *_, c in expected]
+        )
+        floor = float(np.median(variances))
+        assert np.any(variances < floor) and np.any(variances > floor)
+
+        stats = [
+            _Stats.concatenate(
+                [_virtual_stats(b, _emission_arrays(b), pairs[i][j])
+                 for i, b in enumerate(base.components)]
+            )
+            for j in range(k_r)
+        ]
+        new, starved = mstep(base, z, stats, counts, reduced, cov_floor=floor)
+        assert starved == []
+        np.testing.assert_allclose(new.weights, base.weights @ z.z, rtol=0, atol=1e-10)
+        for comp, (initial, transitions, mix, means, covs) in zip(new.components, expected):
+            np.testing.assert_allclose(comp.initial, initial, rtol=0, atol=1e-10)
+            np.testing.assert_allclose(comp.transitions, transitions, rtol=0, atol=1e-10)
+            for rho, gmm in enumerate(comp.emissions):
+                np.testing.assert_allclose(gmm.weights, mix[rho], rtol=0, atol=1e-10)
+                for l, g in enumerate(gmm.components):
+                    cov = covs[rho, l].copy()
+                    if cov_type == "diag":
+                        cov = np.maximum(cov, floor)
+                    else:
+                        cov[np.diag_indices(d)] = np.maximum(np.diag(cov), floor)
+                    np.testing.assert_allclose(g.mean, means[rho, l], rtol=0, atol=1e-10)
+                    np.testing.assert_allclose(g.cov, cov, rtol=0, atol=1e-10)
 
 
 class TestVhemReduce:
@@ -470,10 +564,21 @@ class TestVhemReduce:
 
     def test_k_exceeds_base_rejected(self, rng):
         base = H3m([1.0], [gaussian_hmm(0.0)])
-        from h3mkit import InvalidModelError
-
         with pytest.raises(InvalidModelError):
             vhem_reduce(base, VhemConfig(k_reduced=2))
+
+    def test_provided_init_must_match_covariance_layout(self):
+        shape = dict(n_states=2, n_mix=2, dim=2)
+        diag, _ = synth_benchmark(2, 3, 4.0, np.random.default_rng(7), **shape)
+        full, _ = synth_benchmark(2, 3, 4.0, np.random.default_rng(7), cov_type="full", **shape)
+        for base_leaves, init_leaves in ((diag, full), (full, diag)):
+            base = H3m(np.full(6, 1 / 6), base_leaves)
+            init = H3m([0.5, 0.5], [init_leaves[0], init_leaves[3]])
+            config = VhemConfig(
+                k_reduced=2, init_strategy="provided", init_model=init, max_iters=3
+            )
+            with pytest.raises(InvalidModelError, match="covariance layout"):
+                vhem_reduce(base, config)
 
     def test_restarts_deterministic_and_not_worse(self):
         leaves, _ = synth_benchmark(4, 5, 4.0, np.random.default_rng(6))
