@@ -15,13 +15,10 @@ from .errors import (
     ModelFormatError,
 )
 from .gaussians import (
-    EmissionResponsibility,
     Gaussian,
     GaussianMixture,
     gauss_expected_loglik,
-    gmm_expected_loglik_bound,
     gmm_expected_loglik_opt,
-    gmm_responsibilities,
     solve_softmax_log,
 )
 from .h3m import (
@@ -29,9 +26,6 @@ from .h3m import (
     H3mFit,
     baum_welch,
     h3m_em,
-    h3m_loglik,
-    h3m_loglik_batch,
-    h3m_sample,
     mc_expected_loglik,
 )
 from .hierarchy import (
@@ -48,7 +42,6 @@ from .hmm import (
     Sequence,
     forward_loglik,
     forward_loglik_batch,
-    sample,
     sample_batch,
     state_marginals,
 )
@@ -76,7 +69,6 @@ __all__ = [
     "AssignmentMatrix",
     "DegenerateWeightsError",
     "EmConfig",
-    "EmissionResponsibility",
     "EstimationError",
     "Gaussian",
     "GaussianMixture",
@@ -103,13 +95,8 @@ __all__ = [
     "forward_loglik",
     "forward_loglik_batch",
     "gauss_expected_loglik",
-    "gmm_expected_loglik_bound",
     "gmm_expected_loglik_opt",
-    "gmm_responsibilities",
     "h3m_em",
-    "h3m_loglik",
-    "h3m_loglik_batch",
-    "h3m_sample",
     "hier_cluster",
     "leaf_labels",
     "load_dataset",
@@ -118,7 +105,6 @@ __all__ = [
     "mc_expected_loglik",
     "mstep",
     "rand_index",
-    "sample",
     "sample_batch",
     "save_dataset",
     "save_model",

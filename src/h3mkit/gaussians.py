@@ -96,30 +96,6 @@ class Gaussian:
     def is_diagonal(self) -> bool:
         return self.cov.ndim == 1
 
-    def log_det(self) -> float:
-        if self.is_diagonal:
-            return float(np.sum(np.log(self.cov)))
-        chol = np.linalg.cholesky(self.cov)
-        return float(2.0 * np.sum(np.log(np.diag(chol))))
-
-    def log_density(self, points: np.ndarray) -> np.ndarray:
-        """Log density at each row of ``points`` (shape (n, d) or (d,))."""
-        pts = np.atleast_2d(np.asarray(points, dtype=float))
-        diff = pts - self.mean
-        if self.is_diagonal:
-            maha = np.sum(diff * diff / self.cov, axis=-1)
-        else:
-            chol = np.linalg.cholesky(self.cov)
-            solved = np.linalg.solve(chol, diff.T)
-            maha = np.sum(solved * solved, axis=0)
-        return -0.5 * (self.dim * LOG_2PI + self.log_det() + maha)
-
-    def sample(self, size: int, rng: np.random.Generator) -> np.ndarray:
-        normals = rng.standard_normal((size, self.dim))
-        if self.is_diagonal:
-            return self.mean + normals * np.sqrt(self.cov)
-        return self.mean + normals @ np.linalg.cholesky(self.cov).T
-
 
 @dataclass
 class GaussianMixture:
@@ -157,153 +133,83 @@ class GaussianMixture:
     def is_diagonal(self) -> bool:
         return self.components[0].is_diagonal
 
-    def log_density(self, points: np.ndarray) -> np.ndarray:
-        pts = np.atleast_2d(np.asarray(points, dtype=float))
-        per_comp = np.stack([g.log_density(pts) for g in self.components], axis=-1)
-        with np.errstate(divide="ignore"):
-            log_w = np.log(self.weights)
-        return logsumexp(per_comp + log_w, axis=-1)
 
-    def sample(self, size: int, rng: np.random.Generator) -> np.ndarray:
-        """Draw ``size`` points; deterministic given the generator state."""
-        comps = rng.choice(self.n_components, size=size, p=self.weights)
-        out = np.empty((size, self.dim))
-        normals = rng.standard_normal((size, self.dim))
-        for k, g in enumerate(self.components):
-            mask = comps == k
-            if not np.any(mask):
-                continue
-            if g.is_diagonal:
-                out[mask] = g.mean + normals[mask] * np.sqrt(g.cov)
-            else:
-                chol = np.linalg.cholesky(g.cov)
-                out[mask] = g.mean + normals[mask] @ chol.T
-        return out
+def _as_full(cov: np.ndarray, is_diagonal: bool) -> np.ndarray:
+    """Variances (..., d) as diagonal matrices (..., d, d); matrices as they are."""
+    return cov[..., None] * np.eye(cov.shape[-1]) if is_diagonal else cov
 
 
-@dataclass
-class EmissionResponsibility:
-    """Soft matching between the components of two mixtures.
+def _cross_terms(
+    mu_b: np.ndarray, cov_b: np.ndarray, mu_r: np.ndarray, cov_r: np.ndarray
+) -> np.ndarray:
+    """E over y ~ N(mu_b, cov_b) of log N(y; mu_r, cov_r), over the broadcast
+    leading axes of the stacked arguments.
 
-    ``eta[m, l]`` is the probability that an observation from base component m
-    corresponds to reduced component l; each row is a distribution over l.
+    Means are (..., d); both covariances are (..., d) variances or both are
+    (..., d, d) matrices. Closed form:
+    -1/2 [ d log 2pi + log|S_r| + tr(S_r^-1 S_b) + (m_r - m_b)^T S_r^-1 (m_r - m_b) ].
+    The full layout takes one batched Cholesky factor L of each S_r and
+    batched solves against it.
     """
-
-    eta: np.ndarray
-
-    def __post_init__(self) -> None:
-        self.eta = np.asarray(self.eta, dtype=float)
-        if self.eta.ndim != 2:
-            raise InvalidModelError(f"eta must be a matrix, got shape {self.eta.shape}")
-        if np.any(self.eta < 0):
-            raise InvalidModelError("eta has negative entries")
-        sums = self.eta.sum(axis=1)
-        if np.any(np.abs(sums - 1.0) > WEIGHT_TOL):
-            raise InvalidModelError(f"eta rows sum to {sums}, expected 1")
-
-
-def gauss_expected_loglik(base: Gaussian, reduced: Gaussian) -> float:
-    """Expectation over y ~ base of the log density of reduced at y.
-
-    Closed form: -1/2 [ d log 2pi + log|S_r| + tr(S_r^-1 S_b)
-                        + (m_r - m_b)^T S_r^-1 (m_r - m_b) ].
-    """
-    if base.dim != reduced.dim:
-        raise InvalidModelError(
-            f"dimension mismatch: base d={base.dim}, reduced d={reduced.dim}"
-        )
-    d = base.dim
-    diff = reduced.mean - base.mean
-    if base.is_diagonal and reduced.is_diagonal:
-        if np.any(reduced.cov <= 0):
+    d = mu_b.shape[-1]
+    diff = mu_r - mu_b
+    if cov_r.ndim == mu_r.ndim:
+        if cov_r.min() <= 0:
             raise InvalidModelError("reduced covariance is not positive definite")
-        log_det = float(np.sum(np.log(reduced.cov)))
-        trace = float(np.sum(base.cov / reduced.cov))
-        maha = float(np.sum(diff * diff / reduced.cov))
+        log_det = np.sum(np.log(cov_r), axis=-1)
+        trace = np.sum(cov_b / cov_r, axis=-1)
+        maha = np.sum(diff * diff / cov_r, axis=-1)
     else:
-        cov_r = np.diag(reduced.cov) if reduced.is_diagonal else reduced.cov
-        cov_b = np.diag(base.cov) if base.is_diagonal else base.cov
         try:
             chol = np.linalg.cholesky(cov_r)
         except np.linalg.LinAlgError as exc:
             raise InvalidModelError("reduced covariance is not positive definite") from exc
-        log_det = float(2.0 * np.sum(np.log(np.diag(chol))))
+        log_det = 2.0 * np.sum(np.log(np.diagonal(chol, axis1=-2, axis2=-1)), axis=-1)
         half = np.linalg.solve(chol, cov_b)
-        trace = float(np.trace(np.linalg.solve(chol.T, half)))
-        solved = np.linalg.solve(chol, diff)
-        maha = float(solved @ solved)
+        trace = np.trace(np.linalg.solve(np.swapaxes(chol, -1, -2), half), axis1=-2, axis2=-1)
+        solved = np.linalg.solve(chol, diff[..., None])[..., 0]
+        maha = np.sum(solved * solved, axis=-1)
     return -0.5 * (d * LOG_2PI + log_det + trace + maha)
 
 
-def expected_loglik_table(base: GaussianMixture, reduced: GaussianMixture) -> np.ndarray:
-    """Matrix of gauss_expected_loglik over all (base m, reduced l) pairs."""
+def _check_dims(base, reduced) -> None:
     if base.dim != reduced.dim:
         raise InvalidModelError(
             f"dimension mismatch: base d={base.dim}, reduced d={reduced.dim}"
         )
-    if base.is_diagonal and reduced.is_diagonal:
-        mu_b = np.stack([g.mean for g in base.components])  # (Mb, d)
-        var_b = np.stack([g.cov for g in base.components])
-        mu_r = np.stack([g.mean for g in reduced.components])  # (Mr, d)
-        var_r = np.stack([g.cov for g in reduced.components])
-        log_det = np.sum(np.log(var_r), axis=1)  # (Mr,)
-        trace = np.sum(var_b[:, None, :] / var_r[None, :, :], axis=2)
-        diff = mu_r[None, :, :] - mu_b[:, None, :]
-        maha = np.sum(diff * diff / var_r[None, :, :], axis=2)
-        return -0.5 * (base.dim * LOG_2PI + log_det[None, :] + trace + maha)
-    table = np.empty((base.n_components, reduced.n_components))
-    for m, gb in enumerate(base.components):
-        for l, gr in enumerate(reduced.components):
-            table[m, l] = gauss_expected_loglik(gb, gr)
-    return table
 
 
-def gmm_responsibilities(
-    base: GaussianMixture, reduced: GaussianMixture
-) -> EmissionResponsibility:
-    """Optimal soft matching of base components to reduced components.
+def gauss_expected_loglik(base: Gaussian, reduced: Gaussian) -> float:
+    """Expectation over y ~ base of the log density of reduced at y
+    (``_cross_terms`` for one pair)."""
+    _check_dims(base, reduced)
+    cov_b, cov_r = base.cov, reduced.cov
+    if base.is_diagonal != reduced.is_diagonal:
+        cov_b, cov_r = _as_full(cov_b, base.is_diagonal), _as_full(cov_r, reduced.is_diagonal)
+    return float(_cross_terms(base.mean, cov_b, reduced.mean, cov_r))
 
-    Row m is the softmax over l of log c_r[l] + gauss_expected_loglik(m, l),
-    computed in log domain.
-    """
-    table = expected_loglik_table(base, reduced)
-    with np.errstate(divide="ignore"):
-        logits = np.log(reduced.weights)[None, :] + table
-    log_norm = logsumexp(logits, axis=1, keepdims=True)
-    return EmissionResponsibility(np.exp(logits - log_norm))
+
+def expected_loglik_table(base: GaussianMixture, reduced: GaussianMixture) -> np.ndarray:
+    """Matrix of gauss_expected_loglik over all (base m, reduced l) pairs."""
+    _check_dims(base, reduced)
+    mu_b = np.stack([g.mean for g in base.components])  # (Mb, d)
+    cov_b = np.stack([g.cov for g in base.components])
+    mu_r = np.stack([g.mean for g in reduced.components])  # (Mr, d)
+    cov_r = np.stack([g.cov for g in reduced.components])
+    if base.is_diagonal != reduced.is_diagonal:
+        cov_b, cov_r = _as_full(cov_b, base.is_diagonal), _as_full(cov_r, reduced.is_diagonal)
+    return _cross_terms(mu_b[:, None], cov_b[:, None], mu_r[None], cov_r[None])
 
 
 def gmm_expected_loglik_opt(base: GaussianMixture, reduced: GaussianMixture) -> float:
-    """Tightest lower bound on E over y ~ base of log density of reduced.
-
-    Equals gmm_expected_loglik_bound at the matching from gmm_responsibilities:
+    """Tightest lower bound on E over y ~ base of log density of reduced,
+    attained by the optimal matching of components (Hershey and Olsen):
     sum_m c_b[m] * log sum_l c_r[l] exp(gauss_expected_loglik(m, l)).
     """
     table = expected_loglik_table(base, reduced)
     with np.errstate(divide="ignore"):
         logits = np.log(reduced.weights)[None, :] + table
     return float(base.weights @ logsumexp(logits, axis=1))
-
-
-def gmm_expected_loglik_bound(
-    base: GaussianMixture, reduced: GaussianMixture, eta: EmissionResponsibility
-) -> float:
-    """Lower bound on the expected log density for an arbitrary matching eta.
-
-    sum_m c_b[m] sum_l eta[m,l] (log c_r[l] + L_G(m,l) - log eta[m,l]),
-    with 0 log 0 treated as 0.
-    """
-    table = expected_loglik_table(base, reduced)
-    e = eta.eta
-    if e.shape != table.shape:
-        raise InvalidModelError(
-            f"eta has shape {e.shape}, expected {table.shape} for these mixtures"
-        )
-    with np.errstate(divide="ignore"):
-        log_w = np.log(reduced.weights)[None, :]
-        log_e = np.where(e > 0, np.log(np.where(e > 0, e, 1.0)), 0.0)
-    terms = np.where(e > 0, e * (log_w + table - log_e), 0.0)
-    return float(base.weights @ terms.sum(axis=1))
 
 
 def solve_softmax_log(beta: np.ndarray) -> tuple[np.ndarray, float]:

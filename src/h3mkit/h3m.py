@@ -1,6 +1,6 @@
-"""Mixtures of HMMs: the model type, likelihood, EM estimation from raw
-sequences (and Baum-Welch as its one-component case), sampling, and the
-Monte Carlo expected-log-likelihood oracle.
+"""Mixtures of HMMs: the model type, EM estimation from raw sequences (and
+Baum-Welch as its one-component case), and the Monte Carlo
+expected-log-likelihood oracle.
 
 One mixture component is responsible for a whole sequence (the assignment is
 drawn once per sequence, not per frame). Each EM iteration runs one
@@ -29,7 +29,6 @@ from .hmm import (
     _init_hmm,
     _mstep,
     _Stats,
-    forward_loglik,
     forward_loglik_batch,
     group_by_length,
     sample_batch,
@@ -100,41 +99,6 @@ class H3mFit:
     @property
     def hard_labels(self) -> np.ndarray:
         return np.argmax(self.posteriors, axis=1)
-
-
-def h3m_loglik(model: H3m, seq: Sequence) -> float:
-    """Log-likelihood of one sequence under the mixture."""
-    lls = np.array([forward_loglik(comp, seq) for comp in model.components])
-    with np.errstate(divide="ignore"):
-        return float(logsumexp(np.log(model.weights) + lls))
-
-
-def h3m_loglik_batch(model: H3m, obs: np.ndarray) -> np.ndarray:
-    """Mixture log-likelihood of each sequence in an (S, tau, d) batch."""
-    per_comp = np.stack(
-        [forward_loglik_batch(comp, obs) for comp in model.components], axis=1
-    )
-    with np.errstate(divide="ignore"):
-        return logsumexp(np.log(model.weights)[None, :] + per_comp, axis=1)
-
-
-def h3m_sample(
-    model: H3m, tau: int, count: int, rng: np.random.Generator
-) -> list[tuple[Sequence, int]]:
-    """Draw ``count`` sequences; each pairs the sample with the index of the
-    component that generated it. Deterministic given the generator."""
-    cum = np.cumsum(model.weights)
-    u = rng.random(count)
-    comps = np.minimum(np.sum(u[:, None] >= cum[None, :], axis=1), model.n_components - 1)
-    out: list[tuple[Sequence, int] | None] = [None] * count
-    for j in range(model.n_components):
-        positions = np.nonzero(comps == j)[0]
-        if positions.size == 0:
-            continue
-        obs, _ = sample_batch(model.components[j], tau, positions.size, rng)
-        for row, pos in enumerate(positions):
-            out[pos] = (Sequence(obs[row]), j)
-    return out  # type: ignore[return-value]
 
 
 def mc_expected_loglik(

@@ -154,26 +154,30 @@ def _emission_arrays(model: Hmm) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return weights, means, covs
 
 
+def _gaussian_terms(
+    obs: np.ndarray, means: np.ndarray, covs: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Log-determinants (N, M) of the emission covariances and squared
+    Mahalanobis distances (S, tau, N, M) of every observation from every
+    emission component. The (S, tau, N, M, d) intermediates die on return."""
+    diff = obs[:, :, None, None, :] - means[None, None]
+    if covs.ndim == 3:
+        return np.sum(np.log(covs), axis=-1), np.sum(diff * diff / covs[None, None], axis=-1)
+    chol = np.linalg.cholesky(covs)
+    # One solve, the stacked factors (N, M, d, d) broadcast over (S, tau).
+    sol = np.linalg.solve(chol, diff[..., None])[..., 0]
+    log_det = 2.0 * np.sum(np.log(np.diagonal(chol, axis1=-2, axis2=-1)), axis=-1)
+    return log_det, np.einsum("...d,...d->...", sol, sol)
+
+
 def _log_emissions(model: Hmm, obs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Log emission densities (S, tau, N) and the per-component log joint
     weights+densities (S, tau, N, M) they were reduced from."""
-    n, m, d = model.n_states, model.n_mix, model.dim
     weights, means, covs = _emission_arrays(model)
-    diff = obs[:, :, None, None, :] - means[None, None]  # (S, tau, N, M, d)
-    if covs.ndim == 3:
-        log_det = np.sum(np.log(covs), axis=-1)  # (N, M)
-        maha = np.sum(diff * diff / covs[None, None], axis=-1)
-    else:
-        chol = np.linalg.cholesky(covs)
-        log_det = 2.0 * np.sum(np.log(np.diagonal(chol, axis1=-2, axis2=-1)), axis=-1)
-        maha = np.empty(diff.shape[:-1])
-        for state in range(n):
-            for comp in range(m):
-                sol = np.linalg.solve(chol[state, comp], diff[:, :, state, comp, :, None])
-                maha[:, :, state, comp] = np.sum(sol[..., 0] ** 2, axis=-1)
+    log_det, maha = _gaussian_terms(obs, means, covs)
     with np.errstate(divide="ignore"):
         log_c = np.log(weights)
-    log_joint = log_c[None, None] - 0.5 * (d * LOG_2PI + log_det[None, None] + maha)
+    log_joint = log_c[None, None] - 0.5 * (model.dim * LOG_2PI + log_det[None, None] + maha)
     return logsumexp(log_joint, axis=-1), log_joint
 
 
@@ -268,12 +272,6 @@ def sample_batch(
         chol = np.linalg.cholesky(covs)
         obs = means[states, comps] + np.einsum("stij,stj->sti", chol[states, comps], normals)
     return obs, states
-
-
-def sample(model: Hmm, tau: int, rng: np.random.Generator) -> tuple[Sequence, np.ndarray]:
-    """Draw one sequence and its hidden state path."""
-    obs, states = sample_batch(model, tau, 1, rng)
-    return Sequence(obs[0]), states[0]
 
 
 # ---------------------------------------------------------------------------

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidModelError
+from .errors import DegenerateWeightsError, EstimationError, InvalidModelError
 from .gaussians import (
     Gaussian,
     GaussianMixture,
@@ -319,17 +319,21 @@ def compute_assignments(
 ) -> AssignmentMatrix:
     """Soft assignment of each base component to reduced components: row i is
     the softmax over j of log w_r[j] + N_i * objective[i, j], never forming
-    the exponentials directly."""
+    the exponentials directly. Non-finite objectives (or ones that overflow
+    when scaled) are a numerical failure; a row whose log-weights are all
+    -inf has no mass to assign."""
     objectives = np.asarray(objectives, dtype=float)
-    if not np.all(np.isfinite(objectives)):
-        raise ValueError("pair objectives must be finite")
     with np.errstate(divide="ignore"):
         log_w = np.log(np.asarray(reduced_weights, dtype=float))
-    rows = []
-    for i in range(objectives.shape[0]):
-        probs, _ = solve_softmax_log(log_w + virtual_counts[i] * objectives[i])
-        rows.append(probs)
-    return AssignmentMatrix(np.stack(rows))
+    with np.errstate(over="ignore", invalid="ignore"):
+        logits = log_w[None, :] + virtual_counts[:, None] * objectives
+    if not np.all(np.isfinite(objectives)) or np.any(np.isnan(logits) | (logits == np.inf)):
+        raise EstimationError("pair objectives must be finite")
+    norm = logsumexp(logits, axis=1, keepdims=True)
+    if np.any(norm == -np.inf):
+        raise DegenerateWeightsError("a base component's assignment log-weights are all -inf")
+    probs = np.exp(logits - norm)
+    return AssignmentMatrix(probs / probs.sum(axis=1, keepdims=True))
 
 
 def lower_bound(

@@ -2,8 +2,8 @@
 
 Models are single JSON documents with an explicit schema version; floats use
 Python's shortest exact decimal encoding, so save/load round-trips reproduce
-every parameter bit for bit. Datasets are JSON records, one per line, to
-allow streaming ingestion portion by portion.
+every parameter bit for bit. Datasets are JSON records, one per line, read
+whole.
 """
 
 from __future__ import annotations
@@ -71,12 +71,20 @@ def _hmm_payload(m: Hmm) -> dict:
     }
 
 
+def _malformed(exc: KeyError | TypeError, where: str) -> ModelFormatError:
+    """A missing field (KeyError) or a field of the wrong JSON type
+    (TypeError, e.g. a number where a list or an object belongs)."""
+    if isinstance(exc, KeyError):
+        return ModelFormatError(f"missing field {exc} in {where}")
+    return ModelFormatError(f"malformed {where}: {exc}")
+
+
 def _parse_gmm(payload: dict, where: str) -> GaussianMixture:
     try:
         comps = [Gaussian(c["mean"], c["cov"]) for c in payload["components"]]
         return GaussianMixture(payload["weights"], comps)
-    except KeyError as exc:
-        raise ModelFormatError(f"missing field {exc} in {where}") from exc
+    except (KeyError, TypeError) as exc:
+        raise _malformed(exc, where) from exc
 
 
 def _parse_hmm(payload: dict, where: str) -> Hmm:
@@ -85,8 +93,8 @@ def _parse_hmm(payload: dict, where: str) -> Hmm:
             _parse_gmm(g, f"{where} emission {i}") for i, g in enumerate(payload["emissions"])
         ]
         return Hmm(payload["initial"], payload["transitions"], emissions)
-    except KeyError as exc:
-        raise ModelFormatError(f"missing field {exc} in {where}") from exc
+    except (KeyError, TypeError) as exc:
+        raise _malformed(exc, where) from exc
 
 
 def save_model(model: Hmm | H3m, path: str | Path, seed: int | None = None) -> None:
@@ -143,8 +151,8 @@ def load_model(path: str | Path) -> Hmm | H3m:
                 for i, c in enumerate(payload["components"])
             ]
             return H3m(payload["weights"], components)
-        except KeyError as exc:
-            raise ModelFormatError(f"missing field {exc} in {path}") from exc
+        except (KeyError, TypeError) as exc:
+            raise _malformed(exc, f"{path}") from exc
     raise ModelFormatError(f"{path}: unknown kind {kind!r}")
 
 
@@ -179,11 +187,13 @@ def load_dataset(path: str | Path) -> SequenceDataset:
                 record = json.loads(line)
             except json.JSONDecodeError as exc:
                 raise ModelFormatError(f"{path}:{lineno}: not valid JSON: {exc.msg}") from exc
+            if not isinstance(record, dict):
+                raise ModelFormatError(f"{path}:{lineno}: record is not a JSON object")
             if "obs" not in record:
                 raise ModelFormatError(f"{path}:{lineno}: record has no 'obs' field")
             try:
                 seq = Sequence(np.asarray(record["obs"], dtype=float), id=record.get("id"))
-            except (InvalidModelError, ValueError) as exc:
+            except (InvalidModelError, ValueError, TypeError) as exc:
                 raise ModelFormatError(f"{path}:{lineno}: bad observations: {exc}") from exc
             sequences.append(seq)
             labels.append(record.get("label"))

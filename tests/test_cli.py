@@ -6,7 +6,7 @@ import json
 import pytest
 from click.testing import CliRunner
 
-from h3mkit import H3m, load_model, save_model
+from h3mkit import Gaussian, GaussianMixture, H3m, Hmm, load_model, save_model
 from h3mkit.cli import main
 
 
@@ -214,6 +214,44 @@ class TestFailureModes:
         ])
         assert result.exit_code == 2
 
+    def test_non_finite_objectives_exit_code_2(self, runner, tmp_path):
+        leaves = tmp_path / "leaves.json"
+        model = H3m([0.5, 0.5], [
+            Hmm([1.0], [[1.0]], [GaussianMixture([1.0], [Gaussian([mean], [1.0])])])
+            for mean in (0.0, 1e200)
+        ])
+        save_model(model, leaves)
+        result = runner.invoke(main, [
+            "reduce", "--model", str(leaves), "--kr", "2", "--max-iters", "2",
+            "--out", str(tmp_path / "o"),
+        ])
+        assert result.exit_code == 2, result.output
+        assert "numerical failure: pair objectives must be finite" in result.output
+
+    @pytest.mark.parametrize("case", ["model", "dataset"])
+    def test_malformed_file_reports_error_line(self, runner, tmp_path, case):
+        if case == "model":
+            bad = tmp_path / "bad.json"
+            model = H3m([1.0], [
+                Hmm([1.0], [[1.0]], [GaussianMixture([1.0], [Gaussian([0.0], [1.0])])])
+            ])
+            save_model(model, bad)
+            doc = json.loads(bad.read_text())
+            doc["payload"]["components"] = 5
+            bad.write_text(json.dumps(doc))
+            args = ["reduce", "--model", str(bad), "--kr", "1"]
+        else:
+            bad = tmp_path / "bad.jsonl"
+            bad.write_text(json.dumps({"id": "a", "obs": [[0.0], [1.0]]}) + "\n5\n")
+            args = ["train-hmm", "--data", str(bad), "--states", "1"]
+        result = runner.invoke(main, [*args, "--out", str(tmp_path / "o")])
+        assert result.exit_code == 1
+        assert isinstance(result.exception, SystemExit)
+        assert "Traceback" not in result.output
+        expected = "bad.json" if case == "model" else "bad.jsonl:2"
+        assert any(
+            line.startswith("error:") and expected in line for line in result.output.splitlines()
+        ), result.output
 
     @pytest.mark.parametrize("command", ["reduce", "hier"])
     def test_cov_type_rejected_where_it_has_no_effect(self, runner, tmp_path, command):

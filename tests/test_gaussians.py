@@ -1,6 +1,7 @@
 """Gaussian and mixture-level bounds, matchings, the softmax-log maximizer
 and logsumexp. Derived expectations are frozen from closed forms and
-cross-checked against seeded Monte Carlo averages."""
+cross-checked against seeded Monte Carlo averages; densities and draws for
+those come from scipy.stats, or from a one-state HMM for mixtures."""
 
 import math
 import os
@@ -11,26 +12,55 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy.stats import multivariate_normal
 
 import h3mkit
 from h3mkit import (
     DegenerateWeightsError,
-    EmissionResponsibility,
     Gaussian,
     GaussianMixture,
+    Hmm,
     InvalidModelError,
+    estep_pair,
+    forward_loglik_batch,
     gauss_expected_loglik,
-    gmm_expected_loglik_bound,
     gmm_expected_loglik_opt,
-    gmm_responsibilities,
+    sample_batch,
     solve_softmax_log,
 )
-from h3mkit.gaussians import logsumexp
+from h3mkit.gaussians import expected_loglik_table, logsumexp
 
 from conftest import random_gaussian, random_gmm
 
 LOG_2PI = math.log(2.0 * math.pi)
 STD_NORMAL_SELF = -(1.0 + LOG_2PI) / 2.0  # = -1.4189385332046727
+
+
+def as_matrix(g):
+    return np.diag(g.cov) if g.is_diagonal else g.cov
+
+
+def one_state(gmm):
+    return Hmm([1.0], [[1.0]], [gmm])
+
+
+def matching(base, reduced):
+    """The library's optimal emission matching eta (M_b, M_r), read off the
+    E-step of two one-state HMMs."""
+    return estep_pair(one_state(base), one_state(reduced), 1).eta[0, 0]
+
+
+def matching_bound(base, reduced, eta):
+    """Hershey-Olsen lower bound at an arbitrary matching, pair by pair:
+    sum_m c_b[m] sum_l eta[m,l] (log c_r[l] + L_G(m,l) - log eta[m,l])."""
+    total = 0.0
+    for m, gb in enumerate(base.components):
+        for l, gr in enumerate(reduced.components):
+            e = eta[m, l]
+            if e > 0:
+                terms = math.log(reduced.weights[l]) + gauss_expected_loglik(gb, gr) - math.log(e)
+                total += base.weights[m] * e * terms
+    return total
 
 
 class TestGaussian:
@@ -47,12 +77,14 @@ class TestGaussian:
             Gaussian([0.0, 0.0], [[1.0, 2.0], [2.0, 1.0]])
 
     def test_log_density_matches_scipy(self, rng):
-        from scipy.stats import multivariate_normal
-
-        g = random_gaussian(rng, dim=3, cov_type="full")
-        pts = rng.normal(size=(20, 3))
-        expected = multivariate_normal.logpdf(pts, mean=g.mean, cov=g.cov)
-        np.testing.assert_allclose(g.log_density(pts), expected, atol=1e-10)
+        # The library's density is that of a one-state, one-component HMM
+        # on length-one sequences.
+        for cov_type in ("diag", "full"):
+            g = random_gaussian(rng, dim=3, cov_type=cov_type)
+            pts = rng.normal(size=(20, 3))
+            expected = multivariate_normal.logpdf(pts, mean=g.mean, cov=as_matrix(g))
+            got = forward_loglik_batch(one_state(GaussianMixture([1.0], [g])), pts[:, None, :])
+            np.testing.assert_allclose(got, expected, atol=1e-10)
 
 
 class TestGaussExpectedLoglik:
@@ -79,7 +111,8 @@ class TestGaussExpectedLoglik:
         for cov_type in ("diag", "full"):
             for d in (1, 2, 3):
                 g = random_gaussian(rng, d, cov_type)
-                expected = -0.5 * (d * LOG_2PI + g.log_det() + d)
+                log_det = np.linalg.slogdet(as_matrix(g))[1]
+                expected = -0.5 * (d * LOG_2PI + log_det + d)
                 assert gauss_expected_loglik(g, g) == pytest.approx(expected, abs=1e-12)
 
     def test_monte_carlo_oracle_non_unit_covariance(self, rng):
@@ -87,8 +120,8 @@ class TestGaussExpectedLoglik:
         base = Gaussian([0.0], [2.0])
         reduced = Gaussian([1.0], [3.0])
         value = gauss_expected_loglik(base, reduced)
-        draws = base.sample(10**6, rng)
-        lls = reduced.log_density(draws)
+        draws = multivariate_normal.rvs(base.mean, as_matrix(base), size=10**6, random_state=rng)
+        lls = multivariate_normal.logpdf(draws, reduced.mean, as_matrix(reduced))
         stderr = lls.std(ddof=1) / np.sqrt(lls.size)
         assert abs(value - lls.mean()) < 3 * stderr
 
@@ -96,8 +129,8 @@ class TestGaussExpectedLoglik:
         base = random_gaussian(rng, 2, "full")
         reduced = random_gaussian(rng, 2, "full")
         value = gauss_expected_loglik(base, reduced)
-        draws = base.sample(10**6, rng)
-        lls = reduced.log_density(draws)
+        draws = multivariate_normal.rvs(base.mean, as_matrix(base), size=10**6, random_state=rng)
+        lls = multivariate_normal.logpdf(draws, reduced.mean, as_matrix(reduced))
         stderr = lls.std(ddof=1) / np.sqrt(lls.size)
         assert abs(value - lls.mean()) < 3 * stderr
 
@@ -123,21 +156,38 @@ class TestGaussExpectedLoglik:
         with pytest.raises(InvalidModelError):
             gauss_expected_loglik(g, bad)
 
+    @pytest.mark.parametrize("layouts", [("diag", "diag"), ("full", "full"),
+                                         ("diag", "full"), ("full", "diag")])
+    def test_table_matches_pairs(self, rng, layouts):
+        base = random_gmm(rng, n_mix=3, dim=3, cov_type=layouts[0])
+        reduced = random_gmm(rng, n_mix=2, dim=3, cov_type=layouts[1])
+        table = expected_loglik_table(base, reduced)
+        expected = [[gauss_expected_loglik(gb, gr) for gr in reduced.components]
+                    for gb in base.components]
+        np.testing.assert_allclose(table, expected, rtol=0, atol=1e-12)
+
+    def test_table_rejects_non_pd_reduced(self, rng):
+        base = random_gmm(rng, n_mix=2, dim=2, cov_type="full")
+        reduced = random_gmm(rng, n_mix=2, dim=2, cov_type="full")
+        reduced.components[1].cov = np.array([[1.0, 2.0], [2.0, 1.0]])
+        with pytest.raises(InvalidModelError):
+            expected_loglik_table(base, reduced)
+
 
 class TestGmmResponsibilities:
+    """The emission matching eta of estep_pair on one-state HMMs."""
+
     def test_single_reduced_component(self, rng):
         base = random_gmm(rng, n_mix=3)
         reduced = random_gmm(rng, n_mix=1)
-        resp = gmm_responsibilities(base, reduced)
-        np.testing.assert_allclose(resp.eta, np.ones((3, 1)))
+        np.testing.assert_allclose(matching(base, reduced), np.ones((3, 1)))
 
     def test_equidistant_symmetry(self):
         base = GaussianMixture([1.0], [Gaussian([0.0], [1.0])])
         reduced = GaussianMixture(
             [0.5, 0.5], [Gaussian([-2.0], [1.0]), Gaussian([2.0], [1.0])]
         )
-        resp = gmm_responsibilities(base, reduced)
-        np.testing.assert_allclose(resp.eta, [[0.5, 0.5]], atol=1e-12)
+        np.testing.assert_allclose(matching(base, reduced), [[0.5, 0.5]], atol=1e-12)
 
     def test_separated_pair_sigmoid(self):
         # Scalar re-derivation: both reduced components have unit variance, so
@@ -148,15 +198,15 @@ class TestGmmResponsibilities:
         )
         delta = 0.5 * 4.0**2
         expected_first = 1.0 / (1.0 + math.exp(-delta))
-        resp = gmm_responsibilities(base, reduced)
-        np.testing.assert_allclose(resp.eta, [[expected_first, 1.0 - expected_first]], atol=1e-12)
-        assert resp.eta[0, 0] == pytest.approx(0.99966, abs=1e-5)
+        eta = matching(base, reduced)
+        np.testing.assert_allclose(eta, [[expected_first, 1.0 - expected_first]], atol=1e-12)
+        assert eta[0, 0] == pytest.approx(0.99966, abs=1e-5)
 
     def test_rows_are_distributions(self, rng):
         for _ in range(10):
             base = random_gmm(rng, n_mix=3, dim=2)
             reduced = random_gmm(rng, n_mix=2, dim=2)
-            eta = gmm_responsibilities(base, reduced).eta
+            eta = matching(base, reduced)
             np.testing.assert_allclose(eta.sum(axis=1), 1.0, atol=1e-12)
             assert np.all(eta >= 0)
 
@@ -168,16 +218,14 @@ class TestGmmBounds:
         base = GaussianMixture([1.0], [gb])
         reduced = GaussianMixture([1.0], [gr])
         expected = gauss_expected_loglik(gb, gr)
-        eta = EmissionResponsibility(np.ones((1, 1)))
-        assert gmm_expected_loglik_bound(base, reduced, eta) == pytest.approx(expected, abs=1e-12)
         assert gmm_expected_loglik_opt(base, reduced) == pytest.approx(expected, abs=1e-12)
 
     def test_bound_at_optimum_equals_opt(self, rng):
         for _ in range(20):
             base = random_gmm(rng, n_mix=3, dim=2)
             reduced = random_gmm(rng, n_mix=2, dim=2)
-            eta = gmm_responsibilities(base, reduced)
-            assert gmm_expected_loglik_bound(base, reduced, eta) == pytest.approx(
+            eta = matching(base, reduced)
+            assert matching_bound(base, reduced, eta) == pytest.approx(
                 gmm_expected_loglik_opt(base, reduced), abs=1e-10
             )
 
@@ -186,11 +234,10 @@ class TestGmmBounds:
             base = random_gmm(rng, n_mix=3)
             reduced = random_gmm(rng, n_mix=3)
             opt = gmm_expected_loglik_opt(base, reduced)
-            uniform = EmissionResponsibility(np.full((3, 3), 1.0 / 3.0))
-            assert gmm_expected_loglik_bound(base, reduced, uniform) <= opt + 1e-10
+            uniform = np.full((3, 3), 1.0 / 3.0)
+            assert matching_bound(base, reduced, uniform) <= opt + 1e-10
             random_eta = np.stack([rng.dirichlet(np.ones(3)) for _ in range(3)])
-            value = gmm_expected_loglik_bound(base, reduced, EmissionResponsibility(random_eta))
-            assert value <= opt + 1e-10
+            assert matching_bound(base, reduced, random_eta) <= opt + 1e-10
 
     def test_well_separated_self_pair(self):
         # Far-apart components make the matching one-hot, so the bound
@@ -211,8 +258,8 @@ class TestGmmBounds:
                 rng, n_mix=int(rng.integers(1, 4)), dim=base.dim
             )
             value = gmm_expected_loglik_opt(base, reduced)
-            draws = base.sample(10**5, rng)
-            lls = reduced.log_density(draws)
+            draws, _ = sample_batch(one_state(base), 1, 10**5, rng)
+            lls = forward_loglik_batch(one_state(reduced), draws)
             stderr = lls.std(ddof=1) / np.sqrt(lls.size)
             if value <= lls.mean() + 3 * stderr:
                 held += 1

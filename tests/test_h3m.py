@@ -1,5 +1,5 @@
-"""Mixture-of-HMMs likelihood, sampling, EM estimation, and the Monte Carlo
-expected-log-likelihood oracle."""
+"""Mixture-of-HMMs EM estimation and the Monte Carlo expected-log-likelihood
+oracle."""
 
 import math
 
@@ -13,86 +13,24 @@ from h3mkit import (
     EstimationError,
     Gaussian,
     GaussianMixture,
-    H3m,
     Hmm,
     Sequence,
     baum_welch,
     best_label_accuracy,
     forward_loglik,
     h3m_em,
-    h3m_loglik,
-    h3m_sample,
     mc_expected_loglik,
     sample_batch,
     synth_benchmark,
 )
 
-from conftest import random_h3m, random_hmm
+from conftest import random_hmm
 
 STD_NORMAL_SELF = -(1.0 + math.log(2.0 * math.pi)) / 2.0
 
 
 def std_normal_hmm(mean=0.0):
     return Hmm([1.0], [[1.0]], [GaussianMixture([1.0], [Gaussian([mean], [1.0])])])
-
-
-class TestH3mLoglik:
-    def test_single_component(self, rng):
-        hmm = random_hmm(rng, n_states=2, n_mix=2)
-        model = H3m([1.0], [hmm])
-        obs, _ = sample_batch(hmm, 5, 1, rng)
-        seq = Sequence(obs[0])
-        assert h3m_loglik(model, seq) == pytest.approx(forward_loglik(hmm, seq), abs=1e-12)
-
-    def test_two_identical_components(self, rng):
-        hmm = random_hmm(rng)
-        model = H3m([0.3, 0.7], [hmm, hmm])
-        obs, _ = sample_batch(hmm, 5, 1, rng)
-        seq = Sequence(obs[0])
-        assert h3m_loglik(model, seq) == pytest.approx(forward_loglik(hmm, seq), abs=1e-12)
-
-    def test_two_component_composition(self, rng):
-        a = random_hmm(rng, mean_scale=1.0)
-        b = random_hmm(rng, mean_scale=1.0)
-        model = H3m([0.3, 0.7], [a, b])
-        obs, _ = sample_batch(a, 4, 1, rng)
-        seq = Sequence(obs[0])
-        la, lb = forward_loglik(a, seq), forward_loglik(b, seq)
-        expected = math.log(0.3 * math.exp(la) + 0.7 * math.exp(lb))
-        assert h3m_loglik(model, seq) == pytest.approx(expected, abs=1e-9)
-
-    def test_dominates_each_component(self, rng):
-        model = random_h3m(rng, k=3)
-        obs, _ = sample_batch(model.components[0], 5, 1, rng)
-        seq = Sequence(obs[0])
-        total = h3m_loglik(model, seq)
-        for w, comp in zip(model.weights, model.components):
-            assert total >= math.log(w) + forward_loglik(comp, seq) - 1e-12
-
-
-class TestH3mSample:
-    def test_one_hot_weights(self, rng):
-        model = H3m([1.0, 0.0], [std_normal_hmm(0.0), std_normal_hmm(100.0)])
-        draws = h3m_sample(model, 5, 50, rng)
-        assert all(comp == 0 for _, comp in draws)
-
-    def test_component_frequencies(self, rng):
-        model = random_h3m(rng, k=3)
-        draws = h3m_sample(model, 2, 100_000, rng)
-        comps = np.array([c for _, c in draws])
-        for j in range(3):
-            p = model.weights[j]
-            freq = np.mean(comps == j)
-            sigma = math.sqrt(p * (1 - p) / 100_000)
-            assert abs(freq - p) < 3 * sigma + 1e-9
-
-    def test_seed_determinism(self, rng):
-        model = random_h3m(rng, k=2)
-        d1 = h3m_sample(model, 4, 10, np.random.default_rng(5))
-        d2 = h3m_sample(model, 4, 10, np.random.default_rng(5))
-        for (s1, c1), (s2, c2) in zip(d1, d2):
-            assert c1 == c2
-            np.testing.assert_array_equal(s1.observations, s2.observations)
 
 
 class TestH3mEm:

@@ -20,10 +20,10 @@ from h3mkit import (
     baum_welch,
     forward_loglik,
     forward_loglik_batch,
-    sample,
     sample_batch,
     state_marginals,
 )
+from h3mkit.gaussians import logsumexp
 from h3mkit.hmm import _expected_stats
 
 from conftest import align_means, random_hmm
@@ -57,13 +57,17 @@ class TestForward:
         g = Gaussian([0.5], [2.0])
         model = Hmm([1.0], [[1.0]], [GaussianMixture([1.0], [g])])
         obs = rng.normal(size=(6, 1))
-        expected = float(np.sum(g.log_density(obs)))
+        expected = float(np.sum(multivariate_normal.logpdf(obs, mean=g.mean, cov=np.diag(g.cov))))
         assert forward_loglik(model, Sequence(obs)) == pytest.approx(expected, abs=1e-12)
 
     def test_length_one_marginal(self, rng):
         model = random_hmm(rng, n_states=3, n_mix=2)
         y = rng.normal(size=(1, 1))
-        per_state = np.array([model.emissions[s].log_density(y)[0] for s in range(3)])
+        per_state = np.array([
+            logsumexp([math.log(w) + multivariate_normal.logpdf(y[0], c.mean, np.diag(c.cov))
+                       for w, c in zip(gmm.weights, gmm.components)])
+            for gmm in model.emissions
+        ])
         expected = float(np.log(np.sum(model.initial * np.exp(per_state))))
         assert forward_loglik(model, Sequence(y)) == pytest.approx(expected, abs=1e-10)
 
@@ -74,9 +78,11 @@ class TestForward:
         assert forward_loglik(model, Sequence(obs[0])) == pytest.approx(expected, abs=1e-9)
 
     def test_matches_enumeration_property(self, rng):
-        # All shapes with N^tau <= 10^4.
-        for n_states, tau in [(2, 6), (3, 5), (4, 4), (10, 4)]:
-            model = random_hmm(rng, n_states=n_states, n_mix=2, dim=2)
+        # All shapes with N^tau <= 10^4; full covariances in d=3 as well.
+        cases = [(2, 6, 2, "diag"), (3, 5, 2, "diag"), (4, 4, 2, "diag"), (10, 4, 2, "diag"),
+                 (2, 6, 3, "full"), (3, 5, 3, "full"), (4, 4, 3, "full")]
+        for n_states, tau, dim, cov_type in cases:
+            model = random_hmm(rng, n_states=n_states, n_mix=2, dim=dim, cov_type=cov_type)
             obs, _ = sample_batch(model, tau, 1, rng)
             expected = enumeration_loglik(model, obs[0])
             assert forward_loglik(model, Sequence(obs[0])) == pytest.approx(expected, abs=1e-9)
@@ -150,8 +156,8 @@ class TestSample:
                 GaussianMixture([1.0], [Gaussian([5.0], [1.0])]),
             ],
         )
-        _, states = sample(model, 6, rng)
-        np.testing.assert_array_equal(states, [0, 1, 0, 1, 0, 1])
+        _, states = sample_batch(model, 6, 1, rng)
+        np.testing.assert_array_equal(states[0], [0, 1, 0, 1, 0, 1])
 
     def test_initial_state_frequencies(self, rng):
         model = random_hmm(rng, n_states=3)
@@ -164,9 +170,9 @@ class TestSample:
 
     def test_seed_determinism(self, rng):
         model = random_hmm(rng, n_states=2, n_mix=2, dim=2)
-        seq_a, states_a = sample(model, 10, np.random.default_rng(99))
-        seq_b, states_b = sample(model, 10, np.random.default_rng(99))
-        np.testing.assert_array_equal(seq_a.observations, seq_b.observations)
+        obs_a, states_a = sample_batch(model, 10, 1, np.random.default_rng(99))
+        obs_b, states_b = sample_batch(model, 10, 1, np.random.default_rng(99))
+        np.testing.assert_array_equal(obs_a, obs_b)
         np.testing.assert_array_equal(states_a, states_b)
 
     def test_full_cov_sampling_moments(self, rng):

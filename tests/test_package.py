@@ -1,0 +1,40 @@
+"""The public surface: every exported name resolves, once, and names that
+were removed from the library stay gone."""
+
+import h3mkit
+import h3mkit.gaussians
+import h3mkit.h3m
+import h3mkit.hmm
+
+REMOVED = {
+    h3mkit: [
+        "EmissionResponsibility", "gmm_responsibilities", "gmm_expected_loglik_bound",
+        "h3m_sample", "h3m_loglik", "h3m_loglik_batch", "sample",
+    ],
+    h3mkit.gaussians: [
+        "EmissionResponsibility", "gmm_responsibilities", "gmm_expected_loglik_bound",
+    ],
+    h3mkit.h3m: ["h3m_sample", "h3m_loglik", "h3m_loglik_batch"],
+    h3mkit.hmm: ["sample"],
+}
+REMOVED_METHODS = {
+    h3mkit.Gaussian: ["log_density", "sample", "log_det"],
+    h3mkit.GaussianMixture: ["log_density", "sample"],
+}
+
+
+def test_all_resolves_without_duplicates_and_removed_names_are_gone():
+    exported = h3mkit.__all__
+    assert len(exported) == len(set(exported))
+    for name in exported:
+        assert getattr(h3mkit, name) is not None, name
+    namespace: dict = {}
+    exec("from h3mkit import *", namespace)
+    assert set(exported) <= set(namespace)
+    for module, names in REMOVED.items():
+        for name in names:
+            assert not hasattr(module, name), f"{module.__name__}.{name}"
+            assert name not in exported
+    for cls, names in REMOVED_METHODS.items():
+        for name in names:
+            assert not hasattr(cls, name), f"{cls.__name__}.{name}"

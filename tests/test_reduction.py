@@ -10,6 +10,8 @@ import pytest
 
 from h3mkit import (
     AssignmentMatrix,
+    DegenerateWeightsError,
+    EstimationError,
     Gaussian,
     GaussianMixture,
     H3m,
@@ -227,8 +229,17 @@ class TestComputeAssignments:
         np.testing.assert_allclose(z.z, [[1.0, 0.0]], atol=1e-12)
 
     def test_non_finite_rejected(self):
-        with pytest.raises(ValueError):
+        # A numerical failure (CLI exit 2), not a validation error.
+        with pytest.raises(EstimationError):
             compute_assignments(np.array([[np.nan]]), np.array([1.0]), np.array([1.0]))
+
+    def test_overflow_when_scaled_rejected(self):
+        with pytest.raises(EstimationError):
+            compute_assignments(np.array([[1e300, 0.0]]), np.array([0.5, 0.5]), np.array([1e10]))
+
+    def test_row_without_mass_is_degenerate(self):
+        with pytest.raises(DegenerateWeightsError):
+            compute_assignments(np.array([[-1.0, -2.0]]), np.array([0.0, 0.0]), np.array([1.0]))
 
 
 class TestSummaryStats:

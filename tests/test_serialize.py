@@ -103,6 +103,20 @@ class TestModelRoundTrip:
         with pytest.raises(ModelFormatError, match="initial"):
             load_model(path)
 
+    @pytest.mark.parametrize("where", ["mixture", "emission"])
+    def test_components_of_wrong_type(self, rng, tmp_path, where):
+        path = tmp_path / "c.json"
+        save_model(random_h3m(rng, k=2), path)
+        doc = json.loads(path.read_text())
+        if where == "mixture":
+            doc["payload"]["components"] = 5
+        else:
+            doc["payload"]["components"][1]["emissions"][0]["components"] = 5
+        path.write_text(json.dumps(doc))
+        expected = "c.json" if where == "mixture" else "c.json component 1 emission 0"
+        with pytest.raises(ModelFormatError, match=expected):
+            load_model(path)
+
     def test_unknown_kind(self, rng, tmp_path):
         path = tmp_path / "k.json"
         path.write_text(json.dumps({"schema_version": "1", "kind": "dtm", "payload": {}}))
@@ -136,6 +150,13 @@ class TestDataset:
         path = tmp_path / "data.jsonl"
         path.write_text('{"id": "a"}\n')
         with pytest.raises(ModelFormatError, match="obs"):
+            load_dataset(path)
+
+    @pytest.mark.parametrize("line", ["5", '{"obs": {"a": 1}}'])
+    def test_malformed_record_reported(self, tmp_path, line):
+        path = tmp_path / "data.jsonl"
+        path.write_text('{"id": "a", "obs": [[0.0]]}\n' + line + "\n")
+        with pytest.raises(ModelFormatError, match="data.jsonl:2"):
             load_dataset(path)
 
     def test_empty_rejected(self, tmp_path):
