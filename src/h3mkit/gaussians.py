@@ -42,12 +42,18 @@ def _float_array(value, name: str, ndim: int) -> np.ndarray:
 
 
 def check_probability_vector(vec: np.ndarray, name: str, tol: float = WEIGHT_TOL) -> None:
-    """Raise InvalidModelError unless vec is nonnegative and sums to 1 within tol."""
-    if np.any(vec < 0):
-        raise InvalidModelError(f"{name} has negative entries: {vec}")
-    total = float(vec.sum())
-    if abs(total - 1.0) > tol:
-        raise InvalidModelError(f"{name} sums to {total!r}, expected 1 within {tol}")
+    """Raise InvalidModelError unless vec, a vector or a matrix of row
+    vectors, is nonnegative and sums to 1 within tol along every row. For a
+    matrix the message names the first bad row as ``{name} {index}``."""
+    rows = np.atleast_2d(vec)
+    totals = rows.sum(axis=1)
+    bad = (rows < 0).any(axis=1) | (np.abs(totals - 1.0) > tol)
+    if bad.any():
+        idx = int(bad.argmax())
+        label = name if vec.ndim == 1 else f"{name} {idx}"
+        if (rows[idx] < 0).any():
+            raise InvalidModelError(f"{label} has negative entries: {rows[idx]}")
+        raise InvalidModelError(f"{label} sums to {float(totals[idx])!r}, expected 1 within {tol}")
 
 
 @dataclass
@@ -132,6 +138,11 @@ class GaussianMixture:
     @property
     def is_diagonal(self) -> bool:
         return self.components[0].is_diagonal
+
+
+def _shape(gmm: GaussianMixture) -> str:
+    """Component count, dimension and covariance layout, as messages name them."""
+    return f"M={gmm.n_components}, d={gmm.dim}, {'diagonal' if gmm.is_diagonal else 'full'}"
 
 
 def _as_full(cov: np.ndarray, is_diagonal: bool) -> np.ndarray:

@@ -18,7 +18,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import EstimationError, InvalidModelError
-from .gaussians import check_probability_vector, logsumexp
+from .gaussians import _shape, check_probability_vector, logsumexp
 from .hmm import (
     EmConfig,
     Hmm,
@@ -37,7 +37,8 @@ from .hmm import (
 
 @dataclass
 class H3m:
-    """Mixture of HMMs with shared state count, mixture size, and dimension."""
+    """Mixture of HMMs with shared state count, mixture size, dimension and
+    covariance layout."""
 
     weights: np.ndarray
     components: list[Hmm]
@@ -53,17 +54,10 @@ class H3m:
                 f"{self.weights.shape[0]} weights for {len(self.components)} components"
             )
         check_probability_vector(self.weights, "mixture weights")
-        first = self.components[0]
-        for idx, hmm in enumerate(self.components):
-            if (
-                hmm.n_states != first.n_states
-                or hmm.n_mix != first.n_mix
-                or hmm.dim != first.dim
-            ):
-                raise InvalidModelError(
-                    f"component {idx} has (N={hmm.n_states}, M={hmm.n_mix}, d={hmm.dim}),"
-                    f" expected (N={first.n_states}, M={first.n_mix}, d={first.dim})"
-                )
+        shapes = [f"(N={h.n_states}, {_shape(h.emissions[0])})" for h in self.components]
+        for idx, shape in enumerate(shapes):
+            if shape != shapes[0]:
+                raise InvalidModelError(f"component {idx} has {shape}, expected {shapes[0]}")
 
     @property
     def n_components(self) -> int:

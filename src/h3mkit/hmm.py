@@ -2,23 +2,32 @@
 
 Holds the model type, exact sequence likelihood, seeded sampling, prior
 state-occupancy marginals, and the estimation machinery that every estimator
-shares. One forward recursion, normalized at every step (Rabiner's scaling,
-in log domain), serves both the likelihood and the forward-backward pass, so
-a single pass over a batch yields the log-likelihoods and the per-sequence
-sufficient statistics. One M-step turns a weighted sum of per-item
-statistics into an HMM; the items are real sequences for the mixture EM in
-``h3m`` (Baum-Welch is its one-component case) and virtual sequences of base
-components for the mixture reduction.
+shares. Every kernel reads the emission arrays an ``Hmm`` stacks once, at
+construction; ``Hmm.from_arrays`` is the one way from arrays to a model, and
+no model is mutated after construction. One forward recursion, normalized
+at every step (Rabiner's scaling, in log domain), serves both the likelihood
+and the forward-backward pass, so a single pass over a batch yields the
+log-likelihoods and the per-sequence sufficient statistics. One M-step turns
+a weighted sum of per-item statistics into an HMM; the items are real
+sequences for the mixture EM in ``h3m`` (Baum-Welch is its one-component
+case) and virtual sequences of base components for the mixture reduction.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
 from .errors import EstimationError, InvalidModelError
-from .gaussians import LOG_2PI, Gaussian, GaussianMixture, check_probability_vector, logsumexp
+from .gaussians import (
+    LOG_2PI,
+    Gaussian,
+    GaussianMixture,
+    _shape,
+    check_probability_vector,
+    logsumexp,
+)
 
 
 @dataclass
@@ -51,11 +60,17 @@ class Sequence:
 @dataclass
 class Hmm:
     """HMM with an initial distribution, transition matrix, and per-state
-    Gaussian-mixture emissions sharing one component count and dimension."""
+    Gaussian-mixture emissions sharing one component count, dimension and
+    covariance layout, stacked at construction into ``mix_weights`` (N, M),
+    ``means`` (N, M, d) and ``covs``, (N, M, d) variances or (N, M, d, d)
+    matrices. Not mutated after construction."""
 
     initial: np.ndarray
     transitions: np.ndarray
     emissions: list[GaussianMixture]
+    mix_weights: np.ndarray = field(init=False, repr=False, compare=False)
+    means: np.ndarray = field(init=False, repr=False, compare=False)
+    covs: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         self.initial = np.asarray(self.initial, dtype=float)
@@ -68,22 +83,38 @@ class Hmm:
                 f"transitions must be ({n}, {n}), got {self.transitions.shape}"
             )
         check_probability_vector(self.initial, "initial distribution")
-        for row_idx in range(n):
-            check_probability_vector(
-                self.transitions[row_idx], f"transition row {row_idx}"
-            )
+        check_probability_vector(self.transitions, "transition row")
         if len(self.emissions) != n:
             raise InvalidModelError(
                 f"{len(self.emissions)} emission mixtures for {n} states"
             )
-        m = self.emissions[0].n_components
-        d = self.emissions[0].dim
-        for state, gmm in enumerate(self.emissions):
-            if gmm.n_components != m or gmm.dim != d:
+        shapes = [_shape(g) for g in self.emissions]
+        for state, shape in enumerate(shapes):
+            if shape != shapes[0]:
                 raise InvalidModelError(
-                    f"emission for state {state} has (M={gmm.n_components}, d={gmm.dim}),"
-                    f" expected (M={m}, d={d})"
+                    f"emission for state {state} has ({shape}), expected ({shapes[0]})"
                 )
+        self.mix_weights = np.array([g.weights for g in self.emissions])
+        self.means = np.array([[c.mean for c in g.components] for g in self.emissions])
+        self.covs = np.array([[c.cov for c in g.components] for g in self.emissions])
+
+    @classmethod
+    def from_arrays(
+        cls,
+        initial: np.ndarray,
+        transitions: np.ndarray,
+        mix_weights: np.ndarray,
+        means: np.ndarray,
+        covs: np.ndarray,
+    ) -> "Hmm":
+        """The Hmm with these stacked parameters, shaped as the attributes of
+        the same names. Every emission object goes through its constructor,
+        so all of their checks apply."""
+        emissions = [
+            GaussianMixture(w, [Gaussian(mu, cov) for mu, cov in zip(mu_row, cov_row)])
+            for w, mu_row, cov_row in zip(mix_weights, means, covs)
+        ]
+        return cls(initial, transitions, emissions)
 
     @property
     def n_states(self) -> int:
@@ -91,11 +122,11 @@ class Hmm:
 
     @property
     def n_mix(self) -> int:
-        return self.emissions[0].n_components
+        return self.mix_weights.shape[1]
 
     @property
     def dim(self) -> int:
-        return self.emissions[0].dim
+        return self.means.shape[2]
 
 
 @dataclass
@@ -144,16 +175,6 @@ def _check_dim(model: Hmm, dim: int) -> None:
         )
 
 
-def _emission_arrays(model: Hmm) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Stacked emission parameters: weights (N, M), means (N, M, d) and
-    covariances, (N, M, d) variances for diagonal or (N, M, d, d) matrices
-    for full."""
-    weights = np.stack([g.weights for g in model.emissions])
-    means = np.stack([[comp.mean for comp in g.components] for g in model.emissions])
-    covs = np.stack([[comp.cov for comp in g.components] for g in model.emissions])
-    return weights, means, covs
-
-
 def _gaussian_terms(
     obs: np.ndarray, means: np.ndarray, covs: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -173,10 +194,9 @@ def _gaussian_terms(
 def _log_emissions(model: Hmm, obs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Log emission densities (S, tau, N) and the per-component log joint
     weights+densities (S, tau, N, M) they were reduced from."""
-    weights, means, covs = _emission_arrays(model)
-    log_det, maha = _gaussian_terms(obs, means, covs)
+    log_det, maha = _gaussian_terms(obs, model.means, model.covs)
     with np.errstate(divide="ignore"):
-        log_c = np.log(weights)
+        log_c = np.log(model.mix_weights)
     log_joint = log_c[None, None] - 0.5 * (model.dim * LOG_2PI + log_det[None, None] + maha)
     return logsumexp(log_joint, axis=-1), log_joint
 
@@ -262,15 +282,15 @@ def sample_batch(
     states[:, 0] = _categorical_rows(cum_pi[None, :], rng.random(size))
     for t in range(1, tau):
         states[:, t] = _categorical_rows(cum_a[states[:, t - 1]], rng.random(size))
-    weights, means, covs = _emission_arrays(model)
-    cum_c = np.cumsum(weights, axis=1)
+    cum_c = np.cumsum(model.mix_weights, axis=1)
     comps = _categorical_rows(cum_c[states], rng.random((size, tau)))
     normals = rng.standard_normal((size, tau, d))
-    if covs.ndim == 3:
-        obs = means[states, comps] + normals * np.sqrt(covs)[states, comps]
+    means = model.means[states, comps]
+    if model.covs.ndim == 3:
+        obs = means + normals * np.sqrt(model.covs)[states, comps]
     else:
-        chol = np.linalg.cholesky(covs)
-        obs = means[states, comps] + np.einsum("stij,stj->sti", chol[states, comps], normals)
+        chol = np.linalg.cholesky(model.covs)
+        obs = means + np.einsum("stij,stj->sti", chol[states, comps], normals)
     return obs, states
 
 
@@ -338,7 +358,7 @@ def _expected_stats(model: Hmm, obs: np.ndarray) -> tuple[_Stats, np.ndarray]:
         )
         log_xi -= logsumexp(log_xi, axis=(1, 2), keepdims=True)
         trans += np.exp(log_xi)
-    if model.emissions[0].is_diagonal:
+    if model.covs.ndim == 3:
         sq = np.einsum("stnm,std->snmd", gamma_mix, obs * obs)
     else:
         sq = np.einsum("stnm,sti,stj->snmij", gamma_mix, obs, obs)
@@ -353,56 +373,43 @@ def _expected_stats(model: Hmm, obs: np.ndarray) -> tuple[_Stats, np.ndarray]:
     return stats, lls
 
 
-def _make_gaussian(mean: np.ndarray, cov: np.ndarray, floor: float) -> Gaussian:
-    """Build a Gaussian with the covariance floor applied to its diagonal."""
-    if cov.ndim == 1:
-        return Gaussian(mean, np.maximum(cov, floor))
-    cov = 0.5 * (cov + cov.T)
-    idx = np.arange(cov.shape[0])
-    cov[idx, idx] = np.maximum(cov[idx, idx], floor)
-    try:
-        return Gaussian(mean, cov)
-    except InvalidModelError:
-        # Nearly singular off the diagonal; nudge towards a usable matrix.
-        return Gaussian(mean, cov + floor * np.eye(cov.shape[0]))
-
-
 def _mstep(stats: _Stats, previous: Hmm, cov_floor: float) -> Hmm:
     """Parameter updates from accumulated counts.
 
     Rows or components that received no mass keep their previous values: the
     objective is flat in them, so leaving them untouched preserves the
-    monotone-likelihood guarantee.
+    monotone-likelihood guarantee. Covariances are floored on the diagonal,
+    and a full one that is still not positive definite gains cov_floor * I.
     """
-    n, m = previous.n_states, previous.n_mix
     initial = stats.pi / stats.pi.sum()
-    transitions = previous.transitions.copy()
-    for row_idx in range(n):
-        total = stats.trans[row_idx].sum()
-        if total > 0:
-            transitions[row_idx] = stats.trans[row_idx] / total
-    emissions = []
-    for state in range(n):
-        mass_row = stats.mix[state]
-        row_total = mass_row.sum()
-        if row_total <= 0:
-            emissions.append(previous.emissions[state])
-            continue
-        weights = mass_row / row_total
-        comps = []
-        for comp in range(m):
-            mass = mass_row[comp]
-            if mass <= 1e-12:
-                comps.append(previous.emissions[state].components[comp])
-                continue
-            mu = stats.mean[state, comp] / mass
-            if stats.sq.ndim == 3:
-                cov = stats.sq[state, comp] / mass - mu * mu
-            else:
-                cov = stats.sq[state, comp] / mass - np.outer(mu, mu)
-            comps.append(_make_gaussian(mu, cov, cov_floor))
-        emissions.append(GaussianMixture(weights, comps))
-    return Hmm(initial, transitions, emissions)
+    trans_total = stats.trans.sum(axis=1, keepdims=True)
+    transitions = np.divide(
+        stats.trans, trans_total, out=previous.transitions.copy(), where=trans_total > 0
+    )
+    mix_total = stats.mix.sum(axis=1, keepdims=True)
+    keep_row = mix_total <= 0
+    mix_weights = np.divide(stats.mix, mix_total, out=previous.mix_weights.copy(), where=~keep_row)
+    live = ~keep_row & ~(stats.mix <= 1e-12)  # NaN mass is updated, and then rejected
+    mass = stats.mix[live]
+    mu = stats.mean[live] / mass[:, None]
+    if stats.sq.ndim == 3:
+        cov = np.maximum(stats.sq[live] / mass[:, None] - mu * mu, cov_floor)
+    else:
+        cov = stats.sq[live] / mass[:, None, None] - mu[:, :, None] * mu[:, None, :]
+        cov = 0.5 * (cov + np.swapaxes(cov, 1, 2))
+        d = mu.shape[1]
+        diag = np.arange(d)
+        cov[:, diag, diag] = np.maximum(cov[:, diag, diag], cov_floor)
+        for matrix in cov:
+            try:
+                np.linalg.cholesky(matrix)
+            except np.linalg.LinAlgError:  # nearly singular off the diagonal
+                matrix += cov_floor * np.eye(d)
+    means = previous.means.copy()
+    means[live] = mu
+    covs = previous.covs.copy()
+    covs[live] = cov
+    return Hmm.from_arrays(initial, transitions, mix_weights, means, covs)
 
 
 # ---------------------------------------------------------------------------
@@ -444,20 +451,15 @@ def _init_hmm(
     """Seeded starting point: emission means from pooled k-means, uniform
     initial/transition rows with a small Dirichlet jitter."""
     pooled = np.concatenate([seq.observations for seq in data], axis=0)
-    d = pooled.shape[1]
     centers = _kmeans(pooled, n_states * n_mix, rng)
     var = np.maximum(pooled.var(axis=0), config.cov_floor)
+    cov = var if config.cov_type == "diag" else np.diag(var)
     initial = rng.dirichlet(np.full(n_states, 200.0))
-    transitions = np.stack([rng.dirichlet(np.full(n_states, 200.0)) for _ in range(n_states)])
-    emissions = []
-    for state in range(n_states):
-        comps = []
-        for comp in range(n_mix):
-            mu = centers[state * n_mix + comp]
-            cov = var.copy() if config.cov_type == "diag" else np.diag(var)
-            comps.append(Gaussian(mu, cov))
-        emissions.append(GaussianMixture(np.full(n_mix, 1.0 / n_mix), comps))
-    return Hmm(initial, transitions, emissions)
+    transitions = rng.dirichlet(np.full(n_states, 200.0), size=n_states)
+    mix_weights = np.full((n_states, n_mix), 1.0 / n_mix)
+    covs = np.broadcast_to(cov, (n_states, n_mix) + cov.shape)
+    means = centers.reshape(n_states, n_mix, -1)
+    return Hmm.from_arrays(initial, transitions, mix_weights, means, covs)
 
 
 def group_by_length(data: list[Sequence]) -> list[tuple[np.ndarray, np.ndarray]]:

@@ -18,6 +18,10 @@ and tracks the global lower bound, which does not decrease. Re-estimation
 is the data-side M-step applied to per-base-component virtual statistics,
 weighted as the mixture EM weights real sequences. An exhaustive
 enumeration oracle for the pair objective is included for verification.
+
+Every step reads the models' stacked emission arrays and builds new models
+with ``Hmm.from_arrays``. No model is mutated, so a reduced component may
+share arrays with the base component it was seeded or rescued from.
 """
 
 from __future__ import annotations
@@ -30,8 +34,6 @@ import numpy as np
 
 from .errors import DegenerateWeightsError, EstimationError, InvalidModelError
 from .gaussians import (
-    Gaussian,
-    GaussianMixture,
     WEIGHT_TOL,
     expected_loglik_table,
     gmm_expected_loglik_opt,
@@ -39,7 +41,7 @@ from .gaussians import (
     solve_softmax_log,
 )
 from .h3m import H3m
-from .hmm import Hmm, _emission_arrays, _mstep, _Stats
+from .hmm import Hmm, _mstep, _Stats
 
 
 @dataclass
@@ -361,14 +363,12 @@ def lower_bound(
 # M-step
 
 
-def _virtual_stats(
-    base_i: Hmm, base_arrays_i: tuple[np.ndarray, ...], pair: PairEstepResult
-) -> _Stats:
+def _virtual_stats(base_i: Hmm, pair: PairEstepResult) -> _Stats:
     """What ``hmm._expected_stats`` collects from one real sequence, for one
     virtual sequence of base component i under the coupling ``pair``
     (leading axis of length 1)."""
     stats = summary_stats(base_i, pair)
-    c_b, mu_b, cov_b = base_arrays_i
+    c_b, mu_b, cov_b = base_i.mix_weights, base_i.means, base_i.covs
     # resp[beta, rho, m, l]: expected count of base emission (beta, m)
     # modeled by reduced emission (rho, l).
     resp = stats.nu_agg.T[:, :, None, None] * c_b[:, None, :, None] * pair.eta
@@ -418,40 +418,20 @@ def mstep(
 # Initialization and driver
 
 
-def _copy_hmm(hmm: Hmm) -> Hmm:
-    emissions = [
-        GaussianMixture(
-            g.weights.copy(), [Gaussian(c.mean.copy(), c.cov.copy()) for c in g.components]
-        )
-        for g in hmm.emissions
-    ]
-    return Hmm(hmm.initial.copy(), hmm.transitions.copy(), emissions)
-
-
 def _perturb_means(hmm: Hmm, rng: np.random.Generator, scale: float = 0.01) -> Hmm:
-    out = _copy_hmm(hmm)
-    for gmm in out.emissions:
-        for comp in gmm.components:
-            comp.mean = comp.mean * (1.0 + rng.uniform(-scale, scale, size=comp.mean.shape))
-    return out
+    means = hmm.means * (1.0 + rng.uniform(-scale, scale, size=hmm.means.shape))
+    return Hmm.from_arrays(hmm.initial, hmm.transitions, hmm.mix_weights, means, hmm.covs)
 
 
-def _init_reduced(
-    base: H3m,
-    base_arrays: list[tuple[np.ndarray, ...]],
-    config: VhemConfig,
-    rng: np.random.Generator,
-) -> H3m:
+def _init_reduced(base: H3m, config: VhemConfig, rng: np.random.Generator) -> H3m:
     k_r = config.k_reduced
     if config.init_strategy == "provided":
         model = config.init_model
         assert model is not None
-        layouts = {c.is_diagonal for h in model.components for g in h.emissions
-                   for c in g.components}
         if (
             model.n_components != k_r
             or model.dim != base.dim
-            or layouts != {base.components[0].emissions[0].is_diagonal}
+            or model.components[0].covs.ndim != base.components[0].covs.ndim
         ):
             raise InvalidModelError(
                 "provided initial model does not match k_reduced, base dimension"
@@ -465,24 +445,22 @@ def _init_reduced(
     # "random": fresh stochastic vectors; means drawn from the pool of base
     # means with a multiplicative jitter, covariances averaged over the base.
     n, m, d = base.n_states, base.n_mix, base.dim
-    all_means = np.concatenate([mu.reshape(-1, d) for _, mu, _ in base_arrays])
-    cov_avg = np.concatenate(
-        [cov.reshape(-1, *cov.shape[2:]) for _, _, cov in base_arrays]
-    ).mean(axis=0)
+    all_means = np.concatenate([hmm.means for hmm in base.components]).reshape(-1, d)
+    all_covs = np.concatenate([hmm.covs for hmm in base.components])
+    cov_avg = all_covs.reshape(-1, *all_covs.shape[2:]).mean(axis=0)
+    covs = np.broadcast_to(cov_avg, (n, m) + cov_avg.shape)
     components = []
     for _ in range(k_r):
         initial = rng.dirichlet(np.ones(n))
-        transitions = np.stack([rng.dirichlet(np.ones(n)) for _ in range(n)])
-        emissions = []
-        for _ in range(n):
-            weights = rng.dirichlet(np.full(m, 5.0))
-            comps = []
-            for _ in range(m):
+        transitions = rng.dirichlet(np.ones(n), size=n)
+        mix_weights = np.empty((n, m))
+        means = np.empty((n, m, d))
+        for state in range(n):
+            mix_weights[state] = rng.dirichlet(np.full(m, 5.0))
+            for comp in range(m):
                 mean = all_means[rng.integers(all_means.shape[0])]
-                mean = mean * (1.0 + rng.uniform(-0.1, 0.1, size=d))
-                comps.append(Gaussian(mean, cov_avg.copy()))
-            emissions.append(GaussianMixture(weights, comps))
-        components.append(Hmm(initial, transitions, emissions))
+                means[state, comp] = mean * (1.0 + rng.uniform(-0.1, 0.1, size=d))
+        components.append(Hmm.from_arrays(initial, transitions, mix_weights, means, covs))
     return H3m(np.full(k_r, 1.0 / k_r), components)
 
 
@@ -517,8 +495,7 @@ def _reduce_once(base: H3m, config: VhemConfig, rng: np.random.Generator) -> Red
     k_b = base.n_components
     n_virtual = config.n_virtual if config.n_virtual is not None else 10_000 * k_b
     virtual_counts = n_virtual * base.weights
-    base_arrays = [_emission_arrays(hmm) for hmm in base.components]
-    reduced = _init_reduced(base, base_arrays, config, rng)
+    reduced = _init_reduced(base, config, rng)
     tau = config.tau_virtual
 
     bound_history: list[float] = []
@@ -534,7 +511,7 @@ def _reduce_once(base: H3m, config: VhemConfig, rng: np.random.Generator) -> Red
                 pair = estep_pair(base.components[i], reduced.components[j], tau)
                 objectives[i, j] = pair.objective
                 if not last:
-                    columns[j].append(_virtual_stats(base.components[i], base_arrays[i], pair))
+                    columns[j].append(_virtual_stats(base.components[i], pair))
         z = compute_assignments(objectives, reduced.weights, virtual_counts)
         bound = lower_bound(base, reduced, z, objectives, virtual_counts)
         bound_history.append(bound)
@@ -555,7 +532,7 @@ def _reduce_once(base: H3m, config: VhemConfig, rng: np.random.Generator) -> Red
                 if rescues >= 2:
                     continue
                 worst = int(np.argmin(objectives.max(axis=1)))
-                components[j] = _copy_hmm(base.components[worst])
+                components[j] = base.components[worst]
                 weights[j] = 1.0 / config.k_reduced
                 rescues += 1
             weights = weights / weights.sum()

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from .gaussians import Gaussian, GaussianMixture
 from .hmm import Hmm, Sequence, sample_batch
 from .serialize import SequenceDataset
 
@@ -30,20 +29,16 @@ def _prototype(
     else:
         transitions = np.full((n_states, n_states), 0.2 / (n_states - 1))
         np.fill_diagonal(transitions, 0.8)
-    emissions = []
-    for s in range(n_states):
-        comps = []
-        for m in range(n_mix):
-            mean = np.zeros(dim)
-            mean[0] = (
-                offset
-                + (s - (n_states - 1) / 2.0) * separation / 4.0
-                + (m - (n_mix - 1) / 2.0) * separation / 8.0
-            )
-            cov = np.ones(dim) if cov_type == "diag" else np.eye(dim)
-            comps.append(Gaussian(mean, cov))
-        emissions.append(GaussianMixture(np.full(n_mix, 1.0 / n_mix), comps))
-    return Hmm(initial, transitions, emissions)
+    means = np.zeros((n_states, n_mix, dim))
+    means[..., 0] = (
+        offset
+        + (np.arange(n_states)[:, None] - (n_states - 1) / 2.0) * separation / 4.0
+        + (np.arange(n_mix) - (n_mix - 1) / 2.0) * separation / 8.0
+    )
+    mix_weights = np.full((n_states, n_mix), 1.0 / n_mix)
+    cov = np.ones(dim) if cov_type == "diag" else np.eye(dim)
+    covs = np.broadcast_to(cov, (n_states, n_mix) + cov.shape)
+    return Hmm.from_arrays(initial, transitions, mix_weights, means, covs)
 
 
 def _perturb_member(proto: Hmm, noise: float, rng: np.random.Generator) -> Hmm:
@@ -52,14 +47,8 @@ def _perturb_member(proto: Hmm, noise: float, rng: np.random.Generator) -> Hmm:
     transitions = np.stack(
         [rng.dirichlet(concentration * row + 1e-9) for row in proto.transitions]
     )
-    emissions = []
-    for gmm in proto.emissions:
-        comps = [
-            Gaussian(c.mean + rng.normal(0.0, noise, size=c.mean.shape), c.cov.copy())
-            for c in gmm.components
-        ]
-        emissions.append(GaussianMixture(gmm.weights.copy(), comps))
-    return Hmm(initial, transitions, emissions)
+    means = proto.means + rng.normal(0.0, noise, size=proto.means.shape)
+    return Hmm.from_arrays(initial, transitions, proto.mix_weights, means, proto.covs)
 
 
 def synth_benchmark(

@@ -37,8 +37,7 @@ def random_h3m(rng, k=3, n_states=2, n_mix=1, dim=1, cov_type="diag", mean_scale
 def align_means(reference, candidate):
     """Best permutation of candidate state means against the reference, by
     total squared distance; returns the aligned (N, M, d) mean array."""
-    ref = np.stack([[c.mean for c in g.components] for g in reference.emissions])
-    cand = np.stack([[c.mean for c in g.components] for g in candidate.emissions])
+    ref, cand = reference.means, candidate.means
     best, best_cost = None, np.inf
     for perm in itertools.permutations(range(cand.shape[0])):
         permuted = cand[list(perm)]

@@ -228,6 +228,29 @@ class TestFailureModes:
         assert result.exit_code == 2, result.output
         assert "numerical failure: pair objectives must be finite" in result.output
 
+    def test_mixed_layout_mixture_rejected(self, runner, tmp_path):
+        # One diagonal and one full component: rejected when the file is
+        # read, before any report is written.
+        path = tmp_path / "mixed.json"
+        docs = []
+        for cov in ([1.0], [[1.0]]):
+            hmm = Hmm([1.0], [[1.0]], [GaussianMixture([1.0], [Gaussian([0.0], cov)])])
+            save_model(H3m([1.0], [hmm]), path)
+            docs.append(json.loads(path.read_text()))
+        docs[0]["payload"]["weights"] = [0.5, 0.5]
+        docs[0]["payload"]["components"].append(docs[1]["payload"]["components"][0])
+        path.write_text(json.dumps(docs[0]))
+        out = tmp_path / "o"
+        result = runner.invoke(main, [
+            "reduce", "--model", str(path), "--kr", "1", "--out", str(out),
+        ])
+        assert result.exit_code == 1
+        assert any(
+            line.startswith("error:") and "full" in line and "diagonal" in line
+            for line in result.output.splitlines()
+        ), result.output
+        assert not any(out.glob("*"))
+
     @pytest.mark.parametrize("case", ["model", "dataset"])
     def test_malformed_file_reports_error_line(self, runner, tmp_path, case):
         if case == "model":

@@ -24,7 +24,7 @@ from h3mkit import (
     state_marginals,
 )
 from h3mkit.gaussians import logsumexp
-from h3mkit.hmm import _expected_stats
+from h3mkit.hmm import _expected_stats, _mstep, _Stats
 
 from conftest import align_means, random_hmm
 
@@ -110,6 +110,63 @@ class TestForward:
     def test_empty_sequence_rejected(self):
         with pytest.raises(InvalidModelError):
             Sequence(np.zeros((0, 1)))
+
+
+class TestConstruction:
+    @pytest.mark.parametrize("cov_type", ["diag", "full"])
+    def test_stacked_arrays_round_trip(self, rng, cov_type):
+        model = random_hmm(rng, n_states=3, n_mix=2, dim=2, cov_type=cov_type)
+        assert model.mix_weights.shape == (3, 2)
+        assert model.means.shape == (3, 2, 2)
+        assert model.covs.shape == ((3, 2, 2) if cov_type == "diag" else (3, 2, 2, 2))
+        for state, gmm in enumerate(model.emissions):
+            np.testing.assert_array_equal(model.mix_weights[state], gmm.weights)
+            for comp, g in enumerate(gmm.components):
+                np.testing.assert_array_equal(model.means[state, comp], g.mean)
+                np.testing.assert_array_equal(model.covs[state, comp], g.cov)
+        rebuilt = Hmm.from_arrays(
+            model.initial, model.transitions, model.mix_weights, model.means, model.covs
+        )
+        for name in ("initial", "transitions", "mix_weights", "means", "covs"):
+            np.testing.assert_array_equal(getattr(rebuilt, name), getattr(model, name))
+
+    def test_mixed_covariance_layouts_rejected(self):
+        diag = GaussianMixture([1.0], [Gaussian([0.0, 0.0], [1.0, 1.0])])
+        full = GaussianMixture([1.0], [Gaussian([0.0, 0.0], np.eye(2))])
+        with pytest.raises(InvalidModelError, match=r"state 1 .*full.*expected .*diagonal"):
+            Hmm([0.5, 0.5], np.full((2, 2), 0.5), [diag, full])
+
+    def test_first_bad_transition_row_named(self):
+        emissions = [GaussianMixture([1.0], [Gaussian([0.0], [1.0])])] * 3
+        transitions = np.array([[1.0, 0.0, 0.0], [0.5, 0.6, -0.1], [0.2, 0.2, 0.2]])
+        with pytest.raises(InvalidModelError, match="transition row 1 has negative"):
+            Hmm([1.0, 0.0, 0.0], transitions, emissions)
+
+
+class TestMstep:
+    def one_component_stats(self, mean, sq):
+        return _Stats(
+            pi=np.ones(1), trans=np.ones((1, 1)), mix=np.ones((1, 1)),
+            mean=np.array(mean, dtype=float)[None, None],
+            sq=np.array(sq, dtype=float)[None, None],
+        )
+
+    def test_near_singular_full_covariance_nudged(self):
+        # Mean [1, 1] and second moment [[2, 2], [2, 2]] leave the singular
+        # covariance [[1, 1], [1, 1]]; the floor does not bind on its
+        # diagonal, so only the nudge by floor * I makes it usable.
+        floor = 1e-3
+        previous = Hmm.from_arrays([1.0], [[1.0]], [[1.0]], np.zeros((1, 1, 2)), [[np.eye(2)]])
+        stats = self.one_component_stats([1.0, 1.0], [[2.0, 2.0], [2.0, 2.0]])
+        new = _mstep(stats, previous, floor)
+        np.testing.assert_array_equal(new.means[0, 0], [1.0, 1.0])
+        np.testing.assert_array_equal(new.covs[0, 0], [[1.0 + floor, 1.0], [1.0, 1.0 + floor]])
+
+    def test_diagonal_floor_binds(self):
+        floor = 1e-3
+        previous = Hmm.from_arrays([1.0], [[1.0]], [[1.0]], np.zeros((1, 1, 2)), np.ones((1, 1, 2)))
+        new = _mstep(self.one_component_stats([1.0, 2.0], [1.5, 4.0]), previous, floor)
+        np.testing.assert_array_equal(new.covs[0, 0], [0.5, floor])
 
 
 class TestStateMarginals:

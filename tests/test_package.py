@@ -1,5 +1,9 @@
 """The public surface: every exported name resolves, once, and names that
-were removed from the library stay gone."""
+were removed from the library stay gone. Emission objects are built in one
+place."""
+
+import ast
+from pathlib import Path
 
 import h3mkit
 import h3mkit.gaussians
@@ -38,3 +42,26 @@ def test_all_resolves_without_duplicates_and_removed_names_are_gone():
     for cls, names in REMOVED_METHODS.items():
         for name in names:
             assert not hasattr(cls, name), f"{cls.__name__}.{name}"
+
+
+def test_emission_objects_built_only_by_from_arrays_and_the_file_parser():
+    # Every array-to-object conversion goes through Hmm.from_arrays; only the
+    # model-file parser builds the objects from their own payload.
+    callers = set()
+    for path in Path(h3mkit.__file__).parent.glob("*.py"):
+        tree = ast.parse(path.read_text())
+
+        def visit(node, scope):
+            for child in ast.iter_child_nodes(node):
+                inner = scope
+                if isinstance(child, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+                    inner = f"{scope}.{child.name}" if scope else child.name
+                if isinstance(child, ast.Call):
+                    func = child.func
+                    name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+                    if name in ("Gaussian", "GaussianMixture"):
+                        callers.add(f"{path.stem}.{scope}")
+                visit(child, inner)
+
+        visit(tree, "")
+    assert callers == {"hmm.Hmm.from_arrays", "serialize._parse_gmm"}

@@ -33,8 +33,8 @@ from h3mkit import (
     vhem_reduce,
 )
 
-from h3mkit.hmm import _emission_arrays, _Stats
-from h3mkit.reduction import _virtual_stats
+from h3mkit.hmm import _Stats
+from h3mkit.reduction import _init_reduced, _perturb_means, _virtual_stats
 
 from conftest import random_hmm
 
@@ -329,7 +329,7 @@ def run_estep(base, reduced, tau):
             pair = estep_pair(b, r, tau)
             objectives[i, j] = pair.objective
             summaries[i][j] = summary_stats(b, pair)
-            columns[j].append(_virtual_stats(b, _emission_arrays(b), pair))
+            columns[j].append(_virtual_stats(b, pair))
     return objectives, summaries, [_Stats.concatenate(col) for col in columns]
 
 
@@ -487,7 +487,7 @@ class TestMstep:
 
         stats = [
             _Stats.concatenate(
-                [_virtual_stats(b, _emission_arrays(b), pairs[i][j])
+                [_virtual_stats(b, pairs[i][j])
                  for i, b in enumerate(base.components)]
             )
             for j in range(k_r)
@@ -610,3 +610,41 @@ class TestVhemReduce:
         history = np.array(result.bound_history)
         assert np.all(np.diff(history) >= -1e-8 * np.abs(history[:-1]))
         assert result.effective_k == 2
+
+
+class TestSeededDrawOrder:
+    """Seeded initializations against an explicit per-(state, component)
+    draw loop, so that a rewrite cannot change seeded results silently."""
+
+    def test_perturb_means(self, rng):
+        hmm = random_hmm(rng, n_states=3, n_mix=2, dim=2)
+        out = _perturb_means(hmm, np.random.default_rng(1), scale=0.05)
+        draws = np.random.default_rng(1)
+        for gmm, base_gmm in zip(out.emissions, hmm.emissions):
+            for comp, base_comp in zip(gmm.components, base_gmm.components):
+                expected = base_comp.mean * (1.0 + draws.uniform(-0.05, 0.05, size=2))
+                np.testing.assert_array_equal(comp.mean, expected)
+        np.testing.assert_array_equal(out.covs, hmm.covs)
+
+    @pytest.mark.parametrize("cov_type", ["diag", "full"])
+    def test_random_init(self, rng, cov_type):
+        base = H3m(
+            np.full(3, 1 / 3),
+            [random_hmm(rng, n_states=2, n_mix=2, dim=2, cov_type=cov_type) for _ in range(3)],
+        )
+        config = VhemConfig(k_reduced=2, init_strategy="random")
+        reduced = _init_reduced(base, config, np.random.default_rng(7))
+        pool = [c for h in base.components for g in h.emissions for c in g.components]
+        cov_avg = np.mean([c.cov for c in pool], axis=0)
+        draws = np.random.default_rng(7)
+        for hmm in reduced.components:
+            np.testing.assert_array_equal(hmm.initial, draws.dirichlet(np.ones(2)))
+            for row in hmm.transitions:
+                np.testing.assert_array_equal(row, draws.dirichlet(np.ones(2)))
+            for gmm in hmm.emissions:
+                np.testing.assert_array_equal(gmm.weights, draws.dirichlet(np.full(2, 5.0)))
+                for comp in gmm.components:
+                    mean = pool[draws.integers(len(pool))].mean
+                    expected = mean * (1.0 + draws.uniform(-0.1, 0.1, size=2))
+                    np.testing.assert_array_equal(comp.mean, expected)
+                    np.testing.assert_array_equal(comp.cov, cov_avg)

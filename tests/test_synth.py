@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from h3mkit import SequenceDataset, synth_benchmark
+from h3mkit.synth import _perturb_member, _prototype
 
 
 class TestSynthBenchmark:
@@ -69,3 +70,20 @@ class TestSynthBenchmark:
             synth_benchmark(2, 0, 4.0, rng)
         with pytest.raises(ValueError):
             synth_benchmark(2, 2, 4.0, rng, kind="graphs")
+
+    @pytest.mark.parametrize("cov_type", ["diag", "full"])
+    def test_member_draw_order(self, cov_type):
+        # An explicit per-(state, component) draw loop pins the seeded
+        # stream, so that a rewrite cannot change seeded members silently.
+        proto = _prototype(1.0, 3, 2, 2, 4.0, cov_type)
+        member = _perturb_member(proto, 0.2, np.random.default_rng(3))
+        draws = np.random.default_rng(3)
+        np.testing.assert_array_equal(member.initial, draws.dirichlet(100.0 * proto.initial + 1e-9))
+        for row, proto_row in zip(member.transitions, proto.transitions):
+            np.testing.assert_array_equal(row, draws.dirichlet(100.0 * proto_row + 1e-9))
+        for gmm, proto_gmm in zip(member.emissions, proto.emissions):
+            np.testing.assert_array_equal(gmm.weights, proto_gmm.weights)
+            for comp, proto_comp in zip(gmm.components, proto_gmm.components):
+                expected = proto_comp.mean + draws.normal(0.0, 0.2, size=2)
+                np.testing.assert_array_equal(comp.mean, expected)
+                np.testing.assert_array_equal(comp.cov, proto_comp.cov)
