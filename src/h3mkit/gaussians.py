@@ -43,11 +43,14 @@ def _float_array(value, name: str, ndim: int) -> np.ndarray:
 
 def check_probability_vector(vec: np.ndarray, name: str, tol: float = WEIGHT_TOL) -> None:
     """Raise InvalidModelError unless vec, a vector or a matrix of row
-    vectors, is nonnegative and sums to 1 within tol along every row. For a
-    matrix the message names the first bad row as ``{name} {index}``."""
+    vectors, is finite, nonnegative and sums to 1 within tol along every row.
+    For a matrix the message names the first bad row as ``{name} {index}``."""
     rows = np.atleast_2d(vec)
-    totals = rows.sum(axis=1)
-    bad = (rows < 0).any(axis=1) | (np.abs(totals - 1.0) > tol)
+    # A NaN or infinite entry makes its row's total NaN or infinite, which
+    # fails "<= tol" (inf - inf is NaN, quietly).
+    with np.errstate(invalid="ignore"):
+        totals = rows.sum(axis=1)
+    bad = (rows < 0).any(axis=1) | ~(np.abs(totals - 1.0) <= tol)
     if bad.any():
         idx = int(bad.argmax())
         label = name if vec.ndim == 1 else f"{name} {idx}"

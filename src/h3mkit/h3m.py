@@ -4,7 +4,8 @@ expected-log-likelihood oracle.
 
 One mixture component is responsible for a whole sequence (the assignment is
 drawn once per sequence, not per frame). Each EM iteration runs one
-forward-backward pass per component over the data: it yields both the
+forward-backward pass per component and length group over the data (scaled,
+in probability domain, block by block inside ``hmm``): it yields both the
 log-likelihoods behind the responsibilities and the per-sequence statistics
 that, weighted by the responsibilities, feed the M-step. The last possible
 E-step (at ``max_iters``) has no M-step after it and runs the forward pass

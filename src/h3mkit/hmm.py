@@ -4,13 +4,17 @@ Holds the model type, exact sequence likelihood, seeded sampling, prior
 state-occupancy marginals, and the estimation machinery that every estimator
 shares. Every kernel reads the emission arrays an ``Hmm`` stacks once, at
 construction; ``Hmm.from_arrays`` is the one way from arrays to a model, and
-no model is mutated after construction. One forward recursion, normalized
-at every step (Rabiner's scaling, in log domain), serves both the likelihood
-and the forward-backward pass, so a single pass over a batch yields the
-log-likelihoods and the per-sequence sufficient statistics. One M-step turns
-a weighted sum of per-item statistics into an HMM; the items are real
-sequences for the mixture EM in ``h3m`` (Baum-Welch is its one-component
-case) and virtual sequences of base components for the mixture reduction.
+no model is mutated after construction. One forward recursion, in
+probability domain and normalized at every step (Rabiner's scaling), serves
+both the likelihood and the forward-backward pass, so a single pass over a
+batch yields the log-likelihoods and the per-sequence sufficient statistics.
+A pass runs over blocks of sequences within a fixed element budget, which
+bounds its working memory. The log-domain recursion stays as the fallback
+for the sequences where the scaled one would underflow, and only those take
+it. One M-step turns a weighted sum of per-item statistics into an HMM; the
+items are real sequences for the mixture EM in ``h3m`` (Baum-Welch is its
+one-component case) and virtual sequences of base components for the
+mixture reduction.
 """
 
 from __future__ import annotations
@@ -180,10 +184,18 @@ def _gaussian_terms(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Log-determinants (N, M) of the emission covariances and squared
     Mahalanobis distances (S, tau, N, M) of every observation from every
-    emission component. The (S, tau, N, M, d) intermediates die on return."""
-    diff = obs[:, :, None, None, :] - means[None, None]
+    emission component."""
     if covs.ndim == 3:
-        return np.sum(np.log(covs), axis=-1), np.sum(diff * diff / covs[None, None], axis=-1)
+        # Summed over d in place, one coordinate at a time: no (S, tau, N, M, d) array.
+        maha = np.zeros(obs.shape[:2] + means.shape[:2])
+        term = np.empty_like(maha)
+        for k in range(obs.shape[2]):
+            np.subtract(obs[:, :, None, None, k], means[..., k], out=term)
+            term *= term
+            term /= covs[..., k]
+            maha += term
+        return np.sum(np.log(covs), axis=-1), maha
+    diff = obs[:, :, None, None, :] - means[None, None]
     chol = np.linalg.cholesky(covs)
     # One solve, the stacked factors (N, M, d, d) broadcast over (S, tau).
     sol = np.linalg.solve(chol, diff[..., None])[..., 0]
@@ -194,10 +206,12 @@ def _gaussian_terms(
 def _log_emissions(model: Hmm, obs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Log emission densities (S, tau, N) and the per-component log joint
     weights+densities (S, tau, N, M) they were reduced from."""
-    log_det, maha = _gaussian_terms(obs, model.means, model.covs)
+    log_det, log_joint = _gaussian_terms(obs, model.means, model.covs)
     with np.errstate(divide="ignore"):
         log_c = np.log(model.mix_weights)
-    log_joint = log_c[None, None] - 0.5 * (model.dim * LOG_2PI + log_det[None, None] + maha)
+    log_joint += model.dim * LOG_2PI + log_det
+    log_joint *= -0.5
+    log_joint += log_c
     return logsumexp(log_joint, axis=-1), log_joint
 
 
@@ -207,11 +221,72 @@ def _log_chain(model: Hmm) -> tuple[np.ndarray, np.ndarray]:
         return np.log(model.initial), np.log(model.transitions)
 
 
-def _forward(
+# Working-memory budget of a pass, in elements of one (B, tau, N, M) array
+# (256 KB of float64): a block holds as many sequences as fit, at least one,
+# and a few such arrays of one block are all that a pass holds at once.
+_BLOCK_ELEMENTS = 1 << 15
+# Guards of the scaled pass (see _scaled_forward): a scale factor at or below
+# _TINY, or a predicted state weight below _FLOOR, sends the sequence to the
+# log-domain pass. Below _FLOOR, what underflowed (< _TINY) exceeds rounding.
+_TINY = np.finfo(float).tiny
+_FLOOR = _TINY / np.finfo(float).eps
+
+
+def _blocks(model: Hmm, obs: np.ndarray):
+    """The (S, tau, d) batch as consecutive blocks of sequences, each within
+    _BLOCK_ELEMENTS for the model's (B, tau, N, M) arrays."""
+    size = max(1, _BLOCK_ELEMENTS // (obs.shape[1] * model.n_states * model.n_mix))
+    return (obs[i:i + size] for i in range(0, max(obs.shape[0], 1), size))
+
+
+def _scaled_forward(
+    model: Hmm, log_b: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Forward recursion in probability domain over (S, tau, N) log emission
+    densities of equal-length sequences, normalized at every step (Rabiner
+    1989). One matmul per step.
+
+    The emissions are shifted by their maximum over states first, and the
+    shifts are added back into the log-likelihoods. Returns the shifted
+    emissions b (S, tau, N), alpha (S, tau, N) with each step's row summing
+    to one, the scale factors c (S, tau), the log-likelihoods (S,) and
+    ``ok`` (S,). ``ok`` is False where some c_t is NaN or at most _TINY, or
+    where a state the chain can reach at step t has a predicted weight
+    (alpha_{t-1} A, or the initial probability) below _FLOOR: paths whose
+    weight underflowed are lost, and only a state that nothing else feeds
+    can make them matter later. Such a sequence's log-likelihood comes from
+    the log-domain recursion instead; its other outputs are unusable.
+    """
+    shift = log_b.max(axis=2)
+    b = np.exp(log_b - shift[..., None])
+    alpha = np.empty_like(b)
+    pred = np.empty_like(b)
+    scale = np.empty(b.shape[:2])
+    reach = np.empty(b.shape[1:], dtype=bool)  # (tau, N): P(x_t = state) > 0
+    pred[:, 0] = model.initial
+    reach[0] = model.initial > 0
+    edges = model.transitions > 0
+    # A zero or NaN scale only occurs in rows that ok marks.
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for t in range(b.shape[1]):
+            if t:
+                pred[:, t] = alpha[:, t - 1] @ model.transitions
+                reach[t] = reach[t - 1] @ edges
+            np.multiply(pred[:, t], b[:, t], out=alpha[:, t])
+            scale[:, t] = alpha[:, t].sum(axis=1)
+            alpha[:, t] /= scale[:, t, None]
+        lls = np.sum(np.log(scale) + shift, axis=1)
+    ok = np.all(scale > _TINY, axis=1) & np.all((pred >= _FLOOR) | ~reach, axis=(1, 2))
+    if not ok.all():
+        lls[~ok] = _log_forward(*_log_chain(model), log_b[~ok])[1]
+    return b, alpha, scale, lls, ok
+
+
+def _log_forward(
     log_pi: np.ndarray, log_a: np.ndarray, log_b: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Forward recursion over a batch of equal-length sequences, normalized
-    at every step (Rabiner's scaling, in log domain).
+    """Forward recursion in log domain, normalized at every step: the
+    fallback for sequences whose scaled recursion underflows.
 
     Returns log alpha (S, tau, N), each step's row summing to one in
     probability, and the log-likelihoods (S,), which are the sums of the
@@ -242,9 +317,9 @@ def forward_loglik_batch(model: Hmm, obs: np.ndarray) -> np.ndarray:
     if obs.ndim != 3:
         raise InvalidModelError(f"batch must be (S, tau, d), got shape {obs.shape}")
     _check_dim(model, obs.shape[2])
-    log_b, _ = _log_emissions(model, obs)
-    _, lls = _forward(*_log_chain(model), log_b)
-    return lls
+    return np.concatenate(
+        [_scaled_forward(model, _log_emissions(model, block)[0])[3] for block in _blocks(model, obs)]
+    )
 
 
 def state_marginals(model: Hmm, tau: int) -> np.ndarray:
@@ -322,33 +397,24 @@ class _Stats:
         )
 
 
-def _expected_stats(model: Hmm, obs: np.ndarray) -> tuple[_Stats, np.ndarray]:
-    """One forward-backward pass over an equal-length (S, tau, d) batch.
-
-    Returns the per-sequence sufficient statistics (leading S axis, no tau
-    axis) and the per-sequence log-likelihoods, which come from the same
-    forward recursion as forward_loglik_batch and equal it bit for bit.
-    """
-    tau = obs.shape[1]
-    log_pi, log_a = _log_chain(model)
-    log_b, log_joint = _log_emissions(model, obs)
-    alpha, lls = _forward(log_pi, log_a, log_b)
-
-    # Log-domain beta. gamma and xi are renormalized per sequence and step, so
-    # neither the scaling of alpha nor the scale of beta enters.
+def _log_posteriors(
+    log_pi: np.ndarray, log_a: np.ndarray, log_b: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Forward-backward in log domain: state posteriors gamma (S, tau, N),
+    per-sequence transition counts (S, N, N) and log-likelihoods (S,). The
+    fallback for sequences whose scaled pass underflows or overflows."""
+    tau = log_b.shape[1]
+    alpha, lls = _log_forward(log_pi, log_a, log_b)
+    # gamma and xi are renormalized per sequence and step, so neither the
+    # scaling of alpha nor the scale of beta enters.
     beta = np.empty_like(alpha)
     beta[:, -1] = 0.0
     for t in range(tau - 2, -1, -1):
         beta[:, t] = logsumexp(
             log_a[None] + (log_b[:, t + 1] + beta[:, t + 1])[:, None, :], axis=2
         )
-
     log_gamma = alpha + beta
     log_gamma -= logsumexp(log_gamma, axis=2, keepdims=True)
-    gamma = np.exp(log_gamma)  # (S, tau, N)
-    # Within-state mixture responsibilities; log_b is log_joint's normalizer.
-    gamma_mix = gamma[..., None] * np.exp(log_joint - log_b[..., None])  # (S, tau, N, M)
-
     trans = np.zeros(alpha.shape[:1] + log_a.shape)
     for t in range(tau - 1):
         log_xi = (
@@ -358,6 +424,35 @@ def _expected_stats(model: Hmm, obs: np.ndarray) -> tuple[_Stats, np.ndarray]:
         )
         log_xi -= logsumexp(log_xi, axis=(1, 2), keepdims=True)
         trans += np.exp(log_xi)
+    return np.exp(log_gamma), trans, lls
+
+
+def _block_stats(model: Hmm, obs: np.ndarray) -> tuple[_Stats, np.ndarray]:
+    log_b, log_joint = _log_emissions(model, obs)
+    b, alpha, scale, lls, ok = _scaled_forward(model, log_b)
+    # Scaled backward pass: w_t = b_t * beta_t / c_t and beta_{t-1} = w_t A^T,
+    # so gamma = alpha * beta and xi_t = A * (alpha_t^T w_{t+1}). Where alpha
+    # is zero, beta may overflow: such rows come out non-finite here and, like
+    # the rows ok marks, are redone in log domain.
+    a = model.transitions
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        w = b / scale[..., None]
+        beta = np.empty_like(b)
+        beta[:, -1] = 1.0
+        for t in range(b.shape[1] - 1, 0, -1):
+            w[:, t] *= beta[:, t]
+            beta[:, t - 1] = w[:, t] @ a.T
+        trans = a * (np.swapaxes(alpha[:, :-1], 1, 2) @ w[:, 1:])
+        gamma = np.multiply(alpha, beta, out=alpha)  # (S, tau, N)
+    redo = ~(ok & np.isfinite(gamma).all(axis=(1, 2)) & np.isfinite(trans).all(axis=(1, 2)))
+    if redo.any():
+        gamma[redo], trans[redo], _ = _log_posteriors(*_log_chain(model), log_b[redo])
+
+    # Within-state mixture responsibilities, in place; log_b is log_joint's normalizer.
+    gamma_mix = log_joint
+    gamma_mix -= log_b[..., None]
+    np.exp(gamma_mix, out=gamma_mix)
+    gamma_mix *= gamma[..., None]  # (S, tau, N, M)
     if model.covs.ndim == 3:
         sq = np.einsum("stnm,std->snmd", gamma_mix, obs * obs)
     else:
@@ -371,6 +466,18 @@ def _expected_stats(model: Hmm, obs: np.ndarray) -> tuple[_Stats, np.ndarray]:
         sq=sq,
     )
     return stats, lls
+
+
+def _expected_stats(model: Hmm, obs: np.ndarray) -> tuple[_Stats, np.ndarray]:
+    """One forward-backward pass over an equal-length (S, tau, d) batch, run
+    block by block.
+
+    Returns the per-sequence sufficient statistics (leading S axis, no tau
+    axis) and the per-sequence log-likelihoods, which come from the same
+    forward recursion as forward_loglik_batch and equal it bit for bit.
+    """
+    parts = [_block_stats(model, block) for block in _blocks(model, obs)]
+    return _Stats.concatenate([p[0] for p in parts]), np.concatenate([p[1] for p in parts])
 
 
 def _mstep(stats: _Stats, previous: Hmm, cov_floor: float) -> Hmm:

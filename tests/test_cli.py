@@ -251,6 +251,27 @@ class TestFailureModes:
         ), result.output
         assert not any(out.glob("*"))
 
+    def test_nan_initial_distribution_rejected(self, runner, tmp_path):
+        # json writes and reads NaN, so the model check is what stops it.
+        path = tmp_path / "nan.json"
+        hmm = Hmm([0.5, 0.5], [[0.5, 0.5], [0.5, 0.5]], [
+            GaussianMixture([1.0], [Gaussian([mean], [1.0])]) for mean in (0.0, 3.0)
+        ])
+        save_model(H3m([0.5, 0.5], [hmm, hmm]), path)
+        doc = json.loads(path.read_text())
+        doc["payload"]["components"][0]["initial"] = [float("nan"), 1.0]
+        path.write_text(json.dumps(doc))
+        out = tmp_path / "o"
+        result = runner.invoke(main, [
+            "reduce", "--model", str(path), "--kr", "1", "--out", str(out),
+        ])
+        assert result.exit_code == 1
+        assert isinstance(result.exception, SystemExit)
+        assert "Traceback" not in result.output
+        errors = [line for line in result.output.splitlines() if line.startswith("error:")]
+        assert len(errors) == 1 and "initial distribution sums to nan" in errors[0], result.output
+        assert not any(out.glob("*"))
+
     @pytest.mark.parametrize("case", ["model", "dataset"])
     def test_malformed_file_reports_error_line(self, runner, tmp_path, case):
         if case == "model":

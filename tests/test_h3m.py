@@ -28,6 +28,8 @@ from h3mkit import (
 
 from conftest import random_hmm
 
+pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
+
 STD_NORMAL_SELF = -(1.0 + math.log(2.0 * math.pi)) / 2.0
 
 
@@ -41,6 +43,11 @@ class TestH3mModel:
         full = Hmm([1.0], [[1.0]], [GaussianMixture([1.0], [Gaussian([0.0], [[1.0]])])])
         with pytest.raises(InvalidModelError, match=r"component 1 .*full.*expected .*diagonal"):
             H3m([0.5, 0.5], [diag, full])
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_weights_rejected(self, bad):
+        with pytest.raises(InvalidModelError, match="mixture weights sums to"):
+            H3m([bad, 1.0], [std_normal_hmm(), std_normal_hmm(1.0)])
 
 
 class TestH3mEm:

@@ -1,13 +1,15 @@
-"""HMM likelihood against exhaustive enumeration, sampling statistics, state
-marginals, and Baum-Welch behavior. The enumeration oracle below scores
-emissions through scipy.stats so it shares no density code with the library."""
+"""HMM likelihood against exhaustive enumeration, the scaled pass against
+the log-domain pass it falls back to, sampling statistics, state marginals,
+and Baum-Welch behavior. The enumeration oracle below scores emissions
+through scipy so it shares no density code with the library."""
 
 import itertools
 import math
 
 import numpy as np
 import pytest
-from scipy.stats import multivariate_normal
+from scipy.special import logsumexp as scipy_logsumexp
+from scipy.stats import multivariate_normal, norm
 
 from h3mkit import (
     EmConfig,
@@ -23,33 +25,79 @@ from h3mkit import (
     sample_batch,
     state_marginals,
 )
+from h3mkit import hmm as hmm_module
 from h3mkit.gaussians import logsumexp
 from h3mkit.hmm import _expected_stats, _mstep, _Stats
 
 from conftest import align_means, random_hmm
 
+pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
+
 
 def enumeration_loglik(model: Hmm, obs: np.ndarray) -> float:
-    """Brute-force log p(obs) as a sum over all hidden state sequences,
+    """Brute-force log p(obs) as a log-sum over all hidden state sequences,
     with emission densities from scipy."""
     tau = obs.shape[0]
-    n = model.n_states
-
-    def emission_density(t, state):
+    with np.errstate(divide="ignore"):
+        log_pi, log_a = np.log(model.initial), np.log(model.transitions)
+    log_b = np.empty((tau, model.n_states))
+    for t, state in itertools.product(range(tau), range(model.n_states)):
         gmm = model.emissions[state]
-        total = 0.0
-        for w, comp in zip(gmm.weights, gmm.components):
-            cov = np.diag(comp.cov) if comp.cov.ndim == 1 else comp.cov
-            total += w * multivariate_normal.pdf(obs[t], mean=comp.mean, cov=cov)
-        return total
+        log_b[t, state] = scipy_logsumexp([
+            math.log(w) + multivariate_normal.logpdf(
+                obs[t], mean=c.mean, cov=np.diag(c.cov) if c.cov.ndim == 1 else c.cov)
+            for w, c in zip(gmm.weights, gmm.components)
+        ])
+    paths = [
+        log_pi[path[0]] + log_b[0, path[0]] + sum(
+            log_a[path[t - 1], path[t]] + log_b[t, path[t]] for t in range(1, tau))
+        for path in itertools.product(range(model.n_states), repeat=tau)
+    ]
+    return float(scipy_logsumexp(paths))
 
-    total = 0.0
-    for path in itertools.product(range(n), repeat=tau):
-        prob = model.initial[path[0]] * emission_density(0, path[0])
-        for t in range(1, tau):
-            prob *= model.transitions[path[t - 1], path[t]] * emission_density(t, path[t])
-        total += prob
-    return math.log(total)
+
+def underflow_model(cov_type="diag"):
+    """Two states in d=1: state 1 is unreachable at t=0 and lies 40 standard
+    deviations from state 0. An observation at 40 in the first step has
+    density exp(-800) under state 0 relative to state 1, so the first scale
+    factor of the probability-domain recursion underflows to 0."""
+    covs = np.ones((2, 1, 1)) if cov_type == "diag" else np.ones((2, 1, 1, 1))
+    return Hmm.from_arrays(
+        [1.0, 0.0], np.full((2, 2), 0.5), np.ones((2, 1)), np.array([[[0.0]], [[40.0]]]), covs
+    )
+
+
+def two_chain_model(initial):
+    """Identity transitions: every path stays in its first state, so the
+    likelihood is a two-term mixture over whole-sequence densities."""
+    return Hmm.from_arrays(
+        initial, np.eye(2), np.ones((2, 1)), np.array([[[0.0]], [[10.0]]]), np.ones((2, 1, 1))
+    )
+
+
+def log_domain_pass(model, obs):
+    """Per-sequence statistics and log-likelihoods from the log-domain
+    forward-backward pass that the scaled pass falls back to."""
+    log_b, log_joint = hmm_module._log_emissions(model, obs)
+    gamma, trans, lls = hmm_module._log_posteriors(*hmm_module._log_chain(model), log_b)
+    gamma_mix = gamma[..., None] * np.exp(log_joint - log_b[..., None])
+    outer = obs * obs if model.covs.ndim == 3 else obs[..., :, None] * obs[..., None, :]
+    stats = _Stats(
+        pi=gamma[:, 0], trans=trans, mix=gamma_mix.sum(axis=1),
+        mean=np.einsum("stnm,std->snmd", gamma_mix, obs),
+        sq=np.einsum("stnm,st...->snm...", gamma_mix, outer),
+    )
+    return stats, lls
+
+
+def block_budget(model, tau, sequences):
+    """The element budget that makes blocks of this many sequences."""
+    return sequences * tau * model.n_states * model.n_mix
+
+
+def assert_stats_close(got, want, rtol):
+    for name in ("pi", "trans", "mix", "mean", "sq"):
+        np.testing.assert_allclose(getattr(got, name), getattr(want, name), rtol=rtol, atol=rtol)
 
 
 class TestForward:
@@ -86,6 +134,39 @@ class TestForward:
             obs, _ = sample_batch(model, tau, 1, rng)
             expected = enumeration_loglik(model, obs[0])
             assert forward_loglik(model, Sequence(obs[0])) == pytest.approx(expected, abs=1e-9)
+        # Zero-probability transitions: a left-to-right chain that starts in state 0.
+        for n_states, tau, cov_type in [(3, 5, "diag"), (4, 4, "full")]:
+            model = random_hmm(rng, n_states=n_states, n_mix=2, dim=2, cov_type=cov_type)
+            upper = np.triu(model.transitions)
+            model = Hmm.from_arrays(
+                np.eye(n_states)[0], upper / upper.sum(axis=1, keepdims=True),
+                model.mix_weights, model.means, model.covs,
+            )
+            obs, _ = sample_batch(model, tau, 1, rng)
+            expected = enumeration_loglik(model, obs[0])
+            assert forward_loglik(model, Sequence(obs[0])) == pytest.approx(expected, abs=1e-9)
+        # At t=0 only state 0 is reachable, and its density is exp(-800) times
+        # state 1's; with tau=1 that is also the last step.
+        for obs in ([[40.0], [0.0]], [[40.0]]):
+            model, obs = underflow_model(), np.array(obs)
+            got = forward_loglik(model, Sequence(obs))
+            assert math.isfinite(got)
+            assert got == pytest.approx(enumeration_loglik(model, obs), abs=1e-9)
+
+    def test_state_lost_to_underflow_is_recovered(self):
+        # State 1 fits 16 steps badly, so its scaled forward weight underflows
+        # to 0, while no scale factor falls below about exp(-50); it then fits
+        # the last 20 steps and carries nearly all the likelihood.
+        model = two_chain_model([0.5, 0.5])
+        x = np.concatenate([np.zeros(16), np.full(20, 10.0)])
+        expected = np.logaddexp(
+            math.log(0.5) + norm.logpdf(x, 0.0, 1.0).sum(),
+            math.log(0.5) + norm.logpdf(x, 10.0, 1.0).sum(),
+        )
+        assert forward_loglik(model, Sequence(x[:, None])) == pytest.approx(expected, rel=1e-12)
+        stats, lls = _expected_stats(model, x[None, :, None])
+        assert lls[0] == pytest.approx(expected, rel=1e-12)
+        np.testing.assert_allclose(stats.pi[0], [0.0, 1.0], atol=1e-12)
 
     def test_batch_matches_scalar(self, rng):
         model = random_hmm(rng, n_states=3, n_mix=2, dim=2)
@@ -112,6 +193,76 @@ class TestForward:
             Sequence(np.zeros((0, 1)))
 
 
+class TestScaledPass:
+    """The probability-domain pass against the log-domain pass it falls back
+    to, which is the recursion earlier versions ran for every sequence."""
+
+    @pytest.mark.parametrize("cov_type", ["diag", "full"])
+    def test_matches_log_domain_pass(self, rng, cov_type, monkeypatch):
+        model = random_hmm(rng, n_states=3, n_mix=2, dim=2, cov_type=cov_type)
+        for tau in (1, 6):
+            monkeypatch.setattr(hmm_module, "_BLOCK_ELEMENTS", block_budget(model, tau, 128))
+            obs, _ = sample_batch(model, tau, 300, rng)
+            stats, lls = _expected_stats(model, obs)
+            want_stats, want_lls = log_domain_pass(model, obs)
+            np.testing.assert_allclose(lls, want_lls, rtol=1e-12)
+            assert_stats_close(stats, want_stats, 1e-10)
+
+    @pytest.mark.parametrize("cov_type", ["diag", "full"])
+    def test_only_underflowing_sequence_falls_back(self, rng, cov_type, monkeypatch):
+        model = underflow_model(cov_type)
+        monkeypatch.setattr(hmm_module, "_BLOCK_ELEMENTS", block_budget(model, 4, 128))
+        obs, _ = sample_batch(model, 4, 300, rng)
+        obs[200, 0] = 40.0
+        # Every state explains this one badly (log densities -1800 and -5000):
+        # shifted by their maximum, the emissions stay in range.
+        obs[50, 2] = -60.0
+        rows = {"_log_forward": [], "_log_posteriors": []}
+        for name in rows:
+            original = getattr(hmm_module, name)
+
+            def counted(*args, name=name, original=original):
+                rows[name].append(args[2].shape[0])
+                return original(*args)
+
+            monkeypatch.setattr(hmm_module, name, counted)
+        stats, lls = _expected_stats(model, obs)
+        # One log-domain forward pass for its likelihood, one inside the posteriors.
+        assert rows == {"_log_forward": [1, 1], "_log_posteriors": [1]}
+        batch = forward_loglik_batch(model, obs)
+        assert rows["_log_forward"] == [1, 1, 1]
+        np.testing.assert_array_equal(batch, lls)
+        assert np.all(np.isfinite(lls))
+        want_stats, want_lls = log_domain_pass(model, obs)
+        np.testing.assert_allclose(lls, want_lls, rtol=1e-12)
+        assert_stats_close(stats, want_stats, 1e-10)
+
+    def test_unreachable_state_with_overflowing_backward(self):
+        # State 1 is never reachable but fits every observation far better, so
+        # its scaled beta grows by exp(50) per step and overflows; that row is
+        # redone in log domain, where state 1 simply gets no mass.
+        model = two_chain_model([1.0, 0.0])
+        x = np.full(20, 10.0)
+        stats, lls = _expected_stats(model, x[None, :, None])
+        assert lls[0] == pytest.approx(norm.logpdf(x, 0.0, 1.0).sum(), rel=1e-12)
+        np.testing.assert_array_equal(stats.pi[0], [1.0, 0.0])
+        np.testing.assert_allclose(stats.trans[0], [[19.0, 0.0], [0.0, 0.0]], rtol=1e-12)
+        np.testing.assert_allclose(stats.mean[0, :, 0, 0], [200.0, 0.0], rtol=1e-12)
+
+    @pytest.mark.parametrize("cov_type", ["diag", "full"])
+    def test_block_size_invariance(self, rng, cov_type, monkeypatch):
+        model = random_hmm(rng, n_states=3, n_mix=2, dim=2, cov_type=cov_type)
+        obs, _ = sample_batch(model, 5, 300, rng)
+        obs[123, 0] = 40.0  # a far observation, which every state explains badly
+        stats, lls = _expected_stats(model, obs)
+        for block in (1, 7, 300):
+            monkeypatch.setattr(hmm_module, "_BLOCK_ELEMENTS", block_budget(model, 5, block))
+            other_stats, other_lls = _expected_stats(model, obs)
+            np.testing.assert_allclose(other_lls, lls, rtol=1e-12)
+            np.testing.assert_allclose(forward_loglik_batch(model, obs), lls, rtol=1e-12)
+            assert_stats_close(other_stats, stats, 1e-12)
+
+
 class TestConstruction:
     @pytest.mark.parametrize("cov_type", ["diag", "full"])
     def test_stacked_arrays_round_trip(self, rng, cov_type):
@@ -135,6 +286,14 @@ class TestConstruction:
         full = GaussianMixture([1.0], [Gaussian([0.0, 0.0], np.eye(2))])
         with pytest.raises(InvalidModelError, match=r"state 1 .*full.*expected .*diagonal"):
             Hmm([0.5, 0.5], np.full((2, 2), 0.5), [diag, full])
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_probabilities_rejected(self, bad):
+        emissions = [GaussianMixture([1.0], [Gaussian([0.0], [1.0])])] * 2
+        with pytest.raises(InvalidModelError, match="initial distribution sums to"):
+            Hmm([bad, 1.0], np.full((2, 2), 0.5), emissions)
+        with pytest.raises(InvalidModelError, match="transition row 1 sums to"):
+            Hmm([0.5, 0.5], [[0.5, 0.5], [bad, 1.0]], emissions)
 
     def test_first_bad_transition_row_named(self):
         emissions = [GaussianMixture([1.0], [Gaussian([0.0], [1.0])])] * 3
