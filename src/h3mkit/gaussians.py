@@ -143,9 +143,9 @@ class GaussianMixture:
         return self.components[0].is_diagonal
 
 
-def _shape(gmm: GaussianMixture) -> str:
+def _shape(n_mix: int, dim: int, is_diagonal: bool) -> str:
     """Component count, dimension and covariance layout, as messages name them."""
-    return f"M={gmm.n_components}, d={gmm.dim}, {'diagonal' if gmm.is_diagonal else 'full'}"
+    return f"M={n_mix}, d={dim}, {'diagonal' if is_diagonal else 'full'}"
 
 
 def _as_full(cov: np.ndarray, is_diagonal: bool) -> np.ndarray:
@@ -172,7 +172,8 @@ def _cross_terms(
             raise InvalidModelError("reduced covariance is not positive definite")
         log_det = np.sum(np.log(cov_r), axis=-1)
         trace = np.sum(cov_b / cov_r, axis=-1)
-        maha = np.sum(diff * diff / cov_r, axis=-1)
+        with np.errstate(over="ignore"):  # inf for far-apart pairs: compute_assignments rejects it
+            maha = np.sum(diff * diff / cov_r, axis=-1)
     else:
         try:
             chol = np.linalg.cholesky(cov_r)

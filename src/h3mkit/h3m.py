@@ -55,7 +55,8 @@ class H3m:
                 f"{self.weights.shape[0]} weights for {len(self.components)} components"
             )
         check_probability_vector(self.weights, "mixture weights")
-        shapes = [f"(N={h.n_states}, {_shape(h.emissions[0])})" for h in self.components]
+        layouts = [_shape(h.n_mix, h.dim, h.covs.ndim == 3) for h in self.components]
+        shapes = [f"(N={h.n_states}, {layout})" for h, layout in zip(self.components, layouts)]
         for idx, shape in enumerate(shapes):
             if shape != shapes[0]:
                 raise InvalidModelError(f"component {idx} has {shape}, expected {shapes[0]}")

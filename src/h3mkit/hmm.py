@@ -2,9 +2,10 @@
 
 Holds the model type, exact sequence likelihood, seeded sampling, prior
 state-occupancy marginals, and the estimation machinery that every estimator
-shares. Every kernel reads the emission arrays an ``Hmm`` stacks once, at
-construction; ``Hmm.from_arrays`` is the one way from arrays to a model, and
-no model is mutated after construction. One forward recursion, in
+shares. An ``Hmm`` holds its parameters once, as five arrays that every
+kernel reads; its ``emissions`` objects are a view rebuilt from them on each
+read. ``Hmm.from_arrays`` is the one way from arrays to a model, and no model
+is mutated after construction. One forward recursion, in
 probability domain and normalized at every step (Rabiner's scaling), serves
 both the likelihood and the forward-backward pass, so a single pass over a
 batch yields the log-likelihoods and the per-sequence sufficient statistics.
@@ -19,7 +20,7 @@ mixture reduction.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -61,24 +62,29 @@ class Sequence:
         return self.observations.shape[1]
 
 
-@dataclass
+def _mixtures(
+    mix_weights: np.ndarray, means: np.ndarray, covs: np.ndarray
+) -> list[GaussianMixture]:
+    """One GaussianMixture per state from arrays shaped as the ``Hmm``
+    attributes of the same names, each object checked by its constructor."""
+    return [
+        GaussianMixture(w, [Gaussian(mu, cov) for mu, cov in zip(mu_row, cov_row)])
+        for w, mu_row, cov_row in zip(mix_weights, means, covs)
+    ]
+
+
 class Hmm:
     """HMM with an initial distribution, transition matrix, and per-state
     Gaussian-mixture emissions sharing one component count, dimension and
-    covariance layout, stacked at construction into ``mix_weights`` (N, M),
-    ``means`` (N, M, d) and ``covs``, (N, M, d) variances or (N, M, d, d)
-    matrices. Not mutated after construction."""
+    covariance layout. It holds five arrays and nothing else: ``initial``,
+    ``transitions``, ``mix_weights`` (N, M), ``means`` (N, M, d) and ``covs``,
+    (N, M, d) variances or (N, M, d, d) matrices. Not mutated."""
 
-    initial: np.ndarray
-    transitions: np.ndarray
-    emissions: list[GaussianMixture]
-    mix_weights: np.ndarray = field(init=False, repr=False, compare=False)
-    means: np.ndarray = field(init=False, repr=False, compare=False)
-    covs: np.ndarray = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self) -> None:
-        self.initial = np.asarray(self.initial, dtype=float)
-        self.transitions = np.asarray(self.transitions, dtype=float)
+    def __init__(
+        self, initial: np.ndarray, transitions: np.ndarray, emissions: list[GaussianMixture]
+    ) -> None:
+        self.initial = np.asarray(initial, dtype=float)
+        self.transitions = np.asarray(transitions, dtype=float)
         n = self.initial.shape[0] if self.initial.ndim == 1 else -1
         if self.initial.ndim != 1:
             raise InvalidModelError("initial must be a vector")
@@ -88,19 +94,17 @@ class Hmm:
             )
         check_probability_vector(self.initial, "initial distribution")
         check_probability_vector(self.transitions, "transition row")
-        if len(self.emissions) != n:
-            raise InvalidModelError(
-                f"{len(self.emissions)} emission mixtures for {n} states"
-            )
-        shapes = [_shape(g) for g in self.emissions]
+        if len(emissions) != n:
+            raise InvalidModelError(f"{len(emissions)} emission mixtures for {n} states")
+        shapes = [_shape(g.n_components, g.dim, g.is_diagonal) for g in emissions]
         for state, shape in enumerate(shapes):
             if shape != shapes[0]:
                 raise InvalidModelError(
                     f"emission for state {state} has ({shape}), expected ({shapes[0]})"
                 )
-        self.mix_weights = np.array([g.weights for g in self.emissions])
-        self.means = np.array([[c.mean for c in g.components] for g in self.emissions])
-        self.covs = np.array([[c.cov for c in g.components] for g in self.emissions])
+        self.mix_weights = np.array([g.weights for g in emissions])
+        self.means = np.array([[c.mean for c in g.components] for g in emissions])
+        self.covs = np.array([[c.cov for c in g.components] for g in emissions])
 
     @classmethod
     def from_arrays(
@@ -111,14 +115,14 @@ class Hmm:
         means: np.ndarray,
         covs: np.ndarray,
     ) -> "Hmm":
-        """The Hmm with these stacked parameters, shaped as the attributes of
-        the same names. Every emission object goes through its constructor,
-        so all of their checks apply."""
-        emissions = [
-            GaussianMixture(w, [Gaussian(mu, cov) for mu, cov in zip(mu_row, cov_row)])
-            for w, mu_row, cov_row in zip(mix_weights, means, covs)
-        ]
-        return cls(initial, transitions, emissions)
+        """The Hmm with these stacked parameters, validated as the emission
+        objects ``emissions`` returns."""
+        return cls(initial, transitions, _mixtures(mix_weights, means, covs))
+
+    @property
+    def emissions(self) -> list[GaussianMixture]:
+        """The emission mixtures as objects, rebuilt from the arrays on each read."""
+        return _mixtures(self.mix_weights, self.means, self.covs)
 
     @property
     def n_states(self) -> int:

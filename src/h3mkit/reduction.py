@@ -19,9 +19,10 @@ is the data-side M-step applied to per-base-component virtual statistics,
 weighted as the mixture EM weights real sequences. An exhaustive
 enumeration oracle for the pair objective is included for verification.
 
-Every step reads the models' stacked emission arrays and builds new models
-with ``Hmm.from_arrays``. No model is mutated, so a reduced component may
-share arrays with the base component it was seeded or rescued from.
+Every step reads the models' parameter arrays; an iteration takes every pair
+objective and the assignments before it builds any statistics. New models
+come from ``Hmm.from_arrays``. No model is mutated, so a reduced component
+may share arrays with the base component it was seeded or rescued from.
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ import numpy as np
 from .errors import DegenerateWeightsError, EstimationError, InvalidModelError
 from .gaussians import (
     WEIGHT_TOL,
-    expected_loglik_table,
+    _cross_terms,
     gmm_expected_loglik_opt,
     logsumexp,
     solve_softmax_log,
@@ -151,25 +152,6 @@ class ReductionResult:
 # E-step for one pair
 
 
-def _pair_emission_terms(base: Hmm, reduced: Hmm) -> tuple[np.ndarray, np.ndarray]:
-    """eta (N_b, N_r, M_b, M_r) and state_ell (N_b, N_r) for all state pairs."""
-    n_b, n_r = base.n_states, reduced.n_states
-    m_b, m_r = base.n_mix, reduced.n_mix
-    eta = np.empty((n_b, n_r, m_b, m_r))
-    ell = np.empty((n_b, n_r))
-    for beta in range(n_b):
-        gmm_b = base.emissions[beta]
-        for rho in range(n_r):
-            gmm_r = reduced.emissions[rho]
-            table = expected_loglik_table(gmm_b, gmm_r)
-            with np.errstate(divide="ignore"):
-                logits = np.log(gmm_r.weights)[None, :] + table
-            norm = logsumexp(logits, axis=1)
-            eta[beta, rho] = np.exp(logits - norm[:, None])
-            ell[beta, rho] = float(gmm_b.weights @ norm)
-    return eta, ell
-
-
 def estep_pair(base_i: Hmm, reduced_j: Hmm, tau: int) -> PairEstepResult:
     """Optimal factored coupling between one base and one reduced component,
     and the resulting expected log-likelihood bound for sequences of length
@@ -181,25 +163,41 @@ def estep_pair(base_i: Hmm, reduced_j: Hmm, tau: int) -> PairEstepResult:
     if tau < 1:
         raise ValueError("tau must be >= 1")
     n_b, n_r = base_i.n_states, reduced_j.n_states
-    eta, ell = _pair_emission_terms(base_i, reduced_j)
+    # Emission matching over (N_b, N_r, M_b, M_r): eta is the softmax over l of
+    # log c_r[l] + table, and ell the c_b-weighted sum of its normalizers, one
+    # dot product per state pair as gmm_expected_loglik_opt takes it.
+    table = _cross_terms(
+        base_i.means[:, None, :, None],
+        base_i.covs[:, None, :, None],
+        reduced_j.means[None, :, None],
+        reduced_j.covs[None, :, None],
+    )
     with np.errstate(divide="ignore"):
+        logits = np.log(reduced_j.mix_weights)[None, :, None, :] + table
         log_pi_r = np.log(reduced_j.initial)
         log_a_r = np.log(reduced_j.transitions)
 
-    # Backward over steps: future[beta, rho] carries the expected optimized
-    # contribution of all later steps given the state pair at this step.
-    future = np.zeros((n_b, n_r))
-    phi_step = np.empty((tau - 1, n_r, n_r, n_b))
-    for t in range(tau, 1, -1):
-        core = ell + future  # (N_b, N_r)
-        scores = log_a_r[:, None, :] + core[None, :, :]  # (rho_prev, beta, rho)
-        norm = logsumexp(scores, axis=2)
-        phi_step[t - 2] = np.exp(scores - norm[:, :, None]).transpose(0, 2, 1)
-        future = base_i.transitions @ norm.T  # (beta_prev, rho_prev)
+    # An all -inf softmax row (a state pair whose expected log-likelihood
+    # overflowed) gives NaN and a non-finite objective: compute_assignments rejects it.
+    with np.errstate(invalid="ignore"):
+        norm = logsumexp(logits, axis=3)
+        eta = np.exp(logits - norm[..., None])
+        ell = (norm[..., None, :] @ base_i.mix_weights[:, None, :, None])[..., 0, 0]
 
-    scores1 = log_pi_r[None, :] + ell + future  # (beta, rho)
-    norm1 = logsumexp(scores1, axis=1)
-    phi_initial = np.exp(scores1 - norm1[:, None]).T
+        # Backward over steps: future[beta, rho] carries the expected optimized
+        # contribution of all later steps given the state pair at this step.
+        future = np.zeros((n_b, n_r))
+        phi_step = np.empty((tau - 1, n_r, n_r, n_b))
+        for t in range(tau, 1, -1):
+            core = ell + future  # (N_b, N_r)
+            scores = log_a_r[:, None, :] + core[None, :, :]  # (rho_prev, beta, rho)
+            norm = logsumexp(scores, axis=2)
+            phi_step[t - 2] = np.exp(scores - norm[:, :, None]).transpose(0, 2, 1)
+            future = base_i.transitions @ norm.T  # (beta_prev, rho_prev)
+
+        scores1 = log_pi_r[None, :] + ell + future  # (beta, rho)
+        norm1 = logsumexp(scores1, axis=1)
+        phi_initial = np.exp(scores1 - norm1[:, None]).T
     objective = float(base_i.initial @ norm1)
     return PairEstepResult(
         eta=eta,
@@ -339,7 +337,6 @@ def compute_assignments(
 
 
 def lower_bound(
-    base: H3m,
     reduced: H3m,
     z: AssignmentMatrix,
     objectives: np.ndarray,
@@ -492,36 +489,30 @@ def vhem_reduce(base: H3m, config: VhemConfig) -> ReductionResult:
 
 
 def _reduce_once(base: H3m, config: VhemConfig, rng: np.random.Generator) -> ReductionResult:
-    k_b = base.n_components
-    n_virtual = config.n_virtual if config.n_virtual is not None else 10_000 * k_b
+    n_virtual = config.n_virtual if config.n_virtual is not None else 10_000 * base.n_components
     virtual_counts = n_virtual * base.weights
     reduced = _init_reduced(base, config, rng)
     tau = config.tau_virtual
 
     bound_history: list[float] = []
     rescues = 0
-    z = AssignmentMatrix(np.full((k_b, config.k_reduced), 1.0 / config.k_reduced))
-    for iteration in range(config.max_iters):
-        # The last possible iteration runs no M-step: objectives only.
-        last = iteration == config.max_iters - 1
-        objectives = np.empty((k_b, config.k_reduced))
-        columns: list[list[_Stats]] = [[] for _ in range(config.k_reduced)]
-        for i in range(k_b):
-            for j in range(config.k_reduced):
-                pair = estep_pair(base.components[i], reduced.components[j], tau)
-                objectives[i, j] = pair.objective
-                if not last:
-                    columns[j].append(_virtual_stats(base.components[i], pair))
+    for _ in range(config.max_iters):
+        pairs = [[estep_pair(b, r, tau) for r in reduced.components] for b in base.components]
+        objectives = np.array([[pair.objective for pair in row] for row in pairs])
         z = compute_assignments(objectives, reduced.weights, virtual_counts)
-        bound = lower_bound(base, reduced, z, objectives, virtual_counts)
+        bound = lower_bound(reduced, z, objectives, virtual_counts)
         bound_history.append(bound)
         if len(bound_history) > 1:
             prev = bound_history[-2]
             if abs(bound - prev) / max(abs(prev), 1e-300) < config.tol:
                 break
-        if last:
-            break
-        stats = [_Stats.concatenate(column) for column in columns]
+        if len(bound_history) == config.max_iters:
+            break  # no M-step follows, so no statistics
+        stats = [
+            _Stats.concatenate(list(map(_virtual_stats, base.components, column)))
+            for column in zip(*pairs)
+        ]
+        del pairs  # release the couplings before the next E-step builds its own
         new_model, starved = mstep(
             base, z, stats, virtual_counts, reduced, config.cov_floor
         )

@@ -52,22 +52,19 @@ class SequenceDataset:
 # Model payloads
 
 
-def _gaussian_payload(g: Gaussian) -> dict:
-    return {"mean": g.mean.tolist(), "cov": g.cov.tolist()}
-
-
-def _gmm_payload(g: GaussianMixture) -> dict:
-    return {
-        "weights": g.weights.tolist(),
-        "components": [_gaussian_payload(c) for c in g.components],
-    }
-
-
 def _hmm_payload(m: Hmm) -> dict:
     return {
         "initial": m.initial.tolist(),
         "transitions": m.transitions.tolist(),
-        "emissions": [_gmm_payload(g) for g in m.emissions],
+        "emissions": [
+            {
+                "weights": w.tolist(),
+                "components": [
+                    {"mean": mu.tolist(), "cov": cov.tolist()} for mu, cov in zip(mu_row, cov_row)
+                ],
+            }
+            for w, mu_row, cov_row in zip(m.mix_weights, m.means, m.covs)
+        ],
     }
 
 

@@ -28,8 +28,6 @@ from h3mkit import (
 
 from conftest import random_hmm
 
-pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
-
 STD_NORMAL_SELF = -(1.0 + math.log(2.0 * math.pi)) / 2.0
 
 

@@ -16,22 +16,25 @@ from h3mkit import (
     EstimationError,
     Gaussian,
     GaussianMixture,
+    H3m,
     Hmm,
     InvalidModelError,
     Sequence,
+    VhemConfig,
     baum_welch,
     forward_loglik,
     forward_loglik_batch,
+    load_model,
     sample_batch,
+    save_model,
     state_marginals,
+    vhem_reduce,
 )
 from h3mkit import hmm as hmm_module
 from h3mkit.gaussians import logsumexp
 from h3mkit.hmm import _expected_stats, _mstep, _Stats
 
 from conftest import align_means, random_hmm
-
-pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
 
 
 def enumeration_loglik(model: Hmm, obs: np.ndarray) -> float:
@@ -300,6 +303,50 @@ class TestConstruction:
         transitions = np.array([[1.0, 0.0, 0.0], [0.5, 0.6, -0.1], [0.2, 0.2, 0.2]])
         with pytest.raises(InvalidModelError, match="transition row 1 has negative"):
             Hmm([1.0, 0.0, 0.0], transitions, emissions)
+
+
+class TestRepresentation:
+    """An Hmm holds its five parameter arrays and nothing else, however it was
+    built; ``emissions`` rebuilds the objects from them on every read."""
+
+    SOURCES = ["constructor", "from_arrays", "load_model", "mstep", "vhem_reduce"]
+
+    @staticmethod
+    def build(source, cov_type, rng, tmp_path) -> Hmm:
+        model = random_hmm(rng, n_states=3, n_mix=2, dim=2, cov_type=cov_type)
+        if source == "constructor":
+            return Hmm(model.initial, model.transitions, model.emissions)
+        if source == "from_arrays":
+            return Hmm.from_arrays(
+                model.initial, model.transitions, model.mix_weights, model.means, model.covs
+            )
+        if source == "load_model":
+            save_model(model, tmp_path / "model.json")
+            return load_model(tmp_path / "model.json")
+        if source == "mstep":
+            obs, _ = sample_batch(model, 6, 20, rng)
+            return _mstep(_expected_stats(model, obs)[0].weighted_sum(np.ones(20)), model, 1e-6)
+        base = H3m(np.full(4, 0.25), [model] + [
+            random_hmm(rng, n_states=3, n_mix=2, dim=2, cov_type=cov_type) for _ in range(3)
+        ])
+        return vhem_reduce(base, VhemConfig(k_reduced=2, max_iters=3)).reduced.components[0]
+
+    @pytest.mark.parametrize("cov_type", ["diag", "full"])
+    @pytest.mark.parametrize("source", SOURCES)
+    def test_only_the_five_arrays_are_stored(self, source, cov_type, rng, tmp_path):
+        model = self.build(source, cov_type, rng, tmp_path)
+        assert set(vars(model)) == {"initial", "transitions", "mix_weights", "means", "covs"}
+        assert all(type(value) is np.ndarray for value in vars(model).values())
+        emissions = model.emissions
+        assert len(emissions) == model.n_states
+        for state, gmm in enumerate(emissions):
+            assert gmm.weights.tobytes() == model.mix_weights[state].tobytes()
+            for comp, g in enumerate(gmm.components):
+                assert g.mean.tobytes() == model.means[state, comp].tobytes()
+                assert g.cov.tobytes() == model.covs[state, comp].tobytes()
+        assert model.emissions[0] is not emissions[0]
+        with pytest.raises(AttributeError):
+            model.emissions = emissions
 
 
 class TestMstep:

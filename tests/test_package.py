@@ -1,6 +1,6 @@
 """The public surface: every exported name resolves, once, and names that
-were removed from the library stay gone. Emission objects are built in one
-place."""
+were removed from the library stay gone. Emission objects are built from
+arrays in one place."""
 
 import ast
 from pathlib import Path
@@ -44,9 +44,10 @@ def test_all_resolves_without_duplicates_and_removed_names_are_gone():
             assert not hasattr(cls, name), f"{cls.__name__}.{name}"
 
 
-def test_emission_objects_built_only_by_from_arrays_and_the_file_parser():
-    # Every array-to-object conversion goes through Hmm.from_arrays; only the
-    # model-file parser builds the objects from their own payload.
+def test_emission_objects_built_only_by_one_array_builder_and_the_file_parser():
+    # Every array-to-object conversion (Hmm.from_arrays and the Hmm.emissions
+    # view) goes through hmm._mixtures; only the model-file parser builds the
+    # objects from their own payload.
     callers = set()
     for path in Path(h3mkit.__file__).parent.glob("*.py"):
         tree = ast.parse(path.read_text())
@@ -64,4 +65,4 @@ def test_emission_objects_built_only_by_from_arrays_and_the_file_parser():
                 visit(child, inner)
 
         visit(tree, "")
-    assert callers == {"hmm.Hmm.from_arrays", "serialize._parse_gmm"}
+    assert callers == {"hmm._mixtures", "serialize._parse_gmm"}

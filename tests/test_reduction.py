@@ -33,6 +33,7 @@ from h3mkit import (
     vhem_reduce,
 )
 
+from h3mkit.gaussians import expected_loglik_table
 from h3mkit.hmm import _Stats
 from h3mkit.reduction import _init_reduced, _perturb_means, _virtual_stats
 
@@ -139,9 +140,16 @@ class TestEstepPair:
             pair = estep_pair(base, reduced, 3)
             for b in range(n_b):
                 for r in range(n_r):
+                    gmm_b, gmm_r = base.emissions[b], reduced.emissions[r]
                     assert pair.state_ell[b, r] == pytest.approx(
-                        gmm_expected_loglik_opt(base.emissions[b], reduced.emissions[r]),
-                        abs=1e-12,
+                        gmm_expected_loglik_opt(gmm_b, gmm_r), abs=1e-12
+                    )
+                    # eta[b, r, m] is the softmax over l of the log weight
+                    # plus the expected log density of component pair (m, l).
+                    logits = np.log(gmm_r.weights)[None, :] + expected_loglik_table(gmm_b, gmm_r)
+                    eta = np.exp(logits - logits.max(axis=1, keepdims=True))
+                    np.testing.assert_allclose(
+                        pair.eta[b, r], eta / eta.sum(axis=1, keepdims=True), rtol=0, atol=1e-12
                     )
 
     def test_objective_value_by_enumeration(self, rng):
@@ -279,23 +287,20 @@ class TestSummaryStats:
 
 class TestLowerBound:
     def test_single_reduced_component(self, rng):
-        base_comps = [gaussian_hmm(0.0), gaussian_hmm(2.0)]
-        base = H3m([0.5, 0.5], base_comps)
         reduced = H3m([1.0], [gaussian_hmm(1.0)])
         counts = np.array([30.0, 70.0])
         objectives = np.array([[-3.0], [-4.0]])
         z = AssignmentMatrix(np.ones((2, 1)))
         expected = float(counts @ objectives[:, 0])
-        assert lower_bound(base, reduced, z, objectives, counts) == pytest.approx(expected)
+        assert lower_bound(reduced, z, objectives, counts) == pytest.approx(expected)
 
     def test_hard_assignment(self, rng):
-        base = H3m([0.5, 0.5], [gaussian_hmm(0.0), gaussian_hmm(4.0)])
         reduced = H3m([0.25, 0.75], [gaussian_hmm(0.0), gaussian_hmm(4.0)])
         counts = np.array([10.0, 10.0])
         objectives = np.array([[-1.0, -9.0], [-9.0, -1.0]])
         z = AssignmentMatrix(np.eye(2))
         expected = (math.log(0.25) + 10 * -1.0) + (math.log(0.75) + 10 * -1.0)
-        assert lower_bound(base, reduced, z, objectives, counts) == pytest.approx(expected)
+        assert lower_bound(reduced, z, objectives, counts) == pytest.approx(expected)
 
     def test_assignment_optimality(self, rng):
         base = H3m(
@@ -311,10 +316,10 @@ class TestLowerBound:
             ]
         )
         z_opt = compute_assignments(objectives, reduced.weights, counts)
-        best = lower_bound(base, reduced, z_opt, objectives, counts)
+        best = lower_bound(reduced, z_opt, objectives, counts)
         for _ in range(100):
             z_rand = AssignmentMatrix(np.stack([rng.dirichlet(np.ones(2)) for _ in range(3)]))
-            value = lower_bound(base, reduced, z_rand, objectives, counts)
+            value = lower_bound(reduced, z_rand, objectives, counts)
             assert value <= best + 1e-9
 
 
