@@ -22,11 +22,14 @@ from .gaussians import (
     solve_softmax_log,
 )
 from .h3m import (
+    AssignmentMatrix,
     H3m,
     H3mFit,
     baum_welch,
+    compute_assignments,
     h3m_em,
     mc_expected_loglik,
+    mstep,
 )
 from .hierarchy import (
     HierarchyLevel,
@@ -47,16 +50,12 @@ from .hmm import (
 )
 from .pipeline import PipelineReport, split_estimate_aggregate
 from .reduction import (
-    AssignmentMatrix,
     PairEstepResult,
     ReductionResult,
     SummaryStats,
     VhemConfig,
-    compute_assignments,
     elhmm_bruteforce,
     estep_pair,
-    lower_bound,
-    mstep,
     summary_stats,
     vhem_reduce,
 )
@@ -101,7 +100,6 @@ __all__ = [
     "leaf_labels",
     "load_dataset",
     "load_model",
-    "lower_bound",
     "mc_expected_loglik",
     "mstep",
     "rand_index",

@@ -220,23 +220,18 @@ def reduce_cmd(
     if init == "file":
         if init_file is None:
             raise ValueError("--init file requires --init-file")
-        init_model = load_model(init_file)
-        if not isinstance(init_model, H3m):
+        init = load_model(init_file)
+        if not isinstance(init, H3m):
             raise InvalidModelError(f"{init_file} must hold a mixture")
-        strategy = "provided"
-    else:
-        init_model = None
-        strategy = init
     config = VhemConfig(
         k_reduced=kr,
         n_virtual=virtual_samples,
         tau_virtual=tau_virtual,
         max_iters=max_iters,
         tol=tol,
-        init_strategy=strategy,
+        init=init,
         cov_floor=cov_floor,
         seed=seed,
-        init_model=init_model,
         n_restarts=restarts,
     )
     start = time.perf_counter()

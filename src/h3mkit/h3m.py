@@ -1,6 +1,15 @@
-"""Mixtures of HMMs: the model type, EM estimation from raw sequences (and
-Baum-Welch as its one-component case), and the Monte Carlo
-expected-log-likelihood oracle.
+"""Mixtures of HMMs: the model type, the mixture-EM step that both
+estimators share, EM estimation from raw sequences (and Baum-Welch as its
+one-component case), and the Monte Carlo expected-log-likelihood oracle.
+
+Both estimators are EM over items with a per-item, per-component objective:
+``h3m_em`` over real sequences (count 1, objective the log-likelihood) and
+the reduction over base components (count the virtual sample mass, objective
+the pair bound). They share one step: ``compute_assignments`` (the soft
+assignments and each item's log-normalizer, whose sum is the objective),
+``mstep`` (the weight update and ``hmm._mstep`` per component), ``_starved``
+and ``_converged``. Each keeps its own E-step, reseed or rescue rule and
+seeding.
 
 One mixture component is responsible for a whole sequence (the assignment is
 drawn once per sequence, not per frame). Each EM iteration runs one
@@ -18,8 +27,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import EstimationError, InvalidModelError
-from .gaussians import _shape, check_probability_vector, logsumexp
+from .errors import DegenerateWeightsError, EstimationError, InvalidModelError
+from .gaussians import WEIGHT_TOL, _shape, check_probability_vector, logsumexp
 from .hmm import (
     EmConfig,
     Hmm,
@@ -97,6 +106,88 @@ class H3mFit:
         return np.argmax(self.posteriors, axis=1)
 
 
+@dataclass
+class AssignmentMatrix:
+    """Row-stochastic soft assignment of items (sequences, or base
+    components) to mixture components."""
+
+    z: np.ndarray
+
+    def __post_init__(self) -> None:
+        self.z = np.asarray(self.z, dtype=float)
+        if self.z.ndim != 2:
+            raise InvalidModelError("assignment matrix must be 2-dimensional")
+        if np.any(self.z < 0):
+            raise InvalidModelError("assignment matrix has negative entries")
+        sums = self.z.sum(axis=1)
+        if np.any(np.abs(sums - 1.0) > WEIGHT_TOL):
+            raise InvalidModelError(f"assignment rows sum to {sums}, expected 1")
+
+
+def compute_assignments(
+    objectives: np.ndarray, weights: np.ndarray, counts: np.ndarray
+) -> tuple[AssignmentMatrix, np.ndarray]:
+    """Soft assignment of each item to the components: row i is the softmax
+    over j of log w[j] + counts[i] * objectives[i, j], never forming the
+    exponentials directly. Also returns each row's log-normalizer; their sum
+    is the objective at these assignments (the log-likelihood of the items,
+    or of the virtual samples). Non-finite objectives (or ones that overflow
+    when scaled) are a numerical failure; a row whose log-weights are all
+    -inf has no mass to assign."""
+    objectives = np.asarray(objectives, dtype=float)
+    with np.errstate(divide="ignore"):
+        log_w = np.log(np.asarray(weights, dtype=float))
+    with np.errstate(over="ignore", invalid="ignore"):
+        logits = log_w[None, :] + counts[:, None] * objectives
+    if not np.all(np.isfinite(objectives)) or np.any(np.isnan(logits) | (logits == np.inf)):
+        raise EstimationError("pair objectives must be finite")
+    norm = logsumexp(logits, axis=1)
+    if np.any(norm == -np.inf):
+        raise DegenerateWeightsError("an item's assignment log-weights are all -inf")
+    probs = np.exp(logits - norm[:, None])
+    return AssignmentMatrix(probs / probs.sum(axis=1, keepdims=True)), norm
+
+
+def _starved(z: AssignmentMatrix, counts: np.ndarray) -> list[int]:
+    """Components whose soft mass is below a thousandth of the total count."""
+    return np.flatnonzero(counts @ z.z < 1e-3 * counts.sum()).tolist()
+
+
+def _converged(trace: list[float], tol: float) -> bool:
+    """Whether the objective's last change, in absolute value and relative
+    to its previous value, is below tol. In absolute value because a reseed
+    or rescue may lower the objective, and the run then goes on."""
+    return len(trace) > 1 and abs(trace[-1] - trace[-2]) / max(abs(trace[-2]), 1e-300) < tol
+
+
+def mstep(
+    item_weights: np.ndarray,
+    z: AssignmentMatrix,
+    stats: list[_Stats],
+    counts: np.ndarray,
+    previous: H3m,
+    cov_floor: float = 1e-6,
+) -> tuple[H3m, list[int]]:
+    """Closed-form re-estimation of a mixture from weighted item statistics.
+
+    ``stats[j]`` stacks every item's statistics for component j: per
+    sequence for ``h3m_em``, per base component (``reduction._virtual_stats``)
+    for the reduction. Component j is ``hmm._mstep`` of their sum weighted
+    by z[i, j] * counts[i]; the mixture weights are item_weights @ z. Starved
+    components (``_starved``) keep their previous parameters and are
+    reported back for the caller to handle.
+
+    Returns the new mixture and the list of starved component indices.
+    """
+    starved = _starved(z, counts)
+    w = z.z * counts[:, None]
+    components = [
+        prev if j in starved else _mstep(stats[j].weighted_sum(w[:, j]), prev, cov_floor)
+        for j, prev in enumerate(previous.components)
+    ]
+    return H3m(item_weights @ z.z, components), starved
+
+
 def mc_expected_loglik(
     base: Hmm, reduced: Hmm, tau: int, n_samples: int, rng: np.random.Generator
 ) -> tuple[float, float]:
@@ -128,11 +219,13 @@ def h3m_em(
 ) -> H3mFit:
     """EM estimation of a K-component HMM mixture from raw sequences.
 
-    Sequence-level assignments: responsibilities are computed per sequence in
-    log domain. A component whose total responsibility falls below
-    n_sequences / (10 K) is re-seeded from the sequence the current mixture
-    models worst, at most twice per run. With config.n_starts > 1, the best
-    of several seeded starts is returned.
+    Sequence-level assignments: responsibilities come from
+    ``compute_assignments`` with the sequences as items, and the M-step is
+    ``mstep``. Stops on ``_converged`` or at config.max_iters M-steps (the
+    E-step after the last one runs forward only). A component whose total
+    responsibility falls below n_sequences / (10 K) is re-seeded from the
+    sequence the current mixture models worst, at most twice per run. With
+    config.n_starts > 1, the best of several seeded starts is returned.
     """
     config = config or EmConfig()
     rng = rng if rng is not None else np.random.default_rng()
@@ -146,9 +239,11 @@ def h3m_em(
     _check_data(data)
     if len(data) < k:
         raise EstimationError(f"{len(data)} sequences cannot support {k} components")
+    # Items are the E-step rows: sequences grouped by length, each with count 1.
     groups = group_by_length(data)
     rows = np.concatenate([idxs for _, idxs in groups])  # sequence index of each E-step row
     n_seq = len(data)
+    ones = np.ones(n_seq)
 
     if k == 1:
         components = [_init_hmm(data, n_states, n_mix, config, rng)]
@@ -158,64 +253,48 @@ def h3m_em(
         for j in range(k):
             shard = [data[i] for i in order[j::k]]
             components.append(_init_hmm(shard, n_states, n_mix, config, rng))
-    weights = np.full(k, 1.0 / k)
+    model = H3m(np.full(k, 1.0 / k), components)
 
     trace: list[float] = []
     reseeds = 0
-    resp = np.full((n_seq, k), 1.0 / k)
-    ll_mat = np.empty((n_seq, k))
     for _ in range(config.max_iters + 1):
         estep = None  # release the previous iteration's statistics first
         if len(trace) < config.max_iters:
-            estep = [_estep(comp, groups) for comp in components]
+            estep = [_estep(comp, groups) for comp in model.components]
             columns = [lls for _, lls in estep]
         else:  # the last possible E-step: no M-step follows, so no statistics
             columns = [
                 np.concatenate([forward_loglik_batch(comp, obs) for obs, _ in groups])
-                for comp in components
+                for comp in model.components
             ]
-        for j, lls in enumerate(columns):
-            ll_mat[rows, j] = lls
-        with np.errstate(divide="ignore"):
-            log_resp = np.log(weights)[None, :] + ll_mat
-        seq_ll = logsumexp(log_resp, axis=1)
-        resp = np.exp(log_resp - seq_ll[:, None])
+        z, seq_ll = compute_assignments(np.stack(columns, axis=1), model.weights, ones)
         trace.append(float(np.sum(seq_ll)))
-        if len(trace) > 1:
-            improvement = (trace[-1] - trace[-2]) / max(abs(trace[-2]), 1e-300)
-            if improvement < config.tol:
-                break
-        if len(trace) == config.max_iters + 1:
+        if _converged(trace, config.tol) or len(trace) == config.max_iters + 1:
             break
 
-        # Rescue starved components before committing the updates.
-        mass = resp.sum(axis=0)
+        # Reseed starved components before the M-step.
+        components = list(model.components)
         for j in range(k):
-            if mass[j] >= n_seq / (10.0 * k) or reseeds >= 2:
+            if z.z[:, j].sum() >= n_seq / (10.0 * k) or reseeds >= 2:
                 continue
             worst = int(np.argmin(seq_ll))
             try:
-                components[j] = _init_hmm([data[worst]], n_states, n_mix, config, rng)
+                components[j] = _init_hmm([data[rows[worst]]], n_states, n_mix, config, rng)
             except EstimationError:
                 components[j] = _init_hmm(data, n_states, n_mix, config, rng)
             estep[j] = _estep(components[j], groups)
-            resp[worst] = 0.0
-            resp[worst, j] = 1.0
+            z.z[worst] = 0.0
+            z.z[worst, j] = 1.0
             reseeds += 1
-            mass = resp.sum(axis=0)
 
-        weights = resp.sum(axis=0) / n_seq
-        components = [
-            _mstep(stats.weighted_sum(resp[rows, j]), components[j], config.cov_floor)
-            for j, (stats, _) in enumerate(estep)
-        ]
+        model, _ = mstep(
+            ones / n_seq, z, [stats for stats, _ in estep], ones,
+            H3m(model.weights, components), config.cov_floor,
+        )
 
-    return H3mFit(
-        model=H3m(weights, components),
-        posteriors=resp,
-        loglik_trace=trace,
-        reseeds=reseeds,
-    )
+    posteriors = np.empty_like(z.z)
+    posteriors[rows] = z.z
+    return H3mFit(model=model, posteriors=posteriors, loglik_trace=trace, reseeds=reseeds)
 
 
 def baum_welch(
@@ -228,7 +307,7 @@ def baum_welch(
     """Maximum-likelihood HMM estimation: ``h3m_em`` with one component.
 
     The total log-likelihood is non-decreasing across iterations; stops when
-    the relative improvement drops below config.tol or at config.max_iters.
+    its relative change drops below config.tol or at config.max_iters.
     With config.n_starts > 1, the best of several seeded starts is returned.
     """
     fit = h3m_em(data, 1, n_states, n_mix, config, rng)

@@ -54,10 +54,8 @@ def hier_cluster(
     ]
     for depth, k in enumerate(ladder):
         level_config = replace(
-            config, k_reduced=k, seed=config.seed + depth, init_model=None,
-            init_strategy=config.init_strategy
-            if config.init_strategy != "provided"
-            else "subset-perturb",
+            config, k_reduced=k, seed=config.seed + depth,
+            init="subset-perturb" if isinstance(config.init, H3m) else config.init,
         )
         result = vhem_reduce(current, level_config)
         parent_of = {

@@ -562,6 +562,9 @@ def _init_hmm(
     """Seeded starting point: emission means from pooled k-means, uniform
     initial/transition rows with a small Dirichlet jitter."""
     pooled = np.concatenate([seq.observations for seq in data], axis=0)
+    # k-means and the variance below sum squared differences of these values.
+    if not np.abs(pooled).max() < np.sqrt(np.finfo(float).max / (4.0 * pooled.size)):
+        raise EstimationError("observations too large to square")
     centers = _kmeans(pooled, n_states * n_mix, rng)
     var = np.maximum(pooled.var(axis=0), config.cov_floor)
     cov = var if config.cov_type == "diag" else np.diag(var)

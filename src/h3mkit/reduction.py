@@ -13,11 +13,15 @@ closed-form coordinate updates:
   backward recursion,
 - per base component, a soft assignment to reduced components (z).
 
-The driver alternates these updates with closed-form parameter re-estimation
-and tracks the global lower bound, which does not decrease. Re-estimation
-is the data-side M-step applied to per-base-component virtual statistics,
-weighted as the mixture EM weights real sequences. An exhaustive
-enumeration oracle for the pair objective is included for verification.
+This is hierarchical EM: EM run on virtual samples from the base components
+(Vasconcelos & Lippman 1999). Given the pair objectives, the rest of an
+iteration is the mixture-EM step of ``h3m`` with the base components as items
+and their virtual sample counts as counts: ``compute_assignments`` gives z
+and the bound, sum_i log sum_j w_j exp(N_i * objective[i, j]), which is the
+virtual-sample log-likelihood and does not decrease; ``mstep`` re-estimates
+from per-base-component virtual statistics, weighted as ``h3m_em`` weights
+real sequences; ``_converged`` stops the run. An exhaustive enumeration
+oracle for the pair objective is included for verification.
 
 Every step reads the models' parameter arrays; an iteration takes every pair
 objective and the assignments before it builds any statistics. New models
@@ -33,16 +37,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateWeightsError, EstimationError, InvalidModelError
-from .gaussians import (
-    WEIGHT_TOL,
-    _cross_terms,
-    gmm_expected_loglik_opt,
-    logsumexp,
-    solve_softmax_log,
-)
-from .h3m import H3m
-from .hmm import Hmm, _mstep, _Stats
+from .errors import InvalidModelError
+from .gaussians import _cross_terms, gmm_expected_loglik_opt, logsumexp, solve_softmax_log
+from .h3m import AssignmentMatrix, H3m, _converged, _starved, compute_assignments, mstep
+from .hmm import Hmm, _Stats
 
 
 @dataclass
@@ -52,7 +50,8 @@ class VhemConfig:
     ``n_virtual`` is the total virtual sample mass; each base component i
     carries a share proportional to its weight. None picks 10^4 times the
     number of base components. ``tau_virtual`` is the length of the virtual
-    sequences, which need not match any real data length.
+    sequences, which need not match any real data length. ``init`` is
+    "subset-perturb", "random", or an ``H3m`` to start from.
     """
 
     k_reduced: int
@@ -60,10 +59,9 @@ class VhemConfig:
     tau_virtual: int = 10
     max_iters: int = 100
     tol: float = 1e-6
-    init_strategy: str = "subset-perturb"  # "subset-perturb" | "random" | "provided"
+    init: str | H3m = "subset-perturb"
     cov_floor: float = 1e-6
     seed: int = 0
-    init_model: H3m | None = None
     n_restarts: int = 1
 
     def __post_init__(self) -> None:
@@ -73,10 +71,8 @@ class VhemConfig:
             raise ValueError("tau_virtual must be >= 1")
         if self.n_virtual is not None and self.n_virtual < 1:
             raise ValueError("n_virtual must be >= 1")
-        if self.init_strategy not in ("subset-perturb", "random", "provided"):
-            raise ValueError(f"unknown init_strategy {self.init_strategy!r}")
-        if self.init_strategy == "provided" and self.init_model is None:
-            raise ValueError("init_strategy 'provided' requires init_model")
+        if not isinstance(self.init, H3m) and self.init not in ("subset-perturb", "random"):
+            raise ValueError(f"unknown init {self.init!r}")
         if self.max_iters < 1 or self.tol < 0 or self.cov_floor <= 0 or self.n_restarts < 1:
             raise ValueError(
                 "max_iters >= 1, tol >= 0, cov_floor > 0 and n_restarts >= 1 required"
@@ -122,23 +118,6 @@ class SummaryStats:
 
 
 @dataclass
-class AssignmentMatrix:
-    """Row-stochastic soft assignment of base components to reduced ones."""
-
-    z: np.ndarray
-
-    def __post_init__(self) -> None:
-        self.z = np.asarray(self.z, dtype=float)
-        if self.z.ndim != 2:
-            raise InvalidModelError("assignment matrix must be 2-dimensional")
-        if np.any(self.z < 0):
-            raise InvalidModelError("assignment matrix has negative entries")
-        sums = self.z.sum(axis=1)
-        if np.any(np.abs(sums - 1.0) > WEIGHT_TOL):
-            raise InvalidModelError(f"assignment rows sum to {sums}, expected 1")
-
-
-@dataclass
 class ReductionResult:
     reduced: H3m
     assignments: AssignmentMatrix
@@ -177,11 +156,12 @@ def estep_pair(base_i: Hmm, reduced_j: Hmm, tau: int) -> PairEstepResult:
         log_pi_r = np.log(reduced_j.initial)
         log_a_r = np.log(reduced_j.transitions)
 
-    # An all -inf softmax row (a state pair whose expected log-likelihood
-    # overflowed) gives NaN and a non-finite objective: compute_assignments rejects it.
+    # A state pair whose expected log-likelihood overflowed has an all -inf
+    # softmax row: its eta is 0 and its ell -inf, so phi gives it no weight
+    # while the objective is finite (a non-finite one compute_assignments rejects).
     with np.errstate(invalid="ignore"):
         norm = logsumexp(logits, axis=3)
-        eta = np.exp(logits - norm[..., None])
+        eta = np.exp(logits - np.where(norm == -np.inf, 0.0, norm)[..., None])
         ell = (norm[..., None, :] @ base_i.mix_weights[:, None, :, None])[..., 0, 0]
 
         # Backward over steps: future[beta, rho] carries the expected optimized
@@ -288,7 +268,7 @@ def elhmm_bruteforce(base_i: Hmm, reduced_j: Hmm, tau: int) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Summary statistics, assignments, bound
+# Summary statistics and the M-step input
 
 
 def summary_stats(base_i: Hmm, pair: PairEstepResult) -> SummaryStats:
@@ -314,52 +294,6 @@ def summary_stats(base_i: Hmm, pair: PairEstepResult) -> SummaryStats:
     )
 
 
-def compute_assignments(
-    objectives: np.ndarray, reduced_weights: np.ndarray, virtual_counts: np.ndarray
-) -> AssignmentMatrix:
-    """Soft assignment of each base component to reduced components: row i is
-    the softmax over j of log w_r[j] + N_i * objective[i, j], never forming
-    the exponentials directly. Non-finite objectives (or ones that overflow
-    when scaled) are a numerical failure; a row whose log-weights are all
-    -inf has no mass to assign."""
-    objectives = np.asarray(objectives, dtype=float)
-    with np.errstate(divide="ignore"):
-        log_w = np.log(np.asarray(reduced_weights, dtype=float))
-    with np.errstate(over="ignore", invalid="ignore"):
-        logits = log_w[None, :] + virtual_counts[:, None] * objectives
-    if not np.all(np.isfinite(objectives)) or np.any(np.isnan(logits) | (logits == np.inf)):
-        raise EstimationError("pair objectives must be finite")
-    norm = logsumexp(logits, axis=1, keepdims=True)
-    if np.any(norm == -np.inf):
-        raise DegenerateWeightsError("a base component's assignment log-weights are all -inf")
-    probs = np.exp(logits - norm)
-    return AssignmentMatrix(probs / probs.sum(axis=1, keepdims=True))
-
-
-def lower_bound(
-    reduced: H3m,
-    z: AssignmentMatrix,
-    objectives: np.ndarray,
-    virtual_counts: np.ndarray,
-) -> float:
-    """Overall variational lower bound: assignment-weighted sum of the pair
-    objectives scaled by virtual counts, plus the prior and entropy terms of
-    the assignments. 0 log 0 counts as 0."""
-    zz = z.z
-    with np.errstate(divide="ignore"):
-        log_w = np.log(reduced.weights)[None, :]
-        log_z = np.where(zz > 0, np.log(np.where(zz > 0, zz, 1.0)), 0.0)
-    inner = np.broadcast_to(
-        log_w - log_z + virtual_counts[:, None] * objectives, zz.shape
-    )
-    mask = zz > 0
-    return float(np.sum(zz[mask] * inner[mask]))
-
-
-# ---------------------------------------------------------------------------
-# M-step
-
-
 def _virtual_stats(base_i: Hmm, pair: PairEstepResult) -> _Stats:
     """What ``hmm._expected_stats`` collects from one real sequence, for one
     virtual sequence of base component i under the coupling ``pair``
@@ -382,35 +316,6 @@ def _virtual_stats(base_i: Hmm, pair: PairEstepResult) -> _Stats:
     )
 
 
-def mstep(
-    base: H3m,
-    z: AssignmentMatrix,
-    stats: list[_Stats],
-    virtual_counts: np.ndarray,
-    previous: H3m,
-    cov_floor: float = 1e-6,
-) -> tuple[H3m, list[int]]:
-    """Closed-form re-estimation of the reduced mixture.
-
-    ``stats[j]`` stacks every base component's virtual statistics for
-    reduced component j (``_virtual_stats``). As in ``h3m_em``, each
-    component is ``hmm._mstep`` of their weighted sum, here with weights
-    z[i, j] * virtual_counts[i]. Mixture weights follow the base-weighted
-    form sum_i w_b[i] z[i, j]. Starved reduced components (soft virtual mass
-    below 1e-3 of the total) keep their previous parameters and are reported
-    back for ``vhem_reduce`` to handle.
-
-    Returns the new mixture and the list of starved component indices.
-    """
-    w = z.z * virtual_counts[:, None]  # (K_b, K_r)
-    starved = [j for j in range(w.shape[1]) if w[:, j].sum() < 1e-3 * virtual_counts.sum()]
-    components = [
-        prev if j in starved else _mstep(stats[j].weighted_sum(w[:, j]), prev, cov_floor)
-        for j, prev in enumerate(previous.components)
-    ]
-    return H3m(base.weights @ z.z, components), starved
-
-
 # ---------------------------------------------------------------------------
 # Initialization and driver
 
@@ -422,9 +327,8 @@ def _perturb_means(hmm: Hmm, rng: np.random.Generator, scale: float = 0.01) -> H
 
 def _init_reduced(base: H3m, config: VhemConfig, rng: np.random.Generator) -> H3m:
     k_r = config.k_reduced
-    if config.init_strategy == "provided":
-        model = config.init_model
-        assert model is not None
+    if isinstance(config.init, H3m):
+        model = config.init
         if (
             model.n_components != k_r
             or model.dim != base.dim
@@ -435,7 +339,7 @@ def _init_reduced(base: H3m, config: VhemConfig, rng: np.random.Generator) -> H3
                 " or base covariance layout"
             )
         return model
-    if config.init_strategy == "subset-perturb":
+    if config.init == "subset-perturb":
         idx = rng.choice(base.n_components, size=k_r, replace=False, p=base.weights)
         components = [_perturb_means(base.components[i], rng) for i in idx]
         return H3m(np.full(k_r, 1.0 / k_r), components)
@@ -465,9 +369,10 @@ def vhem_reduce(base: H3m, config: VhemConfig) -> ReductionResult:
     """Reduce ``base`` to ``config.k_reduced`` components.
 
     Alternates the coupling/assignment updates with parameter re-estimation
-    until the lower bound improves by less than ``config.tol`` (relative) or
-    ``config.max_iters`` is reached. Deterministic given ``config.seed``. A
-    starved reduced component is re-initialized from the base component with
+    until the bound changes by less than ``config.tol`` (relative,
+    ``h3m._converged``) or ``config.max_iters`` E-steps have run.
+    Deterministic given ``config.seed``. A starved reduced component
+    (``h3m._starved``) is re-initialized from the base component with
     the worst objective, at most twice per run; afterwards the run continues
     with the smaller effective component count, which is reported. With
     ``config.n_restarts`` > 1, several independently seeded runs compete and
@@ -499,14 +404,9 @@ def _reduce_once(base: H3m, config: VhemConfig, rng: np.random.Generator) -> Red
     for _ in range(config.max_iters):
         pairs = [[estep_pair(b, r, tau) for r in reduced.components] for b in base.components]
         objectives = np.array([[pair.objective for pair in row] for row in pairs])
-        z = compute_assignments(objectives, reduced.weights, virtual_counts)
-        bound = lower_bound(reduced, z, objectives, virtual_counts)
-        bound_history.append(bound)
-        if len(bound_history) > 1:
-            prev = bound_history[-2]
-            if abs(bound - prev) / max(abs(prev), 1e-300) < config.tol:
-                break
-        if len(bound_history) == config.max_iters:
+        z, norms = compute_assignments(objectives, reduced.weights, virtual_counts)
+        bound_history.append(float(np.sum(norms)))
+        if _converged(bound_history, config.tol) or len(bound_history) == config.max_iters:
             break  # no M-step follows, so no statistics
         stats = [
             _Stats.concatenate(list(map(_virtual_stats, base.components, column)))
@@ -514,7 +414,7 @@ def _reduce_once(base: H3m, config: VhemConfig, rng: np.random.Generator) -> Red
         ]
         del pairs  # release the couplings before the next E-step builds its own
         new_model, starved = mstep(
-            base, z, stats, virtual_counts, reduced, config.cov_floor
+            base.weights, z, stats, virtual_counts, reduced, config.cov_floor
         )
         if starved:
             weights = new_model.weights.copy()
@@ -530,14 +430,11 @@ def _reduce_once(base: H3m, config: VhemConfig, rng: np.random.Generator) -> Red
             new_model = H3m(weights, components)
         reduced = new_model
 
-    hard_labels = np.argmax(z.z, axis=1)
-    column_mass = (z.z * virtual_counts[:, None]).sum(axis=0)
-    effective_k = int(np.sum(column_mass >= 1e-3 * virtual_counts.sum()))
     return ReductionResult(
         reduced=reduced,
         assignments=z,
         bound_history=bound_history,
-        hard_labels=hard_labels,
+        hard_labels=np.argmax(z.z, axis=1),
         rescues=rescues,
-        effective_k=effective_k,
+        effective_k=config.k_reduced - len(_starved(z, virtual_counts)),
     )

@@ -2,6 +2,7 @@
 non-timing reports, exit codes, and environment-variable overrides."""
 
 import json
+import warnings
 
 import pytest
 from click.testing import CliRunner
@@ -227,6 +228,23 @@ class TestFailureModes:
         ])
         assert result.exit_code == 2, result.output
         assert "numerical failure: pair objectives must be finite" in result.output
+
+    def test_observations_too_large_to_square_exit_code_2(self, runner, tmp_path):
+        # Valid input (finite values) that no estimate can be built from.
+        data = tmp_path / "huge.jsonl"
+        data.write_text("\n".join(
+            json.dumps({"id": str(i), "obs": [[float(i)], [1e200 if i == 0 else -1.0], [2.0]]})
+            for i in range(6)
+        ) + "\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            result = runner.invoke(main, [
+                "train-h3m", "--data", str(data), "--k", "2", "--states", "1",
+                "--out", str(tmp_path / "o"),
+            ])
+        assert result.exit_code == 2, result.output
+        assert result.exception is None or isinstance(result.exception, SystemExit)
+        assert result.output.splitlines() == ["numerical failure: observations too large to square"]
 
     def test_mixed_layout_mixture_rejected(self, runner, tmp_path):
         # One diagonal and one full component: rejected when the file is

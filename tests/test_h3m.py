@@ -20,6 +20,7 @@ from h3mkit import (
     baum_welch,
     best_label_accuracy,
     forward_loglik,
+    forward_loglik_batch,
     h3m_em,
     mc_expected_loglik,
     sample_batch,
@@ -100,6 +101,23 @@ class TestH3mEm:
         fit = h3m_em(dataset.sequences, 2, 2, 1, EmConfig(max_iters=25), np.random.default_rng(1))
         trace = np.array(fit.loglik_trace)
         assert np.all(np.diff(trace) >= -1e-8 * np.abs(trace[:-1]))
+
+    @pytest.mark.parametrize("max_iters", [1, 3, 6])
+    def test_trace_is_the_mixture_loglik_of_the_fit(self, rng, max_iters):
+        # The last E-step evaluates the returned model: its trace entry is
+        # sum_s logsumexp_j(log w_j + log p(x_s | component j)).
+        dataset, _ = synth_benchmark(
+            2, 15, 6.0, rng, n_states=2, n_mix=1, dim=1, tau=12, kind="sequences"
+        )
+        config = EmConfig(max_iters=max_iters, tol=0.0)
+        fit = h3m_em(dataset.sequences, 2, 2, 1, config, np.random.default_rng(5))
+        obs = np.stack([seq.observations for seq in dataset.sequences])
+        log_joint = np.log(fit.model.weights)[None, :] + np.stack(
+            [forward_loglik_batch(comp, obs) for comp in fit.model.components], axis=1
+        )
+        expected = float(np.sum(np.logaddexp.reduce(log_joint, axis=1)))
+        assert len(fit.loglik_trace) == max_iters + 1
+        assert abs(fit.loglik_trace[-1] - expected) <= 1e-12 * abs(expected)
 
     def test_posterior_rows_stochastic(self, rng):
         dataset, _ = synth_benchmark(

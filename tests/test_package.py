@@ -9,17 +9,19 @@ import h3mkit
 import h3mkit.gaussians
 import h3mkit.h3m
 import h3mkit.hmm
+import h3mkit.reduction
 
 REMOVED = {
     h3mkit: [
         "EmissionResponsibility", "gmm_responsibilities", "gmm_expected_loglik_bound",
-        "h3m_sample", "h3m_loglik", "h3m_loglik_batch", "sample",
+        "h3m_sample", "h3m_loglik", "h3m_loglik_batch", "sample", "lower_bound",
     ],
     h3mkit.gaussians: [
         "EmissionResponsibility", "gmm_responsibilities", "gmm_expected_loglik_bound",
     ],
     h3mkit.h3m: ["h3m_sample", "h3m_loglik", "h3m_loglik_batch"],
     h3mkit.hmm: ["sample"],
+    h3mkit.reduction: ["lower_bound"],
 }
 REMOVED_METHODS = {
     h3mkit.Gaussian: ["log_density", "sample", "log_det"],

@@ -23,7 +23,6 @@ from h3mkit import (
     estep_pair,
     gauss_expected_loglik,
     gmm_expected_loglik_opt,
-    lower_bound,
     mc_expected_loglik,
     mstep,
     rand_index,
@@ -33,6 +32,7 @@ from h3mkit import (
     vhem_reduce,
 )
 
+import h3mkit.reduction as reduction_module
 from h3mkit.gaussians import expected_loglik_table
 from h3mkit.hmm import _Stats
 from h3mkit.reduction import _init_reduced, _perturb_means, _virtual_stats
@@ -211,11 +211,13 @@ class TestBruteforce:
 
 class TestComputeAssignments:
     def test_single_reduced(self):
-        z = compute_assignments(np.array([[-3.0], [-5.0]]), np.array([1.0]), np.array([10.0, 10.0]))
+        z, _ = compute_assignments(
+            np.array([[-3.0], [-5.0]]), np.array([1.0]), np.array([10.0, 10.0])
+        )
         np.testing.assert_allclose(z.z, np.ones((2, 1)))
 
     def test_symmetric_tie(self):
-        z = compute_assignments(
+        z, _ = compute_assignments(
             np.array([[-2.0, -2.0]]), np.array([0.5, 0.5]), np.array([100.0])
         )
         np.testing.assert_allclose(z.z, [[0.5, 0.5]], atol=1e-12)
@@ -223,7 +225,7 @@ class TestComputeAssignments:
     def test_scaled_sigmoid(self):
         # Objective gap 0.01 at 1000 virtual samples: the soft assignment is
         # the logistic of 10.
-        z = compute_assignments(
+        z, _ = compute_assignments(
             np.array([[-1.0, -1.01]]), np.array([0.5, 0.5]), np.array([1000.0])
         )
         expected = 1.0 / (1.0 + math.exp(-10.0))
@@ -231,7 +233,7 @@ class TestComputeAssignments:
         assert z.z[0, 0] == pytest.approx(0.99995, abs=1e-5)
 
     def test_huge_exponents_no_overflow(self):
-        z = compute_assignments(
+        z, _ = compute_assignments(
             np.array([[-100.0, -200.0]]), np.array([0.5, 0.5]), np.array([1e6])
         )
         np.testing.assert_allclose(z.z, [[1.0, 0.0]], atol=1e-12)
@@ -285,6 +287,19 @@ class TestSummaryStats:
         assert stats.nu_agg.sum() == pytest.approx(tau, abs=1e-9)
 
 
+def lower_bound(weights, z, objectives, virtual_counts):
+    """Variational lower bound at arbitrary assignments: the z-weighted sum
+    of the pair objectives scaled by virtual counts, plus the prior and
+    entropy terms of the assignments. 0 log 0 counts as 0."""
+    zz = z.z
+    with np.errstate(divide="ignore"):
+        log_w = np.log(weights)[None, :]
+        log_z = np.where(zz > 0, np.log(np.where(zz > 0, zz, 1.0)), 0.0)
+    inner = np.broadcast_to(log_w - log_z + virtual_counts[:, None] * objectives, zz.shape)
+    mask = zz > 0
+    return float(np.sum(zz[mask] * inner[mask]))
+
+
 class TestLowerBound:
     def test_single_reduced_component(self, rng):
         reduced = H3m([1.0], [gaussian_hmm(1.0)])
@@ -292,7 +307,10 @@ class TestLowerBound:
         objectives = np.array([[-3.0], [-4.0]])
         z = AssignmentMatrix(np.ones((2, 1)))
         expected = float(counts @ objectives[:, 0])
-        assert lower_bound(reduced, z, objectives, counts) == pytest.approx(expected)
+        assert lower_bound(reduced.weights, z, objectives, counts) == pytest.approx(expected)
+        z_opt, norms = compute_assignments(objectives, reduced.weights, counts)
+        np.testing.assert_array_equal(z_opt.z, z.z)
+        assert norms.sum() == pytest.approx(expected)
 
     def test_hard_assignment(self, rng):
         reduced = H3m([0.25, 0.75], [gaussian_hmm(0.0), gaussian_hmm(4.0)])
@@ -300,7 +318,7 @@ class TestLowerBound:
         objectives = np.array([[-1.0, -9.0], [-9.0, -1.0]])
         z = AssignmentMatrix(np.eye(2))
         expected = (math.log(0.25) + 10 * -1.0) + (math.log(0.75) + 10 * -1.0)
-        assert lower_bound(reduced, z, objectives, counts) == pytest.approx(expected)
+        assert lower_bound(reduced.weights, z, objectives, counts) == pytest.approx(expected)
 
     def test_assignment_optimality(self, rng):
         base = H3m(
@@ -315,11 +333,13 @@ class TestLowerBound:
                 for b in base.components
             ]
         )
-        z_opt = compute_assignments(objectives, reduced.weights, counts)
-        best = lower_bound(reduced, z_opt, objectives, counts)
+        z_opt, norms = compute_assignments(objectives, reduced.weights, counts)
+        best = lower_bound(reduced.weights, z_opt, objectives, counts)
+        # At the optimal assignments the bound is the sum of the log-normalizers.
+        assert norms.sum() == pytest.approx(best, rel=1e-12)
         for _ in range(100):
             z_rand = AssignmentMatrix(np.stack([rng.dirichlet(np.ones(2)) for _ in range(3)]))
-            value = lower_bound(reduced, z_rand, objectives, counts)
+            value = lower_bound(reduced.weights, z_rand, objectives, counts)
             assert value <= best + 1e-9
 
 
@@ -347,7 +367,7 @@ class TestMstep:
         counts = np.array([100.0])
         objectives, summaries, stats = run_estep(base, reduced, 5)
         z = AssignmentMatrix(np.ones((1, 1)))
-        new, starved = mstep(base, z, stats, counts, reduced)
+        new, starved = mstep(base.weights, z, stats, counts, reduced)
         assert starved == []
         summary = summaries[0][0]
         np.testing.assert_allclose(
@@ -383,7 +403,7 @@ class TestMstep:
         counts = np.full(4, 25.0)
         objectives, summaries, stats = run_estep(base, reduced, 5)
         z = AssignmentMatrix(np.ones((4, 1)))
-        new, _ = mstep(base, z, stats, counts, reduced)
+        new, _ = mstep(base.weights, z, stats, counts, reduced)
         comp = new.components[0]
         np.testing.assert_allclose(comp.initial, shared.initial, atol=1e-8)
         np.testing.assert_allclose(comp.transitions, shared.transitions, atol=1e-8)
@@ -405,7 +425,7 @@ class TestMstep:
         hard[:3, 0] = 1.0
         hard[3, 1] = 1.0
         z = AssignmentMatrix(hard)
-        new, _ = mstep(base, z, stats, counts, reduced)
+        new, _ = mstep(base.weights, z, stats, counts, reduced)
         np.testing.assert_allclose(new.weights, [0.75, 0.25], atol=1e-12)
 
     def test_outputs_stochastic(self, rng):
@@ -416,8 +436,8 @@ class TestMstep:
         reduced = H3m([0.5, 0.5], [random_hmm(rng, 2, 2, 2) for _ in range(2)])
         counts = 100.0 * base.weights
         objectives, summaries, stats = run_estep(base, reduced, 4)
-        z = compute_assignments(objectives, reduced.weights, counts)
-        new, _ = mstep(base, z, stats, counts, reduced)
+        z, _ = compute_assignments(objectives, reduced.weights, counts)
+        new, _ = mstep(base.weights, z, stats, counts, reduced)
         assert new.weights.sum() == pytest.approx(1.0, abs=1e-12)
         for comp in new.components:
             assert comp.initial.sum() == pytest.approx(1.0, abs=1e-12)
@@ -497,7 +517,7 @@ class TestMstep:
             )
             for j in range(k_r)
         ]
-        new, starved = mstep(base, z, stats, counts, reduced, cov_floor=floor)
+        new, starved = mstep(base.weights, z, stats, counts, reduced, cov_floor=floor)
         assert starved == []
         np.testing.assert_allclose(new.weights, base.weights @ z.z, rtol=0, atol=1e-10)
         for comp, (initial, transitions, mix, means, covs) in zip(new.components, expected):
@@ -532,7 +552,7 @@ class TestVhemReduce:
         ]
         base = H3m(np.full(4, 0.25), leaves)
         config = VhemConfig(
-            k_reduced=4, init_strategy="provided", init_model=base, max_iters=5,
+            k_reduced=4, init=base, max_iters=5,
             tol=0.0, seed=0,
         )
         result = vhem_reduce(base, config)
@@ -590,9 +610,7 @@ class TestVhemReduce:
         for base_leaves, init_leaves in ((diag, full), (full, diag)):
             base = H3m(np.full(6, 1 / 6), base_leaves)
             init = H3m([0.5, 0.5], [init_leaves[0], init_leaves[3]])
-            config = VhemConfig(
-                k_reduced=2, init_strategy="provided", init_model=init, max_iters=3
-            )
+            config = VhemConfig(k_reduced=2, init=init, max_iters=3)
             with pytest.raises(InvalidModelError, match="covariance layout"):
                 vhem_reduce(base, config)
 
@@ -606,11 +624,80 @@ class TestVhemReduce:
         np.testing.assert_array_equal(multi_a.hard_labels, multi_b.hard_labels)
         assert multi_a.bound_history[-1] >= single.bound_history[-1] - 1e-6
 
+    def test_given_model_is_the_starting_point(self):
+        leaves, _ = synth_benchmark(2, 3, 4.0, np.random.default_rng(7))
+        base = H3m(np.full(6, 1 / 6), leaves)
+        start = H3m([0.3, 0.7], [leaves[4], leaves[1]])
+        # One E-step and no M-step: the result is the start, and the bound is
+        # taken at it.
+        result = vhem_reduce(base, VhemConfig(k_reduced=2, init=start, max_iters=1))
+        assert result.reduced is start
+        objectives = np.array(
+            [[estep_pair(b, r, 10).objective for r in start.components] for b in leaves]
+        )
+        counts = 10_000 * len(leaves) * base.weights
+        _, norms = compute_assignments(objectives, start.weights, counts)
+        assert result.bound_history == [float(np.sum(norms))]
+
+    @pytest.mark.parametrize(
+        "groups, per_group, k_r, shape",
+        [
+            (8, 16, 8, dict(n_states=3, n_mix=2, dim=2)),
+            (4, 4, 4, dict(n_states=2, n_mix=2, dim=2, cov_type="full")),
+        ],
+        ids=["diag-128-to-8", "full-16-to-4"],
+    )
+    def test_bound_is_the_z_weighted_formula_at_every_iteration(
+        self, monkeypatch, groups, per_group, k_r, shape
+    ):
+        # The bound is the sum of the assignment log-normalizers; at the
+        # assignments it returns, that equals the z-weighted formula.
+        calls = []
+        real = reduction_module.compute_assignments
+
+        def recorded(objectives, weights, counts):
+            z, norms = real(objectives, weights, counts)
+            calls.append((weights, z, objectives, counts))
+            return z, norms
+
+        monkeypatch.setattr(reduction_module, "compute_assignments", recorded)
+        leaves, _ = synth_benchmark(groups, per_group, 4.0, np.random.default_rng(21), **shape)
+        base = H3m(np.full(len(leaves), 1 / len(leaves)), leaves)
+        result = vhem_reduce(base, VhemConfig(k_reduced=k_r, max_iters=4, tol=0.0, seed=3))
+        assert len(calls) == len(result.bound_history) == 4
+        for bound, args in zip(result.bound_history, calls):
+            expected = lower_bound(*args)
+            assert abs(bound - expected) <= 1e-12 * abs(expected)
+
+    def test_state_pair_with_overflowed_expectation_gets_no_weight(self):
+        # Base states at 0 and 1e150 against a start whose states have
+        # variance 1e-10: the cross pairs' expected log-likelihoods overflow
+        # to -inf, and their eta is 0 rather than NaN.
+        def two_state(means, var, transitions):
+            return Hmm.from_arrays(
+                np.array([0.5, 0.5]), np.array(transitions), np.ones((2, 1)),
+                np.array(means, dtype=float).reshape(2, 1, 1), np.full((2, 1, 1), var),
+            )
+
+        base = H3m([0.5, 0.5], [
+            two_state([0.0, 1e150], 1.0, [[0.9, 0.1], [0.2, 0.8]]),
+            two_state([0.0, 1e150], 1.0, [[0.6, 0.4], [0.5, 0.5]]),
+        ])
+        start = H3m([1.0], [two_state([0.5, 1e150], 1e-10, [[0.5, 0.5], [0.5, 0.5]])])
+        pair = estep_pair(base.components[0], start.components[0], 10)
+        assert np.isfinite(pair.objective)
+        assert not np.any(np.isnan(pair.eta))
+        np.testing.assert_array_equal(pair.eta[[0, 1], [1, 0]], 0.0)
+        result = vhem_reduce(base, VhemConfig(k_reduced=1, init=start, max_iters=4, tol=0.0))
+        history = np.array(result.bound_history)
+        assert history.size == 4 and np.all(np.isfinite(history))
+        assert np.all(np.diff(history) >= -1e-8 * np.abs(history[:-1]))
+
     def test_random_init_runs(self):
         leaves, labels = synth_benchmark(2, 4, 8.0, np.random.default_rng(5))
         base = H3m(np.full(8, 0.125), leaves)
         result = vhem_reduce(
-            base, VhemConfig(k_reduced=2, seed=0, init_strategy="random")
+            base, VhemConfig(k_reduced=2, seed=0, init="random")
         )
         history = np.array(result.bound_history)
         assert np.all(np.diff(history) >= -1e-8 * np.abs(history[:-1]))
@@ -637,7 +724,7 @@ class TestSeededDrawOrder:
             np.full(3, 1 / 3),
             [random_hmm(rng, n_states=2, n_mix=2, dim=2, cov_type=cov_type) for _ in range(3)],
         )
-        config = VhemConfig(k_reduced=2, init_strategy="random")
+        config = VhemConfig(k_reduced=2, init="random")
         reduced = _init_reduced(base, config, np.random.default_rng(7))
         pool = [c for h in base.components for g in h.emissions for c in g.components]
         cov_avg = np.mean([c.cov for c in pool], axis=0)
