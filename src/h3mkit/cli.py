@@ -213,6 +213,8 @@ def reduce_cmd(
     seed, max_iters, tol, cov_floor,
 ):
     """Reduce an HMM mixture to fewer components (cluster its HMMs)."""
+    if init_file is not None and init != "file":
+        raise ValueError("--init-file requires --init file")
     out_path = _out_dir(out)
     base = load_model(model)
     if not isinstance(base, H3m):
@@ -269,14 +271,16 @@ def reduce_cmd(
 @_guarded
 def hier(model, ladder, virtual_samples, tau_virtual, restarts, out, seed, max_iters, tol, cov_floor):
     """Hierarchically cluster the components of a mixture."""
-    out_path = _out_dir(out)
-    base = load_model(model)
-    if not isinstance(base, H3m):
-        raise InvalidModelError(f"{model} holds a single HMM; hier needs a mixture")
     try:
         sizes = [int(part) for part in ladder.split(",") if part]
     except ValueError as exc:
         raise ValueError(f"bad --ladder {ladder!r}: {exc}") from exc
+    if not sizes:
+        raise ValueError(f"bad --ladder {ladder!r}: no level sizes")
+    out_path = _out_dir(out)
+    base = load_model(model)
+    if not isinstance(base, H3m):
+        raise InvalidModelError(f"{model} holds a single HMM; hier needs a mixture")
     config = VhemConfig(
         k_reduced=sizes[0],
         n_virtual=virtual_samples,

@@ -24,6 +24,7 @@ only. ``baum_welch`` is ``h3m_em`` with a single component.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -85,6 +86,22 @@ class H3m:
     @property
     def dim(self) -> int:
         return self.components[0].dim
+
+
+class _Stacked(NamedTuple):
+    """The parameter arrays of K HMMs of one shape, as ``Hmm`` names them,
+    stacked along a leading K axis."""
+
+    initial: np.ndarray  # (K, N)
+    transitions: np.ndarray  # (K, N, N)
+    mix_weights: np.ndarray  # (K, N, M)
+    means: np.ndarray  # (K, N, M, d)
+    covs: np.ndarray  # (K, N, M, d) or (K, N, M, d, d)
+
+
+def _stack(models: list[Hmm]) -> _Stacked:
+    """Stack the arrays of HMMs of one shape, such as an ``H3m``'s components."""
+    return _Stacked(*(np.stack([getattr(m, name) for m in models]) for name in _Stacked._fields))
 
 
 @dataclass
@@ -171,11 +188,11 @@ def mstep(
     """Closed-form re-estimation of a mixture from weighted item statistics.
 
     ``stats[j]`` stacks every item's statistics for component j: per
-    sequence for ``h3m_em``, per base component (``reduction._virtual_stats``)
-    for the reduction. Component j is ``hmm._mstep`` of their sum weighted
-    by z[i, j] * counts[i]; the mixture weights are item_weights @ z. Starved
-    components (``_starved``) keep their previous parameters and are
-    reported back for the caller to handle.
+    sequence for ``h3m_em``, per base component for the reduction
+    (``reduction._virtual_stats_all``). Component j is ``hmm._mstep`` of
+    their sum weighted by z[i, j] * counts[i]; the mixture weights are
+    item_weights @ z. Starved components (``_starved``) keep their previous
+    parameters and are reported back for the caller to handle.
 
     Returns the new mixture and the list of starved component indices.
     """

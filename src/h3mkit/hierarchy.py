@@ -3,7 +3,6 @@ plus partition-quality metrics."""
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -77,6 +76,14 @@ def leaf_labels(levels: list[HierarchyLevel], level_index: int) -> list[int]:
     return labels
 
 
+def _contingency(labels_a: list, labels_b: list) -> np.ndarray:
+    """Item counts per (label of a, label of b), labels in sorted order."""
+    _, a = np.unique(np.asarray(labels_a), return_inverse=True)
+    _, b = np.unique(np.asarray(labels_b), return_inverse=True)
+    k_b = int(b.max()) + 1
+    return np.bincount(a * k_b + b, minlength=(int(a.max()) + 1) * k_b).reshape(-1, k_b)
+
+
 def rand_index(labels_a: list, labels_b: list) -> float:
     """Fraction of item pairs on which two partitions agree (both together or
     both apart), over all unordered pairs. Symmetric and invariant under
@@ -92,10 +99,7 @@ def rand_index(labels_a: list, labels_b: list) -> float:
     n = len(labels_a)
     if n < 2:
         raise ValueError("need at least two items")
-    _, a = np.unique(np.asarray(labels_a), return_inverse=True)
-    _, b = np.unique(np.asarray(labels_b), return_inverse=True)
-    k_b = int(b.max()) + 1
-    table = np.bincount(a * k_b + b, minlength=(int(a.max()) + 1) * k_b).reshape(-1, k_b)
+    table = _contingency(labels_a, labels_b)
 
     def pairs(counts: np.ndarray) -> int:
         return int(np.sum(counts * (counts - 1) // 2))
@@ -108,22 +112,48 @@ def rand_index(labels_a: list, labels_b: list) -> float:
 
 
 def best_label_accuracy(labels_true: list, labels_pred: list) -> float:
-    """Classification accuracy maximized over relabelings of the prediction.
-
-    Intended for small label sets (exhaustive over permutations).
-    """
+    """Classification accuracy maximized over relabelings of the prediction:
+    each predicted label is mapped to a distinct true label (or to none, when
+    there are more predicted labels than true ones)."""
     if len(labels_true) != len(labels_pred):
         raise ValueError("label lists have different lengths")
-    true = np.asarray(labels_true)
-    pred = np.asarray(labels_pred)
-    true_values = sorted(set(true.tolist()))
-    pred_values = sorted(set(pred.tolist()))
-    if len(pred_values) > 8:
-        raise ValueError("too many predicted labels for exhaustive matching")
-    targets = true_values + [None] * max(0, len(pred_values) - len(true_values))
-    best = 0.0
-    for perm in itertools.permutations(targets, len(pred_values)):
-        mapping = dict(zip(pred_values, perm))
-        mapped = np.array([mapping[p] for p in pred.tolist()], dtype=object)
-        best = max(best, float(np.mean(mapped == true)))
-    return best
+    if len(labels_true) == 0:
+        return 0.0
+    return _max_matching(_contingency(labels_true, labels_pred)) / len(labels_true)
+
+
+def _max_matching(counts: np.ndarray) -> int:
+    """Largest total count of a one-to-one matching between the rows and the
+    columns of a contingency table: the Hungarian method (Kuhn 1955), one
+    shortest augmenting path per row. The counts are whole numbers, so the
+    potentials stay exact in floating point."""
+    if counts.shape[0] > counts.shape[1]:
+        counts = counts.T
+    n, m = counts.shape
+    cost = -counts.astype(float)
+    u, v = np.zeros(n + 1), np.zeros(m + 1)
+    row_of = np.zeros(m + 1, dtype=int)  # row_of[j]: row (from 1) matched to column j, or 0
+    for row in range(1, n + 1):
+        # Column 0 is a virtual column holding the new row.
+        row_of[0], col = row, 0
+        slack = np.full(m + 1, np.inf)
+        came_from = np.zeros(m + 1, dtype=int)
+        used = np.zeros(m + 1, dtype=bool)
+        while row_of[col] != 0:
+            used[col] = True
+            reduced = cost[row_of[col] - 1] - u[row_of[col]] - v[1:]
+            better = ~used[1:] & (reduced < slack[1:])
+            slack[1:][better] = reduced[better]
+            came_from[1:][better] = col
+            free = np.flatnonzero(~used)
+            nxt = free[np.argmin(slack[free])]
+            delta = slack[nxt]
+            u[row_of[used]] += delta
+            v[used] -= delta
+            slack[~used] -= delta
+            col = nxt
+        while col != 0:  # flip the matching along the path
+            row_of[col] = row_of[came_from[col]]
+            col = came_from[col]
+    cols = np.flatnonzero(row_of[1:])
+    return int(counts[row_of[1:][cols] - 1, cols].sum())

@@ -23,23 +23,49 @@ from per-base-component virtual statistics, weighted as ``h3m_em`` weights
 real sequences; ``_converged`` stops the run. An exhaustive enumeration
 oracle for the pair objective is included for verification.
 
-Every step reads the models' parameter arrays; an iteration takes every pair
-objective and the assignments before it builds any statistics. New models
-come from ``Hmm.from_arrays``. No model is mutated, so a reduced component
-may share arrays with the base component it was seeded or rescued from.
+An iteration works on the models' parameter arrays stacked over components
+(``h3m._stack``: the base's once per run, the reduced model's once per
+iteration) and is batched over (base i, reduced j) pairs, except the phi
+recursion. It runs over blocks of base components, each paired with every
+reduced component, sized so that no array of an iteration grows with the
+number of base components (``_BLOCK_ELEMENTS``):
+
+- emission matching: one ``_cross_terms`` call over (I, J, N_b, N_r, M_b,
+  M_r) and one logsumexp give eta and the per-state-pair bound ell;
+- phi: the backward recursion runs pair by pair, reading ell[i, j] and
+  writing into (I, J, ...) arrays;
+- statistics, built only when an M-step follows, after every objective and
+  the assignments: the forward recursion for the occupancies (nu, xi) and
+  the virtual statistics in one pass over (I, J, ...), which gives each
+  reduced component its statistics with a leading I axis; the blocks'
+  statistics are concatenated over I.
+
+``estep_pair``, ``summary_stats`` and ``_virtual_stats`` are the one-pair
+slices of that code. New models come from ``Hmm.from_arrays``. No model is
+mutated, so a reduced component may share arrays with the base component it
+was seeded or rescued from.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
 from .errors import InvalidModelError
 from .gaussians import _cross_terms, gmm_expected_loglik_opt, logsumexp, solve_softmax_log
-from .h3m import AssignmentMatrix, H3m, _converged, _starved, compute_assignments, mstep
+from .h3m import (
+    AssignmentMatrix,
+    H3m,
+    _converged,
+    _stack,
+    _Stacked,
+    _starved,
+    compute_assignments,
+    mstep,
+)
 from .hmm import Hmm, _Stats
 
 
@@ -89,7 +115,8 @@ class PairEstepResult:
     beta] couples consecutive reduced states given the base state at step t
     (axis 1 is the distribution). state_ell[beta, rho] is the per-step
     expected log-likelihood bound between the two states' emission mixtures,
-    and objective is the pair's overall expected log-likelihood bound.
+    and objective is the pair's overall expected log-likelihood bound. For
+    all pairs at once (``_estep``) every field carries leading (I, J) axes.
     """
 
     eta: np.ndarray  # (N_b, N_r, M_b, M_r)
@@ -109,6 +136,8 @@ class SummaryStats:
     nu1_agg[sigma]         expected count of starting in reduced state sigma;
     xi_agg[rho, sigma]     expected count of reduced transitions rho -> sigma;
     nu_per_step[t]         per-step co-occupancy, kept for consistency checks.
+
+    For all pairs at once (``_summary``) every field carries leading (I, J) axes.
     """
 
     nu_agg: np.ndarray
@@ -128,64 +157,77 @@ class ReductionResult:
 
 
 # ---------------------------------------------------------------------------
-# E-step for one pair
+# E-step over all pairs
+
+
+def _estep(base: _Stacked, reduced: _Stacked, tau: int) -> PairEstepResult:
+    """``estep_pair`` for every (base i, reduced j) pair at once: each field
+    of the result carries leading (I, J) axes, the objective is (I, J).
+
+    Emission matching is one pass over (I, J, N_b, N_r, M_b, M_r); the
+    backward recursion for phi runs pair by pair, in log domain."""
+    # eta is the softmax over l of log c_r[l] + table, and ell the c_b-weighted
+    # sum of its normalizers, one dot product per state pair as
+    # gmm_expected_loglik_opt takes it.
+    table = _cross_terms(
+        base.means[:, None, :, None, :, None],
+        base.covs[:, None, :, None, :, None],
+        reduced.means[None, :, None, :, None],
+        reduced.covs[None, :, None, :, None],
+    )
+    with np.errstate(divide="ignore"):
+        logits = np.log(reduced.mix_weights)[None, :, None, :, None, :] + table
+        log_pi_r = np.log(reduced.initial)
+        log_a_r = np.log(reduced.transitions)
+
+    # A state pair whose expected log-likelihood overflowed has an all -inf
+    # softmax row: its eta is 0 and its ell -inf, so phi gives it no weight
+    # while the objective is finite (a non-finite one compute_assignments rejects).
+    with np.errstate(invalid="ignore"):
+        norm = logsumexp(logits, axis=5)
+        eta = np.exp(logits - np.where(norm == -np.inf, 0.0, norm)[..., None])
+        ell = (norm[..., None, :] @ base.mix_weights[:, None, :, None, :, None])[..., 0, 0]
+
+        n_i, n_j, n_b, n_r = ell.shape
+        phi_initial = np.empty((n_i, n_j, n_r, n_b))
+        phi_step = np.empty((n_i, n_j, tau - 1, n_r, n_r, n_b))
+        objective = np.empty((n_i, n_j))
+        for i, j in np.ndindex(n_i, n_j):
+            # Backward over steps: future[beta, rho] carries the expected
+            # optimized contribution of all later steps given the state pair
+            # at this step.
+            future = np.zeros((n_b, n_r))
+            for t in range(tau, 1, -1):
+                core = ell[i, j] + future  # (N_b, N_r)
+                scores = log_a_r[j][:, None, :] + core[None, :, :]  # (rho_prev, beta, rho)
+                norm = logsumexp(scores, axis=2)
+                phi_step[i, j, t - 2] = np.exp(scores - norm[:, :, None]).transpose(0, 2, 1)
+                future = base.transitions[i] @ norm.T  # (beta_prev, rho_prev)
+
+            scores1 = log_pi_r[j][None, :] + ell[i, j] + future  # (beta, rho)
+            norm1 = logsumexp(scores1, axis=1)
+            phi_initial[i, j] = np.exp(scores1 - norm1[:, None]).T
+            objective[i, j] = base.initial[i] @ norm1
+    return PairEstepResult(eta, phi_initial, phi_step, ell, objective)
+
+
+def _index(result, key):
+    """The dataclass ``result`` with every field indexed by ``key``: [0, 0]
+    takes the one pair of a batch, [None, None] makes a pair a batch."""
+    return type(result)(*(np.asarray(getattr(result, f.name))[key] for f in fields(result)))
 
 
 def estep_pair(base_i: Hmm, reduced_j: Hmm, tau: int) -> PairEstepResult:
     """Optimal factored coupling between one base and one reduced component,
     and the resulting expected log-likelihood bound for sequences of length
-    tau. All recursion arithmetic is in log domain."""
+    tau: the one-pair slice of the E-step over all pairs."""
     if base_i.dim != reduced_j.dim:
         raise InvalidModelError(
             f"dimension mismatch: base d={base_i.dim}, reduced d={reduced_j.dim}"
         )
     if tau < 1:
         raise ValueError("tau must be >= 1")
-    n_b, n_r = base_i.n_states, reduced_j.n_states
-    # Emission matching over (N_b, N_r, M_b, M_r): eta is the softmax over l of
-    # log c_r[l] + table, and ell the c_b-weighted sum of its normalizers, one
-    # dot product per state pair as gmm_expected_loglik_opt takes it.
-    table = _cross_terms(
-        base_i.means[:, None, :, None],
-        base_i.covs[:, None, :, None],
-        reduced_j.means[None, :, None],
-        reduced_j.covs[None, :, None],
-    )
-    with np.errstate(divide="ignore"):
-        logits = np.log(reduced_j.mix_weights)[None, :, None, :] + table
-        log_pi_r = np.log(reduced_j.initial)
-        log_a_r = np.log(reduced_j.transitions)
-
-    # A state pair whose expected log-likelihood overflowed has an all -inf
-    # softmax row: its eta is 0 and its ell -inf, so phi gives it no weight
-    # while the objective is finite (a non-finite one compute_assignments rejects).
-    with np.errstate(invalid="ignore"):
-        norm = logsumexp(logits, axis=3)
-        eta = np.exp(logits - np.where(norm == -np.inf, 0.0, norm)[..., None])
-        ell = (norm[..., None, :] @ base_i.mix_weights[:, None, :, None])[..., 0, 0]
-
-        # Backward over steps: future[beta, rho] carries the expected optimized
-        # contribution of all later steps given the state pair at this step.
-        future = np.zeros((n_b, n_r))
-        phi_step = np.empty((tau - 1, n_r, n_r, n_b))
-        for t in range(tau, 1, -1):
-            core = ell + future  # (N_b, N_r)
-            scores = log_a_r[:, None, :] + core[None, :, :]  # (rho_prev, beta, rho)
-            norm = logsumexp(scores, axis=2)
-            phi_step[t - 2] = np.exp(scores - norm[:, :, None]).transpose(0, 2, 1)
-            future = base_i.transitions @ norm.T  # (beta_prev, rho_prev)
-
-        scores1 = log_pi_r[None, :] + ell + future  # (beta, rho)
-        norm1 = logsumexp(scores1, axis=1)
-        phi_initial = np.exp(scores1 - norm1[:, None]).T
-    objective = float(base_i.initial @ norm1)
-    return PairEstepResult(
-        eta=eta,
-        phi_initial=phi_initial,
-        phi_step=phi_step,
-        state_ell=ell,
-        objective=objective,
-    )
+    return _index(_estep(_stack([base_i]), _stack([reduced_j]), tau), (0, 0))
 
 
 def elhmm_bruteforce(base_i: Hmm, reduced_j: Hmm, tau: int) -> float:
@@ -271,49 +313,68 @@ def elhmm_bruteforce(base_i: Hmm, reduced_j: Hmm, tau: int) -> float:
 # Summary statistics and the M-step input
 
 
-def summary_stats(base_i: Hmm, pair: PairEstepResult) -> SummaryStats:
-    """Expected reduced-state occupancy and transition counts implied by the
-    coupling of ``pair``, accumulated forward over steps."""
-    tau = pair.phi_step.shape[0] + 1
-    nu_1 = pair.phi_initial * base_i.initial[None, :]  # (N_r, N_b)
-    nu_per_step = np.empty((tau,) + nu_1.shape)
-    nu_per_step[0] = nu_1
-    xi_agg = np.zeros((nu_1.shape[0], nu_1.shape[0]))
+def _summary(base: _Stacked, estep: PairEstepResult) -> SummaryStats:
+    """``summary_stats`` for every pair of ``_estep``'s result at once, every
+    field with leading (I, J) axes."""
+    phi_step = estep.phi_step
+    tau = phi_step.shape[2] + 1
+    a_b = base.transitions[:, None]  # (I, 1, N_b, N_b)
+    nu_1 = estep.phi_initial * base.initial[:, None, None, :]  # (I, J, N_r, N_b)
+    nu_per_step = np.empty(nu_1.shape[:2] + (tau,) + nu_1.shape[2:])
+    nu_per_step[:, :, 0] = nu_1
+    n_r = nu_1.shape[2]
+    xi_agg = np.zeros(nu_1.shape[:2] + (n_r, n_r))
     nu = nu_1
     for t in range(2, tau + 1):
-        reach = nu @ base_i.transitions  # (rho, gamma)
-        xi_t = reach[:, None, :] * pair.phi_step[t - 2]  # (rho, sigma, gamma)
-        nu = xi_t.sum(axis=0)
-        nu_per_step[t - 1] = nu
-        xi_agg += xi_t.sum(axis=2)
+        reach = nu @ a_b  # (I, J, rho, gamma)
+        xi_t = reach[..., :, None, :] * phi_step[:, :, t - 2]  # (I, J, rho, sigma, gamma)
+        nu = xi_t.sum(axis=2)
+        nu_per_step[:, :, t - 1] = nu
+        xi_agg += xi_t.sum(axis=4)
     return SummaryStats(
-        nu_agg=nu_per_step.sum(axis=0),
-        nu1_agg=nu_1.sum(axis=1),
+        nu_agg=nu_per_step.sum(axis=2),
+        nu1_agg=nu_1.sum(axis=3),
         xi_agg=xi_agg,
         nu_per_step=nu_per_step,
     )
 
 
-def _virtual_stats(base_i: Hmm, pair: PairEstepResult) -> _Stats:
+def summary_stats(base_i: Hmm, pair: PairEstepResult) -> SummaryStats:
+    """Expected reduced-state occupancy and transition counts implied by the
+    coupling of ``pair``, accumulated forward over steps."""
+    return _index(_summary(_stack([base_i]), _index(pair, (None, None))), (0, 0))
+
+
+def _virtual_stats_all(base: _Stacked, estep: PairEstepResult) -> list[_Stats]:
     """What ``hmm._expected_stats`` collects from one real sequence, for one
-    virtual sequence of base component i under the coupling ``pair``
-    (leading axis of length 1)."""
-    stats = summary_stats(base_i, pair)
-    c_b, mu_b, cov_b = base_i.mix_weights, base_i.means, base_i.covs
-    # resp[beta, rho, m, l]: expected count of base emission (beta, m)
+    virtual sequence of every base component i under its coupling with every
+    reduced component j: one ``_Stats`` per j, with a leading I axis."""
+    stats = _summary(base, estep)
+    c_b, mu_b, cov_b = base.mix_weights, base.means, base.covs
+    # resp[i, j, beta, rho, m, l]: expected count of base emission (beta, m)
     # modeled by reduced emission (rho, l).
-    resp = stats.nu_agg.T[:, :, None, None] * c_b[:, None, :, None] * pair.eta
-    if cov_b.ndim == 3:
+    resp = (
+        stats.nu_agg.swapaxes(2, 3)[..., None, None]
+        * c_b[:, None, :, None, :, None]
+        * estep.eta
+    )
+    if cov_b.ndim == 4:
         second = cov_b + mu_b * mu_b
     else:
         second = cov_b + mu_b[..., :, None] * mu_b[..., None, :]
-    return _Stats(
-        pi=stats.nu1_agg[None],
-        trans=stats.xi_agg[None],
-        mix=resp.sum(axis=(0, 2))[None],
-        mean=np.einsum("brml,bmd->rld", resp, mu_b)[None],
-        sq=np.einsum("brml,bm...->rl...", resp, second)[None],
+    columns = (
+        stats.nu1_agg,
+        stats.xi_agg,
+        resp.sum(axis=(2, 4)),
+        np.einsum("ijbrml,ibmd->ijrld", resp, mu_b),
+        np.einsum("ijbrml,ibm...->ijrl...", resp, second),
     )
+    return [_Stats(*(c[:, j] for c in columns)) for j in range(resp.shape[1])]
+
+
+def _virtual_stats(base_i: Hmm, pair: PairEstepResult) -> _Stats:
+    """``_virtual_stats_all`` for one pair (leading axis of length 1)."""
+    return _virtual_stats_all(_stack([base_i]), _index(pair, (None, None)))[0]
 
 
 # ---------------------------------------------------------------------------
@@ -346,9 +407,9 @@ def _init_reduced(base: H3m, config: VhemConfig, rng: np.random.Generator) -> H3
     # "random": fresh stochastic vectors; means drawn from the pool of base
     # means with a multiplicative jitter, covariances averaged over the base.
     n, m, d = base.n_states, base.n_mix, base.dim
-    all_means = np.concatenate([hmm.means for hmm in base.components]).reshape(-1, d)
-    all_covs = np.concatenate([hmm.covs for hmm in base.components])
-    cov_avg = all_covs.reshape(-1, *all_covs.shape[2:]).mean(axis=0)
+    arrays = _stack(base.components)
+    all_means = arrays.means.reshape(-1, d)
+    cov_avg = arrays.covs.reshape(-1, *arrays.covs.shape[3:]).mean(axis=0)
     covs = np.broadcast_to(cov_avg, (n, m) + cov_avg.shape)
     components = []
     for _ in range(k_r):
@@ -393,26 +454,43 @@ def vhem_reduce(base: H3m, config: VhemConfig) -> ReductionResult:
     return _reduce_once(base, config, np.random.default_rng(config.seed))
 
 
+# Working-memory budget of one block of base components, in float64 elements
+# of its largest array (the emission terms over d, or phi): 64 KB. Blocks keep
+# the arrays of an iteration from growing with the number of base components.
+_BLOCK_ELEMENTS = 1 << 13
+
+
+def _blocks(base: _Stacked, reduced: H3m, tau: int) -> list[_Stacked]:
+    """The stacked base as consecutive blocks of components, each within
+    _BLOCK_ELEMENTS for its pairs with every component of ``reduced``."""
+    k_b, n_b, m_b = base.mix_weights.shape
+    n_r, m_r = reduced.n_states, reduced.n_mix
+    cov_size = reduced.components[0].covs[0, 0].size
+    per_pair = n_b * n_r * max(m_b * m_r * cov_size, tau * n_r)
+    size = max(1, _BLOCK_ELEMENTS // (per_pair * reduced.n_components))
+    return [_Stacked(*(a[i:i + size] for a in base)) for i in range(0, k_b, size)]
+
+
 def _reduce_once(base: H3m, config: VhemConfig, rng: np.random.Generator) -> ReductionResult:
     n_virtual = config.n_virtual if config.n_virtual is not None else 10_000 * base.n_components
     virtual_counts = n_virtual * base.weights
     reduced = _init_reduced(base, config, rng)
     tau = config.tau_virtual
+    blocks = _blocks(_stack(base.components), reduced, tau)
 
     bound_history: list[float] = []
     rescues = 0
     for _ in range(config.max_iters):
-        pairs = [[estep_pair(b, r, tau) for r in reduced.components] for b in base.components]
-        objectives = np.array([[pair.objective for pair in row] for row in pairs])
+        reduced_arrays = _stack(reduced.components)
+        esteps = [_estep(block, reduced_arrays, tau) for block in blocks]
+        objectives = np.concatenate([estep.objective for estep in esteps])
         z, norms = compute_assignments(objectives, reduced.weights, virtual_counts)
         bound_history.append(float(np.sum(norms)))
         if _converged(bound_history, config.tol) or len(bound_history) == config.max_iters:
             break  # no M-step follows, so no statistics
-        stats = [
-            _Stats.concatenate(list(map(_virtual_stats, base.components, column)))
-            for column in zip(*pairs)
-        ]
-        del pairs  # release the couplings before the next E-step builds its own
+        parts = list(map(_virtual_stats_all, blocks, esteps))
+        del esteps  # release the couplings before the next E-step builds its own
+        stats = [_Stats.concatenate(column) for column in zip(*parts)]
         new_model, starved = mstep(
             base.weights, z, stats, virtual_counts, reduced, config.cov_floor
         )

@@ -16,6 +16,16 @@ def runner():
     return CliRunner()
 
 
+def two_leaf_mixture(tmp_path):
+    """A valid two-component mixture file."""
+    path = tmp_path / "leaves.json"
+    save_model(H3m([0.5, 0.5], [
+        Hmm([1.0], [[1.0]], [GaussianMixture([1.0], [Gaussian([mean], [1.0])])])
+        for mean in (0.0, 3.0)
+    ]), path)
+    return path
+
+
 def run_ok(runner, args, env=None):
     result = runner.invoke(main, args, env=env, catch_exceptions=False)
     assert result.exit_code == 0, result.output
@@ -314,6 +324,31 @@ class TestFailureModes:
         assert any(
             line.startswith("error:") and expected in line for line in result.output.splitlines()
         ), result.output
+
+    @pytest.mark.parametrize("ladder", [",", ""], ids=["comma", "empty"])
+    def test_ladder_without_sizes_rejected(self, runner, tmp_path, ladder):
+        path = two_leaf_mixture(tmp_path)
+        out = tmp_path / "o"
+        result = runner.invoke(main, [
+            "hier", "--model", str(path), "--ladder", ladder, "--out", str(out),
+        ])
+        assert result.exit_code == 1
+        assert isinstance(result.exception, SystemExit)
+        assert result.output.splitlines() == [f"error: bad --ladder {ladder!r}: no level sizes"]
+        assert not out.exists()
+
+    def test_init_file_without_init_file_rejected(self, runner, tmp_path):
+        # An --init-file that --init does not read would be ignored silently.
+        path = two_leaf_mixture(tmp_path)
+        out = tmp_path / "o"
+        result = runner.invoke(main, [
+            "reduce", "--model", str(path), "--kr", "1", "--init-file", str(path),
+            "--out", str(out),
+        ])
+        assert result.exit_code == 1
+        assert isinstance(result.exception, SystemExit)
+        assert result.output.splitlines() == ["error: --init-file requires --init file"]
+        assert not out.exists()
 
     @pytest.mark.parametrize("command", ["reduce", "hier"])
     def test_cov_type_rejected_where_it_has_no_effect(self, runner, tmp_path, command):

@@ -1,7 +1,10 @@
 """Tree building over HMM collections and partition metrics."""
 
+import itertools
+
 import numpy as np
 import pytest
+from scipy.optimize import linear_sum_assignment
 
 from h3mkit import (
     Gaussian,
@@ -77,12 +80,52 @@ class TestRandIndex:
         assert rand_index(a, b) == (total - together_a + together_b) / total
 
 
+def enumerated_label_accuracy(labels_true, labels_pred):
+    """Best accuracy by trying every injective relabeling of the prediction
+    (a predicted label may map to no true label)."""
+    true = np.asarray(labels_true)
+    true_values = sorted(set(true.tolist()))
+    pred_values = sorted(set(labels_pred))
+    targets = true_values + [None] * max(0, len(pred_values) - len(true_values))
+    best = 0.0
+    for perm in itertools.permutations(targets, len(pred_values)):
+        mapping = dict(zip(pred_values, perm))
+        mapped = np.array([mapping[p] for p in labels_pred], dtype=object)
+        best = max(best, float(np.mean(mapped == true)))
+    return best
+
+
 class TestBestLabelAccuracy:
     def test_perfect_after_relabel(self):
         assert best_label_accuracy([0, 0, 1, 1], [1, 1, 0, 0]) == 1.0
 
     def test_partial(self):
         assert best_label_accuracy([0, 0, 1, 1], [0, 1, 1, 1]) == pytest.approx(0.75)
+
+    def test_matches_enumeration(self):
+        rng = np.random.default_rng(8)
+        for _ in range(150):
+            k_true, k_pred = rng.integers(1, 8, size=2)
+            n = int(rng.integers(1, 40))
+            true = rng.integers(0, k_true, size=n).tolist()
+            pred = rng.integers(0, k_pred, size=n).tolist()
+            assert best_label_accuracy(true, pred) == enumerated_label_accuracy(true, pred)
+        # More predicted than true labels, and labels that are not integers.
+        true = ["a", "a", "b", "b", "b", "c"]
+        pred = [5, 6, 7, 7, 8, 9]
+        assert best_label_accuracy(true, pred) == enumerated_label_accuracy(true, pred) == 4 / 6
+
+    def test_twelve_labels(self):
+        # Too many for enumeration; scipy's assignment solver is the oracle.
+        rng = np.random.default_rng(9)
+        true = rng.integers(0, 12, size=500)
+        pred = np.where(rng.random(500) < 0.7, (true * 5) % 12, rng.integers(0, 12, size=500))
+        table = np.zeros((12, 12))
+        np.add.at(table, (true, pred), 1)
+        rows, cols = linear_sum_assignment(table, maximize=True)
+        expected = table[rows, cols].sum() / 500
+        assert best_label_accuracy(true.tolist(), pred.tolist()) == expected
+        assert expected > 0.7
 
 
 class TestHierCluster:

@@ -26,6 +26,7 @@ from h3mkit import (
     mc_expected_loglik,
     mstep,
     rand_index,
+    sample_batch,
     state_marginals,
     summary_stats,
     synth_benchmark,
@@ -33,7 +34,8 @@ from h3mkit import (
 )
 
 import h3mkit.reduction as reduction_module
-from h3mkit.gaussians import expected_loglik_table
+from h3mkit.gaussians import _cross_terms, expected_loglik_table, logsumexp
+from h3mkit.h3m import _stack
 from h3mkit.hmm import _Stats
 from h3mkit.reduction import _init_reduced, _perturb_means, _virtual_stats
 
@@ -702,6 +704,273 @@ class TestVhemReduce:
         history = np.array(result.bound_history)
         assert np.all(np.diff(history) >= -1e-8 * np.abs(history[:-1]))
         assert result.effective_k == 2
+
+
+def with_zero_transitions(hmm):
+    """The same HMM made left to right: it starts in state 0 and never moves
+    back, so most transition probabilities are 0."""
+    a = np.triu(hmm.transitions)
+    initial = np.eye(hmm.n_states)[0]
+    return Hmm.from_arrays(
+        initial, a / a.sum(axis=1, keepdims=True), hmm.mix_weights, hmm.means, hmm.covs
+    )
+
+
+def batch_case(name, cov_type):
+    """(base components, reduced components, tau) for the slice tests."""
+    if name == "overflowed-expectation":
+        def two_state(means, var):
+            return Hmm.from_arrays(
+                np.array([0.5, 0.5]), np.array([[0.9, 0.1], [0.2, 0.8]]), np.ones((2, 1)),
+                np.array(means, dtype=float).reshape(2, 1, 1), np.full((2, 1, 1), var),
+            )
+        return [two_state([0.0, 1e150], 1.0)] * 2, [two_state([0.5, 1e150], 1e-10)], 10
+    rng = np.random.default_rng(17)
+
+    def hmms(k, n_states, n_mix):
+        return [random_hmm(rng, n_states, n_mix, 2, cov_type, mean_scale=3.0) for _ in range(k)]
+
+    base, reduced = hmms(4, 3, 2), hmms(3, 2, 3)
+    return {
+        "unequal-shapes": (base, reduced, 4),
+        "zero-transitions": (
+            [with_zero_transitions(h) for h in base],
+            [with_zero_transitions(h) for h in reduced],
+            5,
+        ),
+        "tau-1": (base, reduced, 1),
+        "k_r-equals-k_b": (base, hmms(4, 2, 3), 3),
+        "duplicate-base": ([base[0], base[1], base[0], base[0]], reduced, 3),
+    }[name]
+
+
+# The loop over pairs that the batched E-step replaced, kept as an oracle:
+# per pair, the emission matching, the phi recursion, the summary statistics
+# and the virtual statistics, as separate calls.
+
+
+def per_pair_estep(base_i, reduced_j, tau):
+    table = _cross_terms(
+        base_i.means[:, None, :, None],
+        base_i.covs[:, None, :, None],
+        reduced_j.means[None, :, None],
+        reduced_j.covs[None, :, None],
+    )
+    with np.errstate(divide="ignore"):
+        logits = np.log(reduced_j.mix_weights)[None, :, None, :] + table
+        log_pi_r = np.log(reduced_j.initial)
+        log_a_r = np.log(reduced_j.transitions)
+    with np.errstate(invalid="ignore"):
+        norm = logsumexp(logits, axis=3)
+        eta = np.exp(logits - np.where(norm == -np.inf, 0.0, norm)[..., None])
+        ell = (norm[..., None, :] @ base_i.mix_weights[:, None, :, None])[..., 0, 0]
+        n_b, n_r = ell.shape
+        future = np.zeros((n_b, n_r))
+        phi_step = np.empty((tau - 1, n_r, n_r, n_b))
+        for t in range(tau, 1, -1):
+            scores = log_a_r[:, None, :] + (ell + future)[None, :, :]
+            norm = logsumexp(scores, axis=2)
+            phi_step[t - 2] = np.exp(scores - norm[:, :, None]).transpose(0, 2, 1)
+            future = base_i.transitions @ norm.T
+        scores1 = log_pi_r[None, :] + ell + future
+        norm1 = logsumexp(scores1, axis=1)
+        phi_initial = np.exp(scores1 - norm1[:, None]).T
+    return eta, phi_initial, phi_step, float(base_i.initial @ norm1)
+
+
+def per_pair_virtual_stats(base_i, eta, phi_initial, phi_step):
+    nu_1 = phi_initial * base_i.initial[None, :]
+    nu_per_step = [nu_1]
+    xi_agg = np.zeros((nu_1.shape[0], nu_1.shape[0]))
+    nu = nu_1
+    for step in phi_step:
+        xi_t = (nu @ base_i.transitions)[:, None, :] * step
+        nu = xi_t.sum(axis=0)
+        nu_per_step.append(nu)
+        xi_agg += xi_t.sum(axis=2)
+    nu_agg = np.array(nu_per_step).sum(axis=0)
+    c_b, mu_b, cov_b = base_i.mix_weights, base_i.means, base_i.covs
+    resp = nu_agg.T[:, :, None, None] * c_b[:, None, :, None] * eta
+    if cov_b.ndim == 3:
+        second = cov_b + mu_b * mu_b
+    else:
+        second = cov_b + mu_b[..., :, None] * mu_b[..., None, :]
+    return _Stats(
+        pi=nu_1.sum(axis=1)[None],
+        trans=xi_agg[None],
+        mix=resp.sum(axis=(0, 2))[None],
+        mean=np.einsum("brml,bmd->rld", resp, mu_b)[None],
+        sq=np.einsum("brml,bm...->rl...", resp, second)[None],
+    )
+
+
+def per_pair_reduce(base, config):
+    counts = 10_000 * base.n_components * base.weights
+    reduced = _init_reduced(base, config, np.random.default_rng(config.seed))
+    history, rescues = [], 0
+    for _ in range(config.max_iters):
+        pairs = [
+            [per_pair_estep(b, r, config.tau_virtual) for r in reduced.components]
+            for b in base.components
+        ]
+        objectives = np.array([[pair[3] for pair in row] for row in pairs])
+        z, norms = compute_assignments(objectives, reduced.weights, counts)
+        history.append(float(np.sum(norms)))
+        if len(history) == config.max_iters:
+            break
+        stats = [
+            _Stats.concatenate([
+                per_pair_virtual_stats(b, *pairs[i][j][:3])
+                for i, b in enumerate(base.components)
+            ])
+            for j in range(reduced.n_components)
+        ]
+        new_model, starved = mstep(base.weights, z, stats, counts, reduced, config.cov_floor)
+        if starved:
+            weights, components = new_model.weights.copy(), list(new_model.components)
+            for j in starved:
+                if rescues < 2:
+                    components[j] = base.components[int(np.argmin(objectives.max(axis=1)))]
+                    weights[j] = 1.0 / config.k_reduced
+                    rescues += 1
+            new_model = H3m(weights / weights.sum(), components)
+        reduced = new_model
+    return history, z, reduced, rescues
+
+
+class TestBatchedEstep:
+    """The E-step and statistics over all pairs at once, against the
+    one-pair functions (bit for bit) and against the loop over pairs."""
+
+    @pytest.mark.parametrize(
+        "name, cov_type",
+        [
+            (name, cov_type)
+            for name in (
+                "unequal-shapes", "zero-transitions", "tau-1", "k_r-equals-k_b", "duplicate-base"
+            )
+            for cov_type in ("diag", "full")
+        ]
+        + [("overflowed-expectation", "diag")],
+    )
+    def test_every_pair_equals_its_one_pair_slice(self, name, cov_type):
+        base, reduced, tau = batch_case(name, cov_type)
+        base_arrays = _stack(base)
+        batch = reduction_module._estep(base_arrays, _stack(reduced), tau)
+        summary = reduction_module._summary(base_arrays, batch)
+        stats = reduction_module._virtual_stats_all(base_arrays, batch)
+        assert batch.objective.shape == (len(base), len(reduced))
+        assert np.all(np.isfinite(batch.objective))
+        for (i, b), (j, r) in itertools.product(enumerate(base), enumerate(reduced)):
+            pair = estep_pair(b, r, tau)
+            assert batch.objective[i, j] == pair.objective
+            for field in ("eta", "phi_initial", "phi_step", "state_ell"):
+                np.testing.assert_array_equal(getattr(batch, field)[i, j], getattr(pair, field))
+            one = summary_stats(b, pair)
+            for field in ("nu_agg", "nu1_agg", "xi_agg", "nu_per_step"):
+                np.testing.assert_array_equal(getattr(summary, field)[i, j], getattr(one, field))
+            one = _virtual_stats(b, pair)
+            for field in ("pi", "trans", "mix", "mean", "sq"):
+                np.testing.assert_array_equal(getattr(stats[j], field)[i], getattr(one, field)[0])
+            # And the loop over pairs computes the same quantities.
+            eta, phi_initial, phi_step, objective = per_pair_estep(b, r, tau)
+            assert pair.objective == pytest.approx(objective, rel=1e-12, abs=0)
+            np.testing.assert_allclose(pair.eta, eta, rtol=1e-12, atol=0)
+            np.testing.assert_allclose(pair.phi_initial, phi_initial, rtol=1e-12, atol=0)
+            np.testing.assert_allclose(pair.phi_step, phi_step, rtol=1e-12, atol=0)
+            expected = per_pair_virtual_stats(b, eta, phi_initial, phi_step)
+            for field in ("pi", "trans", "mix", "mean", "sq"):
+                np.testing.assert_allclose(
+                    getattr(one, field), getattr(expected, field), rtol=1e-12, atol=0
+                )
+
+    @pytest.mark.parametrize("init", ["subset-perturb", "random"])
+    @pytest.mark.parametrize(
+        "groups, per_group, k_r, shape",
+        [
+            (8, 16, 8, dict(n_states=3, n_mix=2, dim=2)),
+            (4, 4, 4, dict(n_states=2, n_mix=2, dim=2, cov_type="full")),
+        ],
+        ids=["diag-128-to-8", "full-16-to-4"],
+    )
+    def test_reduction_matches_the_loop_over_pairs(self, groups, per_group, k_r, shape, init):
+        leaves, _ = synth_benchmark(groups, per_group, 4.0, np.random.default_rng(21), **shape)
+        base = H3m(np.full(len(leaves), 1 / len(leaves)), leaves)
+        config = VhemConfig(k_reduced=k_r, max_iters=3, tol=0.0, seed=5, init=init)
+        result = vhem_reduce(base, config)
+        history, z, reduced, rescues = per_pair_reduce(base, config)
+        np.testing.assert_allclose(result.bound_history, history, rtol=1e-12, atol=0)
+        # z is a probability: within 1e-12 of the row's unit mass.
+        np.testing.assert_allclose(result.assignments.z, z.z, rtol=1e-12, atol=1e-12)
+        assert result.rescues == rescues
+        np.testing.assert_allclose(result.reduced.weights, reduced.weights, rtol=1e-12, atol=0)
+        for got, want in zip(result.reduced.components, reduced.components):
+            for field in ("initial", "transitions", "mix_weights", "means", "covs"):
+                np.testing.assert_allclose(
+                    getattr(got, field), getattr(want, field), rtol=1e-12, atol=0
+                )
+
+
+    @pytest.mark.parametrize("budget", [1, 1 << 30], ids=["one-per-block", "one-block"])
+    def test_block_size_invariance(self, monkeypatch, budget):
+        leaves, _ = synth_benchmark(4, 6, 4.0, np.random.default_rng(3), n_states=3, n_mix=2)
+        base = H3m(np.full(len(leaves), 1 / len(leaves)), leaves)
+        config = VhemConfig(k_reduced=4, max_iters=4, tol=0.0, seed=2)
+        expected = vhem_reduce(base, config)
+        monkeypatch.setattr(reduction_module, "_BLOCK_ELEMENTS", budget)
+        blocks = reduction_module._blocks(_stack(leaves), expected.reduced, 10)
+        assert len(blocks) == (len(leaves) if budget == 1 else 1)
+        result = vhem_reduce(base, config)
+        assert result.bound_history == expected.bound_history
+        np.testing.assert_array_equal(result.assignments.z, expected.assignments.z)
+        for got, want in zip(result.reduced.components, expected.reduced.components):
+            for field in ("initial", "transitions", "mix_weights", "means", "covs"):
+                np.testing.assert_array_equal(getattr(got, field), getattr(want, field))
+
+
+class TestVirtualSampleOracle:
+    """One VHEM M-step against pooled draws from the base components
+    (Vasconcelos & Lippman 1999). With one reduced state and one reduced
+    emission component, phi and eta are trivial and z is 1, so the pair bound
+    is exact: the re-estimated mean and second moment are the expectations of
+    y and y y^T over the frames of virtual sequences, base component i
+    contributing in proportion to its weight."""
+
+    @pytest.mark.parametrize("cov_type", ["diag", "full"])
+    def test_one_mstep_matches_pooled_draws(self, cov_type):
+        rng = np.random.default_rng(2024)
+        d, tau, n = 2, 6, 20_000
+        weights = np.array([0.5, 0.3, 0.2])  # n * weights are whole numbers
+        # Left-to-right chains: the state occupancy moves over the steps, so
+        # every step of the occupancy recursion shows in the moments.
+        base = H3m(weights, [
+            with_zero_transitions(random_hmm(rng, 3, 2, d, cov_type, mean_scale=3.0))
+            for _ in weights
+        ])
+        cov = np.ones(d) if cov_type == "diag" else np.eye(d)
+        start = H3m([1.0], [
+            Hmm([1.0], [[1.0]], [GaussianMixture([1.0], [Gaussian(np.zeros(d), cov)])])
+        ])
+        config = VhemConfig(k_reduced=1, init=start, tau_virtual=tau, max_iters=2, tol=0.0)
+        reduced = vhem_reduce(base, config).reduced.components[0]
+        mean, cov_r = reduced.means[0, 0], reduced.covs[0, 0]
+        second = cov_r + (mean * mean if cov_type == "diag" else np.outer(mean, mean))
+        expected = np.concatenate([mean, second.ravel()])
+
+        # Stratified draws: n * w_i sequences of length tau from component i.
+        # Frames within a sequence are dependent, so each sequence's frame
+        # average is one observation of its stratum.
+        estimate, variance = 0.0, 0.0
+        for w, component in zip(weights, base.components):
+            n_i = int(round(n * w))
+            obs, _ = sample_batch(component, tau, n_i, rng)
+            outer = obs * obs if cov_type == "diag" else obs[..., :, None] * obs[..., None, :]
+            frames = np.concatenate([obs, outer.reshape(n_i, tau, -1)], axis=2)
+            per_sequence = frames.mean(axis=1)
+            estimate = estimate + w * per_sequence.mean(axis=0)
+            variance = variance + w**2 * per_sequence.var(axis=0, ddof=1) / n_i
+        z_scores = np.abs(expected - estimate) / np.sqrt(variance)
+        assert np.all(z_scores < 4.0), z_scores
 
 
 class TestSeededDrawOrder:
