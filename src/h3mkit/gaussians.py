@@ -32,31 +32,26 @@ def logsumexp(a, axis=None, keepdims: bool = False):
     return out + (hi if keepdims else hi.reshape(np.shape(out)))
 
 
-def _float_array(value, name: str, ndim: int) -> np.ndarray:
-    arr = np.asarray(value, dtype=float)
-    if arr.ndim != ndim:
-        raise InvalidModelError(f"{name} must be {ndim}-dimensional, got shape {arr.shape}")
-    if not np.all(np.isfinite(arr)):
-        raise InvalidModelError(f"{name} contains non-finite entries")
-    return arr
-
-
 def check_probability_vector(vec: np.ndarray, name: str, tol: float = WEIGHT_TOL) -> None:
     """Raise InvalidModelError unless vec, a vector or a matrix of row
     vectors, is finite, nonnegative and sums to 1 within tol along every row.
     For a matrix the message names the first bad row as ``{name} {index}``."""
     rows = np.atleast_2d(vec)
     # A NaN or infinite entry makes its row's total NaN or infinite, which
-    # fails "<= tol" (inf - inf is NaN, quietly).
+    # fails "<= tol". With no negative (or NaN) entry no row holds -inf, so
+    # no total is inf - inf. A valid input costs one minimum and one row sum;
+    # the totals are then compared as Python floats, in the same arithmetic.
+    if rows.size and rows.min() >= 0:
+        if all(abs(total - 1.0) <= tol for total in rows.sum(axis=1).tolist()):
+            return
     with np.errstate(invalid="ignore"):
         totals = rows.sum(axis=1)
     bad = (rows < 0).any(axis=1) | ~(np.abs(totals - 1.0) <= tol)
-    if bad.any():
-        idx = int(bad.argmax())
-        label = name if vec.ndim == 1 else f"{name} {idx}"
-        if (rows[idx] < 0).any():
-            raise InvalidModelError(f"{label} has negative entries: {rows[idx]}")
-        raise InvalidModelError(f"{label} sums to {float(totals[idx])!r}, expected 1 within {tol}")
+    idx = int(bad.argmax())
+    label = name if vec.ndim == 1 else f"{name} {idx}"
+    if (rows[idx] < 0).any():
+        raise InvalidModelError(f"{label} has negative entries: {rows[idx]}")
+    raise InvalidModelError(f"{label} sums to {float(totals[idx])!r}, expected 1 within {tol}")
 
 
 @dataclass
@@ -64,38 +59,17 @@ class Gaussian:
     """A single Gaussian with diagonal or full covariance.
 
     ``cov`` with ndim 1 holds the variances of a diagonal covariance;
-    ndim 2 holds a full symmetric positive-definite matrix.
+    ndim 2 holds a full symmetric positive-definite matrix. Checked by
+    ``hmm._check_emissions``, as the emissions of every HMM are.
     """
 
     mean: np.ndarray
     cov: np.ndarray
 
     def __post_init__(self) -> None:
-        self.mean = _float_array(self.mean, "mean", 1)
-        self.cov = np.asarray(self.cov, dtype=float)
-        if self.cov.ndim not in (1, 2):
-            raise InvalidModelError(f"cov must have ndim 1 or 2, got shape {self.cov.shape}")
-        if not np.all(np.isfinite(self.cov)):
-            raise InvalidModelError("cov contains non-finite entries")
-        d = self.mean.shape[0]
-        if self.is_diagonal:
-            if self.cov.shape != (d,):
-                raise InvalidModelError(
-                    f"diagonal cov has shape {self.cov.shape}, mean has dimension {d}"
-                )
-            if np.any(self.cov <= 0):
-                raise InvalidModelError("diagonal cov has non-positive variances")
-        else:
-            if self.cov.shape != (d, d):
-                raise InvalidModelError(
-                    f"cov has shape {self.cov.shape}, mean has dimension {d}"
-                )
-            if not np.allclose(self.cov, self.cov.T, atol=1e-10):
-                raise InvalidModelError("full cov is not symmetric")
-            try:
-                np.linalg.cholesky(self.cov)
-            except np.linalg.LinAlgError as exc:
-                raise InvalidModelError("full cov is not positive definite") from exc
+        from .hmm import _check_emissions  # hmm imports this module
+
+        _, self.mean, self.cov = _check_emissions(None, self.mean, self.cov, ())
 
     @property
     def dim(self) -> int:
@@ -108,20 +82,17 @@ class Gaussian:
 
 @dataclass
 class GaussianMixture:
-    """Mixture of Gaussians sharing one dimension and covariance layout."""
+    """Mixture of Gaussians sharing one dimension and covariance layout,
+    checked by ``hmm._check_emissions``."""
 
     weights: np.ndarray
     components: list[Gaussian]
 
     def __post_init__(self) -> None:
-        self.weights = _float_array(self.weights, "mixture weights", 1)
+        from .hmm import _check_emissions  # hmm imports this module
+
         if len(self.components) == 0:
             raise InvalidModelError("mixture needs at least one component")
-        if self.weights.shape[0] != len(self.components):
-            raise InvalidModelError(
-                f"{self.weights.shape[0]} weights for {len(self.components)} components"
-            )
-        check_probability_vector(self.weights, "mixture weights")
         d = self.components[0].dim
         diag = self.components[0].is_diagonal
         for k, comp in enumerate(self.components):
@@ -129,6 +100,12 @@ class GaussianMixture:
                 raise InvalidModelError(f"component {k} has dimension {comp.dim}, expected {d}")
             if comp.is_diagonal != diag:
                 raise InvalidModelError("components mix diagonal and full covariances")
+        self.weights, _, _ = _check_emissions(
+            self.weights,
+            [c.mean for c in self.components],
+            [c.cov for c in self.components],
+            ("component",),
+        )
 
     @property
     def dim(self) -> int:

@@ -24,7 +24,6 @@ only. ``baum_welch`` is ``h3m_em`` with a single component.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import NamedTuple
 
 import numpy as np
 
@@ -86,22 +85,6 @@ class H3m:
     @property
     def dim(self) -> int:
         return self.components[0].dim
-
-
-class _Stacked(NamedTuple):
-    """The parameter arrays of K HMMs of one shape, as ``Hmm`` names them,
-    stacked along a leading K axis."""
-
-    initial: np.ndarray  # (K, N)
-    transitions: np.ndarray  # (K, N, N)
-    mix_weights: np.ndarray  # (K, N, M)
-    means: np.ndarray  # (K, N, M, d)
-    covs: np.ndarray  # (K, N, M, d) or (K, N, M, d, d)
-
-
-def _stack(models: list[Hmm]) -> _Stacked:
-    """Stack the arrays of HMMs of one shape, such as an ``H3m``'s components."""
-    return _Stacked(*(np.stack([getattr(m, name) for m in models]) for name in _Stacked._fields))
 
 
 @dataclass

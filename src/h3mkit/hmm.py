@@ -5,7 +5,12 @@ state-occupancy marginals, and the estimation machinery that every estimator
 shares. An ``Hmm`` holds its parameters once, as five arrays that every
 kernel reads; its ``emissions`` objects are a view rebuilt from them on each
 read. ``Hmm.from_arrays`` is the one way from arrays to a model, and no model
-is mutated after construction. One forward recursion, in
+is mutated after construction. One array-level check, ``_check_arrays``,
+validates every model, however built: from arrays, from emission objects or
+from a file. Its emission half, ``_check_emissions``, also checks the
+``Gaussian`` and ``GaussianMixture`` objects. One sampling kernel,
+``_sample``, draws sequences from a stack of models (``_stack``) with
+uniforms and normals drawn beforehand. One forward recursion, in
 probability domain and normalized at every step (Rabiner's scaling), serves
 both the likelihood and the forward-backward pass, so a single pass over a
 batch yields the log-likelihoods and the per-sequence sufficient statistics.
@@ -21,6 +26,7 @@ mixture reduction.
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
+from typing import NamedTuple
 
 import numpy as np
 
@@ -62,11 +68,114 @@ class Sequence:
         return self.observations.shape[1]
 
 
+def _float_array(value, name: str) -> np.ndarray:
+    """A fresh float array of value; a ragged or non-numeric value is an
+    InvalidModelError."""
+    try:
+        return np.array(value, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise InvalidModelError(f"{name} is not a numeric array: {exc}") from exc
+
+
+def _at(axes: tuple[str, ...], ok: np.ndarray) -> str:
+    """Where the first failure of an elementwise test over arrays with the
+    leading axes ``axes`` is, as a message prefix such as
+    ``"state 1, mixture component 0: "``; empty with no axes."""
+    if not axes:
+        return ""
+    bad = ~ok.reshape(ok.shape[: len(axes)] + (-1,)).all(axis=-1)
+    index = np.unravel_index(int(bad.argmax()), bad.shape)
+    return ", ".join(f"{axis} {i}" for axis, i in zip(axes, index)) + ": "
+
+
+def _check_emissions(
+    weights, means, covs, axes: tuple[str, ...]
+) -> tuple[np.ndarray | None, np.ndarray, np.ndarray]:
+    """Emission parameters as fresh float arrays, or InvalidModelError
+    naming the first bad one by its position on ``axes``, one name per
+    leading axis. Means are (..., d), covs (..., d) variances or (..., d, d)
+    matrices, and weights (...) rows of mixture weights, or None for a lone
+    Gaussian. Checked: shapes, stochastic rows, finite means and covariances,
+    positive variances, symmetric full covariances, and positive definite
+    ones (one batched Cholesky)."""
+    means = _float_array(means, "means")
+    covs = _float_array(covs, "covs")
+    if means.ndim != len(axes) + 1:
+        raise InvalidModelError(
+            f"means must be {len(axes) + 1}-dimensional, got shape {means.shape}"
+        )
+    shape = means.shape + means.shape[-1:]
+    if covs.shape not in (means.shape, shape):
+        raise InvalidModelError(
+            f"covs have shape {covs.shape}, expected {means.shape} variances"
+            f" or {shape} matrices for means of shape {means.shape}"
+        )
+    if weights is not None:
+        weights = _float_array(weights, "mixture weights")
+        if weights.shape != means.shape[:-1]:
+            raise InvalidModelError(
+                f"mixture weights have shape {weights.shape}, expected {means.shape[:-1]}"
+            )
+        label = f"mixture weights of {axes[0]}" if weights.ndim > 1 else "mixture weights"
+        check_probability_vector(weights, label)
+    for ok, problem in (
+        (np.isfinite(means), "mean contains non-finite entries"),
+        (np.isfinite(covs), "cov contains non-finite entries"),
+    ):
+        if not ok.all():
+            raise InvalidModelError(_at(axes, ok) + problem)
+    if covs.ndim == means.ndim:
+        ok = covs > 0
+        if not ok.all():
+            raise InvalidModelError(_at(axes, ok) + "diagonal cov has non-positive variances")
+        return weights, means, covs
+    # np.allclose(cov, cov.T, atol=1e-10), for every matrix at once.
+    transposed = np.swapaxes(covs, -1, -2)
+    ok = np.abs(covs - transposed) <= 1e-10 + 1e-5 * np.abs(transposed)
+    if not ok.all():
+        raise InvalidModelError(_at(axes, ok) + "full cov is not symmetric")
+    try:
+        np.linalg.cholesky(covs)
+    except np.linalg.LinAlgError as exc:
+        ok = np.ones(covs.shape[:-2], dtype=bool)
+        for index in np.ndindex(ok.shape):
+            try:
+                np.linalg.cholesky(covs[index])
+            except np.linalg.LinAlgError:
+                ok[index] = False
+        raise InvalidModelError(_at(axes, ok) + "full cov is not positive definite") from exc
+    return weights, means, covs
+
+
+def _check_arrays(
+    initial, transitions, mix_weights, means, covs
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The five parameter arrays of an HMM, as ``Hmm`` names them, as fresh
+    float arrays, or InvalidModelError naming the first bad row, state or
+    mixture component: stochastic initial and transition rows, and
+    ``_check_emissions`` for the (N, M) emission arrays."""
+    initial = _float_array(initial, "initial distribution")
+    transitions = _float_array(transitions, "transitions")
+    if initial.ndim != 1:
+        raise InvalidModelError("initial must be a vector")
+    n = initial.shape[0]
+    if transitions.shape != (n, n):
+        raise InvalidModelError(f"transitions must be ({n}, {n}), got {transitions.shape}")
+    check_probability_vector(initial, "initial distribution")
+    check_probability_vector(transitions, "transition row")
+    mix_weights, means, covs = _check_emissions(
+        mix_weights, means, covs, ("state", "mixture component")
+    )
+    if means.shape[0] != n:
+        raise InvalidModelError(f"{means.shape[0]} emission mixtures for {n} states")
+    return initial, transitions, mix_weights, means, covs
+
+
 def _mixtures(
     mix_weights: np.ndarray, means: np.ndarray, covs: np.ndarray
 ) -> list[GaussianMixture]:
     """One GaussianMixture per state from arrays shaped as the ``Hmm``
-    attributes of the same names, each object checked by its constructor."""
+    attributes of the same names."""
     return [
         GaussianMixture(w, [Gaussian(mu, cov) for mu, cov in zip(mu_row, cov_row)])
         for w, mu_row, cov_row in zip(mix_weights, means, covs)
@@ -78,33 +187,29 @@ class Hmm:
     Gaussian-mixture emissions sharing one component count, dimension and
     covariance layout. It holds five arrays and nothing else: ``initial``,
     ``transitions``, ``mix_weights`` (N, M), ``means`` (N, M, d) and ``covs``,
-    (N, M, d) variances or (N, M, d, d) matrices. Not mutated."""
+    (N, M, d) variances or (N, M, d, d) matrices, checked by
+    ``_check_arrays``. Not mutated."""
 
     def __init__(
         self, initial: np.ndarray, transitions: np.ndarray, emissions: list[GaussianMixture]
     ) -> None:
-        self.initial = np.asarray(initial, dtype=float)
-        self.transitions = np.asarray(transitions, dtype=float)
-        n = self.initial.shape[0] if self.initial.ndim == 1 else -1
-        if self.initial.ndim != 1:
-            raise InvalidModelError("initial must be a vector")
-        if self.transitions.shape != (n, n):
-            raise InvalidModelError(
-                f"transitions must be ({n}, {n}), got {self.transitions.shape}"
-            )
-        check_probability_vector(self.initial, "initial distribution")
-        check_probability_vector(self.transitions, "transition row")
-        if len(emissions) != n:
-            raise InvalidModelError(f"{len(emissions)} emission mixtures for {n} states")
         shapes = [_shape(g.n_components, g.dim, g.is_diagonal) for g in emissions]
         for state, shape in enumerate(shapes):
             if shape != shapes[0]:
                 raise InvalidModelError(
                     f"emission for state {state} has ({shape}), expected ({shapes[0]})"
                 )
-        self.mix_weights = np.array([g.weights for g in emissions])
-        self.means = np.array([[c.mean for c in g.components] for g in emissions])
-        self.covs = np.array([[c.cov for c in g.components] for g in emissions])
+        self._set(
+            initial,
+            transitions,
+            [g.weights for g in emissions],
+            [[c.mean for c in g.components] for g in emissions],
+            [[c.cov for c in g.components] for g in emissions],
+        )
+
+    def _set(self, *arrays) -> None:
+        for name, value in zip(_Stacked._fields, _check_arrays(*arrays)):
+            setattr(self, name, value)
 
     @classmethod
     def from_arrays(
@@ -115,9 +220,11 @@ class Hmm:
         means: np.ndarray,
         covs: np.ndarray,
     ) -> "Hmm":
-        """The Hmm with these stacked parameters, validated as the emission
-        objects ``emissions`` returns."""
-        return cls(initial, transitions, _mixtures(mix_weights, means, covs))
+        """The Hmm with these stacked parameters, copied and validated by
+        ``_check_arrays``; no emission object is built."""
+        model = cls.__new__(cls)
+        model._set(initial, transitions, mix_weights, means, covs)
+        return model
 
     @property
     def emissions(self) -> list[GaussianMixture]:
@@ -135,6 +242,22 @@ class Hmm:
     @property
     def dim(self) -> int:
         return self.means.shape[2]
+
+
+class _Stacked(NamedTuple):
+    """The parameter arrays of K HMMs of one shape, as ``Hmm`` names them,
+    stacked along a leading K axis."""
+
+    initial: np.ndarray  # (K, N)
+    transitions: np.ndarray  # (K, N, N)
+    mix_weights: np.ndarray  # (K, N, M)
+    means: np.ndarray  # (K, N, M, d)
+    covs: np.ndarray  # (K, N, M, d) or (K, N, M, d, d)
+
+
+def _stack(models: list[Hmm]) -> _Stacked:
+    """Stack the arrays of HMMs of one shape, such as an ``H3m``'s components."""
+    return _Stacked(*(np.stack([getattr(m, name) for m in models]) for name in _Stacked._fields))
 
 
 @dataclass
@@ -347,30 +470,46 @@ def _categorical_rows(cum_rows: np.ndarray, u: np.ndarray) -> np.ndarray:
     return np.minimum(idx, cum_rows.shape[-1] - 1)
 
 
+def _sample(
+    models: _Stacked,
+    which: np.ndarray,
+    u_states: np.ndarray,
+    u_comps: np.ndarray,
+    normals: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Draw sequence s from model which[s] of a stack (``_stack``), from
+    uniforms u_states (tau, S) for the state chains and u_comps (S, tau) for
+    the mixture components, and standard normals (S, tau, d) for the
+    observations. Returns (obs, states), shaped (S, tau, d) and (S, tau)."""
+    tau, size = u_states.shape
+    states = np.empty((size, tau), dtype=int)
+    cum_a = np.cumsum(models.transitions, axis=-1)
+    states[:, 0] = _categorical_rows(np.cumsum(models.initial, axis=-1)[which], u_states[0])
+    for t in range(1, tau):
+        states[:, t] = _categorical_rows(cum_a[which, states[:, t - 1]], u_states[t])
+    which = which[:, None]
+    comps = _categorical_rows(np.cumsum(models.mix_weights, axis=-1)[which, states], u_comps)
+    means = models.means[which, states, comps]
+    if models.covs.ndim == 4:
+        return means + normals * np.sqrt(models.covs)[which, states, comps], states
+    chol = np.linalg.cholesky(models.covs)[which, states, comps]
+    return means + np.einsum("stij,stj->sti", chol, normals), states
+
+
 def sample_batch(
     model: Hmm, tau: int, size: int, rng: np.random.Generator
 ) -> tuple[np.ndarray, np.ndarray]:
     """Draw ``size`` sequences of length ``tau``; returns (obs, states) with
-    shapes (size, tau, d) and (size, tau). Deterministic given the generator."""
+    shapes (size, tau, d) and (size, tau). Deterministic given the generator,
+    which gives, in this order, the uniforms of the state chains step by
+    step, those of the mixture components sequence by sequence, and the
+    normals."""
     if tau < 1:
         raise ValueError("tau must be >= 1")
-    d = model.dim
-    states = np.empty((size, tau), dtype=int)
-    cum_pi = np.cumsum(model.initial)
-    cum_a = np.cumsum(model.transitions, axis=1)
-    states[:, 0] = _categorical_rows(cum_pi[None, :], rng.random(size))
-    for t in range(1, tau):
-        states[:, t] = _categorical_rows(cum_a[states[:, t - 1]], rng.random(size))
-    cum_c = np.cumsum(model.mix_weights, axis=1)
-    comps = _categorical_rows(cum_c[states], rng.random((size, tau)))
-    normals = rng.standard_normal((size, tau, d))
-    means = model.means[states, comps]
-    if model.covs.ndim == 3:
-        obs = means + normals * np.sqrt(model.covs)[states, comps]
-    else:
-        chol = np.linalg.cholesky(model.covs)
-        obs = means + np.einsum("stij,stj->sti", chol[states, comps], normals)
-    return obs, states
+    u_states = rng.random((tau, size))
+    u_comps = rng.random((size, tau))
+    normals = rng.standard_normal((size, tau, model.dim))
+    return _sample(_stack([model]), np.zeros(size, dtype=int), u_states, u_comps, normals)
 
 
 # ---------------------------------------------------------------------------

@@ -24,7 +24,7 @@ real sequences; ``_converged`` stops the run. An exhaustive enumeration
 oracle for the pair objective is included for verification.
 
 An iteration works on the models' parameter arrays stacked over components
-(``h3m._stack``: the base's once per run, the reduced model's once per
+(``hmm._stack``: the base's once per run, the reduced model's once per
 iteration) and is batched over (base i, reduced j) pairs, except the phi
 recursion. It runs over blocks of base components, each paired with every
 reduced component, sized so that no array of an iteration grows with the
@@ -60,13 +60,11 @@ from .h3m import (
     AssignmentMatrix,
     H3m,
     _converged,
-    _stack,
-    _Stacked,
     _starved,
     compute_assignments,
     mstep,
 )
-from .hmm import Hmm, _Stats
+from .hmm import Hmm, _stack, _Stacked, _Stats
 
 
 @dataclass
@@ -241,11 +239,10 @@ def elhmm_bruteforce(base_i: Hmm, reduced_j: Hmm, tau: int) -> float:
     if (n_b * n_r) ** tau > 10**6:
         raise ValueError(f"enumeration over ({n_b}*{n_r})^{tau} sequences is too large")
     ell = np.empty((n_b, n_r))
+    base_emissions, reduced_emissions = base_i.emissions, reduced_j.emissions
     for beta in range(n_b):
         for rho in range(n_r):
-            ell[beta, rho] = gmm_expected_loglik_opt(
-                base_i.emissions[beta], reduced_j.emissions[rho]
-            )
+            ell[beta, rho] = gmm_expected_loglik_opt(base_emissions[beta], reduced_emissions[rho])
     pi_b = base_i.initial
     a_b = base_i.transitions
     pi_r = reduced_j.initial

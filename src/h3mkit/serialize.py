@@ -2,8 +2,12 @@
 
 Models are single JSON documents with an explicit schema version; floats use
 Python's shortest exact decimal encoding, so save/load round-trips reproduce
-every parameter bit for bit. Datasets are JSON records, one per line, read
-whole.
+every parameter bit for bit. Loading reads each HMM's five parameter arrays
+straight from the JSON lists and checks them once, through
+``Hmm.from_arrays``, without building emission objects. Malformed or ragged
+lists are a ModelFormatError, invalid parameters an InvalidModelError, and
+either names the file, the mixture component, and the state and emission
+component where it can. Datasets are JSON records, one per line, read whole.
 """
 
 from __future__ import annotations
@@ -15,7 +19,6 @@ from pathlib import Path
 import numpy as np
 
 from .errors import InvalidModelError, ModelFormatError
-from .gaussians import Gaussian, GaussianMixture
 from .h3m import H3m
 from .hmm import Hmm, Sequence
 
@@ -68,30 +71,35 @@ def _hmm_payload(m: Hmm) -> dict:
     }
 
 
-def _malformed(exc: KeyError | TypeError, where: str) -> ModelFormatError:
-    """A missing field (KeyError) or a field of the wrong JSON type
-    (TypeError, e.g. a number where a list or an object belongs)."""
+def _malformed(exc: KeyError | TypeError | ValueError, where: str) -> ModelFormatError:
+    """A missing field (KeyError), a field of the wrong JSON type (TypeError,
+    e.g. a number where a list or an object belongs) or ragged or non-numeric
+    lists (ValueError)."""
     if isinstance(exc, KeyError):
         return ModelFormatError(f"missing field {exc} in {where}")
     return ModelFormatError(f"malformed {where}: {exc}")
 
 
-def _parse_gmm(payload: dict, where: str) -> GaussianMixture:
-    try:
-        comps = [Gaussian(c["mean"], c["cov"]) for c in payload["components"]]
-        return GaussianMixture(payload["weights"], comps)
-    except (KeyError, TypeError) as exc:
-        raise _malformed(exc, where) from exc
-
-
 def _parse_hmm(payload: dict, where: str) -> Hmm:
+    """The Hmm of a payload, its five arrays read straight from the JSON lists
+    and checked once by ``Hmm.from_arrays``; errors name ``where``."""
+    place = where
     try:
-        emissions = [
-            _parse_gmm(g, f"{where} emission {i}") for i, g in enumerate(payload["emissions"])
-        ]
-        return Hmm(payload["initial"], payload["transitions"], emissions)
-    except (KeyError, TypeError) as exc:
-        raise _malformed(exc, where) from exc
+        weights, means, covs = [], [], []
+        for state, gmm in enumerate(payload["emissions"]):
+            place = f"{where} emission {state}"
+            weights.append(gmm["weights"])
+            means.append([c["mean"] for c in gmm["components"]])
+            covs.append([c["cov"] for c in gmm["components"]])
+        place = where
+        lists = (payload["initial"], payload["transitions"], weights, means, covs)
+        arrays = [np.array(value, dtype=float) for value in lists]
+    except (KeyError, TypeError, ValueError) as exc:
+        raise _malformed(exc, place) from exc
+    try:
+        return Hmm.from_arrays(*arrays)
+    except InvalidModelError as exc:
+        raise InvalidModelError(f"{where}: {exc}") from exc
 
 
 def save_model(model: Hmm | H3m, path: str | Path, seed: int | None = None) -> None:

@@ -5,13 +5,21 @@ prototype is centered at (g - (G-1)/2) * separation, states and mixture
 components spread around that center at separation/4 and separation/8. Group
 members perturb the prototype's means with Gaussian noise of scale
 separation/20 and its stochastic rows with a Dirichlet jitter.
+
+Every draw comes from the caller's generator in a fixed order: first each
+member's perturbation, member by member; then, for sequences, each member's
+2 tau uniforms (tau for its state chain, then tau for its mixture
+components) followed by its tau x d standard normals, member by member. That
+is the stream of one ``sample_batch(member, tau, 1, rng)`` call per member,
+so one sampling kernel call (``hmm._sample``) over the stacked members
+draws the same sequences as those calls would.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .hmm import Hmm, Sequence, sample_batch
+from .hmm import Hmm, Sequence, _sample, _stack
 from .serialize import SequenceDataset
 
 
@@ -74,6 +82,8 @@ def synth_benchmark(
         raise ValueError("per_group must be >= 1")
     if kind not in ("hmms", "sequences"):
         raise ValueError(f"unknown kind {kind!r}")
+    if kind == "sequences" and tau < 1:
+        raise ValueError("tau must be >= 1")
     members: list[Hmm] = []
     labels: list[int] = []
     noise = separation / 20.0
@@ -86,9 +96,14 @@ def synth_benchmark(
     label_arr = np.array(labels, dtype=int)
     if kind == "hmms":
         return members, label_arr
-    sequences = []
-    for idx, member in enumerate(members):
-        obs, _ = sample_batch(member, tau, 1, rng)
-        sequences.append(Sequence(obs[0], id=f"seq{idx:04d}"))
+    uniforms = np.empty((len(members), 2 * tau))
+    normals = np.empty((len(members), tau, dim))
+    for idx in range(len(members)):
+        uniforms[idx] = rng.random(2 * tau)
+        normals[idx] = rng.standard_normal((tau, dim))
+    obs, _ = _sample(
+        _stack(members), np.arange(len(members)), uniforms[:, :tau].T, uniforms[:, tau:], normals
+    )
+    sequences = [Sequence(seq, id=f"seq{idx:04d}") for idx, seq in enumerate(obs)]
     dataset = SequenceDataset(sequences, [str(g) for g in labels])
     return dataset, label_arr

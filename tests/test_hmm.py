@@ -4,7 +4,9 @@ and Baum-Welch behavior. The enumeration oracle below scores emissions
 through scipy so it shares no density code with the library."""
 
 import itertools
+import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -19,6 +21,7 @@ from h3mkit import (
     H3m,
     Hmm,
     InvalidModelError,
+    ModelFormatError,
     Sequence,
     VhemConfig,
     baum_welch,
@@ -305,6 +308,126 @@ class TestConstruction:
             Hmm([1.0, 0.0, 0.0], transitions, emissions)
 
 
+def valid_arrays(cov_type: str) -> dict:
+    full = np.array([[2.0, 0.5], [0.5, 1.0]])
+    return {
+        "initial": np.array([0.5, 0.5]),
+        "transitions": np.array([[0.9, 0.1], [0.2, 0.8]]),
+        "mix_weights": np.array([[0.3, 0.7], [0.6, 0.4]]),
+        "means": np.arange(8.0).reshape(2, 2, 2),
+        "covs": np.ones((2, 2, 2)) if cov_type == "diag" else np.tile(full, (2, 2, 1, 1)),
+    }
+
+
+def set_entry(name, index, value):
+    def mutate(arrays):
+        arrays[name][index] = value
+    return mutate
+
+
+def replace(name, value):
+    def mutate(arrays):
+        arrays[name] = value
+    return mutate
+
+
+# name: (covariance layout, mutation of valid_arrays, where the check reports it)
+BAD_MODELS = {
+    "zero variance": ("diag", set_entry("covs", (1, 0, 1), 0.0), "state 1, mixture component 0"),
+    "negative variance": (
+        "diag", set_entry("covs", (0, 1, 0), -1.0), "state 0, mixture component 1"
+    ),
+    "nan mean": ("diag", set_entry("means", (1, 1, 0), np.nan), "state 1, mixture component 1"),
+    "inf mean": ("full", set_entry("means", (0, 0, 1), np.inf), "state 0, mixture component 0"),
+    "inf variance": ("diag", set_entry("covs", (0, 1, 1), np.inf), "state 0, mixture component 1"),
+    "asymmetric cov": (
+        "full", set_entry("covs", (1, 1, 0, 1), 0.9), "state 1, mixture component 1"
+    ),
+    "cov not positive definite": (
+        "full", set_entry("covs", (0, 1), [[1.0, 2.0], [2.0, 1.0]]), "state 0, mixture component 1"
+    ),
+    "transition row sum": ("diag", set_entry("transitions", 1, [0.5, 0.4]), "transition row 1"),
+    "mixture row sum": (
+        "full", set_entry("mix_weights", 1, [0.6, 0.6]), "mixture weights of state 1"
+    ),
+    "nan weight": ("diag", set_entry("mix_weights", (0, 0), np.nan), "mixture weights of state 0"),
+    "nan initial": ("diag", set_entry("initial", 0, np.nan), "initial distribution sums to nan"),
+    "mixed layouts": (
+        "diag", replace("covs", [[[1.0, 1.0]] * 2, [[[2.0, 0.5], [0.5, 1.0]]] * 2]), None
+    ),
+    "mean and cov dimensions": ("diag", replace("means", np.zeros((2, 2, 3))), None),
+    "fewer emissions than states": (
+        "diag", lambda a: a.update({k: a[k][:1] for k in ("mix_weights", "means", "covs")}), None
+    ),
+}
+
+
+def bad_model(case: str) -> tuple[dict, str | None]:
+    cov_type, mutate, where = BAD_MODELS[case]
+    arrays = valid_arrays(cov_type)
+    mutate(arrays)
+    return arrays, where
+
+
+class TestArrayCheck:
+    """One array-level check behind every way to build a model: the arrays,
+    the emission objects and the model file reject the same inputs."""
+
+    @pytest.mark.parametrize("case", BAD_MODELS)
+    def test_from_arrays_rejects(self, case):
+        arrays, where = bad_model(case)
+        with pytest.raises(InvalidModelError, match=re.escape(where) if where else None):
+            Hmm.from_arrays(**arrays)
+
+    @pytest.mark.parametrize("case", BAD_MODELS)
+    def test_constructor_rejects(self, case):
+        arrays, _ = bad_model(case)
+        with pytest.raises(InvalidModelError):
+            emissions = [
+                GaussianMixture(w, [Gaussian(mu, cov) for mu, cov in zip(mu_row, cov_row)])
+                for w, mu_row, cov_row in zip(
+                    arrays["mix_weights"], arrays["means"], arrays["covs"]
+                )
+            ]
+            Hmm(arrays["initial"], arrays["transitions"], emissions)
+
+    @pytest.mark.parametrize("case", BAD_MODELS)
+    def test_load_model_rejects(self, case, tmp_path):
+        arrays, where = bad_model(case)
+        good = Hmm.from_arrays(**valid_arrays("diag"))
+        path = tmp_path / "bad.json"
+        save_model(H3m([0.5, 0.5], [good, good]), path)
+        doc = json.loads(path.read_text())
+        doc["payload"]["components"][1] = {
+            "initial": arrays["initial"],
+            "transitions": arrays["transitions"],
+            "emissions": [
+                {
+                    "weights": w,
+                    "components": [{"mean": mu, "cov": cov} for mu, cov in zip(mu_row, cov_row)],
+                }
+                for w, mu_row, cov_row in zip(
+                    arrays["mix_weights"], arrays["means"], arrays["covs"]
+                )
+            ],
+        }
+        path.write_text(json.dumps(doc, default=np.ndarray.tolist))
+        with pytest.raises((ModelFormatError, InvalidModelError)) as info:
+            load_model(path)
+        assert f"{path} component 1" in str(info.value)
+        assert where is None or where in str(info.value)
+
+    def test_ragged_lists_are_a_format_error(self, tmp_path):
+        good = Hmm.from_arrays(**valid_arrays("diag"))
+        path = tmp_path / "ragged.json"
+        save_model(H3m([0.5, 0.5], [good, good]), path)
+        doc = json.loads(path.read_text())
+        doc["payload"]["components"][1]["emissions"][0]["components"][1]["mean"] = [0.0]
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ModelFormatError, match=re.escape(f"{path} component 1")):
+            load_model(path)
+
+
 class TestRepresentation:
     """An Hmm holds its five parameter arrays and nothing else, however it was
     built; ``emissions`` rebuilds the objects from them on every read."""
@@ -437,6 +560,36 @@ class TestSample:
         obs_b, states_b = sample_batch(model, 10, 1, np.random.default_rng(99))
         np.testing.assert_array_equal(obs_a, obs_b)
         np.testing.assert_array_equal(states_a, states_b)
+
+    @pytest.mark.parametrize("cov_type", ["diag", "full"])
+    @pytest.mark.parametrize("tau", [1, 7])
+    def test_draws_follow_the_per_step_stream(self, cov_type, tau):
+        # A per-step loop pins the seeded stream: state uniforms step by step,
+        # then component uniforms sequence by sequence, then the normals.
+        model = random_hmm(np.random.default_rng(4), n_states=3, n_mix=2, dim=2, cov_type=cov_type)
+        obs, states = sample_batch(model, tau, 5, np.random.default_rng(917263))
+        draws = np.random.default_rng(917263)
+
+        def pick(cum, u):
+            return min(int(np.sum(u >= cum)), cum.size - 1)
+
+        expected_states = np.empty((5, tau), dtype=int)
+        for t in range(tau):
+            for s, u in enumerate(draws.random(5)):
+                row = model.initial if t == 0 else model.transitions[expected_states[s, t - 1]]
+                expected_states[s, t] = pick(np.cumsum(row), u)
+        comp_u = draws.random((5, tau))
+        normals = draws.standard_normal((5, tau, 2))
+        np.testing.assert_array_equal(states, expected_states)
+        for s, t in np.ndindex(5, tau):
+            state = expected_states[s, t]
+            comp = pick(np.cumsum(model.mix_weights[state]), comp_u[s, t])
+            mean, cov = model.means[state, comp], model.covs[state, comp]
+            if cov_type == "diag":
+                expected = mean + normals[s, t] * np.sqrt(cov)
+            else:
+                expected = mean + np.einsum("ij,j->i", np.linalg.cholesky(cov), normals[s, t])
+            assert obs[s, t].tobytes() == expected.tobytes(), (s, t)
 
     def test_full_cov_sampling_moments(self, rng):
         cov = np.array([[2.0, 0.8], [0.8, 1.0]])

@@ -1,6 +1,6 @@
 """The public surface: every exported name resolves, once, and names that
 were removed from the library stay gone. Emission objects are built from
-arrays in one place."""
+arrays in one place, and only for the ``Hmm.emissions`` view."""
 
 import ast
 from pathlib import Path
@@ -46,11 +46,11 @@ def test_all_resolves_without_duplicates_and_removed_names_are_gone():
             assert not hasattr(cls, name), f"{cls.__name__}.{name}"
 
 
-def test_emission_objects_built_only_by_one_array_builder_and_the_file_parser():
-    # Every array-to-object conversion (Hmm.from_arrays and the Hmm.emissions
-    # view) goes through hmm._mixtures; only the model-file parser builds the
-    # objects from their own payload.
-    callers = set()
+def test_emission_objects_built_only_by_the_emissions_view():
+    # Models are built and checked as arrays (hmm._check_arrays), files
+    # included: the only code that builds Gaussian or GaussianMixture objects
+    # is hmm._mixtures, and the only code that calls it is Hmm.emissions.
+    callers: dict[str, set] = {"Gaussian": set(), "GaussianMixture": set(), "_mixtures": set()}
     for path in Path(h3mkit.__file__).parent.glob("*.py"):
         tree = ast.parse(path.read_text())
 
@@ -62,9 +62,13 @@ def test_emission_objects_built_only_by_one_array_builder_and_the_file_parser():
                 if isinstance(child, ast.Call):
                     func = child.func
                     name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
-                    if name in ("Gaussian", "GaussianMixture"):
-                        callers.add(f"{path.stem}.{scope}")
+                    if name in callers:
+                        callers[name].add(f"{path.stem}.{scope}")
                 visit(child, inner)
 
         visit(tree, "")
-    assert callers == {"hmm._mixtures", "serialize._parse_gmm"}
+    assert callers == {
+        "Gaussian": {"hmm._mixtures"},
+        "GaussianMixture": {"hmm._mixtures"},
+        "_mixtures": {"hmm.Hmm.emissions"},
+    }

@@ -35,7 +35,7 @@ from h3mkit import (
 
 import h3mkit.reduction as reduction_module
 from h3mkit.gaussians import _cross_terms, expected_loglik_table, logsumexp
-from h3mkit.h3m import _stack
+from h3mkit.hmm import _stack
 from h3mkit.hmm import _Stats
 from h3mkit.reduction import _init_reduced, _perturb_means, _virtual_stats
 

@@ -2,9 +2,14 @@
 format errors with useful context."""
 
 import json
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from h3mkit import (
     H3m,
@@ -20,6 +25,31 @@ from h3mkit import (
 )
 
 from conftest import random_h3m, random_hmm
+
+FIELDS = ("initial", "transitions", "mix_weights", "means", "covs")
+
+
+@st.composite
+def model_arrays(draw) -> dict:
+    """Valid parameter arrays of a random shape and covariance layout."""
+    n, m, d = (draw(st.integers(1, 3)) for _ in range(3))
+    positive = st.floats(1e-3, 1e3)
+
+    def rows(shape):
+        mass = draw(arrays(float, shape, elements=positive))
+        return mass / mass.sum(axis=-1, keepdims=True)
+
+    means = draw(arrays(float, (n, m, d), elements=st.floats(-1e6, 1e6)))
+    if draw(st.booleans()):
+        covs = draw(arrays(float, (n, m, d), elements=st.floats(1e-8, 1e8)))
+    else:
+        root = draw(arrays(float, (n, m, d, d), elements=st.floats(-10.0, 10.0)))
+        covs = root @ np.swapaxes(root, -1, -2) + 0.1 * np.eye(d)
+        covs = 0.5 * (covs + np.swapaxes(covs, -1, -2))
+    return dict(
+        initial=rows((n,)), transitions=rows((n, n)), mix_weights=rows((n, m)),
+        means=means, covs=covs,
+    )
 
 
 def assert_hmm_equal(a: Hmm, b: Hmm):
@@ -53,6 +83,21 @@ class TestModelRoundTrip:
             path = tmp_path / f"m{i}.json"
             save_model(model, path)
             assert_hmm_equal(model, load_model(path))
+
+    @settings(derandomize=True, max_examples=60, deadline=None)
+    @given(model_arrays())
+    def test_arrays_objects_and_files_agree(self, params):
+        # Arrays -> Hmm -> emission objects -> Hmm -> file -> Hmm, bit for bit.
+        model = Hmm.from_arrays(**params)
+        rebuilt = Hmm(model.initial, model.transitions, model.emissions)
+        with tempfile.TemporaryDirectory() as tmp:
+            save_model(rebuilt, Path(tmp) / "m.json")
+            loaded = load_model(Path(tmp) / "m.json")
+        for other in (model, rebuilt, loaded):
+            for name in FIELDS:
+                value = getattr(other, name)
+                assert value.dtype == float and value.shape == params[name].shape, name
+                assert value.tobytes() == params[name].tobytes(), name
 
     def test_h3m_full_cov(self, rng, tmp_path):
         model = random_h3m(rng, k=4, n_states=2, n_mix=2, dim=2, cov_type="full")

@@ -4,7 +4,7 @@ kinds."""
 import numpy as np
 import pytest
 
-from h3mkit import SequenceDataset, synth_benchmark
+from h3mkit import SequenceDataset, sample_batch, synth_benchmark
 from h3mkit.synth import _perturb_member, _prototype
 
 
@@ -70,6 +70,8 @@ class TestSynthBenchmark:
             synth_benchmark(2, 0, 4.0, rng)
         with pytest.raises(ValueError):
             synth_benchmark(2, 2, 4.0, rng, kind="graphs")
+        with pytest.raises(ValueError, match="tau"):
+            synth_benchmark(2, 2, 4.0, rng, tau=0, kind="sequences")
 
     @pytest.mark.parametrize("cov_type", ["diag", "full"])
     def test_member_draw_order(self, cov_type):
@@ -87,3 +89,21 @@ class TestSynthBenchmark:
                 expected = proto_comp.mean + draws.normal(0.0, 0.2, size=2)
                 np.testing.assert_array_equal(comp.mean, expected)
                 np.testing.assert_array_equal(comp.cov, proto_comp.cov)
+
+    @pytest.mark.parametrize("cov_type", ["diag", "full"])
+    @pytest.mark.parametrize("tau", [1, 7])
+    def test_sequences_are_one_sample_batch_per_member(self, cov_type, tau):
+        # kind "sequences" draws the members of kind "hmms" from the same seed,
+        # then continues the stream as one sample_batch call per member would.
+        kw = dict(n_states=3, n_mix=2, dim=2, tau=tau, cov_type=cov_type)
+        dataset, labels = synth_benchmark(
+            3, 4, 4.0, np.random.default_rng(917263), kind="sequences", **kw
+        )
+        draws = np.random.default_rng(917263)
+        members, member_labels = synth_benchmark(3, 4, 4.0, draws, **kw)
+        np.testing.assert_array_equal(labels, member_labels)
+        assert len(dataset) == len(members)
+        for idx, (seq, member) in enumerate(zip(dataset.sequences, members)):
+            obs, _ = sample_batch(member, tau, 1, draws)
+            assert seq.id == f"seq{idx:04d}"
+            assert seq.observations.tobytes() == obs[0].tobytes()
