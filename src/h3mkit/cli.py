@@ -330,12 +330,12 @@ def hier(model, ladder, virtual_samples, tau_virtual, restarts, out, seed, max_i
 @_guarded
 def synth(groups, per_group, separation, states, mix, dim, tau, kind, out, seed, cov_type):
     """Generate a seeded group-structured benchmark."""
-    out_path = _out_dir(out)
     rng = np.random.default_rng(seed)
     produced, labels = synth_benchmark(
         groups, per_group, separation, rng,
         n_states=states, n_mix=mix, dim=dim, tau=tau, cov_type=cov_type, kind=kind,
     )
+    out_path = _out_dir(out)
     if kind == "hmms":
         mixture = H3m(np.full(len(produced), 1.0 / len(produced)), produced)
         save_model(mixture, out_path / "leaves.json", seed=seed)

@@ -1,13 +1,15 @@
 """Text-based model files and line-delimited sequence datasets.
 
-Models are single JSON documents with an explicit schema version; floats use
-Python's shortest exact decimal encoding, so save/load round-trips reproduce
-every parameter bit for bit. Loading reads each HMM's five parameter arrays
-straight from the JSON lists and checks them once, through
-``Hmm.from_arrays``, without building emission objects. Malformed or ragged
-lists are a ModelFormatError, invalid parameters an InvalidModelError, and
-either names the file, the mixture component, and the state and emission
-component where it can. Datasets are JSON records, one per line, read whole.
+Models are single JSON documents with an explicit schema version, written
+on one line by json's C encoder (``python -m json.tool`` indents one for
+reading); floats use Python's shortest exact decimal encoding, so save/load
+round-trips reproduce every parameter bit for bit. Loading reads each HMM's
+five parameter arrays straight from the JSON lists and checks them once,
+through ``Hmm.from_arrays``, without building emission objects. Malformed
+or ragged lists are a ModelFormatError, invalid parameters an
+InvalidModelError, and either names the file, the mixture component, and the
+state and emission component where it can. Datasets are JSON records, one
+per line, read whole.
 """
 
 from __future__ import annotations
@@ -103,7 +105,7 @@ def _parse_hmm(payload: dict, where: str) -> Hmm:
 
 
 def save_model(model: Hmm | H3m, path: str | Path, seed: int | None = None) -> None:
-    """Write a model as a versioned JSON document."""
+    """Write a model as a versioned JSON document on one line."""
     path = Path(path)
     if isinstance(model, Hmm):
         kind = "hmm"
@@ -126,7 +128,7 @@ def save_model(model: Hmm | H3m, path: str | Path, seed: int | None = None) -> N
     if seed is not None:
         meta["seed"] = seed
     doc = {"schema_version": SCHEMA_VERSION, "kind": kind, "metadata": meta, "payload": payload}
-    path.write_text(json.dumps(doc, indent=1) + "\n")
+    path.write_text(json.dumps(doc) + "\n")
 
 
 def load_model(path: str | Path) -> Hmm | H3m:

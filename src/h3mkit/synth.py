@@ -7,19 +7,24 @@ members perturb the prototype's means with Gaussian noise of scale
 separation/20 and its stochastic rows with a Dirichlet jitter.
 
 Every draw comes from the caller's generator in a fixed order: first each
-member's perturbation, member by member; then, for sequences, each member's
-2 tau uniforms (tau for its state chain, then tau for its mixture
-components) followed by its tau x d standard normals, member by member. That
-is the stream of one ``sample_batch(member, tau, 1, rng)`` call per member,
-so one sampling kernel call (``hmm._sample``) over the stacked members
-draws the same sequences as those calls would.
+member's perturbation, member by member (the Dirichlet initial row, one
+Dirichlet draw per transition row, then the normals of its means); then, for
+sequences, each member's 2 tau uniforms (tau for its state chain, then tau
+for its mixture components) followed by its tau x d standard normals, member
+by member. The perturbations are drawn straight into stacked (K, N, ...)
+arrays, with mixture weights and covariances taken from the prototypes, and
+the stack is checked once, naming the member of a failure. That is the
+stream of one perturbation and one ``sample_batch(member, tau, 1, rng)``
+call per member, so the members and the sequences that one sampling kernel
+call (``hmm._sample``) draws from the stack are those such calls would give.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .hmm import Hmm, Sequence, _sample, _stack
+from .gaussians import check_probability_vector
+from .hmm import Hmm, Sequence, _check_emissions, _sample, _stack, _Stacked
 from .serialize import SequenceDataset
 
 
@@ -49,16 +54,6 @@ def _prototype(
     return Hmm.from_arrays(initial, transitions, mix_weights, means, covs)
 
 
-def _perturb_member(proto: Hmm, noise: float, rng: np.random.Generator) -> Hmm:
-    concentration = 100.0
-    initial = rng.dirichlet(concentration * proto.initial + 1e-9)
-    transitions = np.stack(
-        [rng.dirichlet(concentration * row + 1e-9) for row in proto.transitions]
-    )
-    means = proto.means + rng.normal(0.0, noise, size=proto.means.shape)
-    return Hmm.from_arrays(initial, transitions, proto.mix_weights, means, proto.covs)
-
-
 def synth_benchmark(
     n_groups: int,
     per_group: int,
@@ -74,36 +69,58 @@ def synth_benchmark(
     """Generate group-structured HMMs or sequences plus ground-truth labels.
 
     kind "hmms" returns per_group member HMMs per group; kind "sequences"
-    draws one length-tau sequence from each member instead.
+    draws one length-tau sequence from each member instead. Bad arguments
+    raise ValueError before anything is drawn.
     """
     if n_groups < 2:
         raise ValueError("need at least two groups")
     if per_group < 1:
         raise ValueError("per_group must be >= 1")
+    if min(n_states, n_mix, dim) < 1:
+        raise ValueError("n_states, n_mix and dim must be >= 1")
+    if not (np.isfinite(separation) and separation >= 0):
+        raise ValueError(f"separation must be finite and >= 0, got {separation}")
+    if cov_type not in ("diag", "full"):
+        raise ValueError(f"cov_type must be 'diag' or 'full', got {cov_type!r}")
     if kind not in ("hmms", "sequences"):
         raise ValueError(f"unknown kind {kind!r}")
     if kind == "sequences" and tau < 1:
         raise ValueError("tau must be >= 1")
-    members: list[Hmm] = []
-    labels: list[int] = []
+    protos = _stack([
+        _prototype((g - (n_groups - 1) / 2.0) * separation, n_states, n_mix, dim, separation,
+                   cov_type)
+        for g in range(n_groups)
+    ])
+    labels = np.repeat(np.arange(n_groups), per_group)
+    size = len(labels)
+    alpha_initial = 100.0 * protos.initial + 1e-9
+    alpha_rows = 100.0 * protos.transitions + 1e-9
+    initial = np.empty((size, n_states))
+    transitions = np.empty((size, n_states, n_states))
+    means = np.empty((size, n_states, n_mix, dim))
     noise = separation / 20.0
-    for g in range(n_groups):
-        offset = (g - (n_groups - 1) / 2.0) * separation
-        proto = _prototype(offset, n_states, n_mix, dim, separation, cov_type)
-        for _ in range(per_group):
-            members.append(_perturb_member(proto, noise, rng))
-            labels.append(g)
-    label_arr = np.array(labels, dtype=int)
+    for member, group in enumerate(labels):
+        initial[member] = rng.dirichlet(alpha_initial[group])
+        for state in range(n_states):
+            transitions[member, state] = rng.dirichlet(alpha_rows[group, state])
+        means[member] = protos.means[group] + rng.normal(0.0, noise, size=means.shape[1:])
+    mix_weights = protos.mix_weights[labels]
+    where = f"(member * {n_states} + state)"
+    check_probability_vector(initial, "initial distribution of member")
+    check_probability_vector(transitions.reshape(-1, n_states), f"transition row {where}")
+    check_probability_vector(mix_weights.reshape(-1, n_mix), f"mixture weights {where}")
+    _, means, covs = _check_emissions(
+        None, means, protos.covs[labels], ("member", "state", "mixture component")
+    )
+    members = _Stacked(initial, transitions, mix_weights, means, covs)
     if kind == "hmms":
-        return members, label_arr
-    uniforms = np.empty((len(members), 2 * tau))
-    normals = np.empty((len(members), tau, dim))
-    for idx in range(len(members)):
+        return [Hmm.from_arrays(*arrays) for arrays in zip(*members)], labels
+    uniforms = np.empty((size, 2 * tau))
+    normals = np.empty((size, tau, dim))
+    for idx in range(size):
         uniforms[idx] = rng.random(2 * tau)
         normals[idx] = rng.standard_normal((tau, dim))
-    obs, _ = _sample(
-        _stack(members), np.arange(len(members)), uniforms[:, :tau].T, uniforms[:, tau:], normals
-    )
+    obs, _ = _sample(members, np.arange(size), uniforms[:, :tau].T, uniforms[:, tau:], normals)
     sequences = [Sequence(seq, id=f"seq{idx:04d}") for idx, seq in enumerate(obs)]
     dataset = SequenceDataset(sequences, [str(g) for g in labels])
-    return dataset, label_arr
+    return dataset, labels

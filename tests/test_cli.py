@@ -350,6 +350,16 @@ class TestFailureModes:
         assert result.output.splitlines() == ["error: --init-file requires --init file"]
         assert not out.exists()
 
+    def test_synth_zero_states_rejected(self, runner, tmp_path):
+        out = tmp_path / "o"
+        result = runner.invoke(main, [
+            "synth", "--groups", "2", "--per-group", "2", "--states", "0", "--out", str(out),
+        ])
+        assert result.exit_code == 1
+        assert isinstance(result.exception, SystemExit)
+        assert result.output.splitlines() == ["error: n_states, n_mix and dim must be >= 1"]
+        assert not out.exists()
+
     @pytest.mark.parametrize("command", ["reduce", "hier"])
     def test_cov_type_rejected_where_it_has_no_effect(self, runner, tmp_path, command):
         # Reduction keeps the covariance layout of its input mixture.

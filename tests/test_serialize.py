@@ -112,6 +112,44 @@ class TestModelRoundTrip:
         assert doc["metadata"]["seed"] == 7
         assert doc["metadata"]["k"] == 4
 
+    def test_one_line_file(self, tmp_path):
+        # The document on one line: parsed, it is the document that the
+        # indented writer of schema 1 gave for this model, and it loads back
+        # bit for bit.
+        third = 1.0 / 3.0
+        hmm = Hmm.from_arrays(
+            [third, 1.0 - third], [[0.9, 0.1], [0.2, 0.8]], [[0.25, 0.75], [1.0, 0.0]],
+            [[[0.1], [-2.5]], [[1e-300], [3.0]]], [[[0.5], [1.0]], [[2.0], [1e8]]],
+        )
+        model = H3m([0.4, 0.6], [hmm, hmm])
+        path = tmp_path / "m.json"
+        save_model(model, path, seed=3)
+        text = path.read_text()
+        assert text.endswith("}\n") and text.count("\n") == 1
+        component = {
+            "initial": [third, 1.0 - third],
+            "transitions": [[0.9, 0.1], [0.2, 0.8]],
+            "emissions": [
+                {"weights": [0.25, 0.75], "components": [
+                    {"mean": [0.1], "cov": [0.5]}, {"mean": [-2.5], "cov": [1.0]},
+                ]},
+                {"weights": [1.0, 0.0], "components": [
+                    {"mean": [1e-300], "cov": [2.0]}, {"mean": [3.0], "cov": [1e8]},
+                ]},
+            ],
+        }
+        assert json.loads(text) == {
+            "schema_version": "1",
+            "kind": "h3m",
+            "metadata": {"dim": 1, "n_states": 2, "n_mix": 2, "k": 2, "seed": 3},
+            "payload": {"weights": [0.4, 0.6], "components": [component, component]},
+        }
+        loaded = load_model(path)
+        assert loaded.weights.tobytes() == model.weights.tobytes()
+        for a, b in zip(model.components, loaded.components):
+            for name in FIELDS:
+                assert getattr(a, name).tobytes() == getattr(b, name).tobytes(), name
+
     def test_bad_transition_row_named(self, rng, tmp_path):
         model = random_hmm(rng, n_states=2)
         path = tmp_path / "bad.json"
