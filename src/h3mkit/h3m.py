@@ -7,18 +7,19 @@ Both estimators are EM over items with a per-item, per-component objective:
 the reduction over base components (count the virtual sample mass, objective
 the pair bound). They share one step: ``compute_assignments`` (the soft
 assignments and each item's log-normalizer, whose sum is the objective),
-``mstep`` (the weight update and ``hmm._mstep`` per component), ``_starved``
-and ``_converged``. Each keeps its own E-step, reseed or rescue rule and
-seeding.
+``mstep`` (the weight update and one ``hmm._mstep`` call for all components),
+``_starved`` and ``_converged``. Each keeps its own E-step, reseed or rescue
+rule and seeding.
 
 One mixture component is responsible for a whole sequence (the assignment is
 drawn once per sequence, not per frame). Each EM iteration runs one
-forward-backward pass per component and length group over the data (scaled,
-in probability domain, block by block inside ``hmm``): it yields both the
-log-likelihoods behind the responsibilities and the per-sequence statistics
-that, weighted by the responsibilities, feed the M-step. The last possible
-E-step (at ``max_iters``) has no M-step after it and runs the forward pass
-only. ``baum_welch`` is ``h3m_em`` with a single component.
+forward-backward pass of all K components, stacked, per length group over
+the data (scaled, in probability domain, block by block inside ``hmm``): it
+yields both the log-likelihoods behind the responsibilities and the
+per-sequence statistics that, weighted by the responsibilities, feed the
+M-step. A reseed reruns its own row only. The last possible E-step (at
+``max_iters``) has no M-step after it and runs the forward pass only.
+``baum_welch`` is ``h3m_em`` with a single component.
 """
 
 from __future__ import annotations
@@ -37,7 +38,9 @@ from .hmm import (
     _check_data,
     _expected_stats,
     _init_hmm,
+    _logliks,
     _mstep,
+    _stack,
     _Stats,
     forward_loglik_batch,
     group_by_length,
@@ -163,29 +166,27 @@ def _converged(trace: list[float], tol: float) -> bool:
 def mstep(
     item_weights: np.ndarray,
     z: AssignmentMatrix,
-    stats: list[_Stats],
+    stats: _Stats,
     counts: np.ndarray,
     previous: H3m,
     cov_floor: float = 1e-6,
 ) -> tuple[H3m, list[int]]:
     """Closed-form re-estimation of a mixture from weighted item statistics.
 
-    ``stats[j]`` stacks every item's statistics for component j: per
-    sequence for ``h3m_em``, per base component for the reduction
-    (``reduction._virtual_stats_all``). Component j is ``hmm._mstep`` of
-    their sum weighted by z[i, j] * counts[i]; the mixture weights are
-    item_weights @ z. Starved components (``_starved``) keep their previous
-    parameters and are reported back for the caller to handle.
+    ``stats`` holds every item's statistics under every component, item-major
+    (items, K, ...): per sequence for ``h3m_em``, per base component for the
+    reduction (``reduction._virtual_stats_all``). Component j is row j of one
+    ``hmm._mstep`` call on their sums weighted by z[i, j] * counts[i]; the
+    mixture weights are item_weights @ z. Starved components (``_starved``)
+    get no mass, keep their previous parameters and are reported back.
 
     Returns the new mixture and the list of starved component indices.
     """
     starved = _starved(z, counts)
     w = z.z * counts[:, None]
-    components = [
-        prev if j in starved else _mstep(stats[j].weighted_sum(w[:, j]), prev, cov_floor)
-        for j, prev in enumerate(previous.components)
-    ]
-    return H3m(item_weights @ z.z, components), starved
+    w[:, starved] = 0.0
+    new = _mstep(stats.weighted_sum(w), _stack(previous.components), cov_floor)
+    return H3m(item_weights @ z.z, [Hmm.from_arrays(*row) for row in zip(*new)]), starved
 
 
 def mc_expected_loglik(
@@ -198,15 +199,6 @@ def mc_expected_loglik(
     obs, _ = sample_batch(base, tau, n_samples, rng)
     lls = forward_loglik_batch(reduced, obs)
     return float(lls.mean()), float(lls.std(ddof=1) / np.sqrt(n_samples))
-
-
-def _estep(
-    model: Hmm, groups: list[tuple[np.ndarray, np.ndarray]]
-) -> tuple[_Stats, np.ndarray]:
-    """One forward-backward pass of ``model`` over every length group:
-    per-sequence statistics and log-likelihoods, group after group."""
-    parts = [_expected_stats(model, obs) for obs, _ in groups]
-    return _Stats.concatenate([p[0] for p in parts]), np.concatenate([p[1] for p in parts])
 
 
 def h3m_em(
@@ -258,21 +250,20 @@ def h3m_em(
     trace: list[float] = []
     reseeds = 0
     for _ in range(config.max_iters + 1):
-        estep = None  # release the previous iteration's statistics first
+        stats = None  # release the previous iteration's statistics first
+        stacked = _stack(model.components)
         if len(trace) < config.max_iters:
-            estep = [_estep(comp, groups) for comp in model.components]
-            columns = [lls for _, lls in estep]
+            parts = [_expected_stats(stacked, obs) for obs, _ in groups]
+            stats = _Stats.concatenate([p[0] for p in parts])
+            lls = np.concatenate([p[1] for p in parts])
         else:  # the last possible E-step: no M-step follows, so no statistics
-            columns = [
-                np.concatenate([forward_loglik_batch(comp, obs) for obs, _ in groups])
-                for comp in model.components
-            ]
-        z, seq_ll = compute_assignments(np.stack(columns, axis=1), model.weights, ones)
+            lls = np.concatenate([_logliks(stacked, obs) for obs, _ in groups])
+        z, seq_ll = compute_assignments(lls, model.weights, ones)
         trace.append(float(np.sum(seq_ll)))
         if _converged(trace, config.tol) or len(trace) == config.max_iters + 1:
             break
 
-        # Reseed starved components before the M-step.
+        # Reseed starved components before the M-step; only their rows are rerun.
         components = list(model.components)
         for j in range(k):
             if z.z[:, j].sum() >= n_seq / (10.0 * k) or reseeds >= 2:
@@ -282,14 +273,16 @@ def h3m_em(
                 components[j] = _init_hmm([data[rows[worst]]], n_states, n_mix, config, rng)
             except EstimationError:
                 components[j] = _init_hmm(data, n_states, n_mix, config, rng)
-            estep[j] = _estep(components[j], groups)
+            row = _stack([components[j]])
+            fresh = _Stats.concatenate([_expected_stats(row, obs)[0] for obs, _ in groups])
+            for column, new in zip(vars(stats).values(), vars(fresh).values()):
+                column[:, j] = new[:, 0]
             z.z[worst] = 0.0
             z.z[worst, j] = 1.0
             reseeds += 1
 
         model, _ = mstep(
-            ones / n_seq, z, [stats for stats, _ in estep], ones,
-            H3m(model.weights, components), config.cov_floor,
+            ones / n_seq, z, stats, ones, H3m(model.weights, components), config.cov_floor
         )
 
     posteriors = np.empty_like(z.z)

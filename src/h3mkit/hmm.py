@@ -10,17 +10,19 @@ validates every model, however built: from arrays, from emission objects or
 from a file. Its emission half, ``_check_emissions``, also checks the
 ``Gaussian`` and ``GaussianMixture`` objects. One sampling kernel,
 ``_sample``, draws sequences from a stack of models (``_stack``) with
-uniforms and normals drawn beforehand. One forward recursion, in
-probability domain and normalized at every step (Rabiner's scaling), serves
-both the likelihood and the forward-backward pass, so a single pass over a
-batch yields the log-likelihoods and the per-sequence sufficient statistics.
-A pass runs over blocks of sequences within a fixed element budget, which
-bounds its working memory. The log-domain recursion stays as the fallback
-for the sequences where the scaled one would underflow, and only those take
-it. One M-step turns a weighted sum of per-item statistics into an HMM; the
-items are real sequences for the mixture EM in ``h3m`` (Baum-Welch is its
-one-component case) and virtual sequences of base components for the
-mixture reduction.
+uniforms and normals drawn beforehand. Every estimation kernel reads such a
+stack too (``_Stacked``, with a leading K axis) and runs once over all K
+models; an ``Hmm`` is a one-row stack at the public boundary
+(``forward_loglik_batch``). One forward recursion, in probability domain
+and normalized at every step (Rabiner's scaling), one batched matmul per
+step, serves both the likelihood and the forward-backward pass. A pass runs
+over blocks of sequences within a fixed element budget for the whole
+(K, B, tau, N, M) block. The log-domain recursion stays as the fallback for
+the (model, sequence) rows where the scaled one would underflow, and only
+those take it. One M-step turns weighted sums of item-major (items, K, ...)
+statistics into K models; the items are real sequences for the mixture EM
+in ``h3m`` (Baum-Welch is its one-component case) and virtual sequences of
+base components for the mixture reduction.
 """
 
 from __future__ import annotations
@@ -299,56 +301,50 @@ class HmmFit:
 # Likelihood
 
 
-def _check_dim(model: Hmm, dim: int) -> None:
-    if model.dim != dim:
-        raise InvalidModelError(
-            f"observation dimension {dim} does not match model dimension {model.dim}"
-        )
-
-
 def _gaussian_terms(
     obs: np.ndarray, means: np.ndarray, covs: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Log-determinants (N, M) of the emission covariances and squared
-    Mahalanobis distances (S, tau, N, M) of every observation from every
-    emission component."""
-    if covs.ndim == 3:
-        # Summed over d in place, one coordinate at a time: no (S, tau, N, M, d) array.
-        maha = np.zeros(obs.shape[:2] + means.shape[:2])
+    """Log-determinants (K, N, M) of a stack's emission covariances and
+    squared Mahalanobis distances (K, S, tau, N, M) of every observation
+    from every emission component."""
+    if covs.ndim == 4:
+        # Summed over d in place, one coordinate at a time: no (K, S, tau, N, M, d) array.
+        maha = np.zeros(means.shape[:1] + obs.shape[:2] + means.shape[1:3])
         term = np.empty_like(maha)
-        for k in range(obs.shape[2]):
-            np.subtract(obs[:, :, None, None, k], means[..., k], out=term)
+        for i in range(obs.shape[2]):
+            np.subtract(obs[None, :, :, None, None, i], means[:, None, None, ..., i], out=term)
             term *= term
-            term /= covs[..., k]
+            term /= covs[:, None, None, ..., i]
             maha += term
         return np.sum(np.log(covs), axis=-1), maha
-    diff = obs[:, :, None, None, :] - means[None, None]
+    diff = obs[None, :, :, None, None, :] - means[:, None, None]
     chol = np.linalg.cholesky(covs)
-    # One solve, the stacked factors (N, M, d, d) broadcast over (S, tau).
-    sol = np.linalg.solve(chol, diff[..., None])[..., 0]
+    # One solve, the stacked factors (K, N, M, d, d) broadcast over (S, tau).
+    sol = np.linalg.solve(chol[:, None, None], diff[..., None])[..., 0]
     log_det = 2.0 * np.sum(np.log(np.diagonal(chol, axis1=-2, axis2=-1)), axis=-1)
     return log_det, np.einsum("...d,...d->...", sol, sol)
 
 
-def _log_emissions(model: Hmm, obs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Log emission densities (S, tau, N) and the per-component log joint
-    weights+densities (S, tau, N, M) they were reduced from."""
-    log_det, log_joint = _gaussian_terms(obs, model.means, model.covs)
+def _log_emissions(models: _Stacked, obs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Log emission densities (K, S, tau, N) and the per-component log joint
+    weights+densities (K, S, tau, N, M) they were reduced from."""
+    log_det, log_joint = _gaussian_terms(obs, models.means, models.covs)
     with np.errstate(divide="ignore"):
-        log_c = np.log(model.mix_weights)
-    log_joint += model.dim * LOG_2PI + log_det
+        log_c = np.log(models.mix_weights)
+    log_joint += (obs.shape[2] * LOG_2PI + log_det)[:, None, None]
     log_joint *= -0.5
-    log_joint += log_c
+    log_joint += log_c[:, None, None]
     return logsumexp(log_joint, axis=-1), log_joint
 
 
-def _log_chain(model: Hmm) -> tuple[np.ndarray, np.ndarray]:
-    """Log initial distribution (N,) and log transition matrix (N, N)."""
+def _log_chain(models: _Stacked, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Log initial distributions and log transition matrices of the stack's
+    models ``rows``."""
     with np.errstate(divide="ignore"):
-        return np.log(model.initial), np.log(model.transitions)
+        return np.log(models.initial[rows]), np.log(models.transitions[rows])
 
 
-# Working-memory budget of a pass, in elements of one (B, tau, N, M) array
+# Working-memory budget of a pass, in elements of one (K, B, tau, N, M) array
 # (256 KB of float64): a block holds as many sequences as fit, at least one,
 # and a few such arrays of one block are all that a pass holds at once.
 _BLOCK_ELEMENTS = 1 << 15
@@ -359,61 +355,63 @@ _TINY = np.finfo(float).tiny
 _FLOOR = _TINY / np.finfo(float).eps
 
 
-def _blocks(model: Hmm, obs: np.ndarray):
+def _blocks(models: _Stacked, obs: np.ndarray):
     """The (S, tau, d) batch as consecutive blocks of sequences, each within
-    _BLOCK_ELEMENTS for the model's (B, tau, N, M) arrays."""
-    size = max(1, _BLOCK_ELEMENTS // (obs.shape[1] * model.n_states * model.n_mix))
+    _BLOCK_ELEMENTS for the stack's (K, B, tau, N, M) arrays."""
+    size = max(1, _BLOCK_ELEMENTS // (obs.shape[1] * models.mix_weights.size))
     return (obs[i:i + size] for i in range(0, max(obs.shape[0], 1), size))
 
 
 def _scaled_forward(
-    model: Hmm, log_b: np.ndarray
+    models: _Stacked, log_b: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Forward recursion in probability domain over (S, tau, N) log emission
-    densities of equal-length sequences, normalized at every step (Rabiner
-    1989). One matmul per step.
+    """Forward recursion in probability domain over (K, S, tau, N) log
+    emission densities of equal-length sequences under K stacked models,
+    normalized at every step (Rabiner 1989). One batched matmul per step.
 
     The emissions are shifted by their maximum over states first, and the
     shifts are added back into the log-likelihoods. Returns the shifted
-    emissions b (S, tau, N), alpha (S, tau, N) with each step's row summing
-    to one, the scale factors c (S, tau), the log-likelihoods (S,) and
-    ``ok`` (S,). ``ok`` is False where some c_t is NaN or at most _TINY, or
-    where a state the chain can reach at step t has a predicted weight
-    (alpha_{t-1} A, or the initial probability) below _FLOOR: paths whose
-    weight underflowed are lost, and only a state that nothing else feeds
-    can make them matter later. Such a sequence's log-likelihood comes from
-    the log-domain recursion instead; its other outputs are unusable.
+    emissions b (K, S, tau, N), alpha (K, S, tau, N) with each step's row
+    summing to one, the scale factors c (K, S, tau), the log-likelihoods
+    (K, S) and ``ok`` (K, S). ``ok`` is False where some c_t is NaN or at
+    most _TINY, or where a state the chain can reach at step t has a
+    predicted weight (alpha_{t-1} A, or the initial probability) below
+    _FLOOR: paths whose weight underflowed are lost, and only a state that
+    nothing else feeds can make them matter later. Such a row's
+    log-likelihood comes from the log-domain recursion instead; its other
+    outputs are unusable.
     """
-    shift = log_b.max(axis=2)
+    shift = log_b.max(axis=3)
     b = np.exp(log_b - shift[..., None])
     alpha = np.empty_like(b)
     pred = np.empty_like(b)
-    scale = np.empty(b.shape[:2])
-    reach = np.empty(b.shape[1:], dtype=bool)  # (tau, N): P(x_t = state) > 0
-    pred[:, 0] = model.initial
-    reach[0] = model.initial > 0
-    edges = model.transitions > 0
+    scale = np.empty(b.shape[:3])
+    reach = np.empty(b.shape[:1] + b.shape[2:], dtype=bool)  # (K, tau, N): P(x_t = state) > 0
+    pred[:, :, 0] = models.initial[:, None]
+    reach[:, 0] = models.initial > 0
+    edges = models.transitions > 0
     # A zero or NaN scale only occurs in rows that ok marks.
     with np.errstate(divide="ignore", invalid="ignore"):
-        for t in range(b.shape[1]):
+        for t in range(b.shape[2]):
             if t:
-                pred[:, t] = alpha[:, t - 1] @ model.transitions
-                reach[t] = reach[t - 1] @ edges
-            np.multiply(pred[:, t], b[:, t], out=alpha[:, t])
-            scale[:, t] = alpha[:, t].sum(axis=1)
-            alpha[:, t] /= scale[:, t, None]
-        lls = np.sum(np.log(scale) + shift, axis=1)
-    ok = np.all(scale > _TINY, axis=1) & np.all((pred >= _FLOOR) | ~reach, axis=(1, 2))
+                pred[:, :, t] = alpha[:, :, t - 1] @ models.transitions
+                reach[:, t] = (reach[:, t - 1, None] @ edges)[:, 0]
+            np.multiply(pred[:, :, t], b[:, :, t], out=alpha[:, :, t])
+            scale[:, :, t] = alpha[:, :, t].sum(axis=2)
+            alpha[:, :, t] /= scale[:, :, t, None]
+        lls = np.sum(np.log(scale) + shift, axis=2)
+    ok = np.all(scale > _TINY, axis=2) & np.all((pred >= _FLOOR) | ~reach[:, None], axis=(2, 3))
     if not ok.all():
-        lls[~ok] = _log_forward(*_log_chain(model), log_b[~ok])[1]
+        lls[~ok] = _log_forward(*_log_chain(models, np.nonzero(~ok)[0]), log_b[~ok])[1]
     return b, alpha, scale, lls, ok
 
 
 def _log_forward(
     log_pi: np.ndarray, log_a: np.ndarray, log_b: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Forward recursion in log domain, normalized at every step: the
-    fallback for sequences whose scaled recursion underflows.
+    """Forward recursion in log domain, normalized at every step, row s
+    under log_pi[s] (S, N) and log_a[s] (S, N, N): the fallback for the
+    sequences whose scaled recursion underflows.
 
     Returns log alpha (S, tau, N), each step's row summing to one in
     probability, and the log-likelihoods (S,), which are the sums of the
@@ -421,11 +419,11 @@ def _log_forward(
     """
     s_count, tau, n = log_b.shape
     alpha = np.empty((s_count, tau, n))
-    step_alpha = log_pi[None, :] + log_b[:, 0]
+    step_alpha = log_pi + log_b[:, 0]
     ll = logsumexp(step_alpha, axis=1)
     alpha[:, 0] = step_alpha - ll[:, None]
     for t in range(1, tau):
-        step_alpha = logsumexp(alpha[:, t - 1, :, None] + log_a[None], axis=1) + log_b[:, t]
+        step_alpha = logsumexp(alpha[:, t - 1, :, None] + log_a, axis=1) + log_b[:, t]
         step = logsumexp(step_alpha, axis=1)
         ll = ll + step
         alpha[:, t] = step_alpha - step[:, None]
@@ -434,7 +432,6 @@ def _log_forward(
 
 def forward_loglik(model: Hmm, seq: Sequence) -> float:
     """Exact log p(sequence | model)."""
-    _check_dim(model, seq.dim)
     return float(forward_loglik_batch(model, seq.observations[None])[0])
 
 
@@ -443,10 +440,20 @@ def forward_loglik_batch(model: Hmm, obs: np.ndarray) -> np.ndarray:
     obs = np.asarray(obs, dtype=float)
     if obs.ndim != 3:
         raise InvalidModelError(f"batch must be (S, tau, d), got shape {obs.shape}")
-    _check_dim(model, obs.shape[2])
-    return np.concatenate(
-        [_scaled_forward(model, _log_emissions(model, block)[0])[3] for block in _blocks(model, obs)]
-    )
+    if model.dim != obs.shape[2]:
+        raise InvalidModelError(
+            f"observation dimension {obs.shape[2]} does not match model dimension {model.dim}"
+        )
+    return _logliks(_stack([model]), obs)[:, 0]
+
+
+def _logliks(models: _Stacked, obs: np.ndarray) -> np.ndarray:
+    """Log-likelihoods (S, K) of an equal-length (S, tau, d) batch under K
+    stacked models: the forward pass of ``_expected_stats`` alone."""
+    return np.concatenate([
+        _scaled_forward(models, _log_emissions(models, block)[0])[3].T.copy()
+        for block in _blocks(models, obs)
+    ])
 
 
 def state_marginals(model: Hmm, tau: int) -> np.ndarray:
@@ -518,34 +525,37 @@ def sample_batch(
 
 @dataclass
 class _Stats:
-    """Expected counts. Per-item statistics (real sequences, or the virtual
-    sequences of base components) carry a leading S axis on every field;
-    totals, as the M-step takes them, have none."""
+    """Expected counts of K stacked models. Per-item statistics (real
+    sequences, or the virtual sequences of base components) are item-major,
+    with leading (S, K) axes on every field; totals, as the M-step takes
+    them, have a leading K axis only."""
 
-    pi: np.ndarray  # (N,)
-    trans: np.ndarray  # (N, N)
-    mix: np.ndarray  # (N, M)
-    mean: np.ndarray  # (N, M, d)
-    sq: np.ndarray  # (N, M, d) diagonal second moments or (N, M, d, d) outer
+    pi: np.ndarray  # (..., N)
+    trans: np.ndarray  # (..., N, N)
+    mix: np.ndarray  # (..., N, M)
+    mean: np.ndarray  # (..., N, M, d)
+    sq: np.ndarray  # (..., N, M, d) diagonal second moments or (..., N, M, d, d) outer
 
     @classmethod
     def concatenate(cls, parts: list["_Stats"]) -> "_Stats":
-        """Per-sequence statistics of several batches, one after another."""
+        """Per-item statistics of several batches, one after another."""
         return cls(*(np.concatenate([getattr(p, f.name) for p in parts]) for f in fields(cls)))
 
     def weighted_sum(self, weights: np.ndarray) -> "_Stats":
-        """Totals of per-sequence statistics, sequence s weighted by weights[s]."""
+        """Totals (K, ...) of per-item statistics, item s weighted by
+        weights[s, k] in model k."""
         return _Stats(
-            *(np.einsum("s,s...->...", weights, getattr(self, f.name)) for f in fields(self))
+            *(np.einsum("sk,sk...->k...", weights, getattr(self, f.name)) for f in fields(self))
         )
 
 
 def _log_posteriors(
     log_pi: np.ndarray, log_a: np.ndarray, log_b: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Forward-backward in log domain: state posteriors gamma (S, tau, N),
-    per-sequence transition counts (S, N, N) and log-likelihoods (S,). The
-    fallback for sequences whose scaled pass underflows or overflows."""
+    """Forward-backward in log domain, row s under log_pi[s] and log_a[s]
+    as in ``_log_forward``: state posteriors gamma (S, tau, N), per-sequence
+    transition counts (S, N, N) and log-likelihoods (S,). The fallback for
+    sequences whose scaled pass underflows or overflows."""
     tau = log_b.shape[1]
     alpha, lls = _log_forward(log_pi, log_a, log_b)
     # gamma and xi are renormalized per sequence and step, so neither the
@@ -553,96 +563,88 @@ def _log_posteriors(
     beta = np.empty_like(alpha)
     beta[:, -1] = 0.0
     for t in range(tau - 2, -1, -1):
-        beta[:, t] = logsumexp(
-            log_a[None] + (log_b[:, t + 1] + beta[:, t + 1])[:, None, :], axis=2
-        )
+        beta[:, t] = logsumexp(log_a + (log_b[:, t + 1] + beta[:, t + 1])[:, None, :], axis=2)
     log_gamma = alpha + beta
     log_gamma -= logsumexp(log_gamma, axis=2, keepdims=True)
-    trans = np.zeros(alpha.shape[:1] + log_a.shape)
+    trans = np.zeros(log_a.shape)
     for t in range(tau - 1):
-        log_xi = (
-            alpha[:, t, :, None]
-            + log_a[None]
-            + (log_b[:, t + 1] + beta[:, t + 1])[:, None, :]
-        )
+        log_xi = alpha[:, t, :, None] + log_a + (log_b[:, t + 1] + beta[:, t + 1])[:, None, :]
         log_xi -= logsumexp(log_xi, axis=(1, 2), keepdims=True)
         trans += np.exp(log_xi)
     return np.exp(log_gamma), trans, lls
 
 
-def _block_stats(model: Hmm, obs: np.ndarray) -> tuple[_Stats, np.ndarray]:
-    log_b, log_joint = _log_emissions(model, obs)
-    b, alpha, scale, lls, ok = _scaled_forward(model, log_b)
+def _block_stats(models: _Stacked, obs: np.ndarray) -> tuple[_Stats, np.ndarray]:
+    log_b, log_joint = _log_emissions(models, obs)
+    b, alpha, scale, lls, ok = _scaled_forward(models, log_b)
     # Scaled backward pass: w_t = b_t * beta_t / c_t and beta_{t-1} = w_t A^T,
     # so gamma = alpha * beta and xi_t = A * (alpha_t^T w_{t+1}). Where alpha
     # is zero, beta may overflow: such rows come out non-finite here and, like
     # the rows ok marks, are redone in log domain.
-    a = model.transitions
+    a = models.transitions
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         w = b / scale[..., None]
         beta = np.empty_like(b)
-        beta[:, -1] = 1.0
-        for t in range(b.shape[1] - 1, 0, -1):
-            w[:, t] *= beta[:, t]
-            beta[:, t - 1] = w[:, t] @ a.T
-        trans = a * (np.swapaxes(alpha[:, :-1], 1, 2) @ w[:, 1:])
-        gamma = np.multiply(alpha, beta, out=alpha)  # (S, tau, N)
-    redo = ~(ok & np.isfinite(gamma).all(axis=(1, 2)) & np.isfinite(trans).all(axis=(1, 2)))
+        beta[:, :, -1] = 1.0
+        for t in range(b.shape[2] - 1, 0, -1):
+            w[:, :, t] *= beta[:, :, t]
+            beta[:, :, t - 1] = w[:, :, t] @ np.swapaxes(a, 1, 2)
+        trans = a[:, None] * (np.swapaxes(alpha[:, :, :-1], 2, 3) @ w[:, :, 1:])
+        gamma = np.multiply(alpha, beta, out=alpha)  # (K, S, tau, N)
+    redo = ~(ok & np.isfinite(gamma).all(axis=(2, 3)) & np.isfinite(trans).all(axis=(2, 3)))
     if redo.any():
-        gamma[redo], trans[redo], _ = _log_posteriors(*_log_chain(model), log_b[redo])
+        log_chain = _log_chain(models, np.nonzero(redo)[0])
+        gamma[redo], trans[redo], _ = _log_posteriors(*log_chain, log_b[redo])
 
     # Within-state mixture responsibilities, in place; log_b is log_joint's normalizer.
     gamma_mix = log_joint
     gamma_mix -= log_b[..., None]
     np.exp(gamma_mix, out=gamma_mix)
-    gamma_mix *= gamma[..., None]  # (S, tau, N, M)
-    if model.covs.ndim == 3:
-        sq = np.einsum("stnm,std->snmd", gamma_mix, obs * obs)
+    gamma_mix *= gamma[..., None]  # (K, S, tau, N, M)
+    if models.covs.ndim == 4:
+        sq = np.einsum("kstnm,std->ksnmd", gamma_mix, obs * obs)
     else:
-        sq = np.einsum("stnm,sti,stj->snmij", gamma_mix, obs, obs)
-    # Every field is a fresh array: a view would keep the (S, tau, ...) arrays alive.
-    stats = _Stats(
-        pi=gamma[:, 0].copy(),
-        trans=trans,
-        mix=gamma_mix.sum(axis=1),
-        mean=np.einsum("stnm,std->snmd", gamma_mix, obs),
-        sq=sq,
-    )
-    return stats, lls
+        sq = np.einsum("kstnm,sti,stj->ksnmij", gamma_mix, obs, obs)
+    mean = np.einsum("kstnm,std->ksnmd", gamma_mix, obs)
+    # Item-major and in C order, which fixes the summation order of the
+    # weighted sums; no field is a view that would keep a (K, S, tau, ...) array alive.
+    k_major = (gamma[:, :, 0], trans, gamma_mix.sum(axis=2), mean, sq)
+    return _Stats(*(np.ascontiguousarray(np.swapaxes(f, 0, 1)) for f in k_major)), lls.T.copy()
 
 
-def _expected_stats(model: Hmm, obs: np.ndarray) -> tuple[_Stats, np.ndarray]:
-    """One forward-backward pass over an equal-length (S, tau, d) batch, run
-    block by block.
+def _expected_stats(models: _Stacked, obs: np.ndarray) -> tuple[_Stats, np.ndarray]:
+    """One forward-backward pass of K stacked models over an equal-length
+    (S, tau, d) batch, run block by block.
 
-    Returns the per-sequence sufficient statistics (leading S axis, no tau
-    axis) and the per-sequence log-likelihoods, which come from the same
-    forward recursion as forward_loglik_batch and equal it bit for bit.
+    Returns the per-sequence sufficient statistics, item-major (leading
+    (S, K) axes, no tau axis), and the log-likelihoods (S, K), which come
+    from the same forward recursion as ``_logliks`` and equal it bit for bit.
     """
-    parts = [_block_stats(model, block) for block in _blocks(model, obs)]
+    parts = [_block_stats(models, block) for block in _blocks(models, obs)]
     return _Stats.concatenate([p[0] for p in parts]), np.concatenate([p[1] for p in parts])
 
 
-def _mstep(stats: _Stats, previous: Hmm, cov_floor: float) -> Hmm:
-    """Parameter updates from accumulated counts.
+def _mstep(stats: _Stats, previous: _Stacked, cov_floor: float) -> _Stacked:
+    """Parameter updates of K stacked models from their accumulated counts.
 
     Rows or components that received no mass keep their previous values: the
     objective is flat in them, so leaving them untouched preserves the
     monotone-likelihood guarantee. Covariances are floored on the diagonal,
     and a full one that is still not positive definite gains cov_floor * I.
     """
-    initial = stats.pi / stats.pi.sum()
-    trans_total = stats.trans.sum(axis=1, keepdims=True)
+    pi_total = stats.pi.sum(axis=1, keepdims=True)
+    initial = np.divide(stats.pi, pi_total, out=previous.initial.copy(), where=pi_total > 0)
+    trans_total = stats.trans.sum(axis=2, keepdims=True)
     transitions = np.divide(
         stats.trans, trans_total, out=previous.transitions.copy(), where=trans_total > 0
     )
-    mix_total = stats.mix.sum(axis=1, keepdims=True)
+    mix_total = stats.mix.sum(axis=2, keepdims=True)
     keep_row = mix_total <= 0
     mix_weights = np.divide(stats.mix, mix_total, out=previous.mix_weights.copy(), where=~keep_row)
     live = ~keep_row & ~(stats.mix <= 1e-12)  # NaN mass is updated, and then rejected
     mass = stats.mix[live]
     mu = stats.mean[live] / mass[:, None]
-    if stats.sq.ndim == 3:
+    if stats.sq.ndim == 4:
         cov = np.maximum(stats.sq[live] / mass[:, None] - mu * mu, cov_floor)
     else:
         cov = stats.sq[live] / mass[:, None, None] - mu[:, :, None] * mu[:, None, :]
@@ -659,7 +661,7 @@ def _mstep(stats: _Stats, previous: Hmm, cov_floor: float) -> Hmm:
     means[live] = mu
     covs = previous.covs.copy()
     covs[live] = cov
-    return Hmm.from_arrays(initial, transitions, mix_weights, means, covs)
+    return _Stacked(initial, transitions, mix_weights, means, covs)
 
 
 # ---------------------------------------------------------------------------

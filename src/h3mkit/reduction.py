@@ -36,9 +36,9 @@ number of base components (``_BLOCK_ELEMENTS``):
   writing into (I, J, ...) arrays;
 - statistics, built only when an M-step follows, after every objective and
   the assignments: the forward recursion for the occupancies (nu, xi) and
-  the virtual statistics in one pass over (I, J, ...), which gives each
-  reduced component its statistics with a leading I axis; the blocks'
-  statistics are concatenated over I.
+  the virtual statistics in one pass over (I, J, ...). They stay unsplit,
+  item-major (I, J, ...) as ``h3m_em`` hands its per-sequence statistics to
+  ``mstep``; the blocks' statistics are concatenated over I once.
 
 ``estep_pair``, ``summary_stats`` and ``_virtual_stats`` are the one-pair
 slices of that code. New models come from ``Hmm.from_arrays``. No model is
@@ -342,10 +342,10 @@ def summary_stats(base_i: Hmm, pair: PairEstepResult) -> SummaryStats:
     return _index(_summary(_stack([base_i]), _index(pair, (None, None))), (0, 0))
 
 
-def _virtual_stats_all(base: _Stacked, estep: PairEstepResult) -> list[_Stats]:
+def _virtual_stats_all(base: _Stacked, estep: PairEstepResult) -> _Stats:
     """What ``hmm._expected_stats`` collects from one real sequence, for one
     virtual sequence of every base component i under its coupling with every
-    reduced component j: one ``_Stats`` per j, with a leading I axis."""
+    reduced component j: item-major, every field with leading (I, J) axes."""
     stats = _summary(base, estep)
     c_b, mu_b, cov_b = base.mix_weights, base.means, base.covs
     # resp[i, j, beta, rho, m, l]: expected count of base emission (beta, m)
@@ -359,19 +359,18 @@ def _virtual_stats_all(base: _Stacked, estep: PairEstepResult) -> list[_Stats]:
         second = cov_b + mu_b * mu_b
     else:
         second = cov_b + mu_b[..., :, None] * mu_b[..., None, :]
-    columns = (
+    return _Stats(
         stats.nu1_agg,
         stats.xi_agg,
         resp.sum(axis=(2, 4)),
         np.einsum("ijbrml,ibmd->ijrld", resp, mu_b),
         np.einsum("ijbrml,ibm...->ijrl...", resp, second),
     )
-    return [_Stats(*(c[:, j] for c in columns)) for j in range(resp.shape[1])]
 
 
 def _virtual_stats(base_i: Hmm, pair: PairEstepResult) -> _Stats:
-    """``_virtual_stats_all`` for one pair (leading axis of length 1)."""
-    return _virtual_stats_all(_stack([base_i]), _index(pair, (None, None)))[0]
+    """``_virtual_stats_all`` for one pair (leading axes of length 1)."""
+    return _virtual_stats_all(_stack([base_i]), _index(pair, (None, None)))
 
 
 # ---------------------------------------------------------------------------
@@ -398,6 +397,12 @@ def _init_reduced(base: H3m, config: VhemConfig, rng: np.random.Generator) -> H3
             )
         return model
     if config.init == "subset-perturb":
+        weighted = np.count_nonzero(base.weights)
+        if weighted < k_r:
+            raise InvalidModelError(
+                f"init 'subset-perturb' needs k_reduced={k_r} base components with"
+                f" nonzero weight, found {weighted}"
+            )
         idx = rng.choice(base.n_components, size=k_r, replace=False, p=base.weights)
         components = [_perturb_means(base.components[i], rng) for i in idx]
         return H3m(np.full(k_r, 1.0 / k_r), components)
@@ -485,9 +490,8 @@ def _reduce_once(base: H3m, config: VhemConfig, rng: np.random.Generator) -> Red
         bound_history.append(float(np.sum(norms)))
         if _converged(bound_history, config.tol) or len(bound_history) == config.max_iters:
             break  # no M-step follows, so no statistics
-        parts = list(map(_virtual_stats_all, blocks, esteps))
+        stats = _Stats.concatenate(list(map(_virtual_stats_all, blocks, esteps)))
         del esteps  # release the couplings before the next E-step builds its own
-        stats = [_Stats.concatenate(column) for column in zip(*parts)]
         new_model, starved = mstep(
             base.weights, z, stats, virtual_counts, reduced, config.cov_floor
         )

@@ -360,6 +360,22 @@ class TestFailureModes:
         assert result.output.splitlines() == ["error: n_states, n_mix and dim must be >= 1"]
         assert not out.exists()
 
+    def test_reduce_with_too_few_weighted_components(self, runner, tmp_path):
+        leaves = tmp_path / "leaves.json"
+        save_model(H3m([0.5, 0.5, 0.0, 0.0, 0.0, 0.0], [
+            Hmm([1.0], [[1.0]], [GaussianMixture([1.0], [Gaussian([mean], [1.0])])])
+            for mean in range(6)
+        ]), leaves)
+        result = runner.invoke(main, [
+            "reduce", "--model", str(leaves), "--kr", "3", "--out", str(tmp_path / "o"),
+        ])
+        assert result.exit_code == 1
+        assert isinstance(result.exception, SystemExit)
+        assert result.output.splitlines() == [
+            "error: init 'subset-perturb' needs k_reduced=3 base components with nonzero"
+            " weight, found 2"
+        ]
+
     @pytest.mark.parametrize("command", ["reduce", "hier"])
     def test_cov_type_rejected_where_it_has_no_effect(self, runner, tmp_path, command):
         # Reduction keeps the covariance layout of its input mixture.

@@ -142,22 +142,23 @@ class TestH3mEm:
         assert fit.model.weights.sum() == pytest.approx(1.0, abs=1e-12)
 
 
-    def test_one_pass_per_component_per_estep(self, monkeypatch):
-        calls = {"stats": 0, "forward": 0}
-        expected_stats = hmm_module._expected_stats
-        forward_batch = hmm_module.forward_loglik_batch
+    @staticmethod
+    def count_passes(monkeypatch):
+        """Rows of the stack of every ``_expected_stats`` and ``_logliks``
+        call that ``h3m_em`` makes, by name."""
+        calls = {"stats": [], "forward": []}
+        for key, name in (("stats", "_expected_stats"), ("forward", "_logliks")):
+            original = getattr(hmm_module, name)
 
-        def counted_stats(*args):
-            calls["stats"] += 1
-            return expected_stats(*args)
+            def counted(models, obs, key=key, original=original):
+                calls[key].append(models.initial.shape[0])
+                return original(models, obs)
 
-        def counted_forward(*args):
-            calls["forward"] += 1
-            return forward_batch(*args)
+            monkeypatch.setattr(h3m_module, name, counted)
+        return calls
 
-        monkeypatch.setattr(h3m_module, "_expected_stats", counted_stats)
-        monkeypatch.setattr(h3m_module, "forward_loglik_batch", counted_forward)
-        monkeypatch.setattr(hmm_module, "forward_loglik_batch", counted_forward)
+    def test_one_stacked_pass_per_estep(self, monkeypatch):
+        calls = self.count_passes(monkeypatch)
         # Three components on two populations: this seed starves and reseeds.
         dataset, _ = synth_benchmark(
             2, 15, 8.0, np.random.default_rng(0), n_states=1, n_mix=1, dim=1, tau=10,
@@ -165,24 +166,50 @@ class TestH3mEm:
         )
         fit = h3m_em(dataset.sequences, 3, 1, 1, EmConfig(max_iters=15), np.random.default_rng(3))
         assert fit.reseeds > 0
-        assert calls["forward"] == 0
-        assert calls["stats"] == 3 * len(fit.loglik_trace) + fit.reseeds
+        assert len(fit.loglik_trace) < 16  # converged: every E-step built statistics
+        assert calls["forward"] == []
+        # One pass of all three components per E-step, one one-row pass per reseed.
+        assert sorted(calls["stats"]) == [1] * fit.reseeds + [3] * len(fit.loglik_trace)
+
+    def test_reseed_reruns_only_its_row(self, monkeypatch):
+        events = []
+        expected_stats, mstep = hmm_module._expected_stats, h3m_module.mstep
+
+        def recorded_stats(models, obs):
+            stats, lls = expected_stats(models, obs)
+            copy = {name: value.copy() for name, value in vars(stats).items()}
+            events.append(("pass", models, copy))
+            return stats, lls
+
+        def recorded_mstep(item_weights, z, stats, counts, previous, cov_floor):
+            events.append(("mstep", previous, dict(vars(stats))))
+            return mstep(item_weights, z, stats, counts, previous, cov_floor)
+
+        monkeypatch.setattr(h3m_module, "_expected_stats", recorded_stats)
+        monkeypatch.setattr(h3m_module, "mstep", recorded_mstep)
+        dataset, _ = synth_benchmark(
+            2, 15, 8.0, np.random.default_rng(0), n_states=1, n_mix=1, dim=1, tau=10,
+            kind="sequences",
+        )
+        fit = h3m_em(dataset.sequences, 3, 1, 1, EmConfig(max_iters=15), np.random.default_rng(3))
+        assert fit.reseeds > 0
+        checked = 0
+        for kind, models, stats in events:
+            if kind == "pass" and models.initial.shape[0] == 3:
+                full, reseeded = stats, {}
+            elif kind == "pass":
+                reseeded[models.means.tobytes()] = stats
+            else:  # the M-step after them, with models the components it starts from
+                for j, component in enumerate(models.components):
+                    fresh = reseeded.get(component.means[None].tobytes())
+                    for name, value in stats.items():
+                        want = full[name][:, j] if fresh is None else fresh[name][:, 0]
+                        assert value[:, j].tobytes() == want.tobytes(), (j, name)
+                checked += len(reseeded)
+        assert checked == fit.reseeds
 
     def test_last_possible_estep_runs_forward_only(self, monkeypatch):
-        calls = {"stats": 0, "forward": 0}
-        expected_stats = hmm_module._expected_stats
-        forward_batch = hmm_module.forward_loglik_batch
-
-        def counted_stats(*args):
-            calls["stats"] += 1
-            return expected_stats(*args)
-
-        def counted_forward(*args):
-            calls["forward"] += 1
-            return forward_batch(*args)
-
-        monkeypatch.setattr(h3m_module, "_expected_stats", counted_stats)
-        monkeypatch.setattr(h3m_module, "forward_loglik_batch", counted_forward)
+        calls = self.count_passes(monkeypatch)
         dataset, _ = synth_benchmark(
             2, 15, 8.0, np.random.default_rng(0), n_states=1, n_mix=1, dim=1, tau=10,
             kind="sequences",
@@ -194,8 +221,8 @@ class TestH3mEm:
         fit = h3m_em(data, 3, 1, 1, config, np.random.default_rng(4))
         assert len(fit.loglik_trace) == max_iters + 1
         assert fit.reseeds == 2
-        assert calls["stats"] == (3 * max_iters + fit.reseeds) * n_groups
-        assert calls["forward"] == 3 * n_groups
+        assert sorted(calls["stats"]) == [1] * fit.reseeds * n_groups + [3] * max_iters * n_groups
+        assert calls["forward"] == [3] * n_groups
         # The forward-only pass fills the posteriors in sequence order.
         lls = np.array([[forward_loglik(c, seq) for c in fit.model.components] for seq in data])
         log_joint = np.log(fit.model.weights)[None, :] + lls

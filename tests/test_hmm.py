@@ -7,6 +7,7 @@ import itertools
 import json
 import math
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -35,7 +36,7 @@ from h3mkit import (
 )
 from h3mkit import hmm as hmm_module
 from h3mkit.gaussians import logsumexp
-from h3mkit.hmm import _expected_stats, _mstep, _Stats
+from h3mkit.hmm import _expected_stats, _mstep, _stack, _Stats
 
 from conftest import align_means, random_hmm
 
@@ -81,11 +82,26 @@ def two_chain_model(initial):
     )
 
 
+def one_row_pass(model, obs):
+    """``_expected_stats`` of a one-row stack, with the row axis dropped."""
+    stats, lls = _expected_stats(_stack([model]), obs)
+    return _Stats(*(value[:, 0] for value in vars(stats).values())), lls[:, 0]
+
+
+def one_row_mstep(stats, previous, cov_floor):
+    """``_mstep`` of one model's totals on a one-row stack, as an Hmm."""
+    totals = _Stats(*(value[None] for value in vars(stats).values()))
+    return Hmm.from_arrays(*(row[0] for row in _mstep(totals, _stack([previous]), cov_floor)))
+
+
 def log_domain_pass(model, obs):
     """Per-sequence statistics and log-likelihoods from the log-domain
     forward-backward pass that the scaled pass falls back to."""
-    log_b, log_joint = hmm_module._log_emissions(model, obs)
-    gamma, trans, lls = hmm_module._log_posteriors(*hmm_module._log_chain(model), log_b)
+    models = _stack([model])
+    log_b, log_joint = (a[0] for a in hmm_module._log_emissions(models, obs))
+    rows = np.zeros(obs.shape[0], dtype=int)  # every sequence under the one model
+    log_chain = hmm_module._log_chain(models, rows)
+    gamma, trans, lls = hmm_module._log_posteriors(*log_chain, log_b)
     gamma_mix = gamma[..., None] * np.exp(log_joint - log_b[..., None])
     outer = obs * obs if model.covs.ndim == 3 else obs[..., :, None] * obs[..., None, :]
     stats = _Stats(
@@ -170,7 +186,7 @@ class TestForward:
             math.log(0.5) + norm.logpdf(x, 10.0, 1.0).sum(),
         )
         assert forward_loglik(model, Sequence(x[:, None])) == pytest.approx(expected, rel=1e-12)
-        stats, lls = _expected_stats(model, x[None, :, None])
+        stats, lls = one_row_pass(model, x[None, :, None])
         assert lls[0] == pytest.approx(expected, rel=1e-12)
         np.testing.assert_allclose(stats.pi[0], [0.0, 1.0], atol=1e-12)
 
@@ -186,7 +202,7 @@ class TestForward:
         for cov_type in ("diag", "full"):
             model = random_hmm(rng, n_states=3, n_mix=2, dim=2, cov_type=cov_type)
             obs, _ = sample_batch(model, 9, 6, rng)
-            _, lls = _expected_stats(model, obs)
+            _, lls = one_row_pass(model, obs)
             np.testing.assert_array_equal(forward_loglik_batch(model, obs), lls)
 
     def test_dimension_mismatch(self, rng):
@@ -209,7 +225,7 @@ class TestScaledPass:
         for tau in (1, 6):
             monkeypatch.setattr(hmm_module, "_BLOCK_ELEMENTS", block_budget(model, tau, 128))
             obs, _ = sample_batch(model, tau, 300, rng)
-            stats, lls = _expected_stats(model, obs)
+            stats, lls = one_row_pass(model, obs)
             want_stats, want_lls = log_domain_pass(model, obs)
             np.testing.assert_allclose(lls, want_lls, rtol=1e-12)
             assert_stats_close(stats, want_stats, 1e-10)
@@ -232,7 +248,7 @@ class TestScaledPass:
                 return original(*args)
 
             monkeypatch.setattr(hmm_module, name, counted)
-        stats, lls = _expected_stats(model, obs)
+        stats, lls = one_row_pass(model, obs)
         # One log-domain forward pass for its likelihood, one inside the posteriors.
         assert rows == {"_log_forward": [1, 1], "_log_posteriors": [1]}
         batch = forward_loglik_batch(model, obs)
@@ -249,7 +265,7 @@ class TestScaledPass:
         # redone in log domain, where state 1 simply gets no mass.
         model = two_chain_model([1.0, 0.0])
         x = np.full(20, 10.0)
-        stats, lls = _expected_stats(model, x[None, :, None])
+        stats, lls = one_row_pass(model, x[None, :, None])
         assert lls[0] == pytest.approx(norm.logpdf(x, 0.0, 1.0).sum(), rel=1e-12)
         np.testing.assert_array_equal(stats.pi[0], [1.0, 0.0])
         np.testing.assert_allclose(stats.trans[0], [[19.0, 0.0], [0.0, 0.0]], rtol=1e-12)
@@ -260,10 +276,10 @@ class TestScaledPass:
         model = random_hmm(rng, n_states=3, n_mix=2, dim=2, cov_type=cov_type)
         obs, _ = sample_batch(model, 5, 300, rng)
         obs[123, 0] = 40.0  # a far observation, which every state explains badly
-        stats, lls = _expected_stats(model, obs)
+        stats, lls = one_row_pass(model, obs)
         for block in (1, 7, 300):
             monkeypatch.setattr(hmm_module, "_BLOCK_ELEMENTS", block_budget(model, 5, block))
-            other_stats, other_lls = _expected_stats(model, obs)
+            other_stats, other_lls = one_row_pass(model, obs)
             np.testing.assert_allclose(other_lls, lls, rtol=1e-12)
             np.testing.assert_allclose(forward_loglik_batch(model, obs), lls, rtol=1e-12)
             assert_stats_close(other_stats, stats, 1e-12)
@@ -448,7 +464,9 @@ class TestRepresentation:
             return load_model(tmp_path / "model.json")
         if source == "mstep":
             obs, _ = sample_batch(model, 6, 20, rng)
-            return _mstep(_expected_stats(model, obs)[0].weighted_sum(np.ones(20)), model, 1e-6)
+            models = _stack([model])
+            totals = _expected_stats(models, obs)[0].weighted_sum(np.ones((20, 1)))
+            return Hmm.from_arrays(*(row[0] for row in _mstep(totals, models, 1e-6)))
         base = H3m(np.full(4, 0.25), [model] + [
             random_hmm(rng, n_states=3, n_mix=2, dim=2, cov_type=cov_type) for _ in range(3)
         ])
@@ -472,6 +490,76 @@ class TestRepresentation:
             model.emissions = emissions
 
 
+def stacked_case(rng, cov_type, n_states, k):
+    """K random models of one shape. With three states the first one starts
+    in state 0 only, which lies 40 units from states 1 and 2 on every axis:
+    under it alone, a sequence that starts at 40 underflows in the scaled
+    pass (see ``underflow_model``)."""
+    models = [random_hmm(rng, n_states, 2, 2, cov_type) for _ in range(k)]
+    if n_states == 3:
+        first = models[0]
+        means = np.full(first.means.shape, 40.0)
+        means[0] = 0.0
+        covs = np.ones(first.covs.shape) if cov_type == "diag" else np.tile(np.eye(2), (3, 2, 1, 1))
+        models[0] = Hmm.from_arrays(
+            [1.0, 0.0, 0.0], first.transitions, first.mix_weights, means, covs
+        )
+    return models
+
+
+class TestStackedPass:
+    """A pass over K stacked models against K one-row passes, bit for bit:
+    every kernel runs the same arithmetic per element, with a leading K axis."""
+
+    @pytest.mark.parametrize("budget", [None, 40], ids=["default-blocks", "small-blocks"])
+    @pytest.mark.parametrize("k", [1, 4])
+    @pytest.mark.parametrize("n_states", [1, 3])
+    @pytest.mark.parametrize("cov_type", ["diag", "full"])
+    def test_rows_equal_one_row_passes(self, cov_type, n_states, k, budget, monkeypatch):
+        if budget is not None:  # blocks of different sizes in the stacked and one-row passes
+            monkeypatch.setattr(hmm_module, "_BLOCK_ELEMENTS", budget)
+        rng = np.random.default_rng(917263)
+        models = stacked_case(rng, cov_type, n_states, k)
+        stack = _stack(models)
+        for tau in (1, 4, 7):
+            obs, _ = sample_batch(models[-1], tau, 25, rng)
+            if tau == 4:
+                obs[11, 0] = 40.0
+            ok = hmm_module._scaled_forward(stack, hmm_module._log_emissions(stack, obs)[0])[4]
+            # The fallback is taken by one (model, sequence) row only.
+            flagged = [(0, 11)] if n_states == 3 and tau == 4 else []
+            assert list(zip(*np.nonzero(~ok))) == flagged
+            stats, lls = _expected_stats(stack, obs)
+            assert lls.shape == (25, k)
+            assert hmm_module._logliks(stack, obs).tobytes() == lls.tobytes()
+            for row, model in enumerate(models):
+                one_stats, one_lls = _expected_stats(_stack([model]), obs)
+                assert lls[:, row].tobytes() == one_lls[:, 0].tobytes()
+                assert forward_loglik_batch(model, obs).tobytes() == one_lls[:, 0].tobytes()
+                for name, value in vars(stats).items():
+                    assert value[:, row].tobytes() == getattr(one_stats, name)[:, 0].tobytes(), name
+
+    @pytest.mark.parametrize("cov_type", ["diag", "full"])
+    def test_mstep_zero_mass_row_keeps_its_parameters(self, rng, cov_type):
+        models = [random_hmm(rng, 3, 2, 2, cov_type) for _ in range(3)]
+        stack = _stack(models)
+        obs, _ = sample_batch(models[0], 6, 20, rng)
+        stats, _ = _expected_stats(stack, obs)
+        weights = rng.random((20, 3))
+        weights[:, 1] = 0.0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            new = _mstep(stats.weighted_sum(weights), stack, 1e-6)
+        for got, before in zip(new, stack):
+            assert got[1].tobytes() == before[1].tobytes()
+        # The other rows are their one-row M-steps.
+        for row in (0, 2):
+            one_stats, _ = _expected_stats(_stack([models[row]]), obs)
+            totals = one_stats.weighted_sum(weights[:, row:row + 1])
+            for got, want in zip(new, _mstep(totals, _stack([models[row]]), 1e-6)):
+                assert got[row].tobytes() == want[0].tobytes()
+
+
 class TestMstep:
     def one_component_stats(self, mean, sq):
         return _Stats(
@@ -487,14 +575,14 @@ class TestMstep:
         floor = 1e-3
         previous = Hmm.from_arrays([1.0], [[1.0]], [[1.0]], np.zeros((1, 1, 2)), [[np.eye(2)]])
         stats = self.one_component_stats([1.0, 1.0], [[2.0, 2.0], [2.0, 2.0]])
-        new = _mstep(stats, previous, floor)
+        new = one_row_mstep(stats, previous, floor)
         np.testing.assert_array_equal(new.means[0, 0], [1.0, 1.0])
         np.testing.assert_array_equal(new.covs[0, 0], [[1.0 + floor, 1.0], [1.0, 1.0 + floor]])
 
     def test_diagonal_floor_binds(self):
         floor = 1e-3
         previous = Hmm.from_arrays([1.0], [[1.0]], [[1.0]], np.zeros((1, 1, 2)), np.ones((1, 1, 2)))
-        new = _mstep(self.one_component_stats([1.0, 2.0], [1.5, 4.0]), previous, floor)
+        new = one_row_mstep(self.one_component_stats([1.0, 2.0], [1.5, 4.0]), previous, floor)
         np.testing.assert_array_equal(new.covs[0, 0], [0.5, floor])
 
 

@@ -345,9 +345,18 @@ class TestLowerBound:
             assert value <= best + 1e-9
 
 
+def item_major(columns):
+    """Per reduced component j, the (I, 1, ...) virtual statistics of every
+    base component, as the (I, J, ...) M-step input."""
+    return _Stats(*(
+        np.concatenate([getattr(column, name) for column in columns], axis=1)
+        for name in ("pi", "trans", "mix", "mean", "sq")
+    ))
+
+
 def run_estep(base, reduced, tau):
     """Pair objectives, summary statistics per (i, j), and the M-step input:
-    per reduced component, the virtual statistics of every base component."""
+    the virtual statistics of every base component under every reduced one."""
     objectives = np.empty((base.n_components, reduced.n_components))
     summaries = [[None] * reduced.n_components for _ in base.components]
     columns = [[] for _ in reduced.components]
@@ -357,7 +366,7 @@ def run_estep(base, reduced, tau):
             objectives[i, j] = pair.objective
             summaries[i][j] = summary_stats(b, pair)
             columns[j].append(_virtual_stats(b, pair))
-    return objectives, summaries, [_Stats.concatenate(col) for col in columns]
+    return objectives, summaries, item_major([_Stats.concatenate(col) for col in columns])
 
 
 class TestMstep:
@@ -512,13 +521,13 @@ class TestMstep:
         floor = float(np.median(variances))
         assert np.any(variances < floor) and np.any(variances > floor)
 
-        stats = [
+        stats = item_major([
             _Stats.concatenate(
                 [_virtual_stats(b, pairs[i][j])
                  for i, b in enumerate(base.components)]
             )
             for j in range(k_r)
-        ]
+        ])
         new, starved = mstep(base.weights, z, stats, counts, reduced, cov_floor=floor)
         assert starved == []
         np.testing.assert_allclose(new.weights, base.weights @ z.z, rtol=0, atol=1e-10)
@@ -604,6 +613,19 @@ class TestVhemReduce:
         base = H3m([1.0], [gaussian_hmm(0.0)])
         with pytest.raises(InvalidModelError):
             vhem_reduce(base, VhemConfig(k_reduced=2))
+
+    def test_subset_perturb_needs_enough_weighted_components(self):
+        leaves, _ = synth_benchmark(2, 3, 4.0, np.random.default_rng(0))
+        base = H3m([0.5, 0.5, 0.0, 0.0, 0.0, 0.0], leaves)
+        config = VhemConfig(k_reduced=3)
+        rng = np.random.default_rng(0)
+        state = rng.bit_generator.state
+        message = "needs k_reduced=3 base components with nonzero weight, found 2"
+        with pytest.raises(InvalidModelError, match=message):
+            _init_reduced(base, config, rng)
+        assert rng.bit_generator.state == state  # rejected before any draw
+        with pytest.raises(InvalidModelError, match=message):
+            vhem_reduce(base, config)
 
     def test_provided_init_must_match_covariance_layout(self):
         shape = dict(n_states=2, n_mix=2, dim=2)
@@ -796,11 +818,11 @@ def per_pair_virtual_stats(base_i, eta, phi_initial, phi_step):
     else:
         second = cov_b + mu_b[..., :, None] * mu_b[..., None, :]
     return _Stats(
-        pi=nu_1.sum(axis=1)[None],
-        trans=xi_agg[None],
-        mix=resp.sum(axis=(0, 2))[None],
-        mean=np.einsum("brml,bmd->rld", resp, mu_b)[None],
-        sq=np.einsum("brml,bm...->rl...", resp, second)[None],
+        pi=nu_1.sum(axis=1)[None, None],
+        trans=xi_agg[None, None],
+        mix=resp.sum(axis=(0, 2))[None, None],
+        mean=np.einsum("brml,bmd->rld", resp, mu_b)[None, None],
+        sq=np.einsum("brml,bm...->rl...", resp, second)[None, None],
     )
 
 
@@ -818,13 +840,13 @@ def per_pair_reduce(base, config):
         history.append(float(np.sum(norms)))
         if len(history) == config.max_iters:
             break
-        stats = [
+        stats = item_major([
             _Stats.concatenate([
                 per_pair_virtual_stats(b, *pairs[i][j][:3])
                 for i, b in enumerate(base.components)
             ])
             for j in range(reduced.n_components)
-        ]
+        ])
         new_model, starved = mstep(base.weights, z, stats, counts, reduced, config.cov_floor)
         if starved:
             weights, components = new_model.weights.copy(), list(new_model.components)
@@ -871,7 +893,9 @@ class TestBatchedEstep:
                 np.testing.assert_array_equal(getattr(summary, field)[i, j], getattr(one, field))
             one = _virtual_stats(b, pair)
             for field in ("pi", "trans", "mix", "mean", "sq"):
-                np.testing.assert_array_equal(getattr(stats[j], field)[i], getattr(one, field)[0])
+                np.testing.assert_array_equal(
+                    getattr(stats, field)[i, j], getattr(one, field)[0, 0]
+                )
             # And the loop over pairs computes the same quantities.
             eta, phi_initial, phi_step, objective = per_pair_estep(b, r, tau)
             assert pair.objective == pytest.approx(objective, rel=1e-12, abs=0)
