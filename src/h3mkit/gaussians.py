@@ -3,7 +3,8 @@
 All likelihood-like quantities are carried in log domain; probabilities are
 never multiplied together directly. Covariances come in two layouts: diagonal
 (a length-d vector of variances) or full (a d x d symmetric positive-definite
-matrix). Every operation supports both.
+matrix). Every operation supports both. ``_check_emissions`` checks the
+emission parameters of these types and of every stack of HMMs.
 """
 
 from __future__ import annotations
@@ -54,21 +55,115 @@ def check_probability_vector(vec: np.ndarray, name: str, tol: float = WEIGHT_TOL
     raise InvalidModelError(f"{label} sums to {float(totals[idx])!r}, expected 1 within {tol}")
 
 
+def _check_rows(rows: np.ndarray, name: str, axes: tuple[str, ...]) -> None:
+    """``check_probability_vector(rows, name)`` over a stack with the leading
+    axes ``axes``, in one call; a failure names its entry on ``axes``."""
+    try:
+        check_probability_vector(rows.reshape(-1, rows.shape[-1]) if axes else rows, name)
+    except InvalidModelError:
+        ok = np.ones(rows.shape[: len(axes)], dtype=bool)
+        for index in np.ndindex(ok.shape):
+            try:
+                check_probability_vector(rows[index], name)
+            except InvalidModelError as exc:
+                ok[index] = False
+                raise InvalidModelError(_at(axes, ok) + str(exc)) from None
+        raise
+
+
+def _float_array(value, name: str) -> np.ndarray:
+    """A fresh float array of value; a ragged or non-numeric value is an
+    InvalidModelError."""
+    try:
+        return np.array(value, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise InvalidModelError(f"{name} is not a numeric array: {exc}") from exc
+
+
+def _at(axes: tuple[str, ...], ok: np.ndarray) -> str:
+    """Where the first failure of an elementwise test over arrays with the
+    leading axes ``axes`` is, as a message prefix such as
+    ``"state 1, mixture component 0: "``; empty with no axes."""
+    if not axes:
+        return ""
+    bad = ~ok.reshape(ok.shape[: len(axes)] + (-1,)).all(axis=-1)
+    index = np.unravel_index(int(bad.argmax()), bad.shape)
+    return ", ".join(f"{axis} {i}" for axis, i in zip(axes, index)) + ": "
+
+
+def _check_emissions(
+    weights, means, covs, axes: tuple[str, ...]
+) -> tuple[np.ndarray | None, np.ndarray, np.ndarray]:
+    """Emission parameters as fresh float arrays, or InvalidModelError
+    naming the first bad one by its position on ``axes``, one name per
+    leading axis, the last one the mixture component. Means are (..., d),
+    covs (..., d) variances or (..., d, d) matrices, and weights (...) rows
+    of mixture weights, or None for a lone Gaussian. Checked: shapes,
+    stochastic rows, finite means and covariances, positive variances,
+    symmetric full covariances, and positive definite ones (one batched
+    Cholesky)."""
+    means = _float_array(means, "means")
+    covs = _float_array(covs, "covs")
+    if means.ndim != len(axes) + 1:
+        raise InvalidModelError(
+            f"means must be {len(axes) + 1}-dimensional, got shape {means.shape}"
+        )
+    shape = means.shape + means.shape[-1:]
+    if covs.shape not in (means.shape, shape):
+        raise InvalidModelError(
+            f"covs have shape {covs.shape}, expected {means.shape} variances"
+            f" or {shape} matrices for means of shape {means.shape}"
+        )
+    if weights is not None:
+        weights = _float_array(weights, "mixture weights")
+        if weights.shape != means.shape[:-1]:
+            raise InvalidModelError(
+                f"mixture weights have shape {weights.shape}, expected {means.shape[:-1]}"
+            )
+        label = f"mixture weights of {axes[-2]}" if len(axes) > 1 else "mixture weights"
+        _check_rows(weights, label, axes[:-2])
+    for ok, problem in (
+        (np.isfinite(means), "mean contains non-finite entries"),
+        (np.isfinite(covs), "cov contains non-finite entries"),
+    ):
+        if not ok.all():
+            raise InvalidModelError(_at(axes, ok) + problem)
+    if covs.ndim == means.ndim:
+        ok = covs > 0
+        if not ok.all():
+            raise InvalidModelError(_at(axes, ok) + "diagonal cov has non-positive variances")
+        return weights, means, covs
+    # np.allclose(cov, cov.T, atol=1e-10), for every matrix at once.
+    transposed = np.swapaxes(covs, -1, -2)
+    ok = np.abs(covs - transposed) <= 1e-10 + 1e-5 * np.abs(transposed)
+    if not ok.all():
+        raise InvalidModelError(_at(axes, ok) + "full cov is not symmetric")
+    try:
+        np.linalg.cholesky(covs)
+    except np.linalg.LinAlgError as exc:
+        ok = np.ones(covs.shape[:-2], dtype=bool)
+        for index in np.ndindex(ok.shape):
+            try:
+                np.linalg.cholesky(covs[index])
+            except np.linalg.LinAlgError:
+                ok[index] = False
+        raise InvalidModelError(_at(axes, ok) + "full cov is not positive definite") from exc
+    return weights, means, covs
+
+
 @dataclass
 class Gaussian:
     """A single Gaussian with diagonal or full covariance.
 
     ``cov`` with ndim 1 holds the variances of a diagonal covariance;
     ndim 2 holds a full symmetric positive-definite matrix. Checked by
-    ``hmm._check_emissions``, as the emissions of every HMM are.
+    ``_check_emissions``, as the emissions of every HMM are.
     """
 
     mean: np.ndarray
     cov: np.ndarray
 
     def __post_init__(self) -> None:
-        from .hmm import _check_emissions  # hmm imports this module
-
         _, self.mean, self.cov = _check_emissions(None, self.mean, self.cov, ())
 
     @property
@@ -83,14 +178,12 @@ class Gaussian:
 @dataclass
 class GaussianMixture:
     """Mixture of Gaussians sharing one dimension and covariance layout,
-    checked by ``hmm._check_emissions``."""
+    checked by ``_check_emissions``."""
 
     weights: np.ndarray
     components: list[Gaussian]
 
     def __post_init__(self) -> None:
-        from .hmm import _check_emissions  # hmm imports this module
-
         if len(self.components) == 0:
             raise InvalidModelError("mixture needs at least one component")
         d = self.components[0].dim

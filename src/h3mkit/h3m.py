@@ -29,16 +29,18 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import DegenerateWeightsError, EstimationError, InvalidModelError
-from .gaussians import WEIGHT_TOL, _shape, check_probability_vector, logsumexp
+from .gaussians import _shape, check_probability_vector, logsumexp
 from .hmm import (
     EmConfig,
     Hmm,
     HmmFit,
     Sequence,
+    _check_arrays,
     _check_data,
     _expected_stats,
     _init_hmm,
     _logliks,
+    _models,
     _mstep,
     _stack,
     _Stats,
@@ -67,11 +69,15 @@ class H3m:
                 f"{self.weights.shape[0]} weights for {len(self.components)} components"
             )
         check_probability_vector(self.weights, "mixture weights")
-        layouts = [_shape(h.n_mix, h.dim, h.covs.ndim == 3) for h in self.components]
-        shapes = [f"(N={h.n_states}, {layout})" for h, layout in zip(self.components, layouts)]
-        for idx, shape in enumerate(shapes):
-            if shape != shapes[0]:
-                raise InvalidModelError(f"component {idx} has {shape}, expected {shapes[0]}")
+        # covs' shape, (N, M, d) variances or (N, M, d, d) matrices, fixes them all.
+        first = self.components[0]
+        for idx, h in enumerate(self.components):
+            if h.covs.shape != first.covs.shape:
+                got, want = (
+                    f"(N={m.n_states}, {_shape(m.n_mix, m.dim, m.covs.ndim == 3)})"
+                    for m in (h, first)
+                )
+                raise InvalidModelError(f"component {idx} has {got}, expected {want}")
 
     @property
     def n_components(self) -> int:
@@ -120,11 +126,7 @@ class AssignmentMatrix:
         self.z = np.asarray(self.z, dtype=float)
         if self.z.ndim != 2:
             raise InvalidModelError("assignment matrix must be 2-dimensional")
-        if np.any(self.z < 0):
-            raise InvalidModelError("assignment matrix has negative entries")
-        sums = self.z.sum(axis=1)
-        if np.any(np.abs(sums - 1.0) > WEIGHT_TOL):
-            raise InvalidModelError(f"assignment rows sum to {sums}, expected 1")
+        check_probability_vector(self.z, "assignment row")
 
 
 def compute_assignments(
@@ -186,7 +188,8 @@ def mstep(
     w = z.z * counts[:, None]
     w[:, starved] = 0.0
     new = _mstep(stats.weighted_sum(w), _stack(previous.components), cov_floor)
-    return H3m(item_weights @ z.z, [Hmm.from_arrays(*row) for row in zip(*new)]), starved
+    components = _models(_check_arrays(*new, axes=("component",)))
+    return H3m(item_weights @ z.z, components), starved
 
 
 def mc_expected_loglik(

@@ -4,11 +4,11 @@ Holds the model type, exact sequence likelihood, seeded sampling, prior
 state-occupancy marginals, and the estimation machinery that every estimator
 shares. An ``Hmm`` holds its parameters once, as five arrays that every
 kernel reads; its ``emissions`` objects are a view rebuilt from them on each
-read. ``Hmm.from_arrays`` is the one way from arrays to a model, and no model
-is mutated after construction. One array-level check, ``_check_arrays``,
-validates every model, however built: from arrays, from emission objects or
-from a file. Its emission half, ``_check_emissions``, also checks the
-``Gaussian`` and ``GaussianMixture`` objects. One sampling kernel,
+read, and no model is mutated after construction. One array-level check,
+``_check_arrays``, validates every model, once per stack: ``Hmm.from_arrays``
+and the constructor check one model; a file's mixture components, the
+synthetic members and an M-step's output are checked once as a stack, and
+``_models`` splits it into models that are views of it. One sampling kernel,
 ``_sample``, draws sequences from a stack of models (``_stack``) with
 uniforms and normals drawn beforehand. Every estimation kernel reads such a
 stack too (``_Stacked``, with a leading K axis) and runs once over all K
@@ -37,8 +37,10 @@ from .gaussians import (
     LOG_2PI,
     Gaussian,
     GaussianMixture,
+    _check_emissions,
+    _check_rows,
+    _float_array,
     _shape,
-    check_probability_vector,
     logsumexp,
 )
 
@@ -70,107 +72,29 @@ class Sequence:
         return self.observations.shape[1]
 
 
-def _float_array(value, name: str) -> np.ndarray:
-    """A fresh float array of value; a ragged or non-numeric value is an
-    InvalidModelError."""
-    try:
-        return np.array(value, dtype=float)
-    except (TypeError, ValueError) as exc:
-        raise InvalidModelError(f"{name} is not a numeric array: {exc}") from exc
-
-
-def _at(axes: tuple[str, ...], ok: np.ndarray) -> str:
-    """Where the first failure of an elementwise test over arrays with the
-    leading axes ``axes`` is, as a message prefix such as
-    ``"state 1, mixture component 0: "``; empty with no axes."""
-    if not axes:
-        return ""
-    bad = ~ok.reshape(ok.shape[: len(axes)] + (-1,)).all(axis=-1)
-    index = np.unravel_index(int(bad.argmax()), bad.shape)
-    return ", ".join(f"{axis} {i}" for axis, i in zip(axes, index)) + ": "
-
-
-def _check_emissions(
-    weights, means, covs, axes: tuple[str, ...]
-) -> tuple[np.ndarray | None, np.ndarray, np.ndarray]:
-    """Emission parameters as fresh float arrays, or InvalidModelError
-    naming the first bad one by its position on ``axes``, one name per
-    leading axis. Means are (..., d), covs (..., d) variances or (..., d, d)
-    matrices, and weights (...) rows of mixture weights, or None for a lone
-    Gaussian. Checked: shapes, stochastic rows, finite means and covariances,
-    positive variances, symmetric full covariances, and positive definite
-    ones (one batched Cholesky)."""
-    means = _float_array(means, "means")
-    covs = _float_array(covs, "covs")
-    if means.ndim != len(axes) + 1:
-        raise InvalidModelError(
-            f"means must be {len(axes) + 1}-dimensional, got shape {means.shape}"
-        )
-    shape = means.shape + means.shape[-1:]
-    if covs.shape not in (means.shape, shape):
-        raise InvalidModelError(
-            f"covs have shape {covs.shape}, expected {means.shape} variances"
-            f" or {shape} matrices for means of shape {means.shape}"
-        )
-    if weights is not None:
-        weights = _float_array(weights, "mixture weights")
-        if weights.shape != means.shape[:-1]:
-            raise InvalidModelError(
-                f"mixture weights have shape {weights.shape}, expected {means.shape[:-1]}"
-            )
-        label = f"mixture weights of {axes[0]}" if weights.ndim > 1 else "mixture weights"
-        check_probability_vector(weights, label)
-    for ok, problem in (
-        (np.isfinite(means), "mean contains non-finite entries"),
-        (np.isfinite(covs), "cov contains non-finite entries"),
-    ):
-        if not ok.all():
-            raise InvalidModelError(_at(axes, ok) + problem)
-    if covs.ndim == means.ndim:
-        ok = covs > 0
-        if not ok.all():
-            raise InvalidModelError(_at(axes, ok) + "diagonal cov has non-positive variances")
-        return weights, means, covs
-    # np.allclose(cov, cov.T, atol=1e-10), for every matrix at once.
-    transposed = np.swapaxes(covs, -1, -2)
-    ok = np.abs(covs - transposed) <= 1e-10 + 1e-5 * np.abs(transposed)
-    if not ok.all():
-        raise InvalidModelError(_at(axes, ok) + "full cov is not symmetric")
-    try:
-        np.linalg.cholesky(covs)
-    except np.linalg.LinAlgError as exc:
-        ok = np.ones(covs.shape[:-2], dtype=bool)
-        for index in np.ndindex(ok.shape):
-            try:
-                np.linalg.cholesky(covs[index])
-            except np.linalg.LinAlgError:
-                ok[index] = False
-        raise InvalidModelError(_at(axes, ok) + "full cov is not positive definite") from exc
-    return weights, means, covs
-
-
 def _check_arrays(
-    initial, transitions, mix_weights, means, covs
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """The five parameter arrays of an HMM, as ``Hmm`` names them, as fresh
-    float arrays, or InvalidModelError naming the first bad row, state or
-    mixture component: stochastic initial and transition rows, and
-    ``_check_emissions`` for the (N, M) emission arrays."""
+    initial, transitions, mix_weights, means, covs, axes: tuple[str, ...] = ()
+) -> _Checked:
+    """The five parameter arrays of an HMM, as ``Hmm`` names them, or of a
+    stack of HMMs with the leading axes ``axes``, as fresh float arrays, or
+    InvalidModelError naming the first bad model on ``axes`` and its row,
+    state or mixture component: stochastic initial and transition rows, and
+    ``_check_emissions`` for the emission arrays."""
     initial = _float_array(initial, "initial distribution")
     transitions = _float_array(transitions, "transitions")
-    if initial.ndim != 1:
-        raise InvalidModelError("initial must be a vector")
-    n = initial.shape[0]
-    if transitions.shape != (n, n):
-        raise InvalidModelError(f"transitions must be ({n}, {n}), got {transitions.shape}")
-    check_probability_vector(initial, "initial distribution")
-    check_probability_vector(transitions, "transition row")
+    if initial.ndim != len(axes) + 1:
+        raise InvalidModelError("initial must be a vector" + "".join(f" per {a}" for a in axes))
+    lead, n = initial.shape[:-1], initial.shape[-1]
+    if transitions.shape != lead + (n, n):
+        raise InvalidModelError(f"transitions must be {lead + (n, n)}, got {transitions.shape}")
+    _check_rows(initial, "initial distribution", axes)
+    _check_rows(transitions, "transition row", axes)
     mix_weights, means, covs = _check_emissions(
-        mix_weights, means, covs, ("state", "mixture component")
+        mix_weights, means, covs, axes + ("state", "mixture component")
     )
-    if means.shape[0] != n:
-        raise InvalidModelError(f"{means.shape[0]} emission mixtures for {n} states")
-    return initial, transitions, mix_weights, means, covs
+    if means.shape[: len(axes) + 1] != lead + (n,):
+        raise InvalidModelError(f"{means.shape[len(axes)]} emission mixtures for {n} states")
+    return _Checked(initial, transitions, mix_weights, means, covs)
 
 
 def _mixtures(
@@ -195,22 +119,23 @@ class Hmm:
     def __init__(
         self, initial: np.ndarray, transitions: np.ndarray, emissions: list[GaussianMixture]
     ) -> None:
-        shapes = [_shape(g.n_components, g.dim, g.is_diagonal) for g in emissions]
+        shapes = [(g.n_components, g.dim, g.is_diagonal) for g in emissions]
         for state, shape in enumerate(shapes):
             if shape != shapes[0]:
                 raise InvalidModelError(
-                    f"emission for state {state} has ({shape}), expected ({shapes[0]})"
+                    f"emission for state {state} has ({_shape(*shape)}),"
+                    f" expected ({_shape(*shapes[0])})"
                 )
-        self._set(
+        self._set(_check_arrays(
             initial,
             transitions,
             [g.weights for g in emissions],
             [[c.mean for c in g.components] for g in emissions],
             [[c.cov for c in g.components] for g in emissions],
-        )
+        ))
 
-    def _set(self, *arrays) -> None:
-        for name, value in zip(_Stacked._fields, _check_arrays(*arrays)):
+    def _set(self, arrays) -> None:
+        for name, value in zip(_Stacked._fields, arrays):
             setattr(self, name, value)
 
     @classmethod
@@ -225,7 +150,7 @@ class Hmm:
         """The Hmm with these stacked parameters, copied and validated by
         ``_check_arrays``; no emission object is built."""
         model = cls.__new__(cls)
-        model._set(initial, transitions, mix_weights, means, covs)
+        model._set(_check_arrays(initial, transitions, mix_weights, means, covs))
         return model
 
     @property
@@ -255,6 +180,23 @@ class _Stacked(NamedTuple):
     mix_weights: np.ndarray  # (K, N, M)
     means: np.ndarray  # (K, N, M, d)
     covs: np.ndarray  # (K, N, M, d) or (K, N, M, d, d)
+
+
+class _Checked(_Stacked):
+    """Arrays as ``_check_arrays`` returns them: the one stack ``_models`` takes."""
+
+    __slots__ = ()
+
+
+def _models(stack: _Checked) -> list[Hmm]:
+    """The Hmm of each row of a stack checked with one leading axis; their
+    arrays are views of the stack, not copied and not checked again."""
+    if not isinstance(stack, _Checked) or stack.initial.ndim != 2:
+        raise TypeError("_models takes a stack checked by _check_arrays with one leading axis")
+    models = [Hmm.__new__(Hmm) for _ in stack.initial]
+    for model, row in zip(models, zip(*stack)):
+        model._set(row)
+    return models
 
 
 def _stack(models: list[Hmm]) -> _Stacked:

@@ -41,9 +41,8 @@ number of base components (``_BLOCK_ELEMENTS``):
   ``mstep``; the blocks' statistics are concatenated over I once.
 
 ``estep_pair``, ``summary_stats`` and ``_virtual_stats`` are the one-pair
-slices of that code. New models come from ``Hmm.from_arrays``. No model is
-mutated, so a reduced component may share arrays with the base component it
-was seeded or rescued from.
+slices of that code. No model is mutated. The start and rescued components
+get their variances floored at ``cov_floor`` as the M-step floors them.
 """
 
 from __future__ import annotations
@@ -64,7 +63,7 @@ from .h3m import (
     compute_assignments,
     mstep,
 )
-from .hmm import Hmm, _stack, _Stacked, _Stats
+from .hmm import Hmm, _check_arrays, _models, _stack, _Stacked, _Stats
 
 
 @dataclass
@@ -75,7 +74,7 @@ class VhemConfig:
     carries a share proportional to its weight. None picks 10^4 times the
     number of base components. ``tau_virtual`` is the length of the virtual
     sequences, which need not match any real data length. ``init`` is
-    "subset-perturb", "random", or an ``H3m`` to start from.
+    "subset-perturb", "random", or an ``H3m`` to start from (``_floored``).
     """
 
     k_reduced: int
@@ -473,10 +472,22 @@ def _blocks(base: _Stacked, reduced: H3m, tau: int) -> list[_Stacked]:
     return [_Stacked(*(a[i:i + size] for a in base)) for i in range(0, k_b, size)]
 
 
+def _floored(model: H3m, cov_floor: float) -> H3m:
+    """``model`` with its variances below cov_floor raised to it, as every
+    M-step raises them: a start or a rescue with smaller ones would let the
+    next M-step lower the bound."""
+    stack = _stack(model.components)
+    variances = stack.covs if stack.covs.ndim == 4 else np.einsum("...ii->...i", stack.covs)
+    if variances.min() >= cov_floor:
+        return model
+    np.maximum(variances, cov_floor, out=variances)  # a view of the fresh stack
+    return H3m(model.weights, _models(_check_arrays(*stack, axes=("component",))))
+
+
 def _reduce_once(base: H3m, config: VhemConfig, rng: np.random.Generator) -> ReductionResult:
     n_virtual = config.n_virtual if config.n_virtual is not None else 10_000 * base.n_components
     virtual_counts = n_virtual * base.weights
-    reduced = _init_reduced(base, config, rng)
+    reduced = _floored(_init_reduced(base, config, rng), config.cov_floor)
     tau = config.tau_virtual
     blocks = _blocks(_stack(base.components), reduced, tau)
 
@@ -506,7 +517,7 @@ def _reduce_once(base: H3m, config: VhemConfig, rng: np.random.Generator) -> Red
                 weights[j] = 1.0 / config.k_reduced
                 rescues += 1
             weights = weights / weights.sum()
-            new_model = H3m(weights, components)
+            new_model = _floored(H3m(weights, components), config.cov_floor)
         reduced = new_model
 
     return ReductionResult(

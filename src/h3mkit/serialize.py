@@ -4,8 +4,10 @@ Models are single JSON documents with an explicit schema version, written
 on one line by json's C encoder (``python -m json.tool`` indents one for
 reading); floats use Python's shortest exact decimal encoding, so save/load
 round-trips reproduce every parameter bit for bit. Loading reads each HMM's
-five parameter arrays straight from the JSON lists and checks them once,
-through ``Hmm.from_arrays``, without building emission objects. Malformed
+five parameter arrays straight from the JSON lists, without building
+emission objects, and checks each stack of them once: a mixture's
+components, when their shapes agree, are stacked and go through one
+``hmm._check_arrays`` call, and the models are views of that stack. Malformed
 or ragged lists are a ModelFormatError, invalid parameters an
 InvalidModelError, and either names the file, the mixture component, and the
 state and emission component where it can. Datasets are JSON records, one
@@ -22,7 +24,7 @@ import numpy as np
 
 from .errors import InvalidModelError, ModelFormatError
 from .h3m import H3m
-from .hmm import Hmm, Sequence
+from .hmm import Hmm, Sequence, _check_arrays, _check_data, _models
 
 SCHEMA_VERSION = "1"
 
@@ -40,10 +42,7 @@ class SequenceDataset:
         if len(self.labels) != len(self.sequences):
             raise InvalidModelError("one label per sequence required")
         if self.sequences:
-            d = self.sequences[0].dim
-            for seq in self.sequences:
-                if seq.dim != d:
-                    raise InvalidModelError("dataset mixes observation dimensions")
+            _check_data(self.sequences)
 
     @property
     def dim(self) -> int:
@@ -82,9 +81,9 @@ def _malformed(exc: KeyError | TypeError | ValueError, where: str) -> ModelForma
     return ModelFormatError(f"malformed {where}: {exc}")
 
 
-def _parse_hmm(payload: dict, where: str) -> Hmm:
-    """The Hmm of a payload, its five arrays read straight from the JSON lists
-    and checked once by ``Hmm.from_arrays``; errors name ``where``."""
+def _parse_arrays(payload: dict, where: str) -> list[np.ndarray]:
+    """The five parameter arrays of an HMM payload, read straight from the
+    JSON lists and not yet checked; errors name ``where``."""
     place = where
     try:
         weights, means, covs = [], [], []
@@ -95,13 +94,31 @@ def _parse_hmm(payload: dict, where: str) -> Hmm:
             covs.append([c["cov"] for c in gmm["components"]])
         place = where
         lists = (payload["initial"], payload["transitions"], weights, means, covs)
-        arrays = [np.array(value, dtype=float) for value in lists]
+        return [np.array(value, dtype=float) for value in lists]
     except (KeyError, TypeError, ValueError) as exc:
         raise _malformed(exc, place) from exc
+
+
+def _named(where: str, build, *args, **kwargs):
+    """``build(*args, **kwargs)``, an InvalidModelError from it prefixed by ``where``."""
     try:
-        return Hmm.from_arrays(*arrays)
+        return build(*args, **kwargs)
     except InvalidModelError as exc:
-        raise InvalidModelError(f"{where}: {exc}") from exc
+        raise InvalidModelError(f"{where}{exc}") from exc
+
+
+def _components(parts: list[list[np.ndarray]], path: Path) -> list[Hmm]:
+    """The mixture components of a file from their parsed arrays. Components
+    of one shape are stacked and checked once, and an error names the
+    component; otherwise each is checked alone, and ``H3m`` names the first
+    whose shape differs."""
+    if len({tuple(a.shape for a in arrays) for arrays in parts}) == 1:
+        stack = [np.stack(column) for column in zip(*parts)]
+        return _models(_named(f"{path} ", _check_arrays, *stack, axes=("component",)))
+    return [
+        _named(f"{path} component {i}: ", Hmm.from_arrays, *arrays)
+        for i, arrays in enumerate(parts)
+    ]
 
 
 def save_model(model: Hmm | H3m, path: str | Path, seed: int | None = None) -> None:
@@ -150,14 +167,14 @@ def load_model(path: str | Path) -> Hmm | H3m:
     if payload is None:
         raise ModelFormatError(f"{path}: missing payload")
     if kind == "hmm":
-        return _parse_hmm(payload, f"{path}")
+        return _named(f"{path}: ", Hmm.from_arrays, *_parse_arrays(payload, f"{path}"))
     if kind == "h3m":
         try:
-            components = [
-                _parse_hmm(c, f"{path} component {i}")
+            parts = [
+                _parse_arrays(c, f"{path} component {i}")
                 for i, c in enumerate(payload["components"])
             ]
-            return H3m(payload["weights"], components)
+            return H3m(payload["weights"], _components(parts, path))
         except (KeyError, TypeError) as exc:
             raise _malformed(exc, f"{path}") from exc
     raise ModelFormatError(f"{path}: unknown kind {kind!r}")

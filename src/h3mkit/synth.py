@@ -13,7 +13,8 @@ sequences, each member's 2 tau uniforms (tau for its state chain, then tau
 for its mixture components) followed by its tau x d standard normals, member
 by member. The perturbations are drawn straight into stacked (K, N, ...)
 arrays, with mixture weights and covariances taken from the prototypes, and
-the stack is checked once, naming the member of a failure. That is the
+the stack is checked once (``hmm._check_arrays``), naming the member of a
+failure; the member HMMs are views of the checked stack. That is the
 stream of one perturbation and one ``sample_batch(member, tau, 1, rng)``
 call per member, so the members and the sequences that one sampling kernel
 call (``hmm._sample``) draws from the stack are those such calls would give.
@@ -23,8 +24,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .gaussians import check_probability_vector
-from .hmm import Hmm, Sequence, _check_emissions, _sample, _stack, _Stacked
+from .hmm import Hmm, Sequence, _check_arrays, _models, _sample, _stack
 from .serialize import SequenceDataset
 
 
@@ -104,17 +104,12 @@ def synth_benchmark(
         for state in range(n_states):
             transitions[member, state] = rng.dirichlet(alpha_rows[group, state])
         means[member] = protos.means[group] + rng.normal(0.0, noise, size=means.shape[1:])
-    mix_weights = protos.mix_weights[labels]
-    where = f"(member * {n_states} + state)"
-    check_probability_vector(initial, "initial distribution of member")
-    check_probability_vector(transitions.reshape(-1, n_states), f"transition row {where}")
-    check_probability_vector(mix_weights.reshape(-1, n_mix), f"mixture weights {where}")
-    _, means, covs = _check_emissions(
-        None, means, protos.covs[labels], ("member", "state", "mixture component")
+    members = _check_arrays(
+        initial, transitions, protos.mix_weights[labels], means, protos.covs[labels],
+        axes=("member",),
     )
-    members = _Stacked(initial, transitions, mix_weights, means, covs)
     if kind == "hmms":
-        return [Hmm.from_arrays(*arrays) for arrays in zip(*members)], labels
+        return _models(members), labels
     uniforms = np.empty((size, 2 * tau))
     normals = np.empty((size, tau, dim))
     for idx in range(size):

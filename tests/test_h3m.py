@@ -9,6 +9,7 @@ import pytest
 import h3mkit.h3m as h3m_module
 import h3mkit.hmm as hmm_module
 from h3mkit import (
+    AssignmentMatrix,
     EmConfig,
     EstimationError,
     Gaussian,
@@ -47,6 +48,24 @@ class TestH3mModel:
     def test_non_finite_weights_rejected(self, bad):
         with pytest.raises(InvalidModelError, match="mixture weights sums to"):
             H3m([bad, 1.0], [std_normal_hmm(), std_normal_hmm(1.0)])
+
+
+class TestAssignmentMatrix:
+    @pytest.mark.parametrize(
+        "row, message",
+        [
+            ([np.nan, 1.0], "assignment row 1 sums to nan"),
+            ([1.5, -0.5], "assignment row 1 has negative entries"),
+            ([0.5, 0.5 + 1e-9], "assignment row 1 sums to 1.000000001"),
+        ],
+    )
+    def test_bad_row_rejected_and_named(self, row, message):
+        with pytest.raises(InvalidModelError, match=message):
+            AssignmentMatrix(np.array([[0.25, 0.75], row]))
+
+    def test_rows_within_tolerance_accepted(self):
+        z = AssignmentMatrix([[1.0, 0.0], [0.5, 0.5 + 1e-13]])
+        assert z.z.shape == (2, 2)
 
 
 class TestH3mEm:

@@ -1,0 +1,286 @@
+"""Property tests (hypothesis, derandomized): the one stacked parameter check
+against the per-model check, how many checks each stack gets, and the
+reduction on degenerate inputs."""
+
+import json
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from h3mkit import (
+    EmConfig,
+    EstimationError,
+    H3m,
+    Hmm,
+    InvalidModelError,
+    VhemConfig,
+    h3m_em,
+    load_model,
+    save_model,
+    synth_benchmark,
+    vhem_reduce,
+)
+from h3mkit import h3m as h3m_module
+from h3mkit import hmm as hmm_module
+from h3mkit import reduction as reduction_module
+from h3mkit import serialize as serialize_module
+from h3mkit import synth as synth_module
+from h3mkit.hmm import _check_arrays, _models, _Stacked
+
+from conftest import random_h3m
+
+PROPERTY = settings(derandomize=True, max_examples=100, deadline=None)
+
+
+def random_stack(seed, k, n, m, d, cov_type):
+    """The five parameter arrays of k valid HMMs, stacked on a leading axis."""
+    rng = np.random.default_rng(seed)
+    initial = rng.dirichlet(np.ones(n), size=k)
+    transitions = rng.dirichlet(np.ones(n), size=(k, n))
+    mix_weights = rng.dirichlet(np.ones(m), size=(k, n))
+    means = rng.normal(0.0, 3.0, size=(k, n, m, d))
+    if cov_type == "diag":
+        covs = rng.uniform(0.1, 10.0, size=(k, n, m, d))
+    else:
+        root = rng.normal(size=(k, n, m, d, d))
+        covs = root @ np.swapaxes(root, -1, -2) + np.eye(d)
+        covs = 0.5 * (covs + np.swapaxes(covs, -1, -2))
+    return [initial, transitions, mix_weights, means, covs]
+
+
+SIZES = st.integers(1, 3)
+STACKS = st.builds(
+    random_stack,
+    seed=st.integers(0, 2**32 - 1),
+    k=st.integers(1, 5),
+    n=SIZES,
+    m=SIZES,
+    d=SIZES,
+    cov_type=st.sampled_from(["diag", "full"]),
+)
+
+
+class TestStackedCheck:
+    @PROPERTY
+    @given(arrays=STACKS)
+    def test_equals_the_per_row_check(self, arrays):
+        stack = _check_arrays(*arrays, axes=("component",))
+        models = _models(stack)
+        assert len(models) == arrays[0].shape[0]
+        for k, model in enumerate(models):
+            row = Hmm.from_arrays(*(a[k] for a in arrays))
+            for name in _Stacked._fields:
+                got, want = getattr(model, name), getattr(row, name)
+                assert got.shape == want.shape and got.tobytes() == want.tobytes(), name
+                assert np.shares_memory(got, getattr(stack, name)), name
+
+    @PROPERTY
+    @given(arrays=STACKS, axis=st.sampled_from(["component", "member"]), data=st.data())
+    def test_bad_row_is_named(self, arrays, axis, data):
+        initial, transitions, mix_weights, means, covs = arrays
+        n_models, n, m, d = means.shape
+        k = data.draw(st.integers(0, n_models - 1), label="model")
+        s = data.draw(st.integers(0, n - 1), label="state")
+        c = data.draw(st.integers(0, m - 1), label="mixture component")
+        if covs.ndim == 4:
+            kinds = ["zero variance", "negative variance"]
+        else:
+            kinds = ["indefinite cov"] + (["asymmetric cov"] if d > 1 else [])
+        kinds += ["nan mean", "initial sum", "transition sum", "mixture sum"]
+        kind = data.draw(st.sampled_from(kinds), label="corruption")
+        if kind == "nan mean":
+            means[k, s, c, 0] = np.nan
+        elif kind == "zero variance":
+            covs[k, s, c, 0] = 0.0
+        elif kind == "negative variance":
+            covs[k, s, c, d - 1] = -1.0
+        elif kind == "indefinite cov":
+            covs[k, s, c] = -np.eye(d)
+        elif kind == "asymmetric cov":
+            covs[k, s, c, 0, 1] += 1.0
+        elif kind == "initial sum":
+            initial[k] *= 1.5
+        elif kind == "transition sum":
+            transitions[k, s] *= 0.5
+        else:
+            mix_weights[k, s] += 0.1
+        with pytest.raises(InvalidModelError) as one:
+            Hmm.from_arrays(*(a[k] for a in arrays))
+        with pytest.raises(InvalidModelError) as stacked:
+            _check_arrays(*arrays, axes=(axis,))
+        message = str(stacked.value)
+        # The stack's message is the model's, located on the stack axis.
+        assert message in (f"{axis} {k}: {one.value}", f"{axis} {k}, {one.value}")
+        where = {
+            "initial sum": f"{axis} {k}: initial distribution sums to",
+            "transition sum": f"{axis} {k}: transition row {s} sums to",
+            "mixture sum": f"{axis} {k}: mixture weights of state {s} sums to",
+        }.get(kind, f"{axis} {k}, state {s}, mixture component {c}: ")
+        assert message.startswith(where)
+
+
+@pytest.fixture
+def check_calls(monkeypatch):
+    """The axes of every ``hmm._check_arrays`` call, in order."""
+    calls = []
+
+    def counting(*arrays, axes=()):
+        calls.append(axes)
+        return _check_arrays(*arrays, axes=axes)
+
+    for module in (hmm_module, h3m_module, serialize_module, synth_module):
+        monkeypatch.setattr(module, "_check_arrays", counting)
+    return calls
+
+
+class TestOneCheckPerStack:
+    @pytest.mark.parametrize("k", [1, 3, 8])
+    @pytest.mark.parametrize("cov_type", ["diag", "full"])
+    def test_load_model(self, check_calls, tmp_path, k, cov_type):
+        model = random_h3m(np.random.default_rng(k), k=k, n_mix=2, dim=2, cov_type=cov_type)
+        save_model(model, tmp_path / "m.json")
+        check_calls.clear()
+        loaded = load_model(tmp_path / "m.json")
+        assert check_calls == [("component",)]
+        for got, want in zip(loaded.components, model.components):
+            for name in _Stacked._fields:
+                assert getattr(got, name).tobytes() == getattr(want, name).tobytes()
+
+    def test_mixture_of_mixed_shapes_is_checked_per_component(self, check_calls, tmp_path):
+        # The stack cannot be formed; each component is checked, and H3m
+        # names the one whose shape differs.
+        model = random_h3m(np.random.default_rng(0), k=2)
+        save_model(model, tmp_path / "m.json")
+        doc = json.loads((tmp_path / "m.json").read_text())
+        doc["payload"]["components"][1] = serialize_module._hmm_payload(
+            Hmm([1.0], [[1.0]], model.components[0].emissions[:1])
+        )
+        (tmp_path / "m.json").write_text(json.dumps(doc))
+        check_calls.clear()
+        with pytest.raises(InvalidModelError, match=r"component 1 has \(N=1"):
+            load_model(tmp_path / "m.json")
+        assert check_calls == [(), ()]
+
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_one_check_per_mstep(self, check_calls, monkeypatch, k):
+        seen = []
+        mstep = h3m_module.mstep
+
+        def recording(*args, **kwargs):
+            before = len(check_calls)
+            out = mstep(*args, **kwargs)
+            seen.append(check_calls[before:])
+            return out
+
+        monkeypatch.setattr(h3m_module, "mstep", recording)
+        monkeypatch.setattr(reduction_module, "mstep", recording)
+        rng = np.random.default_rng(5)
+        dataset, _ = synth_benchmark(3, 6, 4.0, rng, tau=8, kind="sequences")
+        h3m_em(dataset.sequences, k, 2, 1, EmConfig(max_iters=3, tol=0.0), rng)
+        leaves, _ = synth_benchmark(3, 2, 4.0, rng)
+        base = H3m(np.full(len(leaves), 1.0 / len(leaves)), leaves)
+        vhem_reduce(base, VhemConfig(k, max_iters=3, tol=0.0))
+        # Three M-steps of h3m_em and two of the reduction, whatever k is.
+        assert seen == [[("component",)]] * 5
+
+    @pytest.mark.parametrize("kind", ["hmms", "sequences"])
+    def test_one_check_of_the_synthetic_members(self, check_calls, kind):
+        synth_benchmark(3, 5, 4.0, np.random.default_rng(0), tau=4, kind=kind)
+        # One check per group prototype, and one of the stacked members.
+        assert check_calls == [(), (), (), ("member",)]
+
+
+# ---------------------------------------------------------------------------
+# The reduction on degenerate inputs: a finite bound that does not decrease,
+# except after a rescue, or an EstimationError.
+
+
+@st.composite
+def degenerate_reductions(draw):
+    k_b = draw(st.integers(1, 4), label="base components")
+    n, m, d = draw(SIZES, label="states"), draw(st.integers(1, 2)), draw(st.integers(1, 2))
+    cov_type = draw(st.sampled_from(["diag", "full"]))
+    seed = draw(st.integers(0, 2**32 - 1))
+    initial, transitions, mix_weights, means, covs = random_stack(seed, k_b, n, m, d, cov_type)
+    rng = np.random.default_rng(seed)
+    if draw(st.booleans(), label="zero-probability transitions"):
+        # Left to right: no way back, and every chain starts in state 0.
+        transitions = np.triu(transitions)
+        transitions /= transitions.sum(axis=-1, keepdims=True)
+        initial = np.zeros_like(initial)
+        initial[:, 0] = 1.0
+    if cov_type == "full" and draw(st.booleans(), label="near-singular covariances"):
+        # Eigenvalues from about 1e-8 to about d, around means drawn at that
+        # scale; far from the origin they meet a known defect
+        # (test_near_singular_far_from_origin).
+        v = rng.normal(size=(k_b, n, m, d, 1))
+        covs = v @ np.swapaxes(v, -1, -2) + 1e-8 * np.eye(d)
+    else:
+        # Variances from 1e-8 to 1e8, per base component; means keep or follow their scale.
+        scale = 10.0 ** rng.integers(-8, 9, size=k_b)
+        covs = covs * scale.reshape((k_b,) + (1,) * (covs.ndim - 1))
+        if draw(st.booleans(), label="means follow the scale"):
+            means = means * np.sqrt(scale).reshape(k_b, 1, 1, 1)
+    arrays = [initial, transitions, mix_weights, means, covs]
+    if k_b > 1 and draw(st.booleans(), label="duplicate base components"):
+        for a in arrays:
+            a[1:] = a[0]
+    # Equal weights, as hier_cluster gives its leaves; unequal ones meet a
+    # known defect (test_unequal_base_weights).
+    base = H3m(
+        np.full(k_b, 1.0 / k_b),
+        [Hmm.from_arrays(*(a[i] for a in arrays)) for i in range(k_b)],
+    )
+    k_r = draw(st.integers(1, k_b), label="reduced components")  # includes K_r = K_b
+    tau = draw(st.integers(1, 3), label="tau")  # includes tau = 1
+    init = draw(st.sampled_from(["subset-perturb", "random"]))
+    return base, VhemConfig(k_r, tau_virtual=tau, max_iters=8, tol=0.0, init=init, seed=seed)
+
+
+class TestDegenerateReduction:
+    @settings(derandomize=True, max_examples=400, deadline=None)
+    @given(problem=degenerate_reductions())
+    def test_bound_finite_and_monotone_or_estimation_error(self, problem):
+        base, config = problem
+        try:
+            result = vhem_reduce(base, config)
+        except EstimationError:
+            return
+        bounds = np.array(result.bound_history)
+        assert np.all(np.isfinite(bounds))
+        drops = np.diff(bounds) < -1e-8 * np.abs(bounds[:-1])
+        # Only a rescue may lower the bound, once per rescue.
+        assert drops.sum() <= result.rescues, bounds
+
+    @pytest.mark.xfail(
+        strict=True,
+        reason="the reduction's weight update, base.weights @ z, does not maximize the"
+        " bound it reports, sum_i log sum_j w_j exp(N_i J_ij); that is sum_i z_ij / K_b",
+    )
+    def test_unequal_base_weights(self):
+        def gaussian(mean, var):
+            return Hmm.from_arrays([1.0], [[1.0]], [[1.0]], [[[mean]]], [[[var]]])
+
+        base = H3m([0.98, 0.02], [gaussian(0.0, 1.0), gaussian(1.0, 2.0)])
+        result = vhem_reduce(base, VhemConfig(2, tau_virtual=3, max_iters=4, tol=0.0))
+        bounds = np.array(result.bound_history)
+        assert result.rescues == 0
+        assert np.all(np.diff(bounds) >= -1e-8 * np.abs(bounds[:-1])), bounds
+
+    @pytest.mark.xfail(
+        strict=True,
+        reason="the M-step takes covariances as E[x x^T] - mu mu^T, which cancels when"
+        " the means are large against the smallest eigenvalue",
+    )
+    def test_near_singular_far_from_origin(self):
+        # The same problem moved to the origin runs with no drop.
+        v = np.array([2.5556, -0.4181])
+        cov = np.outer(v, v) + 1e-8 * np.eye(2)
+        component = Hmm.from_arrays([1.0], [[1.0]], [[1.0]], [[[-1916.3, -220.0]]], [[cov]])
+        base = H3m([0.5, 0.5], [component, component])
+        result = vhem_reduce(base, VhemConfig(2, tau_virtual=1, max_iters=8, tol=0.0, seed=3))
+        bounds = np.array(result.bound_history)
+        drops = np.diff(bounds) < -1e-8 * np.abs(bounds[:-1])
+        assert drops.sum() <= result.rescues, bounds
