@@ -20,12 +20,7 @@ from pathlib import Path
 import click
 import numpy as np
 
-from .errors import (
-    DegenerateWeightsError,
-    EstimationError,
-    InvalidModelError,
-    ModelFormatError,
-)
+from .errors import DegenerateWeightsError, EstimationError, InvalidModelError, ModelFormatError
 from .h3m import H3m, baum_welch, h3m_em, mc_expected_loglik
 from .hierarchy import hier_cluster, leaf_labels, rand_index
 from .hmm import EmConfig, Hmm
@@ -34,7 +29,9 @@ from .reduction import VhemConfig, vhem_reduce
 from .serialize import load_dataset, load_model, save_dataset, save_model
 from .synth import synth_benchmark
 
-_VALIDATION_ERRORS = (InvalidModelError, ModelFormatError, DegenerateWeightsError, ValueError)
+_VALIDATION_ERRORS = (
+    InvalidModelError, ModelFormatError, DegenerateWeightsError, ValueError, OSError
+)
 _NUMERICAL_ERRORS = (EstimationError, FloatingPointError, np.linalg.LinAlgError)
 
 
@@ -53,17 +50,22 @@ def _guarded(fn):
     return wrapper
 
 
+_STOPPING = ("max_iters", "tol", "cov_floor")
+
+
 def _common_options(fn):
-    for option in reversed(
-        [
-            click.option("--seed", type=int, default=0, show_default=True),
-            click.option("--max-iters", type=int, default=100, show_default=True),
-            click.option("--tol", type=float, default=1e-6, show_default=True),
-            click.option("--cov-floor", type=float, default=1e-6, show_default=True),
-        ]
-    ):
-        fn = option(fn)
-    return fn
+    """--seed, and the --max-iters, --tol and --cov-floor that reach the command only
+    inside the config that ``_em_options`` or ``_vhem_options``, listed above it, builds."""
+
+    @click.option("--seed", type=int, default=0, show_default=True)
+    @click.option("--max-iters", type=int, default=100, show_default=True)
+    @click.option("--tol", type=float, default=1e-6, show_default=True)
+    @click.option("--cov-floor", type=float, default=1e-6, show_default=True)
+    @functools.wraps(fn)
+    def wrapper(*, max_iters, tol, cov_floor, **kwargs):
+        return fn(**kwargs)
+
+    return wrapper
 
 
 # Commands that build models or data from scratch choose a covariance layout;
@@ -71,6 +73,53 @@ def _common_options(fn):
 _cov_type_option = click.option(
     "--cov-type", type=click.Choice(["diag", "full"]), default="diag", show_default=True
 )
+
+
+def _em_options(fn):
+    """--starts and --cov-type; the command gets ``em_config``, an EmConfig."""
+
+    @click.option("--starts", type=int, default=1, show_default=True,
+                  help="Seeded EM starts (per portion in split-pipeline); best kept.")
+    @_cov_type_option
+    @functools.wraps(fn)
+    def wrapper(*, starts, cov_type, **kwargs):
+        stopping = {name: kwargs[name] for name in _STOPPING}
+        return fn(em_config=EmConfig(**stopping, cov_type=cov_type, n_starts=starts), **kwargs)
+
+    return wrapper
+
+
+def _vhem_options(fn):
+    """--virtual-samples, --tau-virtual and --restarts; the command gets
+    ``vhem_config``, which makes a VhemConfig from ``k_reduced`` and ``init``."""
+
+    @click.option("--virtual-samples", type=int, default=None, help="Total virtual sample mass.")
+    @click.option("--tau-virtual", type=int, default=10, show_default=True)
+    @click.option("--restarts", type=int, default=1, show_default=True,
+                  help="Competing reduction runs (per level in hier); best bound kept.")
+    @functools.wraps(fn)
+    def wrapper(*, virtual_samples, tau_virtual, restarts, **kwargs):
+        vhem_config = functools.partial(
+            VhemConfig, n_virtual=virtual_samples, tau_virtual=tau_virtual,
+            seed=kwargs["seed"], n_restarts=restarts, **{n: kwargs[n] for n in _STOPPING},
+        )
+        return fn(vhem_config=vhem_config, **kwargs)
+
+    return wrapper
+
+
+def _load_mixture(path: str, command: str) -> H3m:
+    model = load_model(path)
+    if not isinstance(model, H3m):
+        raise InvalidModelError(f"{path} holds a single HMM; {command} needs a mixture")
+    return model
+
+
+def _timed(fn, *args):
+    """fn(*args), and its wall time in seconds."""
+    start = time.perf_counter()
+    result = fn(*args)
+    return result, time.perf_counter() - start
 
 
 def _out_dir(out: str) -> Path:
@@ -101,10 +150,6 @@ def _write_log(path: Path, lines: list[str]) -> None:
         click.echo(line)
 
 
-def _write_labels(path: Path, labels) -> None:
-    _write_csv(path, ["index", "label"], [[i, lab] for i, lab in enumerate(labels)])
-
-
 def _read_labels(path: str) -> list[str]:
     with open(path, newline="") as fh:
         reader = csv.DictReader(fh)
@@ -122,22 +167,17 @@ def main() -> None:
 @click.option("--data", required=True, help="Dataset file (one JSON record per line).")
 @click.option("--states", type=int, required=True, help="Number of hidden states.")
 @click.option("--mix", type=int, default=1, show_default=True, help="Emission components per state.")
-@click.option("--starts", type=int, default=1, show_default=True, help="Seeded starts; best kept.")
 @click.option("--out", default=".", show_default=True, help="Output directory.")
-@_common_options
-@_cov_type_option
 @_guarded
-def train_hmm(data, states, mix, starts, out, seed, max_iters, tol, cov_floor, cov_type):
+@_em_options
+@_common_options
+def train_hmm(data, states, mix, out, seed, em_config):
     """Fit a single HMM to a dataset by maximum likelihood."""
     out_path = _out_dir(out)
     dataset = load_dataset(data)
-    config = EmConfig(
-        max_iters=max_iters, tol=tol, cov_floor=cov_floor, cov_type=cov_type,
-        n_starts=starts,
+    fit, elapsed = _timed(
+        baum_welch, dataset.sequences, states, mix, em_config, np.random.default_rng(seed)
     )
-    start = time.perf_counter()
-    fit = baum_welch(dataset.sequences, states, mix, config, np.random.default_rng(seed))
-    elapsed = time.perf_counter() - start
     save_model(fit.model, out_path / "hmm.json", seed=seed)
     _write_trace(out_path / "train_hmm_trace.csv", "loglik", fit.loglik_trace)
     _write_timings(out_path / "train_hmm_timings.csv", [("fit", elapsed)])
@@ -156,22 +196,17 @@ def train_hmm(data, states, mix, starts, out, seed, max_iters, tol, cov_floor, c
 @click.option("--k", type=int, required=True, help="Number of mixture components.")
 @click.option("--states", type=int, required=True)
 @click.option("--mix", type=int, default=1, show_default=True)
-@click.option("--starts", type=int, default=1, show_default=True, help="Seeded starts; best kept.")
 @click.option("--out", default=".", show_default=True)
-@_common_options
-@_cov_type_option
 @_guarded
-def train_h3m(data, k, states, mix, starts, out, seed, max_iters, tol, cov_floor, cov_type):
+@_em_options
+@_common_options
+def train_h3m(data, k, states, mix, out, seed, em_config):
     """Fit a K-component HMM mixture to a dataset."""
     out_path = _out_dir(out)
     dataset = load_dataset(data)
-    config = EmConfig(
-        max_iters=max_iters, tol=tol, cov_floor=cov_floor, cov_type=cov_type,
-        n_starts=starts,
+    fit, elapsed = _timed(
+        h3m_em, dataset.sequences, k, states, mix, em_config, np.random.default_rng(seed)
     )
-    start = time.perf_counter()
-    fit = h3m_em(dataset.sequences, k, states, mix, config, np.random.default_rng(seed))
-    elapsed = time.perf_counter() - start
     save_model(fit.model, out_path / "h3m.json", seed=seed)
     _write_trace(out_path / "train_h3m_trace.csv", "loglik", fit.loglik_trace)
     header = ["index", "id", "hard_label"] + [f"posterior_{j}" for j in range(k)]
@@ -195,8 +230,6 @@ def train_h3m(data, k, states, mix, starts, out, seed, max_iters, tol, cov_floor
 @main.command("reduce")
 @click.option("--model", required=True, help="Input mixture model file.")
 @click.option("--kr", type=int, required=True, help="Number of reduced components.")
-@click.option("--virtual-samples", type=int, default=None, help="Total virtual sample mass.")
-@click.option("--tau-virtual", type=int, default=10, show_default=True)
 @click.option(
     "--init",
     type=click.Choice(["subset-perturb", "random", "file"]),
@@ -204,41 +237,21 @@ def train_h3m(data, k, states, mix, starts, out, seed, max_iters, tol, cov_floor
     show_default=True,
 )
 @click.option("--init-file", default=None, help="Model file for --init file.")
-@click.option("--restarts", type=int, default=1, show_default=True, help="Competing runs; best bound kept.")
 @click.option("--out", default=".", show_default=True)
-@_common_options
 @_guarded
-def reduce_cmd(
-    model, kr, virtual_samples, tau_virtual, init, init_file, restarts, out,
-    seed, max_iters, tol, cov_floor,
-):
+@_vhem_options
+@_common_options
+def reduce_cmd(model, kr, init, init_file, out, seed, vhem_config):
     """Reduce an HMM mixture to fewer components (cluster its HMMs)."""
     if init_file is not None and init != "file":
         raise ValueError("--init-file requires --init file")
     out_path = _out_dir(out)
-    base = load_model(model)
-    if not isinstance(base, H3m):
-        raise InvalidModelError(f"{model} holds a single HMM; reduce needs a mixture")
+    base = _load_mixture(model, "reduce")
     if init == "file":
         if init_file is None:
             raise ValueError("--init file requires --init-file")
-        init = load_model(init_file)
-        if not isinstance(init, H3m):
-            raise InvalidModelError(f"{init_file} must hold a mixture")
-    config = VhemConfig(
-        k_reduced=kr,
-        n_virtual=virtual_samples,
-        tau_virtual=tau_virtual,
-        max_iters=max_iters,
-        tol=tol,
-        init=init,
-        cov_floor=cov_floor,
-        seed=seed,
-        n_restarts=restarts,
-    )
-    start = time.perf_counter()
-    result = vhem_reduce(base, config)
-    elapsed = time.perf_counter() - start
+        init = _load_mixture(init_file, "--init-file")
+    result, elapsed = _timed(vhem_reduce, base, vhem_config(kr, init=init))
     save_model(result.reduced, out_path / "reduced.json", seed=seed)
     _write_trace(out_path / "reduce_trace.csv", "bound", result.bound_history)
     header = ["base_index", "hard_label"] + [f"z_{j}" for j in range(kr)]
@@ -263,13 +276,11 @@ def reduce_cmd(
 @main.command("hier")
 @click.option("--model", required=True, help="Mixture file whose components are the leaves.")
 @click.option("--ladder", required=True, help="Comma-separated level sizes, e.g. 4,2.")
-@click.option("--virtual-samples", type=int, default=None)
-@click.option("--tau-virtual", type=int, default=10, show_default=True)
-@click.option("--restarts", type=int, default=1, show_default=True, help="Competing runs per level; best bound kept.")
 @click.option("--out", default=".", show_default=True)
-@_common_options
 @_guarded
-def hier(model, ladder, virtual_samples, tau_virtual, restarts, out, seed, max_iters, tol, cov_floor):
+@_vhem_options
+@_common_options
+def hier(model, ladder, out, seed, vhem_config):
     """Hierarchically cluster the components of a mixture."""
     try:
         sizes = [int(part) for part in ladder.split(",") if part]
@@ -278,22 +289,8 @@ def hier(model, ladder, virtual_samples, tau_virtual, restarts, out, seed, max_i
     if not sizes:
         raise ValueError(f"bad --ladder {ladder!r}: no level sizes")
     out_path = _out_dir(out)
-    base = load_model(model)
-    if not isinstance(base, H3m):
-        raise InvalidModelError(f"{model} holds a single HMM; hier needs a mixture")
-    config = VhemConfig(
-        k_reduced=sizes[0],
-        n_virtual=virtual_samples,
-        tau_virtual=tau_virtual,
-        max_iters=max_iters,
-        tol=tol,
-        cov_floor=cov_floor,
-        seed=seed,
-        n_restarts=restarts,
-    )
-    start = time.perf_counter()
-    levels = hier_cluster(list(base.components), sizes, config)
-    elapsed = time.perf_counter() - start
+    base = _load_mixture(model, "hier")
+    levels, elapsed = _timed(hier_cluster, list(base.components), sizes, vhem_config(sizes[0]))
     parent_rows = []
     label_rows = []
     for depth, level in enumerate(levels):
@@ -343,7 +340,7 @@ def synth(groups, per_group, separation, states, mix, dim, tau, kind, out, seed,
     else:
         save_dataset(produced, out_path / "dataset.jsonl")
         target = out_path / "dataset.jsonl"
-    _write_labels(out_path / "synth_labels.csv", labels)
+    _write_csv(out_path / "synth_labels.csv", ["index", "label"], list(enumerate(labels)))
     _write_log(
         out_path / "synth.log",
         [
@@ -396,41 +393,19 @@ def mc_oracle(base_path, reduced_path, tau, samples, seed, out):
 @click.option("--kr", type=int, required=True, help="Final component count.")
 @click.option("--states", type=int, required=True)
 @click.option("--mix", type=int, default=1, show_default=True)
-@click.option("--virtual-samples", type=int, default=None)
-@click.option("--tau-virtual", type=int, default=10, show_default=True)
-@click.option("--starts", type=int, default=1, show_default=True, help="Seeded EM starts per portion.")
-@click.option("--restarts", type=int, default=1, show_default=True, help="Competing reduction runs.")
 @click.option("--out", default=".", show_default=True)
-@_common_options
-@_cov_type_option
 @_guarded
-def split_pipeline(
-    data, portions, portion_k, kr, states, mix, virtual_samples, tau_virtual,
-    starts, restarts, out, seed, max_iters, tol, cov_floor, cov_type,
-):
+@_vhem_options
+@_em_options
+@_common_options
+def split_pipeline(data, portions, portion_k, kr, states, mix, out, seed, em_config, vhem_config):
     """Split the data, fit a mixture per portion, pool, and reduce."""
     out_path = _out_dir(out)
     dataset = load_dataset(data)
-    em_config = EmConfig(
-        max_iters=max_iters, tol=tol, cov_floor=cov_floor, cov_type=cov_type,
-        n_starts=starts,
+    (final, report), elapsed = _timed(
+        split_estimate_aggregate, dataset.sequences, portions, portion_k, kr, states, mix,
+        em_config, vhem_config(kr), seed,
     )
-    vhem_config = VhemConfig(
-        k_reduced=kr,
-        n_virtual=virtual_samples,
-        tau_virtual=tau_virtual,
-        max_iters=max_iters,
-        tol=tol,
-        cov_floor=cov_floor,
-        seed=seed,
-        n_restarts=restarts,
-    )
-    start = time.perf_counter()
-    final, report = split_estimate_aggregate(
-        dataset.sequences, portions, portion_k, kr, states, mix,
-        em_config, vhem_config, seed=seed,
-    )
-    elapsed = time.perf_counter() - start
     save_model(final, out_path / "final.json", seed=seed)
     _write_csv(
         out_path / "pipeline_portions.csv",

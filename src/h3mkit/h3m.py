@@ -222,6 +222,9 @@ def h3m_em(
     sequence the current mixture models worst, at most twice per run. With
     config.n_starts > 1, the best of several seeded starts is returned.
     """
+    for name, size in (("k", k), ("n_states", n_states), ("n_mix", n_mix)):
+        if size < 1:
+            raise ValueError(f"{name} must be >= 1, got {size}")
     config = config or EmConfig()
     rng = rng if rng is not None else np.random.default_rng()
     if config.n_starts > 1:

@@ -17,6 +17,7 @@ per line, read whole.
 from __future__ import annotations
 
 import json
+import operator
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -143,7 +144,7 @@ def save_model(model: Hmm | H3m, path: str | Path, seed: int | None = None) -> N
     else:
         raise TypeError(f"cannot serialize {type(model).__name__}")
     if seed is not None:
-        meta["seed"] = seed
+        meta["seed"] = operator.index(seed)  # a Python int, also for numpy integers
     doc = {"schema_version": SCHEMA_VERSION, "kind": kind, "metadata": meta, "payload": payload}
     path.write_text(json.dumps(doc) + "\n")
 

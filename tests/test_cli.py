@@ -190,12 +190,26 @@ class TestSynthAndTrain:
 
 
 class TestFailureModes:
-    def test_missing_model_is_validation_error(self, runner, tmp_path):
-        result = runner.invoke(main, [
-            "reduce", "--model", str(tmp_path / "nope.json"), "--kr", "2",
-            "--out", str(tmp_path),
-        ])
-        assert result.exit_code in (1, 2)
+    @pytest.mark.parametrize("flag", ["--model", "--data", "--init-file", "--labels-a", "--base"])
+    def test_missing_model_is_validation_error(self, runner, tmp_path, flag):
+        # A missing input file is an error line and exit 1, not a traceback.
+        missing = str(tmp_path / "nope.json")
+        leaves = str(two_leaf_mixture(tmp_path))
+        args = {
+            "--model": ["reduce", "--model", missing, "--kr", "2"],
+            "--data": ["train-h3m", "--data", missing, "--k", "2", "--states", "1"],
+            "--init-file": [
+                "reduce", "--model", leaves, "--kr", "2", "--init", "file", "--init-file", missing,
+            ],
+            "--labels-a": ["eval-rand", "--labels-a", missing, "--labels-b", missing],
+            "--base": ["mc-oracle", "--base", missing, "--reduced", leaves],
+        }[flag]
+        result = runner.invoke(main, [*args, "--out", str(tmp_path / "o")])
+        assert result.exit_code == 1
+        assert isinstance(result.exception, SystemExit)
+        assert "Traceback" not in result.output
+        errors = [line for line in result.output.splitlines() if line.startswith("error:")]
+        assert len(errors) == 1 and "nope.json" in errors[0], result.output
 
     def test_malformed_model_exit_code_1(self, runner, tmp_path):
         bad = tmp_path / "bad.json"
@@ -359,6 +373,23 @@ class TestFailureModes:
         assert isinstance(result.exception, SystemExit)
         assert result.output.splitlines() == ["error: n_states, n_mix and dim must be >= 1"]
         assert not out.exists()
+
+    @pytest.mark.parametrize("size", ["--k", "--states", "--mix"])
+    def test_zero_size_rejected(self, runner, tmp_path, size):
+        data = tmp_path / "data.jsonl"
+        data.write_text("".join(
+            json.dumps({"id": str(i), "obs": [[float(i)], [1.0], [2.0 * i]]}) + "\n"
+            for i in range(4)
+        ))
+        sizes = {"--k": "2", "--states": "2", "--mix": "1", size: "0"}
+        result = runner.invoke(main, [
+            "train-h3m", "--data", str(data), *[a for item in sizes.items() for a in item],
+            "--out", str(tmp_path / "o"),
+        ])
+        assert result.exit_code == 1
+        assert isinstance(result.exception, SystemExit)
+        name = {"--k": "k", "--states": "n_states", "--mix": "n_mix"}[size]
+        assert result.output.splitlines() == [f"error: {name} must be >= 1, got 0"]
 
     def test_reduce_with_too_few_weighted_components(self, runner, tmp_path):
         leaves = tmp_path / "leaves.json"

@@ -112,6 +112,13 @@ class TestModelRoundTrip:
         assert doc["metadata"]["seed"] == 7
         assert doc["metadata"]["k"] == 4
 
+    def test_numpy_integer_seed(self, rng, tmp_path):
+        # A seed that is a numpy integer is written as the same JSON number.
+        model = random_h3m(rng, k=2)
+        for name, seed in (("int", 3), ("numpy", np.int64(3))):
+            save_model(model, tmp_path / f"{name}.json", seed=seed)
+        assert (tmp_path / "numpy.json").read_bytes() == (tmp_path / "int.json").read_bytes()
+
     def test_one_line_file(self, tmp_path):
         # The document on one line: parsed, it is the document that the
         # indented writer of schema 1 gave for this model, and it loads back
