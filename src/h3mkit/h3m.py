@@ -166,7 +166,6 @@ def _converged(trace: list[float], tol: float) -> bool:
 
 
 def mstep(
-    item_weights: np.ndarray,
     z: AssignmentMatrix,
     stats: _Stats,
     counts: np.ndarray,
@@ -179,8 +178,11 @@ def mstep(
     (items, K, ...): per sequence for ``h3m_em``, per base component for the
     reduction (``reduction._virtual_stats_all``). Component j is row j of one
     ``hmm._mstep`` call on their sums weighted by z[i, j] * counts[i]; the
-    mixture weights are item_weights @ z. Starved components (``_starved``)
-    get no mass, keep their previous parameters and are reported back.
+    mixture weight of component j is the mean of z[:, j] over the items,
+    whatever their counts (HEM's update, Vasconcelos & Lippman 1999: it
+    maximizes sum_i log sum_j w_j exp(counts[i] * objectives[i, j]) over
+    the weights). Starved components (``_starved``) get no mass, keep their
+    previous parameters and are reported back.
 
     Returns the new mixture and the list of starved component indices.
     """
@@ -189,7 +191,8 @@ def mstep(
     w[:, starved] = 0.0
     new = _mstep(stats.weighted_sum(w), _stack(previous.components), cov_floor)
     components = _models(_check_arrays(*new, axes=("component",)))
-    return H3m(item_weights @ z.z, components), starved
+    n_items = z.z.shape[0]
+    return H3m(np.full(n_items, 1.0 / n_items) @ z.z, components), starved
 
 
 def mc_expected_loglik(
@@ -287,9 +290,7 @@ def h3m_em(
             z.z[worst, j] = 1.0
             reseeds += 1
 
-        model, _ = mstep(
-            ones / n_seq, z, stats, ones, H3m(model.weights, components), config.cov_floor
-        )
+        model, _ = mstep(z, stats, ones, H3m(model.weights, components), config.cov_floor)
 
     posteriors = np.empty_like(z.z)
     posteriors[rows] = z.z

@@ -503,9 +503,7 @@ def _reduce_once(base: H3m, config: VhemConfig, rng: np.random.Generator) -> Red
             break  # no M-step follows, so no statistics
         stats = _Stats.concatenate(list(map(_virtual_stats_all, blocks, esteps)))
         del esteps  # release the couplings before the next E-step builds its own
-        new_model, starved = mstep(
-            base.weights, z, stats, virtual_counts, reduced, config.cov_floor
-        )
+        new_model, starved = mstep(z, stats, virtual_counts, reduced, config.cov_floor)
         if starved:
             weights = new_model.weights.copy()
             components = list(new_model.components)

@@ -200,9 +200,9 @@ class TestH3mEm:
             events.append(("pass", models, copy))
             return stats, lls
 
-        def recorded_mstep(item_weights, z, stats, counts, previous, cov_floor):
+        def recorded_mstep(z, stats, counts, previous, cov_floor):
             events.append(("mstep", previous, dict(vars(stats))))
-            return mstep(item_weights, z, stats, counts, previous, cov_floor)
+            return mstep(z, stats, counts, previous, cov_floor)
 
         monkeypatch.setattr(h3m_module, "_expected_stats", recorded_stats)
         monkeypatch.setattr(h3m_module, "mstep", recorded_mstep)

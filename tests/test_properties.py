@@ -227,12 +227,12 @@ def degenerate_reductions(draw):
     if k_b > 1 and draw(st.booleans(), label="duplicate base components"):
         for a in arrays:
             a[1:] = a[0]
-    # Equal weights, as hier_cluster gives its leaves; unequal ones meet a
-    # known defect (test_unequal_base_weights).
-    base = H3m(
-        np.full(k_b, 1.0 / k_b),
-        [Hmm.from_arrays(*(a[i] for a in arrays)) for i in range(k_b)],
-    )
+    # Equal weights, as hier_cluster gives its leaves, or unequal ones, as a
+    # fitted or pooled mixture has.
+    weights = np.full(k_b, 1.0 / k_b)
+    if draw(st.booleans(), label="unequal base weights"):
+        weights = rng.dirichlet(np.full(k_b, 0.5))
+    base = H3m(weights, [Hmm.from_arrays(*(a[i] for a in arrays)) for i in range(k_b)])
     k_r = draw(st.integers(1, k_b), label="reduced components")  # includes K_r = K_b
     tau = draw(st.integers(1, 3), label="tau")  # includes tau = 1
     init = draw(st.sampled_from(["subset-perturb", "random"]))
@@ -254,12 +254,10 @@ class TestDegenerateReduction:
         # Only a rescue may lower the bound, once per rescue.
         assert drops.sum() <= result.rescues, bounds
 
-    @pytest.mark.xfail(
-        strict=True,
-        reason="the reduction's weight update, base.weights @ z, does not maximize the"
-        " bound it reports, sum_i log sum_j w_j exp(N_i J_ij); that is sum_i z_ij / K_b",
-    )
     def test_unequal_base_weights(self):
+        # The weight update maximizes the bound it reports,
+        # sum_i log sum_j w_j exp(N_i J_ij), at sum_i z_ij / K_b, not at the
+        # base-weighted sum_i w_i z_ij.
         def gaussian(mean, var):
             return Hmm.from_arrays([1.0], [[1.0]], [[1.0]], [[[mean]]], [[[var]]])
 

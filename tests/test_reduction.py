@@ -378,7 +378,7 @@ class TestMstep:
         counts = np.array([100.0])
         objectives, summaries, stats = run_estep(base, reduced, 5)
         z = AssignmentMatrix(np.ones((1, 1)))
-        new, starved = mstep(base.weights, z, stats, counts, reduced)
+        new, starved = mstep(z, stats, counts, reduced)
         assert starved == []
         summary = summaries[0][0]
         np.testing.assert_allclose(
@@ -414,7 +414,7 @@ class TestMstep:
         counts = np.full(4, 25.0)
         objectives, summaries, stats = run_estep(base, reduced, 5)
         z = AssignmentMatrix(np.ones((4, 1)))
-        new, _ = mstep(base.weights, z, stats, counts, reduced)
+        new, _ = mstep(z, stats, counts, reduced)
         comp = new.components[0]
         np.testing.assert_allclose(comp.initial, shared.initial, atol=1e-8)
         np.testing.assert_allclose(comp.transitions, shared.transitions, atol=1e-8)
@@ -436,7 +436,7 @@ class TestMstep:
         hard[:3, 0] = 1.0
         hard[3, 1] = 1.0
         z = AssignmentMatrix(hard)
-        new, _ = mstep(base.weights, z, stats, counts, reduced)
+        new, _ = mstep(z, stats, counts, reduced)
         np.testing.assert_allclose(new.weights, [0.75, 0.25], atol=1e-12)
 
     def test_outputs_stochastic(self, rng):
@@ -448,7 +448,7 @@ class TestMstep:
         counts = 100.0 * base.weights
         objectives, summaries, stats = run_estep(base, reduced, 4)
         z, _ = compute_assignments(objectives, reduced.weights, counts)
-        new, _ = mstep(base.weights, z, stats, counts, reduced)
+        new, _ = mstep(z, stats, counts, reduced)
         assert new.weights.sum() == pytest.approx(1.0, abs=1e-12)
         for comp in new.components:
             assert comp.initial.sum() == pytest.approx(1.0, abs=1e-12)
@@ -528,9 +528,10 @@ class TestMstep:
             )
             for j in range(k_r)
         ])
-        new, starved = mstep(base.weights, z, stats, counts, reduced, cov_floor=floor)
+        new, starved = mstep(z, stats, counts, reduced, cov_floor=floor)
         assert starved == []
-        np.testing.assert_allclose(new.weights, base.weights @ z.z, rtol=0, atol=1e-10)
+        # HEM's weight update: the mean assignment over base components.
+        np.testing.assert_allclose(new.weights, z.z.sum(axis=0) / k_b, rtol=0, atol=1e-10)
         for comp, (initial, transitions, mix, means, covs) in zip(new.components, expected):
             np.testing.assert_allclose(comp.initial, initial, rtol=0, atol=1e-10)
             np.testing.assert_allclose(comp.transitions, transitions, rtol=0, atol=1e-10)
@@ -847,7 +848,7 @@ def per_pair_reduce(base, config):
             ])
             for j in range(reduced.n_components)
         ])
-        new_model, starved = mstep(base.weights, z, stats, counts, reduced, config.cov_floor)
+        new_model, starved = mstep(z, stats, counts, reduced, config.cov_floor)
         if starved:
             weights, components = new_model.weights.copy(), list(new_model.components)
             for j in starved:
