@@ -29,9 +29,7 @@ from .reduction import VhemConfig, vhem_reduce
 from .serialize import load_dataset, load_model, save_dataset, save_model
 from .synth import synth_benchmark
 
-_VALIDATION_ERRORS = (
-    InvalidModelError, ModelFormatError, DegenerateWeightsError, ValueError, OSError
-)
+_INPUT_ERRORS = (InvalidModelError, ModelFormatError, DegenerateWeightsError, ValueError, OSError)
 _NUMERICAL_ERRORS = (EstimationError, FloatingPointError, np.linalg.LinAlgError)
 
 
@@ -40,7 +38,7 @@ def _guarded(fn):
     def wrapper(*args, **kwargs):
         try:
             return fn(*args, **kwargs)
-        except _VALIDATION_ERRORS as exc:
+        except _INPUT_ERRORS as exc:
             click.echo(f"error: {exc}", err=True)
             sys.exit(1)
         except _NUMERICAL_ERRORS as exc:

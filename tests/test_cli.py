@@ -32,6 +32,28 @@ def run_ok(runner, args, env=None):
     return result
 
 
+def assert_missing_file_is_error_line(runner, tmp_path, flag):
+    """A missing input file given to ``flag`` is one error line and exit 1,
+    not a traceback."""
+    missing = str(tmp_path / "nope.json")
+    leaves = str(two_leaf_mixture(tmp_path))
+    args = {
+        "--model": ["reduce", "--model", missing, "--kr", "2"],
+        "--data": ["train-h3m", "--data", missing, "--k", "2", "--states", "1"],
+        "--init-file": [
+            "reduce", "--model", leaves, "--kr", "2", "--init", "file", "--init-file", missing,
+        ],
+        "--labels-a": ["eval-rand", "--labels-a", missing, "--labels-b", missing],
+        "--base": ["mc-oracle", "--base", missing, "--reduced", leaves],
+    }[flag]
+    result = runner.invoke(main, [*args, "--out", str(tmp_path / "o")])
+    assert result.exit_code == 1
+    assert isinstance(result.exception, SystemExit)
+    assert "Traceback" not in result.output
+    errors = [line for line in result.output.splitlines() if line.startswith("error:")]
+    assert len(errors) == 1 and "nope.json" in errors[0], result.output
+
+
 class TestSynthAndTrain:
     def test_synth_hmms_and_reduce(self, runner, tmp_path):
         synth_dir = tmp_path / "synth"
@@ -190,26 +212,12 @@ class TestSynthAndTrain:
 
 
 class TestFailureModes:
-    @pytest.mark.parametrize("flag", ["--model", "--data", "--init-file", "--labels-a", "--base"])
-    def test_missing_model_is_validation_error(self, runner, tmp_path, flag):
-        # A missing input file is an error line and exit 1, not a traceback.
-        missing = str(tmp_path / "nope.json")
-        leaves = str(two_leaf_mixture(tmp_path))
-        args = {
-            "--model": ["reduce", "--model", missing, "--kr", "2"],
-            "--data": ["train-h3m", "--data", missing, "--k", "2", "--states", "1"],
-            "--init-file": [
-                "reduce", "--model", leaves, "--kr", "2", "--init", "file", "--init-file", missing,
-            ],
-            "--labels-a": ["eval-rand", "--labels-a", missing, "--labels-b", missing],
-            "--base": ["mc-oracle", "--base", missing, "--reduced", leaves],
-        }[flag]
-        result = runner.invoke(main, [*args, "--out", str(tmp_path / "o")])
-        assert result.exit_code == 1
-        assert isinstance(result.exception, SystemExit)
-        assert "Traceback" not in result.output
-        errors = [line for line in result.output.splitlines() if line.startswith("error:")]
-        assert len(errors) == 1 and "nope.json" in errors[0], result.output
+    def test_missing_model_is_validation_error(self, runner, tmp_path):
+        assert_missing_file_is_error_line(runner, tmp_path, "--model")
+
+    @pytest.mark.parametrize("flag", ["--data", "--init-file", "--labels-a", "--base"])
+    def test_missing_input_file_is_validation_error(self, runner, tmp_path, flag):
+        assert_missing_file_is_error_line(runner, tmp_path, flag)
 
     def test_malformed_model_exit_code_1(self, runner, tmp_path):
         bad = tmp_path / "bad.json"
