@@ -26,10 +26,13 @@ def logsumexp(a, axis=None, keepdims: bool = False):
     all), shifted by the maximum so nothing overflows. A slice that is all
     -inf gives -inf, without a warning."""
     a = np.asarray(a, dtype=float)
-    hi = np.amax(a, axis=axis, keepdims=True)
-    hi[~np.isfinite(hi)] = 0.0
-    with np.errstate(divide="ignore"):
-        out = np.log(np.sum(np.exp(a - hi), axis=axis, keepdims=keepdims))
+    hi = np.maximum.reduce(a, axis=axis, keepdims=True)
+    if np.isfinite(hi).all():  # every slice holds exp(0) = 1: log cannot warn
+        out = np.log(np.add.reduce(np.exp(a - hi), axis=axis, keepdims=keepdims))
+    else:  # a slice that is all -inf, or holds +inf or NaN, is shifted by 0
+        hi = np.where(np.isfinite(hi), hi, 0.0)
+        with np.errstate(divide="ignore"):
+            out = np.log(np.add.reduce(np.exp(a - hi), axis=axis, keepdims=keepdims))
     return out + (hi if keepdims else hi.reshape(np.shape(out)))
 
 

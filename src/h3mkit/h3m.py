@@ -2,6 +2,9 @@
 estimators share, EM estimation from raw sequences (and Baum-Welch as its
 one-component case), and the Monte Carlo expected-log-likelihood oracle.
 
+A mixture holds one stack of its components' arrays, which every kernel
+reads; its ``components`` are views of the rows, rebuilt on each read.
+
 Both estimators are EM over items with a per-item, per-component objective:
 ``h3m_em`` over real sequences (count 1, objective the log-likelihood) and
 the reduction over base components (count the virtual sample mass, objective
@@ -37,6 +40,7 @@ from .hmm import (
     Sequence,
     _check_arrays,
     _check_data,
+    _Checked,
     _expected_stats,
     _init_hmm,
     _logliks,
@@ -50,50 +54,53 @@ from .hmm import (
 )
 
 
-@dataclass
 class H3m:
     """Mixture of HMMs with shared state count, mixture size, dimension and
-    covariance layout."""
+    covariance layout: its weights and ``arrays``, one ``hmm._Checked``
+    stack of the components. Built from a list of ``Hmm``, stacked once, or
+    from such a stack. Not mutated."""
 
-    weights: np.ndarray
-    components: list[Hmm]
-
-    def __post_init__(self) -> None:
-        self.weights = np.asarray(self.weights, dtype=float)
+    def __init__(self, weights, components: list[Hmm] | _Checked) -> None:
+        self.weights = np.asarray(weights, dtype=float)
         if self.weights.ndim != 1:
             raise InvalidModelError("mixture weights must be a vector")
-        if len(self.components) == 0:
+        stacked = isinstance(components, _Checked)
+        k = len(components.initial if stacked else components)
+        if k == 0:
             raise InvalidModelError("mixture needs at least one component")
-        if self.weights.shape[0] != len(self.components):
-            raise InvalidModelError(
-                f"{self.weights.shape[0]} weights for {len(self.components)} components"
-            )
+        if self.weights.shape[0] != k:
+            raise InvalidModelError(f"{self.weights.shape[0]} weights for {k} components")
         check_probability_vector(self.weights, "mixture weights")
         # covs' shape, (N, M, d) variances or (N, M, d, d) matrices, fixes them all.
-        first = self.components[0]
-        for idx, h in enumerate(self.components):
-            if h.covs.shape != first.covs.shape:
+        for idx, h in enumerate([] if stacked else components):
+            if h.covs.shape != components[0].covs.shape:
                 got, want = (
                     f"(N={m.n_states}, {_shape(m.n_mix, m.dim, m.covs.ndim == 3)})"
-                    for m in (h, first)
+                    for m in (h, components[0])
                 )
                 raise InvalidModelError(f"component {idx} has {got}, expected {want}")
+        self.arrays = components if stacked else _stack(components)
+
+    @property
+    def components(self) -> list[Hmm]:
+        """Models that are views of the rows of ``arrays``, rebuilt on each read."""
+        return _models(self.arrays)
 
     @property
     def n_components(self) -> int:
-        return len(self.components)
+        return self.arrays.initial.shape[0]
 
     @property
     def n_states(self) -> int:
-        return self.components[0].n_states
+        return self.arrays.initial.shape[1]
 
     @property
     def n_mix(self) -> int:
-        return self.components[0].n_mix
+        return self.arrays.mix_weights.shape[2]
 
     @property
     def dim(self) -> int:
-        return self.components[0].dim
+        return self.arrays.means.shape[3]
 
 
 @dataclass
@@ -189,10 +196,9 @@ def mstep(
     starved = _starved(z, counts)
     w = z.z * counts[:, None]
     w[:, starved] = 0.0
-    new = _mstep(stats.weighted_sum(w), _stack(previous.components), cov_floor)
-    components = _models(_check_arrays(*new, axes=("component",)))
-    n_items = z.z.shape[0]
-    return H3m(np.full(n_items, 1.0 / n_items) @ z.z, components), starved
+    new = _mstep(stats.weighted_sum(w), previous.arrays, cov_floor)
+    weights = np.full(z.z.shape[0], 1.0 / z.z.shape[0]) @ z.z
+    return H3m(weights, _check_arrays(*new, axes=("component",))), starved
 
 
 def mc_expected_loglik(
@@ -231,12 +237,11 @@ def h3m_em(
     config = config or EmConfig()
     rng = rng if rng is not None else np.random.default_rng()
     if config.n_starts > 1:
-        best: H3mFit | None = None
-        for child in rng.spawn(config.n_starts):
-            fit = h3m_em(data, k, n_states, n_mix, replace(config, n_starts=1), child)
-            if best is None or fit.loglik_trace[-1] > best.loglik_trace[-1]:
-                best = fit
-        return best
+        one = replace(config, n_starts=1)
+        fits = (
+            h3m_em(data, k, n_states, n_mix, one, child) for child in rng.spawn(config.n_starts)
+        )
+        return max(fits, key=lambda fit: fit.loglik_trace[-1])
     _check_data(data)
     if len(data) < k:
         raise EstimationError(f"{len(data)} sequences cannot support {k} components")
@@ -260,37 +265,38 @@ def h3m_em(
     reseeds = 0
     for _ in range(config.max_iters + 1):
         stats = None  # release the previous iteration's statistics first
-        stacked = _stack(model.components)
         if len(trace) < config.max_iters:
-            parts = [_expected_stats(stacked, obs) for obs, _ in groups]
+            parts = [_expected_stats(model.arrays, obs) for obs, _ in groups]
             stats = _Stats.concatenate([p[0] for p in parts])
             lls = np.concatenate([p[1] for p in parts])
         else:  # the last possible E-step: no M-step follows, so no statistics
-            lls = np.concatenate([_logliks(stacked, obs) for obs, _ in groups])
+            lls = np.concatenate([_logliks(model.arrays, obs) for obs, _ in groups])
         z, seq_ll = compute_assignments(lls, model.weights, ones)
         trace.append(float(np.sum(seq_ll)))
         if _converged(trace, config.tol) or len(trace) == config.max_iters + 1:
             break
 
-        # Reseed starved components before the M-step; only their rows are rerun.
-        components = list(model.components)
+        # Reseed starved components before the M-step, in a new stack; only their rows rerun.
+        previous = model
         for j in range(k):
             if z.z[:, j].sum() >= n_seq / (10.0 * k) or reseeds >= 2:
                 continue
             worst = int(np.argmin(seq_ll))
             try:
-                components[j] = _init_hmm([data[rows[worst]]], n_states, n_mix, config, rng)
+                start = _init_hmm([data[rows[worst]]], n_states, n_mix, config, rng)
             except EstimationError:
-                components[j] = _init_hmm(data, n_states, n_mix, config, rng)
-            row = _stack([components[j]])
+                start = _init_hmm(data, n_states, n_mix, config, rng)
+            row = _stack([start])
             fresh = _Stats.concatenate([_expected_stats(row, obs)[0] for obs, _ in groups])
             for column, new in zip(vars(stats).values(), vars(fresh).values()):
                 column[:, j] = new[:, 0]
+            arrays = (np.concatenate([a[:j], r, a[j + 1:]]) for a, r in zip(previous.arrays, row))
+            previous = H3m(model.weights, _Checked(*arrays))
             z.z[worst] = 0.0
             z.z[worst, j] = 1.0
             reseeds += 1
 
-        model, _ = mstep(z, stats, ones, H3m(model.weights, components), config.cov_floor)
+        model, _ = mstep(z, stats, ones, previous, config.cov_floor)
 
     posteriors = np.empty_like(z.z)
     posteriors[rows] = z.z

@@ -7,14 +7,15 @@ kernel reads; its ``emissions`` objects are a view rebuilt from them on each
 read, and no model is mutated after construction. One array-level check,
 ``_check_arrays``, validates every model, once per stack: ``Hmm.from_arrays``
 and the constructor check one model; a file's mixture components, the
-synthetic members and an M-step's output are checked once as a stack, and
-``_models`` splits it into models that are views of it. One sampling kernel,
-``_sample``, draws sequences from a stack of models (``_stack``) with
-uniforms and normals drawn beforehand. Every estimation kernel reads such a
-stack too (``_Stacked``, with a leading K axis) and runs once over all K
-models; an ``Hmm`` is a one-row stack at the public boundary
-(``forward_loglik_batch``). One forward recursion, in probability domain
-and normalized at every step (Rabiner's scaling), one batched matmul per
+synthetic members and an M-step's output are checked once as a stack. A
+mixture holds one such stack, and its components are views of its rows
+(``_models``), rebuilt on each read. One sampling kernel, ``_sample``,
+draws sequences from a stack of models with uniforms and normals drawn
+beforehand. Every estimation kernel reads a stack too (``_Stacked``, with a
+leading K axis) and runs once over all K models; a list of models is
+stacked (``_stack``) only where it enters, and an ``Hmm`` is a one-row stack
+at the public boundary (``forward_loglik_batch``). One forward recursion, in
+probability domain and normalized at every step (Rabiner's scaling), one batched matmul per
 step, serves both the likelihood and the forward-backward pass. A pass runs
 over blocks of sequences within a fixed element budget for the whole
 (K, B, tau, N, M) block. The log-domain recursion stays as the fallback for
@@ -183,7 +184,7 @@ class _Stacked(NamedTuple):
 
 
 class _Checked(_Stacked):
-    """Arrays as ``_check_arrays`` returns them: the one stack ``_models`` takes."""
+    """A stack as ``_check_arrays`` returns it, or assembled from checked models or rows."""
 
     __slots__ = ()
 
@@ -199,9 +200,9 @@ def _models(stack: _Checked) -> list[Hmm]:
     return models
 
 
-def _stack(models: list[Hmm]) -> _Stacked:
-    """Stack the arrays of HMMs of one shape, such as an ``H3m``'s components."""
-    return _Stacked(*(np.stack([getattr(m, name) for m in models]) for name in _Stacked._fields))
+def _stack(models: list[Hmm]) -> _Checked:
+    """Stack the arrays of HMMs of one shape, where a list of them enters."""
+    return _Checked(*(np.stack([getattr(m, name) for m in models]) for name in _Stacked._fields))
 
 
 @dataclass
@@ -613,7 +614,9 @@ def _mstep(stats: _Stats, previous: _Stacked, cov_floor: float) -> _Stacked:
 def _kmeans(points: np.ndarray, k: int, rng: np.random.Generator, n_iter: int = 25) -> np.ndarray:
     """Plain Lloyd iterations from k distinct seed points; deterministic
     given the generator. Returns centers sorted lexicographically."""
-    unique = np.unique(points, axis=0)
+    # The distinct rows in lexicographic order, as np.unique(points, axis=0).
+    ordered = points[np.lexsort(points.T[::-1])]
+    unique = ordered[np.r_[True, np.any(ordered[1:] != ordered[:-1], axis=1)]]
     if unique.shape[0] < k:
         raise EstimationError(
             f"need at least {k} distinct observation vectors, found {unique.shape[0]}"

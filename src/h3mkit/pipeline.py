@@ -10,7 +10,7 @@ import numpy as np
 
 from .errors import EstimationError
 from .h3m import H3m, h3m_em
-from .hmm import EmConfig, Sequence
+from .hmm import EmConfig, Sequence, _Checked
 from .reduction import ReductionResult, VhemConfig, vhem_reduce
 
 
@@ -48,26 +48,15 @@ def split_estimate_aggregate(
                 f"portion {p} has {len(idxs)} sequences, fewer than k={per_portion_k}"
             )
 
-    pooled_components = []
-    pooled_weights = []
-    portion_sizes = []
-    portion_logliks = []
-    for p, idxs in enumerate(boundaries):
-        portion = [data[i] for i in idxs]
-        fit = h3m_em(
-            portion,
-            per_portion_k,
-            n_states,
-            n_mix,
-            em_config,
-            np.random.default_rng(seed + p),
-        )
-        portion_sizes.append(len(portion))
-        portion_logliks.append(fit.loglik_trace[-1])
-        pooled_components.extend(fit.model.components)
-        pooled_weights.extend(len(portion) * fit.model.weights)
-    weights = np.asarray(pooled_weights)
-    pooled = H3m(weights / weights.sum(), pooled_components)
+    fits = [
+        h3m_em([data[i] for i in idxs], per_portion_k, n_states, n_mix, em_config,
+               np.random.default_rng(seed + p))
+        for p, idxs in enumerate(boundaries)
+    ]
+    portion_sizes = [len(idxs) for idxs in boundaries]
+    weights = np.concatenate([n * fit.model.weights for n, fit in zip(portion_sizes, fits)])
+    stacks = zip(*(fit.model.arrays for fit in fits))
+    pooled = H3m(weights / weights.sum(), _Checked(*map(np.concatenate, stacks)))
 
     if vhem_config is None:
         vhem_config = VhemConfig(k_reduced=final_k, seed=seed)
@@ -76,7 +65,7 @@ def split_estimate_aggregate(
     result: ReductionResult = vhem_reduce(pooled, vhem_config)
     report = PipelineReport(
         portion_sizes=portion_sizes,
-        portion_logliks=portion_logliks,
+        portion_logliks=[fit.loglik_trace[-1] for fit in fits],
         pooled_k=pooled.n_components,
         bound_history=result.bound_history,
         effective_k=result.effective_k,

@@ -23,12 +23,11 @@ from per-base-component virtual statistics, weighted as ``h3m_em`` weights
 real sequences; ``_converged`` stops the run. An exhaustive enumeration
 oracle for the pair objective is included for verification.
 
-An iteration works on the models' parameter arrays stacked over components
-(``hmm._stack``: the base's once per run, the reduced model's once per
-iteration) and is batched over (base i, reduced j) pairs, except the phi
-recursion. It runs over blocks of base components, each paired with every
-reduced component, sized so that no array of an iteration grows with the
-number of base components (``_BLOCK_ELEMENTS``):
+An iteration reads the stacks the base and the reduced mixtures hold
+(``H3m.arrays``) and is batched over (base i, reduced j) pairs, except the
+phi recursion. It runs over blocks of base components, each paired with
+every reduced component, sized so that no array of an iteration grows with
+the number of base components (``_BLOCK_ELEMENTS``):
 
 - emission matching: one ``_cross_terms`` call over (I, J, N_b, N_r, M_b,
   M_r) and one logsumexp give eta and the per-state-pair bound ell;
@@ -41,8 +40,9 @@ number of base components (``_BLOCK_ELEMENTS``):
   ``mstep``; the blocks' statistics are concatenated over I once.
 
 ``estep_pair``, ``summary_stats`` and ``_virtual_stats`` are the one-pair
-slices of that code. No model is mutated. The start and rescued components
-get their variances floored at ``cov_floor`` as the M-step floors them.
+slices of that code. No model is mutated: rescues write into a fresh stack.
+The start and rescued components get their variances floored at
+``cov_floor`` as the M-step floors them.
 """
 
 from __future__ import annotations
@@ -63,7 +63,7 @@ from .h3m import (
     compute_assignments,
     mstep,
 )
-from .hmm import Hmm, _check_arrays, _models, _stack, _Stacked, _Stats
+from .hmm import Hmm, _check_arrays, _Checked, _stack, _Stacked, _Stats
 
 
 @dataclass
@@ -376,11 +376,6 @@ def _virtual_stats(base_i: Hmm, pair: PairEstepResult) -> _Stats:
 # Initialization and driver
 
 
-def _perturb_means(hmm: Hmm, rng: np.random.Generator, scale: float = 0.01) -> Hmm:
-    means = hmm.means * (1.0 + rng.uniform(-scale, scale, size=hmm.means.shape))
-    return Hmm.from_arrays(hmm.initial, hmm.transitions, hmm.mix_weights, means, hmm.covs)
-
-
 def _init_reduced(base: H3m, config: VhemConfig, rng: np.random.Generator) -> H3m:
     k_r = config.k_reduced
     if isinstance(config.init, H3m):
@@ -388,13 +383,14 @@ def _init_reduced(base: H3m, config: VhemConfig, rng: np.random.Generator) -> H3
         if (
             model.n_components != k_r
             or model.dim != base.dim
-            or model.components[0].covs.ndim != base.components[0].covs.ndim
+            or model.arrays.covs.ndim != base.arrays.covs.ndim
         ):
             raise InvalidModelError(
                 "provided initial model does not match k_reduced, base dimension"
                 " or base covariance layout"
             )
         return model
+    n, m, d = base.n_states, base.n_mix, base.dim
     if config.init == "subset-perturb":
         weighted = np.count_nonzero(base.weights)
         if weighted < k_r:
@@ -403,28 +399,26 @@ def _init_reduced(base: H3m, config: VhemConfig, rng: np.random.Generator) -> H3
                 f" nonzero weight, found {weighted}"
             )
         idx = rng.choice(base.n_components, size=k_r, replace=False, p=base.weights)
-        components = [_perturb_means(base.components[i], rng) for i in idx]
-        return H3m(np.full(k_r, 1.0 / k_r), components)
-    # "random": fresh stochastic vectors; means drawn from the pool of base
-    # means with a multiplicative jitter, covariances averaged over the base.
-    n, m, d = base.n_states, base.n_mix, base.dim
-    arrays = _stack(base.components)
-    all_means = arrays.means.reshape(-1, d)
-    cov_avg = arrays.covs.reshape(-1, *arrays.covs.shape[3:]).mean(axis=0)
-    covs = np.broadcast_to(cov_avg, (n, m) + cov_avg.shape)
-    components = []
-    for _ in range(k_r):
-        initial = rng.dirichlet(np.ones(n))
-        transitions = rng.dirichlet(np.ones(n), size=n)
-        mix_weights = np.empty((n, m))
-        means = np.empty((n, m, d))
-        for state in range(n):
-            mix_weights[state] = rng.dirichlet(np.full(m, 5.0))
-            for comp in range(m):
-                mean = all_means[rng.integers(all_means.shape[0])]
-                means[state, comp] = mean * (1.0 + rng.uniform(-0.1, 0.1, size=d))
-        components.append(Hmm.from_arrays(initial, transitions, mix_weights, means, covs))
-    return H3m(np.full(k_r, 1.0 / k_r), components)
+        initial, transitions, mix_weights, means, covs = (a[idx] for a in base.arrays)
+        means *= 1.0 + rng.uniform(-0.01, 0.01, size=(k_r, n, m, d))
+    else:
+        # "random": fresh stochastic vectors; means drawn from the pool of base
+        # means with a multiplicative jitter, covariances averaged over the base.
+        all_means = base.arrays.means.reshape(-1, d)
+        cov_avg = base.arrays.covs.reshape(-1, *base.arrays.covs.shape[3:]).mean(axis=0)
+        covs = np.broadcast_to(cov_avg, (k_r, n, m) + cov_avg.shape)
+        initial, transitions = np.empty((k_r, n)), np.empty((k_r, n, n))
+        mix_weights, means = np.empty((k_r, n, m)), np.empty((k_r, n, m, d))
+        for j in range(k_r):
+            initial[j] = rng.dirichlet(np.ones(n))
+            transitions[j] = rng.dirichlet(np.ones(n), size=n)
+            for state in range(n):
+                mix_weights[j, state] = rng.dirichlet(np.full(m, 5.0))
+                for comp in range(m):
+                    mean = all_means[rng.integers(all_means.shape[0])]
+                    means[j, state, comp] = mean * (1.0 + rng.uniform(-0.1, 0.1, size=d))
+    arrays = _check_arrays(initial, transitions, mix_weights, means, covs, axes=("component",))
+    return H3m(np.full(k_r, 1.0 / k_r), arrays)
 
 
 def vhem_reduce(base: H3m, config: VhemConfig) -> ReductionResult:
@@ -446,12 +440,11 @@ def vhem_reduce(base: H3m, config: VhemConfig) -> ReductionResult:
             f"k_reduced={config.k_reduced} exceeds base component count {k_b}"
         )
     if config.n_restarts > 1:
-        best: ReductionResult | None = None
-        for restart in range(config.n_restarts):
-            result = _reduce_once(base, config, np.random.default_rng([config.seed, restart]))
-            if best is None or result.bound_history[-1] > best.bound_history[-1]:
-                best = result
-        return best
+        results = (
+            _reduce_once(base, config, np.random.default_rng([config.seed, restart]))
+            for restart in range(config.n_restarts)
+        )
+        return max(results, key=lambda result: result.bound_history[-1])
     return _reduce_once(base, config, np.random.default_rng(config.seed))
 
 
@@ -466,7 +459,7 @@ def _blocks(base: _Stacked, reduced: H3m, tau: int) -> list[_Stacked]:
     _BLOCK_ELEMENTS for its pairs with every component of ``reduced``."""
     k_b, n_b, m_b = base.mix_weights.shape
     n_r, m_r = reduced.n_states, reduced.n_mix
-    cov_size = reduced.components[0].covs[0, 0].size
+    cov_size = reduced.arrays.covs[0, 0, 0].size
     per_pair = n_b * n_r * max(m_b * m_r * cov_size, tau * n_r)
     size = max(1, _BLOCK_ELEMENTS // (per_pair * reduced.n_components))
     return [_Stacked(*(a[i:i + size] for a in base)) for i in range(0, k_b, size)]
@@ -476,12 +469,12 @@ def _floored(model: H3m, cov_floor: float) -> H3m:
     """``model`` with its variances below cov_floor raised to it, as every
     M-step raises them: a start or a rescue with smaller ones would let the
     next M-step lower the bound."""
-    stack = _stack(model.components)
-    variances = stack.covs if stack.covs.ndim == 4 else np.einsum("...ii->...i", stack.covs)
+    covs = model.arrays.covs.copy()
+    variances = covs if covs.ndim == 4 else np.einsum("...ii->...i", covs)
     if variances.min() >= cov_floor:
         return model
-    np.maximum(variances, cov_floor, out=variances)  # a view of the fresh stack
-    return H3m(model.weights, _models(_check_arrays(*stack, axes=("component",))))
+    np.maximum(variances, cov_floor, out=variances)  # a view of the copy
+    return H3m(model.weights, _check_arrays(*model.arrays[:4], covs, axes=("component",)))
 
 
 def _reduce_once(base: H3m, config: VhemConfig, rng: np.random.Generator) -> ReductionResult:
@@ -489,13 +482,12 @@ def _reduce_once(base: H3m, config: VhemConfig, rng: np.random.Generator) -> Red
     virtual_counts = n_virtual * base.weights
     reduced = _floored(_init_reduced(base, config, rng), config.cov_floor)
     tau = config.tau_virtual
-    blocks = _blocks(_stack(base.components), reduced, tau)
+    blocks = _blocks(base.arrays, reduced, tau)
 
     bound_history: list[float] = []
     rescues = 0
     for _ in range(config.max_iters):
-        reduced_arrays = _stack(reduced.components)
-        esteps = [_estep(block, reduced_arrays, tau) for block in blocks]
+        esteps = [_estep(block, reduced.arrays, tau) for block in blocks]
         objectives = np.concatenate([estep.objective for estep in esteps])
         z, norms = compute_assignments(objectives, reduced.weights, virtual_counts)
         bound_history.append(float(np.sum(norms)))
@@ -506,16 +498,19 @@ def _reduce_once(base: H3m, config: VhemConfig, rng: np.random.Generator) -> Red
         new_model, starved = mstep(z, stats, virtual_counts, reduced, config.cov_floor)
         if starved:
             weights = new_model.weights.copy()
-            components = list(new_model.components)
+            arrays = _Checked(*(a.copy() for a in new_model.arrays))
             for j in starved:
                 if rescues >= 2:
                     continue
                 worst = int(np.argmin(objectives.max(axis=1)))
-                components[j] = base.components[worst]
+                if arrays.covs.shape[1:] != base.arrays.covs.shape[1:]:
+                    raise InvalidModelError(f"cannot rescue component {j}: shaped unlike base")
+                for row, source in zip(arrays, base.arrays):
+                    row[j] = source[worst]
                 weights[j] = 1.0 / config.k_reduced
                 rescues += 1
             weights = weights / weights.sum()
-            new_model = _floored(H3m(weights, components), config.cov_floor)
+            new_model = _floored(H3m(weights, arrays), config.cov_floor)
         reduced = new_model
 
     return ReductionResult(

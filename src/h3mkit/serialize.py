@@ -7,7 +7,7 @@ round-trips reproduce every parameter bit for bit. Loading reads each HMM's
 five parameter arrays straight from the JSON lists, without building
 emission objects, and checks each stack of them once: a mixture's
 components, when their shapes agree, are stacked and go through one
-``hmm._check_arrays`` call, and the models are views of that stack. Malformed
+``hmm._check_arrays`` call, and the mixture holds that stack. Malformed
 or ragged lists are a ModelFormatError, invalid parameters an
 InvalidModelError, and either names the file, the mixture component, and the
 state and emission component where it can. Datasets are JSON records, one
@@ -25,7 +25,7 @@ import numpy as np
 
 from .errors import InvalidModelError, ModelFormatError
 from .h3m import H3m
-from .hmm import Hmm, Sequence, _check_arrays, _check_data, _models
+from .hmm import Hmm, Sequence, _check_arrays, _check_data, _Checked
 
 SCHEMA_VERSION = "1"
 
@@ -108,14 +108,14 @@ def _named(where: str, build, *args, **kwargs):
         raise InvalidModelError(f"{where}{exc}") from exc
 
 
-def _components(parts: list[list[np.ndarray]], path: Path) -> list[Hmm]:
+def _components(parts: list[list[np.ndarray]], path: Path) -> _Checked | list[Hmm]:
     """The mixture components of a file from their parsed arrays. Components
     of one shape are stacked and checked once, and an error names the
     component; otherwise each is checked alone, and ``H3m`` names the first
     whose shape differs."""
     if len({tuple(a.shape for a in arrays) for arrays in parts}) == 1:
         stack = [np.stack(column) for column in zip(*parts)]
-        return _models(_named(f"{path} ", _check_arrays, *stack, axes=("component",)))
+        return _named(f"{path} ", _check_arrays, *stack, axes=("component",))
     return [
         _named(f"{path} component {i}: ", Hmm.from_arrays, *arrays)
         for i, arrays in enumerate(parts)
@@ -220,6 +220,10 @@ def load_dataset(path: str | Path) -> SequenceDataset:
                 seq = Sequence(np.asarray(record["obs"], dtype=float), id=record.get("id"))
             except (InvalidModelError, ValueError, TypeError) as exc:
                 raise ModelFormatError(f"{path}:{lineno}: bad observations: {exc}") from exc
+            if sequences and seq.dim != sequences[0].dim:
+                raise ModelFormatError(
+                    f"{path}:{lineno}: observation dimension {seq.dim}, expected {sequences[0].dim}"
+                )
             sequences.append(seq)
             labels.append(record.get("label"))
     if not sequences:

@@ -219,6 +219,18 @@ class TestFailureModes:
     def test_missing_input_file_is_validation_error(self, runner, tmp_path, flag):
         assert_missing_file_is_error_line(runner, tmp_path, flag)
 
+    def test_dataset_dimension_mismatch_is_error_line(self, runner, tmp_path):
+        data = tmp_path / "data.jsonl"
+        data.write_text('{"obs": [[0.0, 1.0], [1.0, 0.0]]}\n{"obs": [[0.0], [1.0]]}\n')
+        result = runner.invoke(main, [
+            "train-hmm", "--data", str(data), "--states", "1", "--out", str(tmp_path / "o"),
+        ])
+        assert result.exit_code == 1
+        assert "Traceback" not in result.output
+        errors = [line for line in result.output.splitlines() if line.startswith("error:")]
+        assert len(errors) == 1 and "data.jsonl:2: " in errors[0], result.output
+        assert "dimension 1, expected 2" in errors[0], result.output
+
     def test_malformed_model_exit_code_1(self, runner, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text("{oops")

@@ -335,6 +335,37 @@ class TestLogsumexp:
         )
         assert logsumexp(a, axis=1, keepdims=True).shape == (3, 1, 5)
 
+    def test_bit_identical_to_the_masked_formula(self, rng):
+        # The formula that shifts every slice, with non-finite maxima set to 0.
+        def reference(a, axis=None, keepdims=False):
+            a = np.asarray(a, dtype=float)
+            hi = np.amax(a, axis=axis, keepdims=True)
+            hi[~np.isfinite(hi)] = 0.0
+            with np.errstate(divide="ignore"):
+                out = np.log(np.sum(np.exp(a - hi), axis=axis, keepdims=keepdims))
+            return out + (hi if keepdims else hi.reshape(np.shape(out)))
+
+        a = rng.normal(scale=30.0, size=(4, 5, 6))
+        a[0, 1] = -np.inf  # an all -inf slice along the last axis
+        a[1, 2, 3], a[2, 0, 1], a[3, 4, 0] = np.inf, np.nan, 1e308
+        a[3, 3, :2] = 1e308
+        cases = [(rng.normal(size=(3, 3, 3)), 2), (a, None), (a, 0), (a, 2), (a, -1), (a, (0, 2))]
+        for x, axis in cases:
+            for keepdims in (False, True):
+                # Same values, and the same warnings (exp overflows where +inf is shifted by 0).
+                with warnings.catch_warnings(record=True) as got_warnings:
+                    warnings.simplefilter("always")
+                    got = logsumexp(x, axis=axis, keepdims=keepdims)
+                with warnings.catch_warnings(record=True) as want_warnings:
+                    warnings.simplefilter("always")
+                    want = reference(x, axis=axis, keepdims=keepdims)
+                assert [str(w.message) for w in got_warnings] == [
+                    str(w.message) for w in want_warnings
+                ]
+                assert np.shape(got) == np.shape(want)
+                assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
+        assert logsumexp(3.0) == 3.0 and logsumexp(-np.inf) == -np.inf
+
     def test_no_overflow(self):
         assert logsumexp([1000.0, 1000.0]) == pytest.approx(1000.0 + math.log(2.0), abs=1e-12)
 

@@ -27,6 +27,7 @@ from h3mkit import (
     sample_batch,
     synth_benchmark,
 )
+from h3mkit.hmm import _Stacked
 
 from conftest import random_hmm
 
@@ -43,6 +44,16 @@ class TestH3mModel:
         full = Hmm([1.0], [[1.0]], [GaussianMixture([1.0], [Gaussian([0.0], [[1.0]])])])
         with pytest.raises(InvalidModelError, match=r"component 1 .*full.*expected .*diagonal"):
             H3m([0.5, 0.5], [diag, full])
+
+    def test_components_are_views_of_the_stack(self, rng):
+        model = H3m([0.5, 0.5], [random_hmm(rng, 2, 2, 2), random_hmm(rng, 2, 2, 2)])
+        components = model.components
+        assert components[0] is not model.components[0]  # rebuilt on each read
+        for j, component in enumerate(components):
+            for name, stack in zip(_Stacked._fields, model.arrays):
+                row = getattr(component, name)
+                assert np.shares_memory(row, stack[j]) and not np.shares_memory(row, stack[1 - j])
+                assert row.tobytes() == stack[j].tobytes()
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_weights_rejected(self, bad):

@@ -187,6 +187,37 @@ class TestOneCheckPerStack:
         # Three M-steps of h3m_em and two of the reduction, whatever k is.
         assert seen == [[("component",)]] * 5
 
+    def test_mixtures_hold_the_checked_stack(self, monkeypatch, tmp_path):
+        # A loaded mixture, and the reduced and fitted ones that mstep
+        # returns, hold the stack that one _check_arrays call returned; no
+        # iteration stacks a list of models.
+        returned, stacked = [], []
+
+        def checking(*arrays, axes=()):
+            returned.append(_check_arrays(*arrays, axes=axes))
+            return returned[-1]
+
+        def stacking(models):
+            stacked.append(len(models))
+            return hmm_module._stack(models)
+
+        rng = np.random.default_rng(5)
+        save_model(random_h3m(rng, k=6, n_mix=2, dim=2), tmp_path / "m.json")
+        for module in (h3m_module, reduction_module, serialize_module):
+            monkeypatch.setattr(module, "_check_arrays", checking)
+        for module in (h3m_module, reduction_module):
+            monkeypatch.setattr(module, "_stack", stacking)
+        loaded = load_model(tmp_path / "m.json")
+        assert len(returned) == 1 and loaded.arrays is returned[0]
+        result = vhem_reduce(loaded, VhemConfig(2, max_iters=4, tol=0.0))
+        assert result.rescues == 0 and result.reduced.arrays is returned[-1]
+        assert stacked == []
+        dataset, _ = synth_benchmark(3, 6, 4.0, rng, tau=8, kind="sequences")
+        fit = h3m_em(dataset.sequences, 3, 2, 1, EmConfig(max_iters=4, tol=0.0), rng)
+        assert fit.model.arrays is returned[-1]
+        # The starting components enter as a list, and so does each reseeded one.
+        assert stacked == [3] + [1] * fit.reseeds
+
     @pytest.mark.parametrize("kind", ["hmms", "sequences"])
     def test_one_check_of_the_synthetic_members(self, check_calls, kind):
         synth_benchmark(3, 5, 4.0, np.random.default_rng(0), tau=4, kind=kind)

@@ -37,7 +37,7 @@ import h3mkit.reduction as reduction_module
 from h3mkit.gaussians import _cross_terms, expected_loglik_table, logsumexp
 from h3mkit.hmm import _stack
 from h3mkit.hmm import _Stats
-from h3mkit.reduction import _init_reduced, _perturb_means, _virtual_stats
+from h3mkit.reduction import _init_reduced, _virtual_stats
 
 from conftest import random_hmm
 
@@ -639,6 +639,16 @@ class TestVhemReduce:
             with pytest.raises(InvalidModelError, match="covariance layout"):
                 vhem_reduce(base, config)
 
+    def test_rescue_from_base_shaped_unlike_the_start_rejected(self):
+        # A start with fewer states than the base runs until a component starves.
+        leaves, _ = synth_benchmark(2, 3, 1.0, np.random.default_rng(0), n_states=2)
+        base = H3m(np.full(6, 1 / 6), leaves)
+        start = H3m([0.5, 0.5], [
+            Hmm.from_arrays([1.0], [[1.0]], [[1.0]], [[[mean]]], [[[1.0]]]) for mean in (0.0, 50.0)
+        ])
+        with pytest.raises(InvalidModelError, match="component 1"):
+            vhem_reduce(base, VhemConfig(k_reduced=2, init=start, max_iters=5))
+
     def test_restarts_deterministic_and_not_worse(self):
         leaves, _ = synth_benchmark(4, 5, 4.0, np.random.default_rng(6))
         base = H3m(np.full(20, 0.05), leaves)
@@ -1003,14 +1013,16 @@ class TestSeededDrawOrder:
     draw loop, so that a rewrite cannot change seeded results silently."""
 
     def test_perturb_means(self, rng):
-        hmm = random_hmm(rng, n_states=3, n_mix=2, dim=2)
-        out = _perturb_means(hmm, np.random.default_rng(1), scale=0.05)
+        base = H3m(np.full(4, 0.25), [random_hmm(rng, 3, 2, 2) for _ in range(4)])
+        reduced = _init_reduced(base, VhemConfig(k_reduced=2), np.random.default_rng(1))
         draws = np.random.default_rng(1)
-        for gmm, base_gmm in zip(out.emissions, hmm.emissions):
-            for comp, base_comp in zip(gmm.components, base_gmm.components):
-                expected = base_comp.mean * (1.0 + draws.uniform(-0.05, 0.05, size=2))
-                np.testing.assert_array_equal(comp.mean, expected)
-        np.testing.assert_array_equal(out.covs, hmm.covs)
+        chosen = draws.choice(4, size=2, replace=False, p=base.weights)
+        for out, hmm in zip(reduced.components, [base.components[i] for i in chosen]):
+            for gmm, base_gmm in zip(out.emissions, hmm.emissions):
+                for comp, base_comp in zip(gmm.components, base_gmm.components):
+                    expected = base_comp.mean * (1.0 + draws.uniform(-0.01, 0.01, size=2))
+                    np.testing.assert_array_equal(comp.mean, expected)
+            np.testing.assert_array_equal(out.covs, hmm.covs)
 
     @pytest.mark.parametrize("cov_type", ["diag", "full"])
     def test_random_init(self, rng, cov_type):

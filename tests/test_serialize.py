@@ -249,6 +249,12 @@ class TestDataset:
         with pytest.raises(ModelFormatError, match="data.jsonl:2"):
             load_dataset(path)
 
+    def test_dimension_mismatch_names_the_line(self, tmp_path):
+        path = tmp_path / "data.jsonl"
+        path.write_text('{"obs": [[0.0, 1.0]]}\n\n{"obs": [[0.0, 1.0]]}\n{"obs": [[0.0]]}\n')
+        with pytest.raises(ModelFormatError, match=r"data.jsonl:4: .* dimension 1, expected 2"):
+            load_dataset(path)
+
     def test_empty_rejected(self, tmp_path):
         path = tmp_path / "data.jsonl"
         path.write_text("\n")
