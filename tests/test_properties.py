@@ -18,6 +18,8 @@ from h3mkit import (
     Sequence,
     VhemConfig,
     baum_welch,
+    elhmm_bruteforce,
+    estep_pair,
     h3m_em,
     load_model,
     save_model,
@@ -417,3 +419,54 @@ class TestDegenerateFit:
         except EstimationError:
             return
         assert_trace_ok(fit.loglik_trace, 0)
+
+
+# ---------------------------------------------------------------------------
+# The pair E-step against the enumeration oracle, on degenerate pairs.
+
+
+def degenerate_hmm(draw, rng, n, d, cov_type):
+    """One HMM with n states on the degenerate inputs the reduction meets."""
+    m = draw(st.integers(1, 2), label="mix")
+    initial, transitions, mix_weights, means, covs = (
+        a[0] for a in random_stack(int(rng.integers(2**32)), 1, n, m, d, cov_type)
+    )
+    if draw(st.booleans(), label="left to right"):
+        transitions = np.triu(transitions)
+        transitions /= transitions.sum(axis=-1, keepdims=True)
+        initial = np.eye(n)[0]
+    if cov_type == "full" and draw(st.booleans(), label="near-singular covariances"):
+        v = rng.normal(size=(n, m, d, 1))
+        covs = v @ np.swapaxes(v, -1, -2) + 1e-8 * np.eye(d)
+    else:
+        scale = 10.0 ** draw(st.integers(-8, 8), label="variance scale")
+        covs = covs * scale
+        if draw(st.booleans(), label="means follow the scale"):
+            means = means * np.sqrt(scale)
+    return Hmm.from_arrays(initial, transitions, mix_weights, means, covs)
+
+
+@st.composite
+def oracle_pairs(draw):
+    n_b, n_r = draw(SIZES, label="base states"), draw(SIZES, label="reduced states")
+    # (N_b * N_r)^tau <= 729 sequence pairs to enumerate; tau = 1 is included.
+    tau = draw(st.integers(1, max(t for t in range(1, 5) if (n_b * n_r) ** t <= 729)))
+    d = draw(st.integers(1, 2), label="dim")
+    cov_type = draw(st.sampled_from(["diag", "full"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    return (
+        degenerate_hmm(draw, rng, n_b, d, cov_type),
+        degenerate_hmm(draw, rng, n_r, d, cov_type),
+        tau,
+    )
+
+
+class TestPairEstepOracle:
+    @settings(derandomize=True, max_examples=300, deadline=None)
+    @given(pair=oracle_pairs())
+    def test_objective_matches_enumeration(self, pair):
+        base, reduced, tau = pair
+        want = elhmm_bruteforce(base, reduced, tau)
+        got = estep_pair(base, reduced, tau).objective
+        # 1e-9 relative; absolute near zero, as criterion 1 compares.
+        assert abs(got - want) <= 1e-9 * max(abs(want), 1.0), (got, want)
