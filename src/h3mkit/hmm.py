@@ -55,9 +55,9 @@ class Sequence:
 
     def __post_init__(self) -> None:
         self.observations = np.asarray(self.observations, dtype=float)
-        if self.observations.ndim != 2:
+        if self.observations.ndim != 2 or self.observations.shape[1] < 1:
             raise InvalidModelError(
-                f"observations must be (tau, d), got shape {self.observations.shape}"
+                f"observations must be (tau, d) with d >= 1, got shape {self.observations.shape}"
             )
         if self.observations.shape[0] < 1:
             raise InvalidModelError("sequence must contain at least one observation")
@@ -222,10 +222,9 @@ class EmConfig:
     def __post_init__(self) -> None:
         if self.cov_type not in ("diag", "full"):
             raise ValueError(f"cov_type must be 'diag' or 'full', got {self.cov_type!r}")
-        if self.max_iters < 1 or self.tol < 0 or self.cov_floor <= 0 or self.n_starts < 1:
-            raise ValueError(
-                "max_iters >= 1, tol >= 0, cov_floor > 0 and n_starts >= 1 required"
-            )
+        if not (self.max_iters >= 1 and self.tol >= 0 and 0 < self.cov_floor < np.inf
+                and self.n_starts >= 1):
+            raise ValueError("need max_iters >= 1, tol >= 0, 0 < cov_floor < inf, n_starts >= 1")
 
 
 @dataclass
@@ -567,13 +566,35 @@ def _expected_stats(models: _Stacked, obs: np.ndarray) -> tuple[_Stats, np.ndarr
     return _Stats.concatenate([p[0] for p in parts]), np.concatenate([p[1] for p in parts])
 
 
+def _floor_covs(covs: np.ndarray, cov_floor: float, full: bool) -> np.ndarray:
+    """Variances, or (..., d, d) matrices if ``full``, with eigenvalues below
+    cov_floor raised to it and eigenvectors kept: the Gaussian likelihood
+    maximizer over covariances with eigenvalues >= cov_floor (Won, Lim, Kim
+    & Rajaratnam 2013). Non-finite matrices are left to the parameter check.
+    ``covs`` itself if none is below; EstimationError if a rebuilt one fails Cholesky."""
+    if not full:
+        return np.maximum(covs, cov_floor) if np.any(covs < cov_floor) else covs
+    values, vectors = np.linalg.eigh(covs)
+    low = (values[..., 0] < cov_floor) & np.isfinite(covs).all(axis=(-2, -1))
+    if low.any():
+        v = vectors[low]
+        rebuilt = (v * np.maximum(values[low], cov_floor)[:, None]) @ np.swapaxes(v, 1, 2)
+        covs = covs.copy()
+        covs[low] = 0.5 * (rebuilt + np.swapaxes(rebuilt, 1, 2))
+        try:
+            np.linalg.cholesky(covs[low])
+        except np.linalg.LinAlgError as exc:
+            raise EstimationError(f"covariance floored at {cov_floor} is lost to rounding") from exc
+    return covs
+
+
 def _mstep(stats: _Stats, previous: _Stacked, cov_floor: float) -> _Stacked:
     """Parameter updates of K stacked models from their accumulated counts.
 
     Rows or components that received no mass keep their previous values: the
     objective is flat in them, so leaving them untouched preserves the
-    monotone-likelihood guarantee. Covariances are floored on the diagonal,
-    and a full one that is still not positive definite gains cov_floor * I.
+    monotone-likelihood guarantee. Covariances are floored by ``_floor_covs``,
+    which keeps each update the maximizer: eigenvalues clipped at cov_floor.
     """
     pi_total = stats.pi.sum(axis=1, keepdims=True)
     initial = np.divide(stats.pi, pi_total, out=previous.initial.copy(), where=pi_total > 0)
@@ -588,18 +609,11 @@ def _mstep(stats: _Stats, previous: _Stacked, cov_floor: float) -> _Stacked:
     mass = stats.mix[live]
     mu = stats.mean[live] / mass[:, None]
     if stats.sq.ndim == 4:
-        cov = np.maximum(stats.sq[live] / mass[:, None] - mu * mu, cov_floor)
+        cov = stats.sq[live] / mass[:, None] - mu * mu
     else:
         cov = stats.sq[live] / mass[:, None, None] - mu[:, :, None] * mu[:, None, :]
         cov = 0.5 * (cov + np.swapaxes(cov, 1, 2))
-        d = mu.shape[1]
-        diag = np.arange(d)
-        cov[:, diag, diag] = np.maximum(cov[:, diag, diag], cov_floor)
-        for matrix in cov:
-            try:
-                np.linalg.cholesky(matrix)
-            except np.linalg.LinAlgError:  # nearly singular off the diagonal
-                matrix += cov_floor * np.eye(d)
+    cov = _floor_covs(cov, cov_floor, full=stats.sq.ndim == 5)
     means = previous.means.copy()
     means[live] = mu
     covs = previous.covs.copy()
@@ -652,7 +666,7 @@ def _init_hmm(
     if not np.abs(pooled).max() < np.sqrt(np.finfo(float).max / (4.0 * pooled.size)):
         raise EstimationError("observations too large to square")
     centers = _kmeans(pooled, n_states * n_mix, rng)
-    var = np.maximum(pooled.var(axis=0), config.cov_floor)
+    var = _floor_covs(pooled.var(axis=0), config.cov_floor, full=False)
     cov = var if config.cov_type == "diag" else np.diag(var)
     initial = rng.dirichlet(np.full(n_states, 200.0))
     transitions = rng.dirichlet(np.full(n_states, 200.0), size=n_states)

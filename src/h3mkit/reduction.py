@@ -41,8 +41,8 @@ the number of base components (``_BLOCK_ELEMENTS``):
 
 ``estep_pair``, ``summary_stats`` and ``_virtual_stats`` are the one-pair
 slices of that code. No model is mutated: rescues write into a fresh stack.
-The start and rescued components get their variances floored at
-``cov_floor`` as the M-step floors them.
+The start and rescued components get their covariances floored at
+``cov_floor`` by ``hmm._floor_covs``, as every M-step floors them.
 """
 
 from __future__ import annotations
@@ -63,7 +63,7 @@ from .h3m import (
     compute_assignments,
     mstep,
 )
-from .hmm import Hmm, _check_arrays, _Checked, _stack, _Stacked, _Stats
+from .hmm import Hmm, _check_arrays, _Checked, _floor_covs, _stack, _Stacked, _Stats
 
 
 @dataclass
@@ -96,10 +96,9 @@ class VhemConfig:
             raise ValueError("n_virtual must be >= 1")
         if not isinstance(self.init, H3m) and self.init not in ("subset-perturb", "random"):
             raise ValueError(f"unknown init {self.init!r}")
-        if self.max_iters < 1 or self.tol < 0 or self.cov_floor <= 0 or self.n_restarts < 1:
-            raise ValueError(
-                "max_iters >= 1, tol >= 0, cov_floor > 0 and n_restarts >= 1 required"
-            )
+        if not (self.max_iters >= 1 and self.tol >= 0 and 0 < self.cov_floor < np.inf
+                and self.n_restarts >= 1):
+            raise ValueError("need max_iters >= 1, tol >= 0, 0 < cov_floor < inf, n_restarts >= 1")
 
 
 @dataclass
@@ -466,14 +465,11 @@ def _blocks(base: _Stacked, reduced: H3m, tau: int) -> list[_Stacked]:
 
 
 def _floored(model: H3m, cov_floor: float) -> H3m:
-    """``model`` with its variances below cov_floor raised to it, as every
-    M-step raises them: a start or a rescue with smaller ones would let the
-    next M-step lower the bound."""
-    covs = model.arrays.covs.copy()
-    variances = covs if covs.ndim == 4 else np.einsum("...ii->...i", covs)
-    if variances.min() >= cov_floor:
+    """``model`` floored by ``_floor_covs`` as every M-step is: a start or a
+    rescue below cov_floor would let the next M-step lower the bound."""
+    covs = _floor_covs(model.arrays.covs, cov_floor, full=model.arrays.covs.ndim == 5)
+    if covs is model.arrays.covs:
         return model
-    np.maximum(variances, cov_floor, out=variances)  # a view of the copy
     return H3m(model.weights, _check_arrays(*model.arrays[:4], covs, axes=("component",)))
 
 

@@ -290,6 +290,40 @@ class TestFailureModes:
         assert result.exception is None or isinstance(result.exception, SystemExit)
         assert result.output.splitlines() == ["numerical failure: observations too large to square"]
 
+    def test_floor_lost_to_rounding_exit_code_2(self, runner, tmp_path):
+        # 1e6 * default_rng(0).normal(size=(2, 2)): two points leave a
+        # singular covariance with entries near 1e12, where cov_floor is below
+        # the rounding. A numerical failure, not a validation error.
+        data = tmp_path / "far.jsonl"
+        data.write_text(
+            '{"obs": [[125730.2210933933, -132104.86329130188],'
+            " [640422.6504432821, 104900.11715303971]]}\n"
+        )
+        result = runner.invoke(main, [
+            "train-hmm", "--data", str(data), "--states", "1", "--cov-type", "full",
+            "--max-iters", "8", "--tol", "0", "--out", str(tmp_path / "o"),
+        ])
+        assert result.exit_code == 2, result.output
+        assert result.exception is None or isinstance(result.exception, SystemExit)
+        lines = result.output.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("numerical failure: "), result.output
+
+    @pytest.mark.parametrize(
+        "option", [("--cov-floor", "nan"), ("--cov-floor", "inf"), ("--tol", "nan")]
+    )
+    def test_nan_or_infinite_floor_and_nan_tol_rejected(self, runner, tmp_path, option):
+        data = tmp_path / "data.jsonl"
+        data.write_text('{"obs": [[0.0], [1.0], [3.0]]}\n')
+        result = runner.invoke(main, [
+            "train-hmm", "--data", str(data), "--states", "1", *option,
+            "--out", str(tmp_path / "o"),
+        ])
+        assert result.exit_code == 1
+        assert isinstance(result.exception, SystemExit)
+        assert result.output.splitlines() == [
+            "error: need max_iters >= 1, tol >= 0, 0 < cov_floor < inf, n_starts >= 1"
+        ]
+
     def test_mixed_layout_mixture_rejected(self, runner, tmp_path):
         # One diagonal and one full component: rejected when the file is
         # read, before any report is written.

@@ -317,6 +317,17 @@ class TestConstruction:
         with pytest.raises(InvalidModelError, match="transition row 1 sums to"):
             Hmm([0.5, 0.5], [[0.5, 0.5], [bad, 1.0]], emissions)
 
+    def test_zero_dimensional_observations_rejected(self):
+        with pytest.raises(InvalidModelError, match=r"d >= 1, got shape \(2, 0\)"):
+            Sequence(np.empty((2, 0)))
+
+    @pytest.mark.parametrize(
+        "bad", [{"cov_floor": np.nan}, {"cov_floor": np.inf}, {"cov_floor": 0.0}, {"tol": np.nan}]
+    )
+    def test_config_rejects_nan_or_infinite_floor_and_nan_tol(self, bad):
+        with pytest.raises(ValueError, match="0 < cov_floor < inf"):
+            EmConfig(**bad)
+
     def test_first_bad_transition_row_named(self):
         emissions = [GaussianMixture([1.0], [Gaussian([0.0], [1.0])])] * 3
         transitions = np.array([[1.0, 0.0, 0.0], [0.5, 0.6, -0.1], [0.2, 0.2, 0.2]])
@@ -570,14 +581,19 @@ class TestMstep:
 
     def test_near_singular_full_covariance_nudged(self):
         # Mean [1, 1] and second moment [[2, 2], [2, 2]] leave the singular
-        # covariance [[1, 1], [1, 1]]; the floor does not bind on its
-        # diagonal, so only the nudge by floor * I makes it usable.
+        # covariance [[1, 1], [1, 1]], with eigenvalue 2 along (1, 1) and 0
+        # along (1, -1). The floor does not bind on its diagonal; it raises
+        # the zero eigenvalue to floor and keeps the eigenvectors.
         floor = 1e-3
         previous = Hmm.from_arrays([1.0], [[1.0]], [[1.0]], np.zeros((1, 1, 2)), [[np.eye(2)]])
         stats = self.one_component_stats([1.0, 1.0], [[2.0, 2.0], [2.0, 2.0]])
         new = one_row_mstep(stats, previous, floor)
         np.testing.assert_array_equal(new.means[0, 0], [1.0, 1.0])
-        np.testing.assert_array_equal(new.covs[0, 0], [[1.0 + floor, 1.0], [1.0, 1.0 + floor]])
+        half = floor / 2
+        np.testing.assert_allclose(
+            new.covs[0, 0], [[1.0 + half, 1.0 - half], [1.0 - half, 1.0 + half]], rtol=1e-14
+        )
+        np.testing.assert_allclose(np.linalg.eigvalsh(new.covs[0, 0]), [floor, 2.0], rtol=1e-12)
 
     def test_diagonal_floor_binds(self):
         floor = 1e-3

@@ -247,11 +247,10 @@ def degenerate_reductions(draw):
         initial = np.zeros_like(initial)
         initial[:, 0] = 1.0
     if cov_type == "full" and draw(st.booleans(), label="near-singular covariances"):
-        # Eigenvalues from about 1e-8 to about d, around means drawn at that
-        # scale; far from the origin they meet a known defect
-        # (test_near_singular_far_from_origin).
+        # Eigenvalues from about 1e-8 to about d, around means scaled by 1 to 1e3.
         v = rng.normal(size=(k_b, n, m, d, 1))
         covs = v @ np.swapaxes(v, -1, -2) + 1e-8 * np.eye(d)
+        means = means * 10.0 ** draw(st.integers(0, 3), label="mean scale")
     else:
         # Variances from 1e-8 to 1e8, per base component; means keep or follow their scale.
         scale = 10.0 ** rng.integers(-8, 9, size=k_b)
@@ -302,13 +301,10 @@ class TestDegenerateReduction:
         assert result.rescues == 0
         assert np.all(np.diff(bounds) >= -1e-8 * np.abs(bounds[:-1])), bounds
 
-    @pytest.mark.xfail(
-        strict=True,
-        reason="the M-step takes covariances as E[x x^T] - mu mu^T, which cancels when"
-        " the means are large against the smallest eigenvalue",
-    )
     def test_near_singular_far_from_origin(self):
-        # The same problem moved to the origin runs with no drop.
+        # The smallest eigenvalue, 1e-8, is below cov_floor: the start and
+        # every M-step clip it to cov_floor, which is above the rounding of
+        # E[x x^T] - mu mu^T at these means.
         v = np.array([2.5556, -0.4181])
         cov = np.outer(v, v) + 1e-8 * np.eye(2)
         component = Hmm.from_arrays([1.0], [[1.0]], [[1.0]], [[[-1916.3, -220.0]]], [[cov]])
@@ -348,12 +344,14 @@ def degenerate_fits(draw):
     scale = 10.0 ** draw(st.integers(-6, 6), label="observation scale")
     k = draw(st.integers(1, n_seq), label="components")  # includes K = number of sequences
     n_states, n_mix = draw(st.integers(1, 3), label="states"), draw(st.integers(1, 2), label="mix")
+    cov_type = draw(st.sampled_from(["diag", "full"]))
     # The default floor, raised with the scale above 1: a component on a
     # single point has its variance made of the rounding noise of
     # E[x^2] - mu^2, which a fixed floor stops covering far from the origin
-    # (test_constant_coordinate_far_from_origin). Diagonal covariances: full
-    # ones meet known defects (test_full_covariance_*).
-    config = EmConfig(max_iters=8, tol=0.0, cov_floor=1e-6 * max(scale, 1.0) ** 2)
+    # (test_constant_coordinate_far_from_origin).
+    config = EmConfig(
+        max_iters=8, tol=0.0, cov_floor=1e-6 * max(scale, 1.0) ** 2, cov_type=cov_type
+    )
     return [Sequence(o) for o in obs * scale], k, n_states, n_mix, config, seed
 
 
@@ -394,25 +392,15 @@ class TestDegenerateFit:
         fit = one_sequence_fit([[1e5, -13210.48632913], [1e5, 10490.0117153]], 2, "diag")
         assert_trace_ok(fit.loglik_trace, 0)
 
-    @pytest.mark.xfail(
-        strict=True,
-        reason="the M-step floors a full covariance on its diagonal and adds cov_floor * I"
-        " when it is not positive definite; that is not the maximizer over covariances"
-        " whose eigenvalues are at least cov_floor, so an iteration can lower the"
-        " log-likelihood",
-    )
     def test_full_covariance_floor(self):
+        # Two points and two mixture components leave singular covariances;
+        # the floor raises their eigenvalues below cov_floor to it.
         fit = one_sequence_fit([[0.12573022, -0.13210486], [0.64042265, 0.10490012]], 2, "full")
         assert_trace_ok(fit.loglik_trace, 0)
 
-    @pytest.mark.xfail(
-        strict=True,
-        raises=InvalidModelError,
-        reason="at this scale cov_floor * I is lost to rounding in a singular full"
-        " covariance, and the fit raises InvalidModelError (a validation error) for what"
-        " is a numerical failure",
-    )
     def test_full_covariance_far_from_origin(self):
+        # At this scale cov_floor is lost to rounding in a singular covariance:
+        # a numerical failure (EstimationError), not an invalid model.
         obs = 1e6 * np.random.default_rng(0).normal(size=(2, 2))
         try:
             fit = one_sequence_fit(obs, 1, "full")

@@ -211,6 +211,15 @@ class TestBruteforce:
             elhmm_bruteforce(base, reduced, 12)
 
 
+class TestVhemConfig:
+    @pytest.mark.parametrize(
+        "bad", [{"cov_floor": np.nan}, {"cov_floor": np.inf}, {"cov_floor": 0.0}, {"tol": np.nan}]
+    )
+    def test_rejects_nan_or_infinite_floor_and_nan_tol(self, bad):
+        with pytest.raises(ValueError, match="0 < cov_floor < inf"):
+            VhemConfig(2, **bad)
+
+
 class TestComputeAssignments:
     def test_single_reduced(self):
         z, _ = compute_assignments(
@@ -513,13 +522,13 @@ class TestMstep:
                  mass / mass.sum(axis=1, keepdims=True), means, covs)
             )
 
-        # A floor at the median variance binds on some entries and not others.
-        variances = np.concatenate(
-            [(c if cov_type == "diag" else np.diagonal(c, axis1=-2, axis2=-1)).ravel()
-             for *_, c in expected]
+        # A floor at the median eigenvalue (a variance is its own) binds on
+        # some covariances and not others.
+        eigenvalues = np.concatenate(
+            [(c if cov_type == "diag" else np.linalg.eigvalsh(c)).ravel() for *_, c in expected]
         )
-        floor = float(np.median(variances))
-        assert np.any(variances < floor) and np.any(variances > floor)
+        floor = float(np.median(eigenvalues))
+        assert np.any(eigenvalues < floor) and np.any(eigenvalues > floor)
 
         stats = item_major([
             _Stats.concatenate(
@@ -538,11 +547,13 @@ class TestMstep:
             for rho, gmm in enumerate(comp.emissions):
                 np.testing.assert_allclose(gmm.weights, mix[rho], rtol=0, atol=1e-10)
                 for l, g in enumerate(gmm.components):
-                    cov = covs[rho, l].copy()
+                    cov = covs[rho, l]
                     if cov_type == "diag":
                         cov = np.maximum(cov, floor)
                     else:
-                        cov[np.diag_indices(d)] = np.maximum(np.diag(cov), floor)
+                        # The eigenvalues below the floor raised to it, eigenvectors kept.
+                        values, vectors = np.linalg.eigh(cov)
+                        cov = (vectors * np.maximum(values, floor)) @ vectors.T
                     np.testing.assert_allclose(g.mean, means[rho, l], rtol=0, atol=1e-10)
                     np.testing.assert_allclose(g.cov, cov, rtol=0, atol=1e-10)
 

@@ -255,6 +255,12 @@ class TestDataset:
         with pytest.raises(ModelFormatError, match=r"data.jsonl:4: .* dimension 1, expected 2"):
             load_dataset(path)
 
+    def test_zero_dimensional_observations_reported(self, tmp_path):
+        path = tmp_path / "data.jsonl"
+        path.write_text('{"obs": [[0.0], [1.0]]}\n{"obs": [[], []]}\n')
+        with pytest.raises(ModelFormatError, match=r"data.jsonl:2: bad observations: .*d >= 1"):
+            load_dataset(path)
+
     def test_empty_rejected(self, tmp_path):
         path = tmp_path / "data.jsonl"
         path.write_text("\n")
