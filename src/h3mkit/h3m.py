@@ -15,13 +15,13 @@ assignments and each item's log-normalizer, whose sum is the objective),
 rule and seeding.
 
 One mixture component is responsible for a whole sequence (the assignment is
-drawn once per sequence, not per frame). Each EM iteration runs one
-forward-backward pass of all K components, stacked, per length group over
-the data (scaled, in probability domain, block by block inside ``hmm``): it
+drawn once per sequence, not per frame). Each EM iteration runs one pass of
+all K components, stacked, per length group over the data
+(``hmm._expected_stats``: scaled, in probability domain, block by block): it
 yields both the log-likelihoods behind the responsibilities and the
 per-sequence statistics that, weighted by the responsibilities, feed the
 M-step. A reseed reruns its own row only. The last possible E-step (at
-``max_iters``) has no M-step after it and runs the forward pass only.
+``max_iters``) has no M-step after it, and its pass runs forward only.
 ``baum_welch`` is ``h3m_em`` with a single component.
 """
 
@@ -43,7 +43,7 @@ from .hmm import (
     _Checked,
     _expected_stats,
     _init_hmm,
-    _logliks,
+    _joined,
     _models,
     _mstep,
     _stack,
@@ -265,12 +265,8 @@ def h3m_em(
     reseeds = 0
     for _ in range(config.max_iters + 1):
         stats = None  # release the previous iteration's statistics first
-        if len(trace) < config.max_iters:
-            parts = [_expected_stats(model.arrays, obs) for obs, _ in groups]
-            stats = _Stats.concatenate([p[0] for p in parts])
-            lls = np.concatenate([p[1] for p in parts])
-        else:  # the last possible E-step: no M-step follows, so no statistics
-            lls = np.concatenate([_logliks(model.arrays, obs) for obs, _ in groups])
+        build = len(trace) < config.max_iters  # not the last possible E-step: an M-step may follow
+        stats, lls = _joined([_expected_stats(model.arrays, obs, build) for obs, _ in groups])
         z, seq_ll = compute_assignments(lls, model.weights, ones)
         trace.append(float(np.sum(seq_ll)))
         if _converged(trace, config.tol) or len(trace) == config.max_iters + 1:
@@ -287,7 +283,7 @@ def h3m_em(
             except EstimationError:
                 start = _init_hmm(data, n_states, n_mix, config, rng)
             row = _stack([start])
-            fresh = _Stats.concatenate([_expected_stats(row, obs)[0] for obs, _ in groups])
+            fresh, _ = _joined([_expected_stats(row, obs, True) for obs, _ in groups])
             for column, new in zip(vars(stats).values(), vars(fresh).values()):
                 column[:, j] = new[:, 0]
             arrays = (np.concatenate([a[:j], r, a[j + 1:]]) for a, r in zip(previous.arrays, row))

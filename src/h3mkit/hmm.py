@@ -386,16 +386,7 @@ def forward_loglik_batch(model: Hmm, obs: np.ndarray) -> np.ndarray:
         raise InvalidModelError(
             f"observation dimension {obs.shape[2]} does not match model dimension {model.dim}"
         )
-    return _logliks(_stack([model]), obs)[:, 0]
-
-
-def _logliks(models: _Stacked, obs: np.ndarray) -> np.ndarray:
-    """Log-likelihoods (S, K) of an equal-length (S, tau, d) batch under K
-    stacked models: the forward pass of ``_expected_stats`` alone."""
-    return np.concatenate([
-        _scaled_forward(models, _log_emissions(models, block)[0])[3].T.copy()
-        for block in _blocks(models, obs)
-    ])
+    return _expected_stats(_stack([model]), obs, False)[1][:, 0]
 
 
 def state_marginals(model: Hmm, tau: int) -> np.ndarray:
@@ -516,9 +507,11 @@ def _log_posteriors(
     return np.exp(log_gamma), trans, lls
 
 
-def _block_stats(models: _Stacked, obs: np.ndarray) -> tuple[_Stats, np.ndarray]:
+def _block_stats(models: _Stacked, obs: np.ndarray, stats: bool) -> tuple[_Stats | None, np.ndarray]:
     log_b, log_joint = _log_emissions(models, obs)
     b, alpha, scale, lls, ok = _scaled_forward(models, log_b)
+    if not stats:
+        return None, lls.T.copy()
     # Scaled backward pass: w_t = b_t * beta_t / c_t and beta_{t-1} = w_t A^T,
     # so gamma = alpha * beta and xi_t = A * (alpha_t^T w_{t+1}). Where alpha
     # is zero, beta may overflow: such rows come out non-finite here and, like
@@ -554,16 +547,24 @@ def _block_stats(models: _Stacked, obs: np.ndarray) -> tuple[_Stats, np.ndarray]
     return _Stats(*(np.ascontiguousarray(np.swapaxes(f, 0, 1)) for f in k_major)), lls.T.copy()
 
 
-def _expected_stats(models: _Stacked, obs: np.ndarray) -> tuple[_Stats, np.ndarray]:
-    """One forward-backward pass of K stacked models over an equal-length
-    (S, tau, d) batch, run block by block.
+def _expected_stats(
+    models: _Stacked, obs: np.ndarray, stats: bool
+) -> tuple[_Stats | None, np.ndarray]:
+    """The one pass of K stacked models over an equal-length (S, tau, d)
+    batch, run block by block: forward-backward if ``stats``, else forward.
 
     Returns the per-sequence sufficient statistics, item-major (leading
-    (S, K) axes, no tau axis), and the log-likelihoods (S, K), which come
-    from the same forward recursion as ``_logliks`` and equal it bit for bit.
+    (S, K) axes, no tau axis), or None if not ``stats``, and the
+    log-likelihoods (S, K), the same bit for bit either way.
     """
-    parts = [_block_stats(models, block) for block in _blocks(models, obs)]
-    return _Stats.concatenate([p[0] for p in parts]), np.concatenate([p[1] for p in parts])
+    return _joined([_block_stats(models, block, stats) for block in _blocks(models, obs)])
+
+
+def _joined(parts: list[tuple[_Stats | None, np.ndarray]]) -> tuple[_Stats | None, np.ndarray]:
+    """(statistics, objectives) of several batches of items, one after
+    another; the statistics are None if a batch has none."""
+    stats, objectives = zip(*parts)
+    return None if None in stats else _Stats.concatenate(stats), np.concatenate(objectives)
 
 
 def _floor_covs(covs: np.ndarray, cov_floor: float, full: bool) -> np.ndarray:

@@ -25,19 +25,19 @@ oracle for the pair objective is included for verification.
 
 An iteration reads the stacks the base and the reduced mixtures hold
 (``H3m.arrays``) and is batched over (base i, reduced j) pairs, except the
-phi recursion. It runs over blocks of base components, each paired with
-every reduced component, sized so that no array of an iteration grows with
-the number of base components (``_BLOCK_ELEMENTS``):
+phi recursion. It makes one pass (``_pass``) per block of base components,
+each paired with every reduced component, sized so that no array of an
+iteration grows with the number of base components (``_BLOCK_ELEMENTS``):
 
 - emission matching: one ``_cross_terms`` call over (I, J, N_b, N_r, M_b,
   M_r) and one logsumexp give eta and the per-state-pair bound ell;
 - phi: the backward recursion runs pair by pair, reading ell[i, j] and
   writing into (I, J, ...) arrays;
-- statistics, built only when an M-step follows, after every objective and
-  the assignments: the forward recursion for the occupancies (nu, xi) and
-  the virtual statistics in one pass over (I, J, ...). They stay unsplit,
-  item-major (I, J, ...) as ``h3m_em`` hands its per-sequence statistics to
-  ``mstep``; the blocks' statistics are concatenated over I once.
+- statistics, built when an M-step may follow and the block's objectives
+  are finite: the forward recursion for the occupancies (nu, xi) and the
+  virtual statistics over (I, J, ...), item-major as ``h3m_em`` hands its
+  per-sequence statistics to ``mstep``. The couplings die with the pass;
+  the blocks are joined over I as ``h3m_em`` joins its length groups.
 
 ``estep_pair``, ``summary_stats`` and ``_virtual_stats`` are the one-pair
 slices of that code. No model is mutated: rescues write into a fresh stack.
@@ -63,7 +63,7 @@ from .h3m import (
     compute_assignments,
     mstep,
 )
-from .hmm import Hmm, _check_arrays, _Checked, _floor_covs, _stack, _Stacked, _Stats
+from .hmm import Hmm, _check_arrays, _Checked, _floor_covs, _joined, _stack, _Stacked, _Stats
 
 
 @dataclass
@@ -464,6 +464,15 @@ def _blocks(base: _Stacked, reduced: H3m, tau: int) -> list[_Stacked]:
     return [_Stacked(*(a[i:i + size] for a in base)) for i in range(0, k_b, size)]
 
 
+def _pass(block: _Stacked, reduced: _Stacked, tau: int, stats: bool):
+    """The one pass over a block's pairs: their virtual statistics if
+    ``stats`` and their objectives are all finite, else None, and their
+    objectives (I, J). The block's couplings are freed on return."""
+    estep = _estep(block, reduced, tau)
+    build = stats and np.isfinite(estep.objective).all()
+    return (_virtual_stats_all(block, estep) if build else None), estep.objective
+
+
 def _floored(model: H3m, cov_floor: float) -> H3m:
     """``model`` floored by ``_floor_covs`` as every M-step is: a start or a
     rescue below cov_floor would let the next M-step lower the bound."""
@@ -483,14 +492,13 @@ def _reduce_once(base: H3m, config: VhemConfig, rng: np.random.Generator) -> Red
     bound_history: list[float] = []
     rescues = 0
     for _ in range(config.max_iters):
-        esteps = [_estep(block, reduced.arrays, tau) for block in blocks]
-        objectives = np.concatenate([estep.objective for estep in esteps])
+        stats = None  # release the previous iteration's statistics first
+        build = len(bound_history) < config.max_iters - 1  # an M-step may follow
+        stats, objectives = _joined([_pass(b, reduced.arrays, tau, build) for b in blocks])
         z, norms = compute_assignments(objectives, reduced.weights, virtual_counts)
         bound_history.append(float(np.sum(norms)))
         if _converged(bound_history, config.tol) or len(bound_history) == config.max_iters:
-            break  # no M-step follows, so no statistics
-        stats = _Stats.concatenate(list(map(_virtual_stats_all, blocks, esteps)))
-        del esteps  # release the couplings before the next E-step builds its own
+            break
         new_model, starved = mstep(z, stats, virtual_counts, reduced, config.cov_floor)
         if starved:
             weights = new_model.weights.copy()

@@ -174,17 +174,16 @@ class TestH3mEm:
 
     @staticmethod
     def count_passes(monkeypatch):
-        """Rows of the stack of every ``_expected_stats`` and ``_logliks``
-        call that ``h3m_em`` makes, by name."""
+        """Rows of the stack of every ``_expected_stats`` call that ``h3m_em``
+        makes, by whether it builds statistics or runs forward only."""
         calls = {"stats": [], "forward": []}
-        for key, name in (("stats", "_expected_stats"), ("forward", "_logliks")):
-            original = getattr(hmm_module, name)
+        original = hmm_module._expected_stats
 
-            def counted(models, obs, key=key, original=original):
-                calls[key].append(models.initial.shape[0])
-                return original(models, obs)
+        def counted(models, obs, stats):
+            calls["stats" if stats else "forward"].append(models.initial.shape[0])
+            return original(models, obs, stats)
 
-            monkeypatch.setattr(h3m_module, name, counted)
+        monkeypatch.setattr(h3m_module, "_expected_stats", counted)
         return calls
 
     def test_one_stacked_pass_per_estep(self, monkeypatch):
@@ -205,11 +204,12 @@ class TestH3mEm:
         events = []
         expected_stats, mstep = hmm_module._expected_stats, h3m_module.mstep
 
-        def recorded_stats(models, obs):
-            stats, lls = expected_stats(models, obs)
-            copy = {name: value.copy() for name, value in vars(stats).items()}
+        def recorded_stats(models, obs, stats):
+            assert stats  # the run converges: every pass builds statistics
+            built, lls = expected_stats(models, obs, stats)
+            copy = {name: value.copy() for name, value in vars(built).items()}
             events.append(("pass", models, copy))
-            return stats, lls
+            return built, lls
 
         def recorded_mstep(z, stats, counts, previous, cov_floor):
             events.append(("mstep", previous, dict(vars(stats))))

@@ -84,7 +84,7 @@ def two_chain_model(initial):
 
 def one_row_pass(model, obs):
     """``_expected_stats`` of a one-row stack, with the row axis dropped."""
-    stats, lls = _expected_stats(_stack([model]), obs)
+    stats, lls = _expected_stats(_stack([model]), obs, True)
     return _Stats(*(value[:, 0] for value in vars(stats).values())), lls[:, 0]
 
 
@@ -476,7 +476,7 @@ class TestRepresentation:
         if source == "mstep":
             obs, _ = sample_batch(model, 6, 20, rng)
             models = _stack([model])
-            totals = _expected_stats(models, obs)[0].weighted_sum(np.ones((20, 1)))
+            totals = _expected_stats(models, obs, True)[0].weighted_sum(np.ones((20, 1)))
             return Hmm.from_arrays(*(row[0] for row in _mstep(totals, models, 1e-6)))
         base = H3m(np.full(4, 0.25), [model] + [
             random_hmm(rng, n_states=3, n_mix=2, dim=2, cov_type=cov_type) for _ in range(3)
@@ -540,11 +540,13 @@ class TestStackedPass:
             # The fallback is taken by one (model, sequence) row only.
             flagged = [(0, 11)] if n_states == 3 and tau == 4 else []
             assert list(zip(*np.nonzero(~ok))) == flagged
-            stats, lls = _expected_stats(stack, obs)
+            stats, lls = _expected_stats(stack, obs, True)
             assert lls.shape == (25, k)
-            assert hmm_module._logliks(stack, obs).tobytes() == lls.tobytes()
+            # The forward-only pass gives the same log-likelihoods, and no statistics.
+            no_stats, forward_lls = _expected_stats(stack, obs, False)
+            assert no_stats is None and forward_lls.tobytes() == lls.tobytes()
             for row, model in enumerate(models):
-                one_stats, one_lls = _expected_stats(_stack([model]), obs)
+                one_stats, one_lls = _expected_stats(_stack([model]), obs, True)
                 assert lls[:, row].tobytes() == one_lls[:, 0].tobytes()
                 assert forward_loglik_batch(model, obs).tobytes() == one_lls[:, 0].tobytes()
                 for name, value in vars(stats).items():
@@ -555,7 +557,7 @@ class TestStackedPass:
         models = [random_hmm(rng, 3, 2, 2, cov_type) for _ in range(3)]
         stack = _stack(models)
         obs, _ = sample_batch(models[0], 6, 20, rng)
-        stats, _ = _expected_stats(stack, obs)
+        stats, _ = _expected_stats(stack, obs, True)
         weights = rng.random((20, 3))
         weights[:, 1] = 0.0
         with warnings.catch_warnings():
@@ -565,7 +567,7 @@ class TestStackedPass:
             assert got[1].tobytes() == before[1].tobytes()
         # The other rows are their one-row M-steps.
         for row in (0, 2):
-            one_stats, _ = _expected_stats(_stack([models[row]]), obs)
+            one_stats, _ = _expected_stats(_stack([models[row]]), obs, True)
             totals = one_stats.weighted_sum(weights[:, row:row + 1])
             for got, want in zip(new, _mstep(totals, _stack([models[row]]), 1e-6)):
                 assert got[row].tobytes() == want[0].tobytes()

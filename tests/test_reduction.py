@@ -2,8 +2,10 @@
 summary statistics against chain marginals, assignment and bound formulas,
 M-step closed forms, and the full driver."""
 
+import gc
 import itertools
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -972,6 +974,26 @@ class TestBatchedEstep:
         for got, want in zip(result.reduced.components, expected.reduced.components):
             for field in ("initial", "transitions", "mix_weights", "means", "covs"):
                 np.testing.assert_array_equal(getattr(got, field), getattr(want, field))
+
+    def test_one_block_of_couplings_alive_at_a_time(self, monkeypatch):
+        # Each block's statistics are built before the next block is scored, so
+        # the block budget bounds phi, the largest array of an iteration.
+        leaves, _ = synth_benchmark(4, 6, 4.0, np.random.default_rng(3), n_states=3, n_mix=2)
+        base = H3m(np.full(len(leaves), 1 / len(leaves)), leaves)
+        monkeypatch.setattr(reduction_module, "_BLOCK_ELEMENTS", 1)
+        estep, results, alive = reduction_module._estep, [], []
+
+        def tracked(*args):
+            gc.collect()
+            alive.append(sum(ref() is not None for ref in results))
+            result = estep(*args)
+            results.append(weakref.ref(result))
+            return result
+
+        monkeypatch.setattr(reduction_module, "_estep", tracked)
+        vhem_reduce(base, VhemConfig(k_reduced=4, max_iters=4, tol=0.0, seed=2))
+        assert len(alive) == 4 * len(leaves)  # one block per leaf, four E-steps
+        assert max(alive) <= 1
 
 
 class TestVirtualSampleOracle:
