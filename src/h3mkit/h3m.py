@@ -227,8 +227,9 @@ def h3m_em(
     ``compute_assignments`` with the sequences as items, and the M-step is
     ``mstep``. Stops on ``_converged`` or at config.max_iters M-steps (the
     E-step after the last one runs forward only). A component whose total
-    responsibility falls below n_sequences / (10 K) is re-seeded from the
-    sequence the current mixture models worst, at most twice per run. With
+    responsibility falls below n_sequences / (10 K) is re-seeded from a
+    sequence, the n-th reseed of an iteration from the sequence the current
+    mixture models n-th worst, at most twice per run. With
     config.n_starts > 1, the best of several seeded starts is returned.
     """
     for name, size in (("k", k), ("n_states", n_states), ("n_mix", n_mix)):
@@ -274,10 +275,11 @@ def h3m_em(
 
         # Reseed starved components before the M-step, in a new stack; only their rows rerun.
         previous = model
+        worst_first = iter(np.argsort(seq_ll, kind="stable"))  # the n-th reseed, the n-th worst
         for j in range(k):
             if z.z[:, j].sum() >= n_seq / (10.0 * k) or reseeds >= 2:
                 continue
-            worst = int(np.argmin(seq_ll))
+            worst = next(worst_first)
             try:
                 start = _init_hmm([data[rows[worst]]], n_states, n_mix, config, rng)
             except EstimationError:

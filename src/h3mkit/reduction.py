@@ -427,8 +427,9 @@ def vhem_reduce(base: H3m, config: VhemConfig) -> ReductionResult:
     until the bound changes by less than ``config.tol`` (relative,
     ``h3m._converged``) or ``config.max_iters`` E-steps have run.
     Deterministic given ``config.seed``. A starved reduced component
-    (``h3m._starved``) is re-initialized from the base component with
-    the worst objective, at most twice per run; afterwards the run continues
+    (``h3m._starved``) is re-initialized from a base component, the n-th
+    rescue of an iteration from the one with the n-th worst best objective,
+    at most twice per run; afterwards the run continues
     with the smaller effective component count, which is reported. With
     ``config.n_restarts`` > 1, several independently seeded runs compete and
     the one with the best final bound is returned.
@@ -503,10 +504,11 @@ def _reduce_once(base: H3m, config: VhemConfig, rng: np.random.Generator) -> Red
         if starved:
             weights = new_model.weights.copy()
             arrays = _Checked(*(a.copy() for a in new_model.arrays))
+            worst_first = iter(np.argsort(objectives.max(axis=1), kind="stable"))
             for j in starved:
                 if rescues >= 2:
                     continue
-                worst = int(np.argmin(objectives.max(axis=1)))
+                worst = next(worst_first)  # the n-th rescue copies the n-th worst
                 if arrays.covs.shape[1:] != base.arrays.covs.shape[1:]:
                     raise InvalidModelError(f"cannot rescue component {j}: shaped unlike base")
                 for row, source in zip(arrays, base.arrays):

@@ -171,6 +171,26 @@ class TestH3mEm:
         assert 0 <= fit.reseeds <= 2
         assert fit.model.weights.sum() == pytest.approx(1.0, abs=1e-12)
 
+    def test_two_reseeds_in_one_iteration_start_from_two_sequences(self, monkeypatch):
+        # Two components starve at once: the first reseed starts from the worst
+        # modeled sequence, the second from the next worst.
+        starts, init = [], h3m_module._init_hmm
+
+        def recorded_init(data, *args):
+            if len(data) == 1:
+                starts.append(data[0])
+            return init(data, *args)
+
+        monkeypatch.setattr(h3m_module, "_init_hmm", recorded_init)
+        dataset, _ = synth_benchmark(
+            2, 15, 8.0, np.random.default_rng(2), n_states=1, n_mix=1, dim=1, tau=10,
+            kind="sequences",
+        )
+        fit = h3m_em(dataset.sequences, 4, 1, 1, EmConfig(max_iters=15), np.random.default_rng(2))
+        assert fit.reseeds == 2 and len(starts) == 2
+        assert starts[0] is not starts[1]
+        assert np.all(fit.model.weights > 0.2)
+
 
     @staticmethod
     def count_passes(monkeypatch):

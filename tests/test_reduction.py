@@ -662,6 +662,35 @@ class TestVhemReduce:
         with pytest.raises(InvalidModelError, match="component 1"):
             vhem_reduce(base, VhemConfig(k_reduced=2, init=start, max_iters=5))
 
+    def test_two_rescues_in_one_iteration_copy_the_two_worst(self, monkeypatch):
+        # Components 4 and 7 starve in the first M-step: the first rescue copies
+        # the base component with the worst best objective, the second the next.
+        shape = dict(n_states=3, n_mix=2, dim=2)
+        leaves, _ = synth_benchmark(4, 5, 4.0, np.random.default_rng(3), **shape)
+        base = H3m(np.full(20, 0.05), leaves)
+        objectives, msteps = [], []
+        assign, step = reduction_module.compute_assignments, reduction_module.mstep
+
+        def recorded_assign(values, weights, counts):
+            objectives.append(values)
+            return assign(values, weights, counts)
+
+        def recorded_mstep(z, stats, counts, previous, cov_floor):
+            new_model, starved = step(z, stats, counts, previous, cov_floor)
+            msteps.append((previous, starved))
+            return new_model, starved
+
+        monkeypatch.setattr(reduction_module, "compute_assignments", recorded_assign)
+        monkeypatch.setattr(reduction_module, "mstep", recorded_mstep)
+        result = vhem_reduce(base, VhemConfig(k_reduced=8, max_iters=10, tol=0.0, seed=2))
+        assert result.rescues == 2 and msteps[0][1] == [4, 7]
+        worst_first = np.argsort(objectives[0].max(axis=1), kind="stable")
+        rescued = msteps[1][0].arrays.means
+        assert rescued[4].tobytes() == base.arrays.means[worst_first[0]].tobytes()
+        assert rescued[7].tobytes() == base.arrays.means[worst_first[1]].tobytes()
+        means = result.reduced.arrays.means
+        assert len({row.tobytes() for row in means}) == len(means)
+
     def test_restarts_deterministic_and_not_worse(self):
         leaves, _ = synth_benchmark(4, 5, 4.0, np.random.default_rng(6))
         base = H3m(np.full(20, 0.05), leaves)
@@ -874,9 +903,11 @@ def per_pair_reduce(base, config):
         new_model, starved = mstep(z, stats, counts, reduced, config.cov_floor)
         if starved:
             weights, components = new_model.weights.copy(), list(new_model.components)
+            # The n-th rescue of an iteration copies the n-th worst base component.
+            worst_first = list(np.argsort(objectives.max(axis=1), kind="stable"))
             for j in starved:
                 if rescues < 2:
-                    components[j] = base.components[int(np.argmin(objectives.max(axis=1)))]
+                    components[j] = base.components[worst_first.pop(0)]
                     weights[j] = 1.0 / config.k_reduced
                     rescues += 1
             new_model = H3m(weights / weights.sum(), components)
