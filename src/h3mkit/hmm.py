@@ -28,6 +28,7 @@ base components for the mixture reduction.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, fields
 from typing import NamedTuple
 
@@ -205,6 +206,16 @@ def _stack(models: list[Hmm]) -> _Checked:
     return _Checked(*(np.stack([getattr(m, name) for m in models]) for name in _Stacked._fields))
 
 
+def _check_counts(config, *names: str) -> None:
+    """ValueError for the first of the fields ``names`` of ``config`` that
+    ``operator.index`` rejects: numpy integers pass, 2.5 and NaN do not."""
+    for name in names:
+        try:
+            operator.index(getattr(config, name))
+        except TypeError:
+            raise ValueError(f"{name} must be an integer, got {getattr(config, name)!r}") from None
+
+
 @dataclass
 class EmConfig:
     """Stopping and regularization knobs for the EM estimators.
@@ -220,6 +231,7 @@ class EmConfig:
     n_starts: int = 1
 
     def __post_init__(self) -> None:
+        _check_counts(self, "max_iters", "n_starts")
         if self.cov_type not in ("diag", "full"):
             raise ValueError(f"cov_type must be 'diag' or 'full', got {self.cov_type!r}")
         if not (self.max_iters >= 1 and self.tol >= 0 and 0 < self.cov_floor < np.inf

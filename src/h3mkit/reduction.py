@@ -63,7 +63,9 @@ from .h3m import (
     compute_assignments,
     mstep,
 )
-from .hmm import Hmm, _check_arrays, _Checked, _floor_covs, _joined, _stack, _Stacked, _Stats
+from .hmm import (
+    Hmm, _check_arrays, _check_counts, _Checked, _floor_covs, _joined, _stack, _Stacked, _Stats
+)
 
 
 @dataclass
@@ -88,12 +90,13 @@ class VhemConfig:
     n_restarts: int = 1
 
     def __post_init__(self) -> None:
+        _check_counts(self, "k_reduced", "tau_virtual", "max_iters", "n_restarts")
         if self.k_reduced < 1:
             raise ValueError("k_reduced must be >= 1")
         if self.tau_virtual < 1:
             raise ValueError("tau_virtual must be >= 1")
-        if self.n_virtual is not None and self.n_virtual < 1:
-            raise ValueError("n_virtual must be >= 1")
+        if self.n_virtual is not None and not 1 <= self.n_virtual < np.inf:
+            raise ValueError(f"n_virtual must be >= 1 and finite, got {self.n_virtual!r}")
         if not isinstance(self.init, H3m) and self.init not in ("subset-perturb", "random"):
             raise ValueError(f"unknown init {self.init!r}")
         if not (self.max_iters >= 1 and self.tol >= 0 and 0 < self.cov_floor < np.inf

@@ -175,7 +175,7 @@ def load_model(path: str | Path) -> Hmm | H3m:
                 _parse_arrays(c, f"{path} component {i}")
                 for i, c in enumerate(payload["components"])
             ]
-            return H3m(payload["weights"], _components(parts, path))
+            return _named(f"{path}: ", H3m, payload["weights"], _components(parts, path))
         except (KeyError, TypeError) as exc:
             raise _malformed(exc, f"{path}") from exc
     raise ModelFormatError(f"{path}: unknown kind {kind!r}")

@@ -328,6 +328,13 @@ class TestConstruction:
         with pytest.raises(ValueError, match="0 < cov_floor < inf"):
             EmConfig(**bad)
 
+    @pytest.mark.parametrize("name", ["max_iters", "n_starts"])
+    @pytest.mark.parametrize("value", [2.5, np.nan, "3"])
+    def test_config_rejects_non_integer_counts(self, name, value):
+        with pytest.raises(ValueError, match=f"{name} must be an integer, got {value!r}"):
+            EmConfig(**{name: value})
+        assert EmConfig(**{name: np.int64(3)}).__dict__[name] == 3
+
     def test_first_bad_transition_row_named(self):
         emissions = [GaussianMixture([1.0], [Gaussian([0.0], [1.0])])] * 3
         transitions = np.array([[1.0, 0.0, 0.0], [0.5, 0.6, -0.1], [0.2, 0.2, 0.2]])

@@ -221,6 +221,28 @@ class TestVhemConfig:
         with pytest.raises(ValueError, match="0 < cov_floor < inf"):
             VhemConfig(2, **bad)
 
+    @pytest.mark.parametrize(
+        "bad, match",
+        [
+            ({"n_virtual": np.nan}, "n_virtual must be >= 1 and finite"),
+            ({"n_virtual": np.inf}, "n_virtual must be >= 1 and finite"),
+            ({"n_virtual": 0.5}, "n_virtual must be >= 1 and finite"),
+            ({"tau_virtual": 2.5}, "tau_virtual must be an integer, got 2.5"),
+            ({"max_iters": 2.5}, "max_iters must be an integer, got 2.5"),
+            ({"n_restarts": 2.5}, "n_restarts must be an integer, got 2.5"),
+            ({"k_reduced": np.nan}, "k_reduced must be an integer, got nan"),
+        ],
+    )
+    def test_rejects_non_finite_virtual_mass_and_fractional_counts(self, bad, match):
+        with pytest.raises(ValueError, match=match):
+            VhemConfig(**{"k_reduced": 2, **bad})
+
+    def test_numpy_integer_counts_and_fractional_mass_pass(self):
+        config = VhemConfig(
+            np.int64(2), n_virtual=2.5, tau_virtual=np.int32(3), max_iters=np.int8(4)
+        )
+        assert (config.k_reduced, config.tau_virtual, config.max_iters) == (2, 3, 4)
+
 
 class TestComputeAssignments:
     def test_single_reduced(self):

@@ -2,6 +2,7 @@
 format errors with useful context."""
 
 import json
+import re
 import tempfile
 from pathlib import Path
 
@@ -165,6 +166,30 @@ class TestModelRoundTrip:
         doc["payload"]["transitions"][1] = [0.5, 0.4]
         path.write_text(json.dumps(doc))
         with pytest.raises(InvalidModelError, match="transition row 1"):
+            load_model(path)
+
+    @pytest.mark.parametrize(
+        "fault, message",
+        [
+            ("weights", "mixture weights sums to 1.1, expected 1 within 1e-12"),
+            ("count", "1 weights for 2 components"),
+            ("shape", "component 1 has (N=3, M=1, d=1, diagonal), expected (N=2, M=1, d=1,"),
+        ],
+    )
+    def test_mixture_errors_name_the_file(self, rng, tmp_path, fault, message):
+        path = tmp_path / "m.json"
+        save_model(H3m([0.5, 0.5], [random_hmm(rng, n_states=2)] * 2), path)
+        doc = json.loads(path.read_text())
+        if fault == "weights":
+            doc["payload"]["weights"] = [0.5, 0.6]
+        elif fault == "count":
+            doc["payload"]["weights"] = [1.0]
+        else:
+            three = tmp_path / "three.json"
+            save_model(random_hmm(rng, n_states=3), three)
+            doc["payload"]["components"][1] = json.loads(three.read_text())["payload"]
+        path.write_text(json.dumps(doc))
+        with pytest.raises(InvalidModelError, match=re.escape(f"{path}: {message}")):
             load_model(path)
 
     def test_malformed_json(self, tmp_path):
