@@ -6,7 +6,12 @@ next to a human-readable log. Timings go to their own CSV so that all other
 report files are byte-identical across runs with the same inputs and seeds.
 Options can be overridden with environment variables prefixed H3MKIT_.
 
-Exit codes: 0 success, 1 validation error, 2 numerical failure.
+Exit codes: 0 success; 1 a bad input, which is a validation error or a
+malformed, missing or unknown option, environment value or command; 2 a
+numerical failure. The group (``_Commands``) reports either failure as one
+line on stderr, ``error: ...`` or ``numerical failure: ...``. What click
+rejects before a command name is read (a bare ``h3mkit``, ``h3mkit --bogus``)
+keeps click's own output and exit code.
 """
 
 from __future__ import annotations
@@ -33,19 +38,21 @@ _INPUT_ERRORS = (InvalidModelError, ModelFormatError, DegenerateWeightsError, Va
 _NUMERICAL_ERRORS = (EstimationError, FloatingPointError, np.linalg.LinAlgError)
 
 
-def _guarded(fn):
-    @functools.wraps(fn)
-    def wrapper(*args, **kwargs):
+class _Commands(click.Group):
+    """The command group, where every command's failure becomes one line on
+    stderr and an exit code: click's usage errors (a malformed, missing or
+    unknown option or command) and bad inputs exit 1, numerical failures 2."""
+
+    def invoke(self, ctx: click.Context):
         try:
-            return fn(*args, **kwargs)
-        except _INPUT_ERRORS as exc:
-            click.echo(f"error: {exc}", err=True)
+            return super().invoke(ctx)
+        except (click.UsageError, *_INPUT_ERRORS) as exc:
+            message = exc.format_message() if isinstance(exc, click.UsageError) else exc
+            click.echo(f"error: {message}", err=True)
             sys.exit(1)
         except _NUMERICAL_ERRORS as exc:
             click.echo(f"numerical failure: {exc}", err=True)
             sys.exit(2)
-
-    return wrapper
 
 
 _STOPPING = ("max_iters", "tol", "cov_floor")
@@ -156,7 +163,7 @@ def _read_labels(path: str) -> list[str]:
         return [row["label"] for row in reader]
 
 
-@click.group(context_settings={"auto_envvar_prefix": "H3MKIT"})
+@click.group(cls=_Commands, context_settings={"auto_envvar_prefix": "H3MKIT"})
 def main() -> None:
     """Estimate, reduce, and cluster hidden Markov mixture models."""
 
@@ -166,7 +173,6 @@ def main() -> None:
 @click.option("--states", type=int, required=True, help="Number of hidden states.")
 @click.option("--mix", type=int, default=1, show_default=True, help="Emission components per state.")
 @click.option("--out", default=".", show_default=True, help="Output directory.")
-@_guarded
 @_em_options
 @_common_options
 def train_hmm(data, states, mix, out, seed, em_config):
@@ -195,7 +201,6 @@ def train_hmm(data, states, mix, out, seed, em_config):
 @click.option("--states", type=int, required=True)
 @click.option("--mix", type=int, default=1, show_default=True)
 @click.option("--out", default=".", show_default=True)
-@_guarded
 @_em_options
 @_common_options
 def train_h3m(data, k, states, mix, out, seed, em_config):
@@ -236,7 +241,6 @@ def train_h3m(data, k, states, mix, out, seed, em_config):
 )
 @click.option("--init-file", default=None, help="Model file for --init file.")
 @click.option("--out", default=".", show_default=True)
-@_guarded
 @_vhem_options
 @_common_options
 def reduce_cmd(model, kr, init, init_file, out, seed, vhem_config):
@@ -275,7 +279,6 @@ def reduce_cmd(model, kr, init, init_file, out, seed, vhem_config):
 @click.option("--model", required=True, help="Mixture file whose components are the leaves.")
 @click.option("--ladder", required=True, help="Comma-separated level sizes, e.g. 4,2.")
 @click.option("--out", default=".", show_default=True)
-@_guarded
 @_vhem_options
 @_common_options
 def hier(model, ladder, out, seed, vhem_config):
@@ -322,7 +325,6 @@ def hier(model, ladder, out, seed, vhem_config):
 @click.option("--out", default=".", show_default=True)
 @click.option("--seed", type=int, default=0, show_default=True)
 @_cov_type_option
-@_guarded
 def synth(groups, per_group, separation, states, mix, dim, tau, kind, out, seed, cov_type):
     """Generate a seeded group-structured benchmark."""
     rng = np.random.default_rng(seed)
@@ -353,7 +355,6 @@ def synth(groups, per_group, separation, states, mix, dim, tau, kind, out, seed,
 @click.option("--labels-a", required=True, help="CSV with a 'label' column.")
 @click.option("--labels-b", required=True, help="CSV with a 'label' column.")
 @click.option("--out", default=".", show_default=True)
-@_guarded
 def eval_rand(labels_a, labels_b, out):
     """Rand index between two labelings."""
     out_path = _out_dir(out)
@@ -371,7 +372,6 @@ def eval_rand(labels_a, labels_b, out):
 @click.option("--samples", type=int, default=100000, show_default=True)
 @click.option("--seed", type=int, default=0, show_default=True)
 @click.option("--out", default=".", show_default=True)
-@_guarded
 def mc_oracle(base_path, reduced_path, tau, samples, seed, out):
     """Monte Carlo estimate of the expected log-likelihood between two HMMs."""
     out_path = _out_dir(out)
@@ -392,7 +392,6 @@ def mc_oracle(base_path, reduced_path, tau, samples, seed, out):
 @click.option("--states", type=int, required=True)
 @click.option("--mix", type=int, default=1, show_default=True)
 @click.option("--out", default=".", show_default=True)
-@_guarded
 @_vhem_options
 @_em_options
 @_common_options

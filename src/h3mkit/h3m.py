@@ -39,6 +39,7 @@ from .hmm import (
     HmmFit,
     Sequence,
     _check_arrays,
+    _check_counts,
     _check_data,
     _Checked,
     _expected_stats,
@@ -206,8 +207,7 @@ def mc_expected_loglik(
 ) -> tuple[float, float]:
     """Monte Carlo estimate of E over sequences from ``base`` of the log-
     likelihood under ``reduced``; returns (mean, standard error)."""
-    if n_samples < 2:
-        raise ValueError("n_samples must be >= 2")
+    _check_counts(2, n_samples=n_samples)
     obs, _ = sample_batch(base, tau, n_samples, rng)
     lls = forward_loglik_batch(reduced, obs)
     return float(lls.mean()), float(lls.std(ddof=1) / np.sqrt(n_samples))
@@ -232,9 +232,7 @@ def h3m_em(
     mixture models n-th worst, at most twice per run. With
     config.n_starts > 1, the best of several seeded starts is returned.
     """
-    for name, size in (("k", k), ("n_states", n_states), ("n_mix", n_mix)):
-        if size < 1:
-            raise ValueError(f"{name} must be >= 1, got {size}")
+    _check_counts(k=k, n_states=n_states, n_mix=n_mix)
     config = config or EmConfig()
     rng = rng if rng is not None else np.random.default_rng()
     if config.n_starts > 1:

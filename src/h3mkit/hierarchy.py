@@ -9,7 +9,7 @@ import numpy as np
 
 from .errors import InvalidModelError
 from .h3m import H3m
-from .hmm import Hmm
+from .hmm import Hmm, _check_counts
 from .reduction import VhemConfig, vhem_reduce
 
 
@@ -36,8 +36,9 @@ def hier_cluster(
     """
     if not leaves:
         raise InvalidModelError("no leaves to cluster")
-    if not ladder or any(k < 1 for k in ladder):
-        raise ValueError("ladder must be a non-empty list of counts >= 1")
+    if not ladder:
+        raise ValueError("ladder must list at least one level size")
+    _check_counts(**{f"ladder[{i}]": k for i, k in enumerate(ladder)})
     if any(b >= a for a, b in zip(ladder, ladder[1:])):
         raise ValueError(f"ladder must decrease strictly: {ladder}")
     if ladder[0] > len(leaves):

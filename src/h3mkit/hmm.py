@@ -206,14 +206,16 @@ def _stack(models: list[Hmm]) -> _Checked:
     return _Checked(*(np.stack([getattr(m, name) for m in models]) for name in _Stacked._fields))
 
 
-def _check_counts(config, *names: str) -> None:
-    """ValueError for the first of the fields ``names`` of ``config`` that
-    ``operator.index`` rejects: numpy integers pass, 2.5 and NaN do not."""
-    for name in names:
+def _check_counts(minimum: int = 1, **counts) -> None:
+    """The library's one count check: ValueError for the first of ``counts`` that
+    ``operator.index`` rejects (numpy integers pass, 2.5 and NaN do not) or below ``minimum``."""
+    for name, value in counts.items():
         try:
-            operator.index(getattr(config, name))
+            count = operator.index(value)
         except TypeError:
-            raise ValueError(f"{name} must be an integer, got {getattr(config, name)!r}") from None
+            raise ValueError(f"{name} must be an integer, got {value!r}") from None
+        if count < minimum:
+            raise ValueError(f"{name} must be >= {minimum}, got {value!r}")
 
 
 @dataclass
@@ -231,12 +233,11 @@ class EmConfig:
     n_starts: int = 1
 
     def __post_init__(self) -> None:
-        _check_counts(self, "max_iters", "n_starts")
+        _check_counts(max_iters=self.max_iters, n_starts=self.n_starts)
         if self.cov_type not in ("diag", "full"):
             raise ValueError(f"cov_type must be 'diag' or 'full', got {self.cov_type!r}")
-        if not (self.max_iters >= 1 and self.tol >= 0 and 0 < self.cov_floor < np.inf
-                and self.n_starts >= 1):
-            raise ValueError("need max_iters >= 1, tol >= 0, 0 < cov_floor < inf, n_starts >= 1")
+        if not (self.tol >= 0 and 0 < self.cov_floor < np.inf):
+            raise ValueError("need tol >= 0 and 0 < cov_floor < inf")
 
 
 @dataclass
@@ -298,9 +299,9 @@ def _log_chain(models: _Stacked, rows: np.ndarray) -> tuple[np.ndarray, np.ndarr
         return np.log(models.initial[rows]), np.log(models.transitions[rows])
 
 
-# Working-memory budget of a pass, in elements of one (K, B, tau, N, M) array
-# (256 KB of float64): a block holds as many sequences as fit, at least one,
-# and a few such arrays of one block are all that a pass holds at once.
+# Working-memory budget of one block of a pass, in float64 elements of its largest array
+# (256 KB): a block holds as many sequences (here) or base components (reduction._blocks)
+# as fit, at least one, and a few arrays of one block are all that a pass holds at once.
 _BLOCK_ELEMENTS = 1 << 15
 # Guards of the scaled pass (see _scaled_forward): a scale factor at or below
 # _TINY, or a predicted state weight below _FLOOR, sends the sequence to the
@@ -403,8 +404,7 @@ def forward_loglik_batch(model: Hmm, obs: np.ndarray) -> np.ndarray:
 
 def state_marginals(model: Hmm, tau: int) -> np.ndarray:
     """Prior state-occupancy P(x_t = state) for t = 1..tau, shape (tau, N)."""
-    if tau < 1:
-        raise ValueError("tau must be >= 1")
+    _check_counts(tau=tau)
     rows = np.empty((tau, model.n_states))
     rows[0] = model.initial
     for t in range(1, tau):
@@ -456,8 +456,7 @@ def sample_batch(
     which gives, in this order, the uniforms of the state chains step by
     step, those of the mixture components sequence by sequence, and the
     normals."""
-    if tau < 1:
-        raise ValueError("tau must be >= 1")
+    _check_counts(tau=tau, size=size)
     u_states = rng.random((tau, size))
     u_comps = rng.random((size, tau))
     normals = rng.standard_normal((size, tau, model.dim))

@@ -10,7 +10,7 @@ import numpy as np
 
 from .errors import EstimationError
 from .h3m import H3m, h3m_em
-from .hmm import EmConfig, Sequence, _Checked
+from .hmm import EmConfig, Sequence, _check_counts, _Checked
 from .reduction import ReductionResult, VhemConfig, vhem_reduce
 
 
@@ -38,8 +38,8 @@ def split_estimate_aggregate(
     pool the intermediate mixtures with weights proportional to portion size
     times intermediate component weight, and reduce the pool to ``final_k``
     components. Deterministic given ``seed``."""
-    if n_portions < 1:
-        raise ValueError("n_portions must be >= 1")
+    _check_counts(n_portions=n_portions, per_portion_k=per_portion_k, final_k=final_k)
+    _check_counts(0, seed=seed)
     em_config = em_config or EmConfig()
     boundaries = np.array_split(np.arange(len(data)), n_portions)
     for p, idxs in enumerate(boundaries):

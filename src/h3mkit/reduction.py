@@ -27,7 +27,9 @@ An iteration reads the stacks the base and the reduced mixtures hold
 (``H3m.arrays``) and is batched over (base i, reduced j) pairs, except the
 phi recursion. It makes one pass (``_pass``) per block of base components,
 each paired with every reduced component, sized so that no array of an
-iteration grows with the number of base components (``_BLOCK_ELEMENTS``):
+iteration grows with the number of base components: a block's largest array
+stays within the 256 KB that the data-side passes also keep to
+(``hmm._BLOCK_ELEMENTS``):
 
 - emission matching: one ``_cross_terms`` call over (I, J, N_b, N_r, M_b,
   M_r) and one logsumexp give eta and the per-state-pair bound ell;
@@ -53,6 +55,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
+from . import hmm
 from .errors import InvalidModelError
 from .gaussians import _cross_terms, gmm_expected_loglik_opt, logsumexp, solve_softmax_log
 from .h3m import (
@@ -90,18 +93,15 @@ class VhemConfig:
     n_restarts: int = 1
 
     def __post_init__(self) -> None:
-        _check_counts(self, "k_reduced", "tau_virtual", "max_iters", "n_restarts")
-        if self.k_reduced < 1:
-            raise ValueError("k_reduced must be >= 1")
-        if self.tau_virtual < 1:
-            raise ValueError("tau_virtual must be >= 1")
+        _check_counts(k_reduced=self.k_reduced, tau_virtual=self.tau_virtual,
+                      max_iters=self.max_iters, n_restarts=self.n_restarts)
+        _check_counts(0, seed=self.seed)
         if self.n_virtual is not None and not 1 <= self.n_virtual < np.inf:
             raise ValueError(f"n_virtual must be >= 1 and finite, got {self.n_virtual!r}")
         if not isinstance(self.init, H3m) and self.init not in ("subset-perturb", "random"):
             raise ValueError(f"unknown init {self.init!r}")
-        if not (self.max_iters >= 1 and self.tol >= 0 and 0 < self.cov_floor < np.inf
-                and self.n_restarts >= 1):
-            raise ValueError("need max_iters >= 1, tol >= 0, 0 < cov_floor < inf, n_restarts >= 1")
+        if not (self.tol >= 0 and 0 < self.cov_floor < np.inf):
+            raise ValueError("need tol >= 0 and 0 < cov_floor < inf")
 
 
 @dataclass
@@ -224,8 +224,7 @@ def estep_pair(base_i: Hmm, reduced_j: Hmm, tau: int) -> PairEstepResult:
         raise InvalidModelError(
             f"dimension mismatch: base d={base_i.dim}, reduced d={reduced_j.dim}"
         )
-    if tau < 1:
-        raise ValueError("tau must be >= 1")
+    _check_counts(tau=tau)
     return _index(_estep(_stack([base_i]), _stack([reduced_j]), tau), (0, 0))
 
 
@@ -435,8 +434,11 @@ def vhem_reduce(base: H3m, config: VhemConfig) -> ReductionResult:
     at most twice per run; afterwards the run continues
     with the smaller effective component count, which is reported. With
     ``config.n_restarts`` > 1, several independently seeded runs compete and
-    the one with the best final bound is returned.
+    the one with the best final bound is returned; a given start (an ``H3m``
+    ``config.init``) draws nothing, so it takes no restarts.
     """
+    if isinstance(config.init, H3m) and config.n_restarts > 1:
+        raise ValueError(f"n_restarts={config.n_restarts} from a given start repeats one run")
     k_b = base.n_components
     if config.k_reduced > k_b:
         raise InvalidModelError(
@@ -451,20 +453,15 @@ def vhem_reduce(base: H3m, config: VhemConfig) -> ReductionResult:
     return _reduce_once(base, config, np.random.default_rng(config.seed))
 
 
-# Working-memory budget of one block of base components, in float64 elements
-# of its largest array (the emission terms over d, or phi): 64 KB. Blocks keep
-# the arrays of an iteration from growing with the number of base components.
-_BLOCK_ELEMENTS = 1 << 13
-
-
 def _blocks(base: _Stacked, reduced: H3m, tau: int) -> list[_Stacked]:
     """The stacked base as consecutive blocks of components, each within
-    _BLOCK_ELEMENTS for its pairs with every component of ``reduced``."""
+    hmm._BLOCK_ELEMENTS for its largest array (the emission terms over d, or
+    phi) over its pairs with every component of ``reduced``."""
     k_b, n_b, m_b = base.mix_weights.shape
     n_r, m_r = reduced.n_states, reduced.n_mix
     cov_size = reduced.arrays.covs[0, 0, 0].size
     per_pair = n_b * n_r * max(m_b * m_r * cov_size, tau * n_r)
-    size = max(1, _BLOCK_ELEMENTS // (per_pair * reduced.n_components))
+    size = max(1, hmm._BLOCK_ELEMENTS // (per_pair * reduced.n_components))
     return [_Stacked(*(a[i:i + size] for a in base)) for i in range(0, k_b, size)]
 
 

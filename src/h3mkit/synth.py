@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .hmm import Hmm, Sequence, _check_arrays, _models, _sample, _stack
+from .hmm import Hmm, Sequence, _check_arrays, _check_counts, _models, _sample, _stack
 from .serialize import SequenceDataset
 
 
@@ -72,20 +72,15 @@ def synth_benchmark(
     draws one length-tau sequence from each member instead. Bad arguments
     raise ValueError before anything is drawn.
     """
-    if n_groups < 2:
-        raise ValueError("need at least two groups")
-    if per_group < 1:
-        raise ValueError("per_group must be >= 1")
-    if min(n_states, n_mix, dim) < 1:
-        raise ValueError("n_states, n_mix and dim must be >= 1")
+    _check_counts(2, n_groups=n_groups)
+    _check_counts(per_group=per_group, n_states=n_states, n_mix=n_mix, dim=dim,
+                  **({"tau": tau} if kind == "sequences" else {}))
     if not (np.isfinite(separation) and separation >= 0):
         raise ValueError(f"separation must be finite and >= 0, got {separation}")
     if cov_type not in ("diag", "full"):
         raise ValueError(f"cov_type must be 'diag' or 'full', got {cov_type!r}")
     if kind not in ("hmms", "sequences"):
         raise ValueError(f"unknown kind {kind!r}")
-    if kind == "sequences" and tau < 1:
-        raise ValueError("tau must be >= 1")
     protos = _stack([
         _prototype((g - (n_groups - 1) / 2.0) * separation, n_states, n_mix, dim, separation,
                    cov_type)

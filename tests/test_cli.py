@@ -77,21 +77,37 @@ class TestSynthAndTrain:
         reduced = load_model(reduce_dir / "reduced.json")
         assert reduced.n_components == 4
 
-    def test_reports_reproducible_excluding_timings(self, runner, tmp_path):
+    @pytest.mark.parametrize("command", ["reduce", "hier", "split-pipeline"])
+    def test_reports_reproducible_excluding_timings(self, runner, tmp_path, command):
         synth_dir = tmp_path / "synth"
+        kind = "sequences" if command == "split-pipeline" else "hmms"
         run_ok(runner, [
             "synth", "--groups", "2", "--per-group", "4", "--separation", "4",
-            "--kind", "hmms", "--out", str(synth_dir), "--seed", "3",
+            "--kind", kind, "--tau", "8", "--out", str(synth_dir), "--seed", "3",
         ])
+        args, reports = {
+            "reduce": (
+                ["--model", str(synth_dir / "leaves.json"), "--kr", "2"],
+                ["reduced.json", "reduce_trace.csv", "reduce_assignments.csv"],
+            ),
+            "hier": (
+                ["--model", str(synth_dir / "leaves.json"), "--ladder", "4,2"],
+                ["hier_parents.csv", "hier_leaf_labels.csv", "level1_k4.json", "level2_k2.json"],
+            ),
+            "split-pipeline": (
+                ["--data", str(synth_dir / "dataset.jsonl"), "--portions", "2",
+                 "--portion-k", "2", "--kr", "2", "--states", "2", "--max-iters", "5"],
+                ["final.json", "pipeline_trace.csv", "pipeline_portions.csv"],
+            ),
+        }[command]
         outputs = []
         for name in ("a", "b"):
             out = tmp_path / name
-            run_ok(runner, [
-                "reduce", "--model", str(synth_dir / "leaves.json"), "--kr", "2",
-                "--out", str(out), "--seed", "7",
-            ])
+            run_ok(runner, [command, *args, "--out", str(out), "--seed", "7"])
             outputs.append(out)
-        for fname in ("reduced.json", "reduce_trace.csv", "reduce_assignments.csv"):
+        if command == "hier":
+            assert sorted(p.name for p in outputs[0].glob("level*.json")) == reports[2:]
+        for fname in reports:
             assert (outputs[0] / fname).read_bytes() == (outputs[1] / fname).read_bytes()
 
     def test_train_hmm_and_h3m(self, runner, tmp_path):
@@ -320,9 +336,7 @@ class TestFailureModes:
         ])
         assert result.exit_code == 1
         assert isinstance(result.exception, SystemExit)
-        assert result.output.splitlines() == [
-            "error: need max_iters >= 1, tol >= 0, 0 < cov_floor < inf, n_starts >= 1"
-        ]
+        assert result.output.splitlines() == ["error: need tol >= 0 and 0 < cov_floor < inf"]
 
     def test_mixed_layout_mixture_rejected(self, runner, tmp_path):
         # One diagonal and one full component: rejected when the file is
@@ -425,7 +439,7 @@ class TestFailureModes:
         ])
         assert result.exit_code == 1
         assert isinstance(result.exception, SystemExit)
-        assert result.output.splitlines() == ["error: n_states, n_mix and dim must be >= 1"]
+        assert result.output.splitlines() == ["error: n_states must be >= 1, got 0"]
         assert not out.exists()
 
     @pytest.mark.parametrize("size", ["--k", "--states", "--mix"])
@@ -460,6 +474,44 @@ class TestFailureModes:
             "error: init 'subset-perturb' needs k_reduced=3 base components with nonzero"
             " weight, found 2"
         ]
+
+    @pytest.mark.parametrize(
+        "args, env, fragment",
+        [
+            (["train-h3m", "--data", "d.jsonl", "--k", "2.5", "--states", "2"], {}, "'--k'"),
+            (["train-h3m", "--data", "d.jsonl", "--k", "2", "--states", "2", "--tol", "abc"], {},
+             "'--tol'"),
+            (["reduce", "--model", "m.json"], {}, "'--kr'"),
+            (["bogus"], {}, "'bogus'"),
+            (["reduce", "--model", "m.json"], {"H3MKIT_REDUCE_KR": "abc"}, "'--kr'"),
+        ],
+        ids=["fractional-k", "non-numeric-tol", "missing-kr", "unknown-command", "bad-env-value"],
+    )
+    def test_usage_errors_exit_code_1(self, runner, tmp_path, args, env, fragment):
+        # Malformed, missing or unknown options and commands are bad input:
+        # exit 1 with one error line, as for a bad file, not click's exit 2.
+        result = runner.invoke(main, [*args, "--out", str(tmp_path / "o")], env=env)
+        assert result.exit_code == 1, result.output
+        assert isinstance(result.exception, SystemExit)
+        lines = result.output.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: "), result.output
+        assert fragment in lines[0], result.output
+        assert not (tmp_path / "o").exists()
+
+    def test_restarts_from_a_given_start_rejected(self, runner, tmp_path):
+        # A given start draws nothing, so restarts would repeat one run.
+        path = two_leaf_mixture(tmp_path)
+        out = tmp_path / "o"
+        result = runner.invoke(main, [
+            "reduce", "--model", str(path), "--kr", "2", "--init", "file",
+            "--init-file", str(path), "--restarts", "3", "--out", str(out),
+        ])
+        assert result.exit_code == 1
+        assert isinstance(result.exception, SystemExit)
+        assert result.output.splitlines() == [
+            "error: n_restarts=3 from a given start repeats one run"
+        ]
+        assert not any(out.glob("*"))
 
     @pytest.mark.parametrize("command", ["reduce", "hier"])
     def test_cov_type_rejected_where_it_has_no_effect(self, runner, tmp_path, command):

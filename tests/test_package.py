@@ -1,9 +1,13 @@
 """The public surface: every exported name resolves, once, and names that
 were removed from the library stay gone. Emission objects are built from
-arrays in one place, and only for the ``Hmm.emissions`` view."""
+arrays in one place, and only for the ``Hmm.emissions`` view. Every count
+argument is checked, naming itself, before anything is drawn or fitted."""
 
 import ast
 from pathlib import Path
+
+import numpy as np
+import pytest
 
 import h3mkit
 import h3mkit.gaussians
@@ -72,3 +76,69 @@ def test_emission_objects_built_only_by_the_emissions_view():
         "GaussianMixture": {"hmm._mixtures"},
         "_mixtures": {"hmm.Hmm.emissions"},
     }
+
+
+def one_state_hmm(mean):
+    return h3mkit.Hmm([1.0], [[1.0]], [
+        h3mkit.GaussianMixture([1.0], [h3mkit.Gaussian([mean], [1.0])])
+    ])
+
+
+BASE, REDUCED = one_state_hmm(0.0), one_state_hmm(1.0)
+LEAVES = [one_state_hmm(mean) for mean in (0.0, 0.5, 5.0, 5.5)]
+SEQS = [h3mkit.Sequence(np.array([[0.0], [1.0], [3.0]]) + 4.0 * i) for i in range(4)]
+EM = h3mkit.EmConfig(max_iters=2)
+VHEM = h3mkit.VhemConfig(1, max_iters=2)
+
+# The message, a call taking the count and a generator, a bad count, and a
+# good one, which is passed as a numpy integer.
+COUNT_PROBES = [
+    ("seed must be an integer, got 2.5", lambda v, rng: h3mkit.VhemConfig(2, seed=v), 2.5, 0),
+    ("seed must be >= 0, got -1", lambda v, rng: h3mkit.VhemConfig(2, seed=v), -1, 0),
+    ("k must be an integer, got 2.5", lambda v, rng: h3mkit.h3m_em(SEQS, v, 1, 1, EM, rng),
+     2.5, 2),
+    ("n_states must be an integer, got 1.5",
+     lambda v, rng: h3mkit.h3m_em(SEQS, 2, v, 1, EM, rng), 1.5, 1),
+    ("n_mix must be an integer, got 1.5",
+     lambda v, rng: h3mkit.h3m_em(SEQS, 2, 1, v, EM, rng), 1.5, 1),
+    ("n_groups must be an integer, got 2.5",
+     lambda v, rng: h3mkit.synth_benchmark(v, 2, 4.0, rng), 2.5, 2),
+    ("n_groups must be >= 2, got 1", lambda v, rng: h3mkit.synth_benchmark(v, 2, 4.0, rng), 1, 2),
+    ("per_group must be an integer, got 2.5",
+     lambda v, rng: h3mkit.synth_benchmark(2, v, 4.0, rng), 2.5, 2),
+    ("dim must be an integer, got 1.5",
+     lambda v, rng: h3mkit.synth_benchmark(2, 2, 4.0, rng, dim=v, kind="sequences"), 1.5, 1),
+    ("tau must be an integer, got 2.5",
+     lambda v, rng: h3mkit.synth_benchmark(2, 2, 4.0, rng, tau=v, kind="sequences"), 2.5, 3),
+    ("n_portions must be an integer, got 2.5",
+     lambda v, rng: h3mkit.split_estimate_aggregate(SEQS, v, 1, 1, 1, 1, EM, VHEM), 2.5, 2),
+    ("per_portion_k must be an integer, got 1.5",
+     lambda v, rng: h3mkit.split_estimate_aggregate(SEQS, 2, v, 1, 1, 1, EM, VHEM), 1.5, 1),
+    ("seed must be >= 0, got -1",
+     lambda v, rng: h3mkit.split_estimate_aggregate(SEQS, 2, 1, 1, 1, 1, EM, VHEM, v), -1, 0),
+    ("ladder[0] must be an integer, got 2.5",
+     lambda v, rng: h3mkit.hier_cluster(LEAVES, [v], VHEM), 2.5, 2),
+    ("tau must be an integer, got 2.5", lambda v, rng: h3mkit.sample_batch(BASE, v, 3, rng),
+     2.5, 3),
+    ("size must be an integer, got 2.5", lambda v, rng: h3mkit.sample_batch(BASE, 3, v, rng),
+     2.5, 3),
+    ("size must be >= 1, got -1", lambda v, rng: h3mkit.sample_batch(BASE, 3, v, rng), -1, 3),
+    ("tau must be an integer, got 2.5", lambda v, rng: h3mkit.state_marginals(BASE, v), 2.5, 3),
+    ("tau must be an integer, got 2.5", lambda v, rng: h3mkit.estep_pair(BASE, REDUCED, v),
+     2.5, 3),
+    ("n_samples must be an integer, got 2.5",
+     lambda v, rng: h3mkit.mc_expected_loglik(BASE, REDUCED, 3, v, rng), 2.5, 2),
+]
+
+
+@pytest.mark.parametrize(
+    "message, call, bad, good", COUNT_PROBES, ids=[probe[0] for probe in COUNT_PROBES]
+)
+def test_count_arguments_rejected_by_name_before_any_draw(message, call, bad, good):
+    rng = np.random.default_rng(0)
+    state = rng.bit_generator.state
+    with pytest.raises(ValueError) as info:
+        call(bad, rng)
+    assert str(info.value) == message
+    assert rng.bit_generator.state == state
+    call(np.int64(good), rng)

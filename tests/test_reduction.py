@@ -25,6 +25,7 @@ from h3mkit import (
     estep_pair,
     gauss_expected_loglik,
     gmm_expected_loglik_opt,
+    hier_cluster,
     mc_expected_loglik,
     mstep,
     rand_index,
@@ -35,6 +36,7 @@ from h3mkit import (
     vhem_reduce,
 )
 
+import h3mkit.hmm as hmm_module
 import h3mkit.reduction as reduction_module
 from h3mkit.gaussians import _cross_terms, expected_loglik_table, logsumexp
 from h3mkit.hmm import _stack
@@ -608,6 +610,19 @@ class TestVhemReduce:
         rel_change = np.abs(np.diff(history)) / np.abs(history[:-1])
         assert np.all(rel_change <= 1e-6)
 
+    def test_restarts_from_a_given_start_rejected(self):
+        # A given start draws nothing: restarts would be identical runs.
+        leaves, _ = synth_benchmark(2, 3, 4.0, np.random.default_rng(0))
+        base = H3m(np.full(6, 1 / 6), leaves)
+        start = H3m([0.5, 0.5], [leaves[0], leaves[3]])
+        config = VhemConfig(k_reduced=2, init=start, n_restarts=4, max_iters=2)
+        with pytest.raises(ValueError) as info:
+            vhem_reduce(base, config)
+        assert str(info.value) == "n_restarts=4 from a given start repeats one run"
+        # hier_cluster starts every level from "subset-perturb", where restarts draw.
+        levels = hier_cluster(leaves, [2], config)
+        assert levels[1].level_size == 2
+
     def test_group_recovery(self):
         leaves, labels = synth_benchmark(4, 5, 4.0, np.random.default_rng(11))
         base = H3m(np.full(20, 0.05), leaves)
@@ -1018,7 +1033,7 @@ class TestBatchedEstep:
         base = H3m(np.full(len(leaves), 1 / len(leaves)), leaves)
         config = VhemConfig(k_reduced=4, max_iters=4, tol=0.0, seed=2)
         expected = vhem_reduce(base, config)
-        monkeypatch.setattr(reduction_module, "_BLOCK_ELEMENTS", budget)
+        monkeypatch.setattr(hmm_module, "_BLOCK_ELEMENTS", budget)
         blocks = reduction_module._blocks(_stack(leaves), expected.reduced, 10)
         assert len(blocks) == (len(leaves) if budget == 1 else 1)
         result = vhem_reduce(base, config)
@@ -1033,7 +1048,7 @@ class TestBatchedEstep:
         # the block budget bounds phi, the largest array of an iteration.
         leaves, _ = synth_benchmark(4, 6, 4.0, np.random.default_rng(3), n_states=3, n_mix=2)
         base = H3m(np.full(len(leaves), 1 / len(leaves)), leaves)
-        monkeypatch.setattr(reduction_module, "_BLOCK_ELEMENTS", 1)
+        monkeypatch.setattr(hmm_module, "_BLOCK_ELEMENTS", 1)
         estep, results, alive = reduction_module._estep, [], []
 
         def tracked(*args):
