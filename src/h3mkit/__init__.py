@@ -17,7 +17,6 @@ from .errors import (
 from .gaussians import (
     Gaussian,
     GaussianMixture,
-    gauss_expected_loglik,
     gmm_expected_loglik_opt,
     solve_softmax_log,
 )
@@ -93,7 +92,6 @@ __all__ = [
     "estep_pair",
     "forward_loglik",
     "forward_loglik_batch",
-    "gauss_expected_loglik",
     "gmm_expected_loglik_opt",
     "h3m_em",
     "hier_cluster",

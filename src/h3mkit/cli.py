@@ -44,15 +44,32 @@ class _Commands(click.Group):
     unknown option or command) and bad inputs exit 1, numerical failures 2."""
 
     def invoke(self, ctx: click.Context):
+        args = list(ctx.args)  # the command's own arguments, before they are consumed
         try:
             return super().invoke(ctx)
         except (click.UsageError, *_INPUT_ERRORS) as exc:
+            if isinstance(exc, click.BadParameter):
+                exc.param_hint = _environment_variable(exc, args) or exc.param_hint
             message = exc.format_message() if isinstance(exc, click.UsageError) else exc
             click.echo(f"error: {message}", err=True)
             sys.exit(1)
         except _NUMERICAL_ERRORS as exc:
             click.echo(f"numerical failure: {exc}", err=True)
             sys.exit(2)
+
+
+def _environment_variable(exc: click.BadParameter, args: list[str]) -> str | None:
+    """The environment variable that gave the rejected option its value, or
+    None if the value was typed or is a default. The source is decided again
+    as click decides it, from the command's arguments, since click records
+    it only once the value is accepted."""
+    param, ctx = exc.param, exc.ctx
+    if not isinstance(param, click.Option) or ctx is None:
+        return None
+    opts = ctx.command.make_parser(ctx).parse_args(args)[0]
+    if param.consume_value(ctx, opts)[1] != click.core.ParameterSource.ENVIRONMENT:
+        return None
+    return f"environment variable {ctx.auto_envvar_prefix}_{param.name.upper()}"
 
 
 _STOPPING = ("max_iters", "tol", "cov_floor")
@@ -128,6 +145,8 @@ def _timed(fn, *args):
 
 
 def _out_dir(out: str) -> Path:
+    """The output directory, made when a command has its results and writes
+    its first report, so a failed command leaves none behind."""
     path = Path(out)
     path.mkdir(parents=True, exist_ok=True)
     return path
@@ -177,11 +196,11 @@ def main() -> None:
 @_common_options
 def train_hmm(data, states, mix, out, seed, em_config):
     """Fit a single HMM to a dataset by maximum likelihood."""
-    out_path = _out_dir(out)
     dataset = load_dataset(data)
     fit, elapsed = _timed(
         baum_welch, dataset.sequences, states, mix, em_config, np.random.default_rng(seed)
     )
+    out_path = _out_dir(out)
     save_model(fit.model, out_path / "hmm.json", seed=seed)
     _write_trace(out_path / "train_hmm_trace.csv", "loglik", fit.loglik_trace)
     _write_timings(out_path / "train_hmm_timings.csv", [("fit", elapsed)])
@@ -205,11 +224,11 @@ def train_hmm(data, states, mix, out, seed, em_config):
 @_common_options
 def train_h3m(data, k, states, mix, out, seed, em_config):
     """Fit a K-component HMM mixture to a dataset."""
-    out_path = _out_dir(out)
     dataset = load_dataset(data)
     fit, elapsed = _timed(
         h3m_em, dataset.sequences, k, states, mix, em_config, np.random.default_rng(seed)
     )
+    out_path = _out_dir(out)
     save_model(fit.model, out_path / "h3m.json", seed=seed)
     _write_trace(out_path / "train_h3m_trace.csv", "loglik", fit.loglik_trace)
     header = ["index", "id", "hard_label"] + [f"posterior_{j}" for j in range(k)]
@@ -247,13 +266,13 @@ def reduce_cmd(model, kr, init, init_file, out, seed, vhem_config):
     """Reduce an HMM mixture to fewer components (cluster its HMMs)."""
     if init_file is not None and init != "file":
         raise ValueError("--init-file requires --init file")
-    out_path = _out_dir(out)
     base = _load_mixture(model, "reduce")
     if init == "file":
         if init_file is None:
             raise ValueError("--init file requires --init-file")
         init = _load_mixture(init_file, "--init-file")
     result, elapsed = _timed(vhem_reduce, base, vhem_config(kr, init=init))
+    out_path = _out_dir(out)
     save_model(result.reduced, out_path / "reduced.json", seed=seed)
     _write_trace(out_path / "reduce_trace.csv", "bound", result.bound_history)
     header = ["base_index", "hard_label"] + [f"z_{j}" for j in range(kr)]
@@ -289,9 +308,9 @@ def hier(model, ladder, out, seed, vhem_config):
         raise ValueError(f"bad --ladder {ladder!r}: {exc}") from exc
     if not sizes:
         raise ValueError(f"bad --ladder {ladder!r}: no level sizes")
-    out_path = _out_dir(out)
     base = _load_mixture(model, "hier")
     levels, elapsed = _timed(hier_cluster, list(base.components), sizes, vhem_config(sizes[0]))
+    out_path = _out_dir(out)
     parent_rows = []
     label_rows = []
     for depth, level in enumerate(levels):
@@ -357,10 +376,10 @@ def synth(groups, per_group, separation, states, mix, dim, tau, kind, out, seed,
 @click.option("--out", default=".", show_default=True)
 def eval_rand(labels_a, labels_b, out):
     """Rand index between two labelings."""
-    out_path = _out_dir(out)
     a = _read_labels(labels_a)
     b = _read_labels(labels_b)
     value = rand_index(a, b)
+    out_path = _out_dir(out)
     _write_csv(out_path / "rand.csv", ["rand_index"], [[value]])
     click.echo(f"rand_index={value!r}")
 
@@ -374,12 +393,12 @@ def eval_rand(labels_a, labels_b, out):
 @click.option("--out", default=".", show_default=True)
 def mc_oracle(base_path, reduced_path, tau, samples, seed, out):
     """Monte Carlo estimate of the expected log-likelihood between two HMMs."""
-    out_path = _out_dir(out)
     base = load_model(base_path)
     reduced = load_model(reduced_path)
     if not isinstance(base, Hmm) or not isinstance(reduced, Hmm):
         raise InvalidModelError("mc-oracle expects single-HMM model files")
     mean, stderr = mc_expected_loglik(base, reduced, tau, samples, np.random.default_rng(seed))
+    out_path = _out_dir(out)
     _write_csv(out_path / "mc.csv", ["mean", "stderr"], [[mean, stderr]])
     click.echo(f"mean={mean!r} stderr={stderr!r}")
 
@@ -397,12 +416,12 @@ def mc_oracle(base_path, reduced_path, tau, samples, seed, out):
 @_common_options
 def split_pipeline(data, portions, portion_k, kr, states, mix, out, seed, em_config, vhem_config):
     """Split the data, fit a mixture per portion, pool, and reduce."""
-    out_path = _out_dir(out)
     dataset = load_dataset(data)
     (final, report), elapsed = _timed(
         split_estimate_aggregate, dataset.sequences, portions, portion_k, kr, states, mix,
         em_config, vhem_config(kr), seed,
     )
+    out_path = _out_dir(out)
     save_model(final, out_path / "final.json", seed=seed)
     _write_csv(
         out_path / "pipeline_portions.csv",

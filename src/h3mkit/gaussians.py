@@ -1,10 +1,14 @@
-"""Gaussian and Gaussian-mixture primitives.
+"""Gaussian and Gaussian-mixture primitives, on arrays.
 
 All likelihood-like quantities are carried in log domain; probabilities are
 never multiplied together directly. Covariances come in two layouts: diagonal
 (a length-d vector of variances) or full (a d x d symmetric positive-definite
-matrix). Every operation supports both. ``_check_emissions`` checks the
-emission parameters of these types and of every stack of HMMs.
+matrix). Every operation supports both, one layout at a time.
+``_check_emissions`` checks the emission arrays of every stack of HMMs, and
+``_cross_terms`` is the one expected log-likelihood kernel over stacked
+Gaussian pairs. ``Gaussian`` and ``GaussianMixture`` are plain records that
+only ``Hmm.emissions`` builds, from checked arrays: an output view that no
+function takes.
 """
 
 from __future__ import annotations
@@ -96,12 +100,12 @@ def _at(axes: tuple[str, ...], ok: np.ndarray) -> str:
 
 def _check_emissions(
     weights, means, covs, axes: tuple[str, ...]
-) -> tuple[np.ndarray | None, np.ndarray, np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Emission parameters as fresh float arrays, or InvalidModelError
     naming the first bad one by its position on ``axes``, one name per
-    leading axis, the last one the mixture component. Means are (..., d),
-    covs (..., d) variances or (..., d, d) matrices, and weights (...) rows
-    of mixture weights, or None for a lone Gaussian. Checked: shapes,
+    leading axis, the last two the state and the mixture component. Means
+    are (..., d), covs (..., d) variances or (..., d, d) matrices, and
+    weights (...) rows of mixture weights. Checked: shapes,
     stochastic rows, finite means and covariances, positive variances,
     symmetric full covariances, and positive definite ones (one batched
     Cholesky)."""
@@ -117,14 +121,12 @@ def _check_emissions(
             f"covs have shape {covs.shape}, expected {means.shape} variances"
             f" or {shape} matrices for means of shape {means.shape}"
         )
-    if weights is not None:
-        weights = _float_array(weights, "mixture weights")
-        if weights.shape != means.shape[:-1]:
-            raise InvalidModelError(
-                f"mixture weights have shape {weights.shape}, expected {means.shape[:-1]}"
-            )
-        label = f"mixture weights of {axes[-2]}" if len(axes) > 1 else "mixture weights"
-        _check_rows(weights, label, axes[:-2])
+    weights = _float_array(weights, "mixture weights")
+    if weights.shape != means.shape[:-1]:
+        raise InvalidModelError(
+            f"mixture weights have shape {weights.shape}, expected {means.shape[:-1]}"
+        )
+    _check_rows(weights, f"mixture weights of {axes[-2]}", axes[:-2])
     for ok, problem in (
         (np.isfinite(means), "mean contains non-finite entries"),
         (np.isfinite(covs), "cov contains non-finite entries"),
@@ -154,76 +156,22 @@ def _check_emissions(
     return weights, means, covs
 
 
-@dataclass
+@dataclass(frozen=True)
 class Gaussian:
-    """A single Gaussian with diagonal or full covariance.
-
-    ``cov`` with ndim 1 holds the variances of a diagonal covariance;
-    ndim 2 holds a full symmetric positive-definite matrix. Checked by
-    ``_check_emissions``, as the emissions of every HMM are.
-    """
+    """One emission component of ``Hmm.emissions``: its mean (d,) and its
+    covariance, (d,) variances or a (d, d) matrix."""
 
     mean: np.ndarray
     cov: np.ndarray
 
-    def __post_init__(self) -> None:
-        _, self.mean, self.cov = _check_emissions(None, self.mean, self.cov, ())
 
-    @property
-    def dim(self) -> int:
-        return self.mean.shape[0]
-
-    @property
-    def is_diagonal(self) -> bool:
-        return self.cov.ndim == 1
-
-
-@dataclass
+@dataclass(frozen=True)
 class GaussianMixture:
-    """Mixture of Gaussians sharing one dimension and covariance layout,
-    checked by ``_check_emissions``."""
+    """One state's emission mixture of ``Hmm.emissions``: its weights (M,)
+    and its components."""
 
     weights: np.ndarray
     components: list[Gaussian]
-
-    def __post_init__(self) -> None:
-        if len(self.components) == 0:
-            raise InvalidModelError("mixture needs at least one component")
-        d = self.components[0].dim
-        diag = self.components[0].is_diagonal
-        for k, comp in enumerate(self.components):
-            if comp.dim != d:
-                raise InvalidModelError(f"component {k} has dimension {comp.dim}, expected {d}")
-            if comp.is_diagonal != diag:
-                raise InvalidModelError("components mix diagonal and full covariances")
-        self.weights, _, _ = _check_emissions(
-            self.weights,
-            [c.mean for c in self.components],
-            [c.cov for c in self.components],
-            ("component",),
-        )
-
-    @property
-    def dim(self) -> int:
-        return self.components[0].dim
-
-    @property
-    def n_components(self) -> int:
-        return len(self.components)
-
-    @property
-    def is_diagonal(self) -> bool:
-        return self.components[0].is_diagonal
-
-
-def _shape(n_mix: int, dim: int, is_diagonal: bool) -> str:
-    """Component count, dimension and covariance layout, as messages name them."""
-    return f"M={n_mix}, d={dim}, {'diagonal' if is_diagonal else 'full'}"
-
-
-def _as_full(cov: np.ndarray, is_diagonal: bool) -> np.ndarray:
-    """Variances (..., d) as diagonal matrices (..., d, d); matrices as they are."""
-    return cov[..., None] * np.eye(cov.shape[-1]) if is_diagonal else cov
 
 
 def _cross_terms(
@@ -260,44 +208,19 @@ def _cross_terms(
     return -0.5 * (d * LOG_2PI + log_det + trace + maha)
 
 
-def _check_dims(base, reduced) -> None:
-    if base.dim != reduced.dim:
-        raise InvalidModelError(
-            f"dimension mismatch: base d={base.dim}, reduced d={reduced.dim}"
-        )
-
-
-def gauss_expected_loglik(base: Gaussian, reduced: Gaussian) -> float:
-    """Expectation over y ~ base of the log density of reduced at y
-    (``_cross_terms`` for one pair)."""
-    _check_dims(base, reduced)
-    cov_b, cov_r = base.cov, reduced.cov
-    if base.is_diagonal != reduced.is_diagonal:
-        cov_b, cov_r = _as_full(cov_b, base.is_diagonal), _as_full(cov_r, reduced.is_diagonal)
-    return float(_cross_terms(base.mean, cov_b, reduced.mean, cov_r))
-
-
-def expected_loglik_table(base: GaussianMixture, reduced: GaussianMixture) -> np.ndarray:
-    """Matrix of gauss_expected_loglik over all (base m, reduced l) pairs."""
-    _check_dims(base, reduced)
-    mu_b = np.stack([g.mean for g in base.components])  # (Mb, d)
-    cov_b = np.stack([g.cov for g in base.components])
-    mu_r = np.stack([g.mean for g in reduced.components])  # (Mr, d)
-    cov_r = np.stack([g.cov for g in reduced.components])
-    if base.is_diagonal != reduced.is_diagonal:
-        cov_b, cov_r = _as_full(cov_b, base.is_diagonal), _as_full(cov_r, reduced.is_diagonal)
-    return _cross_terms(mu_b[:, None], cov_b[:, None], mu_r[None], cov_r[None])
-
-
-def gmm_expected_loglik_opt(base: GaussianMixture, reduced: GaussianMixture) -> float:
+def gmm_expected_loglik_opt(base, reduced) -> float:
     """Tightest lower bound on E over y ~ base of log density of reduced,
     attained by the optimal matching of components (Hershey and Olsen):
-    sum_m c_b[m] * log sum_l c_r[l] exp(gauss_expected_loglik(m, l)).
+    sum_m c_b[m] * log sum_l c_r[l] exp(E over y ~ N_b[m] of log N_r[l](y)).
+
+    ``base`` and ``reduced`` are mixtures as (weights (M,), means (M, d),
+    covs) arrays, the covariances of both in one layout.
     """
-    table = expected_loglik_table(base, reduced)
+    (c_b, mu_b, cov_b), (c_r, mu_r, cov_r) = base, reduced
+    table = _cross_terms(mu_b[:, None], cov_b[:, None], mu_r[None], cov_r[None])
     with np.errstate(divide="ignore"):
-        logits = np.log(reduced.weights)[None, :] + table
-    return float(base.weights @ logsumexp(logits, axis=1))
+        logits = np.log(c_r)[None, :] + table
+    return float(c_b @ logsumexp(logits, axis=1))
 
 
 def solve_softmax_log(beta: np.ndarray) -> tuple[np.ndarray, float]:

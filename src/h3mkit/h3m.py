@@ -32,7 +32,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import DegenerateWeightsError, EstimationError, InvalidModelError
-from .gaussians import _shape, check_probability_vector, logsumexp
+from .gaussians import check_probability_vector, logsumexp
 from .hmm import (
     EmConfig,
     Hmm,
@@ -76,7 +76,8 @@ class H3m:
         for idx, h in enumerate([] if stacked else components):
             if h.covs.shape != components[0].covs.shape:
                 got, want = (
-                    f"(N={m.n_states}, {_shape(m.n_mix, m.dim, m.covs.ndim == 3)})"
+                    f"(N={m.n_states}, M={m.n_mix}, d={m.dim},"
+                    f" {'diagonal' if m.covs.ndim == 3 else 'full'})"
                     for m in (h, components[0])
                 )
                 raise InvalidModelError(f"component {idx} has {got}, expected {want}")

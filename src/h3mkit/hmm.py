@@ -2,17 +2,18 @@
 
 Holds the model type, exact sequence likelihood, seeded sampling, prior
 state-occupancy marginals, and the estimation machinery that every estimator
-shares. An ``Hmm`` holds its parameters once, as five arrays that every
-kernel reads; its ``emissions`` objects are a view rebuilt from them on each
-read, and no model is mutated after construction. One array-level check,
-``_check_arrays``, validates every model, once per stack: ``Hmm.from_arrays``
-and the constructor check one model; a file's mixture components, the
-synthetic members and an M-step's output are checked once as a stack. A
-mixture holds one such stack, and its components are views of its rows
-(``_models``), rebuilt on each read. One sampling kernel, ``_sample``,
-draws sequences from a stack of models with uniforms and normals drawn
-beforehand. Every estimation kernel reads a stack too (``_Stacked``, with a
-leading K axis) and runs once over all K models; a list of models is
+shares. An ``Hmm`` is built from its five parameter arrays and holds them
+once; every kernel reads them, and no model is mutated after construction.
+Its ``emissions`` objects are an output view rebuilt from the arrays on each
+read, and nothing takes them as input. One array-level check,
+``_check_arrays``, validates every model, once per stack: the constructor
+checks one model; a file's mixture components, the synthetic members and an
+M-step's output are checked once as a stack. A mixture holds one such
+stack, and its components are views of its rows (``_models``), rebuilt on
+each read. One sampling kernel, ``_sample``, draws sequences from a stack of
+models with uniforms and normals drawn beforehand. Every estimation kernel
+reads a stack too (``_Stacked``, with a leading K axis) and runs once over
+all K models; a list of models is
 stacked (``_stack``) only where it enters, and an ``Hmm`` is a one-row stack
 at the public boundary (``forward_loglik_batch``). One forward recursion, in
 probability domain and normalized at every step (Rabiner's scaling), one batched matmul per
@@ -42,7 +43,6 @@ from .gaussians import (
     _check_emissions,
     _check_rows,
     _float_array,
-    _shape,
     logsumexp,
 )
 
@@ -102,7 +102,7 @@ def _check_arrays(
 def _mixtures(
     mix_weights: np.ndarray, means: np.ndarray, covs: np.ndarray
 ) -> list[GaussianMixture]:
-    """One GaussianMixture per state from arrays shaped as the ``Hmm``
+    """One GaussianMixture per state from checked arrays shaped as the ``Hmm``
     attributes of the same names."""
     return [
         GaussianMixture(w, [Gaussian(mu, cov) for mu, cov in zip(mu_row, cov_row)])
@@ -113,51 +113,29 @@ def _mixtures(
 class Hmm:
     """HMM with an initial distribution, transition matrix, and per-state
     Gaussian-mixture emissions sharing one component count, dimension and
-    covariance layout. It holds five arrays and nothing else: ``initial``,
-    ``transitions``, ``mix_weights`` (N, M), ``means`` (N, M, d) and ``covs``,
-    (N, M, d) variances or (N, M, d, d) matrices, checked by
-    ``_check_arrays``. Not mutated."""
+    covariance layout. It holds five arrays and nothing else: ``initial``
+    (N,), ``transitions`` (N, N), ``mix_weights`` (N, M), ``means``
+    (N, M, d) and ``covs``, (N, M, d) variances or (N, M, d, d) matrices,
+    copied and checked by ``_check_arrays``. Not mutated."""
 
     def __init__(
-        self, initial: np.ndarray, transitions: np.ndarray, emissions: list[GaussianMixture]
-    ) -> None:
-        shapes = [(g.n_components, g.dim, g.is_diagonal) for g in emissions]
-        for state, shape in enumerate(shapes):
-            if shape != shapes[0]:
-                raise InvalidModelError(
-                    f"emission for state {state} has ({_shape(*shape)}),"
-                    f" expected ({_shape(*shapes[0])})"
-                )
-        self._set(_check_arrays(
-            initial,
-            transitions,
-            [g.weights for g in emissions],
-            [[c.mean for c in g.components] for g in emissions],
-            [[c.cov for c in g.components] for g in emissions],
-        ))
-
-    def _set(self, arrays) -> None:
-        for name, value in zip(_Stacked._fields, arrays):
-            setattr(self, name, value)
-
-    @classmethod
-    def from_arrays(
-        cls,
+        self,
         initial: np.ndarray,
         transitions: np.ndarray,
         mix_weights: np.ndarray,
         means: np.ndarray,
         covs: np.ndarray,
-    ) -> "Hmm":
-        """The Hmm with these stacked parameters, copied and validated by
-        ``_check_arrays``; no emission object is built."""
-        model = cls.__new__(cls)
-        model._set(_check_arrays(initial, transitions, mix_weights, means, covs))
-        return model
+    ) -> None:
+        self._set(_check_arrays(initial, transitions, mix_weights, means, covs))
+
+    def _set(self, arrays) -> None:
+        for name, value in zip(_Stacked._fields, arrays):
+            setattr(self, name, value)
 
     @property
     def emissions(self) -> list[GaussianMixture]:
-        """The emission mixtures as objects, rebuilt from the arrays on each read."""
+        """The emission mixtures as objects, an output view rebuilt from the
+        arrays on each read."""
         return _mixtures(self.mix_weights, self.means, self.covs)
 
     @property
@@ -685,7 +663,7 @@ def _init_hmm(
     mix_weights = np.full((n_states, n_mix), 1.0 / n_mix)
     covs = np.broadcast_to(cov, (n_states, n_mix) + cov.shape)
     means = centers.reshape(n_states, n_mix, -1)
-    return Hmm.from_arrays(initial, transitions, mix_weights, means, covs)
+    return Hmm(initial, transitions, mix_weights, means, covs)
 
 
 def group_by_length(data: list[Sequence]) -> list[tuple[np.ndarray, np.ndarray]]:

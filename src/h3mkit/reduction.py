@@ -21,7 +21,9 @@ and the bound, sum_i log sum_j w_j exp(N_i * objective[i, j]), which is the
 virtual-sample log-likelihood and does not decrease; ``mstep`` re-estimates
 from per-base-component virtual statistics, weighted as ``h3m_em`` weights
 real sequences; ``_converged`` stops the run. An exhaustive enumeration
-oracle for the pair objective is included for verification.
+oracle for the pair objective, ``elhmm_bruteforce``, is included for
+verification; it scores each state pair with ``gmm_expected_loglik_opt`` on
+the models' emission arrays.
 
 An iteration reads the stacks the base and the reduced mixtures hold
 (``H3m.arrays``) and is batched over (base i, reduced j) pairs, except the
@@ -42,9 +44,10 @@ stays within the 256 KB that the data-side passes also keep to
   the blocks are joined over I as ``h3m_em`` joins its length groups.
 
 ``estep_pair``, ``summary_stats`` and ``_virtual_stats`` are the one-pair
-slices of that code. No model is mutated: rescues write into a fresh stack.
-The start and rescued components get their covariances floored at
-``cov_floor`` by ``hmm._floor_covs``, as every M-step floors them.
+slices of that code; ``estep_pair`` and the oracle reject a pair whose
+dimensions or covariance layouts differ. No model is mutated: rescues write
+into a fresh stack. The start and rescued components get their covariances
+floored at ``cov_floor`` by ``hmm._floor_covs``, as every M-step floors them.
 """
 
 from __future__ import annotations
@@ -216,14 +219,22 @@ def _index(result, key):
     return type(result)(*(np.asarray(getattr(result, f.name))[key] for f in fields(result)))
 
 
-def estep_pair(base_i: Hmm, reduced_j: Hmm, tau: int) -> PairEstepResult:
-    """Optimal factored coupling between one base and one reduced component,
-    and the resulting expected log-likelihood bound for sequences of length
-    tau: the one-pair slice of the E-step over all pairs."""
+def _check_pair(base_i: Hmm, reduced_j: Hmm) -> None:
+    """InvalidModelError unless the two models share a dimension and a covariance layout."""
     if base_i.dim != reduced_j.dim:
         raise InvalidModelError(
             f"dimension mismatch: base d={base_i.dim}, reduced d={reduced_j.dim}"
         )
+    if base_i.covs.ndim != reduced_j.covs.ndim:
+        layouts = ("diagonal" if m.covs.ndim == 3 else "full" for m in (base_i, reduced_j))
+        raise InvalidModelError("covariance layout mismatch: base {}, reduced {}".format(*layouts))
+
+
+def estep_pair(base_i: Hmm, reduced_j: Hmm, tau: int) -> PairEstepResult:
+    """Optimal factored coupling between one base and one reduced component,
+    and the resulting expected log-likelihood bound for sequences of length
+    tau: the one-pair slice of the E-step over all pairs."""
+    _check_pair(base_i, reduced_j)
     _check_counts(tau=tau)
     return _index(_estep(_stack([base_i]), _stack([reduced_j]), tau), (0, 0))
 
@@ -235,14 +246,17 @@ def elhmm_bruteforce(base_i: Hmm, reduced_j: Hmm, tau: int) -> float:
     then evaluates the objective by brute force over every pair of base and
     reduced state sequences. Guarded to (N_b * N_r)^tau <= 10^6.
     """
+    _check_pair(base_i, reduced_j)
     n_b, n_r = base_i.n_states, reduced_j.n_states
     if (n_b * n_r) ** tau > 10**6:
         raise ValueError(f"enumeration over ({n_b}*{n_r})^{tau} sequences is too large")
     ell = np.empty((n_b, n_r))
-    base_emissions, reduced_emissions = base_i.emissions, reduced_j.emissions
     for beta in range(n_b):
         for rho in range(n_r):
-            ell[beta, rho] = gmm_expected_loglik_opt(base_emissions[beta], reduced_emissions[rho])
+            ell[beta, rho] = gmm_expected_loglik_opt(
+                (base_i.mix_weights[beta], base_i.means[beta], base_i.covs[beta]),
+                (reduced_j.mix_weights[rho], reduced_j.means[rho], reduced_j.covs[rho]),
+            )
     pi_b = base_i.initial
     a_b = base_i.transitions
     pi_r = reduced_j.initial

@@ -117,7 +117,7 @@ def _components(parts: list[list[np.ndarray]], path: Path) -> _Checked | list[Hm
         stack = [np.stack(column) for column in zip(*parts)]
         return _named(f"{path} ", _check_arrays, *stack, axes=("component",))
     return [
-        _named(f"{path} component {i}: ", Hmm.from_arrays, *arrays)
+        _named(f"{path} component {i}: ", Hmm, *arrays)
         for i, arrays in enumerate(parts)
     ]
 
@@ -168,7 +168,7 @@ def load_model(path: str | Path) -> Hmm | H3m:
     if payload is None:
         raise ModelFormatError(f"{path}: missing payload")
     if kind == "hmm":
-        return _named(f"{path}: ", Hmm.from_arrays, *_parse_arrays(payload, f"{path}"))
+        return _named(f"{path}: ", Hmm, *_parse_arrays(payload, f"{path}"))
     if kind == "h3m":
         try:
             parts = [

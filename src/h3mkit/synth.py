@@ -51,7 +51,7 @@ def _prototype(
     mix_weights = np.full((n_states, n_mix), 1.0 / n_mix)
     cov = np.ones(dim) if cov_type == "diag" else np.eye(dim)
     covs = np.broadcast_to(cov, (n_states, n_mix) + cov.shape)
-    return Hmm.from_arrays(initial, transitions, mix_weights, means, covs)
+    return Hmm(initial, transitions, mix_weights, means, covs)
 
 
 def synth_benchmark(

@@ -5,28 +5,29 @@ import itertools
 import numpy as np
 import pytest
 
-from h3mkit import Gaussian, GaussianMixture, H3m, Hmm
+from h3mkit import H3m, Hmm
 
 
 def random_gaussian(rng, dim=1, cov_type="diag", mean_scale=2.0):
+    """A random Gaussian as (mean (d,), cov): variances (d,) or a (d, d) matrix."""
     mean = rng.normal(0.0, mean_scale, size=dim)
     if cov_type == "diag":
-        return Gaussian(mean, rng.uniform(0.5, 2.0, size=dim))
+        return mean, rng.uniform(0.5, 2.0, size=dim)
     root = rng.normal(0.0, 0.5, size=(dim, dim))
-    cov = root @ root.T + np.eye(dim)
-    return Gaussian(mean, cov)
+    return mean, root @ root.T + np.eye(dim)
 
 
 def random_gmm(rng, n_mix=2, dim=1, cov_type="diag", mean_scale=2.0):
-    comps = [random_gaussian(rng, dim, cov_type, mean_scale) for _ in range(n_mix)]
-    return GaussianMixture(rng.dirichlet(np.ones(n_mix)), comps)
+    """A random Gaussian mixture as (weights (M,), means (M, d), covs) arrays."""
+    means, covs = zip(*(random_gaussian(rng, dim, cov_type, mean_scale) for _ in range(n_mix)))
+    return rng.dirichlet(np.ones(n_mix)), np.stack(means), np.stack(covs)
 
 
 def random_hmm(rng, n_states=2, n_mix=1, dim=1, cov_type="diag", mean_scale=2.0):
     initial = rng.dirichlet(np.ones(n_states))
     transitions = np.stack([rng.dirichlet(np.ones(n_states)) for _ in range(n_states)])
     emissions = [random_gmm(rng, n_mix, dim, cov_type, mean_scale) for _ in range(n_states)]
-    return Hmm(initial, transitions, emissions)
+    return Hmm(initial, transitions, *(np.stack(column) for column in zip(*emissions)))
 
 
 def random_h3m(rng, k=3, n_states=2, n_mix=1, dim=1, cov_type="diag", mean_scale=2.0):

@@ -7,7 +7,7 @@ import warnings
 import pytest
 from click.testing import CliRunner
 
-from h3mkit import Gaussian, GaussianMixture, H3m, Hmm, load_model, save_model
+from h3mkit import H3m, Hmm, load_model, save_model
 from h3mkit.cli import main
 
 
@@ -20,7 +20,7 @@ def two_leaf_mixture(tmp_path):
     """A valid two-component mixture file."""
     path = tmp_path / "leaves.json"
     save_model(H3m([0.5, 0.5], [
-        Hmm([1.0], [[1.0]], [GaussianMixture([1.0], [Gaussian([mean], [1.0])])])
+        Hmm([1.0], [[1.0]], [[1.0]], [[[mean]]], [[[1.0]]])
         for mean in (0.0, 3.0)
     ]), path)
     return path
@@ -278,7 +278,7 @@ class TestFailureModes:
     def test_non_finite_objectives_exit_code_2(self, runner, tmp_path):
         leaves = tmp_path / "leaves.json"
         model = H3m([0.5, 0.5], [
-            Hmm([1.0], [[1.0]], [GaussianMixture([1.0], [Gaussian([mean], [1.0])])])
+            Hmm([1.0], [[1.0]], [[1.0]], [[[mean]]], [[[1.0]]])
             for mean in (0.0, 1e200)
         ])
         save_model(model, leaves)
@@ -344,7 +344,7 @@ class TestFailureModes:
         path = tmp_path / "mixed.json"
         docs = []
         for cov in ([1.0], [[1.0]]):
-            hmm = Hmm([1.0], [[1.0]], [GaussianMixture([1.0], [Gaussian([0.0], cov)])])
+            hmm = Hmm([1.0], [[1.0]], [[1.0]], [[[0.0]]], [[cov]])
             save_model(H3m([1.0], [hmm]), path)
             docs.append(json.loads(path.read_text()))
         docs[0]["payload"]["weights"] = [0.5, 0.5]
@@ -364,9 +364,10 @@ class TestFailureModes:
     def test_nan_initial_distribution_rejected(self, runner, tmp_path):
         # json writes and reads NaN, so the model check is what stops it.
         path = tmp_path / "nan.json"
-        hmm = Hmm([0.5, 0.5], [[0.5, 0.5], [0.5, 0.5]], [
-            GaussianMixture([1.0], [Gaussian([mean], [1.0])]) for mean in (0.0, 3.0)
-        ])
+        hmm = Hmm(
+            [0.5, 0.5], [[0.5, 0.5], [0.5, 0.5]], [[1.0], [1.0]], [[[0.0]], [[3.0]]],
+            [[[1.0]], [[1.0]]],
+        )
         save_model(H3m([0.5, 0.5], [hmm, hmm]), path)
         doc = json.loads(path.read_text())
         doc["payload"]["components"][0]["initial"] = [float("nan"), 1.0]
@@ -387,7 +388,7 @@ class TestFailureModes:
         if case == "model":
             bad = tmp_path / "bad.json"
             model = H3m([1.0], [
-                Hmm([1.0], [[1.0]], [GaussianMixture([1.0], [Gaussian([0.0], [1.0])])])
+                Hmm([1.0], [[1.0]], [[1.0]], [[[0.0]]], [[[1.0]]])
             ])
             save_model(model, bad)
             doc = json.loads(bad.read_text())
@@ -462,7 +463,7 @@ class TestFailureModes:
     def test_reduce_with_too_few_weighted_components(self, runner, tmp_path):
         leaves = tmp_path / "leaves.json"
         save_model(H3m([0.5, 0.5, 0.0, 0.0, 0.0, 0.0], [
-            Hmm([1.0], [[1.0]], [GaussianMixture([1.0], [Gaussian([mean], [1.0])])])
+            Hmm([1.0], [[1.0]], [[1.0]], [[[mean]]], [[[1.0]]])
             for mean in range(6)
         ]), leaves)
         result = runner.invoke(main, [
@@ -483,7 +484,8 @@ class TestFailureModes:
              "'--tol'"),
             (["reduce", "--model", "m.json"], {}, "'--kr'"),
             (["bogus"], {}, "'bogus'"),
-            (["reduce", "--model", "m.json"], {"H3MKIT_REDUCE_KR": "abc"}, "'--kr'"),
+            (["reduce", "--model", "m.json"], {"H3MKIT_REDUCE_KR": "abc"},
+             "environment variable H3MKIT_REDUCE_KR"),
         ],
         ids=["fractional-k", "non-numeric-tol", "missing-kr", "unknown-command", "bad-env-value"],
     )
@@ -511,7 +513,39 @@ class TestFailureModes:
         assert result.output.splitlines() == [
             "error: n_restarts=3 from a given start repeats one run"
         ]
-        assert not any(out.glob("*"))
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", [
+        "train-hmm", "train-h3m", "reduce", "reduce-restarts", "hier", "synth", "eval-rand",
+        "mc-oracle", "split-pipeline",
+    ])
+    def test_failed_command_leaves_no_output_directory(self, runner, tmp_path, command):
+        # The output directory is made with the first report, after the inputs
+        # are loaded and the work is done.
+        missing = str(tmp_path / "missing.jsonl")
+        leaves = str(two_leaf_mixture(tmp_path))
+        args = {
+            "train-hmm": ["train-hmm", "--data", missing, "--states", "2"],
+            "train-h3m": ["train-h3m", "--data", missing, "--k", "2", "--states", "2"],
+            "reduce": ["reduce", "--model", missing, "--kr", "2"],
+            "reduce-restarts": [
+                "reduce", "--model", leaves, "--kr", "2", "--init", "file",
+                "--init-file", leaves, "--restarts", "3",
+            ],
+            "hier": ["hier", "--model", missing, "--ladder", "2"],
+            "synth": ["synth", "--groups", "1", "--per-group", "2"],
+            "eval-rand": ["eval-rand", "--labels-a", missing, "--labels-b", missing],
+            "mc-oracle": ["mc-oracle", "--base", missing, "--reduced", missing],
+            "split-pipeline": [
+                "split-pipeline", "--data", missing, "--portions", "2", "--portion-k", "1",
+                "--kr", "1", "--states", "1",
+            ],
+        }[command]
+        out = tmp_path / "o1"
+        result = runner.invoke(main, [*args, "--out", str(out)])
+        assert result.exit_code == 1, result.output
+        assert result.output.startswith("error: "), result.output
+        assert not out.exists()
 
     @pytest.mark.parametrize("command", ["reduce", "hier"])
     def test_cov_type_rejected_where_it_has_no_effect(self, runner, tmp_path, command):
@@ -527,6 +561,24 @@ class TestFailureModes:
 
 
 class TestEnvOverrides:
+    def test_bad_environment_value_names_the_variable(self, runner, tmp_path, monkeypatch):
+        # The rejected value came from H3MKIT_REDUCE_KR, not from a typed --kr;
+        # a typed value is named by its option even when the variable is set.
+        monkeypatch.chdir(tmp_path)
+        result = runner.invoke(main, ["reduce", "--model", "m.json"],
+                               env={"H3MKIT_REDUCE_KR": "abc"})
+        assert result.exit_code == 1
+        assert result.output.splitlines() == [
+            "error: Invalid value for environment variable H3MKIT_REDUCE_KR:"
+            " 'abc' is not a valid integer."
+        ]
+        result = runner.invoke(main, ["reduce", "--model", "m.json", "--kr", "abc"],
+                               env={"H3MKIT_REDUCE_KR": "2"})
+        assert result.exit_code == 1
+        assert result.output.splitlines() == [
+            "error: Invalid value for '--kr': 'abc' is not a valid integer."
+        ]
+
     def test_seed_from_environment(self, runner, tmp_path):
         out_env = tmp_path / "env"
         run_ok(

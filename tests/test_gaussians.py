@@ -1,7 +1,9 @@
-"""Gaussian and mixture-level bounds, matchings, the softmax-log maximizer
-and logsumexp. Derived expectations are frozen from closed forms and
-cross-checked against seeded Monte Carlo averages; densities and draws for
-those come from scipy.stats, or from a one-state HMM for mixtures."""
+"""The expected log-likelihood kernel between Gaussians, mixture-level
+bounds and matchings, the softmax-log maximizer and logsumexp. Derived
+expectations are frozen from closed forms and cross-checked against seeded
+Monte Carlo averages; densities and draws for those come from scipy.stats,
+or from a one-state HMM for mixtures. Gaussians are (mean, cov) pairs and
+mixtures (weights, means, covs) arrays, as the library reads them."""
 
 import math
 import os
@@ -17,18 +19,16 @@ from scipy.stats import multivariate_normal
 import h3mkit
 from h3mkit import (
     DegenerateWeightsError,
-    Gaussian,
-    GaussianMixture,
     Hmm,
     InvalidModelError,
+    elhmm_bruteforce,
     estep_pair,
     forward_loglik_batch,
-    gauss_expected_loglik,
     gmm_expected_loglik_opt,
     sample_batch,
     solve_softmax_log,
 )
-from h3mkit.gaussians import expected_loglik_table, logsumexp
+from h3mkit.gaussians import _cross_terms, logsumexp
 
 from conftest import random_gaussian, random_gmm
 
@@ -36,12 +36,35 @@ LOG_2PI = math.log(2.0 * math.pi)
 STD_NORMAL_SELF = -(1.0 + LOG_2PI) / 2.0  # = -1.4189385332046727
 
 
-def as_matrix(g):
-    return np.diag(g.cov) if g.is_diagonal else g.cov
+def one_state(mixture):
+    """The one-state HMM whose emission is the mixture (weights, means, covs)."""
+    return Hmm([1.0], [[1.0]], *(np.asarray(a, dtype=float)[None] for a in mixture))
 
 
-def one_state(gmm):
-    return Hmm([1.0], [[1.0]], [gmm])
+def as_matrix(cov):
+    return np.diag(cov) if cov.ndim == 1 else cov
+
+
+def cross(base, reduced):
+    """``_cross_terms`` for one pair of (mean, cov) Gaussians."""
+    (mu_b, cov_b), (mu_r, cov_r) = (
+        (np.asarray(mean, dtype=float), np.asarray(cov, dtype=float))
+        for mean, cov in (base, reduced)
+    )
+    return float(_cross_terms(mu_b, cov_b, mu_r, cov_r))
+
+
+def mixture(weights, gaussians):
+    """(weights, means, covs) arrays of a mixture of (mean, cov) Gaussians."""
+    means, covs = zip(*gaussians)
+    return np.array(weights, dtype=float), np.array(means, dtype=float), np.array(covs, dtype=float)
+
+
+def table(base, reduced):
+    """``_cross_terms`` over every (base m, reduced l) component pair, as the
+    reduction stacks them."""
+    (_, mu_b, cov_b), (_, mu_r, cov_r) = base, reduced
+    return _cross_terms(mu_b[:, None], cov_b[:, None], mu_r[None], cov_r[None])
 
 
 def matching(base, reduced):
@@ -54,124 +77,111 @@ def matching_bound(base, reduced, eta):
     """Hershey-Olsen lower bound at an arbitrary matching, pair by pair:
     sum_m c_b[m] sum_l eta[m,l] (log c_r[l] + L_G(m,l) - log eta[m,l])."""
     total = 0.0
-    for m, gb in enumerate(base.components):
-        for l, gr in enumerate(reduced.components):
+    for m, gb in enumerate(zip(base[1], base[2])):
+        for l, gr in enumerate(zip(reduced[1], reduced[2])):
             e = eta[m, l]
             if e > 0:
-                terms = math.log(reduced.weights[l]) + gauss_expected_loglik(gb, gr) - math.log(e)
-                total += base.weights[m] * e * terms
+                terms = math.log(reduced[0][l]) + cross(gb, gr) - math.log(e)
+                total += base[0][m] * e * terms
     return total
 
 
 class TestGaussian:
+    """A Gaussian emission's own checks, run by the one array check of every model."""
+
     def test_dimension_mismatch_rejected(self):
         with pytest.raises(InvalidModelError):
-            Gaussian([0.0, 0.0], [1.0])
+            one_state(([1.0], [[0.0, 0.0]], [[1.0]]))
 
     def test_non_positive_variance_rejected(self):
         with pytest.raises(InvalidModelError):
-            Gaussian([0.0], [0.0])
+            one_state(([1.0], [[0.0]], [[0.0]]))
 
     def test_non_pd_full_cov_rejected(self):
         with pytest.raises(InvalidModelError):
-            Gaussian([0.0, 0.0], [[1.0, 2.0], [2.0, 1.0]])
+            one_state(([1.0], [[0.0, 0.0]], [[[1.0, 2.0], [2.0, 1.0]]]))
 
     def test_log_density_matches_scipy(self, rng):
         # The library's density is that of a one-state, one-component HMM
         # on length-one sequences.
         for cov_type in ("diag", "full"):
-            g = random_gaussian(rng, dim=3, cov_type=cov_type)
+            mean, cov = random_gaussian(rng, dim=3, cov_type=cov_type)
             pts = rng.normal(size=(20, 3))
-            expected = multivariate_normal.logpdf(pts, mean=g.mean, cov=as_matrix(g))
-            got = forward_loglik_batch(one_state(GaussianMixture([1.0], [g])), pts[:, None, :])
+            expected = multivariate_normal.logpdf(pts, mean=mean, cov=as_matrix(cov))
+            got = forward_loglik_batch(one_state(([1.0], [mean], [cov])), pts[:, None, :])
             np.testing.assert_allclose(got, expected, atol=1e-10)
 
 
 class TestGaussExpectedLoglik:
+    """``_cross_terms``, the expected log-likelihood kernel the reduction runs."""
+
     def test_standard_normal_self(self):
-        g = Gaussian([0.0], [1.0])
-        assert gauss_expected_loglik(g, g) == pytest.approx(STD_NORMAL_SELF, abs=1e-12)
+        g = ([0.0], [1.0])
+        assert cross(g, g) == pytest.approx(STD_NORMAL_SELF, abs=1e-12)
 
     def test_unit_shift(self):
-        base = Gaussian([0.0], [1.0])
-        reduced = Gaussian([1.0], [1.0])
-        assert gauss_expected_loglik(base, reduced) == pytest.approx(
+        assert cross(([0.0], [1.0]), ([1.0], [1.0])) == pytest.approx(
             STD_NORMAL_SELF - 0.5, abs=1e-12
         )
 
     @pytest.mark.parametrize("d", [1, 2, 3])
     def test_identity_cov_any_dim(self, d):
-        g = Gaussian(np.zeros(d), np.ones(d))
-        assert gauss_expected_loglik(g, g) == pytest.approx(
-            -d * (1.0 + LOG_2PI) / 2.0, abs=1e-12
-        )
+        g = (np.zeros(d), np.ones(d))
+        assert cross(g, g) == pytest.approx(-d * (1.0 + LOG_2PI) / 2.0, abs=1e-12)
 
     def test_self_expectation_identity(self, rng):
         # E_g[log g] = -(d log 2pi + log|S| + d) / 2 for any covariance.
         for cov_type in ("diag", "full"):
             for d in (1, 2, 3):
                 g = random_gaussian(rng, d, cov_type)
-                log_det = np.linalg.slogdet(as_matrix(g))[1]
+                log_det = np.linalg.slogdet(as_matrix(g[1]))[1]
                 expected = -0.5 * (d * LOG_2PI + log_det + d)
-                assert gauss_expected_loglik(g, g) == pytest.approx(expected, abs=1e-12)
+                assert cross(g, g) == pytest.approx(expected, abs=1e-12)
 
     def test_monte_carlo_oracle_non_unit_covariance(self, rng):
         # Non-unit covariances so the log-determinant term actually matters.
-        base = Gaussian([0.0], [2.0])
-        reduced = Gaussian([1.0], [3.0])
-        value = gauss_expected_loglik(base, reduced)
-        draws = multivariate_normal.rvs(base.mean, as_matrix(base), size=10**6, random_state=rng)
-        lls = multivariate_normal.logpdf(draws, reduced.mean, as_matrix(reduced))
+        base = (np.array([0.0]), np.array([2.0]))
+        reduced = (np.array([1.0]), np.array([3.0]))
+        value = cross(base, reduced)
+        draws = multivariate_normal.rvs(base[0], as_matrix(base[1]), size=10**6, random_state=rng)
+        lls = multivariate_normal.logpdf(draws, reduced[0], as_matrix(reduced[1]))
         stderr = lls.std(ddof=1) / np.sqrt(lls.size)
         assert abs(value - lls.mean()) < 3 * stderr
 
     def test_monte_carlo_oracle_full_cov(self, rng):
         base = random_gaussian(rng, 2, "full")
         reduced = random_gaussian(rng, 2, "full")
-        value = gauss_expected_loglik(base, reduced)
-        draws = multivariate_normal.rvs(base.mean, as_matrix(base), size=10**6, random_state=rng)
-        lls = multivariate_normal.logpdf(draws, reduced.mean, as_matrix(reduced))
+        value = cross(base, reduced)
+        draws = multivariate_normal.rvs(base[0], as_matrix(base[1]), size=10**6, random_state=rng)
+        lls = multivariate_normal.logpdf(draws, reduced[0], as_matrix(reduced[1]))
         stderr = lls.std(ddof=1) / np.sqrt(lls.size)
         assert abs(value - lls.mean()) < 3 * stderr
 
-    def test_mixed_layouts_agree(self, rng):
-        diag = random_gaussian(rng, 2, "diag")
-        as_full = Gaussian(diag.mean, np.diag(diag.cov))
-        other = random_gaussian(rng, 2, "full")
-        assert gauss_expected_loglik(diag, other) == pytest.approx(
-            gauss_expected_loglik(as_full, other), abs=1e-12
-        )
-        assert gauss_expected_loglik(other, diag) == pytest.approx(
-            gauss_expected_loglik(other, as_full), abs=1e-12
-        )
-
     def test_dimension_mismatch(self):
-        with pytest.raises(InvalidModelError):
-            gauss_expected_loglik(Gaussian([0.0], [1.0]), Gaussian([0.0, 0.0], [1.0, 1.0]))
+        # The pair entry points check dimensions before the kernel broadcasts.
+        narrow = one_state(([1.0], [[0.0]], [[1.0]]))
+        wide = one_state(([1.0], [[0.0, 0.0]], [[1.0, 1.0]]))
+        for pair_entry in (estep_pair, elhmm_bruteforce):
+            with pytest.raises(InvalidModelError, match="dimension mismatch"):
+                pair_entry(narrow, wide, 1)
 
     def test_mutated_non_pd_reduced_rejected(self):
-        g = Gaussian([0.0], [1.0])
-        bad = Gaussian([0.0], [1.0])
-        bad.cov = np.array([-1.0])
         with pytest.raises(InvalidModelError):
-            gauss_expected_loglik(g, bad)
+            cross(([0.0], [1.0]), ([0.0], [-1.0]))
 
-    @pytest.mark.parametrize("layouts", [("diag", "diag"), ("full", "full"),
-                                         ("diag", "full"), ("full", "diag")])
+    @pytest.mark.parametrize("layouts", [("diag", "diag"), ("full", "full")])
     def test_table_matches_pairs(self, rng, layouts):
         base = random_gmm(rng, n_mix=3, dim=3, cov_type=layouts[0])
         reduced = random_gmm(rng, n_mix=2, dim=3, cov_type=layouts[1])
-        table = expected_loglik_table(base, reduced)
-        expected = [[gauss_expected_loglik(gb, gr) for gr in reduced.components]
-                    for gb in base.components]
-        np.testing.assert_allclose(table, expected, rtol=0, atol=1e-12)
+        expected = [[cross(gb, gr) for gr in zip(*reduced[1:])] for gb in zip(*base[1:])]
+        np.testing.assert_allclose(table(base, reduced), expected, rtol=0, atol=1e-12)
 
     def test_table_rejects_non_pd_reduced(self, rng):
         base = random_gmm(rng, n_mix=2, dim=2, cov_type="full")
         reduced = random_gmm(rng, n_mix=2, dim=2, cov_type="full")
-        reduced.components[1].cov = np.array([[1.0, 2.0], [2.0, 1.0]])
+        reduced[2][1] = [[1.0, 2.0], [2.0, 1.0]]
         with pytest.raises(InvalidModelError):
-            expected_loglik_table(base, reduced)
+            table(base, reduced)
 
 
 class TestGmmResponsibilities:
@@ -183,19 +193,15 @@ class TestGmmResponsibilities:
         np.testing.assert_allclose(matching(base, reduced), np.ones((3, 1)))
 
     def test_equidistant_symmetry(self):
-        base = GaussianMixture([1.0], [Gaussian([0.0], [1.0])])
-        reduced = GaussianMixture(
-            [0.5, 0.5], [Gaussian([-2.0], [1.0]), Gaussian([2.0], [1.0])]
-        )
+        base = mixture([1.0], [([0.0], [1.0])])
+        reduced = mixture([0.5, 0.5], [([-2.0], [1.0]), ([2.0], [1.0])])
         np.testing.assert_allclose(matching(base, reduced), [[0.5, 0.5]], atol=1e-12)
 
     def test_separated_pair_sigmoid(self):
         # Scalar re-derivation: both reduced components have unit variance, so
         # the log-odds reduce to the difference of quadratic terms, here 8.
-        base = GaussianMixture([1.0], [Gaussian([0.0], [1.0])])
-        reduced = GaussianMixture(
-            [0.5, 0.5], [Gaussian([0.0], [1.0]), Gaussian([4.0], [1.0])]
-        )
+        base = mixture([1.0], [([0.0], [1.0])])
+        reduced = mixture([0.5, 0.5], [([0.0], [1.0]), ([4.0], [1.0])])
         delta = 0.5 * 4.0**2
         expected_first = 1.0 / (1.0 + math.exp(-delta))
         eta = matching(base, reduced)
@@ -215,10 +221,9 @@ class TestGmmBounds:
     def test_single_component_equals_gaussian(self, rng):
         gb = random_gaussian(rng)
         gr = random_gaussian(rng)
-        base = GaussianMixture([1.0], [gb])
-        reduced = GaussianMixture([1.0], [gr])
-        expected = gauss_expected_loglik(gb, gr)
-        assert gmm_expected_loglik_opt(base, reduced) == pytest.approx(expected, abs=1e-12)
+        expected = cross(gb, gr)
+        value = gmm_expected_loglik_opt(mixture([1.0], [gb]), mixture([1.0], [gr]))
+        assert value == pytest.approx(expected, abs=1e-12)
 
     def test_bound_at_optimum_equals_opt(self, rng):
         for _ in range(20):
@@ -243,11 +248,9 @@ class TestGmmBounds:
         # Far-apart components make the matching one-hot, so the bound
         # approaches the weighted sum of within-pair terms plus log-weights.
         weights = [0.3, 0.7]
-        comps = [Gaussian([-50.0], [1.0]), Gaussian([50.0], [1.0])]
-        gmm = GaussianMixture(weights, comps)
-        expected = sum(
-            w * (math.log(w) + gauss_expected_loglik(c, c)) for w, c in zip(weights, comps)
-        )
+        comps = [([-50.0], [1.0]), ([50.0], [1.0])]
+        gmm = mixture(weights, comps)
+        expected = sum(w * (math.log(w) + cross(c, c)) for w, c in zip(weights, comps))
         assert gmm_expected_loglik_opt(gmm, gmm) == pytest.approx(expected, abs=1e-9)
 
     def test_opt_below_monte_carlo(self, rng):
@@ -255,7 +258,7 @@ class TestGmmBounds:
         for case in range(50):
             base = random_gmm(rng, n_mix=int(rng.integers(1, 4)), dim=int(rng.integers(1, 3)))
             reduced = random_gmm(
-                rng, n_mix=int(rng.integers(1, 4)), dim=base.dim
+                rng, n_mix=int(rng.integers(1, 4)), dim=base[1].shape[1]
             )
             value = gmm_expected_loglik_opt(base, reduced)
             draws, _ = sample_batch(one_state(base), 1, 10**5, rng)
@@ -268,7 +271,7 @@ class TestGmmBounds:
     def test_opt_invariant_under_reduced_permutation(self, rng):
         base = random_gmm(rng, n_mix=2, dim=2)
         reduced = random_gmm(rng, n_mix=3, dim=2)
-        permuted = GaussianMixture(reduced.weights[[2, 0, 1]], [reduced.components[i] for i in (2, 0, 1)])
+        permuted = tuple(a[[2, 0, 1]] for a in reduced)
         assert gmm_expected_loglik_opt(base, reduced) == pytest.approx(
             gmm_expected_loglik_opt(base, permuted), abs=1e-12
         )

@@ -12,8 +12,6 @@ from h3mkit import (
     AssignmentMatrix,
     EmConfig,
     EstimationError,
-    Gaussian,
-    GaussianMixture,
     H3m,
     Hmm,
     InvalidModelError,
@@ -35,13 +33,13 @@ STD_NORMAL_SELF = -(1.0 + math.log(2.0 * math.pi)) / 2.0
 
 
 def std_normal_hmm(mean=0.0):
-    return Hmm([1.0], [[1.0]], [GaussianMixture([1.0], [Gaussian([mean], [1.0])])])
+    return Hmm([1.0], [[1.0]], [[1.0]], [[[mean]]], [[[1.0]]])
 
 
 class TestH3mModel:
     def test_mixed_covariance_layouts_rejected(self):
         diag = std_normal_hmm()
-        full = Hmm([1.0], [[1.0]], [GaussianMixture([1.0], [Gaussian([0.0], [[1.0]])])])
+        full = Hmm([1.0], [[1.0]], [[1.0]], [[[0.0]]], [[[[1.0]]]])
         with pytest.raises(InvalidModelError, match=r"component 1 .*full.*expected .*diagonal"):
             H3m([0.5, 0.5], [diag, full])
 

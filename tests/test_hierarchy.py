@@ -7,8 +7,6 @@ import pytest
 from scipy.optimize import linear_sum_assignment
 
 from h3mkit import (
-    Gaussian,
-    GaussianMixture,
     Hmm,
     VhemConfig,
     best_label_accuracy,
@@ -32,10 +30,9 @@ def two_state_leaf(offset):
     return Hmm(
         [0.5, 0.5],
         [[0.8, 0.2], [0.2, 0.8]],
-        [
-            GaussianMixture([1.0], [Gaussian([offset - 1.0], [1.0])]),
-            GaussianMixture([1.0], [Gaussian([offset + 1.0], [1.0])]),
-        ],
+        np.ones((2, 1)),
+        [[[offset - 1.0]], [[offset + 1.0]]],
+        np.ones((2, 1, 1)),
     )
 
 

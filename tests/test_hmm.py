@@ -17,8 +17,6 @@ from scipy.stats import multivariate_normal, norm
 from h3mkit import (
     EmConfig,
     EstimationError,
-    Gaussian,
-    GaussianMixture,
     H3m,
     Hmm,
     InvalidModelError,
@@ -69,7 +67,7 @@ def underflow_model(cov_type="diag"):
     density exp(-800) under state 0 relative to state 1, so the first scale
     factor of the probability-domain recursion underflows to 0."""
     covs = np.ones((2, 1, 1)) if cov_type == "diag" else np.ones((2, 1, 1, 1))
-    return Hmm.from_arrays(
+    return Hmm(
         [1.0, 0.0], np.full((2, 2), 0.5), np.ones((2, 1)), np.array([[[0.0]], [[40.0]]]), covs
     )
 
@@ -77,7 +75,7 @@ def underflow_model(cov_type="diag"):
 def two_chain_model(initial):
     """Identity transitions: every path stays in its first state, so the
     likelihood is a two-term mixture over whole-sequence densities."""
-    return Hmm.from_arrays(
+    return Hmm(
         initial, np.eye(2), np.ones((2, 1)), np.array([[[0.0]], [[10.0]]]), np.ones((2, 1, 1))
     )
 
@@ -91,7 +89,7 @@ def one_row_pass(model, obs):
 def one_row_mstep(stats, previous, cov_floor):
     """``_mstep`` of one model's totals on a one-row stack, as an Hmm."""
     totals = _Stats(*(value[None] for value in vars(stats).values()))
-    return Hmm.from_arrays(*(row[0] for row in _mstep(totals, _stack([previous]), cov_floor)))
+    return Hmm(*(row[0] for row in _mstep(totals, _stack([previous]), cov_floor)))
 
 
 def log_domain_pass(model, obs):
@@ -124,10 +122,9 @@ def assert_stats_close(got, want, rtol):
 
 class TestForward:
     def test_single_state_single_component(self, rng):
-        g = Gaussian([0.5], [2.0])
-        model = Hmm([1.0], [[1.0]], [GaussianMixture([1.0], [g])])
+        model = Hmm([1.0], [[1.0]], [[1.0]], [[[0.5]]], [[[2.0]]])
         obs = rng.normal(size=(6, 1))
-        expected = float(np.sum(multivariate_normal.logpdf(obs, mean=g.mean, cov=np.diag(g.cov))))
+        expected = float(np.sum(multivariate_normal.logpdf(obs, mean=[0.5], cov=[[2.0]])))
         assert forward_loglik(model, Sequence(obs)) == pytest.approx(expected, abs=1e-12)
 
     def test_length_one_marginal(self, rng):
@@ -160,7 +157,7 @@ class TestForward:
         for n_states, tau, cov_type in [(3, 5, "diag"), (4, 4, "full")]:
             model = random_hmm(rng, n_states=n_states, n_mix=2, dim=2, cov_type=cov_type)
             upper = np.triu(model.transitions)
-            model = Hmm.from_arrays(
+            model = Hmm(
                 np.eye(n_states)[0], upper / upper.sum(axis=1, keepdims=True),
                 model.mix_weights, model.means, model.covs,
             )
@@ -297,25 +294,25 @@ class TestConstruction:
             for comp, g in enumerate(gmm.components):
                 np.testing.assert_array_equal(model.means[state, comp], g.mean)
                 np.testing.assert_array_equal(model.covs[state, comp], g.cov)
-        rebuilt = Hmm.from_arrays(
+        rebuilt = Hmm(
             model.initial, model.transitions, model.mix_weights, model.means, model.covs
         )
         for name in ("initial", "transitions", "mix_weights", "means", "covs"):
             np.testing.assert_array_equal(getattr(rebuilt, name), getattr(model, name))
 
     def test_mixed_covariance_layouts_rejected(self):
-        diag = GaussianMixture([1.0], [Gaussian([0.0, 0.0], [1.0, 1.0])])
-        full = GaussianMixture([1.0], [Gaussian([0.0, 0.0], np.eye(2))])
-        with pytest.raises(InvalidModelError, match=r"state 1 .*full.*expected .*diagonal"):
-            Hmm([0.5, 0.5], np.full((2, 2), 0.5), [diag, full])
+        # State 0 with variances, state 1 with a matrix: the covs are ragged.
+        covs = [[[1.0, 1.0]], [np.eye(2)]]
+        with pytest.raises(InvalidModelError, match="covs is not a numeric array"):
+            Hmm([0.5, 0.5], np.full((2, 2), 0.5), np.ones((2, 1)), np.zeros((2, 1, 2)), covs)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_probabilities_rejected(self, bad):
-        emissions = [GaussianMixture([1.0], [Gaussian([0.0], [1.0])])] * 2
+        emissions = (np.ones((2, 1)), np.zeros((2, 1, 1)), np.ones((2, 1, 1)))
         with pytest.raises(InvalidModelError, match="initial distribution sums to"):
-            Hmm([bad, 1.0], np.full((2, 2), 0.5), emissions)
+            Hmm([bad, 1.0], np.full((2, 2), 0.5), *emissions)
         with pytest.raises(InvalidModelError, match="transition row 1 sums to"):
-            Hmm([0.5, 0.5], [[0.5, 0.5], [bad, 1.0]], emissions)
+            Hmm([0.5, 0.5], [[0.5, 0.5], [bad, 1.0]], *emissions)
 
     def test_zero_dimensional_observations_rejected(self):
         with pytest.raises(InvalidModelError, match=r"d >= 1, got shape \(2, 0\)"):
@@ -336,10 +333,10 @@ class TestConstruction:
         assert EmConfig(**{name: np.int64(3)}).__dict__[name] == 3
 
     def test_first_bad_transition_row_named(self):
-        emissions = [GaussianMixture([1.0], [Gaussian([0.0], [1.0])])] * 3
+        emissions = (np.ones((3, 1)), np.zeros((3, 1, 1)), np.ones((3, 1, 1)))
         transitions = np.array([[1.0, 0.0, 0.0], [0.5, 0.6, -0.1], [0.2, 0.2, 0.2]])
         with pytest.raises(InvalidModelError, match="transition row 1 has negative"):
-            Hmm([1.0, 0.0, 0.0], transitions, emissions)
+            Hmm([1.0, 0.0, 0.0], transitions, *emissions)
 
 
 def valid_arrays(cov_type: str) -> dict:
@@ -404,31 +401,32 @@ def bad_model(case: str) -> tuple[dict, str | None]:
 
 
 class TestArrayCheck:
-    """One array-level check behind every way to build a model: the arrays,
-    the emission objects and the model file reject the same inputs."""
-
-    @pytest.mark.parametrize("case", BAD_MODELS)
-    def test_from_arrays_rejects(self, case):
-        arrays, where = bad_model(case)
-        with pytest.raises(InvalidModelError, match=re.escape(where) if where else None):
-            Hmm.from_arrays(**arrays)
+    """One array-level check behind every way to build a model: the
+    constructor, a stack of models and the model file reject the same inputs."""
 
     @pytest.mark.parametrize("case", BAD_MODELS)
     def test_constructor_rejects(self, case):
-        arrays, _ = bad_model(case)
-        with pytest.raises(InvalidModelError):
-            emissions = [
-                GaussianMixture(w, [Gaussian(mu, cov) for mu, cov in zip(mu_row, cov_row)])
-                for w, mu_row, cov_row in zip(
-                    arrays["mix_weights"], arrays["means"], arrays["covs"]
-                )
-            ]
-            Hmm(arrays["initial"], arrays["transitions"], emissions)
+        arrays, where = bad_model(case)
+        with pytest.raises(InvalidModelError, match=re.escape(where) if where else None):
+            Hmm(**arrays)
+
+    @pytest.mark.parametrize("case", BAD_MODELS)
+    def test_from_arrays_rejects(self, case):
+        # A stack checked at once from the arrays of its models, as a model
+        # file's components and the synthetic members are: the error also
+        # names the bad model on the stack's axis.
+        arrays, where = bad_model(case)
+        good = valid_arrays(BAD_MODELS[case][0])
+        with pytest.raises(InvalidModelError) as info:
+            hmm_module._check_arrays(
+                *([good[name], arrays[name]] for name in good), axes=("component",)
+            )
+        assert where is None or ("component 1" in str(info.value) and where in str(info.value))
 
     @pytest.mark.parametrize("case", BAD_MODELS)
     def test_load_model_rejects(self, case, tmp_path):
         arrays, where = bad_model(case)
-        good = Hmm.from_arrays(**valid_arrays("diag"))
+        good = Hmm(**valid_arrays("diag"))
         path = tmp_path / "bad.json"
         save_model(H3m([0.5, 0.5], [good, good]), path)
         doc = json.loads(path.read_text())
@@ -452,7 +450,7 @@ class TestArrayCheck:
         assert where is None or where in str(info.value)
 
     def test_ragged_lists_are_a_format_error(self, tmp_path):
-        good = Hmm.from_arrays(**valid_arrays("diag"))
+        good = Hmm(**valid_arrays("diag"))
         path = tmp_path / "ragged.json"
         save_model(H3m([0.5, 0.5], [good, good]), path)
         doc = json.loads(path.read_text())
@@ -471,12 +469,12 @@ class TestRepresentation:
     @staticmethod
     def build(source, cov_type, rng, tmp_path) -> Hmm:
         model = random_hmm(rng, n_states=3, n_mix=2, dim=2, cov_type=cov_type)
+        arrays = (model.initial, model.transitions, model.mix_weights, model.means, model.covs)
         if source == "constructor":
-            return Hmm(model.initial, model.transitions, model.emissions)
-        if source == "from_arrays":
-            return Hmm.from_arrays(
-                model.initial, model.transitions, model.mix_weights, model.means, model.covs
-            )
+            return Hmm(*arrays)
+        if source == "from_arrays":  # a row of a stack checked from its arrays
+            stack = hmm_module._check_arrays(*(a[None] for a in arrays), axes=("component",))
+            return H3m([1.0], stack).components[0]
         if source == "load_model":
             save_model(model, tmp_path / "model.json")
             return load_model(tmp_path / "model.json")
@@ -484,7 +482,7 @@ class TestRepresentation:
             obs, _ = sample_batch(model, 6, 20, rng)
             models = _stack([model])
             totals = _expected_stats(models, obs, True)[0].weighted_sum(np.ones((20, 1)))
-            return Hmm.from_arrays(*(row[0] for row in _mstep(totals, models, 1e-6)))
+            return Hmm(*(row[0] for row in _mstep(totals, models, 1e-6)))
         base = H3m(np.full(4, 0.25), [model] + [
             random_hmm(rng, n_states=3, n_mix=2, dim=2, cov_type=cov_type) for _ in range(3)
         ])
@@ -519,7 +517,7 @@ def stacked_case(rng, cov_type, n_states, k):
         means = np.full(first.means.shape, 40.0)
         means[0] = 0.0
         covs = np.ones(first.covs.shape) if cov_type == "diag" else np.tile(np.eye(2), (3, 2, 1, 1))
-        models[0] = Hmm.from_arrays(
+        models[0] = Hmm(
             [1.0, 0.0, 0.0], first.transitions, first.mix_weights, means, covs
         )
     return models
@@ -594,7 +592,7 @@ class TestMstep:
         # along (1, -1). The floor does not bind on its diagonal; it raises
         # the zero eigenvalue to floor and keeps the eigenvectors.
         floor = 1e-3
-        previous = Hmm.from_arrays([1.0], [[1.0]], [[1.0]], np.zeros((1, 1, 2)), [[np.eye(2)]])
+        previous = Hmm([1.0], [[1.0]], [[1.0]], np.zeros((1, 1, 2)), [[np.eye(2)]])
         stats = self.one_component_stats([1.0, 1.0], [[2.0, 2.0], [2.0, 2.0]])
         new = one_row_mstep(stats, previous, floor)
         np.testing.assert_array_equal(new.means[0, 0], [1.0, 1.0])
@@ -606,7 +604,7 @@ class TestMstep:
 
     def test_diagonal_floor_binds(self):
         floor = 1e-3
-        previous = Hmm.from_arrays([1.0], [[1.0]], [[1.0]], np.zeros((1, 1, 2)), np.ones((1, 1, 2)))
+        previous = Hmm([1.0], [[1.0]], [[1.0]], np.zeros((1, 1, 2)), np.ones((1, 1, 2)))
         new = one_row_mstep(self.one_component_stats([1.0, 2.0], [1.5, 4.0]), previous, floor)
         np.testing.assert_array_equal(new.covs[0, 0], [0.5, floor])
 
@@ -620,10 +618,9 @@ class TestStateMarginals:
         model = Hmm(
             [0.5, 0.5],
             [[0.3, 0.7], [0.7, 0.3]],
-            [
-                GaussianMixture([1.0], [Gaussian([0.0], [1.0])]),
-                GaussianMixture([1.0], [Gaussian([1.0], [1.0])]),
-            ],
+            np.ones((2, 1)),
+            [[[0.0]], [[1.0]]],
+            np.ones((2, 1, 1)),
         )
         marg = state_marginals(model, 6)
         np.testing.assert_allclose(marg, 0.5 * np.ones((6, 2)), atol=1e-12)
@@ -632,10 +629,9 @@ class TestStateMarginals:
         model = Hmm(
             [1.0, 0.0],
             [[0.0, 1.0], [1.0, 0.0]],
-            [
-                GaussianMixture([1.0], [Gaussian([0.0], [1.0])]),
-                GaussianMixture([1.0], [Gaussian([1.0], [1.0])]),
-            ],
+            np.ones((2, 1)),
+            [[[0.0]], [[1.0]]],
+            np.ones((2, 1, 1)),
         )
         marg = state_marginals(model, 3)
         np.testing.assert_allclose(marg[2], [1.0, 0.0], atol=1e-15)
@@ -650,10 +646,9 @@ class TestSample:
         model = Hmm(
             [1.0, 0.0],
             [[0.0, 1.0], [1.0, 0.0]],
-            [
-                GaussianMixture([1.0], [Gaussian([0.0], [1.0])]),
-                GaussianMixture([1.0], [Gaussian([5.0], [1.0])]),
-            ],
+            np.ones((2, 1)),
+            [[[0.0]], [[5.0]]],
+            np.ones((2, 1, 1)),
         )
         _, states = sample_batch(model, 6, 1, rng)
         np.testing.assert_array_equal(states[0], [0, 1, 0, 1, 0, 1])
@@ -706,11 +701,7 @@ class TestSample:
 
     def test_full_cov_sampling_moments(self, rng):
         cov = np.array([[2.0, 0.8], [0.8, 1.0]])
-        model = Hmm(
-            [1.0],
-            [[1.0]],
-            [GaussianMixture([1.0], [Gaussian([1.0, -1.0], cov)])],
-        )
+        model = Hmm([1.0], [[1.0]], [[1.0]], [[[1.0, -1.0]]], [[cov]])
         obs, _ = sample_batch(model, 1, 200_000, rng)
         flat = obs[:, 0, :]
         np.testing.assert_allclose(flat.mean(axis=0), [1.0, -1.0], atol=0.02)
@@ -722,10 +713,9 @@ class TestBaumWelch:
         truth = Hmm(
             [0.5, 0.5],
             [[0.8, 0.2], [0.2, 0.8]],
-            [
-                GaussianMixture([1.0], [Gaussian([-5.0], [1.0])]),
-                GaussianMixture([1.0], [Gaussian([5.0], [1.0])]),
-            ],
+            np.ones((2, 1)),
+            [[[-5.0]], [[5.0]]],
+            np.ones((2, 1, 1)),
         )
         data = [Sequence(sample_batch(truth, 20, 1, rng)[0][0]) for _ in range(200)]
         fit = baum_welch(data, 2, 1, EmConfig(), np.random.default_rng(0))
@@ -765,9 +755,7 @@ class TestBaumWelch:
             assert gmm.weights.sum() == pytest.approx(1.0, abs=1e-12)
 
     def test_one_state_round_trip_mean(self, rng):
-        truth = Hmm(
-            [1.0], [[1.0]], [GaussianMixture([1.0], [Gaussian([3.0], [4.0])])]
-        )
+        truth = Hmm([1.0], [[1.0]], [[1.0]], [[[3.0]]], [[[4.0]]])
         data = [Sequence(sample_batch(truth, 100, 1, rng)[0][0]) for _ in range(100)]
         fit = baum_welch(data, 1, 1, EmConfig(max_iters=5), np.random.default_rng(3))
         n_obs = 100 * 100
@@ -776,9 +764,7 @@ class TestBaumWelch:
 
     def test_full_covariance_fit(self, rng):
         cov = np.array([[1.5, 0.6], [0.6, 1.0]])
-        truth = Hmm(
-            [1.0], [[1.0]], [GaussianMixture([1.0], [Gaussian([0.0, 0.0], cov)])]
-        )
+        truth = Hmm([1.0], [[1.0]], [[1.0]], [[[0.0, 0.0]]], [[cov]])
         data = [Sequence(sample_batch(truth, 50, 1, rng)[0][0]) for _ in range(50)]
         fit = baum_welch(
             data, 1, 1, EmConfig(max_iters=5, cov_type="full"), np.random.default_rng(4)

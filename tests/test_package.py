@@ -1,6 +1,7 @@
 """The public surface: every exported name resolves, once, and names that
-were removed from the library stay gone. Emission objects are built from
-arrays in one place, and only for the ``Hmm.emissions`` view. Every count
+were removed from the library stay gone. Models enter as arrays only:
+emission objects are built from arrays in one place, only for the
+``Hmm.emissions`` output view, which no library code reads. Every count
 argument is checked, naming itself, before anything is drawn or fitted."""
 
 import ast
@@ -19,9 +20,11 @@ REMOVED = {
     h3mkit: [
         "EmissionResponsibility", "gmm_responsibilities", "gmm_expected_loglik_bound",
         "h3m_sample", "h3m_loglik", "h3m_loglik_batch", "sample", "lower_bound",
+        "gauss_expected_loglik", "expected_loglik_table",
     ],
     h3mkit.gaussians: [
         "EmissionResponsibility", "gmm_responsibilities", "gmm_expected_loglik_bound",
+        "gauss_expected_loglik", "expected_loglik_table",
     ],
     h3mkit.h3m: ["h3m_sample", "h3m_loglik", "h3m_loglik_batch"],
     h3mkit.hmm: ["sample"],
@@ -30,6 +33,7 @@ REMOVED = {
 REMOVED_METHODS = {
     h3mkit.Gaussian: ["log_density", "sample", "log_det"],
     h3mkit.GaussianMixture: ["log_density", "sample"],
+    h3mkit.Hmm: ["from_arrays"],
 }
 
 
@@ -53,8 +57,10 @@ def test_all_resolves_without_duplicates_and_removed_names_are_gone():
 def test_emission_objects_built_only_by_the_emissions_view():
     # Models are built and checked as arrays (hmm._check_arrays), files
     # included: the only code that builds Gaussian or GaussianMixture objects
-    # is hmm._mixtures, and the only code that calls it is Hmm.emissions.
+    # is hmm._mixtures, the only code that calls it is Hmm.emissions, and no
+    # library code reads that view.
     callers: dict[str, set] = {"Gaussian": set(), "GaussianMixture": set(), "_mixtures": set()}
+    readers = set()
     for path in Path(h3mkit.__file__).parent.glob("*.py"):
         tree = ast.parse(path.read_text())
 
@@ -68,6 +74,8 @@ def test_emission_objects_built_only_by_the_emissions_view():
                     name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
                     if name in callers:
                         callers[name].add(f"{path.stem}.{scope}")
+                if isinstance(child, ast.Attribute) and child.attr == "emissions":
+                    readers.add(f"{path.stem}.{scope}")
                 visit(child, inner)
 
         visit(tree, "")
@@ -76,12 +84,11 @@ def test_emission_objects_built_only_by_the_emissions_view():
         "GaussianMixture": {"hmm._mixtures"},
         "_mixtures": {"hmm.Hmm.emissions"},
     }
+    assert readers == set()
 
 
 def one_state_hmm(mean):
-    return h3mkit.Hmm([1.0], [[1.0]], [
-        h3mkit.GaussianMixture([1.0], [h3mkit.Gaussian([mean], [1.0])])
-    ])
+    return h3mkit.Hmm([1.0], [[1.0]], [[1.0]], [[[mean]]], [[[1.0]]])
 
 
 BASE, REDUCED = one_state_hmm(0.0), one_state_hmm(1.0)

@@ -74,7 +74,7 @@ class TestStackedCheck:
         models = _models(stack)
         assert len(models) == arrays[0].shape[0]
         for k, model in enumerate(models):
-            row = Hmm.from_arrays(*(a[k] for a in arrays))
+            row = Hmm(*(a[k] for a in arrays))
             for name in _Stacked._fields:
                 got, want = getattr(model, name), getattr(row, name)
                 assert got.shape == want.shape and got.tobytes() == want.tobytes(), name
@@ -111,7 +111,7 @@ class TestStackedCheck:
         else:
             mix_weights[k, s] += 0.1
         with pytest.raises(InvalidModelError) as one:
-            Hmm.from_arrays(*(a[k] for a in arrays))
+            Hmm(*(a[k] for a in arrays))
         with pytest.raises(InvalidModelError) as stacked:
             _check_arrays(*arrays, axes=(axis,))
         message = str(stacked.value)
@@ -159,7 +159,8 @@ class TestOneCheckPerStack:
         save_model(model, tmp_path / "m.json")
         doc = json.loads((tmp_path / "m.json").read_text())
         doc["payload"]["components"][1] = serialize_module._hmm_payload(
-            Hmm([1.0], [[1.0]], model.components[0].emissions[:1])
+            Hmm([1.0], [[1.0]], *(getattr(model.components[0], name)[:1]
+                                  for name in ("mix_weights", "means", "covs")))
         )
         (tmp_path / "m.json").write_text(json.dumps(doc))
         check_calls.clear()
@@ -266,7 +267,7 @@ def degenerate_reductions(draw):
     weights = np.full(k_b, 1.0 / k_b)
     if draw(st.booleans(), label="unequal base weights"):
         weights = rng.dirichlet(np.full(k_b, 0.5))
-    base = H3m(weights, [Hmm.from_arrays(*(a[i] for a in arrays)) for i in range(k_b)])
+    base = H3m(weights, [Hmm(*(a[i] for a in arrays)) for i in range(k_b)])
     k_r = draw(st.integers(1, k_b), label="reduced components")  # includes K_r = K_b
     tau = draw(st.integers(1, 3), label="tau")  # includes tau = 1
     init = draw(st.sampled_from(["subset-perturb", "random"]))
@@ -293,7 +294,7 @@ class TestDegenerateReduction:
         # sum_i log sum_j w_j exp(N_i J_ij), at sum_i z_ij / K_b, not at the
         # base-weighted sum_i w_i z_ij.
         def gaussian(mean, var):
-            return Hmm.from_arrays([1.0], [[1.0]], [[1.0]], [[[mean]]], [[[var]]])
+            return Hmm([1.0], [[1.0]], [[1.0]], [[[mean]]], [[[var]]])
 
         base = H3m([0.98, 0.02], [gaussian(0.0, 1.0), gaussian(1.0, 2.0)])
         result = vhem_reduce(base, VhemConfig(2, tau_virtual=3, max_iters=4, tol=0.0))
@@ -307,7 +308,7 @@ class TestDegenerateReduction:
         # E[x x^T] - mu mu^T at these means.
         v = np.array([2.5556, -0.4181])
         cov = np.outer(v, v) + 1e-8 * np.eye(2)
-        component = Hmm.from_arrays([1.0], [[1.0]], [[1.0]], [[[-1916.3, -220.0]]], [[cov]])
+        component = Hmm([1.0], [[1.0]], [[1.0]], [[[-1916.3, -220.0]]], [[cov]])
         base = H3m([0.5, 0.5], [component, component])
         result = vhem_reduce(base, VhemConfig(2, tau_virtual=1, max_iters=8, tol=0.0, seed=3))
         bounds = np.array(result.bound_history)
@@ -431,7 +432,7 @@ def degenerate_hmm(draw, rng, n, d, cov_type):
         covs = covs * scale
         if draw(st.booleans(), label="means follow the scale"):
             means = means * np.sqrt(scale)
-    return Hmm.from_arrays(initial, transitions, mix_weights, means, covs)
+    return Hmm(initial, transitions, mix_weights, means, covs)
 
 
 @st.composite

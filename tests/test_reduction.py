@@ -14,8 +14,6 @@ from h3mkit import (
     AssignmentMatrix,
     DegenerateWeightsError,
     EstimationError,
-    Gaussian,
-    GaussianMixture,
     H3m,
     Hmm,
     InvalidModelError,
@@ -23,7 +21,6 @@ from h3mkit import (
     compute_assignments,
     elhmm_bruteforce,
     estep_pair,
-    gauss_expected_loglik,
     gmm_expected_loglik_opt,
     hier_cluster,
     mc_expected_loglik,
@@ -38,7 +35,7 @@ from h3mkit import (
 
 import h3mkit.hmm as hmm_module
 import h3mkit.reduction as reduction_module
-from h3mkit.gaussians import _cross_terms, expected_loglik_table, logsumexp
+from h3mkit.gaussians import _cross_terms, logsumexp
 from h3mkit.hmm import _stack
 from h3mkit.hmm import _Stats
 from h3mkit.reduction import _init_reduced, _virtual_stats
@@ -47,7 +44,19 @@ from conftest import random_hmm
 
 
 def gaussian_hmm(mean, var=1.0):
-    return Hmm([1.0], [[1.0]], [GaussianMixture([1.0], [Gaussian([mean], [var])])])
+    return Hmm([1.0], [[1.0]], [[1.0]], [[[mean]]], [[[var]]])
+
+
+def state_mixture(model, state):
+    """The emission mixture of one state as (weights, means, covs) arrays."""
+    return model.mix_weights[state], model.means[state], model.covs[state]
+
+
+def single_gaussian_term(base, reduced):
+    """``_cross_terms`` of the one emission component of two one-state models."""
+    return float(
+        _cross_terms(base.means[0, 0], base.covs[0, 0], reduced.means[0, 0], reduced.covs[0, 0])
+    )
 
 
 def objective_by_enumeration(base, reduced, tau, phi_initial, phi_step):
@@ -58,7 +67,7 @@ def objective_by_enumeration(base, reduced, tau, phi_initial, phi_step):
     ell = np.array(
         [
             [
-                gmm_expected_loglik_opt(base.emissions[b], reduced.emissions[r])
+                gmm_expected_loglik_opt(state_mixture(base, b), state_mixture(reduced, r))
                 for r in range(n_r)
             ]
             for b in range(n_b)
@@ -89,9 +98,7 @@ class TestEstepPair:
     def test_single_state_single_component(self, rng):
         base = gaussian_hmm(0.0)
         reduced = gaussian_hmm(1.5, 2.0)
-        ell = gauss_expected_loglik(
-            base.emissions[0].components[0], reduced.emissions[0].components[0]
-        )
+        ell = single_gaussian_term(base, reduced)
         for tau in (1, 3, 7):
             pair = estep_pair(base, reduced, tau)
             assert pair.objective == pytest.approx(tau * ell, abs=1e-10)
@@ -109,7 +116,9 @@ class TestEstepPair:
         for b in range(2):
             inner = sum(
                 reduced.initial[r]
-                * math.exp(gmm_expected_loglik_opt(base.emissions[b], reduced.emissions[r]))
+                * math.exp(
+                    gmm_expected_loglik_opt(state_mixture(base, b), state_mixture(reduced, r))
+                )
                 for r in range(3)
             )
             expected += base.initial[b] * math.log(inner)
@@ -127,6 +136,16 @@ class TestEstepPair:
             a = estep_pair(base, reduced, tau).objective
             b = elhmm_bruteforce(base, reduced, tau)
             assert a == pytest.approx(b, abs=1e-9)
+
+    def test_mixed_covariance_layouts_rejected(self):
+        # One diagonal and one full model in d=2: neither the E-step nor the
+        # oracle has a mixed-layout path, so both name the mismatch.
+        diag = Hmm([1.0], [[1.0]], [[1.0]], [[[0.0, 0.0]]], [[[1.0, 2.0]]])
+        full = Hmm([1.0], [[1.0]], [[1.0]], [[[0.5, -0.5]]], [[[[2.0, 0.3], [0.3, 1.0]]]])
+        for base, reduced in ((diag, full), (full, diag)):
+            for pair_entry in (estep_pair, elhmm_bruteforce):
+                with pytest.raises(InvalidModelError, match="covariance layout mismatch"):
+                    pair_entry(base, reduced, 2)
 
     def test_coupling_normalization(self, rng):
         base = random_hmm(rng, n_states=3, n_mix=2)
@@ -146,13 +165,16 @@ class TestEstepPair:
             pair = estep_pair(base, reduced, 3)
             for b in range(n_b):
                 for r in range(n_r):
-                    gmm_b, gmm_r = base.emissions[b], reduced.emissions[r]
+                    gmm_b, gmm_r = state_mixture(base, b), state_mixture(reduced, r)
                     assert pair.state_ell[b, r] == pytest.approx(
                         gmm_expected_loglik_opt(gmm_b, gmm_r), abs=1e-12
                     )
                     # eta[b, r, m] is the softmax over l of the log weight
                     # plus the expected log density of component pair (m, l).
-                    logits = np.log(gmm_r.weights)[None, :] + expected_loglik_table(gmm_b, gmm_r)
+                    table = _cross_terms(
+                        gmm_b[1][:, None], gmm_b[2][:, None], gmm_r[1][None], gmm_r[2][None]
+                    )
+                    logits = np.log(gmm_r[0])[None, :] + table
                     eta = np.exp(logits - logits.max(axis=1, keepdims=True))
                     np.testing.assert_allclose(
                         pair.eta[b, r], eta / eta.sum(axis=1, keepdims=True), rtol=0, atol=1e-12
@@ -203,9 +225,7 @@ class TestBruteforce:
     def test_single_state(self, rng):
         base = gaussian_hmm(0.5)
         reduced = gaussian_hmm(-0.5)
-        ell = gauss_expected_loglik(
-            base.emissions[0].components[0], reduced.emissions[0].components[0]
-        )
+        ell = single_gaussian_term(base, reduced)
         assert elhmm_bruteforce(base, reduced, 4) == pytest.approx(4 * ell, abs=1e-10)
 
     def test_size_guard(self, rng):
@@ -439,10 +459,9 @@ class TestMstep:
         shared = Hmm(
             [0.6, 0.4],
             [[0.7, 0.3], [0.4, 0.6]],
-            [
-                GaussianMixture([1.0], [Gaussian([-5.0], [1.0])]),
-                GaussianMixture([1.0], [Gaussian([5.0], [1.0])]),
-            ],
+            np.ones((2, 1)),
+            [[[-5.0]], [[5.0]]],
+            np.ones((2, 1, 1)),
         )
         base = H3m(np.full(4, 0.25), [shared] * 4)
         reduced = H3m([1.0], [shared])
@@ -592,10 +611,9 @@ class TestVhemReduce:
             Hmm(
                 [0.5, 0.5],
                 [[0.8, 0.2], [0.3, 0.7]],
-                [
-                    GaussianMixture([1.0], [Gaussian([offset - 4.0], [1.0])]),
-                    GaussianMixture([1.0], [Gaussian([offset + 4.0], [1.0])]),
-                ],
+                np.ones((2, 1)),
+                [[[offset - 4.0]], [[offset + 4.0]]],
+                np.ones((2, 1, 1)),
             )
             for offset in (-15.0, -5.0, 5.0, 15.0)
         ]
@@ -694,7 +712,7 @@ class TestVhemReduce:
         leaves, _ = synth_benchmark(2, 3, 1.0, np.random.default_rng(0), n_states=2)
         base = H3m(np.full(6, 1 / 6), leaves)
         start = H3m([0.5, 0.5], [
-            Hmm.from_arrays([1.0], [[1.0]], [[1.0]], [[[mean]]], [[[1.0]]]) for mean in (0.0, 50.0)
+            Hmm([1.0], [[1.0]], [[1.0]], [[[mean]]], [[[1.0]]]) for mean in (0.0, 50.0)
         ])
         with pytest.raises(InvalidModelError, match="component 1"):
             vhem_reduce(base, VhemConfig(k_reduced=2, init=start, max_iters=5))
@@ -788,7 +806,7 @@ class TestVhemReduce:
         # variance 1e-10: the cross pairs' expected log-likelihoods overflow
         # to -inf, and their eta is 0 rather than NaN.
         def two_state(means, var, transitions):
-            return Hmm.from_arrays(
+            return Hmm(
                 np.array([0.5, 0.5]), np.array(transitions), np.ones((2, 1)),
                 np.array(means, dtype=float).reshape(2, 1, 1), np.full((2, 1, 1), var),
             )
@@ -823,7 +841,7 @@ def with_zero_transitions(hmm):
     back, so most transition probabilities are 0."""
     a = np.triu(hmm.transitions)
     initial = np.eye(hmm.n_states)[0]
-    return Hmm.from_arrays(
+    return Hmm(
         initial, a / a.sum(axis=1, keepdims=True), hmm.mix_weights, hmm.means, hmm.covs
     )
 
@@ -832,7 +850,7 @@ def batch_case(name, cov_type):
     """(base components, reduced components, tau) for the slice tests."""
     if name == "overflowed-expectation":
         def two_state(means, var):
-            return Hmm.from_arrays(
+            return Hmm(
                 np.array([0.5, 0.5]), np.array([[0.9, 0.1], [0.2, 0.8]]), np.ones((2, 1)),
                 np.array(means, dtype=float).reshape(2, 1, 1), np.full((2, 1, 1), var),
             )
@@ -1085,7 +1103,7 @@ class TestVirtualSampleOracle:
         ])
         cov = np.ones(d) if cov_type == "diag" else np.eye(d)
         start = H3m([1.0], [
-            Hmm([1.0], [[1.0]], [GaussianMixture([1.0], [Gaussian(np.zeros(d), cov)])])
+            Hmm([1.0], [[1.0]], [[1.0]], [[np.zeros(d)]], [[cov]])
         ])
         config = VhemConfig(k_reduced=1, init=start, tau_virtual=tau, max_iters=2, tol=0.0)
         reduced = vhem_reduce(base, config).reduced.components[0]

@@ -88,9 +88,15 @@ class TestModelRoundTrip:
     @settings(derandomize=True, max_examples=60, deadline=None)
     @given(model_arrays())
     def test_arrays_objects_and_files_agree(self, params):
-        # Arrays -> Hmm -> emission objects -> Hmm -> file -> Hmm, bit for bit.
-        model = Hmm.from_arrays(**params)
-        rebuilt = Hmm(model.initial, model.transitions, model.emissions)
+        # Arrays -> Hmm -> Hmm -> file -> Hmm, bit for bit, and the emission
+        # objects a view of the same bits.
+        model = Hmm(**params)
+        rebuilt = Hmm(*(getattr(model, name) for name in FIELDS))
+        for state, gmm in enumerate(rebuilt.emissions):
+            assert gmm.weights.tobytes() == params["mix_weights"][state].tobytes()
+            for comp, g in enumerate(gmm.components):
+                assert g.mean.tobytes() == params["means"][state, comp].tobytes()
+                assert g.cov.tobytes() == params["covs"][state, comp].tobytes()
         with tempfile.TemporaryDirectory() as tmp:
             save_model(rebuilt, Path(tmp) / "m.json")
             loaded = load_model(Path(tmp) / "m.json")
@@ -125,7 +131,7 @@ class TestModelRoundTrip:
         # indented writer of schema 1 gave for this model, and it loads back
         # bit for bit.
         third = 1.0 / 3.0
-        hmm = Hmm.from_arrays(
+        hmm = Hmm(
             [third, 1.0 - third], [[0.9, 0.1], [0.2, 0.8]], [[0.25, 0.75], [1.0, 0.0]],
             [[[0.1], [-2.5]], [[1e-300], [3.0]]], [[[0.5], [1.0]], [[2.0], [1e8]]],
         )

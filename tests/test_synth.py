@@ -150,13 +150,13 @@ class TestSynthBenchmark:
         # kind "sequences" samples from the checked stack: no member Hmm; the
         # members of kind "hmms" are views of that stack, not built again.
         built = []
-        from_arrays = Hmm.from_arrays
+        constructor = Hmm.__init__
 
-        def counting(*arrays):
+        def counting(self, *arrays):
             built.append(arrays)
-            return from_arrays(*arrays)
+            constructor(self, *arrays)
 
-        monkeypatch.setattr(Hmm, "from_arrays", staticmethod(counting))
+        monkeypatch.setattr(Hmm, "__init__", counting)
         synth_benchmark(3, 5, 4.0, np.random.default_rng(0), tau=4, kind="sequences")
         assert len(built) == 3
         synth_benchmark(3, 5, 4.0, np.random.default_rng(0))
