@@ -51,11 +51,9 @@ from .pipeline import PipelineReport, split_estimate_aggregate
 from .reduction import (
     PairEstepResult,
     ReductionResult,
-    SummaryStats,
     VhemConfig,
     elhmm_bruteforce,
     estep_pair,
-    summary_stats,
     vhem_reduce,
 )
 from .serialize import SequenceDataset, load_dataset, load_model, save_dataset, save_model
@@ -83,7 +81,6 @@ __all__ = [
     "ReductionResult",
     "Sequence",
     "SequenceDataset",
-    "SummaryStats",
     "VhemConfig",
     "baum_welch",
     "best_label_accuracy",
@@ -107,7 +104,6 @@ __all__ = [
     "solve_softmax_log",
     "split_estimate_aggregate",
     "state_marginals",
-    "summary_stats",
     "synth_benchmark",
     "vhem_reduce",
 ]

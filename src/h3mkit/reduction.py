@@ -38,14 +38,14 @@ stays within the 256 KB that the data-side passes also keep to
 - phi: the backward recursion runs pair by pair, reading ell[i, j] and
   writing into (I, J, ...) arrays;
 - statistics, built when an M-step may follow and the block's objectives
-  are finite: the forward recursion for the occupancies (nu, xi) and the
-  virtual statistics over (I, J, ...), item-major as ``h3m_em`` hands its
-  per-sequence statistics to ``mstep``. The couplings die with the pass;
-  the blocks are joined over I as ``h3m_em`` joins its length groups.
+  are finite: the forward recursion for the occupancies (nu, xi), which sums
+  them over steps as it goes, and the virtual statistics over (I, J, ...),
+  item-major as ``h3m_em`` hands its per-sequence statistics to ``mstep``.
+  The couplings die with the pass; the blocks are joined over I as
+  ``h3m_em`` joins its length groups.
 
-``estep_pair``, ``summary_stats`` and ``_virtual_stats`` are the one-pair
-slices of that code; ``estep_pair`` and the oracle reject a pair whose
-dimensions or covariance layouts differ. No model is mutated: rescues write
+``estep_pair`` and the oracle reject a pair whose dimensions or covariance
+layouts differ. No model is mutated: rescues write
 into a fresh stack. The start and rescued components get their covariances
 floored at ``cov_floor`` by ``hmm._floor_covs``, as every M-step floors them.
 """
@@ -82,7 +82,9 @@ class VhemConfig:
     carries a share proportional to its weight. None picks 10^4 times the
     number of base components. ``tau_virtual`` is the length of the virtual
     sequences, which need not match any real data length. ``init`` is
-    "subset-perturb", "random", or an ``H3m`` to start from (``_floored``).
+    "subset-perturb", "random", or an ``H3m`` to start from (``_floored``),
+    which has the base's shape unless ``k_reduced`` is 1, so that a starved
+    component can be rescued by copying a base component.
     """
 
     k_reduced: int
@@ -126,26 +128,6 @@ class PairEstepResult:
     phi_step: np.ndarray  # (tau - 1, N_r, N_r, N_b)
     state_ell: np.ndarray  # (N_b, N_r)
     objective: float
-
-
-@dataclass
-class SummaryStats:
-    """Expected occupancy and transition counts of a reduced component when
-    modeling one base component's output.
-
-    nu_agg[sigma, gamma]   co-occupancy of reduced state sigma and base state
-                           gamma, summed over all steps;
-    nu1_agg[sigma]         expected count of starting in reduced state sigma;
-    xi_agg[rho, sigma]     expected count of reduced transitions rho -> sigma;
-    nu_per_step[t]         per-step co-occupancy, kept for consistency checks.
-
-    For all pairs at once (``_summary``) every field carries leading (I, J) axes.
-    """
-
-    nu_agg: np.ndarray
-    nu1_agg: np.ndarray
-    xi_agg: np.ndarray
-    nu_per_step: np.ndarray  # (tau, N_r, N_b)
 
 
 @dataclass
@@ -213,12 +195,6 @@ def _estep(base: _Stacked, reduced: _Stacked, tau: int) -> PairEstepResult:
     return PairEstepResult(eta, phi_initial, phi_step, ell, objective)
 
 
-def _index(result, key):
-    """The dataclass ``result`` with every field indexed by ``key``: [0, 0]
-    takes the one pair of a batch, [None, None] makes a pair a batch."""
-    return type(result)(*(np.asarray(getattr(result, f.name))[key] for f in fields(result)))
-
-
 def _check_pair(base_i: Hmm, reduced_j: Hmm) -> None:
     """InvalidModelError unless the two models share a dimension and a covariance layout."""
     if base_i.dim != reduced_j.dim:
@@ -236,7 +212,8 @@ def estep_pair(base_i: Hmm, reduced_j: Hmm, tau: int) -> PairEstepResult:
     tau: the one-pair slice of the E-step over all pairs."""
     _check_pair(base_i, reduced_j)
     _check_counts(tau=tau)
-    return _index(_estep(_stack([base_i]), _stack([reduced_j]), tau), (0, 0))
+    batch = _estep(_stack([base_i]), _stack([reduced_j]), tau)
+    return PairEstepResult(*(getattr(batch, f.name)[0, 0] for f in fields(batch)))
 
 
 def elhmm_bruteforce(base_i: Hmm, reduced_j: Hmm, tau: int) -> float:
@@ -321,70 +298,47 @@ def elhmm_bruteforce(base_i: Hmm, reduced_j: Hmm, tau: int) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Summary statistics and the M-step input
-
-
-def _summary(base: _Stacked, estep: PairEstepResult) -> SummaryStats:
-    """``summary_stats`` for every pair of ``_estep``'s result at once, every
-    field with leading (I, J) axes."""
-    phi_step = estep.phi_step
-    tau = phi_step.shape[2] + 1
-    a_b = base.transitions[:, None]  # (I, 1, N_b, N_b)
-    nu_1 = estep.phi_initial * base.initial[:, None, None, :]  # (I, J, N_r, N_b)
-    nu_per_step = np.empty(nu_1.shape[:2] + (tau,) + nu_1.shape[2:])
-    nu_per_step[:, :, 0] = nu_1
-    n_r = nu_1.shape[2]
-    xi_agg = np.zeros(nu_1.shape[:2] + (n_r, n_r))
-    nu = nu_1
-    for t in range(2, tau + 1):
-        reach = nu @ a_b  # (I, J, rho, gamma)
-        xi_t = reach[..., :, None, :] * phi_step[:, :, t - 2]  # (I, J, rho, sigma, gamma)
-        nu = xi_t.sum(axis=2)
-        nu_per_step[:, :, t - 1] = nu
-        xi_agg += xi_t.sum(axis=4)
-    return SummaryStats(
-        nu_agg=nu_per_step.sum(axis=2),
-        nu1_agg=nu_1.sum(axis=3),
-        xi_agg=xi_agg,
-        nu_per_step=nu_per_step,
-    )
-
-
-def summary_stats(base_i: Hmm, pair: PairEstepResult) -> SummaryStats:
-    """Expected reduced-state occupancy and transition counts implied by the
-    coupling of ``pair``, accumulated forward over steps."""
-    return _index(_summary(_stack([base_i]), _index(pair, (None, None))), (0, 0))
+# Virtual statistics: the M-step input
 
 
 def _virtual_stats_all(base: _Stacked, estep: PairEstepResult) -> _Stats:
     """What ``hmm._expected_stats`` collects from one real sequence, for one
     virtual sequence of every base component i under its coupling with every
-    reduced component j: item-major, every field with leading (I, J) axes."""
-    stats = _summary(base, estep)
+    reduced component j: item-major, every field with leading (I, J) axes.
+
+    The occupancies come from the forward recursion over steps: nu[rho, gamma]
+    is the co-occupancy of reduced state rho and base state gamma at a step,
+    xi[rho, sigma] the expected reduced transitions rho -> sigma into it; both
+    are summed as the recursion goes."""
+    phi_step = estep.phi_step
+    a_b = base.transitions[:, None]  # (I, 1, N_b, N_b)
+    nu = estep.phi_initial * base.initial[:, None, None, :]  # (I, J, N_r, N_b)
+    n_r = nu.shape[2]
+    nu1_agg = nu.sum(axis=3)
+    nu_agg = nu.copy()
+    xi_agg = np.zeros(nu.shape[:2] + (n_r, n_r))
+    for t in range(phi_step.shape[2]):
+        reach = nu @ a_b  # (I, J, rho, gamma)
+        xi_t = reach[..., :, None, :] * phi_step[:, :, t]  # (I, J, rho, sigma, gamma)
+        nu = xi_t.sum(axis=2)
+        nu_agg += nu
+        xi_agg += xi_t.sum(axis=4)
+
     c_b, mu_b, cov_b = base.mix_weights, base.means, base.covs
     # resp[i, j, beta, rho, m, l]: expected count of base emission (beta, m)
     # modeled by reduced emission (rho, l).
-    resp = (
-        stats.nu_agg.swapaxes(2, 3)[..., None, None]
-        * c_b[:, None, :, None, :, None]
-        * estep.eta
-    )
+    resp = nu_agg.swapaxes(2, 3)[..., None, None] * c_b[:, None, :, None, :, None] * estep.eta
     if cov_b.ndim == 4:
         second = cov_b + mu_b * mu_b
     else:
         second = cov_b + mu_b[..., :, None] * mu_b[..., None, :]
     return _Stats(
-        stats.nu1_agg,
-        stats.xi_agg,
+        nu1_agg,
+        xi_agg,
         resp.sum(axis=(2, 4)),
         np.einsum("ijbrml,ibmd->ijrld", resp, mu_b),
         np.einsum("ijbrml,ibm...->ijrl...", resp, second),
     )
-
-
-def _virtual_stats(base_i: Hmm, pair: PairEstepResult) -> _Stats:
-    """``_virtual_stats_all`` for one pair (leading axes of length 1)."""
-    return _virtual_stats_all(_stack([base_i]), _index(pair, (None, None)))
 
 
 # ---------------------------------------------------------------------------
@@ -403,6 +357,12 @@ def _init_reduced(base: H3m, config: VhemConfig, rng: np.random.Generator) -> H3
             raise InvalidModelError(
                 "provided initial model does not match k_reduced, base dimension"
                 " or base covariance layout"
+            )
+        if k_r > 1 and (model.n_states, model.n_mix) != (base.n_states, base.n_mix):
+            raise InvalidModelError(
+                f"provided initial model has {model.n_states} states and {model.n_mix} mixture"
+                f" components where the base has {base.n_states} and {base.n_mix}; with"
+                " k_reduced > 1 a start needs the base's shape, as rescues copy base components"
             )
         return model
     n, m, d = base.n_states, base.n_mix, base.dim
@@ -523,8 +483,6 @@ def _reduce_once(base: H3m, config: VhemConfig, rng: np.random.Generator) -> Red
                 if rescues >= 2:
                     continue
                 worst = next(worst_first)  # the n-th rescue copies the n-th worst
-                if arrays.covs.shape[1:] != base.arrays.covs.shape[1:]:
-                    raise InvalidModelError(f"cannot rescue component {j}: shaped unlike base")
                 for row, source in zip(arrays, base.arrays):
                     row[j] = source[worst]
                 weights[j] = 1.0 / config.k_reduced

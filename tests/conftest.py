@@ -35,6 +35,22 @@ def random_h3m(rng, k=3, n_states=2, n_mix=1, dim=1, cov_type="diag", mean_scale
     return H3m(rng.dirichlet(np.ones(k)), components)
 
 
+def occupancies(base_i, phi_initial, phi_step):
+    """The forward occupancy recursion for one (base, reduced) pair under its
+    coupling, step by step: nu_per_step[t, rho, beta] is the co-occupancy of
+    reduced state rho and base state beta at step t + 1, xi_agg[rho, sigma]
+    the expected count of reduced transitions rho -> sigma over all steps."""
+    nu = phi_initial * base_i.initial[None, :]
+    nu_per_step = [nu]
+    xi_agg = np.zeros((nu.shape[0], nu.shape[0]))
+    for step in phi_step:
+        xi_t = (nu @ base_i.transitions)[:, None, :] * step
+        nu = xi_t.sum(axis=0)
+        nu_per_step.append(nu)
+        xi_agg += xi_t.sum(axis=2)
+    return np.array(nu_per_step), xi_agg
+
+
 def align_means(reference, candidate):
     """Best permutation of candidate state means against the reference, by
     total squared distance; returns the aligned (N, M, d) mean array."""

@@ -30,13 +30,14 @@ from h3mkit import (
     rand_index,
     split_estimate_aggregate,
     state_marginals,
-    summary_stats,
     synth_benchmark,
     vhem_reduce,
 )
 from h3mkit.gaussians import _cross_terms
+from h3mkit.hmm import _stack
+from h3mkit.reduction import _estep, _virtual_stats_all
 
-from conftest import random_gaussian, random_hmm
+from conftest import occupancies, random_gaussian, random_hmm
 
 COV_FLOOR = 1e-6
 
@@ -259,20 +260,37 @@ def test_criterion_5_synthetic_recovery(reduction_runs, hier_runs):
 
 
 def test_criterion_6_marginal_consistency():
+    # Per-step occupancies from the forward recursion on estep_pair's coupling;
+    # the reduction's own recursion, which sums over steps as it goes, must
+    # give the same start counts, transition counts and occupancy totals.
     rng = np.random.default_rng(3)
-    worst = 0.0
+    worst = worst_library = 0.0
     for _ in range(50):
         n_b = int(rng.integers(1, 4))
         n_r = int(rng.integers(1, 4))
         tau = int(rng.integers(2, 7))
         base = random_hmm(rng, n_b, int(rng.integers(1, 3)), 1)
         reduced = random_hmm(rng, n_r, int(rng.integers(1, 3)), 1)
-        stats = summary_stats(base, estep_pair(base, reduced, tau))
+        pair = estep_pair(base, reduced, tau)
+        nu_per_step, xi_agg = occupancies(base, pair.phi_initial, pair.phi_step)
         marginals = state_marginals(base, tau)
-        worst = max(worst, float(np.max(np.abs(stats.nu_per_step.sum(axis=1) - marginals))))
-    ok = worst <= 1e-9
-    report(6, ok, f"max |occupancy marginal - chain marginal| = {worst:.3e} over 50 pairs")
+        worst = max(worst, float(np.max(np.abs(nu_per_step.sum(axis=1) - marginals))))
+        block = _stack([base])
+        stats = _virtual_stats_all(block, _estep(block, _stack([reduced]), tau))
+        for got, want in (
+            (stats.pi[0, 0], nu_per_step[0].sum(axis=1)),
+            (stats.trans[0, 0], xi_agg),
+            (stats.mix[0, 0].sum(axis=-1), nu_per_step.sum(axis=(0, 2))),
+        ):
+            worst_library = max(worst_library, float(np.max(np.abs(got - want))))
+    ok = worst <= 1e-9 and worst_library <= 1e-12
+    report(
+        6, ok,
+        f"max |occupancy marginal - chain marginal| = {worst:.3e} over 50 pairs;"
+        f" reduction statistics within {worst_library:.3e} of the recursion",
+    )
     assert worst <= 1e-9
+    assert worst_library <= 1e-12
 
 
 def _check_stochastic(vec, tol=1e-12):

@@ -20,7 +20,7 @@ REMOVED = {
     h3mkit: [
         "EmissionResponsibility", "gmm_responsibilities", "gmm_expected_loglik_bound",
         "h3m_sample", "h3m_loglik", "h3m_loglik_batch", "sample", "lower_bound",
-        "gauss_expected_loglik", "expected_loglik_table",
+        "gauss_expected_loglik", "expected_loglik_table", "SummaryStats", "summary_stats",
     ],
     h3mkit.gaussians: [
         "EmissionResponsibility", "gmm_responsibilities", "gmm_expected_loglik_bound",
@@ -28,7 +28,9 @@ REMOVED = {
     ],
     h3mkit.h3m: ["h3m_sample", "h3m_loglik", "h3m_loglik_batch"],
     h3mkit.hmm: ["sample"],
-    h3mkit.reduction: ["lower_bound"],
+    h3mkit.reduction: [
+        "lower_bound", "SummaryStats", "summary_stats", "_summary", "_virtual_stats",
+    ],
 }
 REMOVED_METHODS = {
     h3mkit.Gaussian: ["log_density", "sample", "log_det"],

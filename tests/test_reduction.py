@@ -1,10 +1,12 @@
 """The reduction engine: pair-level E-step against the enumeration oracle,
-summary statistics against chain marginals, assignment and bound formulas,
+occupancy statistics against chain marginals, assignment and bound formulas,
 M-step closed forms, and the full driver."""
 
+import dataclasses
 import gc
 import itertools
 import math
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -28,7 +30,6 @@ from h3mkit import (
     rand_index,
     sample_batch,
     state_marginals,
-    summary_stats,
     synth_benchmark,
     vhem_reduce,
 )
@@ -38,9 +39,9 @@ import h3mkit.reduction as reduction_module
 from h3mkit.gaussians import _cross_terms, logsumexp
 from h3mkit.hmm import _stack
 from h3mkit.hmm import _Stats
-from h3mkit.reduction import _init_reduced, _virtual_stats
+from h3mkit.reduction import _estep, _init_reduced, _virtual_stats_all
 
-from conftest import random_hmm
+from conftest import occupancies, random_hmm
 
 
 def gaussian_hmm(mean, var=1.0):
@@ -309,39 +310,58 @@ class TestComputeAssignments:
             compute_assignments(np.array([[-1.0, -2.0]]), np.array([0.0, 0.0]), np.array([1.0]))
 
 
+def batch_stats(base, reduced, tau, steps=None):
+    """One ``_virtual_stats_all`` call over every pair of two lists of HMMs.
+    With ``steps``, the forward recursion reads only the first ``steps``
+    steps: the statistics are those of the first ``steps`` + 1 frames."""
+    block = _stack(base)
+    estep = _estep(block, _stack(reduced), tau)
+    if steps is not None:
+        estep = dataclasses.replace(estep, phi_step=estep.phi_step[:, :, :steps])
+    return _virtual_stats_all(block, estep)
+
+
 class TestSummaryStats:
+    """The occupancies behind the virtual statistics: mix[rho, l] summed over
+    l is the occupancy of reduced state rho summed over base states and steps."""
+
     def test_single_state_counts(self, rng):
-        base = gaussian_hmm(0.0)
-        reduced = gaussian_hmm(1.0)
         tau = 6
-        stats = summary_stats(base, estep_pair(base, reduced, tau))
-        np.testing.assert_allclose(stats.nu1_agg, [1.0], atol=1e-12)
-        np.testing.assert_allclose(stats.nu_agg, [[tau]], atol=1e-9)
-        np.testing.assert_allclose(stats.xi_agg, [[tau - 1]], atol=1e-9)
+        stats = batch_stats([gaussian_hmm(0.0)], [gaussian_hmm(1.0)], tau)
+        np.testing.assert_allclose(stats.pi[0, 0], [1.0], atol=1e-12)
+        np.testing.assert_allclose(stats.mix[0, 0], [[tau]], atol=1e-9)
+        np.testing.assert_allclose(stats.trans[0, 0], [[tau - 1]], atol=1e-9)
 
     def test_start_counts_sum_to_one(self, rng):
         base = random_hmm(rng, n_states=3, n_mix=2)
         reduced = random_hmm(rng, n_states=2, n_mix=2)
-        stats = summary_stats(base, estep_pair(base, reduced, 5))
-        assert stats.nu1_agg.sum() == pytest.approx(1.0, abs=1e-12)
+        stats = batch_stats([base], [reduced], 5)
+        assert stats.pi[0, 0].sum() == pytest.approx(1.0, abs=1e-12)
 
     def test_marginal_consistency(self, rng):
+        # With one emission component whose means are the unit vectors of
+        # R^N_b, the mean statistic of reduced state rho is the co-occupancy
+        # nu_agg[rho, beta]; stopping the recursion after t steps and
+        # differencing gives the occupancy of each step.
         for _ in range(10):
-            base = random_hmm(rng, n_states=2, n_mix=1)
-            reduced = random_hmm(rng, n_states=2, n_mix=1)
-            tau = 4
-            stats = summary_stats(base, estep_pair(base, reduced, tau))
-            marginals = state_marginals(base, tau)
-            np.testing.assert_allclose(
-                stats.nu_per_step.sum(axis=1), marginals, atol=1e-9
-            )
+            n_b, tau = 2, 4
+            chain = random_hmm(rng, n_states=n_b, n_mix=1)
+            base = Hmm(chain.initial, chain.transitions, chain.mix_weights,
+                       np.eye(n_b)[:, None, :], np.ones((n_b, 1, n_b)))
+            reduced = random_hmm(rng, n_states=2, n_mix=1, dim=n_b)
+            cumulative = np.array([
+                batch_stats([base], [reduced], tau, steps).mean[0, 0, :, 0].sum(axis=0)
+                for steps in range(tau)
+            ])
+            per_step = np.diff(cumulative, axis=0, prepend=0.0)
+            np.testing.assert_allclose(per_step, state_marginals(base, tau), atol=1e-9)
 
     def test_total_mass_is_tau(self, rng):
         base = random_hmm(rng, n_states=3, n_mix=1)
         reduced = random_hmm(rng, n_states=3, n_mix=1)
         tau = 7
-        stats = summary_stats(base, estep_pair(base, reduced, tau))
-        assert stats.nu_agg.sum() == pytest.approx(tau, abs=1e-9)
+        stats = batch_stats([base], [reduced], tau)
+        assert stats.mix.sum() == pytest.approx(tau, abs=1e-9)
 
 
 def lower_bound(weights, z, objectives, virtual_counts):
@@ -410,18 +430,10 @@ def item_major(columns):
 
 
 def run_estep(base, reduced, tau):
-    """Pair objectives, summary statistics per (i, j), and the M-step input:
-    the virtual statistics of every base component under every reduced one."""
-    objectives = np.empty((base.n_components, reduced.n_components))
-    summaries = [[None] * reduced.n_components for _ in base.components]
-    columns = [[] for _ in reduced.components]
-    for i, b in enumerate(base.components):
-        for j, r in enumerate(reduced.components):
-            pair = estep_pair(b, r, tau)
-            objectives[i, j] = pair.objective
-            summaries[i][j] = summary_stats(b, pair)
-            columns[j].append(_virtual_stats(b, pair))
-    return objectives, summaries, item_major([_Stats.concatenate(col) for col in columns])
+    """Pair objectives and the M-step input, the virtual statistics of every
+    base component under every reduced one, from one batched pass."""
+    estep = _estep(base.arrays, reduced.arrays, tau)
+    return estep.objective, _virtual_stats_all(base.arrays, estep)
 
 
 class TestMstep:
@@ -431,21 +443,20 @@ class TestMstep:
         base = H3m([1.0], [base_hmm])
         reduced = H3m([1.0], [reduced_hmm])
         counts = np.array([100.0])
-        objectives, summaries, stats = run_estep(base, reduced, 5)
+        objectives, stats = run_estep(base, reduced, 5)
         z = AssignmentMatrix(np.ones((1, 1)))
         new, starved = mstep(z, stats, counts, reduced)
         assert starved == []
-        summary = summaries[0][0]
+        pair = estep_pair(base_hmm, reduced_hmm, 5)
+        nu_per_step, xi_agg = occupancies(base_hmm, pair.phi_initial, pair.phi_step)
         np.testing.assert_allclose(
-            new.components[0].initial, summary.nu1_agg / summary.nu1_agg.sum(), atol=1e-12
+            new.components[0].initial, nu_per_step[0].sum(axis=1), atol=1e-12
         )
         np.testing.assert_allclose(
-            new.components[0].transitions,
-            summary.xi_agg / summary.xi_agg.sum(axis=1, keepdims=True),
-            atol=1e-12,
+            new.components[0].transitions, xi_agg / xi_agg.sum(axis=1, keepdims=True), atol=1e-12
         )
         # With M = 1 the emission mean is the occupancy-weighted base mean.
-        occ = summary.nu_agg  # (N_r, N_b)
+        occ = nu_per_step.sum(axis=0)  # (N_r, N_b)
         base_means = np.array([g.components[0].mean for g in base_hmm.emissions])
         for rho in range(2):
             expected = (occ[rho] @ base_means) / occ[rho].sum()
@@ -466,7 +477,7 @@ class TestMstep:
         base = H3m(np.full(4, 0.25), [shared] * 4)
         reduced = H3m([1.0], [shared])
         counts = np.full(4, 25.0)
-        objectives, summaries, stats = run_estep(base, reduced, 5)
+        objectives, stats = run_estep(base, reduced, 5)
         z = AssignmentMatrix(np.ones((4, 1)))
         new, _ = mstep(z, stats, counts, reduced)
         comp = new.components[0]
@@ -485,7 +496,7 @@ class TestMstep:
         base = H3m(np.full(4, 0.25), comps)
         reduced = H3m([0.5, 0.5], [gaussian_hmm(0.5), gaussian_hmm(3.0)])
         counts = np.full(4, 10.0)
-        objectives, summaries, stats = run_estep(base, reduced, 3)
+        objectives, stats = run_estep(base, reduced, 3)
         hard = np.zeros((4, 2))
         hard[:3, 0] = 1.0
         hard[3, 1] = 1.0
@@ -500,7 +511,7 @@ class TestMstep:
         )
         reduced = H3m([0.5, 0.5], [random_hmm(rng, 2, 2, 2) for _ in range(2)])
         counts = 100.0 * base.weights
-        objectives, summaries, stats = run_estep(base, reduced, 4)
+        objectives, stats = run_estep(base, reduced, 4)
         z, _ = compute_assignments(objectives, reduced.weights, counts)
         new, _ = mstep(z, stats, counts, reduced)
         assert new.weights.sum() == pytest.approx(1.0, abs=1e-12)
@@ -529,8 +540,10 @@ class TestMstep:
         counts = 50.0 * base.weights
         z = AssignmentMatrix(rng.dirichlet(np.ones(k_r), size=k_b))
         pairs = [[estep_pair(b, r, tau) for r in reduced.components] for b in base.components]
-        summaries = [
-            [summary_stats(b, pair) for pair in row] for b, row in zip(base.components, pairs)
+        # Per pair, the occupancies nu (tau, N_r, N_b) and xi (N_r, N_r).
+        occupancy = [
+            [occupancies(b, pair.phi_initial, pair.phi_step) for pair in row]
+            for b, row in zip(base.components, pairs)
         ]
 
         expected = []
@@ -539,8 +552,9 @@ class TestMstep:
             mass, mean_num = np.zeros((n_r, m_r)), np.zeros((n_r, m_r, d))
             for i in range(k_b):
                 w_ij = z.z[i, j] * counts[i]
-                pi += w_ij * summaries[i][j].nu1_agg
-                trans += w_ij * summaries[i][j].xi_agg
+                nu_per_step, xi_agg = occupancy[i][j]
+                pi += w_ij * nu_per_step[0].sum(axis=1)
+                trans += w_ij * xi_agg
 
             def terms():
                 for i, beta, m, rho, l in itertools.product(
@@ -548,7 +562,7 @@ class TestMstep:
                 ):
                     gmm = base.components[i].emissions[beta]
                     weight = (
-                        z.z[i, j] * counts[i] * summaries[i][j].nu_agg[rho, beta]
+                        z.z[i, j] * counts[i] * occupancy[i][j][0][:, rho, beta].sum()
                         * gmm.weights[m] * pairs[i][j].eta[beta, rho, m, l]
                     )
                     yield rho, l, weight, gmm.components[m]
@@ -575,13 +589,7 @@ class TestMstep:
         floor = float(np.median(eigenvalues))
         assert np.any(eigenvalues < floor) and np.any(eigenvalues > floor)
 
-        stats = item_major([
-            _Stats.concatenate(
-                [_virtual_stats(b, pairs[i][j])
-                 for i, b in enumerate(base.components)]
-            )
-            for j in range(k_r)
-        ])
+        _, stats = run_estep(base, reduced, tau)
         new, starved = mstep(z, stats, counts, reduced, cov_floor=floor)
         assert starved == []
         # HEM's weight update: the mean assignment over base components.
@@ -707,15 +715,22 @@ class TestVhemReduce:
             with pytest.raises(InvalidModelError, match="covariance layout"):
                 vhem_reduce(base, config)
 
-    def test_rescue_from_base_shaped_unlike_the_start_rejected(self):
-        # A start with fewer states than the base runs until a component starves.
+    def test_rescue_from_base_shaped_unlike_the_start_rejected(self, monkeypatch):
+        # A starved component is rescued by copying a base component, so a start
+        # with fewer states than the base is rejected before any E-step runs.
         leaves, _ = synth_benchmark(2, 3, 1.0, np.random.default_rng(0), n_states=2)
         base = H3m(np.full(6, 1 / 6), leaves)
         start = H3m([0.5, 0.5], [
             Hmm([1.0], [[1.0]], [[1.0]], [[[mean]]], [[[1.0]]]) for mean in (0.0, 50.0)
         ])
-        with pytest.raises(InvalidModelError, match="component 1"):
+        calls = []
+        estep = reduction_module._estep
+        monkeypatch.setattr(
+            reduction_module, "_estep", lambda *args: calls.append(args) or estep(*args)
+        )
+        with pytest.raises(InvalidModelError, match="1 states and 1 mixture components"):
             vhem_reduce(base, VhemConfig(k_reduced=2, init=start, max_iters=5))
+        assert calls == []
 
     def test_two_rescues_in_one_iteration_copy_the_two_worst(self, monkeypatch):
         # Components 4 and 7 starve in the first M-step: the first rescue copies
@@ -875,8 +890,8 @@ def batch_case(name, cov_type):
 
 
 # The loop over pairs that the batched E-step replaced, kept as an oracle:
-# per pair, the emission matching, the phi recursion, the summary statistics
-# and the virtual statistics, as separate calls.
+# per pair, the emission matching, the phi recursion, the occupancies
+# (conftest.occupancies) and the virtual statistics, as separate calls.
 
 
 def per_pair_estep(base_i, reduced_j, tau):
@@ -909,16 +924,8 @@ def per_pair_estep(base_i, reduced_j, tau):
 
 
 def per_pair_virtual_stats(base_i, eta, phi_initial, phi_step):
-    nu_1 = phi_initial * base_i.initial[None, :]
-    nu_per_step = [nu_1]
-    xi_agg = np.zeros((nu_1.shape[0], nu_1.shape[0]))
-    nu = nu_1
-    for step in phi_step:
-        xi_t = (nu @ base_i.transitions)[:, None, :] * step
-        nu = xi_t.sum(axis=0)
-        nu_per_step.append(nu)
-        xi_agg += xi_t.sum(axis=2)
-    nu_agg = np.array(nu_per_step).sum(axis=0)
+    nu_per_step, xi_agg = occupancies(base_i, phi_initial, phi_step)
+    nu_agg = nu_per_step.sum(axis=0)
     c_b, mu_b, cov_b = base_i.mix_weights, base_i.means, base_i.covs
     resp = nu_agg.T[:, :, None, None] * c_b[:, None, :, None] * eta
     if cov_b.ndim == 3:
@@ -926,7 +933,7 @@ def per_pair_virtual_stats(base_i, eta, phi_initial, phi_step):
     else:
         second = cov_b + mu_b[..., :, None] * mu_b[..., None, :]
     return _Stats(
-        pi=nu_1.sum(axis=1)[None, None],
+        pi=nu_per_step[0].sum(axis=1)[None, None],
         trans=xi_agg[None, None],
         mix=resp.sum(axis=(0, 2))[None, None],
         mean=np.einsum("brml,bmd->rld", resp, mu_b)[None, None],
@@ -971,8 +978,8 @@ def per_pair_reduce(base, config):
 
 
 class TestBatchedEstep:
-    """The E-step and statistics over all pairs at once, against the
-    one-pair functions (bit for bit) and against the loop over pairs."""
+    """The E-step and statistics over all pairs at once, against the one-pair
+    E-step (bit for bit) and against the loop over pairs."""
 
     @pytest.mark.parametrize(
         "name, cov_type",
@@ -988,9 +995,8 @@ class TestBatchedEstep:
     def test_every_pair_equals_its_one_pair_slice(self, name, cov_type):
         base, reduced, tau = batch_case(name, cov_type)
         base_arrays = _stack(base)
-        batch = reduction_module._estep(base_arrays, _stack(reduced), tau)
-        summary = reduction_module._summary(base_arrays, batch)
-        stats = reduction_module._virtual_stats_all(base_arrays, batch)
+        batch = _estep(base_arrays, _stack(reduced), tau)
+        stats = _virtual_stats_all(base_arrays, batch)
         assert batch.objective.shape == (len(base), len(reduced))
         assert np.all(np.isfinite(batch.objective))
         for (i, b), (j, r) in itertools.product(enumerate(base), enumerate(reduced)):
@@ -998,14 +1004,6 @@ class TestBatchedEstep:
             assert batch.objective[i, j] == pair.objective
             for field in ("eta", "phi_initial", "phi_step", "state_ell"):
                 np.testing.assert_array_equal(getattr(batch, field)[i, j], getattr(pair, field))
-            one = summary_stats(b, pair)
-            for field in ("nu_agg", "nu1_agg", "xi_agg", "nu_per_step"):
-                np.testing.assert_array_equal(getattr(summary, field)[i, j], getattr(one, field))
-            one = _virtual_stats(b, pair)
-            for field in ("pi", "trans", "mix", "mean", "sq"):
-                np.testing.assert_array_equal(
-                    getattr(stats, field)[i, j], getattr(one, field)[0, 0]
-                )
             # And the loop over pairs computes the same quantities.
             eta, phi_initial, phi_step, objective = per_pair_estep(b, r, tau)
             assert pair.objective == pytest.approx(objective, rel=1e-12, abs=0)
@@ -1015,7 +1013,7 @@ class TestBatchedEstep:
             expected = per_pair_virtual_stats(b, eta, phi_initial, phi_step)
             for field in ("pi", "trans", "mix", "mean", "sq"):
                 np.testing.assert_allclose(
-                    getattr(one, field), getattr(expected, field), rtol=1e-12, atol=0
+                    getattr(stats, field)[i, j], getattr(expected, field)[0, 0], rtol=1e-12, atol=0
                 )
 
     @pytest.mark.parametrize("init", ["subset-perturb", "random"])
@@ -1060,6 +1058,23 @@ class TestBatchedEstep:
         for got, want in zip(result.reduced.components, expected.reduced.components):
             for field in ("initial", "transitions", "mix_weights", "means", "covs"):
                 np.testing.assert_array_equal(getattr(got, field), getattr(want, field))
+
+    def test_statistics_memory_does_not_grow_with_tau(self):
+        # The occupancy recursion sums over steps as it goes: the statistics
+        # pass keeps no per-step array, so its peak is the same at any tau.
+        rng = np.random.default_rng(4)
+        base = _stack([random_hmm(rng, 3, 2, 2) for _ in range(4)])
+        reduced = _stack([random_hmm(rng, 3, 2, 2) for _ in range(3)])
+        peaks = []
+        for tau in (10, 200):
+            estep = _estep(base, reduced, tau)
+            tracemalloc.start()
+            try:
+                _virtual_stats_all(base, estep)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] <= peaks[0] + 4096, peaks
 
     def test_one_block_of_couplings_alive_at_a_time(self, monkeypatch):
         # Each block's statistics are built before the next block is scored, so
