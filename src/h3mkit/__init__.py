@@ -42,7 +42,6 @@ from .hmm import (
     Hmm,
     HmmFit,
     Sequence,
-    forward_loglik,
     forward_loglik_batch,
     sample_batch,
     state_marginals,
@@ -87,7 +86,6 @@ __all__ = [
     "compute_assignments",
     "elhmm_bruteforce",
     "estep_pair",
-    "forward_loglik",
     "forward_loglik_batch",
     "gmm_expected_loglik_opt",
     "h3m_em",

@@ -309,7 +309,7 @@ def hier(model, ladder, out, seed, vhem_config):
     if not sizes:
         raise ValueError(f"bad --ladder {ladder!r}: no level sizes")
     base = _load_mixture(model, "hier")
-    levels, elapsed = _timed(hier_cluster, list(base.components), sizes, vhem_config(sizes[0]))
+    levels, elapsed = _timed(hier_cluster, base, sizes, vhem_config(sizes[0]))
     out_path = _out_dir(out)
     parent_rows = []
     label_rows = []
@@ -325,7 +325,7 @@ def hier(model, ladder, out, seed, vhem_config):
     _write_timings(out_path / "hier_timings.csv", [("hier", elapsed)])
     _write_log(
         out_path / "hier.log",
-        [f"leaves={len(base.components)} ladder={sizes} seed={seed}"]
+        [f"leaves={base.n_components} ladder={sizes} seed={seed}"]
         + [f"level {d}: k={lvl.level_size}" for d, lvl in enumerate(levels)],
     )
 

@@ -58,30 +58,19 @@ from .hmm import (
 class H3m:
     """Mixture of HMMs with shared state count, mixture size, dimension and
     covariance layout: its weights and ``arrays``, one ``hmm._Checked``
-    stack of the components. Built from a list of ``Hmm``, stacked once, or
-    from such a stack. Not mutated."""
+    stack of the components. Built from such a stack, held as given, or
+    from a list of ``Hmm``, which ``hmm._stack`` stacks once and rejects if
+    the shapes differ. Not mutated."""
 
     def __init__(self, weights, components: list[Hmm] | _Checked) -> None:
         self.weights = np.asarray(weights, dtype=float)
         if self.weights.ndim != 1:
             raise InvalidModelError("mixture weights must be a vector")
-        stacked = isinstance(components, _Checked)
-        k = len(components.initial if stacked else components)
-        if k == 0:
-            raise InvalidModelError("mixture needs at least one component")
+        self.arrays = components if isinstance(components, _Checked) else _stack(components)
+        k = self.n_components
         if self.weights.shape[0] != k:
             raise InvalidModelError(f"{self.weights.shape[0]} weights for {k} components")
         check_probability_vector(self.weights, "mixture weights")
-        # covs' shape, (N, M, d) variances or (N, M, d, d) matrices, fixes them all.
-        for idx, h in enumerate([] if stacked else components):
-            if h.covs.shape != components[0].covs.shape:
-                got, want = (
-                    f"(N={m.n_states}, M={m.n_mix}, d={m.dim},"
-                    f" {'diagonal' if m.covs.ndim == 3 else 'full'})"
-                    for m in (h, components[0])
-                )
-                raise InvalidModelError(f"component {idx} has {got}, expected {want}")
-        self.arrays = components if stacked else _stack(components)
 
     @property
     def components(self) -> list[Hmm]:

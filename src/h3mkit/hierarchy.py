@@ -25,33 +25,29 @@ class HierarchyLevel:
 
 
 def hier_cluster(
-    leaves: list[Hmm], ladder: list[int], config: VhemConfig
+    leaves: H3m | list[Hmm], ladder: list[int], config: VhemConfig
 ) -> list[HierarchyLevel]:
-    """Build a tree over ``leaves`` by reducing level by level.
+    """Build a tree over the components of ``leaves`` by reducing level by level.
 
-    Level 0 wraps the leaves with uniform weights; each entry of ``ladder``
-    produces the next level by reduction, with parents taken from the hard
-    assignment labels. ``config.seed`` is advanced by one per level so the
-    whole tree is deterministic from one seed.
+    Level 0 is the leaves with uniform weights: an ``H3m``'s own ``arrays``,
+    whatever its weights, or a list of ``Hmm``, stacked once. Each entry of
+    ``ladder`` produces the next level by reduction, with parents taken from
+    the hard assignment labels. ``config.seed`` is advanced by one per level
+    so the whole tree is deterministic from one seed.
     """
-    if not leaves:
+    n = leaves.n_components if isinstance(leaves, H3m) else len(leaves)
+    if n == 0:
         raise InvalidModelError("no leaves to cluster")
     if not ladder:
         raise ValueError("ladder must list at least one level size")
     _check_counts(**{f"ladder[{i}]": k for i, k in enumerate(ladder)})
     if any(b >= a for a, b in zip(ladder, ladder[1:])):
         raise ValueError(f"ladder must decrease strictly: {ladder}")
-    if ladder[0] > len(leaves):
-        raise ValueError(f"ladder[0]={ladder[0]} exceeds leaf count {len(leaves)}")
+    if ladder[0] > n:
+        raise ValueError(f"ladder[0]={ladder[0]} exceeds leaf count {n}")
 
-    current = H3m(np.full(len(leaves), 1.0 / len(leaves)), leaves)
-    levels = [
-        HierarchyLevel(
-            models=current,
-            parent_of={i: i for i in range(len(leaves))},
-            level_size=len(leaves),
-        )
-    ]
+    current = H3m(np.full(n, 1.0 / n), leaves.arrays if isinstance(leaves, H3m) else leaves)
+    levels = [HierarchyLevel(models=current, parent_of={i: i for i in range(n)}, level_size=n)]
     for depth, k in enumerate(ladder):
         level_config = replace(
             config, k_reduced=k, seed=config.seed + depth,

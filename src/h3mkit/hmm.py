@@ -14,7 +14,8 @@ each read. One sampling kernel, ``_sample``, draws sequences from a stack of
 models with uniforms and normals drawn beforehand. Every estimation kernel
 reads a stack too (``_Stacked``, with a leading K axis) and runs once over
 all K models; a list of models is
-stacked (``_stack``) only where it enters, and an ``Hmm`` is a one-row stack
+stacked only where it enters, by ``_stack``, the one function that stacks
+models and compares their shapes, and an ``Hmm`` is a one-row stack
 at the public boundary (``forward_loglik_batch``). One forward recursion, in
 probability domain and normalized at every step (Rabiner's scaling), one batched matmul per
 step, serves both the likelihood and the forward-backward pass. A pass runs
@@ -180,7 +181,20 @@ def _models(stack: _Checked) -> list[Hmm]:
 
 
 def _stack(models: list[Hmm]) -> _Checked:
-    """Stack the arrays of HMMs of one shape, where a list of them enters."""
+    """Stack the arrays of HMMs of one shape, where a list of them enters: the
+    library's one place that stacks models. InvalidModelError for no models,
+    or naming the first whose shape differs from the first model's."""
+    if not models:
+        raise InvalidModelError("mixture needs at least one component")
+    # covs' shape, (N, M, d) variances or (N, M, d, d) matrices, fixes them all.
+    for idx, model in enumerate(models):
+        if model.covs.shape != models[0].covs.shape:
+            got, want = (
+                f"(N={m.n_states}, M={m.n_mix}, d={m.dim},"
+                f" {'diagonal' if m.covs.ndim == 3 else 'full'})"
+                for m in (model, models[0])
+            )
+            raise InvalidModelError(f"component {idx} has {got}, expected {want}")
     return _Checked(*(np.stack([getattr(m, name) for m in models]) for name in _Stacked._fields))
 
 
@@ -361,11 +375,6 @@ def _log_forward(
         ll = ll + step
         alpha[:, t] = step_alpha - step[:, None]
     return alpha, ll
-
-
-def forward_loglik(model: Hmm, seq: Sequence) -> float:
-    """Exact log p(sequence | model)."""
-    return float(forward_loglik_batch(model, seq.observations[None])[0])
 
 
 def forward_loglik_batch(model: Hmm, obs: np.ndarray) -> np.ndarray:

@@ -37,7 +37,9 @@ def split_estimate_aggregate(
     """Partition ``data`` into contiguous portions, fit a per-portion mixture,
     pool the intermediate mixtures with weights proportional to portion size
     times intermediate component weight, and reduce the pool to ``final_k``
-    components. Deterministic given ``seed``."""
+    components. ``seed`` + p seeds portion p's fit; ``seed`` seeds the
+    reduction only when ``vhem_config`` is None, and a given ``vhem_config``
+    keeps its own seed."""
     _check_counts(n_portions=n_portions, per_portion_k=per_portion_k, final_k=final_k)
     _check_counts(0, seed=seed)
     em_config = em_config or EmConfig()

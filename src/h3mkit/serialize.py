@@ -45,10 +45,6 @@ class SequenceDataset:
         if self.sequences:
             _check_data(self.sequences)
 
-    @property
-    def dim(self) -> int:
-        return self.sequences[0].dim
-
     def __len__(self) -> int:
         return len(self.sequences)
 
@@ -111,8 +107,8 @@ def _named(where: str, build, *args, **kwargs):
 def _components(parts: list[list[np.ndarray]], path: Path) -> _Checked | list[Hmm]:
     """The mixture components of a file from their parsed arrays. Components
     of one shape are stacked and checked once, and an error names the
-    component; otherwise each is checked alone, and ``H3m`` names the first
-    whose shape differs."""
+    component; otherwise each is checked alone, and ``H3m``'s ``hmm._stack``
+    names the first whose shape differs."""
     if len({tuple(a.shape for a in arrays) for arrays in parts}) == 1:
         stack = [np.stack(column) for column in zip(*parts)]
         return _named(f"{path} ", _check_arrays, *stack, axes=("component",))

@@ -304,16 +304,14 @@ def test_criterion_7_mstep_validity(reduction_runs):
         model = run.reduced
         vectors = [model.weights, *[c.initial for c in model.components]]
         vectors += [row for c in model.components for row in c.transitions]
-        vectors += [g.weights for c in model.components for g in c.emissions]
+        vectors += [row for c in model.components for row in c.mix_weights]
         vectors += list(run.assignments)
         for vec in vectors:
             if not _check_stochastic(np.asarray(vec)):
                 bad += 1
-        for comp in model.components:
-            for gmm in comp.emissions:
-                for g in gmm.components:
-                    diag = g.cov if g.cov.ndim == 1 else np.diag(g.cov)
-                    floor_violation = max(floor_violation, float(np.max(COV_FLOOR - diag)))
+        covs = model.arrays.covs
+        variances = covs if covs.ndim == 4 else np.diagonal(covs, axis1=-2, axis2=-1)
+        floor_violation = max(floor_violation, float(np.max(COV_FLOOR - variances)))
     ok = bad == 0 and floor_violation <= 0.0
     report(
         7, ok,

@@ -433,6 +433,38 @@ class TestFailureModes:
         assert result.output.splitlines() == ["error: --init-file requires --init file"]
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "case", ["single-hmm-model", "init-without-file", "ladder-not-integer", "oracle-mixture"]
+    )
+    def test_wrong_model_kind_or_option_is_one_error_line(self, runner, tmp_path, case):
+        leaves = str(two_leaf_mixture(tmp_path))
+        hmm = tmp_path / "hmm.json"
+        save_model(Hmm([1.0], [[1.0]], [[1.0]], [[[0.0]]], [[[1.0]]]), hmm)
+        args, message = {
+            "single-hmm-model": (
+                ["reduce", "--model", str(hmm), "--kr", "1"],
+                f"{hmm} holds a single HMM; reduce needs a mixture",
+            ),
+            "init-without-file": (
+                ["reduce", "--model", leaves, "--kr", "1", "--init", "file"],
+                "--init file requires --init-file",
+            ),
+            "ladder-not-integer": (
+                ["hier", "--model", leaves, "--ladder", "2,x"],
+                "bad --ladder '2,x': invalid literal for int() with base 10: 'x'",
+            ),
+            "oracle-mixture": (
+                ["mc-oracle", "--base", leaves, "--reduced", leaves],
+                "mc-oracle expects single-HMM model files",
+            ),
+        }[case]
+        out = tmp_path / "o"
+        result = runner.invoke(main, [*args, "--out", str(out)])
+        assert result.exit_code == 1
+        assert isinstance(result.exception, SystemExit)
+        assert result.output.splitlines() == [f"error: {message}"]
+        assert not out.exists()
+
     def test_synth_zero_states_rejected(self, runner, tmp_path):
         out = tmp_path / "o"
         result = runner.invoke(main, [

@@ -303,6 +303,12 @@ class TestSolvers:
         with pytest.raises(DegenerateWeightsError):
             solve_softmax_log([-np.inf, -np.inf])
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_softmax_log_rejects_nan_and_inf(self, bad):
+        with pytest.raises(ValueError) as info:
+            solve_softmax_log([0.0, bad])
+        assert str(info.value) == f"log-weights must be finite or -inf, got {np.array([0.0, bad])}"
+
     def test_softmax_agrees_with_weighted_on_logs(self, rng):
         raw = rng.uniform(0.1, 5.0, size=5)
         probs, _ = solve_softmax_log(np.log(raw))

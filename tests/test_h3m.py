@@ -18,7 +18,6 @@ from h3mkit import (
     Sequence,
     baum_welch,
     best_label_accuracy,
-    forward_loglik,
     forward_loglik_batch,
     h3m_em,
     mc_expected_loglik,
@@ -53,6 +52,29 @@ class TestH3mModel:
                 assert np.shares_memory(row, stack[j]) and not np.shares_memory(row, stack[1 - j])
                 assert row.tobytes() == stack[j].tobytes()
 
+    @pytest.mark.parametrize(
+        "weights, components, message",
+        [
+            ([[1.0]], [std_normal_hmm()], "mixture weights must be a vector"),
+            ([], [], "mixture needs at least one component"),
+            ([1.0], [std_normal_hmm()] * 2, "1 weights for 2 components"),
+            (
+                [0.5, 0.5],
+                [
+                    Hmm([0.5, 0.5], np.full((2, 2), 0.5), np.ones((2, 1)), np.zeros((2, 1, 2)),
+                        np.ones((2, 1, 2))),
+                    Hmm([1.0], [[1.0]], [[1.0]], [[[0.0, 0.0]]], [[[1.0, 1.0]]]),
+                ],
+                "component 1 has (N=1, M=1, d=2, diagonal), expected (N=2, M=1, d=2, diagonal)",
+            ),
+        ],
+        ids=["weight-matrix", "empty", "weight-count", "shapes"],
+    )
+    def test_malformed_mixture_rejected(self, weights, components, message):
+        with pytest.raises(InvalidModelError) as info:
+            H3m(weights, components)
+        assert str(info.value) == message
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_weights_rejected(self, bad):
         with pytest.raises(InvalidModelError, match="mixture weights sums to"):
@@ -71,6 +93,11 @@ class TestAssignmentMatrix:
     def test_bad_row_rejected_and_named(self, row, message):
         with pytest.raises(InvalidModelError, match=message):
             AssignmentMatrix(np.array([[0.25, 0.75], row]))
+
+    def test_vector_rejected(self):
+        with pytest.raises(InvalidModelError) as info:
+            AssignmentMatrix([0.5, 0.5])
+        assert str(info.value) == "assignment matrix must be 2-dimensional"
 
     def test_rows_within_tolerance_accepted(self):
         z = AssignmentMatrix([[1.0, 0.0], [0.5, 0.5 + 1e-13]])
@@ -92,13 +119,10 @@ class TestH3mEm:
         bw = baum_welch(data, 2, 1, EmConfig(max_iters=15), np.random.default_rng(7))
         em = h3m_em(data, 1, 2, 1, EmConfig(max_iters=15), np.random.default_rng(7))
         assert bw.loglik_trace == em.loglik_trace
-        np.testing.assert_array_equal(bw.model.initial, em.model.components[0].initial)
-        np.testing.assert_array_equal(bw.model.transitions, em.model.components[0].transitions)
-        for g1, g2 in zip(bw.model.emissions, em.model.components[0].emissions):
-            np.testing.assert_array_equal(g1.weights, g2.weights)
-            for c1, c2 in zip(g1.components, g2.components):
-                np.testing.assert_array_equal(c1.mean, c2.mean)
-                np.testing.assert_array_equal(c1.cov, c2.cov)
+        for name in ("initial", "transitions", "mix_weights", "means", "covs"):
+            np.testing.assert_array_equal(
+                getattr(bw.model, name), getattr(em.model.components[0], name)
+            )
 
     def test_k1_multi_start_matches_baum_welch(self, rng):
         model = random_hmm(rng, n_states=2, n_mix=1, mean_scale=3.0)
@@ -189,6 +213,46 @@ class TestH3mEm:
         assert starts[0] is not starts[1]
         assert np.all(fit.model.weights > 0.2)
 
+    def test_reseed_from_too_few_distinct_vectors_starts_from_all_the_data(self, monkeypatch):
+        # The constant sequence is the worst modeled one when a component
+        # starves. Its one distinct vector cannot seed two states, so that
+        # reseed starts from a fit to all the sequences.
+        calls, init = [], h3m_module._init_hmm
+
+        def recorded_init(data, *args):
+            try:
+                model = init(data, *args)
+            except EstimationError:
+                calls.append((len(data), "raised"))
+                raise
+            calls.append((len(data), "ok"))
+            return model
+
+        monkeypatch.setattr(h3m_module, "_init_hmm", recorded_init)
+        dataset, _ = synth_benchmark(
+            2, 15, 8.0, np.random.default_rng(0), n_states=2, n_mix=1, dim=1, tau=10,
+            kind="sequences",
+        )
+        data = dataset.sequences + [Sequence(np.zeros((10, 1)))]
+        config = EmConfig(max_iters=15)
+        fit = h3m_em(data, 3, 2, 1, config, np.random.default_rng(2))
+        reseed_calls = calls[3:]  # after one start per component
+        assert reseed_calls[:2] == [(1, "raised"), (len(data), "ok")]
+        assert fit.reseeds == sum(n == 1 for n, _ in reseed_calls) == 2
+        assert all(
+            following == (len(data), "ok")
+            for call, following in zip(reseed_calls, reseed_calls[1:])
+            if call == (1, "raised")
+        )
+        again = h3m_em(data, 3, 2, 1, config, np.random.default_rng(2))
+        assert again.loglik_trace == fit.loglik_trace and again.reseeds == fit.reseeds
+        assert again.posteriors.tobytes() == fit.posteriors.tobytes()
+        for stack, other in zip(again.model.arrays, fit.model.arrays):
+            assert stack.tobytes() == other.tobytes()
+        trace = np.array(fit.loglik_trace)
+        drops = np.diff(trace) < -1e-8 * np.abs(trace[:-1])
+        assert drops.sum() <= fit.reseeds
+
 
     @staticmethod
     def count_passes(monkeypatch):
@@ -272,7 +336,10 @@ class TestH3mEm:
         assert sorted(calls["stats"]) == [1] * fit.reseeds * n_groups + [3] * max_iters * n_groups
         assert calls["forward"] == [3] * n_groups
         # The forward-only pass fills the posteriors in sequence order.
-        lls = np.array([[forward_loglik(c, seq) for c in fit.model.components] for seq in data])
+        lls = np.array([
+            [forward_loglik_batch(c, seq.observations[None])[0] for c in fit.model.components]
+            for seq in data
+        ])
         log_joint = np.log(fit.model.weights)[None, :] + lls
         expected = np.exp(log_joint - np.logaddexp.reduce(log_joint, axis=1, keepdims=True))
         np.testing.assert_allclose(fit.posteriors, expected, rtol=0, atol=1e-10)
@@ -282,7 +349,10 @@ class TestH3mEm:
         model = random_hmm(rng, n_states=2, n_mix=1, mean_scale=3.0)
         data = [Sequence(sample_batch(model, 6 + i % 3, 1, rng)[0][0]) for i in range(24)]
         fit = h3m_em(data, 2, 2, 1, EmConfig(max_iters=5), np.random.default_rng(0))
-        lls = np.array([[forward_loglik(c, seq) for c in fit.model.components] for seq in data])
+        lls = np.array([
+            [forward_loglik_batch(c, seq.observations[None])[0] for c in fit.model.components]
+            for seq in data
+        ])
         log_joint = np.log(fit.model.weights)[None, :] + lls
         expected = np.exp(log_joint - np.logaddexp.reduce(log_joint, axis=1, keepdims=True))
         np.testing.assert_allclose(fit.posteriors, expected, rtol=0, atol=1e-10)

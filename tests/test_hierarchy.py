@@ -7,7 +7,9 @@ import pytest
 from scipy.optimize import linear_sum_assignment
 
 from h3mkit import (
+    H3m,
     Hmm,
+    InvalidModelError,
     VhemConfig,
     best_label_accuracy,
     hier_cluster,
@@ -15,6 +17,7 @@ from h3mkit import (
     rand_index,
     synth_benchmark,
 )
+from h3mkit.hmm import _Stacked
 
 
 def pairwise_rand_index(a, b):
@@ -58,6 +61,11 @@ class TestRandIndex:
         with pytest.raises(ValueError):
             rand_index([1, 2], [1, 2, 3])
 
+    def test_fewer_than_two_items_rejected(self):
+        with pytest.raises(ValueError) as info:
+            rand_index([1], [1])
+        assert str(info.value) == "need at least two items"
+
     def test_matches_pairwise_definition(self, rng):
         for n in (2, 3, 17, 60):
             for _ in range(5):
@@ -98,6 +106,12 @@ class TestBestLabelAccuracy:
 
     def test_partial(self):
         assert best_label_accuracy([0, 0, 1, 1], [0, 1, 1, 1]) == pytest.approx(0.75)
+
+    def test_length_mismatch_rejected_and_no_items_score_zero(self):
+        with pytest.raises(ValueError) as info:
+            best_label_accuracy([0, 1], [0])
+        assert str(info.value) == "label lists have different lengths"
+        assert best_label_accuracy([], []) == 0.0
 
     def test_matches_enumeration(self):
         rng = np.random.default_rng(8)
@@ -145,6 +159,36 @@ class TestHierCluster:
         levels = hier_cluster([two_state_leaf(0.0)], [1], VhemConfig(k_reduced=1, seed=0))
         assert levels[1].parent_of == {0: 0}
         assert leaf_labels(levels, 1) == [0]
+        with pytest.raises(IndexError) as info:
+            leaf_labels(levels, 2)
+        assert str(info.value) == "level 2 out of range"
+
+    def test_no_leaves_rejected(self):
+        with pytest.raises(InvalidModelError) as info:
+            hier_cluster([], [1], VhemConfig(k_reduced=1))
+        assert str(info.value) == "no leaves to cluster"
+
+    @pytest.mark.parametrize("cov_type", ["diag", "full"])
+    def test_clusters_the_mixture_it_is_given(self, cov_type):
+        # Level 0 is the given mixture's own stack, with uniform weights
+        # whatever the mixture's; a list of its components gives the same
+        # tree, bit for bit.
+        leaves, _ = synth_benchmark(
+            3, 4, 3.0, np.random.default_rng(5), n_mix=2, dim=2, cov_type=cov_type
+        )
+        base = H3m(np.random.default_rng(6).dirichlet(np.ones(12)), leaves)
+        config = VhemConfig(k_reduced=3, seed=2, max_iters=10)
+        levels = hier_cluster(base, [3, 1], config)
+        np.testing.assert_array_equal(levels[0].models.weights, np.full(12, 1 / 12))
+        for name, stack in zip(_Stacked._fields, levels[0].models.arrays):
+            assert np.shares_memory(stack, getattr(base.arrays, name)), name
+        from_list = hier_cluster(list(base.components), [3, 1], config)
+        assert [lvl.level_size for lvl in levels] == [lvl.level_size for lvl in from_list]
+        for level, other in zip(levels, from_list):
+            assert level.parent_of == other.parent_of
+            assert level.models.weights.tobytes() == other.models.weights.tobytes()
+            for stack, other_stack in zip(level.models.arrays, other.models.arrays):
+                assert stack.tobytes() == other_stack.tobytes()
 
     def test_path_consistency(self):
         leaves, _ = synth_benchmark(4, 3, 4.0, np.random.default_rng(0))

@@ -24,7 +24,6 @@ from h3mkit import (
     Sequence,
     VhemConfig,
     baum_welch,
-    forward_loglik,
     forward_loglik_batch,
     load_model,
     sample_batch,
@@ -47,11 +46,11 @@ def enumeration_loglik(model: Hmm, obs: np.ndarray) -> float:
         log_pi, log_a = np.log(model.initial), np.log(model.transitions)
     log_b = np.empty((tau, model.n_states))
     for t, state in itertools.product(range(tau), range(model.n_states)):
-        gmm = model.emissions[state]
         log_b[t, state] = scipy_logsumexp([
             math.log(w) + multivariate_normal.logpdf(
-                obs[t], mean=c.mean, cov=np.diag(c.cov) if c.cov.ndim == 1 else c.cov)
-            for w, c in zip(gmm.weights, gmm.components)
+                obs[t], mean=mean, cov=np.diag(cov) if cov.ndim == 1 else cov)
+            for w, mean, cov in zip(
+                model.mix_weights[state], model.means[state], model.covs[state])
         ])
     paths = [
         log_pi[path[0]] + log_b[0, path[0]] + sum(
@@ -125,24 +124,24 @@ class TestForward:
         model = Hmm([1.0], [[1.0]], [[1.0]], [[[0.5]]], [[[2.0]]])
         obs = rng.normal(size=(6, 1))
         expected = float(np.sum(multivariate_normal.logpdf(obs, mean=[0.5], cov=[[2.0]])))
-        assert forward_loglik(model, Sequence(obs)) == pytest.approx(expected, abs=1e-12)
+        assert forward_loglik_batch(model, obs[None])[0] == pytest.approx(expected, abs=1e-12)
 
     def test_length_one_marginal(self, rng):
         model = random_hmm(rng, n_states=3, n_mix=2)
         y = rng.normal(size=(1, 1))
         per_state = np.array([
-            logsumexp([math.log(w) + multivariate_normal.logpdf(y[0], c.mean, np.diag(c.cov))
-                       for w, c in zip(gmm.weights, gmm.components)])
-            for gmm in model.emissions
+            logsumexp([math.log(w) + multivariate_normal.logpdf(y[0], mean, np.diag(cov))
+                       for w, mean, cov in zip(weights, means, covs)])
+            for weights, means, covs in zip(model.mix_weights, model.means, model.covs)
         ])
         expected = float(np.log(np.sum(model.initial * np.exp(per_state))))
-        assert forward_loglik(model, Sequence(y)) == pytest.approx(expected, abs=1e-10)
+        assert forward_loglik_batch(model, y[None])[0] == pytest.approx(expected, abs=1e-10)
 
     def test_matches_enumeration_2_states(self, rng):
         model = random_hmm(rng, n_states=2, n_mix=1, dim=1)
         obs, _ = sample_batch(model, 4, 1, rng)
         expected = enumeration_loglik(model, obs[0])
-        assert forward_loglik(model, Sequence(obs[0])) == pytest.approx(expected, abs=1e-9)
+        assert forward_loglik_batch(model, obs[:1])[0] == pytest.approx(expected, abs=1e-9)
 
     def test_matches_enumeration_property(self, rng):
         # All shapes with N^tau <= 10^4; full covariances in d=3 as well.
@@ -152,7 +151,7 @@ class TestForward:
             model = random_hmm(rng, n_states=n_states, n_mix=2, dim=dim, cov_type=cov_type)
             obs, _ = sample_batch(model, tau, 1, rng)
             expected = enumeration_loglik(model, obs[0])
-            assert forward_loglik(model, Sequence(obs[0])) == pytest.approx(expected, abs=1e-9)
+            assert forward_loglik_batch(model, obs[:1])[0] == pytest.approx(expected, abs=1e-9)
         # Zero-probability transitions: a left-to-right chain that starts in state 0.
         for n_states, tau, cov_type in [(3, 5, "diag"), (4, 4, "full")]:
             model = random_hmm(rng, n_states=n_states, n_mix=2, dim=2, cov_type=cov_type)
@@ -163,12 +162,12 @@ class TestForward:
             )
             obs, _ = sample_batch(model, tau, 1, rng)
             expected = enumeration_loglik(model, obs[0])
-            assert forward_loglik(model, Sequence(obs[0])) == pytest.approx(expected, abs=1e-9)
+            assert forward_loglik_batch(model, obs[:1])[0] == pytest.approx(expected, abs=1e-9)
         # At t=0 only state 0 is reachable, and its density is exp(-800) times
         # state 1's; with tau=1 that is also the last step.
         for obs in ([[40.0], [0.0]], [[40.0]]):
             model, obs = underflow_model(), np.array(obs)
-            got = forward_loglik(model, Sequence(obs))
+            got = forward_loglik_batch(model, obs[None])[0]
             assert math.isfinite(got)
             assert got == pytest.approx(enumeration_loglik(model, obs), abs=1e-9)
 
@@ -182,7 +181,7 @@ class TestForward:
             math.log(0.5) + norm.logpdf(x, 0.0, 1.0).sum(),
             math.log(0.5) + norm.logpdf(x, 10.0, 1.0).sum(),
         )
-        assert forward_loglik(model, Sequence(x[:, None])) == pytest.approx(expected, rel=1e-12)
+        assert forward_loglik_batch(model, x[None, :, None])[0] == pytest.approx(expected, rel=1e-12)
         stats, lls = one_row_pass(model, x[None, :, None])
         assert lls[0] == pytest.approx(expected, rel=1e-12)
         np.testing.assert_allclose(stats.pi[0], [0.0, 1.0], atol=1e-12)
@@ -191,7 +190,7 @@ class TestForward:
         model = random_hmm(rng, n_states=3, n_mix=2, dim=2)
         obs, _ = sample_batch(model, 7, 5, rng)
         batch = forward_loglik_batch(model, obs)
-        singles = [forward_loglik(model, Sequence(o)) for o in obs]
+        singles = [forward_loglik_batch(model, o[None])[0] for o in obs]
         np.testing.assert_allclose(batch, singles, atol=1e-12)
 
     def test_batch_equals_expected_stats_logliks(self, rng):
@@ -204,8 +203,14 @@ class TestForward:
 
     def test_dimension_mismatch(self, rng):
         model = random_hmm(rng, dim=2)
-        with pytest.raises(InvalidModelError):
-            forward_loglik(model, Sequence(np.zeros((3, 1))))
+        with pytest.raises(InvalidModelError) as info:
+            forward_loglik_batch(model, np.zeros((1, 3, 1)))
+        assert str(info.value) == "observation dimension 1 does not match model dimension 2"
+
+    def test_batch_shape_rejected(self, rng):
+        with pytest.raises(InvalidModelError) as info:
+            forward_loglik_batch(random_hmm(rng), np.zeros((3, 1)))
+        assert str(info.value) == "batch must be (S, tau, d), got shape (3, 1)"
 
     def test_empty_sequence_rejected(self):
         with pytest.raises(InvalidModelError):
@@ -289,11 +294,6 @@ class TestConstruction:
         assert model.mix_weights.shape == (3, 2)
         assert model.means.shape == (3, 2, 2)
         assert model.covs.shape == ((3, 2, 2) if cov_type == "diag" else (3, 2, 2, 2))
-        for state, gmm in enumerate(model.emissions):
-            np.testing.assert_array_equal(model.mix_weights[state], gmm.weights)
-            for comp, g in enumerate(gmm.components):
-                np.testing.assert_array_equal(model.means[state, comp], g.mean)
-                np.testing.assert_array_equal(model.covs[state, comp], g.cov)
         rebuilt = Hmm(
             model.initial, model.transitions, model.mix_weights, model.means, model.covs
         )
@@ -317,6 +317,17 @@ class TestConstruction:
     def test_zero_dimensional_observations_rejected(self):
         with pytest.raises(InvalidModelError, match=r"d >= 1, got shape \(2, 0\)"):
             Sequence(np.empty((2, 0)))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_observations_rejected(self, bad):
+        with pytest.raises(InvalidModelError) as info:
+            Sequence([[0.0], [bad]])
+        assert str(info.value) == "observations contain non-finite values"
+
+    def test_config_rejects_unknown_cov_type(self):
+        with pytest.raises(ValueError) as info:
+            EmConfig(cov_type="spherical")
+        assert str(info.value) == "cov_type must be 'diag' or 'full', got 'spherical'"
 
     @pytest.mark.parametrize(
         "bad", [{"cov_floor": np.nan}, {"cov_floor": np.inf}, {"cov_floor": 0.0}, {"tol": np.nan}]
@@ -393,6 +404,22 @@ BAD_MODELS = {
 }
 
 
+# name: (mutation of valid_arrays("diag"), the constructor's whole message)
+BAD_SHAPES = {
+    "initial matrix": (replace("initial", np.full((2, 2), 0.5)), "initial must be a vector"),
+    "transitions shape": (
+        replace("transitions", np.full((2, 3), 1 / 3)), "transitions must be (2, 2), got (2, 3)"
+    ),
+    "means per state": (
+        replace("means", np.zeros((2, 2))), "means must be 3-dimensional, got shape (2, 2)"
+    ),
+    "mixture weights shape": (
+        replace("mix_weights", np.full((2, 3), 1 / 3)),
+        "mixture weights have shape (2, 3), expected (2, 2)",
+    ),
+}
+
+
 def bad_model(case: str) -> tuple[dict, str | None]:
     cov_type, mutate, where = BAD_MODELS[case]
     arrays = valid_arrays(cov_type)
@@ -409,6 +436,15 @@ class TestArrayCheck:
         arrays, where = bad_model(case)
         with pytest.raises(InvalidModelError, match=re.escape(where) if where else None):
             Hmm(**arrays)
+
+    @pytest.mark.parametrize("case", BAD_SHAPES)
+    def test_constructor_names_bad_shapes(self, case):
+        mutate, message = BAD_SHAPES[case]
+        arrays = valid_arrays("diag")
+        mutate(arrays)
+        with pytest.raises(InvalidModelError) as info:
+            Hmm(**arrays)
+        assert str(info.value) == message
 
     @pytest.mark.parametrize("case", BAD_MODELS)
     def test_from_arrays_rejects(self, case):
@@ -727,9 +763,8 @@ class TestBaumWelch:
         data = [Sequence(rng.normal(2.0, 1.5, size=(30, 1))) for _ in range(5)]
         fit = baum_welch(data, 1, 1, EmConfig(max_iters=3), np.random.default_rng(0))
         pooled = np.concatenate([s.observations for s in data])
-        comp = fit.model.emissions[0].components[0]
-        assert comp.mean[0] == pytest.approx(pooled.mean(), abs=1e-9)
-        assert comp.cov[0] == pytest.approx(pooled.var(), abs=1e-9)
+        assert fit.model.means[0, 0, 0] == pytest.approx(pooled.mean(), abs=1e-9)
+        assert fit.model.covs[0, 0, 0] == pytest.approx(pooled.var(), abs=1e-9)
 
     def test_trace_monotone(self, rng):
         model = random_hmm(rng, n_states=2, n_mix=2, dim=2, mean_scale=3.0)
@@ -738,6 +773,11 @@ class TestBaumWelch:
         trace = np.array(fit.loglik_trace)
         deltas = np.diff(trace)
         assert np.all(deltas >= -1e-8 * np.abs(trace[:-1]))
+
+    def test_no_sequences_rejected(self):
+        with pytest.raises(EstimationError) as info:
+            baum_welch([], 1, 1)
+        assert str(info.value) == "no sequences provided"
 
     def test_degenerate_data_rejected(self):
         data = [Sequence(np.zeros((10, 1)))]
@@ -751,8 +791,7 @@ class TestBaumWelch:
         m = fit.model
         assert m.initial.sum() == pytest.approx(1.0, abs=1e-12)
         np.testing.assert_allclose(m.transitions.sum(axis=1), 1.0, atol=1e-12)
-        for gmm in m.emissions:
-            assert gmm.weights.sum() == pytest.approx(1.0, abs=1e-12)
+        np.testing.assert_allclose(m.mix_weights.sum(axis=1), 1.0, atol=1e-12)
 
     def test_one_state_round_trip_mean(self, rng):
         truth = Hmm([1.0], [[1.0]], [[1.0]], [[[3.0]]], [[[4.0]]])
@@ -760,7 +799,7 @@ class TestBaumWelch:
         fit = baum_welch(data, 1, 1, EmConfig(max_iters=5), np.random.default_rng(3))
         n_obs = 100 * 100
         stderr = math.sqrt(4.0 / n_obs)
-        assert abs(fit.model.emissions[0].components[0].mean[0] - 3.0) < 3 * stderr
+        assert abs(fit.model.means[0, 0, 0] - 3.0) < 3 * stderr
 
     def test_full_covariance_fit(self, rng):
         cov = np.array([[1.5, 0.6], [0.6, 1.0]])
@@ -769,6 +808,6 @@ class TestBaumWelch:
         fit = baum_welch(
             data, 1, 1, EmConfig(max_iters=5, cov_type="full"), np.random.default_rng(4)
         )
-        fitted = fit.model.emissions[0].components[0].cov
+        fitted = fit.model.covs[0, 0]
         assert fitted.shape == (2, 2)
         np.testing.assert_allclose(fitted, cov, atol=0.15)

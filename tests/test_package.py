@@ -21,13 +21,14 @@ REMOVED = {
         "EmissionResponsibility", "gmm_responsibilities", "gmm_expected_loglik_bound",
         "h3m_sample", "h3m_loglik", "h3m_loglik_batch", "sample", "lower_bound",
         "gauss_expected_loglik", "expected_loglik_table", "SummaryStats", "summary_stats",
+        "forward_loglik",
     ],
     h3mkit.gaussians: [
         "EmissionResponsibility", "gmm_responsibilities", "gmm_expected_loglik_bound",
         "gauss_expected_loglik", "expected_loglik_table",
     ],
     h3mkit.h3m: ["h3m_sample", "h3m_loglik", "h3m_loglik_batch"],
-    h3mkit.hmm: ["sample"],
+    h3mkit.hmm: ["sample", "forward_loglik"],
     h3mkit.reduction: [
         "lower_bound", "SummaryStats", "summary_stats", "_summary", "_virtual_stats",
     ],
@@ -36,6 +37,7 @@ REMOVED_METHODS = {
     h3mkit.Gaussian: ["log_density", "sample", "log_det"],
     h3mkit.GaussianMixture: ["log_density", "sample"],
     h3mkit.Hmm: ["from_arrays"],
+    h3mkit.SequenceDataset: ["dim"],
 }
 
 

@@ -254,6 +254,7 @@ class TestVhemConfig:
             ({"max_iters": 2.5}, "max_iters must be an integer, got 2.5"),
             ({"n_restarts": 2.5}, "n_restarts must be an integer, got 2.5"),
             ({"k_reduced": np.nan}, "k_reduced must be an integer, got nan"),
+            ({"init": "kmeans"}, "^unknown init 'kmeans'$"),
         ],
     )
     def test_rejects_non_finite_virtual_mass_and_fractional_counts(self, bad, match):
@@ -457,12 +458,9 @@ class TestMstep:
         )
         # With M = 1 the emission mean is the occupancy-weighted base mean.
         occ = nu_per_step.sum(axis=0)  # (N_r, N_b)
-        base_means = np.array([g.components[0].mean for g in base_hmm.emissions])
         for rho in range(2):
-            expected = (occ[rho] @ base_means) / occ[rho].sum()
-            np.testing.assert_allclose(
-                new.components[0].emissions[rho].components[0].mean, expected, atol=1e-10
-            )
+            expected = (occ[rho] @ base_hmm.means[:, 0]) / occ[rho].sum()
+            np.testing.assert_allclose(new.components[0].means[rho, 0], expected, atol=1e-10)
 
     def test_identical_base_fixed_point(self, rng):
         # States far enough apart that the couplings resolve; the shared
@@ -483,13 +481,8 @@ class TestMstep:
         comp = new.components[0]
         np.testing.assert_allclose(comp.initial, shared.initial, atol=1e-8)
         np.testing.assert_allclose(comp.transitions, shared.transitions, atol=1e-8)
-        for g_new, g_old in zip(comp.emissions, shared.emissions):
-            np.testing.assert_allclose(
-                g_new.components[0].mean, g_old.components[0].mean, atol=1e-8
-            )
-            np.testing.assert_allclose(
-                g_new.components[0].cov, g_old.components[0].cov, atol=1e-8
-            )
+        np.testing.assert_allclose(comp.means, shared.means, atol=1e-8)
+        np.testing.assert_allclose(comp.covs, shared.covs, atol=1e-8)
 
     def test_weight_update_count_ratio(self, rng):
         comps = [gaussian_hmm(float(i)) for i in range(4)]
@@ -518,10 +511,8 @@ class TestMstep:
         for comp in new.components:
             assert comp.initial.sum() == pytest.approx(1.0, abs=1e-12)
             np.testing.assert_allclose(comp.transitions.sum(axis=1), 1.0, atol=1e-12)
-            for gmm in comp.emissions:
-                assert gmm.weights.sum() == pytest.approx(1.0, abs=1e-12)
-                for g in gmm.components:
-                    assert np.all(np.atleast_1d(g.cov)[np.diag_indices(1)[0]] >= 1e-6)
+            np.testing.assert_allclose(comp.mix_weights.sum(axis=1), 1.0, atol=1e-12)
+            assert np.all(comp.covs >= 1e-6)
 
 
     @pytest.mark.parametrize("cov_type", ["diag", "full"])
@@ -560,22 +551,22 @@ class TestMstep:
                 for i, beta, m, rho, l in itertools.product(
                     range(k_b), range(n_b), range(m_b), range(n_r), range(m_r)
                 ):
-                    gmm = base.components[i].emissions[beta]
+                    b = base.components[i]
                     weight = (
                         z.z[i, j] * counts[i] * occupancy[i][j][0][:, rho, beta].sum()
-                        * gmm.weights[m] * pairs[i][j].eta[beta, rho, m, l]
+                        * b.mix_weights[beta, m] * pairs[i][j].eta[beta, rho, m, l]
                     )
-                    yield rho, l, weight, gmm.components[m]
+                    yield rho, l, weight, b.means[beta, m], b.covs[beta, m]
 
-            for rho, l, weight, comp in terms():
+            for rho, l, weight, mean, _ in terms():
                 mass[rho, l] += weight
-                mean_num[rho, l] += weight * comp.mean
+                mean_num[rho, l] += weight * mean
             means = mean_num / mass[..., None]
-            covs = np.zeros((n_r, m_r) + base.components[0].emissions[0].components[0].cov.shape)
-            for rho, l, weight, comp in terms():
-                dev = comp.mean - means[rho, l]
+            covs = np.zeros((n_r, m_r) + base.arrays.covs.shape[3:])
+            for rho, l, weight, mean, cov in terms():
+                dev = mean - means[rho, l]
                 spread = dev * dev if cov_type == "diag" else np.outer(dev, dev)
-                covs[rho, l] += weight * (comp.cov + spread) / mass[rho, l]
+                covs[rho, l] += weight * (cov + spread) / mass[rho, l]
             expected.append(
                 (pi / pi.sum(), trans / trans.sum(axis=1, keepdims=True),
                  mass / mass.sum(axis=1, keepdims=True), means, covs)
@@ -597,18 +588,17 @@ class TestMstep:
         for comp, (initial, transitions, mix, means, covs) in zip(new.components, expected):
             np.testing.assert_allclose(comp.initial, initial, rtol=0, atol=1e-10)
             np.testing.assert_allclose(comp.transitions, transitions, rtol=0, atol=1e-10)
-            for rho, gmm in enumerate(comp.emissions):
-                np.testing.assert_allclose(gmm.weights, mix[rho], rtol=0, atol=1e-10)
-                for l, g in enumerate(gmm.components):
-                    cov = covs[rho, l]
-                    if cov_type == "diag":
-                        cov = np.maximum(cov, floor)
-                    else:
-                        # The eigenvalues below the floor raised to it, eigenvectors kept.
-                        values, vectors = np.linalg.eigh(cov)
-                        cov = (vectors * np.maximum(values, floor)) @ vectors.T
-                    np.testing.assert_allclose(g.mean, means[rho, l], rtol=0, atol=1e-10)
-                    np.testing.assert_allclose(g.cov, cov, rtol=0, atol=1e-10)
+            np.testing.assert_allclose(comp.mix_weights, mix, rtol=0, atol=1e-10)
+            np.testing.assert_allclose(comp.means, means, rtol=0, atol=1e-10)
+            for rho, l in np.ndindex(mix.shape):
+                cov = covs[rho, l]
+                if cov_type == "diag":
+                    cov = np.maximum(cov, floor)
+                else:
+                    # The eigenvalues below the floor raised to it, eigenvectors kept.
+                    values, vectors = np.linalg.eigh(cov)
+                    cov = (vectors * np.maximum(values, floor)) @ vectors.T
+                np.testing.assert_allclose(comp.covs[rho, l], cov, rtol=0, atol=1e-10)
 
 
 class TestVhemReduce:
@@ -659,15 +649,10 @@ class TestVhemReduce:
         leaves, _ = synth_benchmark(3, 3, 4.0, np.random.default_rng(2))
         base = H3m(np.full(9, 1 / 9), leaves)
         result = vhem_reduce(base, VhemConfig(k_reduced=1, seed=0))
-        all_means = np.concatenate(
-            [
-                [c.mean[0] for g in hmm.emissions for c in g.components]
-                for hmm in base.components
-            ]
-        )
-        for gmm in result.reduced.components[0].emissions:
-            for comp in gmm.components:
-                assert all_means.min() - 1e-9 <= comp.mean[0] <= all_means.max() + 1e-9
+        all_means = base.arrays.means[..., 0]
+        reduced_means = result.reduced.arrays.means[..., 0]
+        assert all_means.min() - 1e-9 <= reduced_means.min()
+        assert reduced_means.max() <= all_means.max() + 1e-9
 
     def test_bound_monotone(self):
         leaves, _ = synth_benchmark(4, 5, 4.0, np.random.default_rng(3))
@@ -1152,10 +1137,10 @@ class TestSeededDrawOrder:
         draws = np.random.default_rng(1)
         chosen = draws.choice(4, size=2, replace=False, p=base.weights)
         for out, hmm in zip(reduced.components, [base.components[i] for i in chosen]):
-            for gmm, base_gmm in zip(out.emissions, hmm.emissions):
-                for comp, base_comp in zip(gmm.components, base_gmm.components):
-                    expected = base_comp.mean * (1.0 + draws.uniform(-0.01, 0.01, size=2))
-                    np.testing.assert_array_equal(comp.mean, expected)
+            # One draw per (state, component), state-major.
+            for mean, base_mean in zip(out.means.reshape(-1, 2), hmm.means.reshape(-1, 2)):
+                expected = base_mean * (1.0 + draws.uniform(-0.01, 0.01, size=2))
+                np.testing.assert_array_equal(mean, expected)
             np.testing.assert_array_equal(out.covs, hmm.covs)
 
     @pytest.mark.parametrize("cov_type", ["diag", "full"])
@@ -1166,17 +1151,18 @@ class TestSeededDrawOrder:
         )
         config = VhemConfig(k_reduced=2, init="random")
         reduced = _init_reduced(base, config, np.random.default_rng(7))
-        pool = [c for h in base.components for g in h.emissions for c in g.components]
-        cov_avg = np.mean([c.cov for c in pool], axis=0)
+        # Every emission component of every base component, in order.
+        pool_means = base.arrays.means.reshape(-1, 2)
+        cov_avg = np.mean(base.arrays.covs.reshape((-1,) + base.arrays.covs.shape[3:]), axis=0)
         draws = np.random.default_rng(7)
         for hmm in reduced.components:
             np.testing.assert_array_equal(hmm.initial, draws.dirichlet(np.ones(2)))
             for row in hmm.transitions:
                 np.testing.assert_array_equal(row, draws.dirichlet(np.ones(2)))
-            for gmm in hmm.emissions:
-                np.testing.assert_array_equal(gmm.weights, draws.dirichlet(np.full(2, 5.0)))
-                for comp in gmm.components:
-                    mean = pool[draws.integers(len(pool))].mean
-                    expected = mean * (1.0 + draws.uniform(-0.1, 0.1, size=2))
-                    np.testing.assert_array_equal(comp.mean, expected)
-                    np.testing.assert_array_equal(comp.cov, cov_avg)
+            for weights, means, covs in zip(hmm.mix_weights, hmm.means, hmm.covs):
+                np.testing.assert_array_equal(weights, draws.dirichlet(np.full(2, 5.0)))
+                for mean, cov in zip(means, covs):
+                    pooled = pool_means[draws.integers(len(pool_means))]
+                    expected = pooled * (1.0 + draws.uniform(-0.1, 0.1, size=2))
+                    np.testing.assert_array_equal(mean, expected)
+                    np.testing.assert_array_equal(cov, cov_avg)

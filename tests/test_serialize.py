@@ -54,13 +54,8 @@ def model_arrays(draw) -> dict:
 
 
 def assert_hmm_equal(a: Hmm, b: Hmm):
-    np.testing.assert_array_equal(a.initial, b.initial)
-    np.testing.assert_array_equal(a.transitions, b.transitions)
-    for ga, gb in zip(a.emissions, b.emissions):
-        np.testing.assert_array_equal(ga.weights, gb.weights)
-        for ca, cb in zip(ga.components, gb.components):
-            np.testing.assert_array_equal(ca.mean, cb.mean)
-            np.testing.assert_array_equal(ca.cov, cb.cov)
+    for name in FIELDS:
+        np.testing.assert_array_equal(getattr(a, name), getattr(b, name))
 
 
 class TestModelRoundTrip:
@@ -180,6 +175,8 @@ class TestModelRoundTrip:
             ("weights", "mixture weights sums to 1.1, expected 1 within 1e-12"),
             ("count", "1 weights for 2 components"),
             ("shape", "component 1 has (N=3, M=1, d=1, diagonal), expected (N=2, M=1, d=1,"),
+            ("matrix", "mixture weights must be a vector"),
+            ("empty", "mixture needs at least one component"),
         ],
     )
     def test_mixture_errors_name_the_file(self, rng, tmp_path, fault, message):
@@ -190,6 +187,10 @@ class TestModelRoundTrip:
             doc["payload"]["weights"] = [0.5, 0.6]
         elif fault == "count":
             doc["payload"]["weights"] = [1.0]
+        elif fault == "matrix":
+            doc["payload"]["weights"] = [[0.5, 0.5]]
+        elif fault == "empty":
+            doc["payload"] = {"weights": [], "components": []}
         else:
             three = tmp_path / "three.json"
             save_model(random_hmm(rng, n_states=3), three)
@@ -197,6 +198,29 @@ class TestModelRoundTrip:
         path.write_text(json.dumps(doc))
         with pytest.raises(InvalidModelError, match=re.escape(f"{path}: {message}")):
             load_model(path)
+
+    @pytest.mark.parametrize(
+        "doc, message",
+        [
+            ({"kind": "hmm", "payload": {}}, "missing schema_version"),
+            ([], "missing schema_version"),
+            ({"schema_version": "1", "kind": "hmm"}, "missing payload"),
+        ],
+        ids=["no-version", "not-an-object", "no-payload"],
+    )
+    def test_document_errors_name_the_file(self, tmp_path, doc, message):
+        path = tmp_path / "d.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ModelFormatError) as info:
+            load_model(path)
+        assert str(info.value) == f"{path}: {message}"
+
+    def test_unknown_model_type_rejected(self, rng, tmp_path):
+        path = tmp_path / "s.json"
+        with pytest.raises(TypeError) as info:
+            save_model(random_hmm(rng).means, path)
+        assert str(info.value) == "cannot serialize ndarray"
+        assert not path.exists()
 
     def test_malformed_json(self, tmp_path):
         path = tmp_path / "broken.json"
@@ -297,6 +321,11 @@ class TestDataset:
         path.write_text("\n")
         with pytest.raises(ModelFormatError, match="empty"):
             load_dataset(path)
+
+    def test_label_count_rejected(self, rng):
+        with pytest.raises(InvalidModelError) as info:
+            SequenceDataset([Sequence(rng.normal(size=(3, 1)))] * 2, ["a"])
+        assert str(info.value) == "one label per sequence required"
 
     def test_inconsistent_dims_rejected(self, rng):
         with pytest.raises(InvalidModelError):

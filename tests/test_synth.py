@@ -34,11 +34,8 @@ class TestSynthBenchmark:
     def test_zero_separation_identical_prototypes(self):
         rng = np.random.default_rng(0)
         members, labels = synth_benchmark(3, 2, 0.0, rng)
-        means = [
-            np.stack([c.mean for g in m.emissions for c in g.components]) for m in members
-        ]
-        for other in means[1:]:
-            np.testing.assert_array_equal(means[0], other)
+        for other in members[1:]:
+            np.testing.assert_array_equal(members[0].means, other.means)
 
     def test_group_offsets(self):
         rng = np.random.default_rng(1)
@@ -48,7 +45,7 @@ class TestSynthBenchmark:
         # Group centers land at -6, -2, +2, +6 along the first dimension.
         for g in range(4):
             group_means = [
-                float(np.mean([c.mean[0] for gm in m.emissions for c in gm.components]))
+                float(np.mean(m.means[..., 0]))
                 for m, lab in zip(members, labels)
                 if lab == g
             ]
@@ -69,9 +66,7 @@ class TestSynthBenchmark:
         for ma, mb in zip(a, b):
             np.testing.assert_array_equal(ma.initial, mb.initial)
             np.testing.assert_array_equal(ma.transitions, mb.transitions)
-            for ga, gb in zip(ma.emissions, mb.emissions):
-                for ca, cb in zip(ga.components, gb.components):
-                    np.testing.assert_array_equal(ca.mean, cb.mean)
+            np.testing.assert_array_equal(ma.means, mb.means)
 
     def test_sequences_kind(self):
         rng = np.random.default_rng(3)
@@ -120,12 +115,11 @@ class TestSynthBenchmark:
             )
             for row, proto_row in zip(member.transitions, proto.transitions):
                 np.testing.assert_array_equal(row, draws.dirichlet(100.0 * proto_row + 1e-9))
-            for gmm, proto_gmm in zip(member.emissions, proto.emissions):
-                np.testing.assert_array_equal(gmm.weights, proto_gmm.weights)
-                for comp, proto_comp in zip(gmm.components, proto_gmm.components):
-                    expected = proto_comp.mean + draws.normal(0.0, 0.2, size=2)
-                    np.testing.assert_array_equal(comp.mean, expected)
-                    np.testing.assert_array_equal(comp.cov, proto_comp.cov)
+            np.testing.assert_array_equal(member.mix_weights, proto.mix_weights)
+            np.testing.assert_array_equal(member.covs, proto.covs)
+            # One draw per (state, component), state-major.
+            for mean, proto_mean in zip(member.means.reshape(-1, 2), proto.means.reshape(-1, 2)):
+                np.testing.assert_array_equal(mean, proto_mean + draws.normal(0.0, 0.2, size=2))
 
     @pytest.mark.parametrize("dim", [1, 3])
     @pytest.mark.parametrize("n_mix", [1, 2])
