@@ -25,10 +25,8 @@ from .h3m import (
     H3m,
     H3mFit,
     baum_welch,
-    compute_assignments,
     h3m_em,
     mc_expected_loglik,
-    mstep,
 )
 from .hierarchy import (
     HierarchyLevel,
@@ -83,7 +81,6 @@ __all__ = [
     "VhemConfig",
     "baum_welch",
     "best_label_accuracy",
-    "compute_assignments",
     "elhmm_bruteforce",
     "estep_pair",
     "forward_loglik_batch",
@@ -94,7 +91,6 @@ __all__ = [
     "load_dataset",
     "load_model",
     "mc_expected_loglik",
-    "mstep",
     "rand_index",
     "sample_batch",
     "save_dataset",

@@ -4,11 +4,13 @@ All likelihood-like quantities are carried in log domain; probabilities are
 never multiplied together directly. Covariances come in two layouts: diagonal
 (a length-d vector of variances) or full (a d x d symmetric positive-definite
 matrix). Every operation supports both, one layout at a time.
-``_check_emissions`` checks the emission arrays of every stack of HMMs, and
-``_cross_terms`` is the one expected log-likelihood kernel over stacked
-Gaussian pairs. ``Gaussian`` and ``GaussianMixture`` are plain records that
-only ``Hmm.emissions`` builds, from checked arrays: an output view that no
-function takes.
+``_check_emissions`` checks the emission arrays of every stack of HMMs,
+``_check_rows`` every stack of stochastic rows and ``_check_pair`` every pair
+of stacks. ``_cross_terms``, the one expected log-likelihood kernel over
+stacked Gaussian pairs, checks nothing; its public one-mixture form
+``gmm_expected_loglik_opt`` checks its raw arrays. ``Gaussian`` and
+``GaussianMixture`` are plain records that only ``Hmm.emissions`` builds, from
+checked arrays: an output view that no function takes.
 """
 
 from __future__ import annotations
@@ -44,38 +46,30 @@ def check_probability_vector(vec: np.ndarray, name: str, tol: float = WEIGHT_TOL
     """Raise InvalidModelError unless vec, a vector or a matrix of row
     vectors, is finite, nonnegative and sums to 1 within tol along every row.
     For a matrix the message names the first bad row as ``{name} {index}``."""
-    rows = np.atleast_2d(vec)
+    _check_rows(np.atleast_1d(vec), name, (), tol)
+
+
+def _check_rows(
+    rows: np.ndarray, name: str, axes: tuple[str, ...], tol: float = WEIGHT_TOL
+) -> None:
+    """``check_probability_vector`` over a stack with the leading axes
+    ``axes``, each entry a vector or a matrix of row vectors, in one pass; a
+    failure names its entry on ``axes`` (``_at``), then the row."""
     # A NaN or infinite entry makes its row's total NaN or infinite, which
     # fails "<= tol". With no negative (or NaN) entry no row holds -inf, so
     # no total is inf - inf. A valid input costs one minimum and one row sum;
     # the totals are then compared as Python floats, in the same arithmetic.
     if rows.size and rows.min() >= 0:
-        if all(abs(total - 1.0) <= tol for total in rows.sum(axis=1).tolist()):
+        if all(abs(total - 1.0) <= tol for total in np.ravel(rows.sum(axis=-1)).tolist()):
             return
     with np.errstate(invalid="ignore"):
-        totals = rows.sum(axis=1)
-    bad = (rows < 0).any(axis=1) | ~(np.abs(totals - 1.0) <= tol)
-    idx = int(bad.argmax())
-    label = name if vec.ndim == 1 else f"{name} {idx}"
-    if (rows[idx] < 0).any():
-        raise InvalidModelError(f"{label} has negative entries: {rows[idx]}")
-    raise InvalidModelError(f"{label} sums to {float(totals[idx])!r}, expected 1 within {tol}")
-
-
-def _check_rows(rows: np.ndarray, name: str, axes: tuple[str, ...]) -> None:
-    """``check_probability_vector(rows, name)`` over a stack with the leading
-    axes ``axes``, in one call; a failure names its entry on ``axes``."""
-    try:
-        check_probability_vector(rows.reshape(-1, rows.shape[-1]) if axes else rows, name)
-    except InvalidModelError:
-        ok = np.ones(rows.shape[: len(axes)], dtype=bool)
-        for index in np.ndindex(ok.shape):
-            try:
-                check_probability_vector(rows[index], name)
-            except InvalidModelError as exc:
-                ok[index] = False
-                raise InvalidModelError(_at(axes, ok) + str(exc)) from None
-        raise
+        totals = rows.sum(axis=-1)
+    ok = ~(rows < 0).any(axis=-1) & (np.abs(totals - 1.0) <= tol)
+    index = np.unravel_index(int(ok.argmin()), ok.shape)
+    label = _at(axes, ok) + (name if ok.ndim == len(axes) else f"{name} {index[-1]}")
+    if (rows[index] < 0).any():
+        raise InvalidModelError(f"{label} has negative entries: {rows[index]}")
+    raise InvalidModelError(f"{label} sums to {float(totals[index])!r}, expected 1 within {tol}")
 
 
 def _float_array(value, name: str) -> np.ndarray:
@@ -103,9 +97,10 @@ def _check_emissions(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Emission parameters as fresh float arrays, or InvalidModelError
     naming the first bad one by its position on ``axes``, one name per
-    leading axis, the last two the state and the mixture component. Means
-    are (..., d), covs (..., d) variances or (..., d, d) matrices, and
-    weights (...) rows of mixture weights. Checked: shapes,
+    leading axis, the last two the state and the mixture component (just
+    the component for one mixture). Means are (..., d), covs (..., d)
+    variances or (..., d, d) matrices, and weights (...) rows of mixture
+    weights. Checked: shapes,
     stochastic rows, finite means and covariances, positive variances,
     symmetric full covariances, and positive definite ones (one batched
     Cholesky)."""
@@ -126,7 +121,8 @@ def _check_emissions(
         raise InvalidModelError(
             f"mixture weights have shape {weights.shape}, expected {means.shape[:-1]}"
         )
-    _check_rows(weights, f"mixture weights of {axes[-2]}", axes[:-2])
+    rows = f"mixture weights of {axes[-2]}" if len(axes) > 1 else f"{axes[0]} weights"
+    _check_rows(weights, rows, axes[:-2])
     for ok, problem in (
         (np.isfinite(means), "mean contains non-finite entries"),
         (np.isfinite(covs), "cov contains non-finite entries"),
@@ -154,6 +150,19 @@ def _check_emissions(
                 ok[index] = False
         raise InvalidModelError(_at(axes, ok) + "full cov is not positive definite") from exc
     return weights, means, covs
+
+
+def _check_pair(base: tuple, reduced: tuple) -> None:
+    """InvalidModelError unless two (means, covs) stacks of any depth share
+    a dimension and a covariance layout (covs with one more axis are full)."""
+    (mu_b, cov_b), (mu_r, cov_r) = base, reduced
+    if mu_b.shape[-1] != mu_r.shape[-1]:
+        raise InvalidModelError(
+            f"dimension mismatch: base d={mu_b.shape[-1]}, reduced d={mu_r.shape[-1]}"
+        )
+    if cov_b.ndim - mu_b.ndim != cov_r.ndim - mu_r.ndim:
+        layouts = ("full" if c.ndim > m.ndim else "diagonal" for m, c in (base, reduced))
+        raise InvalidModelError("covariance layout mismatch: base {}, reduced {}".format(*layouts))
 
 
 @dataclass(frozen=True)
@@ -184,22 +193,17 @@ def _cross_terms(
     (..., d, d) matrices. Closed form:
     -1/2 [ d log 2pi + log|S_r| + tr(S_r^-1 S_b) + (m_r - m_b)^T S_r^-1 (m_r - m_b) ].
     The full layout takes one batched Cholesky factor L of each S_r and
-    batched solves against it.
+    batched solves against it. Arguments are trusted, checked on entry.
     """
     d = mu_b.shape[-1]
     diff = mu_r - mu_b
     if cov_r.ndim == mu_r.ndim:
-        if cov_r.min() <= 0:
-            raise InvalidModelError("reduced covariance is not positive definite")
         log_det = np.sum(np.log(cov_r), axis=-1)
         trace = np.sum(cov_b / cov_r, axis=-1)
         with np.errstate(over="ignore"):  # inf for far-apart pairs: compute_assignments rejects it
             maha = np.sum(diff * diff / cov_r, axis=-1)
     else:
-        try:
-            chol = np.linalg.cholesky(cov_r)
-        except np.linalg.LinAlgError as exc:
-            raise InvalidModelError("reduced covariance is not positive definite") from exc
+        chol = np.linalg.cholesky(cov_r)
         log_det = 2.0 * np.sum(np.log(np.diagonal(chol, axis1=-2, axis2=-1)), axis=-1)
         half = np.linalg.solve(chol, cov_b)
         trace = np.trace(np.linalg.solve(np.swapaxes(chol, -1, -2), half), axis1=-2, axis2=-1)
@@ -214,9 +218,12 @@ def gmm_expected_loglik_opt(base, reduced) -> float:
     sum_m c_b[m] * log sum_l c_r[l] exp(E over y ~ N_b[m] of log N_r[l](y)).
 
     ``base`` and ``reduced`` are mixtures as (weights (M,), means (M, d),
-    covs) arrays, the covariances of both in one layout.
+    covs) arrays of one layout, checked here: an error names the mixture,
+    base or reduced, and its component.
     """
-    (c_b, mu_b, cov_b), (c_r, mu_r, cov_r) = base, reduced
+    c_b, mu_b, cov_b = _check_emissions(*base, ("base component",))
+    c_r, mu_r, cov_r = _check_emissions(*reduced, ("reduced component",))
+    _check_pair((mu_b, cov_b), (mu_r, cov_r))
     table = _cross_terms(mu_b[:, None], cov_b[:, None], mu_r[None], cov_r[None])
     with np.errstate(divide="ignore"):
         logits = np.log(c_r)[None, :] + table

@@ -137,9 +137,8 @@ def compute_assignments(
     or of the virtual samples). Non-finite objectives (or ones that overflow
     when scaled) are a numerical failure; a row whose log-weights are all
     -inf has no mass to assign."""
-    objectives = np.asarray(objectives, dtype=float)
     with np.errstate(divide="ignore"):
-        log_w = np.log(np.asarray(weights, dtype=float))
+        log_w = np.log(weights)
     with np.errstate(over="ignore", invalid="ignore"):
         logits = log_w[None, :] + counts[:, None] * objectives
     if not np.all(np.isfinite(objectives)) or np.any(np.isnan(logits) | (logits == np.inf)):

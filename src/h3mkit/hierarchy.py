@@ -32,8 +32,11 @@ def hier_cluster(
     Level 0 is the leaves with uniform weights: an ``H3m``'s own ``arrays``,
     whatever its weights, or a list of ``Hmm``, stacked once. Each entry of
     ``ladder`` produces the next level by reduction, with parents taken from
-    the hard assignment labels. ``config.seed`` is advanced by one per level
-    so the whole tree is deterministic from one seed.
+    the hard assignment labels. Each level runs ``vhem_reduce`` on ``config``
+    with ``k_reduced`` set to the ladder's entry, ``seed`` advanced by one per
+    level (the tree is deterministic from one seed) and an ``H3m`` ``init``
+    replaced by "subset-perturb", as a start fits one level at most; so
+    ``n_restarts`` > 1 with an ``H3m`` init runs here, unlike in ``vhem_reduce``.
     """
     n = leaves.n_components if isinstance(leaves, H3m) else len(leaves)
     if n == 0:

@@ -56,15 +56,9 @@ class Sequence:
     id: str | None = None
 
     def __post_init__(self) -> None:
-        self.observations = np.asarray(self.observations, dtype=float)
-        if self.observations.ndim != 2 or self.observations.shape[1] < 1:
-            raise InvalidModelError(
-                f"observations must be (tau, d) with d >= 1, got shape {self.observations.shape}"
-            )
-        if self.observations.shape[0] < 1:
-            raise InvalidModelError("sequence must contain at least one observation")
-        if not np.all(np.isfinite(self.observations)):
-            raise InvalidModelError("observations contain non-finite values")
+        self.observations = _check_observations(
+            self.observations, 2, "observations must be (tau, d) with d >= 1"
+        )
 
     @property
     def length(self) -> int:
@@ -73,6 +67,19 @@ class Sequence:
     @property
     def dim(self) -> int:
         return self.observations.shape[1]
+
+
+def _check_observations(obs, ndim: int, expected: str) -> np.ndarray:
+    """``obs``, a sequence (tau, d) or a batch (S, tau, d) as ``ndim`` says, as a
+    float array, or InvalidModelError unless tau, d >= 1 and all are finite."""
+    obs = np.asarray(obs, dtype=float)
+    if obs.ndim != ndim or obs.shape[-1] < 1:
+        raise InvalidModelError(f"{expected}, got shape {obs.shape}")
+    if obs.shape[-2] < 1:
+        raise InvalidModelError("sequence must contain at least one observation")
+    if not np.isfinite(obs).all():
+        raise InvalidModelError("observations contain non-finite values")
+    return obs
 
 
 def _check_arrays(
@@ -172,8 +179,6 @@ class _Checked(_Stacked):
 def _models(stack: _Checked) -> list[Hmm]:
     """The Hmm of each row of a stack checked with one leading axis; their
     arrays are views of the stack, not copied and not checked again."""
-    if not isinstance(stack, _Checked) or stack.initial.ndim != 2:
-        raise TypeError("_models takes a stack checked by _check_arrays with one leading axis")
     models = [Hmm.__new__(Hmm) for _ in stack.initial]
     for model, row in zip(models, zip(*stack)):
         model._set(row)
@@ -378,10 +383,8 @@ def _log_forward(
 
 
 def forward_loglik_batch(model: Hmm, obs: np.ndarray) -> np.ndarray:
-    """Log-likelihood of each sequence in an (S, tau, d) batch."""
-    obs = np.asarray(obs, dtype=float)
-    if obs.ndim != 3:
-        raise InvalidModelError(f"batch must be (S, tau, d), got shape {obs.shape}")
+    """Log-likelihood of each sequence in an (S, tau, d) batch, checked as a Sequence is."""
+    obs = _check_observations(obs, 3, "batch must be (S, tau, d)")
     if model.dim != obs.shape[2]:
         raise InvalidModelError(
             f"observation dimension {obs.shape[2]} does not match model dimension {model.dim}"

@@ -44,10 +44,12 @@ stays within the 256 KB that the data-side passes also keep to
   The couplings die with the pass; the blocks are joined over I as
   ``h3m_em`` joins its length groups.
 
-``estep_pair`` and the oracle reject a pair whose dimensions or covariance
-layouts differ. No model is mutated: rescues write
-into a fresh stack. The start and rescued components get their covariances
-floored at ``cov_floor`` by ``hmm._floor_covs``, as every M-step floors them.
+The kernels (``_cross_terms``, ``_estep``, ``_virtual_stats_all``) check
+nothing: their stacks were checked on entry, and ``gaussians._check_pair``
+rejects a pair whose dimensions or covariance layouts differ in ``estep_pair``,
+the oracle and ``_init_reduced``. No model is mutated: rescues write into a
+fresh stack. The start and rescued components get their covariances floored at
+``cov_floor`` by ``hmm._floor_covs``, as every M-step floors them.
 """
 
 from __future__ import annotations
@@ -60,7 +62,9 @@ import numpy as np
 
 from . import hmm
 from .errors import InvalidModelError
-from .gaussians import _cross_terms, gmm_expected_loglik_opt, logsumexp, solve_softmax_log
+from .gaussians import (
+    _check_pair, _cross_terms, gmm_expected_loglik_opt, logsumexp, solve_softmax_log
+)
 from .h3m import (
     AssignmentMatrix,
     H3m,
@@ -195,22 +199,11 @@ def _estep(base: _Stacked, reduced: _Stacked, tau: int) -> PairEstepResult:
     return PairEstepResult(eta, phi_initial, phi_step, ell, objective)
 
 
-def _check_pair(base_i: Hmm, reduced_j: Hmm) -> None:
-    """InvalidModelError unless the two models share a dimension and a covariance layout."""
-    if base_i.dim != reduced_j.dim:
-        raise InvalidModelError(
-            f"dimension mismatch: base d={base_i.dim}, reduced d={reduced_j.dim}"
-        )
-    if base_i.covs.ndim != reduced_j.covs.ndim:
-        layouts = ("diagonal" if m.covs.ndim == 3 else "full" for m in (base_i, reduced_j))
-        raise InvalidModelError("covariance layout mismatch: base {}, reduced {}".format(*layouts))
-
-
 def estep_pair(base_i: Hmm, reduced_j: Hmm, tau: int) -> PairEstepResult:
     """Optimal factored coupling between one base and one reduced component,
     and the resulting expected log-likelihood bound for sequences of length
     tau: the one-pair slice of the E-step over all pairs."""
-    _check_pair(base_i, reduced_j)
+    _check_pair((base_i.means, base_i.covs), (reduced_j.means, reduced_j.covs))
     _check_counts(tau=tau)
     batch = _estep(_stack([base_i]), _stack([reduced_j]), tau)
     return PairEstepResult(*(getattr(batch, f.name)[0, 0] for f in fields(batch)))
@@ -223,7 +216,8 @@ def elhmm_bruteforce(base_i: Hmm, reduced_j: Hmm, tau: int) -> float:
     then evaluates the objective by brute force over every pair of base and
     reduced state sequences. Guarded to (N_b * N_r)^tau <= 10^6.
     """
-    _check_pair(base_i, reduced_j)
+    _check_pair((base_i.means, base_i.covs), (reduced_j.means, reduced_j.covs))
+    _check_counts(tau=tau)
     n_b, n_r = base_i.n_states, reduced_j.n_states
     if (n_b * n_r) ** tau > 10**6:
         raise ValueError(f"enumeration over ({n_b}*{n_r})^{tau} sequences is too large")
@@ -349,14 +343,11 @@ def _init_reduced(base: H3m, config: VhemConfig, rng: np.random.Generator) -> H3
     k_r = config.k_reduced
     if isinstance(config.init, H3m):
         model = config.init
-        if (
-            model.n_components != k_r
-            or model.dim != base.dim
-            or model.arrays.covs.ndim != base.arrays.covs.ndim
-        ):
+        _check_pair(base.arrays[3:], model.arrays[3:])
+        if model.n_components != k_r:
             raise InvalidModelError(
-                "provided initial model does not match k_reduced, base dimension"
-                " or base covariance layout"
+                f"provided initial model has {model.n_components} components,"
+                f" expected k_reduced={k_r}"
             )
         if k_r > 1 and (model.n_states, model.n_mix) != (base.n_states, base.n_mix):
             raise InvalidModelError(

@@ -34,6 +34,7 @@ from conftest import random_gaussian, random_gmm
 
 LOG_2PI = math.log(2.0 * math.pi)
 STD_NORMAL_SELF = -(1.0 + LOG_2PI) / 2.0  # = -1.4189385332046727
+UNIT = ([0.0], [1.0])  # the standard normal in d=1, as (mean, cov)
 
 
 def one_state(mixture):
@@ -113,7 +114,9 @@ class TestGaussian:
 
 
 class TestGaussExpectedLoglik:
-    """``_cross_terms``, the expected log-likelihood kernel the reduction runs."""
+    """``_cross_terms``, the expected log-likelihood kernel the reduction runs,
+    which trusts its checked arguments, and the checks of its public
+    one-mixture form ``gmm_expected_loglik_opt``."""
 
     def test_standard_normal_self(self):
         g = ([0.0], [1.0])
@@ -166,8 +169,9 @@ class TestGaussExpectedLoglik:
                 pair_entry(narrow, wide, 1)
 
     def test_mutated_non_pd_reduced_rejected(self):
-        with pytest.raises(InvalidModelError):
-            cross(([0.0], [1.0]), ([0.0], [-1.0]))
+        with pytest.raises(InvalidModelError) as info:
+            gmm_expected_loglik_opt(mixture([1.0], [UNIT]), mixture([1.0], [([0.0], [-1.0])]))
+        assert str(info.value) == "reduced component 0: diagonal cov has non-positive variances"
 
     @pytest.mark.parametrize("layouts", [("diag", "diag"), ("full", "full")])
     def test_table_matches_pairs(self, rng, layouts):
@@ -180,8 +184,33 @@ class TestGaussExpectedLoglik:
         base = random_gmm(rng, n_mix=2, dim=2, cov_type="full")
         reduced = random_gmm(rng, n_mix=2, dim=2, cov_type="full")
         reduced[2][1] = [[1.0, 2.0], [2.0, 1.0]]
-        with pytest.raises(InvalidModelError):
-            table(base, reduced)
+        with pytest.raises(InvalidModelError) as info:
+            gmm_expected_loglik_opt(base, reduced)
+        assert str(info.value) == "reduced component 1: full cov is not positive definite"
+
+    @pytest.mark.parametrize(
+        "base, reduced, message",
+        [
+            (mixture([1.0, 1.0], [UNIT, ([1.0], [1.0])]), mixture([1.0], [UNIT]),
+             "base component weights sums to 2.0, expected 1 within 1e-12"),
+            (mixture([1.0], [UNIT]), mixture([0.5, 0.5], [([np.nan], [1.0]), UNIT]),
+             "reduced component 0: mean contains non-finite entries"),
+            (mixture([0.5, 0.5], [UNIT, ([0.0], [-1.0])]), mixture([1.0], [UNIT]),
+             "base component 1: diagonal cov has non-positive variances"),
+            (mixture([1.0], [UNIT]), mixture([1.0], [([0.0, 0.0], [1.0, 1.0])]),
+             "dimension mismatch: base d=1, reduced d=2"),
+            (mixture([1.0], [([0.0, 0.0], [1.0, 1.0])]),
+             mixture([1.0], [([0.0, 0.0], [[1.0, 0.0], [0.0, 1.0]])]),
+             "covariance layout mismatch: base diagonal, reduced full"),
+        ],
+        ids=["weights-sum-to-2", "nan-mean", "negative-base-variance", "dimension", "layout"],
+    )
+    def test_mixture_bound_checks_its_inputs(self, base, reduced, message):
+        # The kernel checks nothing: the public one-mixture form checks both
+        # mixtures, naming the mixture and its component, then the pair.
+        with pytest.raises(InvalidModelError) as info:
+            gmm_expected_loglik_opt(base, reduced)
+        assert str(info.value) == message
 
 
 class TestGmmResponsibilities:

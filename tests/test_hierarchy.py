@@ -1,6 +1,7 @@
 """Tree building over HMM collections and partition metrics."""
 
 import itertools
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ from h3mkit import (
     leaf_labels,
     rand_index,
     synth_benchmark,
+    vhem_reduce,
 )
 from h3mkit.hmm import _Stacked
 
@@ -27,6 +29,12 @@ def pairwise_rand_index(a, b):
         (a[i] == a[j]) == (b[i] == b[j]) for i in range(n) for j in range(i + 1, n)
     )
     return agree / (n * (n - 1) // 2)
+
+
+def same_bytes(a, b):
+    """Whether two mixtures hold the same weights and stacks, bit for bit."""
+    pairs = zip((a.weights, *a.arrays), (b.weights, *b.arrays))
+    return all(x.tobytes() == y.tobytes() for x, y in pairs)
 
 
 def two_state_leaf(offset):
@@ -186,9 +194,23 @@ class TestHierCluster:
         assert [lvl.level_size for lvl in levels] == [lvl.level_size for lvl in from_list]
         for level, other in zip(levels, from_list):
             assert level.parent_of == other.parent_of
-            assert level.models.weights.tobytes() == other.models.weights.tobytes()
-            for stack, other_stack in zip(level.models.arrays, other.models.arrays):
-                assert stack.tobytes() == other_stack.tobytes()
+            assert same_bytes(level.models, other.models)
+
+    def test_levels_override_k_seed_and_a_given_start(self):
+        # Level l reduces with k_reduced = ladder[l] and seed = config.seed + l,
+        # and an H3m start gives way to "subset-perturb": the tree is the same,
+        # bit for bit, and restarts run, which vhem_reduce rejects from a start.
+        leaves, _ = synth_benchmark(3, 4, 3.0, np.random.default_rng(5), n_mix=2)
+        config = VhemConfig(k_reduced=7, seed=2, max_iters=5, n_restarts=2)
+        drawn = hier_cluster(leaves, [3, 1], config)
+        given = hier_cluster(leaves, [3, 1], replace(config, init=H3m([0.5, 0.5], leaves[:2])))
+        for depth, k in enumerate([3, 1]):
+            level_config = replace(config, k_reduced=k, seed=2 + depth)
+            direct = vhem_reduce(drawn[depth].models, level_config).reduced
+            assert same_bytes(drawn[depth + 1].models, direct)
+        for level, other in zip(drawn, given):
+            assert level.parent_of == other.parent_of
+            assert same_bytes(level.models, other.models)
 
     def test_path_consistency(self):
         leaves, _ = synth_benchmark(4, 3, 4.0, np.random.default_rng(0))

@@ -216,6 +216,22 @@ class TestForward:
         with pytest.raises(InvalidModelError):
             Sequence(np.zeros((0, 1)))
 
+    @pytest.mark.parametrize(
+        "obs, message",
+        [
+            (np.zeros((2, 0, 1)), "sequence must contain at least one observation"),
+            (np.array([[[0.0], [np.nan]]]), "observations contain non-finite values"),
+            (np.array([[[0.0]], [[-np.inf]]]), "observations contain non-finite values"),
+        ],
+        ids=["no-steps", "nan", "inf"],
+    )
+    def test_batch_checked_as_sequences_are(self, rng, obs, message):
+        # A batch takes the checks of one Sequence: no sequence without an
+        # observation, no non-finite value.
+        with pytest.raises(InvalidModelError) as info:
+            forward_loglik_batch(random_hmm(rng), obs)
+        assert str(info.value) == message
+
 
 class TestScaledPass:
     """The probability-domain pass against the log-domain pass it falls back

@@ -21,7 +21,7 @@ REMOVED = {
         "EmissionResponsibility", "gmm_responsibilities", "gmm_expected_loglik_bound",
         "h3m_sample", "h3m_loglik", "h3m_loglik_batch", "sample", "lower_bound",
         "gauss_expected_loglik", "expected_loglik_table", "SummaryStats", "summary_stats",
-        "forward_loglik",
+        "forward_loglik", "compute_assignments", "mstep",
     ],
     h3mkit.gaussians: [
         "EmissionResponsibility", "gmm_responsibilities", "gmm_expected_loglik_bound",
@@ -139,6 +139,9 @@ COUNT_PROBES = [
      2.5, 3),
     ("n_samples must be an integer, got 2.5",
      lambda v, rng: h3mkit.mc_expected_loglik(BASE, REDUCED, 3, v, rng), 2.5, 2),
+    ("tau must be an integer, got 2.5",
+     lambda v, rng: h3mkit.elhmm_bruteforce(BASE, REDUCED, v), 2.5, 2),
+    ("tau must be >= 1, got 0", lambda v, rng: h3mkit.elhmm_bruteforce(BASE, REDUCED, v), 0, 2),
 ]
 
 

@@ -20,13 +20,11 @@ from h3mkit import (
     Hmm,
     InvalidModelError,
     VhemConfig,
-    compute_assignments,
     elhmm_bruteforce,
     estep_pair,
     gmm_expected_loglik_opt,
     hier_cluster,
     mc_expected_loglik,
-    mstep,
     rand_index,
     sample_batch,
     state_marginals,
@@ -37,6 +35,7 @@ from h3mkit import (
 import h3mkit.hmm as hmm_module
 import h3mkit.reduction as reduction_module
 from h3mkit.gaussians import _cross_terms, logsumexp
+from h3mkit.h3m import compute_assignments, mstep
 from h3mkit.hmm import _stack
 from h3mkit.hmm import _Stats
 from h3mkit.reduction import _estep, _init_reduced, _virtual_stats_all
@@ -699,6 +698,24 @@ class TestVhemReduce:
             config = VhemConfig(k_reduced=2, init=init, max_iters=3)
             with pytest.raises(InvalidModelError, match="covariance layout"):
                 vhem_reduce(base, config)
+
+    @pytest.mark.parametrize(
+        "dim, n_start, message",
+        [
+            (2, 2, "dimension mismatch: base d=1, reduced d=2"),
+            (1, 3, "provided initial model has 3 components, expected k_reduced=2"),
+        ],
+        ids=["dimension", "k_reduced"],
+    )
+    def test_given_start_checked_against_base_and_k_reduced(self, dim, n_start, message):
+        shape = dict(n_states=2, n_mix=2)
+        leaves, _ = synth_benchmark(2, 3, 4.0, np.random.default_rng(7), **shape)
+        starts, _ = synth_benchmark(2, 3, 4.0, np.random.default_rng(8), dim=dim, **shape)
+        base = H3m(np.full(6, 1 / 6), leaves)
+        start = H3m(np.full(n_start, 1 / n_start), starts[:n_start])
+        with pytest.raises(InvalidModelError) as info:
+            vhem_reduce(base, VhemConfig(k_reduced=2, init=start, max_iters=3))
+        assert str(info.value) == message
 
     def test_rescue_from_base_shaped_unlike_the_start_rejected(self, monkeypatch):
         # A starved component is rescued by copying a base component, so a start
