@@ -14,12 +14,7 @@ from .errors import (
     InvalidModelError,
     ModelFormatError,
 )
-from .gaussians import (
-    Gaussian,
-    GaussianMixture,
-    gmm_expected_loglik_opt,
-    solve_softmax_log,
-)
+from .gaussians import Gaussian, GaussianMixture
 from .h3m import (
     AssignmentMatrix,
     H3m,
@@ -84,7 +79,6 @@ __all__ = [
     "elhmm_bruteforce",
     "estep_pair",
     "forward_loglik_batch",
-    "gmm_expected_loglik_opt",
     "h3m_em",
     "hier_cluster",
     "leaf_labels",
@@ -95,7 +89,6 @@ __all__ = [
     "sample_batch",
     "save_dataset",
     "save_model",
-    "solve_softmax_log",
     "split_estimate_aggregate",
     "state_marginals",
     "synth_benchmark",

@@ -7,10 +7,10 @@ matrix). Every operation supports both, one layout at a time.
 ``_check_emissions`` checks the emission arrays of every stack of HMMs,
 ``_check_rows`` every stack of stochastic rows and ``_check_pair`` every pair
 of stacks. ``_cross_terms``, the one expected log-likelihood kernel over
-stacked Gaussian pairs, checks nothing; its public one-mixture form
-``gmm_expected_loglik_opt`` checks its raw arrays. ``Gaussian`` and
-``GaussianMixture`` are plain records that only ``Hmm.emissions`` builds, from
-checked arrays: an output view that no function takes.
+stacked Gaussian pairs, checks nothing: its callers hand it checked stacks.
+``Gaussian`` and ``GaussianMixture`` are plain records that only
+``Hmm.emissions`` builds, from checked arrays: an output view that no function
+takes.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateWeightsError, InvalidModelError
+from .errors import InvalidModelError
 
 # Tolerance for "sums to one" checks on probability vectors.
 WEIGHT_TOL = 1e-12
@@ -97,13 +97,12 @@ def _check_emissions(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Emission parameters as fresh float arrays, or InvalidModelError
     naming the first bad one by its position on ``axes``, one name per
-    leading axis, the last two the state and the mixture component (just
-    the component for one mixture). Means are (..., d), covs (..., d)
-    variances or (..., d, d) matrices, and weights (...) rows of mixture
-    weights. Checked: shapes,
-    stochastic rows, finite means and covariances, positive variances,
-    symmetric full covariances, and positive definite ones (one batched
-    Cholesky)."""
+    leading axis, the last two the state and the mixture component. Means
+    are (..., d), covs (..., d) variances or (..., d, d) matrices, and
+    weights (...) rows of mixture weights. Checked: shapes, stochastic rows,
+    finite means and covariances, positive variances, symmetric full
+    covariances, and positive definite ones (one batched Cholesky; if it
+    fails, one batched ``eigvalsh`` names the entry)."""
     means = _float_array(means, "means")
     covs = _float_array(covs, "covs")
     if means.ndim != len(axes) + 1:
@@ -121,8 +120,7 @@ def _check_emissions(
         raise InvalidModelError(
             f"mixture weights have shape {weights.shape}, expected {means.shape[:-1]}"
         )
-    rows = f"mixture weights of {axes[-2]}" if len(axes) > 1 else f"{axes[0]} weights"
-    _check_rows(weights, rows, axes[:-2])
+    _check_rows(weights, f"mixture weights of {axes[-2]}", axes[:-2])
     for ok, problem in (
         (np.isfinite(means), "mean contains non-finite entries"),
         (np.isfinite(covs), "cov contains non-finite entries"),
@@ -142,12 +140,10 @@ def _check_emissions(
     try:
         np.linalg.cholesky(covs)
     except np.linalg.LinAlgError as exc:
-        ok = np.ones(covs.shape[:-2], dtype=bool)
-        for index in np.ndindex(ok.shape):
-            try:
-                np.linalg.cholesky(covs[index])
-            except np.linalg.LinAlgError:
-                ok[index] = False
+        # The first entry with an eigenvalue <= 0, or, where rounding leaves
+        # none, the one with the smallest eigenvalue.
+        lowest = np.linalg.eigvalsh(covs)[..., 0]
+        ok = lowest > 0 if (lowest <= 0).any() else lowest > lowest.min()
         raise InvalidModelError(_at(axes, ok) + "full cov is not positive definite") from exc
     return weights, means, covs
 
@@ -210,38 +206,3 @@ def _cross_terms(
         solved = np.linalg.solve(chol, diff[..., None])[..., 0]
         maha = np.sum(solved * solved, axis=-1)
     return -0.5 * (d * LOG_2PI + log_det + trace + maha)
-
-
-def gmm_expected_loglik_opt(base, reduced) -> float:
-    """Tightest lower bound on E over y ~ base of log density of reduced,
-    attained by the optimal matching of components (Hershey and Olsen):
-    sum_m c_b[m] * log sum_l c_r[l] exp(E over y ~ N_b[m] of log N_r[l](y)).
-
-    ``base`` and ``reduced`` are mixtures as (weights (M,), means (M, d),
-    covs) arrays of one layout, checked here: an error names the mixture,
-    base or reduced, and its component.
-    """
-    c_b, mu_b, cov_b = _check_emissions(*base, ("base component",))
-    c_r, mu_r, cov_r = _check_emissions(*reduced, ("reduced component",))
-    _check_pair((mu_b, cov_b), (mu_r, cov_r))
-    table = _cross_terms(mu_b[:, None], cov_b[:, None], mu_r[None], cov_r[None])
-    with np.errstate(divide="ignore"):
-        logits = np.log(c_r)[None, :] + table
-    return float(c_b @ logsumexp(logits, axis=1))
-
-
-def solve_softmax_log(beta: np.ndarray) -> tuple[np.ndarray, float]:
-    """Distribution maximizing sum_l alpha[l] (beta[l] - log alpha[l]).
-
-    ``beta`` is in log domain; -inf entries get zero mass. Returns the
-    maximizer (softmax of beta, renormalized so that it sums to 1 to
-    rounding) and the optimum value log sum_l exp beta[l].
-    """
-    b = np.asarray(beta, dtype=float)
-    if np.any(np.isnan(b)) or np.any(b == np.inf):
-        raise ValueError(f"log-weights must be finite or -inf, got {b}")
-    value = float(logsumexp(b))
-    if value == -np.inf:
-        raise DegenerateWeightsError("all log-weights are -inf")
-    probs = np.exp(b - value)
-    return probs / probs.sum(), value

@@ -22,8 +22,8 @@ virtual-sample log-likelihood and does not decrease; ``mstep`` re-estimates
 from per-base-component virtual statistics, weighted as ``h3m_em`` weights
 real sequences; ``_converged`` stops the run. An exhaustive enumeration
 oracle for the pair objective, ``elhmm_bruteforce``, is included for
-verification; it scores each state pair with ``gmm_expected_loglik_opt`` on
-the models' emission arrays.
+verification; it scores the state pairs with ``_cross_terms`` as the E-step
+does, and solves its stage softmaxes one stage at a time.
 
 An iteration reads the stacks the base and the reduced mixtures hold
 (``H3m.arrays``) and is batched over (base i, reduced j) pairs, except the
@@ -61,10 +61,8 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from . import hmm
-from .errors import InvalidModelError
-from .gaussians import (
-    _check_pair, _cross_terms, gmm_expected_loglik_opt, logsumexp, solve_softmax_log
-)
+from .errors import DegenerateWeightsError, InvalidModelError
+from .gaussians import _check_pair, _cross_terms, logsumexp
 from .h3m import (
     AssignmentMatrix,
     H3m,
@@ -155,8 +153,8 @@ def _estep(base: _Stacked, reduced: _Stacked, tau: int) -> PairEstepResult:
     Emission matching is one pass over (I, J, N_b, N_r, M_b, M_r); the
     backward recursion for phi runs pair by pair, in log domain."""
     # eta is the softmax over l of log c_r[l] + table, and ell the c_b-weighted
-    # sum of its normalizers, one dot product per state pair as
-    # gmm_expected_loglik_opt takes it.
+    # sum of its normalizers (the Hershey-Olsen bound), one dot product per
+    # state pair.
     table = _cross_terms(
         base.means[:, None, :, None, :, None],
         base.covs[:, None, :, None, :, None],
@@ -212,62 +210,51 @@ def estep_pair(base_i: Hmm, reduced_j: Hmm, tau: int) -> PairEstepResult:
 def elhmm_bruteforce(base_i: Hmm, reduced_j: Hmm, tau: int) -> float:
     """Exhaustive-enumeration value of the pair objective, for verification.
 
-    Builds the coupling tables stage by stage with scalar softmax solves,
-    then evaluates the objective by brute force over every pair of base and
-    reduced state sequences. Guarded to (N_b * N_r)^tau <= 10^6.
+    Builds the coupling tables stage by stage, each stage one softmax over
+    the reduced state in log domain, then evaluates the objective by brute
+    force over every pair of base and reduced state sequences. Guarded to
+    (N_b * N_r)^tau <= 10^6.
     """
     _check_pair((base_i.means, base_i.covs), (reduced_j.means, reduced_j.covs))
     _check_counts(tau=tau)
     n_b, n_r = base_i.n_states, reduced_j.n_states
     if (n_b * n_r) ** tau > 10**6:
         raise ValueError(f"enumeration over ({n_b}*{n_r})^{tau} sequences is too large")
-    ell = np.empty((n_b, n_r))
-    for beta in range(n_b):
-        for rho in range(n_r):
-            ell[beta, rho] = gmm_expected_loglik_opt(
-                (base_i.mix_weights[beta], base_i.means[beta], base_i.covs[beta]),
-                (reduced_j.mix_weights[rho], reduced_j.means[rho], reduced_j.covs[rho]),
-            )
+    # ell[beta, rho], the Hershey-Olsen bound between the two states' mixtures:
+    # sum_m c_b[m] log sum_l c_r[l] exp(table[beta, rho, m, l]).
+    table = _cross_terms(
+        base_i.means[:, None, :, None],
+        base_i.covs[:, None, :, None],
+        reduced_j.means[None, :, None],
+        reduced_j.covs[None, :, None],
+    )
+    with np.errstate(divide="ignore"):
+        norm = logsumexp(np.log(reduced_j.mix_weights)[None, :, None, :] + table, axis=3)
+    ell = np.array([[c_b @ row for row in rows] for c_b, rows in zip(base_i.mix_weights, norm)])
     pi_b = base_i.initial
     a_b = base_i.transitions
-    pi_r = reduced_j.initial
-    a_r = reduced_j.transitions
+    log = np.vectorize(lambda x: math.log(x) if x > 0 else -math.inf, otypes=[float])
+    log_pi_r = log(reduced_j.initial)
+    log_a_r = log(reduced_j.transitions)
 
-    def safe_log(x: float) -> float:
-        return math.log(x) if x > 0 else -math.inf
+    def softmax(logits: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The softmax over the last axis and its log normalizers."""
+        values = logsumexp(logits, axis=-1)
+        if (values == -np.inf).any():
+            raise DegenerateWeightsError("all log-weights are -inf")
+        probs = np.exp(logits - values[..., None])
+        return probs / probs.sum(axis=-1, keepdims=True), values
 
-    # Stage tables, scalar path.
-    future = [[0.0] * n_r for _ in range(n_b)]
+    # Stage tables: logits[rho_prev, beta, rho] at each step, backward.
+    future = np.zeros((n_b, n_r))
     steps: list[np.ndarray] = []
     for t in range(tau, 1, -1):
-        table = np.empty((n_r, n_r, n_b))
-        values = np.empty((n_r, n_b))
-        for rho_prev in range(n_r):
-            for beta in range(n_b):
-                logits = np.array(
-                    [
-                        safe_log(a_r[rho_prev, rho]) + ell[beta, rho] + future[beta][rho]
-                        for rho in range(n_r)
-                    ]
-                )
-                probs, value = solve_softmax_log(logits)
-                table[rho_prev, :, beta] = probs
-                values[rho_prev, beta] = value
-        steps.insert(0, table)
-        future = [
-            [
-                sum(a_b[beta_prev, beta] * values[rho_prev, beta] for beta in range(n_b))
-                for rho_prev in range(n_r)
-            ]
-            for beta_prev in range(n_b)
-        ]
-    phi1 = np.empty((n_r, n_b))
-    for beta in range(n_b):
-        logits = np.array(
-            [safe_log(pi_r[rho]) + ell[beta, rho] + future[beta][rho] for rho in range(n_r)]
+        probs, values = softmax(log_a_r[:, None, :] + ell + future)
+        steps.insert(0, probs.transpose(0, 2, 1))
+        future = np.array(
+            [[sum(a * v for a, v in zip(row, value_row)) for value_row in values] for row in a_b]
         )
-        probs, _ = solve_softmax_log(logits)
-        phi1[:, beta] = probs
+    phi1 = softmax(log_pi_r + ell + future)[0].T
 
     # Brute-force objective over all explicit sequence pairs.
     total = 0.0
@@ -283,9 +270,9 @@ def elhmm_bruteforce(base_i: Hmm, reduced_j: Hmm, tau: int) -> float:
                 phi *= steps[t - 1][rho_seq[t - 1], rho_seq[t], beta_seq[t]]
             if phi == 0.0:
                 continue
-            log_prior = safe_log(pi_r[rho_seq[0]])
+            log_prior = log_pi_r[rho_seq[0]]
             for t in range(1, tau):
-                log_prior += safe_log(a_r[rho_seq[t - 1], rho_seq[t]])
+                log_prior += log_a_r[rho_seq[t - 1], rho_seq[t]]
             ell_sum = sum(ell[beta_seq[t], rho_seq[t]] for t in range(tau))
             total += weight * phi * (log_prior + ell_sum - math.log(phi))
     return total

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from h3mkit import H3m, Hmm
+from h3mkit.gaussians import _cross_terms, logsumexp
 
 
 def random_gaussian(rng, dim=1, cov_type="diag", mean_scale=2.0):
@@ -21,6 +22,17 @@ def random_gmm(rng, n_mix=2, dim=1, cov_type="diag", mean_scale=2.0):
     """A random Gaussian mixture as (weights (M,), means (M, d), covs) arrays."""
     means, covs = zip(*(random_gaussian(rng, dim, cov_type, mean_scale) for _ in range(n_mix)))
     return rng.dirichlet(np.ones(n_mix)), np.stack(means), np.stack(covs)
+
+
+def mixture_bound(base, reduced):
+    """The Hershey-Olsen bound on E over y ~ base of log reduced(y), for two
+    (weights, means, covs) mixtures: sum_m c_b[m] log sum_l c_r[l] exp L(m, l),
+    L(m, l) the expected log density of reduced component l under base component m."""
+    (c_b, mu_b, cov_b), (c_r, mu_r, cov_r) = (
+        [np.asarray(a, dtype=float) for a in mixture] for mixture in (base, reduced)
+    )
+    table = _cross_terms(mu_b[:, None], cov_b[:, None], mu_r[None], cov_r[None])
+    return float(c_b @ logsumexp(np.log(c_r) + table, axis=1))
 
 
 def random_hmm(rng, n_states=2, n_mix=1, dim=1, cov_type="diag", mean_scale=2.0):

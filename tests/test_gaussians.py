@@ -1,5 +1,6 @@
 """The expected log-likelihood kernel between Gaussians, mixture-level
-bounds and matchings, the softmax-log maximizer and logsumexp. Derived
+bounds (the test-local ``conftest.mixture_bound``) and the library's
+matchings, the enumeration oracle's stage softmaxes and logsumexp. Derived
 expectations are frozen from closed forms and cross-checked against seeded
 Monte Carlo averages; densities and draws for those come from scipy.stats,
 or from a one-state HMM for mixtures. Gaussians are (mean, cov) pairs and
@@ -24,13 +25,11 @@ from h3mkit import (
     elhmm_bruteforce,
     estep_pair,
     forward_loglik_batch,
-    gmm_expected_loglik_opt,
     sample_batch,
-    solve_softmax_log,
 )
 from h3mkit.gaussians import _cross_terms, logsumexp
 
-from conftest import random_gaussian, random_gmm
+from conftest import mixture_bound, random_gaussian, random_gmm
 
 LOG_2PI = math.log(2.0 * math.pi)
 STD_NORMAL_SELF = -(1.0 + LOG_2PI) / 2.0  # = -1.4189385332046727
@@ -115,8 +114,8 @@ class TestGaussian:
 
 class TestGaussExpectedLoglik:
     """``_cross_terms``, the expected log-likelihood kernel the reduction runs,
-    which trusts its checked arguments, and the checks of its public
-    one-mixture form ``gmm_expected_loglik_opt``."""
+    which trusts its checked arguments, and the checks that models and the
+    pair entry points make before it runs."""
 
     def test_standard_normal_self(self):
         g = ([0.0], [1.0])
@@ -170,8 +169,10 @@ class TestGaussExpectedLoglik:
 
     def test_mutated_non_pd_reduced_rejected(self):
         with pytest.raises(InvalidModelError) as info:
-            gmm_expected_loglik_opt(mixture([1.0], [UNIT]), mixture([1.0], [([0.0], [-1.0])]))
-        assert str(info.value) == "reduced component 0: diagonal cov has non-positive variances"
+            one_state(mixture([1.0], [([0.0], [-1.0])]))
+        assert str(info.value) == (
+            "state 0, mixture component 0: diagonal cov has non-positive variances"
+        )
 
     @pytest.mark.parametrize("layouts", [("diag", "diag"), ("full", "full")])
     def test_table_matches_pairs(self, rng, layouts):
@@ -185,18 +186,18 @@ class TestGaussExpectedLoglik:
         reduced = random_gmm(rng, n_mix=2, dim=2, cov_type="full")
         reduced[2][1] = [[1.0, 2.0], [2.0, 1.0]]
         with pytest.raises(InvalidModelError) as info:
-            gmm_expected_loglik_opt(base, reduced)
-        assert str(info.value) == "reduced component 1: full cov is not positive definite"
+            one_state(reduced)
+        assert str(info.value) == "state 0, mixture component 1: full cov is not positive definite"
 
     @pytest.mark.parametrize(
         "base, reduced, message",
         [
             (mixture([1.0, 1.0], [UNIT, ([1.0], [1.0])]), mixture([1.0], [UNIT]),
-             "base component weights sums to 2.0, expected 1 within 1e-12"),
+             "mixture weights of state 0 sums to 2.0, expected 1 within 1e-12"),
             (mixture([1.0], [UNIT]), mixture([0.5, 0.5], [([np.nan], [1.0]), UNIT]),
-             "reduced component 0: mean contains non-finite entries"),
+             "state 0, mixture component 0: mean contains non-finite entries"),
             (mixture([0.5, 0.5], [UNIT, ([0.0], [-1.0])]), mixture([1.0], [UNIT]),
-             "base component 1: diagonal cov has non-positive variances"),
+             "state 0, mixture component 1: diagonal cov has non-positive variances"),
             (mixture([1.0], [UNIT]), mixture([1.0], [([0.0, 0.0], [1.0, 1.0])]),
              "dimension mismatch: base d=1, reduced d=2"),
             (mixture([1.0], [([0.0, 0.0], [1.0, 1.0])]),
@@ -206,10 +207,11 @@ class TestGaussExpectedLoglik:
         ids=["weights-sum-to-2", "nan-mean", "negative-base-variance", "dimension", "layout"],
     )
     def test_mixture_bound_checks_its_inputs(self, base, reduced, message):
-        # The kernel checks nothing: the public one-mixture form checks both
-        # mixtures, naming the mixture and its component, then the pair.
+        # The kernel checks nothing: a mixture enters the oracle's state-pair
+        # bounds as a model's state, checked when the model is built, naming
+        # the state and its component; then the oracle checks the pair.
         with pytest.raises(InvalidModelError) as info:
-            gmm_expected_loglik_opt(base, reduced)
+            elhmm_bruteforce(one_state(base), one_state(reduced), 1)
         assert str(info.value) == message
 
 
@@ -251,7 +253,7 @@ class TestGmmBounds:
         gb = random_gaussian(rng)
         gr = random_gaussian(rng)
         expected = cross(gb, gr)
-        value = gmm_expected_loglik_opt(mixture([1.0], [gb]), mixture([1.0], [gr]))
+        value = mixture_bound(mixture([1.0], [gb]), mixture([1.0], [gr]))
         assert value == pytest.approx(expected, abs=1e-12)
 
     def test_bound_at_optimum_equals_opt(self, rng):
@@ -260,14 +262,14 @@ class TestGmmBounds:
             reduced = random_gmm(rng, n_mix=2, dim=2)
             eta = matching(base, reduced)
             assert matching_bound(base, reduced, eta) == pytest.approx(
-                gmm_expected_loglik_opt(base, reduced), abs=1e-10
+                mixture_bound(base, reduced), abs=1e-10
             )
 
     def test_suboptimal_eta_below_opt(self, rng):
         for _ in range(20):
             base = random_gmm(rng, n_mix=3)
             reduced = random_gmm(rng, n_mix=3)
-            opt = gmm_expected_loglik_opt(base, reduced)
+            opt = mixture_bound(base, reduced)
             uniform = np.full((3, 3), 1.0 / 3.0)
             assert matching_bound(base, reduced, uniform) <= opt + 1e-10
             random_eta = np.stack([rng.dirichlet(np.ones(3)) for _ in range(3)])
@@ -280,7 +282,7 @@ class TestGmmBounds:
         comps = [([-50.0], [1.0]), ([50.0], [1.0])]
         gmm = mixture(weights, comps)
         expected = sum(w * (math.log(w) + cross(c, c)) for w, c in zip(weights, comps))
-        assert gmm_expected_loglik_opt(gmm, gmm) == pytest.approx(expected, abs=1e-9)
+        assert mixture_bound(gmm, gmm) == pytest.approx(expected, abs=1e-9)
 
     def test_opt_below_monte_carlo(self, rng):
         held = 0
@@ -289,7 +291,7 @@ class TestGmmBounds:
             reduced = random_gmm(
                 rng, n_mix=int(rng.integers(1, 4)), dim=base[1].shape[1]
             )
-            value = gmm_expected_loglik_opt(base, reduced)
+            value = mixture_bound(base, reduced)
             draws, _ = sample_batch(one_state(base), 1, 10**5, rng)
             lls = forward_loglik_batch(one_state(reduced), draws)
             stderr = lls.std(ddof=1) / np.sqrt(lls.size)
@@ -301,47 +303,39 @@ class TestGmmBounds:
         base = random_gmm(rng, n_mix=2, dim=2)
         reduced = random_gmm(rng, n_mix=3, dim=2)
         permuted = tuple(a[[2, 0, 1]] for a in reduced)
-        assert gmm_expected_loglik_opt(base, reduced) == pytest.approx(
-            gmm_expected_loglik_opt(base, permuted), abs=1e-12
+        assert mixture_bound(base, reduced) == pytest.approx(
+            mixture_bound(base, permuted), abs=1e-12
         )
 
 
 class TestSolvers:
-    def test_softmax_log_cases(self):
-        probs, value = solve_softmax_log([0.0, 0.0])
-        np.testing.assert_allclose(probs, [0.5, 0.5])
-        assert value == pytest.approx(math.log(2.0), abs=1e-12)
-        probs, _ = solve_softmax_log([math.log(1.0), math.log(3.0)])
-        np.testing.assert_allclose(probs, [0.25, 0.75], atol=1e-12)
+    """The stage softmaxes of the enumeration oracle ``elhmm_bruteforce``,
+    seen through its value, which the E-step matches."""
 
     def test_softmax_log_no_overflow(self):
-        probs, value = solve_softmax_log([1000.0, 1000.0 + math.log(3.0)])
-        np.testing.assert_allclose(probs, [0.25, 0.75], atol=1e-12)
-        assert value == pytest.approx(1000.0 + math.log(4.0), abs=1e-9)
-
-    def test_softmax_log_shift_invariance(self, rng):
-        for _ in range(20):
-            beta = rng.normal(size=4)
-            shifted, _ = solve_softmax_log(beta + 123.456)
-            plain, _ = solve_softmax_log(beta)
-            np.testing.assert_allclose(shifted, plain, atol=1e-12)
+        # Every state pair's bound is about -5e5: shifted by their maximum,
+        # the stage softmaxes neither underflow to 0/0 nor lose the gap.
+        base = one_state(mixture([1.0], [UNIT]))
+        reduced = Hmm([0.5, 0.5], [[0.5, 0.5], [0.5, 0.5]], [[1.0], [1.0]],
+                      [[[1000.0]], [[1001.0]]], [[[1.0]], [[1.0]]])
+        value = elhmm_bruteforce(base, reduced, 3)
+        assert value < -1e6
+        assert value == pytest.approx(estep_pair(base, reduced, 3).objective, rel=1e-12)
 
     def test_softmax_log_neg_inf_mass(self):
-        probs, _ = solve_softmax_log([0.0, -np.inf])
-        np.testing.assert_allclose(probs, [1.0, 0.0])
-        with pytest.raises(DegenerateWeightsError):
-            solve_softmax_log([-np.inf, -np.inf])
-
-    @pytest.mark.parametrize("bad", [np.nan, np.inf])
-    def test_softmax_log_rejects_nan_and_inf(self, bad):
-        with pytest.raises(ValueError) as info:
-            solve_softmax_log([0.0, bad])
-        assert str(info.value) == f"log-weights must be finite or -inf, got {np.array([0.0, bad])}"
-
-    def test_softmax_agrees_with_weighted_on_logs(self, rng):
-        raw = rng.uniform(0.1, 5.0, size=5)
-        probs, _ = solve_softmax_log(np.log(raw))
-        np.testing.assert_allclose(probs, raw / raw.sum(), atol=1e-12)
+        # A zero transition is a -inf logit, whose reduced state gets no mass:
+        # the enumeration stays finite. A stage row of -inf logits only (the
+        # base state's bound against every reduced state overflowed) is
+        # degenerate.
+        base = one_state(mixture([1.0], [UNIT]))
+        left_to_right = Hmm([1.0, 0.0], [[0.5, 0.5], [0.0, 1.0]], [[1.0], [1.0]],
+                            [[[0.0]], [[1.0]]], [[[1.0]], [[1.0]]])
+        value = elhmm_bruteforce(base, left_to_right, 3)
+        assert value == pytest.approx(estep_pair(base, left_to_right, 3).objective, abs=1e-9)
+        far = one_state(mixture([1.0], [([1e150], [1.0])]))
+        narrow = one_state(mixture([1.0], [([0.5], [1e-10])]))
+        with pytest.raises(DegenerateWeightsError, match="all log-weights are -inf"):
+            elhmm_bruteforce(far, narrow, 2)
 
 
 class TestLogsumexp:

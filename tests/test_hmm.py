@@ -475,6 +475,33 @@ class TestArrayCheck:
             )
         assert where is None or ("component 1" in str(info.value) and where in str(info.value))
 
+    @pytest.mark.parametrize(
+        "where, cov",
+        [
+            ((77, 2, 1), [[1.0, 2.0], [2.0, 1.0]]),
+            # Rank one: Cholesky fails, though rounding may leave eigvalsh's
+            # smallest eigenvalue just above 0 (about 1e-17).
+            ((90, 0, 1), [[0.29621784042087357, 0.17214920138308412],
+                          [0.17214920138308412, 0.10004578891915161]]),
+        ],
+        ids=["indefinite", "singular"],
+    )
+    def test_stack_names_the_matrix_that_is_not_positive_definite(self, where, cov):
+        # 128 components, N=3, M=2, d=2, full: one batched Cholesky, then one
+        # batched eigvalsh to find the entry.
+        k, n, m, d = 128, 3, 2, 2
+        covs = np.broadcast_to(np.eye(d), (k, n, m, d, d)).copy()
+        covs[where] = cov
+        with pytest.raises(InvalidModelError) as info:
+            hmm_module._check_arrays(
+                np.full((k, n), 1 / n), np.full((k, n, n), 1 / n), np.full((k, n, m), 1 / m),
+                np.zeros((k, n, m, d)), covs, axes=("component",),
+            )
+        assert str(info.value) == (
+            "component {}, state {}, mixture component {}: full cov is not positive definite"
+            .format(*where)
+        )
+
     @pytest.mark.parametrize("case", BAD_MODELS)
     def test_load_model_rejects(self, case, tmp_path):
         arrays, where = bad_model(case)

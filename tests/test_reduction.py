@@ -22,7 +22,6 @@ from h3mkit import (
     VhemConfig,
     elhmm_bruteforce,
     estep_pair,
-    gmm_expected_loglik_opt,
     hier_cluster,
     mc_expected_loglik,
     rand_index,
@@ -40,7 +39,7 @@ from h3mkit.hmm import _stack
 from h3mkit.hmm import _Stats
 from h3mkit.reduction import _estep, _init_reduced, _virtual_stats_all
 
-from conftest import occupancies, random_hmm
+from conftest import mixture_bound, occupancies, random_hmm
 
 
 def gaussian_hmm(mean, var=1.0):
@@ -50,6 +49,15 @@ def gaussian_hmm(mean, var=1.0):
 def state_mixture(model, state):
     """The emission mixture of one state as (weights, means, covs) arrays."""
     return model.mix_weights[state], model.means[state], model.covs[state]
+
+
+def state_bounds(base, reduced):
+    """``conftest.mixture_bound`` for every (base state, reduced state) pair."""
+    return np.array([
+        [mixture_bound(state_mixture(base, b), state_mixture(reduced, r))
+         for r in range(reduced.n_states)]
+        for b in range(base.n_states)
+    ])
 
 
 def single_gaussian_term(base, reduced):
@@ -64,15 +72,7 @@ def objective_by_enumeration(base, reduced, tau, phi_initial, phi_step):
     explicitly over every pair of state sequences. Second, independently
     coded evaluator used to cross-check both the recursion and the oracle."""
     n_b, n_r = base.n_states, reduced.n_states
-    ell = np.array(
-        [
-            [
-                gmm_expected_loglik_opt(state_mixture(base, b), state_mixture(reduced, r))
-                for r in range(n_r)
-            ]
-            for b in range(n_b)
-        ]
-    )
+    ell = state_bounds(base, reduced)
     total = 0.0
     for beta in itertools.product(range(n_b), repeat=tau):
         w = base.initial[beta[0]]
@@ -112,15 +112,10 @@ class TestEstepPair:
         base = random_hmm(rng, n_states=2, n_mix=2)
         reduced = random_hmm(rng, n_states=3, n_mix=2)
         pair = estep_pair(base, reduced, 1)
+        ell = state_bounds(base, reduced)
         expected = 0.0
         for b in range(2):
-            inner = sum(
-                reduced.initial[r]
-                * math.exp(
-                    gmm_expected_loglik_opt(state_mixture(base, b), state_mixture(reduced, r))
-                )
-                for r in range(3)
-            )
+            inner = sum(reduced.initial[r] * math.exp(ell[b, r]) for r in range(3))
             expected += base.initial[b] * math.log(inner)
         assert pair.objective == pytest.approx(expected, abs=1e-9)
 
@@ -163,12 +158,10 @@ class TestEstepPair:
             base = random_hmm(rng, n_b, m_b, d, cov_type)
             reduced = random_hmm(rng, n_r, m_r, d, cov_type)
             pair = estep_pair(base, reduced, 3)
+            np.testing.assert_allclose(pair.state_ell, state_bounds(base, reduced), rtol=0, atol=1e-12)
             for b in range(n_b):
                 for r in range(n_r):
                     gmm_b, gmm_r = state_mixture(base, b), state_mixture(reduced, r)
-                    assert pair.state_ell[b, r] == pytest.approx(
-                        gmm_expected_loglik_opt(gmm_b, gmm_r), abs=1e-12
-                    )
                     # eta[b, r, m] is the softmax over l of the log weight
                     # plus the expected log density of component pair (m, l).
                     table = _cross_terms(
@@ -1006,7 +999,9 @@ class TestBatchedEstep:
             assert batch.objective[i, j] == pair.objective
             for field in ("eta", "phi_initial", "phi_step", "state_ell"):
                 np.testing.assert_array_equal(getattr(batch, field)[i, j], getattr(pair, field))
-            # And the loop over pairs computes the same quantities.
+            # And the loop over pairs computes the same quantities, with each
+            # state pair's bound the Hershey-Olsen bound of its two mixtures.
+            np.testing.assert_allclose(pair.state_ell, state_bounds(b, r), rtol=1e-12, atol=0)
             eta, phi_initial, phi_step, objective = per_pair_estep(b, r, tau)
             assert pair.objective == pytest.approx(objective, rel=1e-12, abs=0)
             np.testing.assert_allclose(pair.eta, eta, rtol=1e-12, atol=0)
