@@ -48,9 +48,10 @@ from .gaussians import (
 )
 
 
-@dataclass
+@dataclass(slots=True)
 class Sequence:
-    """One observation sequence: a (tau, d) array of real vectors."""
+    """One observation sequence: a (tau, d) array of real vectors. Slotted:
+    an instance has no ``__dict__`` and takes no attribute it does not declare."""
 
     observations: np.ndarray
     id: str | None = None
@@ -556,14 +557,32 @@ def _expected_stats(
 
     Returns the per-sequence sufficient statistics, item-major (leading
     (S, K) axes, no tau axis), or None if not ``stats``, and the
-    log-likelihoods (S, K), the same bit for bit either way.
+    log-likelihoods (S, K), the same bit for bit either way. Each block's
+    rows are written into these arrays as it finishes, so no list of
+    blocks is held and copied.
     """
-    return _joined([_block_stats(models, block, stats) for block in _blocks(models, obs)])
+    lls = np.empty((obs.shape[0], models.initial.shape[0]))
+    totals = None
+    start = 0
+    for block in _blocks(models, obs):
+        part, part_lls = _block_stats(models, block, stats)
+        rows = slice(start, start + block.shape[0])
+        lls[rows] = part_lls
+        if part is not None:
+            if totals is None:
+                totals = _Stats(*(np.empty(lls.shape + v.shape[2:]) for v in vars(part).values()))
+            for whole, piece in zip(vars(totals).values(), vars(part).values()):
+                whole[rows] = piece
+        start = rows.stop
+    return totals, lls
 
 
 def _joined(parts: list[tuple[_Stats | None, np.ndarray]]) -> tuple[_Stats | None, np.ndarray]:
     """(statistics, objectives) of several batches of items, one after
-    another; the statistics are None if a batch has none."""
+    another; the statistics are None if a batch has none. One batch is
+    returned as it is, uncopied."""
+    if len(parts) == 1:
+        return parts[0]
     stats, objectives = zip(*parts)
     return None if None in stats else _Stats.concatenate(stats), np.concatenate(objectives)
 
@@ -627,9 +646,20 @@ def _mstep(stats: _Stats, previous: _Stacked, cov_floor: float) -> _Stacked:
 # Initialization and fitting
 
 
-def _kmeans(points: np.ndarray, k: int, rng: np.random.Generator, n_iter: int = 25) -> np.ndarray:
+# Lloyd iterations of the k-means start; fewer if the centers settle first.
+_KMEANS_ITERS = 25
+
+
+def _kmeans(points: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
     """Plain Lloyd iterations from k distinct seed points; deterministic
-    given the generator. Returns centers sorted lexicographically."""
+    given the generator. Returns centers sorted lexicographically.
+
+    Working memory is O(k·P) for P points: squared distances are summed into
+    one (k, P) array a coordinate at a time, and each point goes to its first
+    nearest center as ``argmin`` would. Each center is the mean of its points
+    taken in their original order, so the centers equal the masked-mean Lloyd
+    update (``points[assign == j].mean(axis=0)``) bit for bit; a center whose
+    cluster empties keeps its previous value."""
     # The distinct rows in lexicographic order, as np.unique(points, axis=0).
     ordered = points[np.lexsort(points.T[::-1])]
     unique = ordered[np.r_[True, np.any(ordered[1:] != ordered[:-1], axis=1)]]
@@ -638,14 +668,27 @@ def _kmeans(points: np.ndarray, k: int, rng: np.random.Generator, n_iter: int = 
             f"need at least {k} distinct observation vectors, found {unique.shape[0]}"
         )
     centers = unique[rng.choice(unique.shape[0], size=k, replace=False)]
-    for _ in range(n_iter):
-        d2 = np.sum((points[:, None, :] - centers[None]) ** 2, axis=2)
-        assign = np.argmin(d2, axis=1)
+    d2 = np.empty((k, points.shape[0]))
+    term = np.empty_like(d2)
+    for _ in range(_KMEANS_ITERS):
+        d2.fill(0.0)
+        for i in range(points.shape[1]):
+            np.subtract(points[:, i], centers[:, i, None], out=term)
+            term *= term
+            d2 += term
+        # Strict < keeps the lowest index on ties.
+        nearest = d2[0].copy()
+        assign = np.zeros(points.shape[0], dtype=np.intp)
+        for j in range(1, k):
+            assign[d2[j] < nearest] = j
+            np.minimum(nearest, d2[j], out=nearest)
+        # A stable sort keeps each cluster's points in their original order.
+        grouped = points[np.argsort(assign, kind="stable")]
+        ends = np.cumsum(np.bincount(assign, minlength=k))
         new_centers = centers.copy()
-        for j in range(k):
-            mask = assign == j
-            if np.any(mask):
-                new_centers[j] = points[mask].mean(axis=0)
+        for j, cluster in enumerate(np.split(grouped, ends[:-1])):
+            if cluster.shape[0]:
+                new_centers[j] = cluster.mean(axis=0)
         if np.allclose(new_centers, centers):
             centers = new_centers
             break

@@ -1,8 +1,10 @@
 """HMM likelihood against exhaustive enumeration, the scaled pass against
 the log-domain pass it falls back to, sampling statistics, state marginals,
-and Baum-Welch behavior. The enumeration oracle below scores emissions
-through scipy so it shares no density code with the library."""
+the k-means start against the masked-mean Lloyd loop, and Baum-Welch
+behavior. The enumeration oracle below scores emissions through scipy so it
+shares no density code with the library."""
 
+import dataclasses
 import itertools
 import json
 import math
@@ -25,6 +27,7 @@ from h3mkit import (
     VhemConfig,
     baum_welch,
     forward_loglik_batch,
+    h3m_em,
     load_model,
     sample_batch,
     save_model,
@@ -33,7 +36,7 @@ from h3mkit import (
 )
 from h3mkit import hmm as hmm_module
 from h3mkit.gaussians import logsumexp
-from h3mkit.hmm import _expected_stats, _mstep, _stack, _Stats
+from h3mkit.hmm import _expected_stats, _kmeans, _mstep, _stack, _Stats
 
 from conftest import align_means, random_hmm
 
@@ -58,6 +61,38 @@ def enumeration_loglik(model: Hmm, obs: np.ndarray) -> float:
         for path in itertools.product(range(model.n_states), repeat=tau)
     ]
     return float(scipy_logsumexp(paths))
+
+
+def masked_mean_kmeans(points: np.ndarray, k: int, rng) -> np.ndarray:
+    """Reference Lloyd loop: a (P, k, d) difference array, ``argmin`` and
+    one mask per center; the same seed draw, stopping rule and sorted output
+    as ``hmm._kmeans``."""
+    ordered = points[np.lexsort(points.T[::-1])]
+    unique = ordered[np.r_[True, np.any(ordered[1:] != ordered[:-1], axis=1)]]
+    centers = unique[rng.choice(unique.shape[0], size=k, replace=False)]
+    for _ in range(25):
+        assign = np.argmin(np.sum((points[:, None, :] - centers[None]) ** 2, axis=2), axis=1)
+        new_centers = centers.copy()
+        for j in range(k):
+            mask = assign == j
+            if np.any(mask):
+                new_centers[j] = points[mask].mean(axis=0)
+        converged = np.allclose(new_centers, centers)
+        centers = new_centers
+        if converged:
+            break
+    return centers[np.lexsort(centers.T[::-1])]
+
+
+class FixedStart:
+    """Stands in for the generator of a k-means start: ``choice`` returns the
+    given indices into the sorted distinct points."""
+
+    def __init__(self, indices):
+        self.indices = np.array(indices)
+
+    def choice(self, n, size, replace):
+        return self.indices
 
 
 def underflow_model(cov_type="diag"):
@@ -329,6 +364,16 @@ class TestConstruction:
             Hmm([bad, 1.0], np.full((2, 2), 0.5), *emissions)
         with pytest.raises(InvalidModelError, match="transition row 1 sums to"):
             Hmm([0.5, 0.5], [[0.5, 0.5], [bad, 1.0]], *emissions)
+
+    def test_sequence_is_slotted(self):
+        seq = Sequence([[0.0], [1.0]], id="a")
+        assert not hasattr(seq, "__dict__")
+        with pytest.raises(AttributeError):
+            seq.label = "b"
+        other = dataclasses.replace(seq, id="b")
+        assert other.id == "b" and other.observations is seq.observations
+        with pytest.raises(InvalidModelError, match="non-finite"):
+            dataclasses.replace(seq, observations=[[np.nan]])
 
     def test_zero_dimensional_observations_rejected(self):
         with pytest.raises(InvalidModelError, match=r"d >= 1, got shape \(2, 0\)"):
@@ -785,6 +830,46 @@ class TestSample:
         flat = obs[:, 0, :]
         np.testing.assert_allclose(flat.mean(axis=0), [1.0, -1.0], atol=0.02)
         np.testing.assert_allclose(np.cov(flat.T), cov, atol=0.03)
+
+
+class TestKmeans:
+    @pytest.mark.parametrize("dim", [1, 2, 3, 9])
+    def test_equals_the_masked_mean_loop(self, dim):
+        for seed in range(10):
+            gen = np.random.default_rng(seed)
+            points = gen.normal(size=(500, dim)) * gen.uniform(0.1, 100.0, size=dim)
+            points += 50.0 * gen.normal(size=dim)
+            got = _kmeans(points, 6, np.random.default_rng(seed))
+            want = masked_mean_kmeans(points, 6, np.random.default_rng(seed))
+            assert got.tobytes() == want.tobytes(), seed
+
+    def test_center_of_an_emptied_cluster_stays(self):
+        # From (1, 3), (1, 4), (1, 2) the middle center moves to (3, 4) and
+        # then loses both its points; it keeps (3, 4), which is no data point.
+        points = np.array([[1.0, 3.0], [5.0, 4.0], [1.0, 4.0], [1.0, 2.0], [5.0, 3.0]])
+        got = _kmeans(points, 3, FixedStart([1, 2, 0]))
+        np.testing.assert_array_equal(got, [[1.0, 3.0], [3.0, 4.0], [5.0, 3.5]])
+        assert got.tobytes() == masked_mean_kmeans(points, 3, FixedStart([1, 2, 0])).tobytes()
+
+    @pytest.mark.parametrize("start, want", [([0, 2], [0.5, 2.0]), ([2, 0], [0.0, 1.5])])
+    def test_tied_points_go_to_the_first_center(self, start, want):
+        # The points at 1 are as far from 0 as from 2, and join whichever
+        # center comes first.
+        points = np.array([0.0, 1.0, 2.0, 0.0, 1.0, 2.0])[:, None]
+        got = _kmeans(points, 2, FixedStart(start))
+        np.testing.assert_array_equal(got[:, 0], want)
+        assert got.tobytes() == masked_mean_kmeans(points, 2, FixedStart(start)).tobytes()
+
+    def test_too_few_distinct_vectors_named(self):
+        data = [Sequence([[0.0], [1.0], [0.0]]), Sequence([[1.0], [0.0], [1.0]])]
+        message = "need at least 4 distinct observation vectors, found 2"
+        for fit in (
+            lambda rng: baum_welch(data, 2, 2, EmConfig(), rng),
+            lambda rng: h3m_em(data, 2, 2, 2, EmConfig(), rng),
+        ):
+            with pytest.raises(EstimationError) as info:
+                fit(np.random.default_rng(0))
+            assert str(info.value) == message
 
 
 class TestBaumWelch:
