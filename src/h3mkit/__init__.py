@@ -25,7 +25,6 @@ from .h3m import (
 )
 from .hierarchy import (
     HierarchyLevel,
-    best_label_accuracy,
     hier_cluster,
     leaf_labels,
     rand_index,
@@ -37,17 +36,9 @@ from .hmm import (
     Sequence,
     forward_loglik_batch,
     sample_batch,
-    state_marginals,
 )
 from .pipeline import PipelineReport, split_estimate_aggregate
-from .reduction import (
-    PairEstepResult,
-    ReductionResult,
-    VhemConfig,
-    elhmm_bruteforce,
-    estep_pair,
-    vhem_reduce,
-)
+from .reduction import ReductionResult, VhemConfig, vhem_reduce
 from .serialize import SequenceDataset, load_dataset, load_model, save_dataset, save_model
 from .synth import synth_benchmark
 
@@ -68,16 +59,12 @@ __all__ = [
     "HmmFit",
     "InvalidModelError",
     "ModelFormatError",
-    "PairEstepResult",
     "PipelineReport",
     "ReductionResult",
     "Sequence",
     "SequenceDataset",
     "VhemConfig",
     "baum_welch",
-    "best_label_accuracy",
-    "elhmm_bruteforce",
-    "estep_pair",
     "forward_loglik_batch",
     "h3m_em",
     "hier_cluster",
@@ -90,7 +77,6 @@ __all__ = [
     "save_dataset",
     "save_model",
     "split_estimate_aggregate",
-    "state_marginals",
     "synth_benchmark",
     "vhem_reduce",
 ]

@@ -7,9 +7,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import InvalidModelError
 from .h3m import H3m
-from .hmm import Hmm, _check_counts
+from .hmm import Hmm, _check_counts, _stack
 from .reduction import VhemConfig, vhem_reduce
 
 
@@ -38,9 +37,8 @@ def hier_cluster(
     replaced by "subset-perturb", as a start fits one level at most; so
     ``n_restarts`` > 1 with an ``H3m`` init runs here, unlike in ``vhem_reduce``.
     """
-    n = leaves.n_components if isinstance(leaves, H3m) else len(leaves)
-    if n == 0:
-        raise InvalidModelError("no leaves to cluster")
+    arrays = leaves.arrays if isinstance(leaves, H3m) else _stack(leaves)
+    n = arrays.initial.shape[0]
     if not ladder:
         raise ValueError("ladder must list at least one level size")
     _check_counts(**{f"ladder[{i}]": k for i, k in enumerate(ladder)})
@@ -49,7 +47,7 @@ def hier_cluster(
     if ladder[0] > n:
         raise ValueError(f"ladder[0]={ladder[0]} exceeds leaf count {n}")
 
-    current = H3m(np.full(n, 1.0 / n), leaves.arrays if isinstance(leaves, H3m) else leaves)
+    current = H3m(np.full(n, 1.0 / n), arrays)
     levels = [HierarchyLevel(models=current, parent_of={i: i for i in range(n)}, level_size=n)]
     for depth, k in enumerate(ladder):
         level_config = replace(
@@ -109,51 +107,3 @@ def rand_index(labels_a: list, labels_b: list) -> float:
     together_b = pairs(table.sum(axis=0))
     total = n * (n - 1) // 2
     return (total - together_a - together_b + 2 * together_both) / total
-
-
-def best_label_accuracy(labels_true: list, labels_pred: list) -> float:
-    """Classification accuracy maximized over relabelings of the prediction:
-    each predicted label is mapped to a distinct true label (or to none, when
-    there are more predicted labels than true ones)."""
-    if len(labels_true) != len(labels_pred):
-        raise ValueError("label lists have different lengths")
-    if len(labels_true) == 0:
-        return 0.0
-    return _max_matching(_contingency(labels_true, labels_pred)) / len(labels_true)
-
-
-def _max_matching(counts: np.ndarray) -> int:
-    """Largest total count of a one-to-one matching between the rows and the
-    columns of a contingency table: the Hungarian method (Kuhn 1955), one
-    shortest augmenting path per row. The counts are whole numbers, so the
-    potentials stay exact in floating point."""
-    if counts.shape[0] > counts.shape[1]:
-        counts = counts.T
-    n, m = counts.shape
-    cost = -counts.astype(float)
-    u, v = np.zeros(n + 1), np.zeros(m + 1)
-    row_of = np.zeros(m + 1, dtype=int)  # row_of[j]: row (from 1) matched to column j, or 0
-    for row in range(1, n + 1):
-        # Column 0 is a virtual column holding the new row.
-        row_of[0], col = row, 0
-        slack = np.full(m + 1, np.inf)
-        came_from = np.zeros(m + 1, dtype=int)
-        used = np.zeros(m + 1, dtype=bool)
-        while row_of[col] != 0:
-            used[col] = True
-            reduced = cost[row_of[col] - 1] - u[row_of[col]] - v[1:]
-            better = ~used[1:] & (reduced < slack[1:])
-            slack[1:][better] = reduced[better]
-            came_from[1:][better] = col
-            free = np.flatnonzero(~used)
-            nxt = free[np.argmin(slack[free])]
-            delta = slack[nxt]
-            u[row_of[used]] += delta
-            v[used] -= delta
-            slack[~used] -= delta
-            col = nxt
-        while col != 0:  # flip the matching along the path
-            row_of[col] = row_of[came_from[col]]
-            col = came_from[col]
-    cols = np.flatnonzero(row_of[1:])
-    return int(counts[row_of[1:][cols] - 1, cols].sum())

@@ -1,9 +1,9 @@
 """Hidden Markov models with Gaussian-mixture emissions.
 
-Holds the model type, exact sequence likelihood, seeded sampling, prior
-state-occupancy marginals, and the estimation machinery that every estimator
-shares. An ``Hmm`` is built from its five parameter arrays and holds them
-once; every kernel reads them, and no model is mutated after construction.
+Holds the model type, exact sequence likelihood, seeded sampling, and the
+estimation machinery that every estimator shares. An ``Hmm`` is built from
+its five parameter arrays and holds them once; every kernel reads them, and
+no model is mutated after construction.
 Its ``emissions`` objects are an output view rebuilt from the arrays on each
 read, and nothing takes them as input. One array-level check,
 ``_check_arrays``, validates every model, once per stack: the constructor
@@ -393,16 +393,6 @@ def forward_loglik_batch(model: Hmm, obs: np.ndarray) -> np.ndarray:
     return _expected_stats(_stack([model]), obs, False)[1][:, 0]
 
 
-def state_marginals(model: Hmm, tau: int) -> np.ndarray:
-    """Prior state-occupancy P(x_t = state) for t = 1..tau, shape (tau, N)."""
-    _check_counts(tau=tau)
-    rows = np.empty((tau, model.n_states))
-    rows[0] = model.initial
-    for t in range(1, tau):
-        rows[t] = rows[t - 1] @ model.transitions
-    return rows
-
-
 # ---------------------------------------------------------------------------
 # Sampling
 
@@ -651,8 +641,10 @@ _KMEANS_ITERS = 25
 
 
 def _kmeans(points: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
-    """Plain Lloyd iterations from k distinct seed points; deterministic
-    given the generator. Returns centers sorted lexicographically.
+    """Plain Lloyd iterations from k distinct seed points, until one leaves
+    the centers exactly as they were (a fixed point at any scale of the
+    data) or after ``_KMEANS_ITERS``; deterministic given the generator.
+    Returns centers sorted lexicographically.
 
     Working memory is O(k·P) for P points: squared distances are summed into
     one (k, P) array a coordinate at a time, and each point goes to its first
@@ -689,7 +681,7 @@ def _kmeans(points: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
         for j, cluster in enumerate(np.split(grouped, ends[:-1])):
             if cluster.shape[0]:
                 new_centers[j] = cluster.mean(axis=0)
-        if np.allclose(new_centers, centers):
+        if np.array_equal(new_centers, centers):
             centers = new_centers
             break
         centers = new_centers

@@ -20,10 +20,7 @@ and their virtual sample counts as counts: ``compute_assignments`` gives z
 and the bound, sum_i log sum_j w_j exp(N_i * objective[i, j]), which is the
 virtual-sample log-likelihood and does not decrease; ``mstep`` re-estimates
 from per-base-component virtual statistics, weighted as ``h3m_em`` weights
-real sequences; ``_converged`` stops the run. An exhaustive enumeration
-oracle for the pair objective, ``elhmm_bruteforce``, is included for
-verification; it scores the state pairs with ``_cross_terms`` as the E-step
-does, and solves its stage softmaxes one stage at a time.
+real sequences; ``_converged`` stops the run.
 
 An iteration reads the stacks the base and the reduced mixtures hold
 (``H3m.arrays``) and is batched over (base i, reduced j) pairs, except the
@@ -46,22 +43,20 @@ stays within the 256 KB that the data-side passes also keep to
 
 The kernels (``_cross_terms``, ``_estep``, ``_virtual_stats_all``) check
 nothing: their stacks were checked on entry, and ``gaussians._check_pair``
-rejects a pair whose dimensions or covariance layouts differ in ``estep_pair``,
-the oracle and ``_init_reduced``. No model is mutated: rescues write into a
+rejects a given start whose dimension or covariance layout differs from the
+base's in ``_init_reduced``. No model is mutated: rescues write into a
 fresh stack. The start and rescued components get their covariances floored at
 ``cov_floor`` by ``hmm._floor_covs``, as every M-step floors them.
 """
 
 from __future__ import annotations
 
-import itertools
-import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import hmm
-from .errors import DegenerateWeightsError, InvalidModelError
+from .errors import InvalidModelError
 from .gaussians import _check_pair, _cross_terms, logsumexp
 from .h3m import (
     AssignmentMatrix,
@@ -71,9 +66,7 @@ from .h3m import (
     compute_assignments,
     mstep,
 )
-from .hmm import (
-    Hmm, _check_arrays, _check_counts, _Checked, _floor_covs, _joined, _stack, _Stacked, _Stats
-)
+from .hmm import _check_arrays, _check_counts, _Checked, _floor_covs, _joined, _Stacked, _Stats
 
 
 @dataclass
@@ -113,7 +106,9 @@ class VhemConfig:
 
 @dataclass
 class PairEstepResult:
-    """Variational quantities for one (base component, reduced component) pair.
+    """Variational quantities of the E-step (``_estep``), for every (base
+    component i, reduced component j) pair: each field carries leading (I, J)
+    axes, which the shapes below omit.
 
     eta[beta, rho] is the emission matching matrix for base state beta and
     reduced state rho. phi_initial[rho, beta] couples states at the first
@@ -121,15 +116,14 @@ class PairEstepResult:
     beta] couples consecutive reduced states given the base state at step t
     (axis 1 is the distribution). state_ell[beta, rho] is the per-step
     expected log-likelihood bound between the two states' emission mixtures,
-    and objective is the pair's overall expected log-likelihood bound. For
-    all pairs at once (``_estep``) every field carries leading (I, J) axes.
+    and objective is the pair's overall expected log-likelihood bound.
     """
 
     eta: np.ndarray  # (N_b, N_r, M_b, M_r)
     phi_initial: np.ndarray  # (N_r, N_b)
     phi_step: np.ndarray  # (tau - 1, N_r, N_r, N_b)
     state_ell: np.ndarray  # (N_b, N_r)
-    objective: float
+    objective: np.ndarray  # ()
 
 
 @dataclass
@@ -147,8 +141,10 @@ class ReductionResult:
 
 
 def _estep(base: _Stacked, reduced: _Stacked, tau: int) -> PairEstepResult:
-    """``estep_pair`` for every (base i, reduced j) pair at once: each field
-    of the result carries leading (I, J) axes, the objective is (I, J).
+    """Optimal factored coupling between every base component i and every
+    reduced component j, and the resulting expected log-likelihood bounds
+    for sequences of length tau: each field of the result carries leading
+    (I, J) axes, the objective is (I, J).
 
     Emission matching is one pass over (I, J, N_b, N_r, M_b, M_r); the
     backward recursion for phi runs pair by pair, in log domain."""
@@ -195,87 +191,6 @@ def _estep(base: _Stacked, reduced: _Stacked, tau: int) -> PairEstepResult:
             phi_initial[i, j] = np.exp(scores1 - norm1[:, None]).T
             objective[i, j] = base.initial[i] @ norm1
     return PairEstepResult(eta, phi_initial, phi_step, ell, objective)
-
-
-def estep_pair(base_i: Hmm, reduced_j: Hmm, tau: int) -> PairEstepResult:
-    """Optimal factored coupling between one base and one reduced component,
-    and the resulting expected log-likelihood bound for sequences of length
-    tau: the one-pair slice of the E-step over all pairs."""
-    _check_pair((base_i.means, base_i.covs), (reduced_j.means, reduced_j.covs))
-    _check_counts(tau=tau)
-    batch = _estep(_stack([base_i]), _stack([reduced_j]), tau)
-    return PairEstepResult(*(getattr(batch, f.name)[0, 0] for f in fields(batch)))
-
-
-def elhmm_bruteforce(base_i: Hmm, reduced_j: Hmm, tau: int) -> float:
-    """Exhaustive-enumeration value of the pair objective, for verification.
-
-    Builds the coupling tables stage by stage, each stage one softmax over
-    the reduced state in log domain, then evaluates the objective by brute
-    force over every pair of base and reduced state sequences. Guarded to
-    (N_b * N_r)^tau <= 10^6.
-    """
-    _check_pair((base_i.means, base_i.covs), (reduced_j.means, reduced_j.covs))
-    _check_counts(tau=tau)
-    n_b, n_r = base_i.n_states, reduced_j.n_states
-    if (n_b * n_r) ** tau > 10**6:
-        raise ValueError(f"enumeration over ({n_b}*{n_r})^{tau} sequences is too large")
-    # ell[beta, rho], the Hershey-Olsen bound between the two states' mixtures:
-    # sum_m c_b[m] log sum_l c_r[l] exp(table[beta, rho, m, l]).
-    table = _cross_terms(
-        base_i.means[:, None, :, None],
-        base_i.covs[:, None, :, None],
-        reduced_j.means[None, :, None],
-        reduced_j.covs[None, :, None],
-    )
-    with np.errstate(divide="ignore"):
-        norm = logsumexp(np.log(reduced_j.mix_weights)[None, :, None, :] + table, axis=3)
-    ell = np.array([[c_b @ row for row in rows] for c_b, rows in zip(base_i.mix_weights, norm)])
-    pi_b = base_i.initial
-    a_b = base_i.transitions
-    log = np.vectorize(lambda x: math.log(x) if x > 0 else -math.inf, otypes=[float])
-    log_pi_r = log(reduced_j.initial)
-    log_a_r = log(reduced_j.transitions)
-
-    def softmax(logits: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """The softmax over the last axis and its log normalizers."""
-        values = logsumexp(logits, axis=-1)
-        if (values == -np.inf).any():
-            raise DegenerateWeightsError("all log-weights are -inf")
-        probs = np.exp(logits - values[..., None])
-        return probs / probs.sum(axis=-1, keepdims=True), values
-
-    # Stage tables: logits[rho_prev, beta, rho] at each step, backward.
-    future = np.zeros((n_b, n_r))
-    steps: list[np.ndarray] = []
-    for t in range(tau, 1, -1):
-        probs, values = softmax(log_a_r[:, None, :] + ell + future)
-        steps.insert(0, probs.transpose(0, 2, 1))
-        future = np.array(
-            [[sum(a * v for a, v in zip(row, value_row)) for value_row in values] for row in a_b]
-        )
-    phi1 = softmax(log_pi_r + ell + future)[0].T
-
-    # Brute-force objective over all explicit sequence pairs.
-    total = 0.0
-    for beta_seq in itertools.product(range(n_b), repeat=tau):
-        weight = pi_b[beta_seq[0]]
-        for t in range(1, tau):
-            weight *= a_b[beta_seq[t - 1], beta_seq[t]]
-        if weight == 0.0:
-            continue
-        for rho_seq in itertools.product(range(n_r), repeat=tau):
-            phi = phi1[rho_seq[0], beta_seq[0]]
-            for t in range(1, tau):
-                phi *= steps[t - 1][rho_seq[t - 1], rho_seq[t], beta_seq[t]]
-            if phi == 0.0:
-                continue
-            log_prior = log_pi_r[rho_seq[0]]
-            for t in range(1, tau):
-                log_prior += log_a_r[rho_seq[t - 1], rho_seq[t]]
-            ell_sum = sum(ell[beta_seq[t], rho_seq[t]] for t in range(tau))
-            total += weight * phi * (log_prior + ell_sum - math.log(phi))
-    return total
 
 
 # ---------------------------------------------------------------------------

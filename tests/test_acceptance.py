@@ -19,9 +19,6 @@ from h3mkit import (
     Hmm,
     VhemConfig,
     baum_welch,
-    best_label_accuracy,
-    elhmm_bruteforce,
-    estep_pair,
     forward_loglik_batch,
     h3m_em,
     hier_cluster,
@@ -29,7 +26,6 @@ from h3mkit import (
     mc_expected_loglik,
     rand_index,
     split_estimate_aggregate,
-    state_marginals,
     synth_benchmark,
     vhem_reduce,
 )
@@ -37,7 +33,15 @@ from h3mkit.gaussians import _cross_terms
 from h3mkit.hmm import _stack
 from h3mkit.reduction import _estep, _virtual_stats_all
 
-from conftest import occupancies, random_gaussian, random_hmm
+from conftest import (
+    best_label_accuracy,
+    elhmm_bruteforce,
+    estep_pair,
+    occupancies,
+    random_gaussian,
+    random_hmm,
+    state_marginals,
+)
 
 COV_FLOOR = 1e-6
 

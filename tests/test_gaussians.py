@@ -22,14 +22,12 @@ from h3mkit import (
     DegenerateWeightsError,
     Hmm,
     InvalidModelError,
-    elhmm_bruteforce,
-    estep_pair,
     forward_loglik_batch,
     sample_batch,
 )
 from h3mkit.gaussians import _cross_terms, logsumexp
 
-from conftest import mixture_bound, random_gaussian, random_gmm
+from conftest import elhmm_bruteforce, estep_pair, mixture_bound, random_gaussian, random_gmm
 
 LOG_2PI = math.log(2.0 * math.pi)
 STD_NORMAL_SELF = -(1.0 + LOG_2PI) / 2.0  # = -1.4189385332046727

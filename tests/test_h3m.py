@@ -17,7 +17,6 @@ from h3mkit import (
     InvalidModelError,
     Sequence,
     baum_welch,
-    best_label_accuracy,
     forward_loglik_batch,
     h3m_em,
     mc_expected_loglik,
@@ -26,7 +25,7 @@ from h3mkit import (
 )
 from h3mkit.hmm import _Stacked
 
-from conftest import random_hmm
+from conftest import best_label_accuracy, random_hmm
 
 STD_NORMAL_SELF = -(1.0 + math.log(2.0 * math.pi)) / 2.0
 

@@ -31,14 +31,13 @@ from h3mkit import (
     load_model,
     sample_batch,
     save_model,
-    state_marginals,
     vhem_reduce,
 )
 from h3mkit import hmm as hmm_module
 from h3mkit.gaussians import logsumexp
 from h3mkit.hmm import _expected_stats, _kmeans, _mstep, _stack, _Stats
 
-from conftest import align_means, random_hmm
+from conftest import align_means, random_hmm, state_marginals
 
 
 def enumeration_loglik(model: Hmm, obs: np.ndarray) -> float:
@@ -77,7 +76,7 @@ def masked_mean_kmeans(points: np.ndarray, k: int, rng) -> np.ndarray:
             mask = assign == j
             if np.any(mask):
                 new_centers[j] = points[mask].mean(axis=0)
-        converged = np.allclose(new_centers, centers)
+        converged = np.array_equal(new_centers, centers)
         centers = new_centers
         if converged:
             break
@@ -842,6 +841,19 @@ class TestKmeans:
             got = _kmeans(points, 6, np.random.default_rng(seed))
             want = masked_mean_kmeans(points, 6, np.random.default_rng(seed))
             assert got.tobytes() == want.tobytes(), seed
+
+    def test_stops_at_the_same_centers_at_any_scale(self):
+        # Three groups around (0, 0), (6, 0) and (0, 6). Scaled by 1e-9, every
+        # center moves by less than an absolute 1e-8 per step, which a
+        # tolerance-based stop took for convergence after one Lloyd step.
+        gen = np.random.default_rng(3)
+        points = np.concatenate(
+            [gen.normal(size=(200, 2)) + center for center in ([0.0, 0.0], [6.0, 0.0], [0.0, 6.0])]
+        )
+        want = _kmeans(points, 3, np.random.default_rng(7))
+        got = _kmeans(points * 1e-9, 3, np.random.default_rng(7)) / 1e-9
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
+        np.testing.assert_allclose(want, [[0.0, 0.0], [0.0, 6.0], [6.0, 0.0]], atol=0.3)
 
     def test_center_of_an_emptied_cluster_stays(self):
         # From (1, 3), (1, 4), (1, 2) the middle center moves to (3, 4) and

@@ -7,12 +7,13 @@ import pytest
 from h3mkit import (
     EmConfig,
     EstimationError,
-    best_label_accuracy,
     forward_loglik_batch,
     h3m_em,
     split_estimate_aggregate,
     synth_benchmark,
 )
+
+from conftest import best_label_accuracy
 
 
 def model_labels(model, sequences):

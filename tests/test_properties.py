@@ -18,8 +18,6 @@ from h3mkit import (
     Sequence,
     VhemConfig,
     baum_welch,
-    elhmm_bruteforce,
-    estep_pair,
     h3m_em,
     load_model,
     save_model,
@@ -33,7 +31,7 @@ from h3mkit import serialize as serialize_module
 from h3mkit import synth as synth_module
 from h3mkit.hmm import _check_arrays, _models, _Stacked
 
-from conftest import random_h3m
+from conftest import elhmm_bruteforce, estep_pair, random_h3m
 
 PROPERTY = settings(derandomize=True, max_examples=100, deadline=None)
 
@@ -208,8 +206,9 @@ class TestOneCheckPerStack:
         save_model(random_h3m(rng, k=6, n_mix=2, dim=2), tmp_path / "m.json")
         for module in (h3m_module, reduction_module, serialize_module):
             monkeypatch.setattr(module, "_check_arrays", checking)
-        for module in (h3m_module, reduction_module):
-            monkeypatch.setattr(module, "_stack", stacking)
+        # The reduction does not import _stack at all.
+        assert not hasattr(reduction_module, "_stack")
+        monkeypatch.setattr(h3m_module, "_stack", stacking)
         loaded = load_model(tmp_path / "m.json")
         assert len(returned) == 1 and loaded.arrays is returned[0]
         result = vhem_reduce(loaded, VhemConfig(2, max_iters=4, tol=0.0))

@@ -20,13 +20,10 @@ from h3mkit import (
     Hmm,
     InvalidModelError,
     VhemConfig,
-    elhmm_bruteforce,
-    estep_pair,
     hier_cluster,
     mc_expected_loglik,
     rand_index,
     sample_batch,
-    state_marginals,
     synth_benchmark,
     vhem_reduce,
 )
@@ -39,7 +36,9 @@ from h3mkit.hmm import _stack
 from h3mkit.hmm import _Stats
 from h3mkit.reduction import _estep, _init_reduced, _virtual_stats_all
 
-from conftest import mixture_bound, occupancies, random_hmm
+from conftest import (
+    elhmm_bruteforce, estep_pair, mixture_bound, occupancies, random_hmm, state_marginals,
+)
 
 
 def gaussian_hmm(mean, var=1.0):
