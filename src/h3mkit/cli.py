@@ -80,7 +80,10 @@ def _common_options(fn):
     inside the config that ``_em_options`` or ``_vhem_options``, listed above it, builds."""
 
     @click.option("--seed", type=int, default=0, show_default=True)
-    @click.option("--max-iters", type=int, default=100, show_default=True)
+    @click.option("--max-iters", type=int, default=100, show_default=True,
+                  help="M-steps for train-hmm, train-h3m and the portion fits of"
+                  " split-pipeline; E-steps for reduce, hier and the reduction in"
+                  " split-pipeline.")
     @click.option("--tol", type=float, default=1e-6, show_default=True)
     @click.option("--cov-floor", type=float, default=1e-6, show_default=True)
     @functools.wraps(fn)
@@ -306,10 +309,9 @@ def hier(model, ladder, out, seed, vhem_config):
         sizes = [int(part) for part in ladder.split(",") if part]
     except ValueError as exc:
         raise ValueError(f"bad --ladder {ladder!r}: {exc}") from exc
-    if not sizes:
-        raise ValueError(f"bad --ladder {ladder!r}: no level sizes")
     base = _load_mixture(model, "hier")
-    levels, elapsed = _timed(hier_cluster, base, sizes, vhem_config(sizes[0]))
+    # hier_cluster checks the sizes and sets each level's own k_reduced.
+    levels, elapsed = _timed(hier_cluster, base, sizes, vhem_config(1))
     out_path = _out_dir(out)
     parent_rows = []
     label_rows = []

@@ -8,15 +8,15 @@ reads; its ``components`` are views of the rows, rebuilt on each read.
 Both estimators are EM over items with a per-item, per-component objective:
 ``h3m_em`` over real sequences (count 1, objective the log-likelihood) and
 the reduction over base components (count the virtual sample mass, objective
-the pair bound). They share one step: ``compute_assignments`` (the soft
-assignments and each item's log-normalizer, whose sum is the objective),
-``mstep`` (the weight update and one ``hmm._mstep`` call for all components),
-``_starved`` and ``_converged``. Each keeps its own E-step, reseed or rescue
-rule and seeding.
+the pair bound). They run one loop, ``_em``: the estimator's pass,
+``compute_assignments`` (the soft assignments and each item's log-normalizer,
+whose sum is the objective) and ``_converged``, then the estimator's step:
+``mstep`` (the weight update and one ``hmm._mstep`` call for all components)
+and its own reseed or rescue. Each keeps its own pass, repair rule and seeding.
 
 One mixture component is responsible for a whole sequence (the assignment is
 drawn once per sequence, not per frame). Each EM iteration runs one pass of
-all K components, stacked, per length group over the data
+all K components, stacked, over all length groups of the data
 (``hmm._expected_stats``: scaled, in probability domain, block by block): it
 yields both the log-likelihoods behind the responsibilities and the
 per-sequence statistics that, weighted by the responsibilities, feed the
@@ -44,7 +44,6 @@ from .hmm import (
     _Checked,
     _expected_stats,
     _init_hmm,
-    _joined,
     _models,
     _mstep,
     _stack,
@@ -162,6 +161,28 @@ def _converged(trace: list[float], tol: float) -> bool:
     return len(trace) > 1 and abs(trace[-1] - trace[-2]) / max(abs(trace[-2]), 1e-300) < tol
 
 
+def _em(model: H3m, run, counts: np.ndarray, n_esteps: int, tol: float, step):
+    """The mixture-EM loop of both estimators. Each E-step is one
+    ``run(arrays, stats)`` over all items: their statistics (None unless
+    ``stats``) and objectives (items, K), which ``compute_assignments``
+    weighs by ``counts`` into z and the traced objective. Stops on
+    ``_converged`` or after ``n_esteps`` E-steps, the last possible of which
+    builds no statistics. Else ``step(model, z, stats, objectives, norms,
+    budget)`` gives the next model and its repair count, at most ``budget``:
+    what is left of two per run. Returns (model, z, trace, repairs)."""
+    trace, repairs = [], 0
+    for _ in range(n_esteps):
+        stats = None  # release the previous iteration's statistics first
+        stats, objectives = run(model.arrays, len(trace) < n_esteps - 1)
+        z, norms = compute_assignments(objectives, model.weights, counts)
+        trace.append(float(np.sum(norms)))
+        if _converged(trace, tol) or len(trace) == n_esteps:
+            break
+        model, made = step(model, z, stats, objectives, norms, 2 - repairs)
+        repairs += made
+    return model, z, trace, repairs
+
+
 def mstep(
     z: AssignmentMatrix,
     stats: _Stats,
@@ -235,6 +256,7 @@ def h3m_em(
         raise EstimationError(f"{len(data)} sequences cannot support {k} components")
     # Items are the E-step rows: sequences grouped by length, each with count 1.
     groups = group_by_length(data)
+    batches = [obs for obs, _ in groups]
     rows = np.concatenate([idxs for _, idxs in groups])  # sequence index of each E-step row
     n_seq = len(data)
     ones = np.ones(n_seq)
@@ -249,22 +271,12 @@ def h3m_em(
             components.append(_init_hmm(shard, n_states, n_mix, config, rng))
     model = H3m(np.full(k, 1.0 / k), components)
 
-    trace: list[float] = []
-    reseeds = 0
-    for _ in range(config.max_iters + 1):
-        stats = None  # release the previous iteration's statistics first
-        build = len(trace) < config.max_iters  # not the last possible E-step: an M-step may follow
-        stats, lls = _joined([_expected_stats(model.arrays, obs, build) for obs, _ in groups])
-        z, seq_ll = compute_assignments(lls, model.weights, ones)
-        trace.append(float(np.sum(seq_ll)))
-        if _converged(trace, config.tol) or len(trace) == config.max_iters + 1:
-            break
-
-        # Reseed starved components before the M-step, in a new stack; only their rows rerun.
-        previous = model
+    # Reseed starved components before the M-step, in a new stack; only their rows rerun.
+    def reseed(model, z, stats, objectives, seq_ll, budget):
+        previous, reseeds = model, 0
         worst_first = iter(np.argsort(seq_ll, kind="stable"))  # the n-th reseed, the n-th worst
         for j in range(k):
-            if z.z[:, j].sum() >= n_seq / (10.0 * k) or reseeds >= 2:
+            if z.z[:, j].sum() >= n_seq / (10.0 * k) or reseeds >= budget:
                 continue
             worst = next(worst_first)
             try:
@@ -272,7 +284,7 @@ def h3m_em(
             except EstimationError:
                 start = _init_hmm(data, n_states, n_mix, config, rng)
             row = _stack([start])
-            fresh, _ = _joined([_expected_stats(row, obs, True) for obs, _ in groups])
+            fresh, _ = _expected_stats(row, batches, True)
             for column, new in zip(vars(stats).values(), vars(fresh).values()):
                 column[:, j] = new[:, 0]
             arrays = (np.concatenate([a[:j], r, a[j + 1:]]) for a, r in zip(previous.arrays, row))
@@ -280,9 +292,12 @@ def h3m_em(
             z.z[worst] = 0.0
             z.z[worst, j] = 1.0
             reseeds += 1
+        return mstep(z, stats, ones, previous, config.cov_floor)[0], reseeds
 
-        model, _ = mstep(z, stats, ones, previous, config.cov_floor)
+    def run(arrays, stats):
+        return _expected_stats(arrays, batches, stats)
 
+    model, z, trace, reseeds = _em(model, run, ones, config.max_iters + 1, config.tol, reseed)
     posteriors = np.empty_like(z.z)
     posteriors[rows] = z.z
     return H3mFit(model=model, posteriors=posteriors, loglik_trace=trace, reseeds=reseeds)

@@ -220,6 +220,8 @@ def _check_counts(minimum: int = 1, **counts) -> None:
 class EmConfig:
     """Stopping and regularization knobs for the EM estimators.
 
+    ``max_iters`` counts M-steps: a fit runs at most max_iters + 1 E-steps,
+    the last of them forward only (``VhemConfig.max_iters`` counts E-steps).
     ``n_starts`` > 1 runs that many independently seeded fits and keeps the
     one with the best final log-likelihood (still deterministic given the
     caller's generator)."""
@@ -390,7 +392,7 @@ def forward_loglik_batch(model: Hmm, obs: np.ndarray) -> np.ndarray:
         raise InvalidModelError(
             f"observation dimension {obs.shape[2]} does not match model dimension {model.dim}"
         )
-    return _expected_stats(_stack([model]), obs, False)[1][:, 0]
+    return _expected_stats(_stack([model]), [obs], False)[1][:, 0]
 
 
 # ---------------------------------------------------------------------------
@@ -460,11 +462,6 @@ class _Stats:
     mix: np.ndarray  # (..., N, M)
     mean: np.ndarray  # (..., N, M, d)
     sq: np.ndarray  # (..., N, M, d) diagonal second moments or (..., N, M, d, d) outer
-
-    @classmethod
-    def concatenate(cls, parts: list["_Stats"]) -> "_Stats":
-        """Per-item statistics of several batches, one after another."""
-        return cls(*(np.concatenate([getattr(p, f.name) for p in parts]) for f in fields(cls)))
 
     def weighted_sum(self, weights: np.ndarray) -> "_Stats":
         """Totals (K, ...) of per-item statistics, item s weighted by
@@ -540,41 +537,37 @@ def _block_stats(models: _Stacked, obs: np.ndarray, stats: bool) -> tuple[_Stats
 
 
 def _expected_stats(
-    models: _Stacked, obs: np.ndarray, stats: bool
+    models: _Stacked, batches: list[np.ndarray], stats: bool
 ) -> tuple[_Stats | None, np.ndarray]:
-    """The one pass of K stacked models over an equal-length (S, tau, d)
-    batch, run block by block: forward-backward if ``stats``, else forward.
+    """The one pass of K stacked models over equal-length (S, tau, d)
+    batches, one after another, block by block: forward-backward if
+    ``stats``, else forward. Returns the per-sequence statistics, item-major
+    (leading (S, K) axes, no tau axis), or None if not ``stats``, and the
+    log-likelihoods (S, K), the same bit for bit either way."""
+    blocks = (
+        _block_stats(models, block, stats) for obs in batches for block in _blocks(models, obs)
+    )
+    return _collect(blocks, sum(obs.shape[0] for obs in batches), models.initial.shape[0])
 
-    Returns the per-sequence sufficient statistics, item-major (leading
-    (S, K) axes, no tau axis), or None if not ``stats``, and the
-    log-likelihoods (S, K), the same bit for bit either way. Each block's
-    rows are written into these arrays as it finishes, so no list of
-    blocks is held and copied.
-    """
-    lls = np.empty((obs.shape[0], models.initial.shape[0]))
-    totals = None
-    start = 0
-    for block in _blocks(models, obs):
-        part, part_lls = _block_stats(models, block, stats)
-        rows = slice(start, start + block.shape[0])
-        lls[rows] = part_lls
-        if part is not None:
+
+def _collect(parts, n_items: int, k: int) -> tuple[_Stats | None, np.ndarray]:
+    """(statistics, objectives) of n_items items under k models, from those
+    of consecutive blocks of them: each block's rows are written into one
+    (n_items, k, ...) array per field as it comes, so no list of blocks is
+    held. The statistics are None if a block has none."""
+    objectives = np.empty((n_items, k))
+    totals, complete, start = None, True, 0
+    for part, values in parts:
+        rows = slice(start, start + values.shape[0])
+        objectives[rows] = values
+        complete = complete and part is not None
+        if complete:
             if totals is None:
-                totals = _Stats(*(np.empty(lls.shape + v.shape[2:]) for v in vars(part).values()))
+                totals = _Stats(*(np.empty((n_items, k) + v.shape[2:]) for v in vars(part).values()))
             for whole, piece in zip(vars(totals).values(), vars(part).values()):
                 whole[rows] = piece
         start = rows.stop
-    return totals, lls
-
-
-def _joined(parts: list[tuple[_Stats | None, np.ndarray]]) -> tuple[_Stats | None, np.ndarray]:
-    """(statistics, objectives) of several batches of items, one after
-    another; the statistics are None if a batch has none. One batch is
-    returned as it is, uncopied."""
-    if len(parts) == 1:
-        return parts[0]
-    stats, objectives = zip(*parts)
-    return None if None in stats else _Stats.concatenate(stats), np.concatenate(objectives)
+    return (totals if complete else None), objectives
 
 
 def _floor_covs(covs: np.ndarray, cov_floor: float, full: bool) -> np.ndarray:

@@ -14,13 +14,13 @@ closed-form coordinate updates:
 - per base component, a soft assignment to reduced components (z).
 
 This is hierarchical EM: EM run on virtual samples from the base components
-(Vasconcelos & Lippman 1999). Given the pair objectives, the rest of an
-iteration is the mixture-EM step of ``h3m`` with the base components as items
-and their virtual sample counts as counts: ``compute_assignments`` gives z
-and the bound, sum_i log sum_j w_j exp(N_i * objective[i, j]), which is the
+(Vasconcelos & Lippman 1999). A run is the mixture-EM iteration ``h3m._em``
+that ``h3m_em`` also runs, with the base components as items and their
+virtual sample counts as counts: ``compute_assignments`` gives z and the
+bound, sum_i log sum_j w_j exp(N_i * objective[i, j]), which is the
 virtual-sample log-likelihood and does not decrease; ``mstep`` re-estimates
 from per-base-component virtual statistics, weighted as ``h3m_em`` weights
-real sequences; ``_converged`` stops the run.
+real sequences, and the rescue follows it; ``_converged`` stops the run.
 
 An iteration reads the stacks the base and the reduced mixtures hold
 (``H3m.arrays``) and is batched over (base i, reduced j) pairs, except the
@@ -38,8 +38,8 @@ stays within the 256 KB that the data-side passes also keep to
   are finite: the forward recursion for the occupancies (nu, xi), which sums
   them over steps as it goes, and the virtual statistics over (I, J, ...),
   item-major as ``h3m_em`` hands its per-sequence statistics to ``mstep``.
-  The couplings die with the pass; the blocks are joined over I as
-  ``h3m_em`` joins its length groups.
+  The couplings die with the pass; ``hmm._collect`` writes each block into
+  the iteration's (I, J, ...) arrays, as it writes ``h3m_em``'s blocks.
 
 The kernels (``_cross_terms``, ``_estep``, ``_virtual_stats_all``) check
 nothing: their stacks were checked on entry, and ``gaussians._check_pair``
@@ -58,15 +58,8 @@ import numpy as np
 from . import hmm
 from .errors import InvalidModelError
 from .gaussians import _check_pair, _cross_terms, logsumexp
-from .h3m import (
-    AssignmentMatrix,
-    H3m,
-    _converged,
-    _starved,
-    compute_assignments,
-    mstep,
-)
-from .hmm import _check_arrays, _check_counts, _Checked, _floor_covs, _joined, _Stacked, _Stats
+from .h3m import AssignmentMatrix, H3m, _em, _starved, mstep
+from .hmm import _check_arrays, _check_counts, _Checked, _collect, _floor_covs, _Stacked, _Stats
 
 
 @dataclass
@@ -76,7 +69,9 @@ class VhemConfig:
     ``n_virtual`` is the total virtual sample mass; each base component i
     carries a share proportional to its weight. None picks 10^4 times the
     number of base components. ``tau_virtual`` is the length of the virtual
-    sequences, which need not match any real data length. ``init`` is
+    sequences, which need not match any real data length. ``max_iters``
+    counts E-steps: a run makes at most max_iters - 1 M-steps
+    (``EmConfig.max_iters`` counts M-steps). ``init`` is
     "subset-perturb", "random", or an ``H3m`` to start from (``_floored``),
     which has the base's shape unless ``k_reduced`` is 1, so that a starved
     component can be rescued by copying a base component.
@@ -357,33 +352,27 @@ def _reduce_once(base: H3m, config: VhemConfig, rng: np.random.Generator) -> Red
     tau = config.tau_virtual
     blocks = _blocks(base.arrays, reduced, tau)
 
-    bound_history: list[float] = []
-    rescues = 0
-    for _ in range(config.max_iters):
-        stats = None  # release the previous iteration's statistics first
-        build = len(bound_history) < config.max_iters - 1  # an M-step may follow
-        stats, objectives = _joined([_pass(b, reduced.arrays, tau, build) for b in blocks])
-        z, norms = compute_assignments(objectives, reduced.weights, virtual_counts)
-        bound_history.append(float(np.sum(norms)))
-        if _converged(bound_history, config.tol) or len(bound_history) == config.max_iters:
-            break
-        new_model, starved = mstep(z, stats, virtual_counts, reduced, config.cov_floor)
-        if starved:
-            weights = new_model.weights.copy()
-            arrays = _Checked(*(a.copy() for a in new_model.arrays))
-            worst_first = iter(np.argsort(objectives.max(axis=1), kind="stable"))
-            for j in starved:
-                if rescues >= 2:
-                    continue
-                worst = next(worst_first)  # the n-th rescue copies the n-th worst
-                for row, source in zip(arrays, base.arrays):
-                    row[j] = source[worst]
-                weights[j] = 1.0 / config.k_reduced
-                rescues += 1
-            weights = weights / weights.sum()
-            new_model = _floored(H3m(weights, arrays), config.cov_floor)
-        reduced = new_model
+    def run(arrays, stats):
+        passes = (_pass(block, arrays, tau, stats) for block in blocks)
+        return _collect(passes, base.n_components, config.k_reduced)
 
+    def rescue(reduced, z, stats, objectives, norms, budget):
+        new_model, starved = mstep(z, stats, virtual_counts, reduced, config.cov_floor)
+        if not starved:
+            return new_model, 0
+        weights = new_model.weights.copy()
+        arrays = _Checked(*(a.copy() for a in new_model.arrays))
+        rescued = starved[:budget]
+        # The n-th rescue copies the base component with the n-th worst best objective.
+        for j, worst in zip(rescued, np.argsort(objectives.max(axis=1), kind="stable")):
+            for row, source in zip(arrays, base.arrays):
+                row[j] = source[worst]
+            weights[j] = 1.0 / config.k_reduced
+        return _floored(H3m(weights / weights.sum(), arrays), config.cov_floor), len(rescued)
+
+    reduced, z, bound_history, rescues = _em(
+        reduced, run, virtual_counts, config.max_iters, config.tol, rescue
+    )
     return ReductionResult(
         reduced=reduced,
         assignments=z,

@@ -408,8 +408,17 @@ class TestFailureModes:
             line.startswith("error:") and expected in line for line in result.output.splitlines()
         ), result.output
 
-    @pytest.mark.parametrize("ladder", [",", ""], ids=["comma", "empty"])
-    def test_ladder_without_sizes_rejected(self, runner, tmp_path, ladder):
+    @pytest.mark.parametrize(
+        "ladder, message",
+        [
+            (",", "ladder must list at least one level size"),
+            ("", "ladder must list at least one level size"),
+            ("0", "ladder[0] must be >= 1, got 0"),
+        ],
+        ids=["comma", "empty", "zero"],
+    )
+    def test_ladder_without_sizes_rejected(self, runner, tmp_path, ladder, message):
+        # hier_cluster's checks are the only ones, so each error names the ladder.
         path = two_leaf_mixture(tmp_path)
         out = tmp_path / "o"
         result = runner.invoke(main, [
@@ -417,7 +426,7 @@ class TestFailureModes:
         ])
         assert result.exit_code == 1
         assert isinstance(result.exception, SystemExit)
-        assert result.output.splitlines() == [f"error: bad --ladder {ladder!r}: no level sizes"]
+        assert result.output.splitlines() == [f"error: {message}"]
         assert not out.exists()
 
     def test_init_file_without_init_file_rejected(self, runner, tmp_path):

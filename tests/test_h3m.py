@@ -256,13 +256,14 @@ class TestH3mEm:
     @staticmethod
     def count_passes(monkeypatch):
         """Rows of the stack of every ``_expected_stats`` call that ``h3m_em``
-        makes, by whether it builds statistics or runs forward only."""
+        makes, once per length batch, by whether it builds statistics or runs
+        forward only."""
         calls = {"stats": [], "forward": []}
         original = hmm_module._expected_stats
 
-        def counted(models, obs, stats):
-            calls["stats" if stats else "forward"].append(models.initial.shape[0])
-            return original(models, obs, stats)
+        def counted(models, batches, stats):
+            calls["stats" if stats else "forward"] += [models.initial.shape[0]] * len(batches)
+            return original(models, batches, stats)
 
         monkeypatch.setattr(h3m_module, "_expected_stats", counted)
         return calls
@@ -285,9 +286,9 @@ class TestH3mEm:
         events = []
         expected_stats, mstep = hmm_module._expected_stats, h3m_module.mstep
 
-        def recorded_stats(models, obs, stats):
+        def recorded_stats(models, batches, stats):
             assert stats  # the run converges: every pass builds statistics
-            built, lls = expected_stats(models, obs, stats)
+            built, lls = expected_stats(models, batches, stats)
             copy = {name: value.copy() for name, value in vars(built).items()}
             events.append(("pass", models, copy))
             return built, lls

@@ -34,7 +34,7 @@ REMOVED = {
     ],
     h3mkit.h3m: ["h3m_sample", "h3m_loglik", "h3m_loglik_batch"],
     h3mkit.hierarchy: ["best_label_accuracy", "_max_matching"],
-    h3mkit.hmm: ["sample", "forward_loglik", "state_marginals"],
+    h3mkit.hmm: ["sample", "forward_loglik", "state_marginals", "_joined"],
     h3mkit.reduction: [
         "lower_bound", "SummaryStats", "summary_stats", "_summary", "_virtual_stats",
         "estep_pair", "elhmm_bruteforce",
@@ -45,6 +45,7 @@ REMOVED_METHODS = {
     h3mkit.GaussianMixture: ["log_density", "sample"],
     h3mkit.Hmm: ["from_arrays"],
     h3mkit.SequenceDataset: ["dim"],
+    h3mkit.hmm._Stats: ["concatenate"],
 }
 
 
@@ -131,6 +132,23 @@ def test_emission_objects_built_only_by_the_emissions_view():
         "_mixtures": {"hmm.Hmm.emissions"},
     }
     assert readers == set()
+
+
+def test_mixture_em_iteration_written_once():
+    # Both estimators run h3m._em: only it assigns items and tests
+    # convergence, and the reduction binds neither function.
+    for name in ("compute_assignments", "_converged"):
+        assert not hasattr(h3mkit.reduction, name), name
+    callers: dict[str, set] = {"compute_assignments": set(), "_converged": set()}
+    for path in Path(h3mkit.__file__).parent.glob("*.py"):
+        tree = ast.parse(path.read_text())
+        for function in ast.walk(tree):
+            if not isinstance(function, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            for node in ast.walk(function):
+                if isinstance(node, ast.Call) and getattr(node.func, "id", None) in callers:
+                    callers[node.func.id].add(f"{path.stem}.{function.name}")
+    assert callers == {"compute_assignments": {"h3m._em"}, "_converged": {"h3m._em"}}
 
 
 def one_state_hmm(mean):

@@ -28,6 +28,7 @@ from h3mkit import (
     vhem_reduce,
 )
 
+import h3mkit.h3m as h3m_module
 import h3mkit.hmm as hmm_module
 import h3mkit.reduction as reduction_module
 from h3mkit.gaussians import _cross_terms, logsumexp
@@ -412,11 +413,12 @@ class TestLowerBound:
             assert value <= best + 1e-9
 
 
-def item_major(columns):
-    """Per reduced component j, the (I, 1, ...) virtual statistics of every
-    base component, as the (I, J, ...) M-step input."""
+def joined(parts, axis):
+    """The statistics of ``parts``, one after another along ``axis``: with
+    axis 1, per reduced component j the (I, 1, ...) virtual statistics of
+    every base component, as the (I, J, ...) M-step input."""
     return _Stats(*(
-        np.concatenate([getattr(column, name) for column in columns], axis=1)
+        np.concatenate([getattr(part, name) for part in parts], axis=axis)
         for name in ("pi", "trans", "mix", "mean", "sq")
     ))
 
@@ -733,7 +735,7 @@ class TestVhemReduce:
         leaves, _ = synth_benchmark(4, 5, 4.0, np.random.default_rng(3), **shape)
         base = H3m(np.full(20, 0.05), leaves)
         objectives, msteps = [], []
-        assign, step = reduction_module.compute_assignments, reduction_module.mstep
+        assign, step = h3m_module.compute_assignments, reduction_module.mstep
 
         def recorded_assign(values, weights, counts):
             objectives.append(values)
@@ -744,7 +746,7 @@ class TestVhemReduce:
             msteps.append((previous, starved))
             return new_model, starved
 
-        monkeypatch.setattr(reduction_module, "compute_assignments", recorded_assign)
+        monkeypatch.setattr(h3m_module, "compute_assignments", recorded_assign)
         monkeypatch.setattr(reduction_module, "mstep", recorded_mstep)
         result = vhem_reduce(base, VhemConfig(k_reduced=8, max_iters=10, tol=0.0, seed=2))
         assert result.rescues == 2 and msteps[0][1] == [4, 7]
@@ -794,14 +796,14 @@ class TestVhemReduce:
         # The bound is the sum of the assignment log-normalizers; at the
         # assignments it returns, that equals the z-weighted formula.
         calls = []
-        real = reduction_module.compute_assignments
+        real = h3m_module.compute_assignments
 
         def recorded(objectives, weights, counts):
             z, norms = real(objectives, weights, counts)
             calls.append((weights, z, objectives, counts))
             return z, norms
 
-        monkeypatch.setattr(reduction_module, "compute_assignments", recorded)
+        monkeypatch.setattr(h3m_module, "compute_assignments", recorded)
         leaves, _ = synth_benchmark(groups, per_group, 4.0, np.random.default_rng(21), **shape)
         base = H3m(np.full(len(leaves), 1 / len(leaves)), leaves)
         result = vhem_reduce(base, VhemConfig(k_reduced=k_r, max_iters=4, tol=0.0, seed=3))
@@ -949,13 +951,13 @@ def per_pair_reduce(base, config):
         history.append(float(np.sum(norms)))
         if len(history) == config.max_iters:
             break
-        stats = item_major([
-            _Stats.concatenate([
+        stats = joined([
+            joined([
                 per_pair_virtual_stats(b, *pairs[i][j][:3])
                 for i, b in enumerate(base.components)
-            ])
+            ], axis=0)
             for j in range(reduced.n_components)
-        ])
+        ], axis=1)
         new_model, starved = mstep(z, stats, counts, reduced, config.cov_floor)
         if starved:
             weights, components = new_model.weights.copy(), list(new_model.components)
@@ -1071,6 +1073,27 @@ class TestBatchedEstep:
             finally:
                 tracemalloc.stop()
         assert peaks[1] <= peaks[0] + 4096, peaks
+
+    def test_last_possible_estep_builds_no_statistics(self, monkeypatch):
+        # As in h3m_em, the last possible E-step has no M-step after it: at
+        # max_iters=3 and tol=0, three E-steps over every block, statistics
+        # from the first two only, and two M-steps.
+        leaves, _ = synth_benchmark(4, 6, 4.0, np.random.default_rng(3), n_states=3, n_mix=2)
+        base = H3m(np.full(len(leaves), 1 / len(leaves)), leaves)
+        monkeypatch.setattr(hmm_module, "_BLOCK_ELEMENTS", 1)
+        calls = {"_estep": 0, "_virtual_stats_all": 0, "mstep": 0}
+        for name in calls:
+            original = getattr(reduction_module, name)
+
+            def counted(*args, name=name, original=original):
+                calls[name] += 1
+                return original(*args)
+
+            monkeypatch.setattr(reduction_module, name, counted)
+        result = vhem_reduce(base, VhemConfig(k_reduced=4, max_iters=3, tol=0.0, seed=2))
+        n_blocks = len(leaves)  # one base component per block
+        assert len(result.bound_history) == 3
+        assert calls == {"_estep": 3 * n_blocks, "_virtual_stats_all": 2 * n_blocks, "mstep": 2}
 
     def test_one_block_of_couplings_alive_at_a_time(self, monkeypatch):
         # Each block's statistics are built before the next block is scored, so
