@@ -72,12 +72,12 @@ def _environment_variable(exc: click.BadParameter, args: list[str]) -> str | Non
     return f"environment variable {ctx.auto_envvar_prefix}_{param.name.upper()}"
 
 
-_STOPPING = ("max_iters", "tol", "cov_floor")
+_SHARED = {"max_iters": "max_iters", "tol": "tol", "cov_floor": "cov_floor", "n_starts": "starts"}
 
 
 def _common_options(fn):
-    """--seed, and the --max-iters, --tol and --cov-floor that reach the command only
-    inside the config that ``_em_options`` or ``_vhem_options``, listed above it, builds."""
+    """--seed, and the --max-iters, --tol, --cov-floor and --starts that reach the command
+    only inside the config that ``_em_options`` or ``_vhem_options``, listed above it, builds."""
 
     @click.option("--seed", type=int, default=0, show_default=True)
     @click.option("--max-iters", type=int, default=100, show_default=True,
@@ -86,8 +86,11 @@ def _common_options(fn):
                   " split-pipeline.")
     @click.option("--tol", type=float, default=1e-6, show_default=True)
     @click.option("--cov-floor", type=float, default=1e-6, show_default=True)
+    @click.option("--starts", type=int, default=1, show_default=True,
+                  help="Competing seeded starts, best final objective kept (per level in"
+                  " hier, per portion fit and for the reduction in split-pipeline).")
     @functools.wraps(fn)
-    def wrapper(*, max_iters, tol, cov_floor, **kwargs):
+    def wrapper(*, max_iters, tol, cov_floor, starts, **kwargs):
         return fn(**kwargs)
 
     return wrapper
@@ -101,32 +104,28 @@ _cov_type_option = click.option(
 
 
 def _em_options(fn):
-    """--starts and --cov-type; the command gets ``em_config``, an EmConfig."""
+    """--cov-type; the command gets ``em_config``, an EmConfig."""
 
-    @click.option("--starts", type=int, default=1, show_default=True,
-                  help="Seeded EM starts (per portion in split-pipeline); best kept.")
     @_cov_type_option
     @functools.wraps(fn)
-    def wrapper(*, starts, cov_type, **kwargs):
-        stopping = {name: kwargs[name] for name in _STOPPING}
-        return fn(em_config=EmConfig(**stopping, cov_type=cov_type, n_starts=starts), **kwargs)
+    def wrapper(*, cov_type, **kwargs):
+        shared = {field: kwargs[name] for field, name in _SHARED.items()}
+        return fn(em_config=EmConfig(**shared, cov_type=cov_type), **kwargs)
 
     return wrapper
 
 
 def _vhem_options(fn):
-    """--virtual-samples, --tau-virtual and --restarts; the command gets
-    ``vhem_config``, which makes a VhemConfig from ``k_reduced`` and ``init``."""
+    """--virtual-samples and --tau-virtual; the command gets ``vhem_config``,
+    which makes a VhemConfig from ``k_reduced`` and ``init``."""
 
     @click.option("--virtual-samples", type=int, default=None, help="Total virtual sample mass.")
     @click.option("--tau-virtual", type=int, default=10, show_default=True)
-    @click.option("--restarts", type=int, default=1, show_default=True,
-                  help="Competing reduction runs (per level in hier); best bound kept.")
     @functools.wraps(fn)
-    def wrapper(*, virtual_samples, tau_virtual, restarts, **kwargs):
+    def wrapper(*, virtual_samples, tau_virtual, **kwargs):
         vhem_config = functools.partial(
             VhemConfig, n_virtual=virtual_samples, tau_virtual=tau_virtual,
-            seed=kwargs["seed"], n_restarts=restarts, **{n: kwargs[n] for n in _STOPPING},
+            seed=kwargs["seed"], **{field: kwargs[name] for field, name in _SHARED.items()},
         )
         return fn(vhem_config=vhem_config, **kwargs)
 

@@ -12,7 +12,7 @@ the pair bound). They run one loop, ``_em``: the estimator's pass,
 ``compute_assignments`` (the soft assignments and each item's log-normalizer,
 whose sum is the objective) and ``_converged``, then the estimator's step:
 ``mstep`` (the weight update and one ``hmm._mstep`` call for all components)
-and its own reseed or rescue. Each keeps its own pass, repair rule and seeding.
+and its own reseed or rescue; ``_best_start`` keeps the best of its seeded starts.
 
 One mixture component is responsible for a whole sequence (the assignment is
 drawn once per sequence, not per frame). Each EM iteration runs one pass of
@@ -27,7 +27,8 @@ M-step. A reseed reruns its own row only. The last possible E-step (at
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -183,6 +184,14 @@ def _em(model: H3m, run, counts: np.ndarray, n_esteps: int, tol: float, step):
     return model, z, trace, repairs
 
 
+def _best_start(fit, n_starts: int, rng: np.random.Generator, objective):
+    """The restart rule of both estimators: ``fit(rng)`` if ``n_starts`` is 1, else
+    the first of the ``fit(child)`` over ``rng.spawn(n_starts)`` with the highest ``objective``."""
+    if n_starts == 1:
+        return fit(rng)
+    return max((fit(child) for child in rng.spawn(n_starts)), key=objective)
+
+
 def mstep(
     z: AssignmentMatrix,
     stats: _Stats,
@@ -240,17 +249,10 @@ def h3m_em(
     responsibility falls below n_sequences / (10 K) is re-seeded from a
     sequence, the n-th reseed of an iteration from the sequence the current
     mixture models n-th worst, at most twice per run. With
-    config.n_starts > 1, the best of several seeded starts is returned.
+    config.n_starts > 1, ``_best_start`` keeps the best of the seeded starts.
     """
     _check_counts(k=k, n_states=n_states, n_mix=n_mix)
     config = config or EmConfig()
-    rng = rng if rng is not None else np.random.default_rng()
-    if config.n_starts > 1:
-        one = replace(config, n_starts=1)
-        fits = (
-            h3m_em(data, k, n_states, n_mix, one, child) for child in rng.spawn(config.n_starts)
-        )
-        return max(fits, key=lambda fit: fit.loglik_trace[-1])
     _check_data(data)
     if len(data) < k:
         raise EstimationError(f"{len(data)} sequences cannot support {k} components")
@@ -261,18 +263,11 @@ def h3m_em(
     n_seq = len(data)
     ones = np.ones(n_seq)
 
-    if k == 1:
-        components = [_init_hmm(data, n_states, n_mix, config, rng)]
-    else:
-        order = rng.permutation(n_seq)
-        components = []
-        for j in range(k):
-            shard = [data[i] for i in order[j::k]]
-            components.append(_init_hmm(shard, n_states, n_mix, config, rng))
-    model = H3m(np.full(k, 1.0 / k), components)
+    def run(arrays, stats):
+        return _expected_stats(arrays, batches, stats)
 
     # Reseed starved components before the M-step, in a new stack; only their rows rerun.
-    def reseed(model, z, stats, objectives, seq_ll, budget):
+    def reseed(rng, model, z, stats, objectives, seq_ll, budget):
         previous, reseeds = model, 0
         worst_first = iter(np.argsort(seq_ll, kind="stable"))  # the n-th reseed, the n-th worst
         for j in range(k):
@@ -294,13 +289,19 @@ def h3m_em(
             reseeds += 1
         return mstep(z, stats, ones, previous, config.cov_floor)[0], reseeds
 
-    def run(arrays, stats):
-        return _expected_stats(arrays, batches, stats)
+    def fit(rng):
+        order = rng.permutation(n_seq) if k > 1 else range(n_seq)
+        shards = ([data[i] for i in order[j::k]] for j in range(k))
+        components = [_init_hmm(shard, n_states, n_mix, config, rng) for shard in shards]
+        model = H3m(np.full(k, 1.0 / k), components)
+        step = partial(reseed, rng)
+        model, z, trace, reseeds = _em(model, run, ones, config.max_iters + 1, config.tol, step)
+        posteriors = np.empty_like(z.z)
+        posteriors[rows] = z.z
+        return H3mFit(model=model, posteriors=posteriors, loglik_trace=trace, reseeds=reseeds)
 
-    model, z, trace, reseeds = _em(model, run, ones, config.max_iters + 1, config.tol, reseed)
-    posteriors = np.empty_like(z.z)
-    posteriors[rows] = z.z
-    return H3mFit(model=model, posteriors=posteriors, loglik_trace=trace, reseeds=reseeds)
+    rng = rng if rng is not None else np.random.default_rng()
+    return _best_start(fit, config.n_starts, rng, lambda fit: fit.loglik_trace[-1])
 
 
 def baum_welch(

@@ -35,7 +35,7 @@ def hier_cluster(
     with ``k_reduced`` set to the ladder's entry, ``seed`` advanced by one per
     level (the tree is deterministic from one seed) and an ``H3m`` ``init``
     replaced by "subset-perturb", as a start fits one level at most; so
-    ``n_restarts`` > 1 with an ``H3m`` init runs here, unlike in ``vhem_reduce``.
+    ``n_starts`` > 1 with an ``H3m`` init runs here, unlike in ``vhem_reduce``.
     """
     arrays = leaves.arrays if isinstance(leaves, H3m) else _stack(leaves)
     n = arrays.initial.shape[0]

@@ -216,15 +216,21 @@ def _check_counts(minimum: int = 1, **counts) -> None:
             raise ValueError(f"{name} must be >= {minimum}, got {value!r}")
 
 
+def _check_shared(config) -> None:
+    """The one check of the knobs that ``EmConfig`` and ``VhemConfig`` share."""
+    _check_counts(max_iters=config.max_iters, n_starts=config.n_starts)
+    if not (config.tol >= 0 and 0 < config.cov_floor < np.inf):
+        raise ValueError("need tol >= 0 and 0 < cov_floor < inf")
+
+
 @dataclass
 class EmConfig:
     """Stopping and regularization knobs for the EM estimators.
 
     ``max_iters`` counts M-steps: a fit runs at most max_iters + 1 E-steps,
     the last of them forward only (``VhemConfig.max_iters`` counts E-steps).
-    ``n_starts`` > 1 runs that many independently seeded fits and keeps the
-    one with the best final log-likelihood (still deterministic given the
-    caller's generator)."""
+    ``n_starts`` counts competing seeded fits, and the best final
+    log-likelihood wins (``h3m._best_start``, as for ``VhemConfig``)."""
 
     max_iters: int = 100
     tol: float = 1e-6
@@ -233,11 +239,9 @@ class EmConfig:
     n_starts: int = 1
 
     def __post_init__(self) -> None:
-        _check_counts(max_iters=self.max_iters, n_starts=self.n_starts)
+        _check_shared(self)
         if self.cov_type not in ("diag", "full"):
             raise ValueError(f"cov_type must be 'diag' or 'full', got {self.cov_type!r}")
-        if not (self.tol >= 0 and 0 < self.cov_floor < np.inf):
-            raise ValueError("need tol >= 0 and 0 < cov_floor < inf")
 
 
 @dataclass

@@ -58,7 +58,7 @@ import numpy as np
 from . import hmm
 from .errors import InvalidModelError
 from .gaussians import _check_pair, _cross_terms, logsumexp
-from .h3m import AssignmentMatrix, H3m, _em, _starved, mstep
+from .h3m import AssignmentMatrix, H3m, _best_start, _em, _starved, mstep
 from .hmm import _check_arrays, _check_counts, _Checked, _collect, _floor_covs, _Stacked, _Stats
 
 
@@ -74,7 +74,8 @@ class VhemConfig:
     (``EmConfig.max_iters`` counts M-steps). ``init`` is
     "subset-perturb", "random", or an ``H3m`` to start from (``_floored``),
     which has the base's shape unless ``k_reduced`` is 1, so that a starved
-    component can be rescued by copying a base component.
+    component can be rescued by copying a base component. ``n_starts``
+    counts competing seeded runs, as ``EmConfig.n_starts`` does.
     """
 
     k_reduced: int
@@ -85,18 +86,16 @@ class VhemConfig:
     init: str | H3m = "subset-perturb"
     cov_floor: float = 1e-6
     seed: int = 0
-    n_restarts: int = 1
+    n_starts: int = 1
 
     def __post_init__(self) -> None:
-        _check_counts(k_reduced=self.k_reduced, tau_virtual=self.tau_virtual,
-                      max_iters=self.max_iters, n_restarts=self.n_restarts)
+        _check_counts(k_reduced=self.k_reduced, tau_virtual=self.tau_virtual)
+        hmm._check_shared(self)
         _check_counts(0, seed=self.seed)
         if self.n_virtual is not None and not 1 <= self.n_virtual < np.inf:
             raise ValueError(f"n_virtual must be >= 1 and finite, got {self.n_virtual!r}")
         if not isinstance(self.init, H3m) and self.init not in ("subset-perturb", "random"):
             raise ValueError(f"unknown init {self.init!r}")
-        if not (self.tol >= 0 and 0 < self.cov_floor < np.inf):
-            raise ValueError("need tol >= 0 and 0 < cov_floor < inf")
 
 
 @dataclass
@@ -126,9 +125,12 @@ class ReductionResult:
     reduced: H3m
     assignments: AssignmentMatrix
     bound_history: list[float]
-    hard_labels: np.ndarray  # base component -> reduced component
     rescues: int = 0
     effective_k: int = 0
+
+    @property
+    def hard_labels(self) -> np.ndarray:  # base component -> reduced component
+        return np.argmax(self.assignments.z, axis=1)
 
 
 # ---------------------------------------------------------------------------
@@ -295,24 +297,19 @@ def vhem_reduce(base: H3m, config: VhemConfig) -> ReductionResult:
     rescue of an iteration from the one with the n-th worst best objective,
     at most twice per run; afterwards the run continues
     with the smaller effective component count, which is reported. With
-    ``config.n_restarts`` > 1, several independently seeded runs compete and
-    the one with the best final bound is returned; a given start (an ``H3m``
-    ``config.init``) draws nothing, so it takes no restarts.
+    ``config.n_starts`` > 1, runs seeded by the children of
+    ``default_rng(config.seed)`` compete as in ``h3m_em`` (``h3m._best_start``);
+    a given start (an ``H3m`` ``config.init``) draws nothing, so it takes one.
     """
-    if isinstance(config.init, H3m) and config.n_restarts > 1:
-        raise ValueError(f"n_restarts={config.n_restarts} from a given start repeats one run")
+    if isinstance(config.init, H3m) and config.n_starts > 1:
+        raise ValueError(f"n_starts={config.n_starts} from a given start repeats one run")
     k_b = base.n_components
     if config.k_reduced > k_b:
         raise InvalidModelError(
             f"k_reduced={config.k_reduced} exceeds base component count {k_b}"
         )
-    if config.n_restarts > 1:
-        results = (
-            _reduce_once(base, config, np.random.default_rng([config.seed, restart]))
-            for restart in range(config.n_restarts)
-        )
-        return max(results, key=lambda result: result.bound_history[-1])
-    return _reduce_once(base, config, np.random.default_rng(config.seed))
+    return _best_start(lambda rng: _reduce_once(base, config, rng), config.n_starts,
+                       np.random.default_rng(config.seed), lambda run: run.bound_history[-1])
 
 
 def _blocks(base: _Stacked, reduced: H3m, tau: int) -> list[_Stacked]:
@@ -377,7 +374,6 @@ def _reduce_once(base: H3m, config: VhemConfig, rng: np.random.Generator) -> Red
         reduced=reduced,
         assignments=z,
         bound_history=bound_history,
-        hard_labels=np.argmax(z.z, axis=1),
         rescues=rescues,
         effective_k=config.k_reduced - len(_starved(z, virtual_counts)),
     )

@@ -107,7 +107,7 @@ def make_hier_runs() -> list[tuple[int, list[int], list[int]]]:
     for seed in range(10):
         leaves, _ = synth_benchmark(4, 5, 4.0, np.random.default_rng(1000 + seed))
         levels = hier_cluster(
-            leaves, [4, 2], VhemConfig(k_reduced=4, seed=seed, n_restarts=5)
+            leaves, [4, 2], VhemConfig(k_reduced=4, seed=seed, n_starts=5)
         )
         runs.append((seed, leaf_labels(levels, 1), leaf_labels(levels, 2)))
     return runs

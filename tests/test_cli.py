@@ -7,7 +7,8 @@ import warnings
 import pytest
 from click.testing import CliRunner
 
-from h3mkit import H3m, Hmm, load_model, save_model
+import h3mkit.cli as cli_module
+from h3mkit import H3m, Hmm, VhemConfig, hier_cluster, load_model, save_model, vhem_reduce
 from h3mkit.cli import main
 
 
@@ -109,6 +110,33 @@ class TestSynthAndTrain:
             assert sorted(p.name for p in outputs[0].glob("level*.json")) == reports[2:]
         for fname in reports:
             assert (outputs[0] / fname).read_bytes() == (outputs[1] / fname).read_bytes()
+
+    def test_starts_reach_reduce_and_hier(self, runner, tmp_path):
+        # --starts is the config's n_starts: reduce keeps the best of three
+        # reductions and hier the best of two per level, as the library does.
+        synth_dir = tmp_path / "synth"
+        run_ok(runner, [
+            "synth", "--groups", "2", "--per-group", "4", "--separation", "4",
+            "--kind", "hmms", "--tau", "8", "--out", str(synth_dir), "--seed", "3",
+        ])
+        leaves = str(synth_dir / "leaves.json")
+        base = load_model(leaves)
+        common = ["--max-iters", "5", "--seed", "7"]
+        run_ok(runner, ["reduce", "--model", leaves, "--kr", "2", "--starts", "3", *common,
+                        "--out", str(tmp_path / "red")])
+        trace = (tmp_path / "red" / "reduce_trace.csv").read_text().splitlines()[1:]
+        expected = vhem_reduce(base, VhemConfig(2, max_iters=5, seed=7, n_starts=3))
+        single = vhem_reduce(base, VhemConfig(2, max_iters=5, seed=7))
+        assert [float(line.split(",")[1]) for line in trace] == expected.bound_history
+        assert expected.bound_history != single.bound_history
+        run_ok(runner, ["hier", "--model", leaves, "--ladder", "4,2", "--starts", "2", *common,
+                        "--out", str(tmp_path / "hier")])
+        levels = hier_cluster(base, [4, 2], VhemConfig(1, max_iters=5, seed=7, n_starts=2))
+        for depth, name in ((1, "level1_k4.json"), (2, "level2_k2.json")):
+            written = load_model(tmp_path / "hier" / name)
+            assert written.weights.tobytes() == levels[depth].models.weights.tobytes()
+            for array, other in zip(written.arrays, levels[depth].models.arrays):
+                assert array.tobytes() == other.tobytes()
 
     def test_train_hmm_and_h3m(self, runner, tmp_path):
         data_dir = tmp_path / "data"
@@ -527,8 +555,11 @@ class TestFailureModes:
             (["bogus"], {}, "'bogus'"),
             (["reduce", "--model", "m.json"], {"H3MKIT_REDUCE_KR": "abc"},
              "environment variable H3MKIT_REDUCE_KR"),
+            (["reduce", "--model", "m.json", "--kr", "2", "--restarts", "3"], {},
+             "--restarts"),
         ],
-        ids=["fractional-k", "non-numeric-tol", "missing-kr", "unknown-command", "bad-env-value"],
+        ids=["fractional-k", "non-numeric-tol", "missing-kr", "unknown-command", "bad-env-value",
+             "removed-restarts"],
     )
     def test_usage_errors_exit_code_1(self, runner, tmp_path, args, env, fragment):
         # Malformed, missing or unknown options and commands are bad input:
@@ -542,17 +573,17 @@ class TestFailureModes:
         assert not (tmp_path / "o").exists()
 
     def test_restarts_from_a_given_start_rejected(self, runner, tmp_path):
-        # A given start draws nothing, so restarts would repeat one run.
+        # A given start draws nothing, so its starts would repeat one run.
         path = two_leaf_mixture(tmp_path)
         out = tmp_path / "o"
         result = runner.invoke(main, [
             "reduce", "--model", str(path), "--kr", "2", "--init", "file",
-            "--init-file", str(path), "--restarts", "3", "--out", str(out),
+            "--init-file", str(path), "--starts", "3", "--out", str(out),
         ])
         assert result.exit_code == 1
         assert isinstance(result.exception, SystemExit)
         assert result.output.splitlines() == [
-            "error: n_restarts=3 from a given start repeats one run"
+            "error: n_starts=3 from a given start repeats one run"
         ]
         assert not out.exists()
 
@@ -571,7 +602,7 @@ class TestFailureModes:
             "reduce": ["reduce", "--model", missing, "--kr", "2"],
             "reduce-restarts": [
                 "reduce", "--model", leaves, "--kr", "2", "--init", "file",
-                "--init-file", leaves, "--restarts", "3",
+                "--init-file", leaves, "--starts", "3",
             ],
             "hier": ["hier", "--model", missing, "--ladder", "2"],
             "synth": ["synth", "--groups", "1", "--per-group", "2"],
@@ -619,6 +650,30 @@ class TestEnvOverrides:
         assert result.output.splitlines() == [
             "error: Invalid value for '--kr': 'abc' is not a valid integer."
         ]
+
+    def test_starts_from_environment_reach_both_pipeline_configs(
+        self, runner, tmp_path, monkeypatch
+    ):
+        # One --starts sets the portion fits' and the reduction's n_starts.
+        data_dir = tmp_path / "data"
+        run_ok(runner, [
+            "synth", "--groups", "2", "--per-group", "6", "--separation", "10",
+            "--kind", "sequences", "--tau", "8", "--out", str(data_dir), "--seed", "2",
+        ])
+        seen, pipeline = [], cli_module.split_estimate_aggregate
+
+        def recording(*args):
+            em_config, vhem_config = args[6:8]
+            seen.append((em_config.n_starts, vhem_config.n_starts))
+            return pipeline(*args)
+
+        monkeypatch.setattr(cli_module, "split_estimate_aggregate", recording)
+        run_ok(runner, [
+            "split-pipeline", "--data", str(data_dir / "dataset.jsonl"), "--portions", "2",
+            "--portion-k", "2", "--kr", "2", "--states", "2", "--max-iters", "3",
+            "--out", str(tmp_path / "pipe"),
+        ], env={"H3MKIT_SPLIT_PIPELINE_STARTS": "2"})
+        assert seen == [(2, 2)]
 
     def test_seed_from_environment(self, runner, tmp_path):
         out_env = tmp_path / "env"

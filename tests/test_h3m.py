@@ -145,6 +145,20 @@ class TestH3mEm:
         )
         assert multi.loglik_trace[-1] >= single.loglik_trace[-1] - 1e-9
 
+    def test_best_start_keeps_the_first_of_equal_finals(self):
+        # One start runs on the generator itself; several run on its spawned
+        # children, in order, and a tie goes to the first.
+        rng = np.random.default_rng(5)
+        assert h3m_module._best_start(lambda start: start, 1, rng, None) is rng
+        draws = []
+
+        def fit(start):
+            draws.append(start.random())
+            return len(draws)
+
+        assert h3m_module._best_start(fit, 3, np.random.default_rng(5), lambda _: 0.0) == 1
+        assert draws == [child.random() for child in np.random.default_rng(5).spawn(3)]
+
     def test_trace_monotone(self, rng):
         dataset, _ = synth_benchmark(
             2, 20, 6.0, rng, n_states=2, n_mix=1, dim=1, tau=15, kind="sequences"

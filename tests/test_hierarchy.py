@@ -181,9 +181,9 @@ class TestHierCluster:
     def test_levels_override_k_seed_and_a_given_start(self):
         # Level l reduces with k_reduced = ladder[l] and seed = config.seed + l,
         # and an H3m start gives way to "subset-perturb": the tree is the same,
-        # bit for bit, and restarts run, which vhem_reduce rejects from a start.
+        # bit for bit, and starts compete, which vhem_reduce rejects from a start.
         leaves, _ = synth_benchmark(3, 4, 3.0, np.random.default_rng(5), n_mix=2)
-        config = VhemConfig(k_reduced=7, seed=2, max_iters=5, n_restarts=2)
+        config = VhemConfig(k_reduced=7, seed=2, max_iters=5, n_starts=2)
         drawn = hier_cluster(leaves, [3, 1], config)
         given = hier_cluster(leaves, [3, 1], replace(config, init=H3m([0.5, 0.5], leaves[:2])))
         for depth, k in enumerate([3, 1]):

@@ -151,6 +151,19 @@ def test_mixture_em_iteration_written_once():
     assert callers == {"compute_assignments": {"h3m._em"}, "_converged": {"h3m._em"}}
 
 
+def test_starts_spawned_in_one_place():
+    # Both estimators compete their seeded starts through h3m._best_start,
+    # the only code that spawns generators.
+    spawners = set()
+    for path in Path(h3mkit.__file__).parent.glob("*.py"):
+        for function in ast.walk(ast.parse(path.read_text())):
+            if isinstance(function, ast.FunctionDef):
+                for node in ast.walk(function):
+                    if isinstance(node, ast.Call) and getattr(node.func, "attr", None) == "spawn":
+                        spawners.add(f"{path.stem}.{function.name}")
+    assert spawners == {"h3m._best_start"}
+
+
 def one_state_hmm(mean):
     return h3mkit.Hmm([1.0], [[1.0]], [[1.0]], [[[mean]]], [[[1.0]]])
 
@@ -197,6 +210,31 @@ COUNT_PROBES = [
     ("n_samples must be an integer, got 2.5",
      lambda v, rng: h3mkit.mc_expected_loglik(BASE, REDUCED, 3, v, rng), 2.5, 2),
 ]
+
+
+# The knobs both estimators' configs share, each bad value with its message.
+SHARED_KNOB_PROBES = [
+    ({"max_iters": 0}, "max_iters must be >= 1, got 0"),
+    ({"max_iters": 2.5}, "max_iters must be an integer, got 2.5"),
+    ({"n_starts": 0}, "n_starts must be >= 1, got 0"),
+    ({"n_starts": "3"}, "n_starts must be an integer, got '3'"),
+    ({"tol": -1.0}, "need tol >= 0 and 0 < cov_floor < inf"),
+    ({"tol": np.nan}, "need tol >= 0 and 0 < cov_floor < inf"),
+    ({"cov_floor": 0.0}, "need tol >= 0 and 0 < cov_floor < inf"),
+    ({"cov_floor": np.inf}, "need tol >= 0 and 0 < cov_floor < inf"),
+]
+
+
+@pytest.mark.parametrize(
+    "config", [h3mkit.EmConfig, lambda **knobs: h3mkit.VhemConfig(2, **knobs)],
+    ids=["EmConfig", "VhemConfig"],
+)
+def test_shared_knobs_rejected_alike(config):
+    for bad, message in SHARED_KNOB_PROBES:
+        with pytest.raises(ValueError) as info:
+            config(**bad)
+        assert str(info.value) == message, bad
+    assert config(max_iters=np.int64(3), n_starts=np.int8(2)).n_starts == 2
 
 
 @pytest.mark.parametrize(

@@ -35,7 +35,7 @@ from h3mkit.gaussians import _cross_terms, logsumexp
 from h3mkit.h3m import compute_assignments, mstep
 from h3mkit.hmm import _stack
 from h3mkit.hmm import _Stats
-from h3mkit.reduction import _estep, _init_reduced, _virtual_stats_all
+from h3mkit.reduction import _estep, _init_reduced, _reduce_once, _virtual_stats_all
 
 from conftest import (
     elhmm_bruteforce, estep_pair, mixture_bound, occupancies, random_hmm, state_marginals,
@@ -244,7 +244,7 @@ class TestVhemConfig:
             ({"n_virtual": 0.5}, "n_virtual must be >= 1 and finite"),
             ({"tau_virtual": 2.5}, "tau_virtual must be an integer, got 2.5"),
             ({"max_iters": 2.5}, "max_iters must be an integer, got 2.5"),
-            ({"n_restarts": 2.5}, "n_restarts must be an integer, got 2.5"),
+            ({"n_starts": 2.5}, "n_starts must be an integer, got 2.5"),
             ({"k_reduced": np.nan}, "k_reduced must be an integer, got nan"),
             ({"init": "kmeans"}, "^unknown init 'kmeans'$"),
         ],
@@ -620,15 +620,15 @@ class TestVhemReduce:
         assert np.all(rel_change <= 1e-6)
 
     def test_restarts_from_a_given_start_rejected(self):
-        # A given start draws nothing: restarts would be identical runs.
+        # A given start draws nothing: its starts would be identical runs.
         leaves, _ = synth_benchmark(2, 3, 4.0, np.random.default_rng(0))
         base = H3m(np.full(6, 1 / 6), leaves)
         start = H3m([0.5, 0.5], [leaves[0], leaves[3]])
-        config = VhemConfig(k_reduced=2, init=start, n_restarts=4, max_iters=2)
+        config = VhemConfig(k_reduced=2, init=start, n_starts=4, max_iters=2)
         with pytest.raises(ValueError) as info:
             vhem_reduce(base, config)
-        assert str(info.value) == "n_restarts=4 from a given start repeats one run"
-        # hier_cluster starts every level from "subset-perturb", where restarts draw.
+        assert str(info.value) == "n_starts=4 from a given start repeats one run"
+        # hier_cluster starts every level from "subset-perturb", where starts draw.
         levels = hier_cluster(leaves, [2], config)
         assert levels[1].level_size == 2
 
@@ -761,11 +761,26 @@ class TestVhemReduce:
         leaves, _ = synth_benchmark(4, 5, 4.0, np.random.default_rng(6))
         base = H3m(np.full(20, 0.05), leaves)
         single = vhem_reduce(base, VhemConfig(k_reduced=2, seed=4))
-        multi_a = vhem_reduce(base, VhemConfig(k_reduced=2, seed=4, n_restarts=4))
-        multi_b = vhem_reduce(base, VhemConfig(k_reduced=2, seed=4, n_restarts=4))
+        multi_a = vhem_reduce(base, VhemConfig(k_reduced=2, seed=4, n_starts=4))
+        multi_b = vhem_reduce(base, VhemConfig(k_reduced=2, seed=4, n_starts=4))
         assert multi_a.bound_history == multi_b.bound_history
         np.testing.assert_array_equal(multi_a.hard_labels, multi_b.hard_labels)
         assert multi_a.bound_history[-1] >= single.bound_history[-1] - 1e-6
+
+    def test_starts_are_the_children_of_the_seed(self):
+        # The restart rule of h3m_em: one run per child of
+        # default_rng(seed).spawn(n_starts), the best final bound kept. Here
+        # the last child's run is the best, and it labels the groups the
+        # other way round from the first two.
+        leaves, _ = synth_benchmark(4, 5, 4.0, np.random.default_rng(6))
+        base = H3m(np.full(20, 0.05), leaves)
+        config = VhemConfig(k_reduced=2, seed=4, n_starts=3)
+        runs = [_reduce_once(base, config, rng) for rng in np.random.default_rng(4).spawn(3)]
+        best = max(runs, key=lambda run: run.bound_history[-1])
+        assert best is runs[2] and len({run.bound_history[-1] for run in runs}) == 3
+        result = vhem_reduce(base, config)
+        assert result.bound_history == best.bound_history
+        assert result.hard_labels.tobytes() == best.hard_labels.tobytes()
 
     def test_given_model_is_the_starting_point(self):
         leaves, _ = synth_benchmark(2, 3, 4.0, np.random.default_rng(7))
