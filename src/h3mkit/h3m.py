@@ -10,9 +10,9 @@ Both estimators are EM over items with a per-item, per-component objective:
 the reduction over base components (count the virtual sample mass, objective
 the pair bound). They run one loop, ``_em``: the estimator's pass,
 ``compute_assignments`` (the soft assignments and each item's log-normalizer,
-whose sum is the objective) and ``_converged``, then the estimator's step:
-``mstep`` (the weight update and one ``hmm._mstep`` call for all components)
-and its own reseed or rescue; ``_best_start`` keeps the best of its seeded starts.
+whose sum is the objective), ``_converged``, the one repair rule and
+``mstep`` (the weight update and one ``hmm._mstep`` call for all
+components); ``_best_start`` keeps the best of its seeded starts.
 
 One mixture component is responsible for a whole sequence (the assignment is
 drawn once per sequence, not per frame). Each EM iteration runs one pass of
@@ -20,7 +20,7 @@ all K components, stacked, over all length groups of the data
 (``hmm._expected_stats``: scaled, in probability domain, block by block): it
 yields both the log-likelihoods behind the responsibilities and the
 per-sequence statistics that, weighted by the responsibilities, feed the
-M-step. A reseed reruns its own row only. The last possible E-step (at
+M-step. A repair reruns only the repaired rows. The last possible E-step (at
 ``max_iters``) has no M-step after it, and its pass runs forward only.
 ``baum_welch`` is ``h3m_em`` with a single component.
 """
@@ -28,7 +28,6 @@ M-step. A reseed reruns its own row only. The last possible E-step (at
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
 
 import numpy as np
 
@@ -157,21 +156,26 @@ def _starved(z: AssignmentMatrix, counts: np.ndarray) -> list[int]:
 
 def _converged(trace: list[float], tol: float) -> bool:
     """Whether the objective's last change, in absolute value and relative
-    to its previous value, is below tol. In absolute value because a reseed
-    or rescue may lower the objective, and the run then goes on."""
+    to its previous value, is below tol. In absolute value because a repair
+    may lower the objective, and the run then goes on."""
     return len(trace) > 1 and abs(trace[-1] - trace[-2]) / max(abs(trace[-2]), 1e-300) < tol
 
 
-def _em(model: H3m, run, counts: np.ndarray, n_esteps: int, tol: float, step):
+def _em(model: H3m, run, counts: np.ndarray, n_esteps: int, tol: float, item_models,
+        cov_floor: float):
     """The mixture-EM loop of both estimators. Each E-step is one
     ``run(arrays, stats)`` over all items: their statistics (None unless
     ``stats``) and objectives (items, K), which ``compute_assignments``
     weighs by ``counts`` into z and the traced objective. Stops on
     ``_converged`` or after ``n_esteps`` E-steps, the last possible of which
-    builds no statistics. Else ``step(model, z, stats, objectives, norms,
-    budget)`` gives the next model and its repair count, at most ``budget``:
-    what is left of two per run. Returns (model, z, trace, repairs)."""
-    trace, repairs = [], 0
+    builds no statistics. Else ``mstep`` gives the next model, after the
+    one repair rule, at most twice per run: each ``_starved`` component takes
+    an item, the n-th repair of the run the n-th worst by best objective or
+    the next (wrapping round) that no repair took. One ``run`` of the stack
+    ``item_models(items)`` gives the components their rows and statistics
+    (non-finite objectives are an EstimationError, as in the main pass), and
+    the items' z rows turn one-hot on them. Returns (model, z, trace, repairs)."""
+    trace, taken = [], []
     for _ in range(n_esteps):
         stats = None  # release the previous iteration's statistics first
         stats, objectives = run(model.arrays, len(trace) < n_esteps - 1)
@@ -179,9 +183,27 @@ def _em(model: H3m, run, counts: np.ndarray, n_esteps: int, tol: float, step):
         trace.append(float(np.sum(norms)))
         if _converged(trace, tol) or len(trace) == n_esteps:
             break
-        model, made = step(model, z, stats, objectives, norms, 2 - repairs)
-        repairs += made
-    return model, z, trace, repairs
+        starved = _starved(z, counts)[:2 - len(taken)]
+        if starved:
+            worst_first = np.argsort(objectives.max(axis=1), kind="stable").tolist()
+            for _ in starved:
+                n = len(taken)
+                taken.append(next(i for i in worst_first[n:] + worst_first[:n] if i not in taken))
+            items = taken[-len(starved):]
+            rows = item_models(items)
+            fresh, scores = run(rows, True)
+            if not np.all(np.isfinite(scores)):
+                raise EstimationError("pair objectives must be finite")
+            for column, new in zip(vars(stats).values(), vars(fresh).values()):
+                column[:, starved] = new
+            arrays = _Checked(*(a.copy() for a in model.arrays))
+            for a, row in zip(arrays, rows):
+                a[starved] = row
+            model = H3m(model.weights, arrays)
+            z.z[items] = 0.0
+            z.z[items, starved] = 1.0
+        model = mstep(z, stats, counts, model, cov_floor)
+    return model, z, trace, len(taken)
 
 
 def _best_start(fit, n_starts: int, rng: np.random.Generator, objective):
@@ -198,7 +220,7 @@ def mstep(
     counts: np.ndarray,
     previous: H3m,
     cov_floor: float = 1e-6,
-) -> tuple[H3m, list[int]]:
+) -> H3m:
     """Closed-form re-estimation of a mixture from weighted item statistics.
 
     ``stats`` holds every item's statistics under every component, item-major
@@ -208,17 +230,14 @@ def mstep(
     mixture weight of component j is the mean of z[:, j] over the items,
     whatever their counts (HEM's update, Vasconcelos & Lippman 1999: it
     maximizes sum_i log sum_j w_j exp(counts[i] * objectives[i, j]) over
-    the weights). Starved components (``_starved``) get no mass, keep their
-    previous parameters and are reported back.
-
-    Returns the new mixture and the list of starved component indices.
+    the weights). Starved components (``_starved``) get no mass and keep
+    their previous parameters.
     """
-    starved = _starved(z, counts)
     w = z.z * counts[:, None]
-    w[:, starved] = 0.0
+    w[:, _starved(z, counts)] = 0.0
     new = _mstep(stats.weighted_sum(w), previous.arrays, cov_floor)
     weights = np.full(z.z.shape[0], 1.0 / z.z.shape[0]) @ z.z
-    return H3m(weights, _check_arrays(*new, axes=("component",))), starved
+    return H3m(weights, _check_arrays(*new, axes=("component",)))
 
 
 def mc_expected_loglik(
@@ -245,11 +264,11 @@ def h3m_em(
     Sequence-level assignments: responsibilities come from
     ``compute_assignments`` with the sequences as items, and the M-step is
     ``mstep``. Stops on ``_converged`` or at config.max_iters M-steps (the
-    E-step after the last one runs forward only). A component whose total
-    responsibility falls below n_sequences / (10 K) is re-seeded from a
-    sequence, the n-th reseed of an iteration from the sequence the current
-    mixture models n-th worst, at most twice per run. With
-    config.n_starts > 1, ``_best_start`` keeps the best of the seeded starts.
+    E-step after the last one runs forward only). A component with less than
+    a thousandth of the responsibility is repaired by ``_em``'s rule from a
+    start fit to one sequence (``_init_hmm``), or to all the data if that
+    sequence has too few distinct vectors. With config.n_starts > 1,
+    ``_best_start`` keeps the best of the seeded starts.
     """
     _check_counts(k=k, n_states=n_states, n_mix=n_mix)
     config = config or EmConfig()
@@ -266,36 +285,23 @@ def h3m_em(
     def run(arrays, stats):
         return _expected_stats(arrays, batches, stats)
 
-    # Reseed starved components before the M-step, in a new stack; only their rows rerun.
-    def reseed(rng, model, z, stats, objectives, seq_ll, budget):
-        previous, reseeds = model, 0
-        worst_first = iter(np.argsort(seq_ll, kind="stable"))  # the n-th reseed, the n-th worst
-        for j in range(k):
-            if z.z[:, j].sum() >= n_seq / (10.0 * k) or reseeds >= budget:
-                continue
-            worst = next(worst_first)
-            try:
-                start = _init_hmm([data[rows[worst]]], n_states, n_mix, config, rng)
-            except EstimationError:
-                start = _init_hmm(data, n_states, n_mix, config, rng)
-            row = _stack([start])
-            fresh, _ = _expected_stats(row, batches, True)
-            for column, new in zip(vars(stats).values(), vars(fresh).values()):
-                column[:, j] = new[:, 0]
-            arrays = (np.concatenate([a[:j], r, a[j + 1:]]) for a, r in zip(previous.arrays, row))
-            previous = H3m(model.weights, _Checked(*arrays))
-            z.z[worst] = 0.0
-            z.z[worst, j] = 1.0
-            reseeds += 1
-        return mstep(z, stats, ones, previous, config.cov_floor)[0], reseeds
-
     def fit(rng):
         order = rng.permutation(n_seq) if k > 1 else range(n_seq)
         shards = ([data[i] for i in order[j::k]] for j in range(k))
         components = [_init_hmm(shard, n_states, n_mix, config, rng) for shard in shards]
         model = H3m(np.full(k, 1.0 / k), components)
-        step = partial(reseed, rng)
-        model, z, trace, reseeds = _em(model, run, ones, config.max_iters + 1, config.tol, step)
+
+        def item_models(items):  # a start fit to each sequence, or to all the data
+            starts = []
+            for item in items:
+                try:
+                    starts.append(_init_hmm([data[rows[item]]], n_states, n_mix, config, rng))
+                except EstimationError:
+                    starts.append(_init_hmm(data, n_states, n_mix, config, rng))
+            return _stack(starts)
+
+        model, z, trace, reseeds = _em(model, run, ones, config.max_iters + 1, config.tol,
+                                       item_models, config.cov_floor)
         posteriors = np.empty_like(z.z)
         posteriors[rows] = z.z
         return H3mFit(model=model, posteriors=posteriors, loglik_trace=trace, reseeds=reseeds)

@@ -20,7 +20,7 @@ virtual sample counts as counts: ``compute_assignments`` gives z and the
 bound, sum_i log sum_j w_j exp(N_i * objective[i, j]), which is the
 virtual-sample log-likelihood and does not decrease; ``mstep`` re-estimates
 from per-base-component virtual statistics, weighted as ``h3m_em`` weights
-real sequences, and the rescue follows it; ``_converged`` stops the run.
+real sequences, after ``_em``'s repairs; ``_converged`` stops the run.
 
 An iteration reads the stacks the base and the reduced mixtures hold
 (``H3m.arrays``) and is batched over (base i, reduced j) pairs, except the
@@ -31,9 +31,9 @@ stays within the 256 KB that the data-side passes also keep to
 (``hmm._BLOCK_ELEMENTS``):
 
 - emission matching: one ``_cross_terms`` call over (I, J, N_b, N_r, M_b,
-  M_r) and one logsumexp give eta and the per-state-pair bound ell;
-- phi: the backward recursion runs pair by pair, reading ell[i, j] and
-  writing into (I, J, ...) arrays;
+  M_r) and one logsumexp give the per-state-pair bound ell (and eta);
+- phi: the backward recursion runs pair by pair, reading ell[i, j] (and
+  writing phi into (I, J, ...) arrays: a pass without statistics skips it);
 - statistics, built when an M-step may follow and the block's objectives
   are finite: the forward recursion for the occupancies (nu, xi), which sums
   them over steps as it goes, and the virtual statistics over (I, J, ...),
@@ -58,7 +58,7 @@ import numpy as np
 from . import hmm
 from .errors import InvalidModelError
 from .gaussians import _check_pair, _cross_terms, logsumexp
-from .h3m import AssignmentMatrix, H3m, _best_start, _em, _starved, mstep
+from .h3m import AssignmentMatrix, H3m, _best_start, _em, _starved
 from .hmm import _check_arrays, _check_counts, _Checked, _collect, _floor_covs, _Stacked, _Stats
 
 
@@ -74,7 +74,7 @@ class VhemConfig:
     (``EmConfig.max_iters`` counts M-steps). ``init`` is
     "subset-perturb", "random", or an ``H3m`` to start from (``_floored``),
     which has the base's shape unless ``k_reduced`` is 1, so that a starved
-    component can be rescued by copying a base component. ``n_starts``
+    component can be rescued from a base component (``h3m._em``). ``n_starts``
     counts competing seeded runs, as ``EmConfig.n_starts`` does.
     """
 
@@ -113,9 +113,9 @@ class PairEstepResult:
     and objective is the pair's overall expected log-likelihood bound.
     """
 
-    eta: np.ndarray  # (N_b, N_r, M_b, M_r)
-    phi_initial: np.ndarray  # (N_r, N_b)
-    phi_step: np.ndarray  # (tau - 1, N_r, N_r, N_b)
+    eta: np.ndarray | None  # (N_b, N_r, M_b, M_r)
+    phi_initial: np.ndarray | None  # (N_r, N_b)
+    phi_step: np.ndarray | None  # (tau - 1, N_r, N_r, N_b)
     state_ell: np.ndarray  # (N_b, N_r)
     objective: np.ndarray  # ()
 
@@ -137,11 +137,12 @@ class ReductionResult:
 # E-step over all pairs
 
 
-def _estep(base: _Stacked, reduced: _Stacked, tau: int) -> PairEstepResult:
+def _estep(base: _Stacked, reduced: _Stacked, tau: int, couplings=True) -> PairEstepResult:
     """Optimal factored coupling between every base component i and every
     reduced component j, and the resulting expected log-likelihood bounds
     for sequences of length tau: each field of the result carries leading
-    (I, J) axes, the objective is (I, J).
+    (I, J) axes, the objective is (I, J). Without ``couplings``, eta and phi
+    are not built and come back None; the objective is the same bit for bit.
 
     Emission matching is one pass over (I, J, N_b, N_r, M_b, M_r); the
     backward recursion for phi runs pair by pair, in log domain."""
@@ -164,12 +165,11 @@ def _estep(base: _Stacked, reduced: _Stacked, tau: int) -> PairEstepResult:
     # while the objective is finite (a non-finite one compute_assignments rejects).
     with np.errstate(invalid="ignore"):
         norm = logsumexp(logits, axis=5)
-        eta = np.exp(logits - np.where(norm == -np.inf, 0.0, norm)[..., None])
         ell = (norm[..., None, :] @ base.mix_weights[:, None, :, None, :, None])[..., 0, 0]
-
         n_i, n_j, n_b, n_r = ell.shape
-        phi_initial = np.empty((n_i, n_j, n_r, n_b))
-        phi_step = np.empty((n_i, n_j, tau - 1, n_r, n_r, n_b))
+        eta = np.exp(logits - np.where(norm == -np.inf, 0.0, norm)[..., None]) if couplings else None
+        phi_initial = np.empty((n_i, n_j, n_r, n_b)) if couplings else None
+        phi_step = np.empty((n_i, n_j, tau - 1, n_r, n_r, n_b)) if couplings else None
         objective = np.empty((n_i, n_j))
         for i, j in np.ndindex(n_i, n_j):
             # Backward over steps: future[beta, rho] carries the expected
@@ -180,12 +180,14 @@ def _estep(base: _Stacked, reduced: _Stacked, tau: int) -> PairEstepResult:
                 core = ell[i, j] + future  # (N_b, N_r)
                 scores = log_a_r[j][:, None, :] + core[None, :, :]  # (rho_prev, beta, rho)
                 norm = logsumexp(scores, axis=2)
-                phi_step[i, j, t - 2] = np.exp(scores - norm[:, :, None]).transpose(0, 2, 1)
+                if couplings:
+                    phi_step[i, j, t - 2] = np.exp(scores - norm[:, :, None]).transpose(0, 2, 1)
                 future = base.transitions[i] @ norm.T  # (beta_prev, rho_prev)
 
             scores1 = log_pi_r[j][None, :] + ell[i, j] + future  # (beta, rho)
             norm1 = logsumexp(scores1, axis=1)
-            phi_initial[i, j] = np.exp(scores1 - norm1[:, None]).T
+            if couplings:
+                phi_initial[i, j] = np.exp(scores1 - norm1[:, None]).T
             objective[i, j] = base.initial[i] @ norm1
     return PairEstepResult(eta, phi_initial, phi_step, ell, objective)
 
@@ -293,10 +295,10 @@ def vhem_reduce(base: H3m, config: VhemConfig) -> ReductionResult:
     until the bound changes by less than ``config.tol`` (relative,
     ``h3m._converged``) or ``config.max_iters`` E-steps have run.
     Deterministic given ``config.seed``. A starved reduced component
-    (``h3m._starved``) is re-initialized from a base component, the n-th
-    rescue of an iteration from the one with the n-th worst best objective,
-    at most twice per run; afterwards the run continues
-    with the smaller effective component count, which is reported. With
+    (``h3m._starved``) takes a base component's arrays, floored, by the
+    repair rule of ``h3m._em``, at most twice per run; afterwards the run
+    continues with the smaller effective component count, which is reported.
+    With
     ``config.n_starts`` > 1, runs seeded by the children of
     ``default_rng(config.seed)`` compete as in ``h3m_em`` (``h3m._best_start``);
     a given start (an ``H3m`` ``config.init``) draws nothing, so it takes one.
@@ -328,14 +330,14 @@ def _pass(block: _Stacked, reduced: _Stacked, tau: int, stats: bool):
     """The one pass over a block's pairs: their virtual statistics if
     ``stats`` and their objectives are all finite, else None, and their
     objectives (I, J). The block's couplings are freed on return."""
-    estep = _estep(block, reduced, tau)
+    estep = _estep(block, reduced, tau, stats)
     build = stats and np.isfinite(estep.objective).all()
     return (_virtual_stats_all(block, estep) if build else None), estep.objective
 
 
 def _floored(model: H3m, cov_floor: float) -> H3m:
-    """``model`` floored by ``_floor_covs`` as every M-step is: a start or a
-    rescue below cov_floor would let the next M-step lower the bound."""
+    """``model`` floored by ``_floor_covs`` as every M-step is (and as rescues
+    are): a start below cov_floor would let the first M-step lower the bound."""
     covs = _floor_covs(model.arrays.covs, cov_floor, full=model.arrays.covs.ndim == 5)
     if covs is model.arrays.covs:
         return model
@@ -351,24 +353,14 @@ def _reduce_once(base: H3m, config: VhemConfig, rng: np.random.Generator) -> Red
 
     def run(arrays, stats):
         passes = (_pass(block, arrays, tau, stats) for block in blocks)
-        return _collect(passes, base.n_components, config.k_reduced)
+        return _collect(passes, base.n_components, arrays.initial.shape[0])
 
-    def rescue(reduced, z, stats, objectives, norms, budget):
-        new_model, starved = mstep(z, stats, virtual_counts, reduced, config.cov_floor)
-        if not starved:
-            return new_model, 0
-        weights = new_model.weights.copy()
-        arrays = _Checked(*(a.copy() for a in new_model.arrays))
-        rescued = starved[:budget]
-        # The n-th rescue copies the base component with the n-th worst best objective.
-        for j, worst in zip(rescued, np.argsort(objectives.max(axis=1), kind="stable")):
-            for row, source in zip(arrays, base.arrays):
-                row[j] = source[worst]
-            weights[j] = 1.0 / config.k_reduced
-        return _floored(H3m(weights / weights.sum(), arrays), config.cov_floor), len(rescued)
+    def item_models(items):  # the base components' arrays, floored
+        *rows, covs = (a[items] for a in base.arrays)
+        return _Checked(*rows, _floor_covs(covs, config.cov_floor, full=covs.ndim == 5))
 
     reduced, z, bound_history, rescues = _em(
-        reduced, run, virtual_counts, config.max_iters, config.tol, rescue
+        reduced, run, virtual_counts, config.max_iters, config.tol, item_models, config.cov_floor
     )
     return ReductionResult(
         reduced=reduced,

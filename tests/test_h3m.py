@@ -8,6 +8,7 @@ import pytest
 
 import h3mkit.h3m as h3m_module
 import h3mkit.hmm as hmm_module
+import h3mkit.reduction as reduction_module
 from h3mkit import (
     AssignmentMatrix,
     EmConfig,
@@ -16,12 +17,14 @@ from h3mkit import (
     Hmm,
     InvalidModelError,
     Sequence,
+    VhemConfig,
     baum_welch,
     forward_loglik_batch,
     h3m_em,
     mc_expected_loglik,
     sample_batch,
     synth_benchmark,
+    vhem_reduce,
 )
 from h3mkit.hmm import _Stacked
 
@@ -207,27 +210,38 @@ class TestH3mEm:
         assert fit.model.weights.sum() == pytest.approx(1.0, abs=1e-12)
 
     def test_two_reseeds_in_one_iteration_start_from_two_sequences(self, monkeypatch):
-        # Two components starve at once: the first reseed starts from the worst
-        # modeled sequence, the second from the next worst.
-        starts, init = [], h3m_module._init_hmm
+        # Two components starve at once: the first reseed starts from the
+        # sequence with the worst best log-likelihood, the second from the next.
+        starts, objectives = [], []
+        init, assign = h3m_module._init_hmm, h3m_module.compute_assignments
 
         def recorded_init(data, *args):
             if len(data) == 1:
                 starts.append(data[0])
             return init(data, *args)
 
+        def recorded_assign(values, weights, counts):
+            objectives.append(values)
+            return assign(values, weights, counts)
+
         monkeypatch.setattr(h3m_module, "_init_hmm", recorded_init)
+        monkeypatch.setattr(h3m_module, "compute_assignments", recorded_assign)
         dataset, _ = synth_benchmark(
-            2, 15, 8.0, np.random.default_rng(2), n_states=1, n_mix=1, dim=1, tau=10,
+            2, 15, 8.0, np.random.default_rng(0), n_states=1, n_mix=1, dim=1, tau=10,
             kind="sequences",
         )
-        fit = h3m_em(dataset.sequences, 4, 1, 1, EmConfig(max_iters=15), np.random.default_rng(2))
+        data = dataset.sequences
+        fit = h3m_em(data, 4, 1, 1, EmConfig(max_iters=15), np.random.default_rng(2))
         assert fit.reseeds == 2 and len(starts) == 2
-        assert starts[0] is not starts[1]
-        assert np.all(fit.model.weights > 0.2)
+        # One length: E-step rows are the sequences in order. Both reseeds
+        # follow the second E-step.
+        worst_first = np.argsort(objectives[1].max(axis=1), kind="stable")
+        index = {id(seq): i for i, seq in enumerate(data)}
+        assert [index[id(seq)] for seq in starts] == worst_first[:2].tolist()
+        assert np.all(fit.model.weights > 0.05)  # both reseeded components keep mass
 
     def test_reseed_from_too_few_distinct_vectors_starts_from_all_the_data(self, monkeypatch):
-        # The constant sequence is the worst modeled one when a component
+        # Sequence 9, made constant, is the worst modeled one when a component
         # starves. Its one distinct vector cannot seed two states, so that
         # reseed starts from a fit to all the sequences.
         calls, init = [], h3m_module._init_hmm
@@ -243,21 +257,17 @@ class TestH3mEm:
 
         monkeypatch.setattr(h3m_module, "_init_hmm", recorded_init)
         dataset, _ = synth_benchmark(
-            2, 15, 8.0, np.random.default_rng(0), n_states=2, n_mix=1, dim=1, tau=10,
+            2, 15, 8.0, np.random.default_rng(1), n_states=2, n_mix=1, dim=1, tau=10,
             kind="sequences",
         )
-        data = dataset.sequences + [Sequence(np.zeros((10, 1)))]
+        data = list(dataset.sequences)
+        data[9] = Sequence(np.tile(data[9].observations[0], (10, 1)))
         config = EmConfig(max_iters=15)
-        fit = h3m_em(data, 3, 2, 1, config, np.random.default_rng(2))
-        reseed_calls = calls[3:]  # after one start per component
-        assert reseed_calls[:2] == [(1, "raised"), (len(data), "ok")]
-        assert fit.reseeds == sum(n == 1 for n, _ in reseed_calls) == 2
-        assert all(
-            following == (len(data), "ok")
-            for call, following in zip(reseed_calls, reseed_calls[1:])
-            if call == (1, "raised")
-        )
-        again = h3m_em(data, 3, 2, 1, config, np.random.default_rng(2))
+        fit = h3m_em(data, 5, 2, 1, config, np.random.default_rng(9))
+        reseed_calls = calls[5:]  # after one start per component
+        assert reseed_calls == [(1, "raised"), (len(data), "ok")]
+        assert fit.reseeds == 1
+        again = h3m_em(data, 5, 2, 1, config, np.random.default_rng(9))
         assert again.loglik_trace == fit.loglik_trace and again.reseeds == fit.reseeds
         assert again.posteriors.tobytes() == fit.posteriors.tobytes()
         for stack, other in zip(again.model.arrays, fit.model.arrays):
@@ -265,7 +275,6 @@ class TestH3mEm:
         trace = np.array(fit.loglik_trace)
         drops = np.diff(trace) < -1e-8 * np.abs(trace[:-1])
         assert drops.sum() <= fit.reseeds
-
 
     @staticmethod
     def count_passes(monkeypatch):
@@ -284,17 +293,17 @@ class TestH3mEm:
 
     def test_one_stacked_pass_per_estep(self, monkeypatch):
         calls = self.count_passes(monkeypatch)
-        # Three components on two populations: this seed starves and reseeds.
+        # Three components on two populations: this seed starves and reseeds once.
         dataset, _ = synth_benchmark(
             2, 15, 8.0, np.random.default_rng(0), n_states=1, n_mix=1, dim=1, tau=10,
             kind="sequences",
         )
-        fit = h3m_em(dataset.sequences, 3, 1, 1, EmConfig(max_iters=15), np.random.default_rng(3))
-        assert fit.reseeds > 0
+        fit = h3m_em(dataset.sequences, 3, 1, 1, EmConfig(max_iters=15), np.random.default_rng(2))
+        assert fit.reseeds == 1
         assert len(fit.loglik_trace) < 16  # converged: every E-step built statistics
         assert calls["forward"] == []
-        # One pass of all three components per E-step, one one-row pass per reseed.
-        assert sorted(calls["stats"]) == [1] * fit.reseeds + [3] * len(fit.loglik_trace)
+        # One pass of all three components per E-step, one one-row pass for the reseed.
+        assert sorted(calls["stats"]) == [1] + [3] * len(fit.loglik_trace)
 
     def test_reseed_reruns_only_its_row(self, monkeypatch):
         events = []
@@ -317,19 +326,20 @@ class TestH3mEm:
             2, 15, 8.0, np.random.default_rng(0), n_states=1, n_mix=1, dim=1, tau=10,
             kind="sequences",
         )
-        fit = h3m_em(dataset.sequences, 3, 1, 1, EmConfig(max_iters=15), np.random.default_rng(3))
+        fit = h3m_em(dataset.sequences, 3, 1, 1, EmConfig(max_iters=15), np.random.default_rng(2))
         assert fit.reseeds > 0
         checked = 0
         for kind, models, stats in events:
             if kind == "pass" and models.initial.shape[0] == 3:
                 full, reseeded = stats, {}
-            elif kind == "pass":
-                reseeded[models.means.tobytes()] = stats
+            elif kind == "pass":  # the reseeded rows, one column each
+                for r, means in enumerate(models.means):
+                    reseeded[means.tobytes()] = {name: v[:, r] for name, v in stats.items()}
             else:  # the M-step after them, with models the components it starts from
                 for j, component in enumerate(models.components):
-                    fresh = reseeded.get(component.means[None].tobytes())
+                    fresh = reseeded.get(component.means.tobytes())
                     for name, value in stats.items():
-                        want = full[name][:, j] if fresh is None else fresh[name][:, 0]
+                        want = full[name][:, j] if fresh is None else fresh[name]
                         assert value[:, j].tobytes() == want.tobytes(), (j, name)
                 checked += len(reseeded)
         assert checked == fit.reseeds
@@ -340,15 +350,16 @@ class TestH3mEm:
             2, 15, 8.0, np.random.default_rng(0), n_states=1, n_mix=1, dim=1, tau=10,
             kind="sequences",
         )
-        # Three lengths, interleaved: three batches per pass. This seed reseeds twice.
+        # Three lengths, interleaved: three batches per pass. This seed reseeds
+        # twice after one E-step, in one two-row pass.
         data = [Sequence(s.observations[: 6 + i % 3]) for i, s in enumerate(dataset.sequences)]
         max_iters, n_groups = 8, 3
         config = EmConfig(max_iters=max_iters, tol=0.0)
-        fit = h3m_em(data, 3, 1, 1, config, np.random.default_rng(4))
+        fit = h3m_em(data, 4, 1, 1, config, np.random.default_rng(9))
         assert len(fit.loglik_trace) == max_iters + 1
         assert fit.reseeds == 2
-        assert sorted(calls["stats"]) == [1] * fit.reseeds * n_groups + [3] * max_iters * n_groups
-        assert calls["forward"] == [3] * n_groups
+        assert sorted(calls["stats"]) == [2] * n_groups + [4] * max_iters * n_groups
+        assert calls["forward"] == [4] * n_groups
         # The forward-only pass fills the posteriors in sequence order.
         lls = np.array([
             [forward_loglik_batch(c, seq.observations[None])[0] for c in fit.model.components]
@@ -370,6 +381,118 @@ class TestH3mEm:
         log_joint = np.log(fit.model.weights)[None, :] + lls
         expected = np.exp(log_joint - np.logaddexp.reduce(log_joint, axis=1, keepdims=True))
         np.testing.assert_allclose(fit.posteriors, expected, rtol=0, atol=1e-10)
+
+
+def fit_with_repairs(monkeypatch, estimator):
+    """One seeded run of ``estimator`` that repairs twice, after two
+    different E-steps. Returns (repair count, repairs, msteps, column):
+    repairs are (E-steps so far, item, the item model's means), an item
+    counted once, at the first E-step that sees it repaired; msteps are the
+    components that E-step's assignments starve and the (z, statistics,
+    previous model) of each M-step; column(stack) gives every item's
+    statistics under a stack of one model."""
+    esteps, repairs, msteps = [], [], []
+    assign, step = h3m_module.compute_assignments, h3m_module.mstep
+
+    def recorded_assign(*args):
+        z, norms = assign(*args)
+        esteps.append(h3m_module._starved(z, args[2]))
+        return z, norms
+
+    def recorded_mstep(z, stats, counts, previous, cov_floor):
+        copies = {k: v.copy() for k, v in vars(stats).items()}
+        msteps.append((esteps[-1], z.z.copy(), copies, previous))
+        return step(z, stats, counts, previous, cov_floor)
+
+    monkeypatch.setattr(h3m_module, "compute_assignments", recorded_assign)
+    monkeypatch.setattr(h3m_module, "mstep", recorded_mstep)
+    if estimator == "h3m_em":
+        # Five components on two populations; one length, so items are sequences.
+        dataset, _ = synth_benchmark(
+            2, 15, 8.0, np.random.default_rng(0), n_states=1, n_mix=1, dim=1, tau=10,
+            kind="sequences",
+        )
+        data = dataset.sequences
+        index = {id(seq): i for i, seq in enumerate(data)}
+        init = h3m_module._init_hmm
+
+        def recorded_init(seqs, *args):
+            model = init(seqs, *args)
+            if len(seqs) == 1:
+                repairs.append((len(esteps), index[id(seqs[0])], model.means))
+            return model
+
+        monkeypatch.setattr(h3m_module, "_init_hmm", recorded_init)
+        fit = h3m_em(data, 5, 1, 1, EmConfig(max_iters=15), np.random.default_rng(2))
+        obs = np.stack([seq.observations for seq in data])
+        return fit.reseeds, repairs, msteps, lambda row: hmm_module._expected_stats(row, [obs], True)[0]
+    # Six reduced components on four groups of five leaves.
+    leaves, _ = synth_benchmark(4, 5, 4.0, np.random.default_rng(1), n_states=3, n_mix=2, dim=2)
+    base = H3m(np.full(20, 0.05), leaves)
+    estep = reduction_module._estep
+
+    def recorded_estep(block, reduced, *args):
+        for means in reduced.means:
+            for item, source in enumerate(base.arrays.means):
+                if means.tobytes() == source.tobytes() and item not in [r[1] for r in repairs]:
+                    repairs.append((len(esteps), item, source))
+        return estep(block, reduced, *args)
+
+    monkeypatch.setattr(reduction_module, "_estep", recorded_estep)
+    result = vhem_reduce(base, VhemConfig(k_reduced=6, max_iters=10, tol=0.0, seed=0))
+    return result.rescues, repairs, msteps, lambda row: reduction_module._virtual_stats_all(
+        base.arrays, estep(base.arrays, row, 10))
+
+
+class TestRepairRule:
+    """The one repair rule of both estimators, in ``h3m._em``: before the
+    M-step, a starved component takes the n-th worst item of the run by best
+    objective, never one that an earlier repair of the run took."""
+
+    @pytest.mark.parametrize("estimator", ["h3m_em", "vhem_reduce"])
+    def test_repairs_in_two_iterations_take_two_items(self, monkeypatch, estimator):
+        count, repairs, _, _ = fit_with_repairs(monkeypatch, estimator)
+        assert count == len(repairs) == 2
+        (first_step, first, _), (second_step, second, _) = repairs
+        assert first_step < second_step and first != second
+
+    @pytest.mark.parametrize("estimator", ["h3m_em", "vhem_reduce"])
+    def test_mstep_sees_the_taken_item_on_its_component(self, monkeypatch, estimator):
+        count, repairs, msteps, column = fit_with_repairs(monkeypatch, estimator)
+        assert count == len(repairs) == 2
+        for n_esteps, item, means in repairs:
+            starved, z, stats, previous = msteps[n_esteps - 1]  # the M-step after that E-step
+            (j,) = np.flatnonzero(z[item])
+            assert z[item, j] == 1.0 and j in starved
+            assert previous.arrays.means[j].tobytes() == means.tobytes()
+            expected = column(_Stacked(*(a[j:j + 1] for a in previous.arrays)))
+            for name, value in stats.items():
+                np.testing.assert_allclose(
+                    value[:, j], getattr(expected, name)[:, 0], rtol=1e-12, atol=0
+                )
+
+
+    def test_repair_pass_with_non_finite_objectives_rejected(self, monkeypatch):
+        # A reseed start whose variances are the smallest subnormal: the
+        # sequences off its means score -inf under it, a numerical failure.
+        init = h3m_module._init_hmm
+
+        def degenerate_init(data, *args):
+            model = init(data, *args)
+            if len(data) == 1:
+                model = Hmm(model.initial, model.transitions, model.mix_weights, model.means,
+                            np.full(model.covs.shape, 5e-324))
+            return model
+
+        monkeypatch.setattr(h3m_module, "_init_hmm", degenerate_init)
+        dataset, _ = synth_benchmark(
+            2, 15, 8.0, np.random.default_rng(0), n_states=1, n_mix=1, dim=1, tau=10,
+            kind="sequences",
+        )
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(
+            EstimationError, match="objectives must be finite"
+        ):
+            h3m_em(dataset.sequences, 5, 1, 1, EmConfig(max_iters=15), np.random.default_rng(2))
 
 
 class TestMcExpectedLoglik:

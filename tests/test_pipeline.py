@@ -81,3 +81,18 @@ class TestSplitEstimateAggregate:
         )
         history = np.array(report.bound_history)
         assert np.all(np.diff(history) >= -1e-8 * np.abs(history[:-1]))
+
+    def test_large_data_seed_23_keeps_every_component(self):
+        # 1200 training sequences of four groups in six portions of four
+        # components, pooled and reduced to four. Here a starved reduced
+        # component once took the same pooled component in two rescues,
+        # neither of which held, and ended with a weight of exactly 0.
+        dataset, _ = synth_benchmark(
+            4, 400, 3.0, np.random.default_rng(23), n_states=3, n_mix=2, dim=2, tau=20,
+            kind="sequences",
+        )
+        order = np.random.default_rng(1023).permutation(len(dataset.sequences))
+        train = [dataset.sequences[i] for i in order[:1200]]
+        config = EmConfig(max_iters=30, tol=1e-6)
+        final, report = split_estimate_aggregate(train, 6, 4, 4, 3, 2, config, None, 23)
+        assert report.effective_k == 4 and np.all(final.weights > 0)

@@ -439,8 +439,8 @@ class TestMstep:
         counts = np.array([100.0])
         objectives, stats = run_estep(base, reduced, 5)
         z = AssignmentMatrix(np.ones((1, 1)))
-        new, starved = mstep(z, stats, counts, reduced)
-        assert starved == []
+        assert h3m_module._starved(z, counts) == []
+        new = mstep(z, stats, counts, reduced)
         pair = estep_pair(base_hmm, reduced_hmm, 5)
         nu_per_step, xi_agg = occupancies(base_hmm, pair.phi_initial, pair.phi_step)
         np.testing.assert_allclose(
@@ -470,7 +470,7 @@ class TestMstep:
         counts = np.full(4, 25.0)
         objectives, stats = run_estep(base, reduced, 5)
         z = AssignmentMatrix(np.ones((4, 1)))
-        new, _ = mstep(z, stats, counts, reduced)
+        new = mstep(z, stats, counts, reduced)
         comp = new.components[0]
         np.testing.assert_allclose(comp.initial, shared.initial, atol=1e-8)
         np.testing.assert_allclose(comp.transitions, shared.transitions, atol=1e-8)
@@ -487,7 +487,7 @@ class TestMstep:
         hard[:3, 0] = 1.0
         hard[3, 1] = 1.0
         z = AssignmentMatrix(hard)
-        new, _ = mstep(z, stats, counts, reduced)
+        new = mstep(z, stats, counts, reduced)
         np.testing.assert_allclose(new.weights, [0.75, 0.25], atol=1e-12)
 
     def test_outputs_stochastic(self, rng):
@@ -499,7 +499,7 @@ class TestMstep:
         counts = 100.0 * base.weights
         objectives, stats = run_estep(base, reduced, 4)
         z, _ = compute_assignments(objectives, reduced.weights, counts)
-        new, _ = mstep(z, stats, counts, reduced)
+        new = mstep(z, stats, counts, reduced)
         assert new.weights.sum() == pytest.approx(1.0, abs=1e-12)
         for comp in new.components:
             assert comp.initial.sum() == pytest.approx(1.0, abs=1e-12)
@@ -574,8 +574,8 @@ class TestMstep:
         assert np.any(eigenvalues < floor) and np.any(eigenvalues > floor)
 
         _, stats = run_estep(base, reduced, tau)
-        new, starved = mstep(z, stats, counts, reduced, cov_floor=floor)
-        assert starved == []
+        assert h3m_module._starved(z, counts) == []
+        new = mstep(z, stats, counts, reduced, cov_floor=floor)
         # HEM's weight update: the mean assignment over base components.
         np.testing.assert_allclose(new.weights, z.z.sum(axis=0) / k_b, rtol=0, atol=1e-10)
         for comp, (initial, transitions, mix, means, covs) in zip(new.components, expected):
@@ -729,31 +729,34 @@ class TestVhemReduce:
         assert calls == []
 
     def test_two_rescues_in_one_iteration_copy_the_two_worst(self, monkeypatch):
-        # Components 4 and 7 starve in the first M-step: the first rescue copies
-        # the base component with the worst best objective, the second the next.
+        # Two components starve after the first E-step: before the M-step, the
+        # first rescue copies the base component with the worst best
+        # objective, the second the next.
         shape = dict(n_states=3, n_mix=2, dim=2)
         leaves, _ = synth_benchmark(4, 5, 4.0, np.random.default_rng(3), **shape)
         base = H3m(np.full(20, 0.05), leaves)
-        objectives, msteps = [], []
-        assign, step = h3m_module.compute_assignments, reduction_module.mstep
+        estimates, msteps = [], []
+        assign, step = h3m_module.compute_assignments, h3m_module.mstep
 
         def recorded_assign(values, weights, counts):
-            objectives.append(values)
-            return assign(values, weights, counts)
+            z, norms = assign(values, weights, counts)
+            estimates.append((values, z.z.copy(), counts))
+            return z, norms
 
         def recorded_mstep(z, stats, counts, previous, cov_floor):
-            new_model, starved = step(z, stats, counts, previous, cov_floor)
-            msteps.append((previous, starved))
-            return new_model, starved
+            msteps.append(previous)
+            return step(z, stats, counts, previous, cov_floor)
 
         monkeypatch.setattr(h3m_module, "compute_assignments", recorded_assign)
-        monkeypatch.setattr(reduction_module, "mstep", recorded_mstep)
+        monkeypatch.setattr(h3m_module, "mstep", recorded_mstep)
         result = vhem_reduce(base, VhemConfig(k_reduced=8, max_iters=10, tol=0.0, seed=2))
-        assert result.rescues == 2 and msteps[0][1] == [4, 7]
-        worst_first = np.argsort(objectives[0].max(axis=1), kind="stable")
-        rescued = msteps[1][0].arrays.means
-        assert rescued[4].tobytes() == base.arrays.means[worst_first[0]].tobytes()
-        assert rescued[7].tobytes() == base.arrays.means[worst_first[1]].tobytes()
+        objectives, z, counts = estimates[0]
+        starved = h3m_module._starved(AssignmentMatrix(z), counts)
+        assert result.rescues == 2 and len(starved) == 2
+        worst_first = np.argsort(objectives.max(axis=1), kind="stable")
+        rescued = msteps[0].arrays.means
+        for j, worst in zip(starved, worst_first):
+            assert rescued[j].tobytes() == base.arrays.means[worst].tobytes()
         means = result.reduced.arrays.means
         assert len({row.tobytes() for row in means}) == len(means)
 
@@ -955,7 +958,7 @@ def per_pair_virtual_stats(base_i, eta, phi_initial, phi_step):
 def per_pair_reduce(base, config):
     counts = 10_000 * base.n_components * base.weights
     reduced = _init_reduced(base, config, np.random.default_rng(config.seed))
-    history, rescues = [], 0
+    history, taken = [], []
     for _ in range(config.max_iters):
         pairs = [
             [per_pair_estep(b, r, config.tau_virtual) for r in reduced.components]
@@ -973,19 +976,27 @@ def per_pair_reduce(base, config):
             ], axis=0)
             for j in range(reduced.n_components)
         ], axis=1)
-        new_model, starved = mstep(z, stats, counts, reduced, config.cov_floor)
-        if starved:
-            weights, components = new_model.weights.copy(), list(new_model.components)
-            # The n-th rescue of an iteration copies the n-th worst base component.
-            worst_first = list(np.argsort(objectives.max(axis=1), kind="stable"))
-            for j in starved:
-                if rescues < 2:
-                    components[j] = base.components[worst_first.pop(0)]
-                    weights[j] = 1.0 / config.k_reduced
-                    rescues += 1
-            new_model = H3m(weights / weights.sum(), components)
-        reduced = new_model
-    return history, z, reduced, rescues
+        # Before the M-step, a component with less than a thousandth of the
+        # mass copies a base component, at most twice per run: the n-th rescue
+        # of the run the n-th worst by best objective, or the next that no
+        # rescue copied. (Synthetic leaves' covariances are above the floor.)
+        components = list(reduced.components)
+        worst_first = list(np.argsort(objectives.max(axis=1), kind="stable"))
+        for j in range(reduced.n_components):
+            if counts @ z.z[:, j] >= 1e-3 * counts.sum() or len(taken) == 2:
+                continue
+            n = len(taken)
+            taken.append(next(i for i in worst_first[n:] + worst_first[:n] if i not in taken))
+            components[j] = base.components[taken[-1]]
+            for i, b in enumerate(base.components):
+                fresh = per_pair_virtual_stats(b, *per_pair_estep(b, components[j],
+                                                                  config.tau_virtual)[:3])
+                for name in ("pi", "trans", "mix", "mean", "sq"):
+                    getattr(stats, name)[i, j] = getattr(fresh, name)[0, 0]
+            z.z[taken[-1]] = 0.0
+            z.z[taken[-1], j] = 1.0
+        reduced = mstep(z, stats, counts, H3m(reduced.weights, components), config.cov_floor)
+    return history, z, reduced, len(taken)
 
 
 class TestBatchedEstep:
@@ -1091,24 +1102,41 @@ class TestBatchedEstep:
 
     def test_last_possible_estep_builds_no_statistics(self, monkeypatch):
         # As in h3m_em, the last possible E-step has no M-step after it: at
-        # max_iters=3 and tol=0, three E-steps over every block, statistics
-        # from the first two only, and two M-steps.
+        # max_iters=3 and tol=0, three E-steps over every block, couplings
+        # and statistics from the first two only, and two M-steps.
         leaves, _ = synth_benchmark(4, 6, 4.0, np.random.default_rng(3), n_states=3, n_mix=2)
         base = H3m(np.full(len(leaves), 1 / len(leaves)), leaves)
         monkeypatch.setattr(hmm_module, "_BLOCK_ELEMENTS", 1)
-        calls = {"_estep": 0, "_virtual_stats_all": 0, "mstep": 0}
-        for name in calls:
-            original = getattr(reduction_module, name)
+        calls = {"couplings": 0, "objectives only": 0, "_virtual_stats_all": 0, "mstep": 0}
+        estep, virtual_stats, step = (
+            reduction_module._estep, reduction_module._virtual_stats_all, h3m_module.mstep
+        )
 
-            def counted(*args, name=name, original=original):
+        def recorded_estep(block, reduced, tau, couplings):
+            result = estep(block, reduced, tau, couplings)
+            built = [result.eta, result.phi_initial, result.phi_step]
+            assert all(a is not None for a in built) if couplings else built == [None] * 3
+            calls["couplings" if couplings else "objectives only"] += 1
+            return result
+
+        def counted(name, original):
+            def call(*args):
                 calls[name] += 1
                 return original(*args)
+            return call
 
-            monkeypatch.setattr(reduction_module, name, counted)
+        monkeypatch.setattr(reduction_module, "_estep", recorded_estep)
+        monkeypatch.setattr(
+            reduction_module, "_virtual_stats_all", counted("_virtual_stats_all", virtual_stats)
+        )
+        monkeypatch.setattr(h3m_module, "mstep", counted("mstep", step))
         result = vhem_reduce(base, VhemConfig(k_reduced=4, max_iters=3, tol=0.0, seed=2))
         n_blocks = len(leaves)  # one base component per block
-        assert len(result.bound_history) == 3
-        assert calls == {"_estep": 3 * n_blocks, "_virtual_stats_all": 2 * n_blocks, "mstep": 2}
+        assert len(result.bound_history) == 3 and result.rescues == 0
+        assert calls == {
+            "couplings": 2 * n_blocks, "objectives only": n_blocks,
+            "_virtual_stats_all": 2 * n_blocks, "mstep": 2,
+        }
 
     def test_one_block_of_couplings_alive_at_a_time(self, monkeypatch):
         # Each block's statistics are built before the next block is scored, so
