@@ -6,8 +6,9 @@ never multiplied together directly. Covariances come in two layouts: diagonal
 matrix). Every operation supports both, one layout at a time.
 ``_check_emissions`` checks the emission arrays of every stack of HMMs,
 ``_check_rows`` every stack of stochastic rows and ``_check_pair`` every pair
-of stacks. ``_cross_terms``, the one expected log-likelihood kernel over
-stacked Gaussian pairs, checks nothing: its callers hand it checked stacks.
+of stacks. ``_cross_terms``, the one Gaussian log-density kernel (points and
+Gaussians alike), and both estimators' mixture step around it (``_mixture_terms``,
+``_responsibilities``) check nothing: their callers hand them checked stacks.
 ``Gaussian`` and ``GaussianMixture`` are plain records that only
 ``Hmm.emissions`` builds, from checked arrays: an output view that no function
 takes.
@@ -36,10 +37,15 @@ def logsumexp(a, axis=None, keepdims: bool = False):
     if np.isfinite(hi).all():  # every slice holds exp(0) = 1: log cannot warn
         out = np.log(np.add.reduce(np.exp(a - hi), axis=axis, keepdims=keepdims))
     else:  # a slice that is all -inf, or holds +inf or NaN, is shifted by 0
-        hi = np.where(np.isfinite(hi), hi, 0.0)
+        hi = _finite(hi)
         with np.errstate(divide="ignore"):
             out = np.log(np.add.reduce(np.exp(a - hi), axis=axis, keepdims=keepdims))
     return out + (hi if keepdims else hi.reshape(np.shape(out)))
+
+
+def _finite(shift: np.ndarray) -> np.ndarray:
+    """A log shift (maximum or normalizer) where finite, else 0: -inf stays -inf, not NaN."""
+    return np.where(np.isfinite(shift), shift, 0.0)
 
 
 def check_probability_vector(vec: np.ndarray, name: str, tol: float = WEIGHT_TOL) -> None:
@@ -180,29 +186,53 @@ class GaussianMixture:
 
 
 def _cross_terms(
-    mu_b: np.ndarray, cov_b: np.ndarray, mu_r: np.ndarray, cov_r: np.ndarray
+    mu_b: np.ndarray, cov_b: np.ndarray | None, mu_r: np.ndarray, cov_r: np.ndarray
 ) -> np.ndarray:
     """E over y ~ N(mu_b, cov_b) of log N(y; mu_r, cov_r), over the broadcast
-    leading axes of the stacked arguments.
-
-    Means are (..., d); both covariances are (..., d) variances or both are
-    (..., d, d) matrices. Closed form:
+    leading axes of the stacked arguments, or with ``cov_b`` None the
+    log-density of the point mu_b (the trace term 0). Means are (..., d);
+    covariances (..., d) variances or (..., d, d) matrices, in one layout:
     -1/2 [ d log 2pi + log|S_r| + tr(S_r^-1 S_b) + (m_r - m_b)^T S_r^-1 (m_r - m_b) ].
-    The full layout takes one batched Cholesky factor L of each S_r and
-    batched solves against it. Arguments are trusted, checked on entry.
-    """
+    The diagonal layout sums the last term in place, a coordinate at a time;
+    the full one solves against one batched Cholesky factor L of each S_r.
+    Arguments are trusted, checked on entry."""
     d = mu_b.shape[-1]
-    diff = mu_r - mu_b
-    if cov_r.ndim == mu_r.ndim:
-        log_det = np.sum(np.log(cov_r), axis=-1)
-        trace = np.sum(cov_b / cov_r, axis=-1)
-        with np.errstate(over="ignore"):  # inf for far-apart pairs: compute_assignments rejects it
-            maha = np.sum(diff * diff / cov_r, axis=-1)
-    else:
-        chol = np.linalg.cholesky(cov_r)
-        log_det = 2.0 * np.sum(np.log(np.diagonal(chol, axis1=-2, axis2=-1)), axis=-1)
-        half = np.linalg.solve(chol, cov_b)
-        trace = np.trace(np.linalg.solve(np.swapaxes(chol, -1, -2), half), axis1=-2, axis2=-1)
-        solved = np.linalg.solve(chol, diff[..., None])[..., 0]
-        maha = np.sum(solved * solved, axis=-1)
-    return -0.5 * (d * LOG_2PI + log_det + trace + maha)
+    with np.errstate(over="ignore"):  # a term that overflows is inf, and the value -inf
+        if cov_r.ndim == mu_r.ndim:
+            log_det = np.sum(np.log(cov_r), axis=-1)
+            trace = 0.0 if cov_b is None else np.sum(cov_b / cov_r, axis=-1)
+            maha = np.zeros(np.broadcast_shapes(mu_b.shape, mu_r.shape, cov_r.shape)[:-1])
+            term = np.empty_like(maha)
+            for i in range(d):
+                np.subtract(mu_r[..., i], mu_b[..., i], out=term)
+                term *= term
+                term /= cov_r[..., i]
+                maha += term
+        else:
+            chol = np.linalg.cholesky(cov_r)
+            log_det = 2.0 * np.sum(np.log(np.diagonal(chol, axis1=-2, axis2=-1)), axis=-1)
+            trace = 0.0
+            if cov_b is not None:
+                whole = np.linalg.solve(np.swapaxes(chol, -1, -2), np.linalg.solve(chol, cov_b))
+                trace = np.trace(whole, axis1=-2, axis2=-1)
+            solved = np.linalg.solve(chol, (mu_r - mu_b)[..., None])[..., 0]
+            maha = np.einsum("...d,...d->...", solved, solved)
+        maha += d * LOG_2PI + log_det + trace  # in place: a block's arrays are allocated once
+        maha *= -0.5
+        return maha
+
+
+def _mixture_terms(weights: np.ndarray, *gaussians) -> tuple[np.ndarray, np.ndarray]:
+    """The mixture step of both estimators, components on the last axis:
+    log weight + ``_cross_terms(*gaussians)`` per component, and their logsumexp."""
+    table = _cross_terms(*gaussians)
+    with np.errstate(divide="ignore"):
+        table += np.log(weights)
+    return table, logsumexp(table, axis=-1)
+
+
+def _responsibilities(table: np.ndarray, norm: np.ndarray) -> np.ndarray:
+    """Softmax over the last axis from its logsumexp ``norm``, written over
+    ``table``; a row all -inf gets 0."""
+    table -= _finite(norm)[..., None]
+    return np.exp(table, out=table)

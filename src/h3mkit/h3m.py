@@ -32,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateWeightsError, EstimationError, InvalidModelError
-from .gaussians import check_probability_vector, logsumexp
+from .gaussians import _responsibilities, check_probability_vector, logsumexp
 from .hmm import (
     EmConfig,
     Hmm,
@@ -145,7 +145,7 @@ def compute_assignments(
     norm = logsumexp(logits, axis=1)
     if np.any(norm == -np.inf):
         raise DegenerateWeightsError("an item's assignment log-weights are all -inf")
-    probs = np.exp(logits - norm[:, None])
+    probs = _responsibilities(logits, norm)
     return AssignmentMatrix(probs / probs.sum(axis=1, keepdims=True)), norm
 
 
@@ -243,12 +243,13 @@ def mstep(
 def mc_expected_loglik(
     base: Hmm, reduced: Hmm, tau: int, n_samples: int, rng: np.random.Generator
 ) -> tuple[float, float]:
-    """Monte Carlo estimate of E over sequences from ``base`` of the log-
-    likelihood under ``reduced``; returns (mean, standard error)."""
+    """Monte Carlo estimate of E over sequences from ``base`` of the log-likelihood
+    under ``reduced``: (mean, standard error), (-inf, inf) if it cannot emit a draw."""
     _check_counts(2, n_samples=n_samples)
     obs, _ = sample_batch(base, tau, n_samples, rng)
     lls = forward_loglik_batch(reduced, obs)
-    return float(lls.mean()), float(lls.std(ddof=1) / np.sqrt(n_samples))
+    spread = lls.std(ddof=1) if np.isfinite(lls).all() else np.inf
+    return float(lls.mean()), float(spread / np.sqrt(n_samples))
 
 
 def h3m_em(

@@ -1,31 +1,31 @@
 """Hidden Markov models with Gaussian-mixture emissions.
 
 Holds the model type, exact sequence likelihood, seeded sampling, and the
-estimation machinery that every estimator shares. An ``Hmm`` is built from
-its five parameter arrays and holds them once; every kernel reads them, and
-no model is mutated after construction.
-Its ``emissions`` objects are an output view rebuilt from the arrays on each
-read, and nothing takes them as input. One array-level check,
-``_check_arrays``, validates every model, once per stack: the constructor
-checks one model; a file's mixture components, the synthetic members and an
-M-step's output are checked once as a stack. A mixture holds one such
-stack, and its components are views of its rows (``_models``), rebuilt on
+estimation machinery that every estimator shares. An ``Hmm`` is built from its
+five parameter arrays and holds them once; every kernel reads them, and no
+model is mutated after construction. Its ``emissions`` objects are an output
+view rebuilt from the arrays on each read, and nothing takes them as input. One
+array-level check, ``_check_arrays``, validates every model, once per stack:
+the constructor checks one model; a file's mixture components, the synthetic
+members and an M-step's output are checked once as a stack. A mixture holds one
+such stack, and its components are views of its rows (``_models``), rebuilt on
 each read. One sampling kernel, ``_sample``, draws sequences from a stack of
 models with uniforms and normals drawn beforehand. Every estimation kernel
-reads a stack too (``_Stacked``, with a leading K axis) and runs once over
-all K models; a list of models is
-stacked only where it enters, by ``_stack``, the one function that stacks
-models and compares their shapes, and an ``Hmm`` is a one-row stack
-at the public boundary (``forward_loglik_batch``). One forward recursion, in
-probability domain and normalized at every step (Rabiner's scaling), one batched matmul per
-step, serves both the likelihood and the forward-backward pass. A pass runs
-over blocks of sequences within a fixed element budget for the whole
-(K, B, tau, N, M) block. The log-domain recursion stays as the fallback for
-the (model, sequence) rows where the scaled one would underflow, and only
-those take it. One M-step turns weighted sums of item-major (items, K, ...)
-statistics into K models; the items are real sequences for the mixture EM
-in ``h3m`` (Baum-Welch is its one-component case) and virtual sequences of
-base components for the mixture reduction.
+reads a stack too (``_Stacked``, with a leading K axis) and runs once over all
+K models; a list of models is stacked only where it enters, by ``_stack``, the
+one function that stacks models and compares their shapes, and an ``Hmm`` is a
+one-row stack at the public boundary (``forward_loglik_batch``). Emissions come
+from the reduction's mixture step (``gaussians._mixture_terms``), observations
+as points. One forward recursion, in probability domain and normalized at every
+step (Rabiner's scaling), one batched matmul per step, serves both the
+likelihood and the forward-backward pass. A pass runs over blocks of sequences
+within a fixed element budget for the whole (K, B, tau, N, M) block. The
+log-domain recursion stays as the fallback for the (model, sequence) rows where
+the scaled one would underflow, and only those take it. One M-step turns
+weighted sums of item-major (items, K, ...) statistics into K models; the items
+are real sequences for the mixture EM in ``h3m`` (Baum-Welch is its
+one-component case) and virtual sequences of base components for the mixture
+reduction.
 """
 
 from __future__ import annotations
@@ -38,12 +38,14 @@ import numpy as np
 
 from .errors import EstimationError, InvalidModelError
 from .gaussians import (
-    LOG_2PI,
     Gaussian,
     GaussianMixture,
     _check_emissions,
     _check_rows,
+    _finite,
     _float_array,
+    _mixture_terms,
+    _responsibilities,
     logsumexp,
 )
 
@@ -260,45 +262,20 @@ class HmmFit:
 # Likelihood
 
 
-def _gaussian_terms(
-    obs: np.ndarray, means: np.ndarray, covs: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Log-determinants (K, N, M) of a stack's emission covariances and
-    squared Mahalanobis distances (K, S, tau, N, M) of every observation
-    from every emission component."""
-    if covs.ndim == 4:
-        # Summed over d in place, one coordinate at a time: no (K, S, tau, N, M, d) array.
-        maha = np.zeros(means.shape[:1] + obs.shape[:2] + means.shape[1:3])
-        term = np.empty_like(maha)
-        for i in range(obs.shape[2]):
-            np.subtract(obs[None, :, :, None, None, i], means[:, None, None, ..., i], out=term)
-            term *= term
-            term /= covs[:, None, None, ..., i]
-            maha += term
-        return np.sum(np.log(covs), axis=-1), maha
-    diff = obs[None, :, :, None, None, :] - means[:, None, None]
-    chol = np.linalg.cholesky(covs)
-    # One solve, the stacked factors (K, N, M, d, d) broadcast over (S, tau).
-    sol = np.linalg.solve(chol[:, None, None], diff[..., None])[..., 0]
-    log_det = 2.0 * np.sum(np.log(np.diagonal(chol, axis1=-2, axis2=-1)), axis=-1)
-    return log_det, np.einsum("...d,...d->...", sol, sol)
-
-
 def _log_emissions(models: _Stacked, obs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Log emission densities (K, S, tau, N) and the per-component log joint
-    weights+densities (K, S, tau, N, M) they were reduced from."""
-    log_det, log_joint = _gaussian_terms(obs, models.means, models.covs)
-    with np.errstate(divide="ignore"):
-        log_c = np.log(models.mix_weights)
-    log_joint += (obs.shape[2] * LOG_2PI + log_det)[:, None, None]
-    log_joint *= -0.5
-    log_joint += log_c[:, None, None]
-    return logsumexp(log_joint, axis=-1), log_joint
+    weights+densities (K, S, tau, N, M) they were reduced from: the mixture
+    step ``_mixture_terms`` of every observation, a point, in every state."""
+    log_joint, log_b = _mixture_terms(
+        models.mix_weights[:, None, None], obs[None, :, :, None, None], None,
+        models.means[:, None, None], models.covs[:, None, None],
+    )
+    return log_b, log_joint
 
 
-def _log_chain(models: _Stacked, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _log_chain(models: _Stacked, rows=slice(None)) -> tuple[np.ndarray, np.ndarray]:
     """Log initial distributions and log transition matrices of the stack's
-    models ``rows``."""
+    models ``rows`` (all of them by default)."""
     with np.errstate(divide="ignore"):
         return np.log(models.initial[rows]), np.log(models.transitions[rows])
 
@@ -314,11 +291,11 @@ _TINY = np.finfo(float).tiny
 _FLOOR = _TINY / np.finfo(float).eps
 
 
-def _blocks(models: _Stacked, obs: np.ndarray):
-    """The (S, tau, d) batch as consecutive blocks of sequences, each within
-    _BLOCK_ELEMENTS for the stack's (K, B, tau, N, M) arrays."""
-    size = max(1, _BLOCK_ELEMENTS // (obs.shape[1] * models.mix_weights.size))
-    return (obs[i:i + size] for i in range(0, max(obs.shape[0], 1), size))
+def _blocks(n_items: int, per_item: int) -> list[slice]:
+    """The block rule of both estimators' passes: consecutive blocks of as many
+    items of per_item elements as fit in _BLOCK_ELEMENTS, at least one."""
+    size = max(1, _BLOCK_ELEMENTS // per_item)
+    return [slice(i, i + size) for i in range(0, max(n_items, 1), size)]
 
 
 def _scaled_forward(
@@ -328,8 +305,8 @@ def _scaled_forward(
     emission densities of equal-length sequences under K stacked models,
     normalized at every step (Rabiner 1989). One batched matmul per step.
 
-    The emissions are shifted by their maximum over states first, and the
-    shifts are added back into the log-likelihoods. Returns the shifted
+    The emissions are shifted by their maximum over states (0 if -inf), and
+    the shifts are added back into the log-likelihoods. Returns the shifted
     emissions b (K, S, tau, N), alpha (K, S, tau, N) with each step's row
     summing to one, the scale factors c (K, S, tau), the log-likelihoods
     (K, S) and ``ok`` (K, S). ``ok`` is False where some c_t is NaN or at
@@ -340,7 +317,7 @@ def _scaled_forward(
     log-likelihood comes from the log-domain recursion instead; its other
     outputs are unusable.
     """
-    shift = log_b.max(axis=3)
+    shift = _finite(log_b.max(axis=3))
     b = np.exp(log_b - shift[..., None])
     alpha = np.empty_like(b)
     pred = np.empty_like(b)
@@ -374,18 +351,18 @@ def _log_forward(
 
     Returns log alpha (S, tau, N), each step's row summing to one in
     probability, and the log-likelihoods (S,), which are the sums of the
-    per-step log normalizers.
+    per-step log normalizers (-inf, not NaN, where one is -inf).
     """
     s_count, tau, n = log_b.shape
     alpha = np.empty((s_count, tau, n))
     step_alpha = log_pi + log_b[:, 0]
     ll = logsumexp(step_alpha, axis=1)
-    alpha[:, 0] = step_alpha - ll[:, None]
+    alpha[:, 0] = step_alpha - _finite(ll)[:, None]
     for t in range(1, tau):
         step_alpha = logsumexp(alpha[:, t - 1, :, None] + log_a, axis=1) + log_b[:, t]
         step = logsumexp(step_alpha, axis=1)
         ll = ll + step
-        alpha[:, t] = step_alpha - step[:, None]
+        alpha[:, t] = step_alpha - _finite(step)[:, None]
     return alpha, ll
 
 
@@ -491,13 +468,12 @@ def _log_posteriors(
     for t in range(tau - 2, -1, -1):
         beta[:, t] = logsumexp(log_a + (log_b[:, t + 1] + beta[:, t + 1])[:, None, :], axis=2)
     log_gamma = alpha + beta
-    log_gamma -= logsumexp(log_gamma, axis=2, keepdims=True)
     trans = np.zeros(log_a.shape)
     for t in range(tau - 1):
         log_xi = alpha[:, t, :, None] + log_a + (log_b[:, t + 1] + beta[:, t + 1])[:, None, :]
-        log_xi -= logsumexp(log_xi, axis=(1, 2), keepdims=True)
+        log_xi -= _finite(logsumexp(log_xi, axis=(1, 2), keepdims=True))
         trans += np.exp(log_xi)
-    return np.exp(log_gamma), trans, lls
+    return _responsibilities(log_gamma, logsumexp(log_gamma, axis=2)), trans, lls
 
 
 def _block_stats(models: _Stacked, obs: np.ndarray, stats: bool) -> tuple[_Stats | None, np.ndarray]:
@@ -524,10 +500,8 @@ def _block_stats(models: _Stacked, obs: np.ndarray, stats: bool) -> tuple[_Stats
         log_chain = _log_chain(models, np.nonzero(redo)[0])
         gamma[redo], trans[redo], _ = _log_posteriors(*log_chain, log_b[redo])
 
-    # Within-state mixture responsibilities, in place; log_b is log_joint's normalizer.
-    gamma_mix = log_joint
-    gamma_mix -= log_b[..., None]
-    np.exp(gamma_mix, out=gamma_mix)
+    # Within-state mixture responsibilities; log_b is log_joint's normalizer.
+    gamma_mix = _responsibilities(log_joint, log_b)
     gamma_mix *= gamma[..., None]  # (K, S, tau, N, M)
     if models.covs.ndim == 4:
         sq = np.einsum("kstnm,std->ksnmd", gamma_mix, obs * obs)
@@ -548,9 +522,8 @@ def _expected_stats(
     ``stats``, else forward. Returns the per-sequence statistics, item-major
     (leading (S, K) axes, no tau axis), or None if not ``stats``, and the
     log-likelihoods (S, K), the same bit for bit either way."""
-    blocks = (
-        _block_stats(models, block, stats) for obs in batches for block in _blocks(models, obs)
-    )
+    blocks = (_block_stats(models, obs[rows], stats) for obs in batches  # (K, B, tau, N, M) arrays
+              for rows in _blocks(obs.shape[0], obs.shape[1] * models.mix_weights.size))
     return _collect(blocks, sum(obs.shape[0] for obs in batches), models.initial.shape[0])
 
 

@@ -30,8 +30,8 @@ iteration grows with the number of base components: a block's largest array
 stays within the 256 KB that the data-side passes also keep to
 (``hmm._BLOCK_ELEMENTS``):
 
-- emission matching: one ``_cross_terms`` call over (I, J, N_b, N_r, M_b,
-  M_r) and one logsumexp give the per-state-pair bound ell (and eta);
+- emission matching: the data side's mixture step (``_mixture_terms``) over
+  (I, J, N_b, N_r, M_b, M_r) gives the per-state-pair bound ell (and eta);
 - phi: the backward recursion runs pair by pair, reading ell[i, j] (and
   writing phi into (I, J, ...) arrays: a pass without statistics skips it);
 - statistics, built when an M-step may follow and the block's objectives
@@ -41,7 +41,7 @@ stays within the 256 KB that the data-side passes also keep to
   The couplings die with the pass; ``hmm._collect`` writes each block into
   the iteration's (I, J, ...) arrays, as it writes ``h3m_em``'s blocks.
 
-The kernels (``_cross_terms``, ``_estep``, ``_virtual_stats_all``) check
+The kernels (``_mixture_terms``, ``_estep``, ``_virtual_stats_all``) check
 nothing: their stacks were checked on entry, and ``gaussians._check_pair``
 rejects a given start whose dimension or covariance layout differs from the
 base's in ``_init_reduced``. No model is mutated: rescues write into a
@@ -57,7 +57,7 @@ import numpy as np
 
 from . import hmm
 from .errors import InvalidModelError
-from .gaussians import _check_pair, _cross_terms, logsumexp
+from .gaussians import _check_pair, _mixture_terms, _responsibilities, logsumexp
 from .h3m import AssignmentMatrix, H3m, _best_start, _em, _starved
 from .hmm import _check_arrays, _check_counts, _Checked, _collect, _floor_covs, _Stacked, _Stats
 
@@ -146,28 +146,22 @@ def _estep(base: _Stacked, reduced: _Stacked, tau: int, couplings=True) -> PairE
 
     Emission matching is one pass over (I, J, N_b, N_r, M_b, M_r); the
     backward recursion for phi runs pair by pair, in log domain."""
-    # eta is the softmax over l of log c_r[l] + table, and ell the c_b-weighted
-    # sum of its normalizers (the Hershey-Olsen bound), one dot product per
-    # state pair.
-    table = _cross_terms(
-        base.means[:, None, :, None, :, None],
-        base.covs[:, None, :, None, :, None],
-        reduced.means[None, :, None, :, None],
-        reduced.covs[None, :, None, :, None],
+    # eta is the softmax over l of the mixture step's logits, and ell the c_b-weighted
+    # sum of their normalizers (the Hershey-Olsen bound), one dot product per state pair.
+    logits, norm = _mixture_terms(
+        reduced.mix_weights[None, :, None, :, None],
+        base.means[:, None, :, None, :, None], base.covs[:, None, :, None, :, None],
+        reduced.means[None, :, None, :, None], reduced.covs[None, :, None, :, None],
     )
-    with np.errstate(divide="ignore"):
-        logits = np.log(reduced.mix_weights)[None, :, None, :, None, :] + table
-        log_pi_r = np.log(reduced.initial)
-        log_a_r = np.log(reduced.transitions)
+    log_pi_r, log_a_r = hmm._log_chain(reduced)
 
     # A state pair whose expected log-likelihood overflowed has an all -inf
     # softmax row: its eta is 0 and its ell -inf, so phi gives it no weight
     # while the objective is finite (a non-finite one compute_assignments rejects).
     with np.errstate(invalid="ignore"):
-        norm = logsumexp(logits, axis=5)
         ell = (norm[..., None, :] @ base.mix_weights[:, None, :, None, :, None])[..., 0, 0]
         n_i, n_j, n_b, n_r = ell.shape
-        eta = np.exp(logits - np.where(norm == -np.inf, 0.0, norm)[..., None]) if couplings else None
+        eta = _responsibilities(logits, norm) if couplings else None
         phi_initial = np.empty((n_i, n_j, n_r, n_b)) if couplings else None
         phi_step = np.empty((n_i, n_j, tau - 1, n_r, n_r, n_b)) if couplings else None
         objective = np.empty((n_i, n_j))
@@ -322,8 +316,8 @@ def _blocks(base: _Stacked, reduced: H3m, tau: int) -> list[_Stacked]:
     n_r, m_r = reduced.n_states, reduced.n_mix
     cov_size = reduced.arrays.covs[0, 0, 0].size
     per_pair = n_b * n_r * max(m_b * m_r * cov_size, tau * n_r)
-    size = max(1, hmm._BLOCK_ELEMENTS // (per_pair * reduced.n_components))
-    return [_Stacked(*(a[i:i + size] for a in base)) for i in range(0, k_b, size)]
+    slices = hmm._blocks(k_b, per_pair * reduced.n_components)
+    return [_Stacked(*(a[rows] for a in base)) for rows in slices]
 
 
 def _pass(block: _Stacked, reduced: _Stacked, tau: int, stats: bool):

@@ -1,6 +1,7 @@
-"""The expected log-likelihood kernel between Gaussians, mixture-level
-bounds (the test-local ``conftest.mixture_bound``) and the library's
-matchings, the enumeration oracle's stage softmaxes and logsumexp. Derived
+"""The expected log-likelihood kernel between Gaussians and its point form,
+the log-density, mixture-level bounds (the test-local
+``conftest.mixture_bound``) and the library's matchings, the enumeration
+oracle's stage softmaxes and logsumexp. Derived
 expectations are frozen from closed forms and cross-checked against seeded
 Monte Carlo averages; densities and draws for those come from scipy.stats,
 or from a one-state HMM for mixtures. Gaussians are (mean, cov) pairs and
@@ -44,9 +45,10 @@ def as_matrix(cov):
 
 
 def cross(base, reduced):
-    """``_cross_terms`` for one pair of (mean, cov) Gaussians."""
+    """``_cross_terms`` for one pair of (mean, cov) Gaussians; a base cov of
+    None is the point at its mean."""
     (mu_b, cov_b), (mu_r, cov_r) = (
-        (np.asarray(mean, dtype=float), np.asarray(cov, dtype=float))
+        (np.asarray(mean, dtype=float), None if cov is None else np.asarray(cov, dtype=float))
         for mean, cov in (base, reduced)
     )
     return float(_cross_terms(mu_b, cov_b, mu_r, cov_r))
@@ -156,6 +158,32 @@ class TestGaussExpectedLoglik:
         lls = multivariate_normal.logpdf(draws, reduced[0], as_matrix(reduced[1]))
         stderr = lls.std(ddof=1) / np.sqrt(lls.size)
         assert abs(value - lls.mean()) < 3 * stderr
+
+    @pytest.mark.parametrize("d", [1, 3, 9])
+    @pytest.mark.parametrize("cov_type", ["diag", "full"])
+    def test_point_is_the_log_density(self, rng, cov_type, d):
+        # With cov_b None the kernel is the log-density at mu_b, the data
+        # side's emission term: (4, 1) points against (1, 3) Gaussians,
+        # stacked as both estimators stack them, broadcast to (4, 3).
+        gaussians = [random_gaussian(rng, d, cov_type) for _ in range(3)]
+        means, covs = (np.stack(a)[None] for a in zip(*gaussians))
+        points = rng.normal(0.0, 2.0, size=(4, 1, d))
+        expected = [
+            [multivariate_normal.logpdf(point[0], mean, as_matrix(cov)) for mean, cov in gaussians]
+            for point in points
+        ]
+        got = _cross_terms(points, None, means, covs)
+        np.testing.assert_allclose(got, expected, rtol=1e-12, atol=1e-12)
+
+    @pytest.mark.parametrize("cov_type", ["diag", "full"])
+    def test_spread_adds_only_the_trace(self, rng, cov_type):
+        # E_{y ~ N(m_b, S_b)} log N(y; m_r, S_r) - log N(m_b; m_r, S_r)
+        # = -1/2 tr(S_r^-1 S_b).
+        for d in (1, 2, 3, 9):
+            base, reduced = (random_gaussian(rng, d, cov_type) for _ in range(2))
+            spread = cross(base, reduced) - cross((base[0], None), reduced)
+            trace = np.trace(np.linalg.solve(as_matrix(reduced[1]), as_matrix(base[1])))
+            assert spread == pytest.approx(-0.5 * trace, rel=1e-12, abs=1e-12)
 
     def test_dimension_mismatch(self):
         # The pair entry points check dimensions before the kernel broadcasts.

@@ -2,6 +2,7 @@
 oracle."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -489,9 +490,8 @@ class TestRepairRule:
             2, 15, 8.0, np.random.default_rng(0), n_states=1, n_mix=1, dim=1, tau=10,
             kind="sequences",
         )
-        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(
-            EstimationError, match="objectives must be finite"
-        ):
+        # No numpy warning on the way: the suite turns one into an error.
+        with pytest.raises(EstimationError, match="objectives must be finite"):
             h3m_em(dataset.sequences, 5, 1, 1, EmConfig(max_iters=15), np.random.default_rng(2))
 
 
@@ -516,6 +516,15 @@ class TestMcExpectedLoglik:
             m_self, se_self = mc_expected_loglik(base, base, 5, 20_000, rng)
             m_other, se_other = mc_expected_loglik(base, other, 5, 20_000, rng)
             assert m_other <= m_self + 3 * (se_self + se_other)
+
+    def test_draws_the_reduced_cannot_emit(self, rng):
+        # Variance 1e-310 at 0: every draw from N(0, 1) scores -inf, so the
+        # mean is -inf and the standard error inf, without a numpy warning.
+        narrow = Hmm([1.0], [[1.0]], [[1.0]], [[[0.0]]], [[[1e-310]]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            mean, stderr = mc_expected_loglik(std_normal_hmm(), narrow, 3, 5, rng)
+        assert (mean, stderr) == (-np.inf, np.inf)
 
     def test_requires_two_samples(self, rng):
         hmm = std_normal_hmm()

@@ -220,6 +220,22 @@ class TestForward:
         assert lls[0] == pytest.approx(expected, rel=1e-12)
         np.testing.assert_allclose(stats.pi[0], [0.0, 1.0], atol=1e-12)
 
+    @pytest.mark.parametrize("covs", [[[[1e-310]]], [[[[1e-310]]]]], ids=["diag", "full"])
+    def test_subnormal_variance_scores_minus_inf_without_warning(self, covs):
+        # (1 - 0)^2 / 1e-310 overflows, so no state can emit an observation at
+        # 1.0: the log-likelihood is -inf, not NaN, in the scaled and the
+        # log-domain recursions, the statistics hold no NaN, and no numpy
+        # warning escapes.
+        model = Hmm([1.0], [[1.0]], [[1.0]], [[[0.0]]], covs)
+        obs = np.ones((1, 3, 1))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            lls = forward_loglik_batch(model, obs)
+            stats, stats_lls = one_row_pass(model, obs)
+        assert lls.tolist() == stats_lls.tolist() == [-np.inf]
+        for name, value in vars(stats).items():
+            assert not np.isnan(value).any(), name
+
     def test_batch_matches_scalar(self, rng):
         model = random_hmm(rng, n_states=3, n_mix=2, dim=2)
         obs, _ = sample_batch(model, 7, 5, rng)

@@ -34,7 +34,7 @@ REMOVED = {
     ],
     h3mkit.h3m: ["h3m_sample", "h3m_loglik", "h3m_loglik_batch"],
     h3mkit.hierarchy: ["best_label_accuracy", "_max_matching"],
-    h3mkit.hmm: ["sample", "forward_loglik", "state_marginals", "_joined"],
+    h3mkit.hmm: ["sample", "forward_loglik", "state_marginals", "_joined", "_gaussian_terms"],
     h3mkit.reduction: [
         "lower_bound", "SummaryStats", "summary_stats", "_summary", "_virtual_stats",
         "estep_pair", "elhmm_bruteforce",
@@ -149,6 +149,43 @@ def test_mixture_em_iteration_written_once():
                 if isinstance(node, ast.Call) and getattr(node.func, "id", None) in callers:
                     callers[node.func.id].add(f"{path.stem}.{function.name}")
     assert callers == {"compute_assignments": {"h3m._em"}, "_converged": {"h3m._em"}}
+
+
+def test_one_gaussian_kernel():
+    # gaussians._cross_terms is the library's one Gaussian log-density code,
+    # for points and Gaussians alike: no other module names its constant or
+    # solves against a covariance factor, and both estimators reach it
+    # through the one mixture step, gaussians._mixture_terms. One softmax
+    # from a normalizer, gaussians._responsibilities, gives eta, the mixture
+    # responsibilities and state posteriors of the data side, and z.
+    callers: dict[str, set] = {
+        "_cross_terms": set(), "_mixture_terms": set(), "_responsibilities": set(),
+    }
+    for path in Path(h3mkit.__file__).parent.glob("*.py"):
+        tree = ast.parse(path.read_text())
+        if path.name != "gaussians.py":
+            for node in ast.walk(tree):
+                names = set()
+                if isinstance(node, (ast.Import, ast.ImportFrom)):
+                    names = {alias.name for alias in node.names}
+                elif isinstance(node, ast.Name):
+                    names.add(node.id)
+                elif isinstance(node, ast.Attribute):
+                    names |= {node.attr, ast.unparse(node)}
+                assert not names & {"LOG_2PI", "np.linalg.solve"}, path.name
+        for function in ast.walk(tree):
+            if isinstance(function, ast.FunctionDef):
+                for node in ast.walk(function):
+                    if isinstance(node, ast.Call) and getattr(node.func, "id", None) in callers:
+                        callers[node.func.id].add(f"{path.stem}.{function.name}")
+    assert callers == {
+        "_cross_terms": {"gaussians._mixture_terms"},
+        "_mixture_terms": {"hmm._log_emissions", "reduction._estep"},
+        "_responsibilities": {
+            "hmm._log_posteriors", "hmm._block_stats", "reduction._estep",
+            "h3m.compute_assignments",
+        },
+    }
 
 
 def test_starts_spawned_in_one_place():

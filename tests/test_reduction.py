@@ -7,6 +7,7 @@ import gc
 import itertools
 import math
 import tracemalloc
+import warnings
 import weakref
 
 import numpy as np
@@ -853,6 +854,19 @@ class TestVhemReduce:
         history = np.array(result.bound_history)
         assert history.size == 4 and np.all(np.isfinite(history))
         assert np.all(np.diff(history) >= -1e-8 * np.abs(history[:-1]))
+
+    def test_subnormal_start_is_a_numerical_failure_without_warning(self):
+        # A start with variances 5e-324, kept by the same floor: its
+        # expected log-likelihoods overflow to -inf, which compute_assignments
+        # rejects, and no numpy warning escapes the kernel on the way.
+        leaves = [gaussian_hmm(mean) for mean in (0.0, 0.5, 5.0, 5.5)]
+        base = H3m(np.full(4, 0.25), leaves)
+        start = H3m([0.5, 0.5], [gaussian_hmm(mean, 5e-324) for mean in (0.0, 5.0)])
+        config = VhemConfig(k_reduced=2, init=start, cov_floor=5e-324, max_iters=3)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(EstimationError, match="objectives must be finite"):
+                vhem_reduce(base, config)
 
     def test_random_init_runs(self):
         leaves, labels = synth_benchmark(2, 4, 8.0, np.random.default_rng(5))
