@@ -48,34 +48,33 @@ def _finite(shift: np.ndarray) -> np.ndarray:
     return np.where(np.isfinite(shift), shift, 0.0)
 
 
-def check_probability_vector(vec: np.ndarray, name: str, tol: float = WEIGHT_TOL) -> None:
+def check_probability_vector(vec: np.ndarray, name: str) -> None:
     """Raise InvalidModelError unless vec, a vector or a matrix of row
-    vectors, is finite, nonnegative and sums to 1 within tol along every row.
+    vectors, is finite, nonnegative and sums to 1 within WEIGHT_TOL along every row.
     For a matrix the message names the first bad row as ``{name} {index}``."""
-    _check_rows(np.atleast_1d(vec), name, (), tol)
+    _check_rows(np.atleast_1d(vec), name, ())
 
 
-def _check_rows(
-    rows: np.ndarray, name: str, axes: tuple[str, ...], tol: float = WEIGHT_TOL
-) -> None:
+def _check_rows(rows: np.ndarray, name: str, axes: tuple[str, ...]) -> None:
     """``check_probability_vector`` over a stack with the leading axes
     ``axes``, each entry a vector or a matrix of row vectors, in one pass; a
     failure names its entry on ``axes`` (``_at``), then the row."""
     # A NaN or infinite entry makes its row's total NaN or infinite, which
-    # fails "<= tol". With no negative (or NaN) entry no row holds -inf, so
+    # fails the tolerance. With no negative (or NaN) entry no row holds -inf, so
     # no total is inf - inf. A valid input costs one minimum and one row sum;
     # the totals are then compared as Python floats, in the same arithmetic.
     if rows.size and rows.min() >= 0:
-        if all(abs(total - 1.0) <= tol for total in np.ravel(rows.sum(axis=-1)).tolist()):
+        if all(abs(total - 1.0) <= WEIGHT_TOL for total in np.ravel(rows.sum(axis=-1)).tolist()):
             return
     with np.errstate(invalid="ignore"):
         totals = rows.sum(axis=-1)
-    ok = ~(rows < 0).any(axis=-1) & (np.abs(totals - 1.0) <= tol)
+    ok = ~(rows < 0).any(axis=-1) & (np.abs(totals - 1.0) <= WEIGHT_TOL)
     index = np.unravel_index(int(ok.argmin()), ok.shape)
     label = _at(axes, ok) + (name if ok.ndim == len(axes) else f"{name} {index[-1]}")
     if (rows[index] < 0).any():
         raise InvalidModelError(f"{label} has negative entries: {rows[index]}")
-    raise InvalidModelError(f"{label} sums to {float(totals[index])!r}, expected 1 within {tol}")
+    total = float(totals[index])
+    raise InvalidModelError(f"{label} sums to {total!r}, expected 1 within {WEIGHT_TOL}")
 
 
 def _float_array(value, name: str) -> np.ndarray:

@@ -244,12 +244,14 @@ def mc_expected_loglik(
     base: Hmm, reduced: Hmm, tau: int, n_samples: int, rng: np.random.Generator
 ) -> tuple[float, float]:
     """Monte Carlo estimate of E over sequences from ``base`` of the log-likelihood
-    under ``reduced``: (mean, standard error), (-inf, inf) if it cannot emit a draw."""
+    under ``reduced``: (mean, standard error), (-inf, inf) if it cannot emit a draw.
+    A sum of scores or of squared deviations beyond the float range is -inf or inf."""
     _check_counts(2, n_samples=n_samples)
     obs, _ = sample_batch(base, tau, n_samples, rng)
     lls = forward_loglik_batch(reduced, obs)
-    spread = lls.std(ddof=1) if np.isfinite(lls).all() else np.inf
-    return float(lls.mean()), float(spread / np.sqrt(n_samples))
+    with np.errstate(over="ignore"):
+        spread = lls.std(ddof=1) if np.isfinite(lls).all() else np.inf
+        return float(lls.mean()), float(spread / np.sqrt(n_samples))
 
 
 def h3m_em(
@@ -278,8 +280,8 @@ def h3m_em(
         raise EstimationError(f"{len(data)} sequences cannot support {k} components")
     # Items are the E-step rows: sequences grouped by length, each with count 1.
     groups = group_by_length(data)
-    batches = [obs for obs, _ in groups]
-    rows = np.concatenate([idxs for _, idxs in groups])  # sequence index of each E-step row
+    batches = [[data[i].observations for i in idxs] for idxs in groups]
+    rows = np.concatenate(groups)  # sequence index of each E-step row
     n_seq = len(data)
     ones = np.ones(n_seq)
 

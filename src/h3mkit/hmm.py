@@ -19,9 +19,10 @@ from the reduction's mixture step (``gaussians._mixture_terms``), observations
 as points. One forward recursion, in probability domain and normalized at every
 step (Rabiner's scaling), one batched matmul per step, serves both the
 likelihood and the forward-backward pass. A pass runs over blocks of sequences
-within a fixed element budget for the whole (K, B, tau, N, M) block. The
-log-domain recursion stays as the fallback for the (model, sequence) rows where
-the scaled one would underflow, and only those take it. One M-step turns
+within a fixed element budget for the whole (K, B, tau, N, M) block. One
+log-domain pass, ``_log_pass``, is the fallback for the (model, sequence) rows
+that leave the scaled one, where it would underflow: ``_block_stats`` alone
+chooses it, and such a row runs it once per pass. One M-step turns
 weighted sums of item-major (items, K, ...) statistics into K models; the items
 are real sequences for the mixture EM in ``h3m`` (Baum-Welch is its
 one-component case) and virtual sequences of base components for the mixture
@@ -262,17 +263,6 @@ class HmmFit:
 # Likelihood
 
 
-def _log_emissions(models: _Stacked, obs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Log emission densities (K, S, tau, N) and the per-component log joint
-    weights+densities (K, S, tau, N, M) they were reduced from: the mixture
-    step ``_mixture_terms`` of every observation, a point, in every state."""
-    log_joint, log_b = _mixture_terms(
-        models.mix_weights[:, None, None], obs[None, :, :, None, None], None,
-        models.means[:, None, None], models.covs[:, None, None],
-    )
-    return log_b, log_joint
-
-
 def _log_chain(models: _Stacked, rows=slice(None)) -> tuple[np.ndarray, np.ndarray]:
     """Log initial distributions and log transition matrices of the stack's
     models ``rows`` (all of them by default)."""
@@ -313,9 +303,9 @@ def _scaled_forward(
     most _TINY, or where a state the chain can reach at step t has a
     predicted weight (alpha_{t-1} A, or the initial probability) below
     _FLOOR: paths whose weight underflowed are lost, and only a state that
-    nothing else feeds can make them matter later. Such a row's
-    log-likelihood comes from the log-domain recursion instead; its other
-    outputs are unusable.
+    nothing else feeds can make them matter later. Every output of such a
+    row, its log-likelihood too, is unusable: ``_block_stats`` reruns it in
+    log domain (``_log_pass``).
     """
     shift = _finite(log_b.max(axis=3))
     b = np.exp(log_b - shift[..., None])
@@ -326,8 +316,9 @@ def _scaled_forward(
     pred[:, :, 0] = models.initial[:, None]
     reach[:, 0] = models.initial > 0
     edges = models.transitions > 0
-    # A zero or NaN scale only occurs in rows that ok marks.
-    with np.errstate(divide="ignore", invalid="ignore"):
+    # A zero or NaN scale only occurs in rows that ok marks; a log-likelihood
+    # below the float range is -inf.
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         for t in range(b.shape[2]):
             if t:
                 pred[:, :, t] = alpha[:, :, t - 1] @ models.transitions
@@ -337,33 +328,7 @@ def _scaled_forward(
             alpha[:, :, t] /= scale[:, :, t, None]
         lls = np.sum(np.log(scale) + shift, axis=2)
     ok = np.all(scale > _TINY, axis=2) & np.all((pred >= _FLOOR) | ~reach[:, None], axis=(2, 3))
-    if not ok.all():
-        lls[~ok] = _log_forward(*_log_chain(models, np.nonzero(~ok)[0]), log_b[~ok])[1]
     return b, alpha, scale, lls, ok
-
-
-def _log_forward(
-    log_pi: np.ndarray, log_a: np.ndarray, log_b: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Forward recursion in log domain, normalized at every step, row s
-    under log_pi[s] (S, N) and log_a[s] (S, N, N): the fallback for the
-    sequences whose scaled recursion underflows.
-
-    Returns log alpha (S, tau, N), each step's row summing to one in
-    probability, and the log-likelihoods (S,), which are the sums of the
-    per-step log normalizers (-inf, not NaN, where one is -inf).
-    """
-    s_count, tau, n = log_b.shape
-    alpha = np.empty((s_count, tau, n))
-    step_alpha = log_pi + log_b[:, 0]
-    ll = logsumexp(step_alpha, axis=1)
-    alpha[:, 0] = step_alpha - _finite(ll)[:, None]
-    for t in range(1, tau):
-        step_alpha = logsumexp(alpha[:, t - 1, :, None] + log_a, axis=1) + log_b[:, t]
-        step = logsumexp(step_alpha, axis=1)
-        ll = ll + step
-        alpha[:, t] = step_alpha - _finite(step)[:, None]
-    return alpha, ll
 
 
 def forward_loglik_batch(model: Hmm, obs: np.ndarray) -> np.ndarray:
@@ -452,15 +417,29 @@ class _Stats:
         )
 
 
-def _log_posteriors(
-    log_pi: np.ndarray, log_a: np.ndarray, log_b: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Forward-backward in log domain, row s under log_pi[s] and log_a[s]
-    as in ``_log_forward``: state posteriors gamma (S, tau, N), per-sequence
-    transition counts (S, N, N) and log-likelihoods (S,). The fallback for
-    sequences whose scaled pass underflows or overflows."""
-    tau = log_b.shape[1]
-    alpha, lls = _log_forward(log_pi, log_a, log_b)
+@np.errstate(over="ignore")  # a sum of log terms below the float range is -inf
+def _log_pass(
+    log_pi: np.ndarray, log_a: np.ndarray, log_b: np.ndarray, stats: bool
+) -> tuple[np.ndarray, np.ndarray | None, np.ndarray | None]:
+    """The log-domain pass, row s under log_pi[s] (S, N) and log_a[s]
+    (S, N, N): the fallback for the rows that leave the scaled pass, with
+    its contract. A forward recursion normalized at every step gives the
+    log-likelihoods (S,), the sums of the per-step log normalizers (-inf,
+    not NaN, where one is -inf); if ``stats``, a backward recursion gives
+    the state posteriors gamma (S, tau, N) and per-sequence transition
+    counts (S, N, N), else both are None."""
+    s_count, tau, n = log_b.shape
+    alpha = np.empty((s_count, tau, n))
+    step_alpha = log_pi + log_b[:, 0]
+    ll = logsumexp(step_alpha, axis=1)
+    alpha[:, 0] = step_alpha - _finite(ll)[:, None]
+    for t in range(1, tau):
+        step_alpha = logsumexp(alpha[:, t - 1, :, None] + log_a, axis=1) + log_b[:, t]
+        step = logsumexp(step_alpha, axis=1)
+        ll = ll + step
+        alpha[:, t] = step_alpha - _finite(step)[:, None]
+    if not stats:
+        return ll, None, None
     # gamma and xi are renormalized per sequence and step, so neither the
     # scaling of alpha nor the scale of beta enters.
     beta = np.empty_like(alpha)
@@ -473,32 +452,48 @@ def _log_posteriors(
         log_xi = alpha[:, t, :, None] + log_a + (log_b[:, t + 1] + beta[:, t + 1])[:, None, :]
         log_xi -= _finite(logsumexp(log_xi, axis=(1, 2), keepdims=True))
         trans += np.exp(log_xi)
-    return _responsibilities(log_gamma, logsumexp(log_gamma, axis=2)), trans, lls
+    return ll, _responsibilities(log_gamma, logsumexp(log_gamma, axis=2)), trans
 
 
 def _block_stats(models: _Stacked, obs: np.ndarray, stats: bool) -> tuple[_Stats | None, np.ndarray]:
-    log_b, log_joint = _log_emissions(models, obs)
+    """One block of ``_expected_stats``, and the one place that chooses
+    between the scaled pass and the log-domain pass: each (model, sequence)
+    row that leaves the scaled pass runs ``_log_pass`` once. Emissions are
+    the mixture step (``gaussians._mixture_terms``) of every observation, a
+    point, in every state."""
+    log_joint, log_b = _mixture_terms(  # (K, B, tau, N, M) and (K, B, tau, N)
+        models.mix_weights[:, None, None], obs[None, :, :, None, None], None,
+        models.means[:, None, None], models.covs[:, None, None],
+    )
     b, alpha, scale, lls, ok = _scaled_forward(models, log_b)
+    redo = ~ok
+    if stats:
+        # Scaled backward pass: w_t = b_t * beta_t / c_t and beta_{t-1} = w_t A^T,
+        # so gamma = alpha * beta and xi_t = A * (alpha_t^T w_{t+1}). Where alpha
+        # is zero, beta may overflow: such rows come out non-finite here and, like
+        # the rows ok marks, are redone in log domain.
+        a = models.transitions
+        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+            w = b / scale[..., None]
+            beta = np.empty_like(b)
+            beta[:, :, -1] = 1.0
+            for t in range(b.shape[2] - 1, 0, -1):
+                w[:, :, t] *= beta[:, :, t]
+                beta[:, :, t - 1] = w[:, :, t] @ np.swapaxes(a, 1, 2)
+            trans = a[:, None] * (np.swapaxes(alpha[:, :, :-1], 2, 3) @ w[:, :, 1:])
+            gamma = np.multiply(alpha, beta, out=alpha)  # (K, S, tau, N)
+        redo |= ~(np.isfinite(gamma).all(axis=(2, 3)) & np.isfinite(trans).all(axis=(2, 3)))
+    if redo.any():
+        # Only the rows that ok marks take the log-domain likelihood, so it is
+        # the same bit for bit with or without statistics.
+        log_lls, *posteriors = _log_pass(
+            *_log_chain(models, np.nonzero(redo)[0]), log_b[redo], stats
+        )
+        lls[~ok] = log_lls[~ok[redo]]
+        if stats:
+            gamma[redo], trans[redo] = posteriors
     if not stats:
         return None, lls.T.copy()
-    # Scaled backward pass: w_t = b_t * beta_t / c_t and beta_{t-1} = w_t A^T,
-    # so gamma = alpha * beta and xi_t = A * (alpha_t^T w_{t+1}). Where alpha
-    # is zero, beta may overflow: such rows come out non-finite here and, like
-    # the rows ok marks, are redone in log domain.
-    a = models.transitions
-    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        w = b / scale[..., None]
-        beta = np.empty_like(b)
-        beta[:, :, -1] = 1.0
-        for t in range(b.shape[2] - 1, 0, -1):
-            w[:, :, t] *= beta[:, :, t]
-            beta[:, :, t - 1] = w[:, :, t] @ np.swapaxes(a, 1, 2)
-        trans = a[:, None] * (np.swapaxes(alpha[:, :, :-1], 2, 3) @ w[:, :, 1:])
-        gamma = np.multiply(alpha, beta, out=alpha)  # (K, S, tau, N)
-    redo = ~(ok & np.isfinite(gamma).all(axis=(2, 3)) & np.isfinite(trans).all(axis=(2, 3)))
-    if redo.any():
-        log_chain = _log_chain(models, np.nonzero(redo)[0])
-        gamma[redo], trans[redo], _ = _log_posteriors(*log_chain, log_b[redo])
 
     # Within-state mixture responsibilities; log_b is log_joint's normalizer.
     gamma_mix = _responsibilities(log_joint, log_b)
@@ -517,14 +512,17 @@ def _block_stats(models: _Stacked, obs: np.ndarray, stats: bool) -> tuple[_Stats
 def _expected_stats(
     models: _Stacked, batches: list[np.ndarray], stats: bool
 ) -> tuple[_Stats | None, np.ndarray]:
-    """The one pass of K stacked models over equal-length (S, tau, d)
-    batches, one after another, block by block: forward-backward if
-    ``stats``, else forward. Returns the per-sequence statistics, item-major
-    (leading (S, K) axes, no tau axis), or None if not ``stats``, and the
-    log-likelihoods (S, K), the same bit for bit either way."""
-    blocks = (_block_stats(models, obs[rows], stats) for obs in batches  # (K, B, tau, N, M) arrays
-              for rows in _blocks(obs.shape[0], obs.shape[1] * models.mix_weights.size))
-    return _collect(blocks, sum(obs.shape[0] for obs in batches), models.initial.shape[0])
+    """The one pass of K stacked models over batches of S equal-length
+    (tau, d) sequences, an (S, tau, d) array or a list of (tau, d) arrays,
+    one after another, block by block: forward-backward if ``stats``, else
+    forward. A block's sequences are stacked only when the pass reaches
+    them. Returns the per-sequence statistics, item-major (leading (S, K)
+    axes, no tau axis), or None if not ``stats``, and the log-likelihoods
+    (S, K), the same bit for bit either way."""
+    # obs[:1] is (1, tau, d), or (0, tau, d) for an empty array.
+    blocks = (_block_stats(models, np.asarray(obs[rows]), stats) for obs in batches
+              for rows in _blocks(len(obs), np.shape(obs[:1])[1] * models.mix_weights.size))
+    return _collect(blocks, sum(map(len, batches)), models.initial.shape[0])
 
 
 def _collect(parts, n_items: int, k: int) -> tuple[_Stats | None, np.ndarray]:
@@ -555,8 +553,9 @@ def _floor_covs(covs: np.ndarray, cov_floor: float, full: bool) -> np.ndarray:
     ``covs`` itself if none is below; EstimationError if a rebuilt one fails Cholesky."""
     if not full:
         return np.maximum(covs, cov_floor) if np.any(covs < cov_floor) else covs
-    values, vectors = np.linalg.eigh(covs)
-    low = (values[..., 0] < cov_floor) & np.isfinite(covs).all(axis=(-2, -1))
+    finite = np.isfinite(covs).all(axis=(-2, -1))  # eigh may fail on the others
+    values, vectors = np.linalg.eigh(np.where(finite[..., None, None], covs, 0.0))
+    low = (values[..., 0] < cov_floor) & finite
     if low.any():
         v = vectors[low]
         rebuilt = (v * np.maximum(values[low], cov_floor)[:, None]) @ np.swapaxes(v, 1, 2)
@@ -683,24 +682,18 @@ def _init_hmm(
     return Hmm(initial, transitions, mix_weights, means, covs)
 
 
-def group_by_length(data: list[Sequence]) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Batch sequences of equal length: list of (obs (S, tau, d), indices)."""
+def group_by_length(data: list[Sequence]) -> list[np.ndarray]:
+    """Indices of the sequences of each length, shortest length first."""
     lengths: dict[int, list[int]] = {}
     for idx, seq in enumerate(data):
         lengths.setdefault(seq.length, []).append(idx)
-    groups = []
-    for tau in sorted(lengths):
-        idxs = np.array(lengths[tau], dtype=int)
-        obs = np.stack([data[i].observations for i in idxs])
-        groups.append((obs, idxs))
-    return groups
+    return [np.array(lengths[tau], dtype=int) for tau in sorted(lengths)]
 
 
-def _check_data(data: list[Sequence]) -> int:
+def _check_data(data: list[Sequence]) -> None:
     if not data:
         raise EstimationError("no sequences provided")
     d = data[0].dim
     for seq in data:
         if seq.dim != d:
             raise InvalidModelError("sequences have inconsistent dimensions")
-    return d

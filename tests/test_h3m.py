@@ -526,6 +526,18 @@ class TestMcExpectedLoglik:
             mean, stderr = mc_expected_loglik(std_normal_hmm(), narrow, 3, 5, rng)
         assert (mean, stderr) == (-np.inf, np.inf)
 
+    def test_scores_near_the_float_range_overflow_without_warning(self, rng):
+        # Variance 1e-300 at 0: a draw near 1.2e4 scores about -7.2e307, finite,
+        # but the sum of three such scores and the squares of their spread
+        # (about 1e304) overflow: the mean is -inf and the standard error inf,
+        # without a numpy warning.
+        far = Hmm([1.0], [[1.0]], [[1.0]], [[[1.2e4]]], [[[1.0]]])
+        narrow = Hmm([1.0], [[1.0]], [[1.0]], [[[0.0]]], [[[1e-300]]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            mean, stderr = mc_expected_loglik(far, narrow, 1, 3, rng)
+        assert (mean, stderr) == (-np.inf, np.inf)
+
     def test_requires_two_samples(self, rng):
         hmm = std_normal_hmm()
         with pytest.raises(ValueError):

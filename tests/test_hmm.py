@@ -34,7 +34,7 @@ from h3mkit import (
     vhem_reduce,
 )
 from h3mkit import hmm as hmm_module
-from h3mkit.gaussians import logsumexp
+from h3mkit.gaussians import _mixture_terms, logsumexp
 from h3mkit.hmm import _expected_stats, _kmeans, _mstep, _stack, _Stats
 
 from conftest import align_means, random_hmm, state_marginals
@@ -125,14 +125,24 @@ def one_row_mstep(stats, previous, cov_floor):
     return Hmm(*(row[0] for row in _mstep(totals, _stack([previous]), cov_floor)))
 
 
+def log_emissions(models, obs):
+    """Per-component log weights + densities (K, S, tau, N, M) and log
+    emission densities (K, S, tau, N) of every observation, a point, in
+    every state of a stack, as the data-side pass builds them."""
+    return _mixture_terms(
+        models.mix_weights[:, None, None], obs[None, :, :, None, None], None,
+        models.means[:, None, None], models.covs[:, None, None],
+    )
+
+
 def log_domain_pass(model, obs):
     """Per-sequence statistics and log-likelihoods from the log-domain
     forward-backward pass that the scaled pass falls back to."""
     models = _stack([model])
-    log_b, log_joint = (a[0] for a in hmm_module._log_emissions(models, obs))
+    log_joint, log_b = (a[0] for a in log_emissions(models, obs))
     rows = np.zeros(obs.shape[0], dtype=int)  # every sequence under the one model
     log_chain = hmm_module._log_chain(models, rows)
-    gamma, trans, lls = hmm_module._log_posteriors(*log_chain, log_b)
+    lls, gamma, trans = hmm_module._log_pass(*log_chain, log_b, True)
     gamma_mix = gamma[..., None] * np.exp(log_joint - log_b[..., None])
     outer = obs * obs if model.covs.ndim == 3 else obs[..., :, None] * obs[..., None, :]
     stats = _Stats(
@@ -236,6 +246,25 @@ class TestForward:
         for name, value in vars(stats).items():
             assert not np.isnan(value).any(), name
 
+    @pytest.mark.parametrize(
+        "covs", [[[[1e-300]], [[1e-300]]], [[[[1e-300]]], [[[1e-300]]]]], ids=["diag", "full"]
+    )
+    def test_loglik_below_float_range_is_minus_inf_without_warning(self, covs):
+        # An observation 1.2e4 from state 0 scores about -7.2e307 there, and
+        # three such steps sum below the float range: -inf, without an
+        # overflow warning, in the scaled pass (row 0) and in the log-domain
+        # pass (row 1, whose first observation only state 1, which cannot
+        # start, explains).
+        model = Hmm([1.0, 0.0], np.full((2, 2), 0.5), np.ones((2, 1)), [[[0.0]], [[1.3e4]]], covs)
+        obs = np.array([[-1.2e4, -1.2e4, -1.2e4], [1.3e4, -1.2e4, -1.2e4]])[..., None]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            lls = forward_loglik_batch(model, obs)
+            stats, stats_lls = one_row_pass(model, obs)
+        assert lls.tolist() == stats_lls.tolist() == [-np.inf, -np.inf]
+        for name, value in vars(stats).items():
+            assert not np.isnan(value).any(), name
+
     def test_batch_matches_scalar(self, rng):
         model = random_hmm(rng, n_states=3, n_mix=2, dim=2)
         obs, _ = sample_batch(model, 7, 5, rng)
@@ -307,20 +336,20 @@ class TestScaledPass:
         # Every state explains this one badly (log densities -1800 and -5000):
         # shifted by their maximum, the emissions stay in range.
         obs[50, 2] = -60.0
-        rows = {"_log_forward": [], "_log_posteriors": []}
-        for name in rows:
-            original = getattr(hmm_module, name)
+        calls = []  # (rows, stats) of each log-domain pass
+        original = hmm_module._log_pass
 
-            def counted(*args, name=name, original=original):
-                rows[name].append(args[2].shape[0])
-                return original(*args)
+        def counted(*args):
+            calls.append((args[2].shape[0], args[3]))
+            return original(*args)
 
-            monkeypatch.setattr(hmm_module, name, counted)
+        monkeypatch.setattr(hmm_module, "_log_pass", counted)
         stats, lls = one_row_pass(model, obs)
-        # One log-domain forward pass for its likelihood, one inside the posteriors.
-        assert rows == {"_log_forward": [1, 1], "_log_posteriors": [1]}
+        # The underflowing row runs the log-domain pass once per pass, with
+        # statistics or forward only.
+        assert calls == [(1, True)]
         batch = forward_loglik_batch(model, obs)
-        assert rows["_log_forward"] == [1, 1, 1]
+        assert calls == [(1, True), (1, False)]
         np.testing.assert_array_equal(batch, lls)
         assert np.all(np.isfinite(lls))
         want_stats, want_lls = log_domain_pass(model, obs)
@@ -680,7 +709,7 @@ class TestStackedPass:
             obs, _ = sample_batch(models[-1], tau, 25, rng)
             if tau == 4:
                 obs[11, 0] = 40.0
-            ok = hmm_module._scaled_forward(stack, hmm_module._log_emissions(stack, obs)[0])[4]
+            ok = hmm_module._scaled_forward(stack, log_emissions(stack, obs)[1])[4]
             # The fallback is taken by one (model, sequence) row only.
             flagged = [(0, 11)] if n_states == 3 and tau == 4 else []
             assert list(zip(*np.nonzero(~ok))) == flagged
@@ -740,6 +769,17 @@ class TestMstep:
             new.covs[0, 0], [[1.0 + half, 1.0 - half], [1.0 - half, 1.0 + half]], rtol=1e-14
         )
         np.testing.assert_allclose(np.linalg.eigvalsh(new.covs[0, 0]), [floor, 2.0], rtol=1e-12)
+
+    def test_non_finite_covariance_left_to_the_parameter_check(self):
+        # LAPACK's eigh can fail to converge on a non-finite matrix (on this
+        # one, with numpy's bundled OpenBLAS): the floor passes it on, and the
+        # parameter check rejects the new model, an H3mError, not a LinAlgError.
+        nan = np.nan
+        cov = np.array([[1.0, nan, 1.0], [nan, nan, 1.0], [1.0, 1.0, nan]])
+        previous = Hmm([1.0], [[1.0]], [[1.0]], np.zeros((1, 1, 3)), [[np.eye(3)]])
+        stats = self.one_component_stats([1.0, 1.0, 1.0], cov + 1.0)
+        with pytest.raises(InvalidModelError, match="cov contains non-finite entries"):
+            one_row_mstep(stats, previous, 1e-3)
 
     def test_diagonal_floor_binds(self):
         floor = 1e-3

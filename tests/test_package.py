@@ -34,7 +34,10 @@ REMOVED = {
     ],
     h3mkit.h3m: ["h3m_sample", "h3m_loglik", "h3m_loglik_batch"],
     h3mkit.hierarchy: ["best_label_accuracy", "_max_matching"],
-    h3mkit.hmm: ["sample", "forward_loglik", "state_marginals", "_joined", "_gaussian_terms"],
+    h3mkit.hmm: [
+        "sample", "forward_loglik", "state_marginals", "_joined", "_gaussian_terms",
+        "_log_forward", "_log_posteriors", "_log_emissions",
+    ],
     h3mkit.reduction: [
         "lower_bound", "SummaryStats", "summary_stats", "_summary", "_virtual_stats",
         "estep_pair", "elhmm_bruteforce",
@@ -180,12 +183,29 @@ def test_one_gaussian_kernel():
                         callers[node.func.id].add(f"{path.stem}.{function.name}")
     assert callers == {
         "_cross_terms": {"gaussians._mixture_terms"},
-        "_mixture_terms": {"hmm._log_emissions", "reduction._estep"},
+        "_mixture_terms": {"hmm._block_stats", "reduction._estep"},
         "_responsibilities": {
-            "hmm._log_posteriors", "hmm._block_stats", "reduction._estep",
+            "hmm._log_pass", "hmm._block_stats", "reduction._estep",
             "h3m.compute_assignments",
         },
     }
+
+
+def test_one_log_domain_pass():
+    # The data side runs one log-domain recursion, hmm._log_pass (forward,
+    # and backward when statistics are built): in hmm only it calls
+    # logsumexp, and hmm._block_stats alone chooses it for the rows that
+    # leave the scaled pass.
+    callers: dict[str, set] = {"logsumexp": set(), "_log_pass": set()}
+    for path in Path(h3mkit.__file__).parent.glob("*.py"):
+        for function in ast.walk(ast.parse(path.read_text())):
+            if isinstance(function, ast.FunctionDef):
+                for node in ast.walk(function):
+                    name = getattr(getattr(node, "func", None), "id", None)
+                    if isinstance(node, ast.Call) and name in callers:
+                        callers[name].add(f"{path.stem}.{function.name}")
+    assert {c for c in callers["logsumexp"] if c.startswith("hmm.")} == {"hmm._log_pass"}
+    assert callers["_log_pass"] == {"hmm._block_stats"}
 
 
 def test_starts_spawned_in_one_place():

@@ -1,8 +1,11 @@
 """Property tests (hypothesis, derandomized): the one stacked parameter check
 against the per-model check, how many checks each stack gets, the reduction
-on degenerate inputs, and EM (h3m_em, baum_welch) on degenerate data."""
+on degenerate inputs, EM (h3m_em, baum_welch) on degenerate data, and every
+public entry point on degenerate models and sequences."""
 
+import dataclasses
 import json
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -13,14 +16,20 @@ from h3mkit import (
     EmConfig,
     EstimationError,
     H3m,
+    H3mError,
     Hmm,
     InvalidModelError,
     Sequence,
     VhemConfig,
     baum_welch,
+    forward_loglik_batch,
     h3m_em,
+    hier_cluster,
     load_model,
+    mc_expected_loglik,
+    sample_batch,
     save_model,
+    split_estimate_aggregate,
     synth_benchmark,
     vhem_reduce,
 )
@@ -457,3 +466,120 @@ class TestPairEstepOracle:
         got = estep_pair(base, reduced, tau).objective
         # 1e-9 relative; absolute near zero, as criterion 1 compares.
         assert abs(got - want) <= 1e-9 * max(abs(want), 1.0), (got, want)
+
+
+# ---------------------------------------------------------------------------
+# Every public entry point on degenerate inputs: no NaN is returned, and a
+# call either returns or raises one of the library's errors. The suite's
+# error::RuntimeWarning filter fails any numerical warning that escapes.
+
+# From the smallest subnormal, through the smallest normal, to 1e300.
+VARIANCE_SCALES = [5e-324, 1e-310, np.finfo(float).tiny, 1e-150, 1e-8, 1.0, 1e8, 1e150, 1e300]
+
+
+@st.composite
+def degenerate_inputs(draw):
+    """K models of one shape, sequences drawn from them, and the flag that
+    sends sequence 0 under model 0 to the log-domain pass."""
+    k = draw(st.integers(2, 3), label="models")
+    n, m, d = draw(SIZES, label="states"), draw(st.integers(1, 2), label="mix"), draw(SIZES)
+    tau = draw(st.integers(1, 3), label="tau")  # includes tau = 1
+    cov_type = draw(st.sampled_from(["diag", "full"]))
+    seed = draw(st.integers(0, 2**32 - 1))
+    initial, transitions, mix_weights, means, covs = random_stack(seed, k, n, m, d, cov_type)
+    if draw(st.booleans(), label="zero-probability transitions"):
+        transitions = np.triu(transitions)  # left to right: every row keeps its diagonal
+        transitions /= transitions.sum(axis=-1, keepdims=True)
+        initial = np.broadcast_to(np.eye(n)[0], (k, n))
+    if cov_type == "full" and draw(st.booleans(), label="near-singular covariances"):
+        v = np.random.default_rng(seed).normal(size=(k, n, m, d, 1))
+        covs = v @ np.swapaxes(v, -1, -2) + 1e-8 * np.eye(d)
+    else:
+        scale = draw(st.sampled_from(VARIANCE_SCALES), label="variance scale")
+        smallest = covs.min() if cov_type == "diag" else np.linalg.eigvalsh(covs).min()
+        covs = covs / smallest * scale  # the smallest variance is the scale
+        if cov_type == "full":
+            try:
+                np.linalg.cholesky(covs)  # as the parameter check factors it
+            except np.linalg.LinAlgError:  # rounded to indefinite
+                covs = np.broadcast_to(scale * np.eye(d), covs.shape)
+        if draw(st.booleans(), label="means follow the scale"):
+            means = means * np.sqrt(scale)
+    # State 1 sits where every component of state 0 explains it at least 40
+    # standard deviations out, and only state 0 can start: a sequence that
+    # starts at state 1's mean underflows the scaled pass at its first step.
+    fallback = n > 1 and draw(st.booleans(), label="fallback row")
+    if fallback:
+        initial = np.broadcast_to(np.eye(n)[0], (k, n))
+        largest = covs.max() if cov_type == "diag" else np.linalg.eigvalsh(covs).max()
+        means = means.copy()
+        means[:, 1] = means[:, 0, :1] + 40.0 * np.sqrt(largest) + 2.0 * np.abs(means).max()
+    arrays = (initial, transitions, mix_weights, means, covs)
+    models = [Hmm(*(a[i] for a in arrays)) for i in range(k)]
+    rng = np.random.default_rng(seed)
+    obs = np.concatenate([sample_batch(model, tau, 2, rng)[0] for model in models])
+    if fallback:
+        obs[0, 0] = models[0].means[1, 0]
+    return models, obs, tau, cov_type, seed, fallback
+
+
+def assert_no_nan(value):
+    """No float in a result (arrays, numbers, and the fields of records and
+    mixtures) is NaN."""
+    if isinstance(value, H3m):
+        value = [value.weights, *value.arrays]
+    elif dataclasses.is_dataclass(value):
+        value = [getattr(value, f.name) for f in dataclasses.fields(value)]
+    elif isinstance(value, dict):
+        value = list(value.values())
+    if isinstance(value, (list, tuple)):
+        for item in value:
+            assert_no_nan(item)
+    elif isinstance(value, (float, np.ndarray)):
+        assert not np.isnan(value).any(), value
+    else:
+        assert isinstance(value, int), type(value)
+
+
+def entry_points(models, obs, tau, cov_type, seed):
+    """Each public entry point as a call on one degenerate input."""
+    data = [Sequence(o) for o in obs]
+    em = EmConfig(max_iters=3, tol=0.0, cov_type=cov_type)
+    k_r = len(models) - 1
+    vhem = VhemConfig(k_r, tau_virtual=tau, max_iters=3, tol=0.0, seed=seed)
+    return {
+        "forward_loglik_batch": lambda: forward_loglik_batch(models[0], obs),
+        "mc_expected_loglik": lambda: mc_expected_loglik(
+            models[0], models[-1], tau, 3, np.random.default_rng(seed)),
+        "h3m_em": lambda: h3m_em(data, 2, models[0].n_states, models[0].n_mix, em,
+                                 np.random.default_rng(seed)),
+        "vhem_reduce": lambda: vhem_reduce(H3m(np.full(len(models), 1.0 / len(models)), models),
+                                           vhem),
+        "hier_cluster": lambda: hier_cluster(models, [k_r], vhem),
+        "split_estimate_aggregate": lambda: split_estimate_aggregate(
+            data, 2, 1, 1, models[0].n_states, models[0].n_mix, em,
+            VhemConfig(1, tau_virtual=tau, max_iters=3, tol=0.0), seed),
+    }
+
+
+ENTRY_POINTS = [
+    "forward_loglik_batch", "mc_expected_loglik", "h3m_em", "vhem_reduce", "hier_cluster",
+    "split_estimate_aggregate",
+]
+
+
+class TestDegenerateEntryPoints:
+    @pytest.mark.parametrize("entry", ENTRY_POINTS)
+    @settings(derandomize=True, max_examples=60, deadline=None)
+    @given(problem=degenerate_inputs())
+    def test_returns_no_nan_or_raises_a_library_error(self, entry, problem):
+        models, obs, tau, cov_type, seed, fallback = problem
+        call = entry_points(models, obs, tau, cov_type, seed)[entry]
+        with mock.patch.object(hmm_module, "_log_pass", wraps=hmm_module._log_pass) as log_pass:
+            try:
+                result = call()
+            except H3mError:
+                return
+        assert_no_nan(result)
+        if fallback and entry == "forward_loglik_batch":
+            assert log_pass.call_count == 1
