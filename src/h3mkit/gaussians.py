@@ -7,8 +7,10 @@ matrix). Every operation supports both, one layout at a time.
 ``_check_emissions`` checks the emission arrays of every stack of HMMs,
 ``_check_rows`` every stack of stochastic rows and ``_check_pair`` every pair
 of stacks. ``_cross_terms``, the one Gaussian log-density kernel (points and
-Gaussians alike), and both estimators' mixture step around it (``_mixture_terms``,
-``_responsibilities``) check nothing: their callers hand them checked stacks.
+Gaussians alike), both estimators' mixture step around it (``_mixture_terms``,
+``_responsibilities``) and their one emission-statistics kernel
+(``_emission_stats``, with ``_outer``, the one outer product of means or
+observations) check nothing: their callers hand them checked stacks.
 ``Gaussian`` and ``GaussianMixture`` are plain records that only
 ``Hmm.emissions`` builds, from checked arrays: an output view that no function
 takes.
@@ -235,3 +237,25 @@ def _responsibilities(table: np.ndarray, norm: np.ndarray) -> np.ndarray:
     ``table``; a row all -inf gets 0."""
     table -= _finite(norm)[..., None]
     return np.exp(table, out=table)
+
+
+def _outer(x: np.ndarray, full: bool) -> np.ndarray:
+    """x x^T over the last axis (..., d, d) if ``full``, else its diagonal
+    x * x (..., d); an entry beyond the float range is inf, without a warning."""
+    with np.errstate(over="ignore"):
+        return x[..., :, None] * x[..., None, :] if full else x * x
+
+
+def _emission_stats(weights: np.ndarray, points: np.ndarray, second: np.ndarray) -> tuple:
+    """The emission statistics of both estimators, item-major as
+    ``hmm._Stats`` holds them: from the weights (I, K, S, N, M) of the S
+    samples of each item I in every state and component of K models, and
+    the samples' points (I, S, d) and second moments (I, S, d) or
+    (I, S, d, d), their masses (I, K, N, M) and weighted sums of points
+    (I, K, N, M, d) and of second moments. An observation is a point with
+    second moment ``_outer(x)``; a virtual sample of a Gaussian (mu, cov) is
+    mu with cov + ``_outer(mu)``. A sample with no weight adds exactly 0,
+    whatever its moments."""
+    live = weights.any(axis=(1, 3, 4))  # (I, S)
+    kept = (np.where(live[(...,) + (None,) * (x.ndim - 2)], x, 0.0) for x in (points, second))
+    return weights.sum(axis=2), *(np.einsum("iksnm,is...->iknm...", weights, x) for x in kept)

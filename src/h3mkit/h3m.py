@@ -245,13 +245,17 @@ def mc_expected_loglik(
 ) -> tuple[float, float]:
     """Monte Carlo estimate of E over sequences from ``base`` of the log-likelihood
     under ``reduced``: (mean, standard error), (-inf, inf) if it cannot emit a draw.
-    A sum of scores or of squared deviations beyond the float range is -inf or inf."""
+    Where finite scores sum, or their squared deviations do, beyond the float
+    range, both are taken on the scores divided by the largest |score|."""
     _check_counts(2, n_samples=n_samples)
     obs, _ = sample_batch(base, tau, n_samples, rng)
     lls = forward_loglik_batch(reduced, obs)
     with np.errstate(over="ignore"):
-        spread = lls.std(ddof=1) if np.isfinite(lls).all() else np.inf
-        return float(lls.mean()), float(spread / np.sqrt(n_samples))
+        if not np.isfinite(lls).all():
+            return float(lls.mean()), np.inf
+        scale = 1.0 if np.isfinite([lls.mean(), lls.std(ddof=1)]).all() else np.abs(lls).max()
+    scaled = lls / scale
+    return float(scale * scaled.mean()), float(scale * scaled.std(ddof=1) / np.sqrt(n_samples))
 
 
 def h3m_em(

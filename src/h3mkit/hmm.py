@@ -26,13 +26,17 @@ chooses it, and such a row runs it once per pass. One M-step turns
 weighted sums of item-major (items, K, ...) statistics into K models; the items
 are real sequences for the mixture EM in ``h3m`` (Baum-Welch is its
 one-component case) and virtual sequences of base components for the mixture
-reduction.
+reduction. Both build their emission statistics with
+``gaussians._emission_stats``, here with the observations as points and
+``_outer(x)`` as their second moments, and the M-step subtracts ``_outer`` of
+the new mean: no code here branches on the covariance layout to build a
+statistic.
 """
 
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -43,9 +47,11 @@ from .gaussians import (
     GaussianMixture,
     _check_emissions,
     _check_rows,
+    _emission_stats,
     _finite,
     _float_array,
     _mixture_terms,
+    _outer,
     _responsibilities,
     logsumexp,
 )
@@ -412,9 +418,7 @@ class _Stats:
     def weighted_sum(self, weights: np.ndarray) -> "_Stats":
         """Totals (K, ...) of per-item statistics, item s weighted by
         weights[s, k] in model k."""
-        return _Stats(
-            *(np.einsum("sk,sk...->k...", weights, getattr(self, f.name)) for f in fields(self))
-        )
+        return _Stats(*(np.einsum("sk,sk...->k...", weights, v) for v in vars(self).values()))
 
 
 @np.errstate(over="ignore")  # a sum of log terms below the float range is -inf
@@ -450,8 +454,8 @@ def _log_pass(
     trans = np.zeros(log_a.shape)
     for t in range(tau - 1):
         log_xi = alpha[:, t, :, None] + log_a + (log_b[:, t + 1] + beta[:, t + 1])[:, None, :]
-        log_xi -= _finite(logsumexp(log_xi, axis=(1, 2), keepdims=True))
-        trans += np.exp(log_xi)
+        log_xi = log_xi.reshape(s_count, -1)  # xi is a softmax over the (N, N) pairs
+        trans += _responsibilities(log_xi, logsumexp(log_xi, axis=1)).reshape(log_a.shape)
     return ll, _responsibilities(log_gamma, logsumexp(log_gamma, axis=2)), trans
 
 
@@ -498,15 +502,10 @@ def _block_stats(models: _Stacked, obs: np.ndarray, stats: bool) -> tuple[_Stats
     # Within-state mixture responsibilities; log_b is log_joint's normalizer.
     gamma_mix = _responsibilities(log_joint, log_b)
     gamma_mix *= gamma[..., None]  # (K, S, tau, N, M)
-    if models.covs.ndim == 4:
-        sq = np.einsum("kstnm,std->ksnmd", gamma_mix, obs * obs)
-    else:
-        sq = np.einsum("kstnm,sti,stj->ksnmij", gamma_mix, obs, obs)
-    mean = np.einsum("kstnm,std->ksnmd", gamma_mix, obs)
-    # Item-major and in C order, which fixes the summation order of the
-    # weighted sums; no field is a view that would keep a (K, S, tau, ...) array alive.
-    k_major = (gamma[:, :, 0], trans, gamma_mix.sum(axis=2), mean, sq)
-    return _Stats(*(np.ascontiguousarray(np.swapaxes(f, 0, 1)) for f in k_major)), lls.T.copy()
+    emissions = _emission_stats(gamma_mix.swapaxes(0, 1), obs, _outer(obs, models.covs.ndim == 5))
+    # Item-major; no field is a view that would keep a (K, S, tau, ...) array alive.
+    chain = (np.ascontiguousarray(np.swapaxes(f, 0, 1)) for f in (gamma[:, :, 0], trans))
+    return _Stats(*chain, *emissions), lls.T.copy()
 
 
 def _expected_stats(
@@ -588,12 +587,11 @@ def _mstep(stats: _Stats, previous: _Stacked, cov_floor: float) -> _Stacked:
     live = ~keep_row & ~(stats.mix <= 1e-12)  # NaN mass is updated, and then rejected
     mass = stats.mix[live]
     mu = stats.mean[live] / mass[:, None]
-    if stats.sq.ndim == 4:
-        cov = stats.sq[live] / mass[:, None] - mu * mu
-    else:
-        cov = stats.sq[live] / mass[:, None, None] - mu[:, :, None] * mu[:, None, :]
+    full = stats.sq.ndim == 5
+    cov = stats.sq[live] / mass.reshape((-1,) + (1,) * (stats.sq.ndim - 3)) - _outer(mu, full)
+    if full:
         cov = 0.5 * (cov + np.swapaxes(cov, 1, 2))
-    cov = _floor_covs(cov, cov_floor, full=stats.sq.ndim == 5)
+    cov = _floor_covs(cov, cov_floor, full)
     means = previous.means.copy()
     means[live] = mu
     covs = previous.covs.copy()

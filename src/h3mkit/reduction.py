@@ -37,9 +37,15 @@ stays within the 256 KB that the data-side passes also keep to
 - statistics, built when an M-step may follow and the block's objectives
   are finite: the forward recursion for the occupancies (nu, xi), which sums
   them over steps as it goes, and the virtual statistics over (I, J, ...),
-  item-major as ``h3m_em`` hands its per-sequence statistics to ``mstep``.
+  item-major as ``h3m_em`` hands its per-sequence statistics to ``mstep``:
+  the data side's kernel (``_emission_stats``), each base emission a sample
+  at its mean with second moment cov + ``_outer(mean)``.
   The couplings die with the pass; ``hmm._collect`` writes each block into
   the iteration's (I, J, ...) arrays, as it writes ``h3m_em``'s blocks.
+
+A term that no weight reaches adds 0 to the bound (``_expect``) and to the
+statistics, even where its value is -inf: a zero mixture weight, or a state
+that the chain never enters, may hold any mean.
 
 The kernels (``_mixture_terms``, ``_estep``, ``_virtual_stats_all``) check
 nothing: their stacks were checked on entry, and ``gaussians._check_pair``
@@ -57,7 +63,8 @@ import numpy as np
 
 from . import hmm
 from .errors import InvalidModelError
-from .gaussians import _check_pair, _mixture_terms, _responsibilities, logsumexp
+from .gaussians import _check_pair, _emission_stats, _mixture_terms, _outer, _responsibilities
+from .gaussians import logsumexp
 from .h3m import AssignmentMatrix, H3m, _best_start, _em, _starved
 from .hmm import _check_arrays, _check_counts, _Checked, _collect, _floor_covs, _Stacked, _Stats
 
@@ -158,32 +165,41 @@ def _estep(base: _Stacked, reduced: _Stacked, tau: int, couplings=True) -> PairE
     # A state pair whose expected log-likelihood overflowed has an all -inf
     # softmax row: its eta is 0 and its ell -inf, so phi gives it no weight
     # while the objective is finite (a non-finite one compute_assignments rejects).
-    with np.errstate(invalid="ignore"):
-        ell = (norm[..., None, :] @ base.mix_weights[:, None, :, None, :, None])[..., 0, 0]
-        n_i, n_j, n_b, n_r = ell.shape
-        eta = _responsibilities(logits, norm) if couplings else None
-        phi_initial = np.empty((n_i, n_j, n_r, n_b)) if couplings else None
-        phi_step = np.empty((n_i, n_j, tau - 1, n_r, n_r, n_b)) if couplings else None
-        objective = np.empty((n_i, n_j))
-        for i, j in np.ndindex(n_i, n_j):
-            # Backward over steps: future[beta, rho] carries the expected
-            # optimized contribution of all later steps given the state pair
-            # at this step.
-            future = np.zeros((n_b, n_r))
-            for t in range(tau, 1, -1):
-                core = ell[i, j] + future  # (N_b, N_r)
-                scores = log_a_r[j][:, None, :] + core[None, :, :]  # (rho_prev, beta, rho)
-                norm = logsumexp(scores, axis=2)
-                if couplings:
-                    phi_step[i, j, t - 2] = np.exp(scores - norm[:, :, None]).transpose(0, 2, 1)
-                future = base.transitions[i] @ norm.T  # (beta_prev, rho_prev)
-
-            scores1 = log_pi_r[j][None, :] + ell[i, j] + future  # (beta, rho)
-            norm1 = logsumexp(scores1, axis=1)
+    # Only where some ell is -inf can a log value the recursion weighs be -inf.
+    ell = _expect(norm[..., None, :], base.mix_weights[:, None, :, None, :, None])[..., 0, 0]
+    expect = np.matmul if np.isfinite(ell).all() else _expect
+    n_i, n_j, n_b, n_r = ell.shape
+    eta = _responsibilities(logits, norm) if couplings else None
+    phi_initial = np.empty((n_i, n_j, n_r, n_b)) if couplings else None
+    phi_step = np.empty((n_i, n_j, tau - 1, n_r, n_r, n_b)) if couplings else None
+    objective = np.empty((n_i, n_j))
+    for i, j in np.ndindex(n_i, n_j):
+        # Backward over steps: future[beta, rho] carries the expected
+        # optimized contribution of all later steps given the state pair
+        # at this step.
+        future = np.zeros((n_b, n_r))
+        for t in range(tau, 1, -1):
+            core = ell[i, j] + future  # (N_b, N_r)
+            scores = log_a_r[j][:, None, :] + core[None, :, :]  # (rho_prev, beta, rho)
+            norm = logsumexp(scores, axis=2)
             if couplings:
-                phi_initial[i, j] = np.exp(scores1 - norm1[:, None]).T
-            objective[i, j] = base.initial[i] @ norm1
+                phi_step[i, j, t - 2] = _responsibilities(scores, norm).transpose(0, 2, 1)
+            future = expect(base.transitions[i], norm.T)  # (beta_prev, rho_prev)
+
+        scores1 = log_pi_r[j][None, :] + ell[i, j] + future  # (beta, rho)
+        norm1 = logsumexp(scores1, axis=1)
+        if couplings:
+            phi_initial[i, j] = _responsibilities(scores1, norm1).T
+        objective[i, j] = expect(base.initial[i], norm1)
     return PairEstepResult(eta, phi_initial, phi_step, ell, objective)
+
+
+def _expect(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a @ b for probabilities on one side and log values on the other, with
+    0 * -inf taken as 0 (IEEE gives NaN): a term without probability adds 0,
+    and one with probability and value -inf makes the sum -inf."""
+    total = np.where(np.isneginf(a), 0.0, a) @ np.where(np.isneginf(b), 0.0, b)
+    return np.where(np.isneginf(a) @ (b > 0) | (a > 0) @ np.isneginf(b), -np.inf, total)
 
 
 # ---------------------------------------------------------------------------
@@ -199,35 +215,25 @@ def _virtual_stats_all(base: _Stacked, estep: PairEstepResult) -> _Stats:
     is the co-occupancy of reduced state rho and base state gamma at a step,
     xi[rho, sigma] the expected reduced transitions rho -> sigma into it; both
     are summed as the recursion goes."""
-    phi_step = estep.phi_step
-    a_b = base.transitions[:, None]  # (I, 1, N_b, N_b)
+    a_b, c_b = base.transitions[:, None], base.mix_weights[:, None, :, None, :, None]
     nu = estep.phi_initial * base.initial[:, None, None, :]  # (I, J, N_r, N_b)
-    n_r = nu.shape[2]
     nu1_agg = nu.sum(axis=3)
     nu_agg = nu.copy()
-    xi_agg = np.zeros(nu.shape[:2] + (n_r, n_r))
-    for t in range(phi_step.shape[2]):
+    xi_agg = np.zeros(nu.shape[:3] + nu.shape[2:3])  # (I, J, N_r, N_r)
+    for phi_t in np.moveaxis(estep.phi_step, 2, 0):
         reach = nu @ a_b  # (I, J, rho, gamma)
-        xi_t = reach[..., :, None, :] * phi_step[:, :, t]  # (I, J, rho, sigma, gamma)
+        xi_t = reach[..., :, None, :] * phi_t  # (I, J, rho, sigma, gamma)
         nu = xi_t.sum(axis=2)
         nu_agg += nu
         xi_agg += xi_t.sum(axis=4)
 
-    c_b, mu_b, cov_b = base.mix_weights, base.means, base.covs
-    # resp[i, j, beta, rho, m, l]: expected count of base emission (beta, m)
-    # modeled by reduced emission (rho, l).
-    resp = nu_agg.swapaxes(2, 3)[..., None, None] * c_b[:, None, :, None, :, None] * estep.eta
-    if cov_b.ndim == 4:
-        second = cov_b + mu_b * mu_b
-    else:
-        second = cov_b + mu_b[..., :, None] * mu_b[..., None, :]
-    return _Stats(
-        nu1_agg,
-        xi_agg,
-        resp.sum(axis=(2, 4)),
-        np.einsum("ijbrml,ibmd->ijrld", resp, mu_b),
-        np.einsum("ijbrml,ibm...->ijrl...", resp, second),
-    )
+    # resp[i, j, beta, m, rho, l]: expected count of base emission (beta, m)
+    # modeled by reduced emission (rho, l); each base emission is a sample.
+    resp = nu_agg.swapaxes(2, 3)[..., None, None] * c_b * estep.eta
+    resp = resp.swapaxes(3, 4).reshape(resp.shape[:2] + (-1,) + resp.shape[3::2])
+    mu_b, cov_b = (a.reshape(a.shape[:1] + (-1,) + a.shape[3:]) for a in base[3:])  # (I, S, ...)
+    second = cov_b + _outer(mu_b, cov_b.ndim == 4)
+    return _Stats(nu1_agg, xi_agg, *_emission_stats(resp, mu_b, second))
 
 
 # ---------------------------------------------------------------------------

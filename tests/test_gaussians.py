@@ -26,7 +26,7 @@ from h3mkit import (
     forward_loglik_batch,
     sample_batch,
 )
-from h3mkit.gaussians import _cross_terms, logsumexp
+from h3mkit.gaussians import _cross_terms, _emission_stats, _outer, logsumexp
 
 from conftest import elhmm_bruteforce, estep_pair, mixture_bound, random_gaussian, random_gmm
 
@@ -362,6 +362,67 @@ class TestSolvers:
         narrow = one_state(mixture([1.0], [([0.5], [1e-10])]))
         with pytest.raises(DegenerateWeightsError, match="all log-weights are -inf"):
             elhmm_bruteforce(far, narrow, 2)
+
+
+def spd(rng, dim):
+    """A random symmetric positive-definite (dim, dim) matrix."""
+    root = rng.normal(size=(dim, dim))
+    return root @ root.T + np.eye(dim)
+
+
+class TestEmissionStats:
+    """``_emission_stats``, the statistics of both estimators, against the
+    forms they had before it: the data side's einsums over observations,
+    and the reduction's sums over virtual samples of Gaussians."""
+
+    @pytest.mark.parametrize("full", [False, True], ids=["diag", "full"])
+    def test_points_match_the_data_side_einsums(self, rng, full):
+        gamma_mix = rng.random((2, 3, 5, 2, 3))  # (K, S, tau, N, M)
+        obs = rng.normal(size=(3, 5, 2))  # (S, tau, d)
+        if full:
+            sq = np.einsum("kstnm,sti,stj->ksnmij", gamma_mix, obs, obs)
+        else:
+            sq = np.einsum("kstnm,std->ksnmd", gamma_mix, obs * obs)
+        expected = (gamma_mix.sum(axis=2), np.einsum("kstnm,std->ksnmd", gamma_mix, obs), sq)
+        got = _emission_stats(gamma_mix.swapaxes(0, 1), obs, _outer(obs, full))
+        for value, reference in zip(got, expected):
+            np.testing.assert_allclose(value, reference.swapaxes(0, 1), rtol=1e-13, atol=0)
+
+    @pytest.mark.parametrize("full", [False, True], ids=["diag", "full"])
+    def test_gaussians_add_their_covariance(self, rng, full):
+        # A virtual sample of N(mu, cov) adds w mu and w (cov + mu mu^T).
+        n_items, k, n_samples, n, m, d = 2, 3, 4, 2, 2, 3
+        weights = rng.random((n_items, k, n_samples, n, m))
+        means = rng.normal(size=(n_items, n_samples, d))
+        matrices = np.array([[spd(rng, d) for _ in range(n_samples)] for _ in range(n_items)])
+        covs = matrices if full else np.diagonal(matrices, axis1=-2, axis2=-1)
+        mix, mean, sq = _emission_stats(weights, means, covs + _outer(means, full))
+        for i, j, state, comp in np.ndindex(n_items, k, n, m):
+            w = weights[i, j, :, state, comp]
+            second = sum(
+                w[s] * (matrices[i, s] + np.outer(means[i, s], means[i, s]))
+                for s in range(n_samples)
+            )
+            assert mix[i, j, state, comp] == pytest.approx(w.sum(), rel=1e-14)
+            np.testing.assert_allclose(mean[i, j, state, comp], w @ means[i], rtol=1e-13)
+            np.testing.assert_allclose(
+                sq[i, j, state, comp], second if full else np.diag(second), rtol=1e-13
+            )
+
+    @pytest.mark.parametrize("full", [False, True], ids=["diag", "full"])
+    def test_a_sample_without_weight_adds_exactly_zero(self, full):
+        # The second sample's mean squares beyond the float range; with no
+        # weight it adds 0, not 0 * inf = NaN, and no warning is raised.
+        weights = np.array([1.0, 0.0]).reshape(1, 1, 2, 1, 1)
+        means = np.array([[[2.0, 1.0], [1e200, 1.0]]])
+        covs = np.ones((1, 2, 2)) if not full else np.broadcast_to(np.eye(2), (1, 2, 2, 2))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            mix, mean, sq = _emission_stats(weights, means, covs + _outer(means, full))
+        near = covs[0, 0] + _outer(means[0, 0], full)
+        assert mix.tolist() == [[[[1.0]]]]
+        assert mean.tolist() == [[[[[2.0, 1.0]]]]]
+        assert sq[0, 0, 0, 0].tolist() == near.tolist()
 
 
 class TestLogsumexp:

@@ -2,6 +2,7 @@
 oracle."""
 
 import math
+import statistics
 import warnings
 
 import numpy as np
@@ -526,17 +527,22 @@ class TestMcExpectedLoglik:
             mean, stderr = mc_expected_loglik(std_normal_hmm(), narrow, 3, 5, rng)
         assert (mean, stderr) == (-np.inf, np.inf)
 
-    def test_scores_near_the_float_range_overflow_without_warning(self, rng):
+    def test_scores_near_the_float_range_overflow_without_warning(self):
         # Variance 1e-300 at 0: a draw near 1.2e4 scores about -7.2e307, finite,
         # but the sum of three such scores and the squares of their spread
-        # (about 1e304) overflow: the mean is -inf and the standard error inf,
-        # without a numpy warning.
+        # (about 1e304) overflow. Both are representable, and come back
+        # without a numpy warning: the mean about -7.2e307, the error finite.
         far = Hmm([1.0], [[1.0]], [[1.0]], [[[1.2e4]]], [[[1.0]]])
         narrow = Hmm([1.0], [[1.0]], [[1.0]], [[[0.0]]], [[[1e-300]]])
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            mean, stderr = mc_expected_loglik(far, narrow, 1, 3, rng)
-        assert (mean, stderr) == (-np.inf, np.inf)
+            mean, stderr = mc_expected_loglik(far, narrow, 1, 3, np.random.default_rng(7))
+        obs, _ = sample_batch(far, 1, 3, np.random.default_rng(7))
+        scores = [float(s) for s in forward_loglik_batch(narrow, obs)]
+        assert mean == pytest.approx(math.fsum(s / 3 for s in scores), rel=1e-14)
+        assert -7.3e307 < mean < -7.1e307
+        spread = statistics.stdev(s / 1e300 for s in scores) * 1e300
+        assert stderr == pytest.approx(spread / math.sqrt(3), rel=1e-12)
 
     def test_requires_two_samples(self, rng):
         hmm = std_normal_hmm()

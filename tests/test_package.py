@@ -191,6 +191,48 @@ def test_one_gaussian_kernel():
     }
 
 
+def test_one_emission_statistics_kernel():
+    # gaussians._emission_stats contracts the emission weights with the
+    # samples for both estimators (observations as points, base Gaussians as
+    # virtual samples), and gaussians._outer is the one outer product of
+    # means or observations. So hmm and reduction branch on no covariance
+    # layout to build a statistic, multiply no array by itself, and keep
+    # only the einsums of sampling and of weighted_sum, which sums items.
+    callers: dict[str, set] = {"_emission_stats": set(), "_outer": set()}
+    einsums, branches, squares = set(), set(), set()
+    statistics = {"hmm._block_stats", "reduction._virtual_stats_all"}
+
+    def root(node):
+        while isinstance(node, ast.Subscript):
+            node = node.value
+        return ast.unparse(node)
+
+    for path in Path(h3mkit.__file__).parent.glob("*.py"):
+        for function in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(function, ast.FunctionDef):
+                continue
+            where = f"{path.stem}.{function.name}"
+            for node in ast.walk(function):
+                if isinstance(node, ast.Call) and getattr(node.func, "id", None) in callers:
+                    callers[node.func.id].add(where)
+                if path.stem not in ("hmm", "reduction"):
+                    continue
+                if isinstance(node, ast.Call) and ast.unparse(node.func) == "np.einsum":
+                    einsums.add(node.args[0].value)
+                if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Mult):
+                    if root(node.left) == root(node.right):
+                        squares.add(where)
+                if where in statistics and isinstance(node, (ast.If, ast.IfExp)):
+                    if ".ndim" in ast.unparse(node.test):
+                        branches.add(where)
+    assert callers == {
+        "_emission_stats": statistics,
+        "_outer": statistics | {"hmm._mstep"},
+    }
+    assert einsums == {"stij,stj->sti", "sk,sk...->k..."}
+    assert not squares and not branches
+
+
 def test_one_log_domain_pass():
     # The data side runs one log-domain recursion, hmm._log_pass (forward,
     # and backward when statistics are built): in hmm only it calls

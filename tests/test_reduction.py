@@ -868,6 +868,32 @@ class TestVhemReduce:
             with pytest.raises(EstimationError, match="objectives must be finite"):
                 vhem_reduce(base, config)
 
+    @pytest.mark.parametrize("case", ["mixture weight", "state"])
+    def test_mean_that_nothing_weighs_leaves_the_bound_finite(self, case):
+        # A mean at 1e200 behind a zero mixture weight, or in a state the
+        # chain never enters: its expected log-likelihoods are -inf, and a
+        # zero weight times -inf is 0 in the bound (IEEE gave NaN, which
+        # compute_assignments rejected). The run matches the one with that
+        # mean moved to 3.0, and no warning is raised.
+        def history(far):
+            base = H3m([0.5, 0.5], [unweighted_mean(case, near, far) for near in (0.0, 0.5)])
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                return vhem_reduce(base, VhemConfig(2, max_iters=5, tol=0)).bound_history
+
+        far, moved = history(1e200), history(3.0)
+        assert np.isfinite(far).all()
+        np.testing.assert_allclose(far, moved, rtol=1e-12, atol=0)
+
+    def test_state_that_nothing_enters_gets_no_coupling(self):
+        # Its scores against every reduced state are -inf: its couplings are
+        # 0, not NaN.
+        base, reduced = (_stack([unweighted_mean("state", 0.0, far)]) for far in (1e200, 3.0))
+        estep = _estep(base, reduced, 4)
+        assert np.isfinite(estep.objective).all()
+        assert not estep.phi_initial[..., 1].any() and not estep.phi_step[..., 1].any()
+        np.testing.assert_allclose(estep.phi_initial[..., 0].sum(axis=-1), 1.0, rtol=1e-12)
+
     def test_random_init_runs(self):
         leaves, labels = synth_benchmark(2, 4, 8.0, np.random.default_rng(5))
         base = H3m(np.full(8, 0.125), leaves)
@@ -877,6 +903,16 @@ class TestVhemReduce:
         history = np.array(result.bound_history)
         assert np.all(np.diff(history) >= -1e-8 * np.abs(history[:-1]))
         assert result.effective_k == 2
+
+
+def unweighted_mean(case, near, far):
+    """A one-dimensional HMM with a mean at ``near`` and one at ``far`` that
+    nothing weighs: a mixture component of weight 0, or a state with initial
+    probability 0 that no transition enters."""
+    if case == "mixture weight":
+        return Hmm([1.0], [[1.0]], [[1.0, 0.0]], [[[near], [far]]], [[[1.0], [1.0]]])
+    return Hmm([1.0, 0.0], [[1.0, 0.0], [0.5, 0.5]], [[1.0], [1.0]], [[[near]], [[far]]],
+               [[[1.0]], [[1.0]]])
 
 
 def with_zero_transitions(hmm):
