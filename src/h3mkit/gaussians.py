@@ -3,7 +3,13 @@
 All likelihood-like quantities are carried in log domain; probabilities are
 never multiplied together directly. Covariances come in two layouts: diagonal
 (a length-d vector of variances) or full (a d x d symmetric positive-definite
-matrix). Every operation supports both, one layout at a time.
+matrix). This module alone tells them apart, by one rule, ``_full``: a
+covariance with one more axis than its mean is a matrix. Every covariance
+operation of the library lives here and supports both layouts, one at a time:
+the checks, the log-density kernel, the floor (``_floor_covs``), the M-step's
+Gaussian from weighted moments (``_gaussian_update``), the sampling draw
+(``_draw``) and a covariance of a chosen ``cov_type`` built from variances
+(``_covariance``); no other module calls ``np.linalg``.
 ``_check_emissions`` checks the emission arrays of every stack of HMMs,
 ``_check_rows`` every stack of stochastic rows and ``_check_pair`` every pair
 of stacks. ``_cross_terms``, the one Gaussian log-density kernel (points and
@@ -22,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidModelError
+from .errors import EstimationError, InvalidModelError
 
 # Tolerance for "sums to one" checks on probability vectors.
 WEIGHT_TOL = 1e-12
@@ -48,6 +54,24 @@ def logsumexp(a, axis=None, keepdims: bool = False):
 def _finite(shift: np.ndarray) -> np.ndarray:
     """A log shift (maximum or normalizer) where finite, else 0: -inf stays -inf, not NaN."""
     return np.where(np.isfinite(shift), shift, 0.0)
+
+
+def _full(mean: np.ndarray, cov: np.ndarray) -> bool:
+    """The library's one covariance layout rule: a covariance with one more
+    axis than its mean is a (..., d, d) matrix, else (..., d) variances."""
+    return cov.ndim > mean.ndim
+
+
+def _layout(mean: np.ndarray, cov: np.ndarray) -> str:
+    """The layout's name in messages: "full" or "diagonal"."""
+    return "full" if _full(mean, cov) else "diagonal"
+
+
+def _covariance(variances: np.ndarray, cov_type: str, cov_floor: float = 0.0) -> np.ndarray:
+    """A covariance of layout ``cov_type`` ("diag" or "full") with the given
+    variances (d,), floored at cov_floor: the variances, or their diagonal matrix."""
+    variances = _floor_covs(variances, cov_floor, full=False)
+    return np.diag(variances) if cov_type == "full" else variances
 
 
 def check_probability_vector(vec: np.ndarray, name: str) -> None:
@@ -134,7 +158,7 @@ def _check_emissions(
     ):
         if not ok.all():
             raise InvalidModelError(_at(axes, ok) + problem)
-    if covs.ndim == means.ndim:
+    if not _full(means, covs):
         ok = covs > 0
         if not ok.all():
             raise InvalidModelError(_at(axes, ok) + "diagonal cov has non-positive variances")
@@ -163,8 +187,8 @@ def _check_pair(base: tuple, reduced: tuple) -> None:
         raise InvalidModelError(
             f"dimension mismatch: base d={mu_b.shape[-1]}, reduced d={mu_r.shape[-1]}"
         )
-    if cov_b.ndim - mu_b.ndim != cov_r.ndim - mu_r.ndim:
-        layouts = ("full" if c.ndim > m.ndim else "diagonal" for m, c in (base, reduced))
+    if _full(mu_b, cov_b) != _full(mu_r, cov_r):
+        layouts = _layout(*base), _layout(*reduced)
         raise InvalidModelError("covariance layout mismatch: base {}, reduced {}".format(*layouts))
 
 
@@ -199,7 +223,7 @@ def _cross_terms(
     Arguments are trusted, checked on entry."""
     d = mu_b.shape[-1]
     with np.errstate(over="ignore"):  # a term that overflows is inf, and the value -inf
-        if cov_r.ndim == mu_r.ndim:
+        if not _full(mu_r, cov_r):
             log_det = np.sum(np.log(cov_r), axis=-1)
             trace = 0.0 if cov_b is None else np.sum(cov_b / cov_r, axis=-1)
             maha = np.zeros(np.broadcast_shapes(mu_b.shape, mu_r.shape, cov_r.shape)[:-1])
@@ -259,3 +283,55 @@ def _emission_stats(weights: np.ndarray, points: np.ndarray, second: np.ndarray)
     live = weights.any(axis=(1, 3, 4))  # (I, S)
     kept = (np.where(live[(...,) + (None,) * (x.ndim - 2)], x, 0.0) for x in (points, second))
     return weights.sum(axis=2), *(np.einsum("iksnm,is...->iknm...", weights, x) for x in kept)
+
+
+def _floor_covs(covs: np.ndarray, cov_floor: float, full: bool) -> np.ndarray:
+    """Variances, or (..., d, d) matrices if ``full``, with eigenvalues below
+    cov_floor raised to it and eigenvectors kept: the Gaussian likelihood
+    maximizer over covariances with eigenvalues >= cov_floor (Won, Lim, Kim
+    & Rajaratnam 2013). Non-finite matrices are left to the parameter check.
+    ``covs`` itself if none is below; EstimationError if a rebuilt one fails Cholesky."""
+    if not full:
+        return np.maximum(covs, cov_floor) if np.any(covs < cov_floor) else covs
+    finite = np.isfinite(covs).all(axis=(-2, -1))  # eigh may fail on the others
+    values, vectors = np.linalg.eigh(np.where(finite[..., None, None], covs, 0.0))
+    low = (values[..., 0] < cov_floor) & finite
+    if low.any():
+        v = vectors[low]
+        rebuilt = (v * np.maximum(values[low], cov_floor)[:, None]) @ np.swapaxes(v, 1, 2)
+        covs = covs.copy()
+        covs[low] = 0.5 * (rebuilt + np.swapaxes(rebuilt, 1, 2))
+        try:
+            np.linalg.cholesky(covs[low])
+        except np.linalg.LinAlgError as exc:
+            raise EstimationError(f"covariance floored at {cov_floor} is lost to rounding") from exc
+    return covs
+
+
+def _gaussian_update(
+    mass: np.ndarray, mean: np.ndarray, sq: np.ndarray, cov_floor: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """The M-step's Gaussians from weighted moments: masses (n,), weighted
+    sums of points (n, d) and of second moments (n, d) or (n, d, d) give
+    mu = mean / mass and cov = sq / mass - ``_outer(mu)``, full matrices
+    symmetrized (for bases whose covariances are symmetric only within the
+    check's tolerance), then floored by ``_floor_covs``. A moment beyond the
+    float range gives a non-finite Gaussian without a warning: the caller
+    rejects it."""
+    full = _full(mean, sq)
+    with np.errstate(over="ignore", invalid="ignore"):
+        mu = mean / mass[:, None]
+        cov = sq / (mass[:, None, None] if full else mass[:, None]) - _outer(mu, full)
+        if full:
+            cov = 0.5 * (cov + np.swapaxes(cov, 1, 2))
+    return mu, _floor_covs(cov, cov_floor, full)
+
+
+def _draw(means: np.ndarray, covs: np.ndarray, index: tuple, normals: np.ndarray) -> np.ndarray:
+    """Draws from the Gaussians at ``index`` of a stack of means and
+    covariances, given standard normals (S, tau, d): mean + sqrt(var) * normal
+    per coordinate, or mean + L @ normal with L the Cholesky factor, each
+    factored once per stacked covariance."""
+    if not _full(means, covs):
+        return means[index] + normals * np.sqrt(covs)[index]
+    return means[index] + np.einsum("stij,stj->sti", np.linalg.cholesky(covs)[index], normals)

@@ -133,14 +133,13 @@ def compute_assignments(
     over j of log w[j] + counts[i] * objectives[i, j], never forming the
     exponentials directly. Also returns each row's log-normalizer; their sum
     is the objective at these assignments (the log-likelihood of the items,
-    or of the virtual samples). Non-finite objectives (or ones that overflow
-    when scaled) are a numerical failure; a row whose log-weights are all
-    -inf has no mass to assign."""
-    with np.errstate(divide="ignore"):
-        log_w = np.log(weights)
-    with np.errstate(over="ignore", invalid="ignore"):
-        logits = log_w[None, :] + counts[:, None] * objectives
-    if not np.all(np.isfinite(objectives)) or np.any(np.isnan(logits) | (logits == np.inf)):
+    or of the virtual samples). Non-finite objectives, or ones that overflow
+    to either infinity when scaled by their counts, are a numerical failure;
+    a row whose log-weights are all -inf has no mass to assign."""
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        scaled = counts[:, None] * objectives
+        logits = np.log(weights)[None, :] + scaled
+    if not np.isfinite(scaled).all():  # a non-finite objective, or an overflow
         raise EstimationError("pair objectives must be finite")
     norm = logsumexp(logits, axis=1)
     if np.any(norm == -np.inf):
@@ -231,11 +230,14 @@ def mstep(
     whatever their counts (HEM's update, Vasconcelos & Lippman 1999: it
     maximizes sum_i log sum_j w_j exp(counts[i] * objectives[i, j]) over
     the weights). Starved components (``_starved``) get no mass and keep
-    their previous parameters.
+    their previous parameters. A parameter that is not finite, such as a
+    covariance whose moments overflowed, is a numerical failure.
     """
     w = z.z * counts[:, None]
     w[:, _starved(z, counts)] = 0.0
     new = _mstep(stats.weighted_sum(w), previous.arrays, cov_floor)
+    if not all(np.isfinite(a).all() for a in new):
+        raise EstimationError("M-step parameters are not finite")
     weights = np.full(z.z.shape[0], 1.0 / z.z.shape[0]) @ z.z
     return H3m(weights, _check_arrays(*new, axes=("component",)))
 

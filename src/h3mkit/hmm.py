@@ -10,7 +10,8 @@ the constructor checks one model; a file's mixture components, the synthetic
 members and an M-step's output are checked once as a stack. A mixture holds one
 such stack, and its components are views of its rows (``_models``), rebuilt on
 each read. One sampling kernel, ``_sample``, draws sequences from a stack of
-models with uniforms and normals drawn beforehand. Every estimation kernel
+models with uniforms and normals drawn beforehand; the Gaussian draw itself is
+``gaussians._draw``. Every estimation kernel
 reads a stack too (``_Stacked``, with a leading K axis) and runs once over all
 K models; a list of models is stacked only where it enters, by ``_stack``, the
 one function that stacks models and compares their shapes, and an ``Hmm`` is a
@@ -28,9 +29,11 @@ are real sequences for the mixture EM in ``h3m`` (Baum-Welch is its
 one-component case) and virtual sequences of base components for the mixture
 reduction. Both build their emission statistics with
 ``gaussians._emission_stats``, here with the observations as points and
-``_outer(x)`` as their second moments, and the M-step subtracts ``_outer`` of
-the new mean: no code here branches on the covariance layout to build a
-statistic.
+``_outer(x)`` as their second moments, and the M-step takes each Gaussian from
+``gaussians._gaussian_update``. Every covariance operation (the floor, the
+update, the draw, a start's covariance from variances) is in ``gaussians``,
+which alone tells a diagonal covariance from a full one: this module asks its
+one rule, ``gaussians._full``, where it must choose, and calls no ``np.linalg``.
 """
 
 from __future__ import annotations
@@ -47,9 +50,14 @@ from .gaussians import (
     GaussianMixture,
     _check_emissions,
     _check_rows,
+    _covariance,
+    _draw,
     _emission_stats,
     _finite,
     _float_array,
+    _full,
+    _gaussian_update,
+    _layout,
     _mixture_terms,
     _outer,
     _responsibilities,
@@ -205,8 +213,7 @@ def _stack(models: list[Hmm]) -> _Checked:
     for idx, model in enumerate(models):
         if model.covs.shape != models[0].covs.shape:
             got, want = (
-                f"(N={m.n_states}, M={m.n_mix}, d={m.dim},"
-                f" {'diagonal' if m.covs.ndim == 3 else 'full'})"
+                f"(N={m.n_states}, M={m.n_mix}, d={m.dim}, {_layout(m.means, m.covs)})"
                 for m in (model, models[0])
             )
             raise InvalidModelError(f"component {idx} has {got}, expected {want}")
@@ -376,11 +383,7 @@ def _sample(
         states[:, t] = _categorical_rows(cum_a[which, states[:, t - 1]], u_states[t])
     which = which[:, None]
     comps = _categorical_rows(np.cumsum(models.mix_weights, axis=-1)[which, states], u_comps)
-    means = models.means[which, states, comps]
-    if models.covs.ndim == 4:
-        return means + normals * np.sqrt(models.covs)[which, states, comps], states
-    chol = np.linalg.cholesky(models.covs)[which, states, comps]
-    return means + np.einsum("stij,stj->sti", chol, normals), states
+    return _draw(models.means, models.covs, (which, states, comps), normals), states
 
 
 def sample_batch(
@@ -434,11 +437,10 @@ def _log_pass(
     counts (S, N, N), else both are None."""
     s_count, tau, n = log_b.shape
     alpha = np.empty((s_count, tau, n))
-    step_alpha = log_pi + log_b[:, 0]
-    ll = logsumexp(step_alpha, axis=1)
-    alpha[:, 0] = step_alpha - _finite(ll)[:, None]
-    for t in range(1, tau):
-        step_alpha = logsumexp(alpha[:, t - 1, :, None] + log_a, axis=1) + log_b[:, t]
+    ll = np.zeros(s_count)
+    for t in range(tau):
+        prior = logsumexp(alpha[:, t - 1, :, None] + log_a, axis=1) if t else log_pi
+        step_alpha = prior + log_b[:, t]
         step = logsumexp(step_alpha, axis=1)
         ll = ll + step
         alpha[:, t] = step_alpha - _finite(step)[:, None]
@@ -502,7 +504,7 @@ def _block_stats(models: _Stacked, obs: np.ndarray, stats: bool) -> tuple[_Stats
     # Within-state mixture responsibilities; log_b is log_joint's normalizer.
     gamma_mix = _responsibilities(log_joint, log_b)
     gamma_mix *= gamma[..., None]  # (K, S, tau, N, M)
-    emissions = _emission_stats(gamma_mix.swapaxes(0, 1), obs, _outer(obs, models.covs.ndim == 5))
+    emissions = _emission_stats(gamma_mix.swapaxes(0, 1), obs, _outer(obs, _full(*models[3:])))
     # Item-major; no field is a view that would keep a (K, S, tau, ...) array alive.
     chain = (np.ascontiguousarray(np.swapaxes(f, 0, 1)) for f in (gamma[:, :, 0], trans))
     return _Stats(*chain, *emissions), lls.T.copy()
@@ -544,36 +546,14 @@ def _collect(parts, n_items: int, k: int) -> tuple[_Stats | None, np.ndarray]:
     return (totals if complete else None), objectives
 
 
-def _floor_covs(covs: np.ndarray, cov_floor: float, full: bool) -> np.ndarray:
-    """Variances, or (..., d, d) matrices if ``full``, with eigenvalues below
-    cov_floor raised to it and eigenvectors kept: the Gaussian likelihood
-    maximizer over covariances with eigenvalues >= cov_floor (Won, Lim, Kim
-    & Rajaratnam 2013). Non-finite matrices are left to the parameter check.
-    ``covs`` itself if none is below; EstimationError if a rebuilt one fails Cholesky."""
-    if not full:
-        return np.maximum(covs, cov_floor) if np.any(covs < cov_floor) else covs
-    finite = np.isfinite(covs).all(axis=(-2, -1))  # eigh may fail on the others
-    values, vectors = np.linalg.eigh(np.where(finite[..., None, None], covs, 0.0))
-    low = (values[..., 0] < cov_floor) & finite
-    if low.any():
-        v = vectors[low]
-        rebuilt = (v * np.maximum(values[low], cov_floor)[:, None]) @ np.swapaxes(v, 1, 2)
-        covs = covs.copy()
-        covs[low] = 0.5 * (rebuilt + np.swapaxes(rebuilt, 1, 2))
-        try:
-            np.linalg.cholesky(covs[low])
-        except np.linalg.LinAlgError as exc:
-            raise EstimationError(f"covariance floored at {cov_floor} is lost to rounding") from exc
-    return covs
-
-
 def _mstep(stats: _Stats, previous: _Stacked, cov_floor: float) -> _Stacked:
     """Parameter updates of K stacked models from their accumulated counts.
 
     Rows or components that received no mass keep their previous values: the
     objective is flat in them, so leaving them untouched preserves the
-    monotone-likelihood guarantee. Covariances are floored by ``_floor_covs``,
-    which keeps each update the maximizer: eigenvalues clipped at cov_floor.
+    monotone-likelihood guarantee. Each live component's Gaussian is
+    ``gaussians._gaussian_update`` of its moments, floored there, which keeps
+    each update the maximizer: eigenvalues clipped at cov_floor.
     """
     pi_total = stats.pi.sum(axis=1, keepdims=True)
     initial = np.divide(stats.pi, pi_total, out=previous.initial.copy(), where=pi_total > 0)
@@ -585,17 +565,9 @@ def _mstep(stats: _Stats, previous: _Stacked, cov_floor: float) -> _Stacked:
     keep_row = mix_total <= 0
     mix_weights = np.divide(stats.mix, mix_total, out=previous.mix_weights.copy(), where=~keep_row)
     live = ~keep_row & ~(stats.mix <= 1e-12)  # NaN mass is updated, and then rejected
-    mass = stats.mix[live]
-    mu = stats.mean[live] / mass[:, None]
-    full = stats.sq.ndim == 5
-    cov = stats.sq[live] / mass.reshape((-1,) + (1,) * (stats.sq.ndim - 3)) - _outer(mu, full)
-    if full:
-        cov = 0.5 * (cov + np.swapaxes(cov, 1, 2))
-    cov = _floor_covs(cov, cov_floor, full)
-    means = previous.means.copy()
-    means[live] = mu
-    covs = previous.covs.copy()
-    covs[live] = cov
+    means, covs = previous.means.copy(), previous.covs.copy()
+    moments = (stats.mix[live], stats.mean[live], stats.sq[live])
+    means[live], covs[live] = _gaussian_update(*moments, cov_floor)
     return _Stacked(initial, transitions, mix_weights, means, covs)
 
 
@@ -615,10 +587,8 @@ def _kmeans(points: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
 
     Working memory is O(k·P) for P points: squared distances are summed into
     one (k, P) array a coordinate at a time, and each point goes to its first
-    nearest center as ``argmin`` would. Each center is the mean of its points
-    taken in their original order, so the centers equal the masked-mean Lloyd
-    update (``points[assign == j].mean(axis=0)``) bit for bit; a center whose
-    cluster empties keeps its previous value."""
+    nearest center (``argmin``). Each center is the mean of its points; a
+    center whose cluster empties keeps its previous value."""
     # The distinct rows in lexicographic order, as np.unique(points, axis=0).
     ordered = points[np.lexsort(points.T[::-1])]
     unique = ordered[np.r_[True, np.any(ordered[1:] != ordered[:-1], axis=1)]]
@@ -635,17 +605,10 @@ def _kmeans(points: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
             np.subtract(points[:, i], centers[:, i, None], out=term)
             term *= term
             d2 += term
-        # Strict < keeps the lowest index on ties.
-        nearest = d2[0].copy()
-        assign = np.zeros(points.shape[0], dtype=np.intp)
-        for j in range(1, k):
-            assign[d2[j] < nearest] = j
-            np.minimum(nearest, d2[j], out=nearest)
-        # A stable sort keeps each cluster's points in their original order.
-        grouped = points[np.argsort(assign, kind="stable")]
-        ends = np.cumsum(np.bincount(assign, minlength=k))
+        assign = d2.argmin(axis=0)
         new_centers = centers.copy()
-        for j, cluster in enumerate(np.split(grouped, ends[:-1])):
+        for j in range(k):
+            cluster = points[assign == j]
             if cluster.shape[0]:
                 new_centers[j] = cluster.mean(axis=0)
         if np.array_equal(new_centers, centers):
@@ -670,8 +633,7 @@ def _init_hmm(
     if not np.abs(pooled).max() < np.sqrt(np.finfo(float).max / (4.0 * pooled.size)):
         raise EstimationError("observations too large to square")
     centers = _kmeans(pooled, n_states * n_mix, rng)
-    var = _floor_covs(pooled.var(axis=0), config.cov_floor, full=False)
-    cov = var if config.cov_type == "diag" else np.diag(var)
+    cov = _covariance(pooled.var(axis=0), config.cov_type, config.cov_floor)
     initial = rng.dirichlet(np.full(n_states, 200.0))
     transitions = rng.dirichlet(np.full(n_states, 200.0), size=n_states)
     mix_weights = np.full((n_states, n_mix), 1.0 / n_mix)

@@ -52,7 +52,9 @@ nothing: their stacks were checked on entry, and ``gaussians._check_pair``
 rejects a given start whose dimension or covariance layout differs from the
 base's in ``_init_reduced``. No model is mutated: rescues write into a
 fresh stack. The start and rescued components get their covariances floored at
-``cov_floor`` by ``hmm._floor_covs``, as every M-step floors them.
+``cov_floor`` by ``gaussians._floor_covs``, as every M-step floors them. The
+layout of a covariance is ``gaussians._full``'s to decide: nothing here reads
+a covariance's shape to tell a diagonal one from a full one.
 """
 
 from __future__ import annotations
@@ -63,10 +65,10 @@ import numpy as np
 
 from . import hmm
 from .errors import InvalidModelError
-from .gaussians import _check_pair, _emission_stats, _mixture_terms, _outer, _responsibilities
-from .gaussians import logsumexp
+from .gaussians import _check_pair, _emission_stats, _floor_covs, _full, _mixture_terms, _outer
+from .gaussians import _responsibilities, logsumexp
 from .h3m import AssignmentMatrix, H3m, _best_start, _em, _starved
-from .hmm import _check_arrays, _check_counts, _Checked, _collect, _floor_covs, _Stacked, _Stats
+from .hmm import _check_arrays, _check_counts, _Checked, _collect, _Stacked, _Stats
 
 
 @dataclass
@@ -232,7 +234,7 @@ def _virtual_stats_all(base: _Stacked, estep: PairEstepResult) -> _Stats:
     resp = nu_agg.swapaxes(2, 3)[..., None, None] * c_b * estep.eta
     resp = resp.swapaxes(3, 4).reshape(resp.shape[:2] + (-1,) + resp.shape[3::2])
     mu_b, cov_b = (a.reshape(a.shape[:1] + (-1,) + a.shape[3:]) for a in base[3:])  # (I, S, ...)
-    second = cov_b + _outer(mu_b, cov_b.ndim == 4)
+    second = cov_b + _outer(mu_b, _full(mu_b, cov_b))
     return _Stats(nu1_agg, xi_agg, *_emission_stats(resp, mu_b, second))
 
 
@@ -338,7 +340,7 @@ def _pass(block: _Stacked, reduced: _Stacked, tau: int, stats: bool):
 def _floored(model: H3m, cov_floor: float) -> H3m:
     """``model`` floored by ``_floor_covs`` as every M-step is (and as rescues
     are): a start below cov_floor would let the first M-step lower the bound."""
-    covs = _floor_covs(model.arrays.covs, cov_floor, full=model.arrays.covs.ndim == 5)
+    covs = _floor_covs(model.arrays.covs, cov_floor, _full(*model.arrays[3:]))
     if covs is model.arrays.covs:
         return model
     return H3m(model.weights, _check_arrays(*model.arrays[:4], covs, axes=("component",)))
@@ -357,7 +359,7 @@ def _reduce_once(base: H3m, config: VhemConfig, rng: np.random.Generator) -> Red
 
     def item_models(items):  # the base components' arrays, floored
         *rows, covs = (a[items] for a in base.arrays)
-        return _Checked(*rows, _floor_covs(covs, config.cov_floor, full=covs.ndim == 5))
+        return _Checked(*rows, _floor_covs(covs, config.cov_floor, _full(rows[3], covs)))
 
     reduced, z, bound_history, rescues = _em(
         reduced, run, virtual_counts, config.max_iters, config.tol, item_models, config.cov_floor

@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from .gaussians import _covariance
 from .hmm import Hmm, Sequence, _check_arrays, _check_counts, _models, _sample, _stack
 from .serialize import SequenceDataset
 
@@ -49,7 +50,7 @@ def _prototype(
         + (np.arange(n_mix) - (n_mix - 1) / 2.0) * separation / 8.0
     )
     mix_weights = np.full((n_states, n_mix), 1.0 / n_mix)
-    cov = np.ones(dim) if cov_type == "diag" else np.eye(dim)
+    cov = _covariance(np.ones(dim), cov_type)
     covs = np.broadcast_to(cov, (n_states, n_mix) + cov.shape)
     return Hmm(initial, transitions, mix_weights, means, covs)
 

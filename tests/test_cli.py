@@ -317,6 +317,26 @@ class TestFailureModes:
         assert result.exit_code == 2, result.output
         assert "numerical failure: pair objectives must be finite" in result.output
 
+    @pytest.mark.parametrize("extra", [[], ["--virtual-samples", "1"]], ids=["scaled", "moments"])
+    def test_means_near_the_float_range_exit_code_2(self, runner, tmp_path, extra):
+        # Legal leaves whose pair objectives overflow to -inf when scaled by
+        # the virtual mass, or, with one virtual sample, whose second moments
+        # overflow in the M-step: a numerical failure, not bad input.
+        leaves = tmp_path / "far.json"
+        save_model(H3m([0.5, 0.5], [
+            Hmm([1.0], [[1.0]], [[1.0]], [[[mean, 0.0]]], [[[1.0, 1.0]]])
+            for mean in (1.5e154, 1.52e154)
+        ]), leaves)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            result = runner.invoke(main, [
+                "reduce", "--model", str(leaves), "--kr", "1", "--max-iters", "3",
+                "--out", str(tmp_path / "o"), *extra,
+            ])
+        assert result.exit_code == 2, result.output
+        assert result.output.count("numerical failure: ") == 1
+        assert result.exception is None or isinstance(result.exception, SystemExit)
+
     def test_observations_too_large_to_square_exit_code_2(self, runner, tmp_path):
         # Valid input (finite values) that no estimate can be built from.
         data = tmp_path / "huge.jsonl"

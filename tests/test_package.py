@@ -195,9 +195,10 @@ def test_one_emission_statistics_kernel():
     # gaussians._emission_stats contracts the emission weights with the
     # samples for both estimators (observations as points, base Gaussians as
     # virtual samples), and gaussians._outer is the one outer product of
-    # means or observations. So hmm and reduction branch on no covariance
-    # layout to build a statistic, multiply no array by itself, and keep
-    # only the einsums of sampling and of weighted_sum, which sums items.
+    # means or observations, which gaussians._gaussian_update also subtracts
+    # in the M-step. So hmm and reduction branch on no covariance layout to
+    # build a statistic, multiply no array by itself, and keep only the
+    # einsum of weighted_sum, which sums items.
     callers: dict[str, set] = {"_emission_stats": set(), "_outer": set()}
     einsums, branches, squares = set(), set(), set()
     statistics = {"hmm._block_stats", "reduction._virtual_stats_all"}
@@ -227,10 +228,61 @@ def test_one_emission_statistics_kernel():
                         branches.add(where)
     assert callers == {
         "_emission_stats": statistics,
-        "_outer": statistics | {"hmm._mstep"},
+        "_outer": statistics | {"gaussians._gaussian_update"},
     }
-    assert einsums == {"stij,stj->sti", "sk,sk...->k..."}
+    assert einsums == {"sk,sk...->k..."}
     assert not squares and not branches
+
+
+def test_one_covariance_module():
+    # gaussians alone tells a diagonal covariance from a full one, by one
+    # rule, gaussians._full: a covariance with one more axis than its mean
+    # is a matrix. No other module calls np.linalg or reads the ndim of a
+    # covariance or of a second moment; in gaussians only _full reads it, and
+    # the checks, the kernel, the M-step's update, the draw and the callers
+    # of the floor ask it. A cov_type names a layout in one place, where
+    # variances become a covariance (gaussians._covariance).
+    def reads_layout(node):
+        if isinstance(node, ast.Attribute) and node.attr == "ndim":
+            target = node.value
+        elif isinstance(node, ast.Call) and ast.unparse(node.func) == "np.ndim":
+            target = node.args[0]
+        else:
+            return False
+        return any(name in ast.unparse(target) for name in ("cov", "sq", "second"))
+
+    linalg, readers, deciders, branches = set(), set(), set(), set()
+    callers: set[str] = set()
+    for path in Path(h3mkit.__file__).parent.glob("*.py"):
+        tree = ast.parse(path.read_text())
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call) and ast.unparse(node.func).startswith("np.linalg."):
+                linalg.add(path.stem)
+            if reads_layout(node):
+                readers.add(path.stem)
+        for function in ast.walk(tree):
+            if not isinstance(function, ast.FunctionDef):
+                continue
+            where = f"{path.stem}.{function.name}"
+            for node in ast.walk(function):
+                if reads_layout(node):
+                    deciders.add(where)
+                if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "_full":
+                    callers.add(where)
+                if isinstance(node, ast.Compare):
+                    operands = [node.left, *node.comparators]
+                    if any(isinstance(o, ast.Constant) and o.value in ("diag", "full")
+                           for o in operands):
+                        branches.add(where)
+    assert linalg == {"gaussians"} and readers == {"gaussians"}
+    assert deciders == {"gaussians._full"}
+    assert branches == {"gaussians._covariance"}
+    assert callers == {
+        "gaussians._layout", "gaussians._check_emissions", "gaussians._check_pair",
+        "gaussians._cross_terms", "gaussians._gaussian_update", "gaussians._draw",
+        "hmm._block_stats", "reduction._virtual_stats_all", "reduction._floored",
+        "reduction._reduce_once", "reduction.item_models",
+    }
 
 
 def test_one_log_domain_pass():

@@ -299,6 +299,14 @@ class TestComputeAssignments:
         with pytest.raises(EstimationError):
             compute_assignments(np.array([[1e300, 0.0]]), np.array([0.5, 0.5]), np.array([1e10]))
 
+    def test_overflow_to_minus_inf_when_scaled_rejected(self):
+        # Finite objectives whose scaled logits overflow to -inf are a
+        # numerical failure too, not a row without mass to assign.
+        with pytest.raises(EstimationError, match="objectives must be finite"):
+            compute_assignments(
+                np.array([[-1e300, -1e300]]), np.array([0.5, 0.5]), np.array([1e10])
+            )
+
     def test_row_without_mass_is_degenerate(self):
         with pytest.raises(DegenerateWeightsError):
             compute_assignments(np.array([[-1.0, -2.0]]), np.array([0.0, 0.0]), np.array([1.0]))
@@ -867,6 +875,23 @@ class TestVhemReduce:
             warnings.simplefilter("error")
             with pytest.raises(EstimationError, match="objectives must be finite"):
                 vhem_reduce(base, config)
+
+    @pytest.mark.parametrize("n_virtual", [None, 1], ids=["scaled-overflow", "moment-overflow"])
+    def test_means_near_the_float_range_are_a_numerical_failure_without_warning(self, n_virtual):
+        # Legal leaves with means 1.5e154 and 1.52e154. With the default
+        # virtual mass the pair objectives (about -2e304) overflow to -inf
+        # when scaled; with one virtual sample they do not, but the second
+        # moments mu^2 (above 2.2e308) do, and the M-step's covariance is
+        # inf - inf. Both are numerical failures, and no warning escapes.
+        leaves = [
+            Hmm([1.0], [[1.0]], [[1.0]], [[[mean, 0.0]]], [[[1.0, 1.0]]])
+            for mean in (1.5e154, 1.52e154)
+        ]
+        config = VhemConfig(k_reduced=1, n_virtual=n_virtual, max_iters=3, tol=0.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(EstimationError):
+                vhem_reduce(H3m([0.5, 0.5], leaves), config)
 
     @pytest.mark.parametrize("case", ["mixture weight", "state"])
     def test_mean_that_nothing_weighs_leaves_the_bound_finite(self, case):
