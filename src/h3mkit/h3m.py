@@ -8,11 +8,14 @@ reads; its ``components`` are views of the rows, rebuilt on each read.
 Both estimators are EM over items with a per-item, per-component objective:
 ``h3m_em`` over real sequences (count 1, objective the log-likelihood) and
 the reduction over base components (count the virtual sample mass, objective
-the pair bound). They run one loop, ``_em``: the estimator's pass,
-``compute_assignments`` (the soft assignments and each item's log-normalizer,
-whose sum is the objective), ``_converged``, the one repair rule and
-``mstep`` (the weight update and one ``hmm._mstep`` call for all
-components); ``_best_start`` keeps the best of its seeded starts.
+the pair bound). Each hands one run, ``_em``, a start, its pass and the
+source of its repaired rows; ``_em`` owns the rest: the floor of the start
+and of every repaired row (``gaussians._floor_covs``, the M-step's floor),
+``compute_assignments`` (the soft assignments z, a plain array, and each
+item's log-normalizer, whose sum is the objective), ``_converged``, the one
+repair rule and ``mstep`` (the weight update and one ``hmm._mstep`` call for
+all components). ``_best_start`` keeps the seeded run whose traced objective
+ends highest, and the estimator builds its public result once, from it.
 
 One mixture component is responsible for a whole sequence (the assignment is
 drawn once per sequence, not per frame). Each EM iteration runs one pass of
@@ -32,7 +35,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateWeightsError, EstimationError, InvalidModelError
-from .gaussians import _responsibilities, check_probability_vector, logsumexp
+from .gaussians import _floor_covs, _full, _responsibilities, check_probability_vector, logsumexp
 from .hmm import (
     EmConfig,
     Hmm,
@@ -128,8 +131,8 @@ class AssignmentMatrix:
 
 def compute_assignments(
     objectives: np.ndarray, weights: np.ndarray, counts: np.ndarray
-) -> tuple[AssignmentMatrix, np.ndarray]:
-    """Soft assignment of each item to the components: row i is the softmax
+) -> tuple[np.ndarray, np.ndarray]:
+    """Soft assignment z of each item to the components: row i is the softmax
     over j of log w[j] + counts[i] * objectives[i, j], never forming the
     exponentials directly. Also returns each row's log-normalizer; their sum
     is the objective at these assignments (the log-likelihood of the items,
@@ -145,12 +148,12 @@ def compute_assignments(
     if np.any(norm == -np.inf):
         raise DegenerateWeightsError("an item's assignment log-weights are all -inf")
     probs = _responsibilities(logits, norm)
-    return AssignmentMatrix(probs / probs.sum(axis=1, keepdims=True)), norm
+    return probs / probs.sum(axis=1, keepdims=True), norm
 
 
-def _starved(z: AssignmentMatrix, counts: np.ndarray) -> list[int]:
+def _starved(z: np.ndarray, counts: np.ndarray) -> list[int]:
     """Components whose soft mass is below a thousandth of the total count."""
-    return np.flatnonzero(counts @ z.z < 1e-3 * counts.sum()).tolist()
+    return np.flatnonzero(counts @ z < 1e-3 * counts.sum()).tolist()
 
 
 def _converged(trace: list[float], tol: float) -> bool:
@@ -162,7 +165,10 @@ def _converged(trace: list[float], tol: float) -> bool:
 
 def _em(model: H3m, run, counts: np.ndarray, n_esteps: int, tol: float, item_models,
         cov_floor: float):
-    """The mixture-EM loop of both estimators. Each E-step is one
+    """The mixture-EM run of both estimators, from the start ``model``. Its
+    covariances, and those of every repair's rows, are floored at cov_floor
+    by ``_floor_covs``, as every M-step floors them: a start below the floor
+    would let the first M-step lower the objective. Each E-step is one
     ``run(arrays, stats)`` over all items: their statistics (None unless
     ``stats``) and objectives (items, K), which ``compute_assignments``
     weighs by ``counts`` into z and the traced objective. Stops on
@@ -174,6 +180,11 @@ def _em(model: H3m, run, counts: np.ndarray, n_esteps: int, tol: float, item_mod
     ``item_models(items)`` gives the components their rows and statistics
     (non-finite objectives are an EstimationError, as in the main pass), and
     the items' z rows turn one-hot on them. Returns (model, z, trace, repairs)."""
+
+    def floored(arrays: _Checked) -> _Checked:
+        return _Checked(*arrays[:4], _floor_covs(arrays.covs, cov_floor, _full(*arrays[3:])))
+
+    model = H3m(model.weights, floored(model.arrays))
     trace, taken = [], []
     for _ in range(n_esteps):
         stats = None  # release the previous iteration's statistics first
@@ -189,7 +200,7 @@ def _em(model: H3m, run, counts: np.ndarray, n_esteps: int, tol: float, item_mod
                 n = len(taken)
                 taken.append(next(i for i in worst_first[n:] + worst_first[:n] if i not in taken))
             items = taken[-len(starved):]
-            rows = item_models(items)
+            rows = floored(item_models(items))
             fresh, scores = run(rows, True)
             if not np.all(np.isfinite(scores)):
                 raise EstimationError("pair objectives must be finite")
@@ -199,22 +210,23 @@ def _em(model: H3m, run, counts: np.ndarray, n_esteps: int, tol: float, item_mod
             for a, row in zip(arrays, rows):
                 a[starved] = row
             model = H3m(model.weights, arrays)
-            z.z[items] = 0.0
-            z.z[items, starved] = 1.0
+            z[items] = 0.0
+            z[items, starved] = 1.0
         model = mstep(z, stats, counts, model, cov_floor)
     return model, z, trace, len(taken)
 
 
-def _best_start(fit, n_starts: int, rng: np.random.Generator, objective):
-    """The restart rule of both estimators: ``fit(rng)`` if ``n_starts`` is 1, else
-    the first of the ``fit(child)`` over ``rng.spawn(n_starts)`` with the highest ``objective``."""
+def _best_start(fit, n_starts: int, rng: np.random.Generator):
+    """The restart rule of both estimators: the ``_em`` run ``fit(rng)`` if
+    ``n_starts`` is 1, else the first of the runs ``fit(child)`` over
+    ``rng.spawn(n_starts)`` whose traced objective ends highest."""
     if n_starts == 1:
         return fit(rng)
-    return max((fit(child) for child in rng.spawn(n_starts)), key=objective)
+    return max((fit(child) for child in rng.spawn(n_starts)), key=lambda run: run[2][-1])
 
 
 def mstep(
-    z: AssignmentMatrix,
+    z: np.ndarray,
     stats: _Stats,
     counts: np.ndarray,
     previous: H3m,
@@ -233,12 +245,12 @@ def mstep(
     their previous parameters. A parameter that is not finite, such as a
     covariance whose moments overflowed, is a numerical failure.
     """
-    w = z.z * counts[:, None]
+    w = z * counts[:, None]
     w[:, _starved(z, counts)] = 0.0
     new = _mstep(stats.weighted_sum(w), previous.arrays, cov_floor)
     if not all(np.isfinite(a).all() for a in new):
         raise EstimationError("M-step parameters are not finite")
-    weights = np.full(z.z.shape[0], 1.0 / z.z.shape[0]) @ z.z
+    weights = np.full(z.shape[0], 1.0 / z.shape[0]) @ z
     return H3m(weights, _check_arrays(*new, axes=("component",)))
 
 
@@ -309,14 +321,14 @@ def h3m_em(
                     starts.append(_init_hmm(data, n_states, n_mix, config, rng))
             return _stack(starts)
 
-        model, z, trace, reseeds = _em(model, run, ones, config.max_iters + 1, config.tol,
-                                       item_models, config.cov_floor)
-        posteriors = np.empty_like(z.z)
-        posteriors[rows] = z.z
-        return H3mFit(model=model, posteriors=posteriors, loglik_trace=trace, reseeds=reseeds)
+        return _em(model, run, ones, config.max_iters + 1, config.tol, item_models,
+                   config.cov_floor)
 
     rng = rng if rng is not None else np.random.default_rng()
-    return _best_start(fit, config.n_starts, rng, lambda fit: fit.loglik_trace[-1])
+    model, z, trace, reseeds = _best_start(fit, config.n_starts, rng)
+    posteriors = np.empty_like(z)
+    posteriors[rows] = z
+    return H3mFit(model=model, posteriors=posteriors, loglik_trace=trace, reseeds=reseeds)
 
 
 def baum_welch(

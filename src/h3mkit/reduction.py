@@ -14,13 +14,17 @@ closed-form coordinate updates:
 - per base component, a soft assignment to reduced components (z).
 
 This is hierarchical EM: EM run on virtual samples from the base components
-(Vasconcelos & Lippman 1999). A run is the mixture-EM iteration ``h3m._em``
-that ``h3m_em`` also runs, with the base components as items and their
-virtual sample counts as counts: ``compute_assignments`` gives z and the
-bound, sum_i log sum_j w_j exp(N_i * objective[i, j]), which is the
-virtual-sample log-likelihood and does not decrease; ``mstep`` re-estimates
-from per-base-component virtual statistics, weighted as ``h3m_em`` weights
-real sequences, after ``_em``'s repairs; ``_converged`` stops the run.
+(Vasconcelos & Lippman 1999). A run is the mixture-EM run ``h3m._em``
+that ``h3m_em`` also runs, with the base components of positive weight as
+items and their virtual sample counts as counts: ``compute_assignments``
+gives z and the bound, sum_i log sum_j w_j exp(N_i * objective[i, j]), which
+is the virtual-sample log-likelihood and does not decrease; ``mstep``
+re-estimates from per-base-component virtual statistics, weighted as
+``h3m_em`` weights real sequences, after ``_em``'s repairs; ``_converged``
+stops the run. ``vhem_reduce`` hands ``_em`` only a start, the pass over the
+blocks and the base components' rows for repairs. A base component of
+weight 0 carries no virtual sample and is not an item: its assignment row
+is the reduced weights.
 
 An iteration reads the stacks the base and the reduced mixtures hold
 (``H3m.arrays``) and is batched over (base i, reduced j) pairs, except the
@@ -32,8 +36,10 @@ stays within the 256 KB that the data-side passes also keep to
 
 - emission matching: the data side's mixture step (``_mixture_terms``) over
   (I, J, N_b, N_r, M_b, M_r) gives the per-state-pair bound ell (and eta);
-- phi: the backward recursion runs pair by pair, reading ell[i, j] (and
-  writing phi into (I, J, ...) arrays: a pass without statistics skips it);
+- phi: the backward recursion runs pair by pair, reading ell[i, j] and
+  keeping every step's scores and normalizers in (I, J, ...) arrays, which
+  one softmax per coupling turns into phi (a pass without statistics
+  skips it);
 - statistics, built when an M-step may follow and the block's objectives
   are finite: the forward recursion for the occupancies (nu, xi), which sums
   them over steps as it goes, and the virtual statistics over (I, J, ...),
@@ -51,8 +57,7 @@ The kernels (``_mixture_terms``, ``_estep``, ``_virtual_stats_all``) check
 nothing: their stacks were checked on entry, and ``gaussians._check_pair``
 rejects a given start whose dimension or covariance layout differs from the
 base's in ``_init_reduced``. No model is mutated: rescues write into a
-fresh stack. The start and rescued components get their covariances floored at
-``cov_floor`` by ``gaussians._floor_covs``, as every M-step floors them. The
+fresh stack, and ``h3m._em`` floors the start and the rescued rows. The
 layout of a covariance is ``gaussians._full``'s to decide: nothing here reads
 a covariance's shape to tell a diagonal one from a full one.
 """
@@ -65,7 +70,7 @@ import numpy as np
 
 from . import hmm
 from .errors import InvalidModelError
-from .gaussians import _check_pair, _emission_stats, _floor_covs, _full, _mixture_terms, _outer
+from .gaussians import _check_pair, _emission_stats, _full, _mixture_terms, _outer
 from .gaussians import _responsibilities, logsumexp
 from .h3m import AssignmentMatrix, H3m, _best_start, _em, _starved
 from .hmm import _check_arrays, _check_counts, _Checked, _collect, _Stacked, _Stats
@@ -77,14 +82,15 @@ class VhemConfig:
 
     ``n_virtual`` is the total virtual sample mass; each base component i
     carries a share proportional to its weight. None picks 10^4 times the
-    number of base components. ``tau_virtual`` is the length of the virtual
-    sequences, which need not match any real data length. ``max_iters``
-    counts E-steps: a run makes at most max_iters - 1 M-steps
-    (``EmConfig.max_iters`` counts M-steps). ``init`` is
-    "subset-perturb", "random", or an ``H3m`` to start from (``_floored``),
-    which has the base's shape unless ``k_reduced`` is 1, so that a starved
-    component can be rescued from a base component (``h3m._em``). ``n_starts``
-    counts competing seeded runs, as ``EmConfig.n_starts`` does.
+    number of base components with nonzero weight. ``tau_virtual`` is the
+    length of the virtual sequences, which need not match any real data
+    length. ``max_iters`` counts E-steps: a run makes at most max_iters - 1
+    M-steps (``EmConfig.max_iters`` counts M-steps). ``init`` is
+    "subset-perturb", "random", or an ``H3m`` to start from (floored by
+    ``h3m._em``), which has the base's shape unless ``k_reduced`` is 1, so
+    that a starved component can be rescued from a base component
+    (``h3m._em``). ``n_starts`` counts competing seeded runs, as
+    ``EmConfig.n_starts`` does.
     """
 
     k_reduced: int
@@ -157,7 +163,7 @@ def _estep(base: _Stacked, reduced: _Stacked, tau: int, couplings=True) -> PairE
     backward recursion for phi runs pair by pair, in log domain."""
     # eta is the softmax over l of the mixture step's logits, and ell the c_b-weighted
     # sum of their normalizers (the Hershey-Olsen bound), one dot product per state pair.
-    logits, norm = _mixture_terms(
+    logits, mix_norm = _mixture_terms(
         reduced.mix_weights[None, :, None, :, None],
         base.means[:, None, :, None, :, None], base.covs[:, None, :, None, :, None],
         reduced.means[None, :, None, :, None], reduced.covs[None, :, None, :, None],
@@ -168,12 +174,13 @@ def _estep(base: _Stacked, reduced: _Stacked, tau: int, couplings=True) -> PairE
     # softmax row: its eta is 0 and its ell -inf, so phi gives it no weight
     # while the objective is finite (a non-finite one compute_assignments rejects).
     # Only where some ell is -inf can a log value the recursion weighs be -inf.
-    ell = _expect(norm[..., None, :], base.mix_weights[:, None, :, None, :, None])[..., 0, 0]
+    ell = _expect(mix_norm[..., None, :], base.mix_weights[:, None, :, None, :, None])[..., 0, 0]
     expect = np.matmul if np.isfinite(ell).all() else _expect
     n_i, n_j, n_b, n_r = ell.shape
-    eta = _responsibilities(logits, norm) if couplings else None
-    phi_initial = np.empty((n_i, n_j, n_r, n_b)) if couplings else None
-    phi_step = np.empty((n_i, n_j, tau - 1, n_r, n_r, n_b)) if couplings else None
+    # Each step's scores and normalizers, kept for one softmax over all steps.
+    scores = np.empty((n_i, n_j, tau - 1, n_r, n_b, n_r))  # (..., rho_prev, beta, rho)
+    norms = np.empty((n_i, n_j, tau - 1, n_r, n_b))
+    scores1, norms1 = np.empty((n_i, n_j, n_b, n_r)), np.empty((n_i, n_j, n_b))
     objective = np.empty((n_i, n_j))
     for i, j in np.ndindex(n_i, n_j):
         # Backward over steps: future[beta, rho] carries the expected
@@ -182,17 +189,18 @@ def _estep(base: _Stacked, reduced: _Stacked, tau: int, couplings=True) -> PairE
         future = np.zeros((n_b, n_r))
         for t in range(tau, 1, -1):
             core = ell[i, j] + future  # (N_b, N_r)
-            scores = log_a_r[j][:, None, :] + core[None, :, :]  # (rho_prev, beta, rho)
-            norm = logsumexp(scores, axis=2)
-            if couplings:
-                phi_step[i, j, t - 2] = _responsibilities(scores, norm).transpose(0, 2, 1)
+            step = np.add(log_a_r[j][:, None, :], core[None, :, :], out=scores[i, j, t - 2])
+            norm = norms[i, j, t - 2] = logsumexp(step, axis=2)
             future = expect(base.transitions[i], norm.T)  # (beta_prev, rho_prev)
 
-        scores1 = log_pi_r[j][None, :] + ell[i, j] + future  # (beta, rho)
-        norm1 = logsumexp(scores1, axis=1)
-        if couplings:
-            phi_initial[i, j] = _responsibilities(scores1, norm1).T
+        np.add(log_pi_r[j][None, :] + ell[i, j], future, out=scores1[i, j])  # (beta, rho)
+        norm1 = norms1[i, j] = logsumexp(scores1[i, j], axis=1)
         objective[i, j] = expect(base.initial[i], norm1)
+    if not couplings:
+        return PairEstepResult(None, None, None, ell, objective)
+    eta = _responsibilities(logits, mix_norm)
+    phi_initial = np.ascontiguousarray(_responsibilities(scores1, norms1).swapaxes(-1, -2))
+    phi_step = np.ascontiguousarray(_responsibilities(scores, norms).swapaxes(-1, -2))
     return PairEstepResult(eta, phi_initial, phi_step, ell, objective)
 
 
@@ -261,12 +269,6 @@ def _init_reduced(base: H3m, config: VhemConfig, rng: np.random.Generator) -> H3
         return model
     n, m, d = base.n_states, base.n_mix, base.dim
     if config.init == "subset-perturb":
-        weighted = np.count_nonzero(base.weights)
-        if weighted < k_r:
-            raise InvalidModelError(
-                f"init 'subset-perturb' needs k_reduced={k_r} base components with"
-                f" nonzero weight, found {weighted}"
-            )
         idx = rng.choice(base.n_components, size=k_r, replace=False, p=base.weights)
         initial, transitions, mix_weights, means, covs = (a[idx] for a in base.arrays)
         means *= 1.0 + rng.uniform(-0.01, 0.01, size=(k_r, n, m, d))
@@ -300,20 +302,49 @@ def vhem_reduce(base: H3m, config: VhemConfig) -> ReductionResult:
     (``h3m._starved``) takes a base component's arrays, floored, by the
     repair rule of ``h3m._em``, at most twice per run; afterwards the run
     continues with the smaller effective component count, which is reported.
-    With
-    ``config.n_starts`` > 1, runs seeded by the children of
+    With ``config.n_starts`` > 1, runs seeded by the children of
     ``default_rng(config.seed)`` compete as in ``h3m_em`` (``h3m._best_start``);
     a given start (an ``H3m`` ``config.init``) draws nothing, so it takes one.
+
+    Only the base components with positive weight are reduced: one of weight
+    0 carries no virtual sample, so it neither moves the bound nor takes a
+    repair. Its assignment row is the reduced weights, as it would be for an
+    item with count 0, and its hard label follows from that row.
     """
     if isinstance(config.init, H3m) and config.n_starts > 1:
         raise ValueError(f"n_starts={config.n_starts} from a given start repeats one run")
-    k_b = base.n_components
-    if config.k_reduced > k_b:
+    weighted = base.weights > 0
+    k_w, k_r = np.count_nonzero(weighted), config.k_reduced
+    if k_r > k_w:
         raise InvalidModelError(
-            f"k_reduced={config.k_reduced} exceeds base component count {k_b}"
+            f"reduction needs k_reduced={k_r} base components with nonzero weight, found {k_w}"
         )
-    return _best_start(lambda rng: _reduce_once(base, config, rng), config.n_starts,
-                       np.random.default_rng(config.seed), lambda run: run.bound_history[-1])
+    items = H3m(base.weights[weighted], _Checked(*(a[weighted] for a in base.arrays)))
+    virtual_counts = (config.n_virtual or 10_000 * k_w) * items.weights
+    tau = config.tau_virtual
+
+    def fit(rng):
+        start = _init_reduced(items, config, rng)
+        blocks = _blocks(items.arrays, start, tau)
+
+        def run(arrays, stats):
+            passes = (_pass(block, arrays, tau, stats) for block in blocks)
+            return _collect(passes, k_w, arrays.initial.shape[0])
+
+        return _em(start, run, virtual_counts, config.max_iters, config.tol,
+                   lambda rows: _Checked(*(a[rows] for a in items.arrays)), config.cov_floor)
+
+    reduced, z, bound_history, rescues = _best_start(fit, config.n_starts,
+                                                     np.random.default_rng(config.seed))
+    assignments = np.empty((base.n_components, k_r))
+    assignments[weighted], assignments[~weighted] = z, reduced.weights
+    return ReductionResult(
+        reduced=reduced,
+        assignments=AssignmentMatrix(assignments),
+        bound_history=bound_history,
+        rescues=rescues,
+        effective_k=k_r - len(_starved(z, virtual_counts)),
+    )
 
 
 def _blocks(base: _Stacked, reduced: H3m, tau: int) -> list[_Stacked]:
@@ -335,39 +366,3 @@ def _pass(block: _Stacked, reduced: _Stacked, tau: int, stats: bool):
     estep = _estep(block, reduced, tau, stats)
     build = stats and np.isfinite(estep.objective).all()
     return (_virtual_stats_all(block, estep) if build else None), estep.objective
-
-
-def _floored(model: H3m, cov_floor: float) -> H3m:
-    """``model`` floored by ``_floor_covs`` as every M-step is (and as rescues
-    are): a start below cov_floor would let the first M-step lower the bound."""
-    covs = _floor_covs(model.arrays.covs, cov_floor, _full(*model.arrays[3:]))
-    if covs is model.arrays.covs:
-        return model
-    return H3m(model.weights, _check_arrays(*model.arrays[:4], covs, axes=("component",)))
-
-
-def _reduce_once(base: H3m, config: VhemConfig, rng: np.random.Generator) -> ReductionResult:
-    n_virtual = config.n_virtual if config.n_virtual is not None else 10_000 * base.n_components
-    virtual_counts = n_virtual * base.weights
-    reduced = _floored(_init_reduced(base, config, rng), config.cov_floor)
-    tau = config.tau_virtual
-    blocks = _blocks(base.arrays, reduced, tau)
-
-    def run(arrays, stats):
-        passes = (_pass(block, arrays, tau, stats) for block in blocks)
-        return _collect(passes, base.n_components, arrays.initial.shape[0])
-
-    def item_models(items):  # the base components' arrays, floored
-        *rows, covs = (a[items] for a in base.arrays)
-        return _Checked(*rows, _floor_covs(covs, config.cov_floor, _full(rows[3], covs)))
-
-    reduced, z, bound_history, rescues = _em(
-        reduced, run, virtual_counts, config.max_iters, config.tol, item_models, config.cov_floor
-    )
-    return ReductionResult(
-        reduced=reduced,
-        assignments=z,
-        bound_history=bound_history,
-        rescues=rescues,
-        effective_k=config.k_reduced - len(_starved(z, virtual_counts)),
-    )

@@ -561,8 +561,7 @@ class TestFailureModes:
         assert result.exit_code == 1
         assert isinstance(result.exception, SystemExit)
         assert result.output.splitlines() == [
-            "error: init 'subset-perturb' needs k_reduced=3 base components with nonzero"
-            " weight, found 2"
+            "error: reduction needs k_reduced=3 base components with nonzero weight, found 2"
         ]
 
     @pytest.mark.parametrize(

@@ -152,16 +152,17 @@ class TestH3mEm:
 
     def test_best_start_keeps_the_first_of_equal_finals(self):
         # One start runs on the generator itself; several run on its spawned
-        # children, in order, and a tie goes to the first.
+        # children, in order, and a tie of the runs' last traced objectives
+        # goes to the first.
         rng = np.random.default_rng(5)
-        assert h3m_module._best_start(lambda start: start, 1, rng, None) is rng
+        assert h3m_module._best_start(lambda start: start, 1, rng) is rng
         draws = []
 
-        def fit(start):
+        def fit(start):  # an _em run: (model, z, trace, repairs)
             draws.append(start.random())
-            return len(draws)
+            return None, None, [float(len(draws)), 0.0], len(draws)
 
-        assert h3m_module._best_start(fit, 3, np.random.default_rng(5), lambda _: 0.0) == 1
+        assert h3m_module._best_start(fit, 3, np.random.default_rng(5))[3] == 1
         assert draws == [child.random() for child in np.random.default_rng(5).spawn(3)]
 
     def test_trace_monotone(self, rng):
@@ -403,7 +404,7 @@ def fit_with_repairs(monkeypatch, estimator):
 
     def recorded_mstep(z, stats, counts, previous, cov_floor):
         copies = {k: v.copy() for k, v in vars(stats).items()}
-        msteps.append((esteps[-1], z.z.copy(), copies, previous))
+        msteps.append((esteps[-1], z.copy(), copies, previous))
         return step(z, stats, counts, previous, cov_floor)
 
     monkeypatch.setattr(h3m_module, "compute_assignments", recorded_assign)
@@ -474,10 +475,11 @@ class TestRepairRule:
                 )
 
 
-    def test_repair_pass_with_non_finite_objectives_rejected(self, monkeypatch):
-        # A reseed start whose variances are the smallest subnormal: the
-        # sequences off its means score -inf under it, a numerical failure.
-        init = h3m_module._init_hmm
+    def test_repair_start_below_the_floor_is_floored(self, monkeypatch):
+        # A reseed start whose variances are the smallest subnormal is floored
+        # by _em, as the start and every M-step are, so the run goes on.
+        init, step = h3m_module._init_hmm, h3m_module.mstep
+        floors = []
 
         def degenerate_init(data, *args):
             model = init(data, *args)
@@ -486,14 +488,32 @@ class TestRepairRule:
                             np.full(model.covs.shape, 5e-324))
             return model
 
+        def recorded_mstep(z, stats, counts, previous, cov_floor):
+            floors.append(previous.arrays.covs.min())
+            return step(z, stats, counts, previous, cov_floor)
+
         monkeypatch.setattr(h3m_module, "_init_hmm", degenerate_init)
+        monkeypatch.setattr(h3m_module, "mstep", recorded_mstep)
         dataset, _ = synth_benchmark(
             2, 15, 8.0, np.random.default_rng(0), n_states=1, n_mix=1, dim=1, tau=10,
             kind="sequences",
         )
+        fit = h3m_em(dataset.sequences, 5, 1, 1, EmConfig(max_iters=15), np.random.default_rng(2))
+        assert fit.reseeds == 2 and min(floors) >= 1e-6
+
+    def test_repair_pass_with_non_finite_objectives_rejected(self):
+        # A reduction from a given start, one of whose components is far from
+        # every leaf and starves. It takes the worst leaf, at 1e5 with
+        # variance 1e-300 (the floor, also 1e-300, keeps it): the other
+        # leaves score -inf under it, a numerical failure of the repair pass.
+        leaves = [Hmm([1.0], [[1.0]], [[1.0]], [[[mean]]], [[[var]]])
+                  for mean, var in ((0.0, 1.0), (0.1, 1.0), (1e5, 1e-300))]
+        start = H3m([0.5, 0.5], [Hmm([1.0], [[1.0]], [[1.0]], [[[mean]]], [[[1.0]]])
+                                 for mean in (0.05, 1e6)])
+        config = VhemConfig(k_reduced=2, init=start, cov_floor=1e-300, max_iters=5)
         # No numpy warning on the way: the suite turns one into an error.
         with pytest.raises(EstimationError, match="objectives must be finite"):
-            h3m_em(dataset.sequences, 5, 1, 1, EmConfig(max_iters=15), np.random.default_rng(2))
+            vhem_reduce(H3m(np.full(3, 1 / 3), leaves), config)
 
 
 class TestMcExpectedLoglik:

@@ -280,9 +280,23 @@ def test_one_covariance_module():
     assert callers == {
         "gaussians._layout", "gaussians._check_emissions", "gaussians._check_pair",
         "gaussians._cross_terms", "gaussians._gaussian_update", "gaussians._draw",
-        "hmm._block_stats", "reduction._virtual_stats_all", "reduction._floored",
-        "reduction._reduce_once", "reduction.item_models",
+        "hmm._block_stats", "reduction._virtual_stats_all", "h3m._em", "h3m.floored",
     }
+
+
+def test_one_floor_for_starts_and_repairs():
+    # h3m._em floors the start and every repair's rows, for both estimators,
+    # as gaussians' M-step update floors every update: outside gaussians,
+    # gaussians._floor_covs has one call site, in _em.
+    sites = []
+    for path in Path(h3mkit.__file__).parent.glob("*.py"):
+        if path.name == "gaussians.py":
+            continue
+        for function in ast.parse(path.read_text()).body:
+            for node in ast.walk(function):
+                if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "_floor_covs":
+                    sites.append(f"{path.stem}.{getattr(function, 'name', '')}")
+    assert sites == ["h3m._em"]
 
 
 def test_one_log_domain_pass():

@@ -14,7 +14,6 @@ import numpy as np
 import pytest
 
 from h3mkit import (
-    AssignmentMatrix,
     DegenerateWeightsError,
     EstimationError,
     H3m,
@@ -36,7 +35,7 @@ from h3mkit.gaussians import _cross_terms, logsumexp
 from h3mkit.h3m import compute_assignments, mstep
 from h3mkit.hmm import _stack
 from h3mkit.hmm import _Stats
-from h3mkit.reduction import _estep, _init_reduced, _reduce_once, _virtual_stats_all
+from h3mkit.reduction import _estep, _init_reduced, _virtual_stats_all
 
 from conftest import (
     elhmm_bruteforce, estep_pair, mixture_bound, occupancies, random_hmm, state_marginals,
@@ -266,13 +265,13 @@ class TestComputeAssignments:
         z, _ = compute_assignments(
             np.array([[-3.0], [-5.0]]), np.array([1.0]), np.array([10.0, 10.0])
         )
-        np.testing.assert_allclose(z.z, np.ones((2, 1)))
+        np.testing.assert_allclose(z, np.ones((2, 1)))
 
     def test_symmetric_tie(self):
         z, _ = compute_assignments(
             np.array([[-2.0, -2.0]]), np.array([0.5, 0.5]), np.array([100.0])
         )
-        np.testing.assert_allclose(z.z, [[0.5, 0.5]], atol=1e-12)
+        np.testing.assert_allclose(z, [[0.5, 0.5]], atol=1e-12)
 
     def test_scaled_sigmoid(self):
         # Objective gap 0.01 at 1000 virtual samples: the soft assignment is
@@ -281,14 +280,14 @@ class TestComputeAssignments:
             np.array([[-1.0, -1.01]]), np.array([0.5, 0.5]), np.array([1000.0])
         )
         expected = 1.0 / (1.0 + math.exp(-10.0))
-        assert z.z[0, 0] == pytest.approx(expected, abs=1e-9)
-        assert z.z[0, 0] == pytest.approx(0.99995, abs=1e-5)
+        assert z[0, 0] == pytest.approx(expected, abs=1e-9)
+        assert z[0, 0] == pytest.approx(0.99995, abs=1e-5)
 
     def test_huge_exponents_no_overflow(self):
         z, _ = compute_assignments(
             np.array([[-100.0, -200.0]]), np.array([0.5, 0.5]), np.array([1e6])
         )
-        np.testing.assert_allclose(z.z, [[1.0, 0.0]], atol=1e-12)
+        np.testing.assert_allclose(z, [[1.0, 0.0]], atol=1e-12)
 
     def test_non_finite_rejected(self):
         # A numerical failure (CLI exit 2), not a validation error.
@@ -370,13 +369,12 @@ def lower_bound(weights, z, objectives, virtual_counts):
     """Variational lower bound at arbitrary assignments: the z-weighted sum
     of the pair objectives scaled by virtual counts, plus the prior and
     entropy terms of the assignments. 0 log 0 counts as 0."""
-    zz = z.z
     with np.errstate(divide="ignore"):
         log_w = np.log(weights)[None, :]
-        log_z = np.where(zz > 0, np.log(np.where(zz > 0, zz, 1.0)), 0.0)
-    inner = np.broadcast_to(log_w - log_z + virtual_counts[:, None] * objectives, zz.shape)
-    mask = zz > 0
-    return float(np.sum(zz[mask] * inner[mask]))
+        log_z = np.where(z > 0, np.log(np.where(z > 0, z, 1.0)), 0.0)
+    inner = np.broadcast_to(log_w - log_z + virtual_counts[:, None] * objectives, z.shape)
+    mask = z > 0
+    return float(np.sum(z[mask] * inner[mask]))
 
 
 class TestLowerBound:
@@ -384,18 +382,18 @@ class TestLowerBound:
         reduced = H3m([1.0], [gaussian_hmm(1.0)])
         counts = np.array([30.0, 70.0])
         objectives = np.array([[-3.0], [-4.0]])
-        z = AssignmentMatrix(np.ones((2, 1)))
+        z = np.ones((2, 1))
         expected = float(counts @ objectives[:, 0])
         assert lower_bound(reduced.weights, z, objectives, counts) == pytest.approx(expected)
         z_opt, norms = compute_assignments(objectives, reduced.weights, counts)
-        np.testing.assert_array_equal(z_opt.z, z.z)
+        np.testing.assert_array_equal(z_opt, z)
         assert norms.sum() == pytest.approx(expected)
 
     def test_hard_assignment(self, rng):
         reduced = H3m([0.25, 0.75], [gaussian_hmm(0.0), gaussian_hmm(4.0)])
         counts = np.array([10.0, 10.0])
         objectives = np.array([[-1.0, -9.0], [-9.0, -1.0]])
-        z = AssignmentMatrix(np.eye(2))
+        z = np.eye(2)
         expected = (math.log(0.25) + 10 * -1.0) + (math.log(0.75) + 10 * -1.0)
         assert lower_bound(reduced.weights, z, objectives, counts) == pytest.approx(expected)
 
@@ -417,7 +415,7 @@ class TestLowerBound:
         # At the optimal assignments the bound is the sum of the log-normalizers.
         assert norms.sum() == pytest.approx(best, rel=1e-12)
         for _ in range(100):
-            z_rand = AssignmentMatrix(np.stack([rng.dirichlet(np.ones(2)) for _ in range(3)]))
+            z_rand = np.stack([rng.dirichlet(np.ones(2)) for _ in range(3)])
             value = lower_bound(reduced.weights, z_rand, objectives, counts)
             assert value <= best + 1e-9
 
@@ -447,7 +445,7 @@ class TestMstep:
         reduced = H3m([1.0], [reduced_hmm])
         counts = np.array([100.0])
         objectives, stats = run_estep(base, reduced, 5)
-        z = AssignmentMatrix(np.ones((1, 1)))
+        z = np.ones((1, 1))
         assert h3m_module._starved(z, counts) == []
         new = mstep(z, stats, counts, reduced)
         pair = estep_pair(base_hmm, reduced_hmm, 5)
@@ -478,7 +476,7 @@ class TestMstep:
         reduced = H3m([1.0], [shared])
         counts = np.full(4, 25.0)
         objectives, stats = run_estep(base, reduced, 5)
-        z = AssignmentMatrix(np.ones((4, 1)))
+        z = np.ones((4, 1))
         new = mstep(z, stats, counts, reduced)
         comp = new.components[0]
         np.testing.assert_allclose(comp.initial, shared.initial, atol=1e-8)
@@ -495,7 +493,7 @@ class TestMstep:
         hard = np.zeros((4, 2))
         hard[:3, 0] = 1.0
         hard[3, 1] = 1.0
-        z = AssignmentMatrix(hard)
+        z = hard
         new = mstep(z, stats, counts, reduced)
         np.testing.assert_allclose(new.weights, [0.75, 0.25], atol=1e-12)
 
@@ -531,7 +529,7 @@ class TestMstep:
             np.full(k_r, 1 / k_r), [random_hmm(rng, n_r, m_r, d, cov_type) for _ in range(k_r)]
         )
         counts = 50.0 * base.weights
-        z = AssignmentMatrix(rng.dirichlet(np.ones(k_r), size=k_b))
+        z = rng.dirichlet(np.ones(k_r), size=k_b)
         pairs = [[estep_pair(b, r, tau) for r in reduced.components] for b in base.components]
         # Per pair, the occupancies nu (tau, N_r, N_b) and xi (N_r, N_r).
         occupancy = [
@@ -544,7 +542,7 @@ class TestMstep:
             pi, trans = np.zeros(n_r), np.zeros((n_r, n_r))
             mass, mean_num = np.zeros((n_r, m_r)), np.zeros((n_r, m_r, d))
             for i in range(k_b):
-                w_ij = z.z[i, j] * counts[i]
+                w_ij = z[i, j] * counts[i]
                 nu_per_step, xi_agg = occupancy[i][j]
                 pi += w_ij * nu_per_step[0].sum(axis=1)
                 trans += w_ij * xi_agg
@@ -555,7 +553,7 @@ class TestMstep:
                 ):
                     b = base.components[i]
                     weight = (
-                        z.z[i, j] * counts[i] * occupancy[i][j][0][:, rho, beta].sum()
+                        z[i, j] * counts[i] * occupancy[i][j][0][:, rho, beta].sum()
                         * b.mix_weights[beta, m] * pairs[i][j].eta[beta, rho, m, l]
                     )
                     yield rho, l, weight, b.means[beta, m], b.covs[beta, m]
@@ -586,7 +584,7 @@ class TestMstep:
         assert h3m_module._starved(z, counts) == []
         new = mstep(z, stats, counts, reduced, cov_floor=floor)
         # HEM's weight update: the mean assignment over base components.
-        np.testing.assert_allclose(new.weights, z.z.sum(axis=0) / k_b, rtol=0, atol=1e-10)
+        np.testing.assert_allclose(new.weights, z.sum(axis=0) / k_b, rtol=0, atol=1e-10)
         for comp, (initial, transitions, mix, means, covs) in zip(new.components, expected):
             np.testing.assert_allclose(comp.initial, initial, rtol=0, atol=1e-10)
             np.testing.assert_allclose(comp.transitions, transitions, rtol=0, atol=1e-10)
@@ -678,18 +676,18 @@ class TestVhemReduce:
         with pytest.raises(InvalidModelError):
             vhem_reduce(base, VhemConfig(k_reduced=2))
 
-    def test_subset_perturb_needs_enough_weighted_components(self):
+    def test_subset_perturb_needs_enough_weighted_components(self, monkeypatch):
+        # k_reduced above the number of base components with nonzero weight is
+        # one error, from either init, before any start is drawn.
         leaves, _ = synth_benchmark(2, 3, 4.0, np.random.default_rng(0))
         base = H3m([0.5, 0.5, 0.0, 0.0, 0.0, 0.0], leaves)
-        config = VhemConfig(k_reduced=3)
-        rng = np.random.default_rng(0)
-        state = rng.bit_generator.state
+        calls = []
+        monkeypatch.setattr(reduction_module, "_init_reduced", lambda *args: calls.append(args))
         message = "needs k_reduced=3 base components with nonzero weight, found 2"
-        with pytest.raises(InvalidModelError, match=message):
-            _init_reduced(base, config, rng)
-        assert rng.bit_generator.state == state  # rejected before any draw
-        with pytest.raises(InvalidModelError, match=message):
-            vhem_reduce(base, config)
+        for init in ("subset-perturb", "random"):
+            with pytest.raises(InvalidModelError, match=message):
+                vhem_reduce(base, VhemConfig(k_reduced=3, init=init))
+        assert calls == []
 
     def test_provided_init_must_match_covariance_layout(self):
         shape = dict(n_states=2, n_mix=2, dim=2)
@@ -749,7 +747,7 @@ class TestVhemReduce:
 
         def recorded_assign(values, weights, counts):
             z, norms = assign(values, weights, counts)
-            estimates.append((values, z.z.copy(), counts))
+            estimates.append((values, z.copy(), counts))
             return z, norms
 
         def recorded_mstep(z, stats, counts, previous, cov_floor):
@@ -760,7 +758,7 @@ class TestVhemReduce:
         monkeypatch.setattr(h3m_module, "mstep", recorded_mstep)
         result = vhem_reduce(base, VhemConfig(k_reduced=8, max_iters=10, tol=0.0, seed=2))
         objectives, z, counts = estimates[0]
-        starved = h3m_module._starved(AssignmentMatrix(z), counts)
+        starved = h3m_module._starved(z, counts)
         assert result.rescues == 2 and len(starved) == 2
         worst_first = np.argsort(objectives.max(axis=1), kind="stable")
         rescued = msteps[0].arrays.means
@@ -779,29 +777,44 @@ class TestVhemReduce:
         np.testing.assert_array_equal(multi_a.hard_labels, multi_b.hard_labels)
         assert multi_a.bound_history[-1] >= single.bound_history[-1] - 1e-6
 
-    def test_starts_are_the_children_of_the_seed(self):
-        # The restart rule of h3m_em: one run per child of
-        # default_rng(seed).spawn(n_starts), the best final bound kept. Here
-        # the last child's run is the best, and it labels the groups the
-        # other way round from the first two.
+    def test_starts_are_the_children_of_the_seed(self, monkeypatch):
+        # The restart rule of h3m_em: one _em run per child of
+        # default_rng(seed).spawn(n_starts), the one whose bound ends highest
+        # kept. Here the last child's run is the best.
         leaves, _ = synth_benchmark(4, 5, 4.0, np.random.default_rng(6))
         base = H3m(np.full(20, 0.05), leaves)
-        config = VhemConfig(k_reduced=2, seed=4, n_starts=3)
-        runs = [_reduce_once(base, config, rng) for rng in np.random.default_rng(4).spawn(3)]
-        best = max(runs, key=lambda run: run.bound_history[-1])
-        assert best is runs[2] and len({run.bound_history[-1] for run in runs}) == 3
-        result = vhem_reduce(base, config)
-        assert result.bound_history == best.bound_history
-        assert result.hard_labels.tobytes() == best.hard_labels.tobytes()
+        starts, runs = [], []
+        init, em = reduction_module._init_reduced, reduction_module._em
+
+        def recorded_init(items, config, rng):
+            starts.append(rng.bit_generator.state)
+            return init(items, config, rng)
+
+        def recorded_em(*args):
+            runs.append(em(*args))
+            return runs[-1]
+
+        monkeypatch.setattr(reduction_module, "_init_reduced", recorded_init)
+        monkeypatch.setattr(reduction_module, "_em", recorded_em)
+        result = vhem_reduce(base, VhemConfig(k_reduced=2, seed=4, n_starts=3))
+        assert starts == [child.bit_generator.state
+                          for child in np.random.default_rng(4).spawn(3)]
+        finals = [trace[-1] for _, _, trace, _ in runs]
+        assert len(set(finals)) == 3 and max(finals) == finals[2]
+        reduced, z, trace, rescues = runs[2]
+        assert result.reduced is reduced and result.bound_history == trace
+        assert result.rescues == rescues
+        assert result.assignments.z.tobytes() == z.tobytes()
 
     def test_given_model_is_the_starting_point(self):
         leaves, _ = synth_benchmark(2, 3, 4.0, np.random.default_rng(7))
         base = H3m(np.full(6, 1 / 6), leaves)
         start = H3m([0.3, 0.7], [leaves[4], leaves[1]])
-        # One E-step and no M-step: the result is the start, and the bound is
-        # taken at it.
+        # One E-step and no M-step: the result holds the start's arrays, which
+        # the floor leaves as they are, and the bound is taken at it.
         result = vhem_reduce(base, VhemConfig(k_reduced=2, init=start, max_iters=1))
-        assert result.reduced is start
+        assert result.reduced.weights is start.weights
+        assert all(got is want for got, want in zip(result.reduced.arrays, start.arrays))
         objectives = np.array(
             [[estep_pair(b, r, 10).objective for r in start.components] for b in leaves]
         )
@@ -928,6 +941,65 @@ class TestVhemReduce:
         history = np.array(result.bound_history)
         assert np.all(np.diff(history) >= -1e-8 * np.abs(history[:-1]))
         assert result.effective_k == 2
+
+
+class TestWeightlessComponents:
+    """A base component of weight 0 carries no virtual sample: the reduction
+    runs on the weighted components only, and a weightless one's assignment
+    row is the reduced weights."""
+
+    @pytest.mark.parametrize("init", ["subset-perturb", "random"])
+    def test_far_weightless_component_reduces_without_warning(self, init):
+        # Weights (0.5, 0.5, 0) with the weightless mean at 1e200: its pair
+        # objectives are -inf, and its count 0 times -inf is no longer formed.
+        base = H3m([0.5, 0.5, 0.0], [gaussian_hmm(mean) for mean in (0.0, 0.5, 1e200)])
+        alone = H3m([0.5, 0.5], [gaussian_hmm(mean) for mean in (0.0, 0.5)])
+        config = VhemConfig(k_reduced=1, init=init)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            result = vhem_reduce(base, config)
+        assert result.effective_k == 1
+        assert result.bound_history == vhem_reduce(alone, config).bound_history
+        np.testing.assert_array_equal(result.assignments.z, np.ones((3, 1)))
+
+    @pytest.mark.parametrize("init", ["subset-perturb", "random"])
+    def test_weightless_components_change_nothing(self, init):
+        # Four weightless leaves, far from the rest, interleaved with twenty
+        # weighted ones: the reduction, its rescues included, is bit for bit
+        # the one of the twenty alone.
+        shape = dict(n_states=3, n_mix=2, dim=2)
+        leaves, _ = synth_benchmark(4, 5, 4.0, np.random.default_rng(1), **shape)
+        far, _ = synth_benchmark(2, 2, 40.0, np.random.default_rng(2), **shape)
+        config = VhemConfig(k_reduced=6, max_iters=10, tol=0.0, seed=0, init=init)
+        expected = vhem_reduce(H3m(np.full(20, 0.05), leaves), config)
+        weights = np.array([0.05] * 5 + [0.0] * 2 + [0.05] * 15 + [0.0] * 2)
+        result = vhem_reduce(H3m(weights, leaves[:5] + far[:2] + leaves[5:] + far[2:]), config)
+        assert expected.rescues > 0
+        assert result.bound_history == expected.bound_history
+        assert (result.rescues, result.effective_k) == (expected.rescues, expected.effective_k)
+        assert result.reduced.weights.tobytes() == expected.reduced.weights.tobytes()
+        for got, want in zip(result.reduced.arrays, expected.reduced.arrays):
+            assert got.tobytes() == want.tobytes()
+        z = result.assignments.z
+        assert z[weights > 0].tobytes() == expected.assignments.z.tobytes()
+        np.testing.assert_array_equal(z[weights == 0], np.tile(result.reduced.weights, (4, 1)))
+        np.testing.assert_array_equal(result.hard_labels, z.argmax(axis=1))
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_repair_never_takes_a_weightless_item(self, monkeypatch, seed):
+        # Two groups of three weighted leaves and one weightless leaf at 1000,
+        # the worst modeled item at every E-step: no repair takes it, and the
+        # reduction keeps its three components.
+        base = H3m([1 / 6] * 6 + [0.0],
+                   [gaussian_hmm(mean) for mean in (0.0, 0.1, 0.2, 5.0, 5.1, 5.2, 1000.0)])
+        starts, step = [], h3m_module.mstep
+        monkeypatch.setattr(
+            h3m_module, "mstep", lambda z, stats, counts, previous, floor:
+            starts.append(previous.arrays.means.copy()) or step(z, stats, counts, previous, floor),
+        )
+        result = vhem_reduce(base, VhemConfig(k_reduced=3, init="random", max_iters=10, seed=seed))
+        assert starts and not any((means == 1000.0).any() for means in starts)
+        assert result.effective_k == 3
 
 
 def unweighted_mean(case, near, far):
@@ -1058,7 +1130,7 @@ def per_pair_reduce(base, config):
         components = list(reduced.components)
         worst_first = list(np.argsort(objectives.max(axis=1), kind="stable"))
         for j in range(reduced.n_components):
-            if counts @ z.z[:, j] >= 1e-3 * counts.sum() or len(taken) == 2:
+            if counts @ z[:, j] >= 1e-3 * counts.sum() or len(taken) == 2:
                 continue
             n = len(taken)
             taken.append(next(i for i in worst_first[n:] + worst_first[:n] if i not in taken))
@@ -1068,8 +1140,8 @@ def per_pair_reduce(base, config):
                                                                   config.tau_virtual)[:3])
                 for name in ("pi", "trans", "mix", "mean", "sq"):
                     getattr(stats, name)[i, j] = getattr(fresh, name)[0, 0]
-            z.z[taken[-1]] = 0.0
-            z.z[taken[-1], j] = 1.0
+            z[taken[-1]] = 0.0
+            z[taken[-1], j] = 1.0
         reduced = mstep(z, stats, counts, H3m(reduced.weights, components), config.cov_floor)
     return history, z, reduced, len(taken)
 
@@ -1132,7 +1204,7 @@ class TestBatchedEstep:
         history, z, reduced, rescues = per_pair_reduce(base, config)
         np.testing.assert_allclose(result.bound_history, history, rtol=1e-12, atol=0)
         # z is a probability: within 1e-12 of the row's unit mass.
-        np.testing.assert_allclose(result.assignments.z, z.z, rtol=1e-12, atol=1e-12)
+        np.testing.assert_allclose(result.assignments.z, z, rtol=1e-12, atol=1e-12)
         assert result.rescues == rescues
         np.testing.assert_allclose(result.reduced.weights, reduced.weights, rtol=1e-12, atol=0)
         for got, want in zip(result.reduced.components, reduced.components):
@@ -1157,6 +1229,28 @@ class TestBatchedEstep:
         for got, want in zip(result.reduced.components, expected.reduced.components):
             for field in ("initial", "transitions", "mix_weights", "means", "covs"):
                 np.testing.assert_array_equal(getattr(got, field), getattr(want, field))
+
+    @pytest.mark.parametrize("couplings, calls", [(True, 3), (False, 0)])
+    def test_one_softmax_per_coupling_per_block(self, monkeypatch, couplings, calls):
+        # The phi recursion keeps every step's scores and normalizers, so a
+        # block with couplings takes three softmaxes (eta, phi_initial and
+        # phi_step), not one per pair and step; one without takes none.
+        rng = np.random.default_rng(4)
+        base = _stack([random_hmm(rng, 3, 2, 2) for _ in range(4)])
+        reduced = _stack([random_hmm(rng, 3, 2, 2) for _ in range(3)])
+        expected = _estep(base, reduced, 10, couplings)
+        shapes, softmax = [], reduction_module._responsibilities
+        monkeypatch.setattr(
+            reduction_module, "_responsibilities",
+            lambda table, norm: shapes.append(table.shape) or softmax(table, norm),
+        )
+        estep = _estep(base, reduced, 10, couplings)
+        assert len(shapes) == calls
+        for field in ("eta", "phi_initial", "phi_step", "state_ell", "objective"):
+            got, want = getattr(estep, field), getattr(expected, field)
+            assert (got is None and want is None) or got.tobytes() == want.tobytes()
+        if couplings:
+            assert estep.phi_step.flags.c_contiguous and estep.phi_initial.flags.c_contiguous
 
     def test_statistics_memory_does_not_grow_with_tau(self):
         # The occupancy recursion sums over steps as it goes: the statistics
